@@ -14,7 +14,7 @@
 //
 //   - Simulate runs one broadcast on a simulated overlay and reports
 //     cost, coverage and (optionally) deanonymization outcomes — the
-//     building block of every experiment in EXPERIMENTS.md.
+//     building block of the experiments indexed in DESIGN.md §3.
 //   - StartNode launches a real node over TCP: privacy broadcast for
 //     transactions, plain flood for blocks, mempool and toy-PoW miner.
 package flexnet
@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/adaptive"
@@ -173,16 +175,31 @@ type SimResult struct {
 	GroupAttackHit  bool
 }
 
-// Simulate runs one broadcast and reports the outcome.
-func Simulate(cfg SimConfig) (*SimResult, error) {
-	cfg.applyDefaults()
+// errDisconnected is what both entry points return for an overlay on
+// which no broadcast can reach every node.
+var errDisconnected = errors.New("flexnet: generated topology is disconnected; change Seed")
+
+// simRun is one broadcast, set up and run until it settled: the state
+// both entry points read their results from.
+type simRun struct {
+	net     *sim.Network
+	id      proto.MsgID
+	origin  proto.NodeID
+	members []proto.NodeID      // the originator's DC-net group (flexnet only)
+	obs     *adversary.Observer // nil without an adversary
+}
+
+// runBroadcast is the one set-up path: topology → payload → adversary →
+// originator → group directory → network → handlers → originate → run.
+// The draws from the run RNG happen in exactly that order.
+func runBroadcast(cfg SimConfig) (*simRun, error) {
 	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
 	g, err := buildTopology(cfg, topoRNG)
 	if err != nil {
 		return nil, err
 	}
 	if !g.Connected() {
-		return nil, errors.New("flexnet: generated topology is disconnected; change Seed")
+		return nil, errDisconnected
 	}
 
 	runRNG := rand.New(rand.NewPCG(cfg.Seed, 0xabcdef12))
@@ -194,90 +211,110 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		}
 	}
 
-	// Adversary.
-	var obs *adversary.Observer
+	run := &simRun{}
 	if cfg.AdversaryFraction > 0 {
 		corrupted := adversary.SampleCorrupted(cfg.N, cfg.AdversaryFraction, runRNG)
-		obs = adversary.NewObserver(corrupted)
+		run.obs = adversary.NewObserver(corrupted)
 	}
 
 	// Originator: an honest node.
-	origin := proto.NodeID(runRNG.IntN(cfg.N))
-	for obs != nil && obs.Corrupted(origin) {
-		origin = proto.NodeID(runRNG.IntN(cfg.N))
+	run.origin = proto.NodeID(runRNG.IntN(cfg.N))
+	for run.obs != nil && run.obs.Corrupted(run.origin) {
+		run.origin = proto.NodeID(runRNG.IntN(cfg.N))
 	}
 
 	// Group placement for flexnet: a directory partition over all nodes;
 	// the originator's group drives Phase 1.
-	var members []proto.NodeID
 	if cfg.Protocol == ProtocolFlexnet {
 		dir, err := group.NewDirectory(cfg.K)
 		if err != nil {
 			return nil, fmt.Errorf("flexnet: %w", err)
 		}
-		order := runRNG.Perm(cfg.N)
-		for _, v := range order {
+		for _, v := range runRNG.Perm(cfg.N) {
 			if err := dir.Join(proto.NodeID(v), runRNG); err != nil {
 				return nil, fmt.Errorf("flexnet: %w", err)
 			}
 		}
-		gids := dir.GroupsOf(origin)
+		gids := dir.GroupsOf(run.origin)
 		if len(gids) == 0 {
 			return nil, errors.New("flexnet: originator not placed in a group (N < K?)")
 		}
-		members = dir.Group(gids[0]).Members
+		run.members = dir.Group(gids[0]).Members
 	}
 
-	net := sim.NewNetwork(g, sim.Options{
+	run.net = sim.NewNetwork(g, sim.Options{
 		Seed:    cfg.Seed,
 		Latency: sim.ConstLatency(time.Duration(cfg.LatencyMs) * time.Millisecond),
 	})
-	if obs != nil {
-		net.AddTap(obs)
+	if run.obs != nil {
+		run.net.AddTap(run.obs)
 	}
-
-	hashes := core.SimHashes(cfg.N)
-	inGroup := make(map[proto.NodeID]bool, len(members))
-	for _, m := range members {
-		inGroup[m] = true
-	}
-	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		switch cfg.Protocol {
-		case ProtocolFlood:
-			return flood.New()
-		case ProtocolDandelion:
-			return dandelion.New(dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second})
-		case ProtocolAdaptive:
-			return adaptive.New(adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree})
-		default:
-			c := core.Config{
-				K: cfg.K, D: cfg.D,
-				Hashes:     hashes,
-				DCMode:     dcnet.ModeFixed,
-				DCSlotSize: len(payload) + dcnet.SlotOverhead,
-				DCInterval: 2 * time.Second,
-				DCPolicy:   dcnet.PolicyNone,
-				ADInterval: 500 * time.Millisecond,
-				TreeDegree: cfg.Degree,
-			}
-			if inGroup[id] {
-				c.Group = members
-			}
-			p, err := core.New(c)
-			if err != nil {
-				panic(fmt.Sprintf("flexnet: building node %d: %v", id, err))
-			}
-			return p
-		}
-	})
-	net.Start()
-	id, err := net.Originate(origin, payload)
+	run.net.SetHandlers(handlerFactory(cfg, len(payload), run.members))
+	run.net.Start()
+	run.id, err = run.net.Originate(run.origin, payload)
 	if err != nil {
 		return nil, fmt.Errorf("flexnet: %w", err)
 	}
 	// Run until coverage stalls or completes, so periodic Phase-1 rounds
 	// after the broadcast do not inflate the per-broadcast cost.
-	runUntilSettled(net, id, cfg.N, cfg.MaxDuration)
+	runUntilSettled(run.net, run.id, cfg.N, cfg.MaxDuration)
+	return run, nil
+}
+
+// handlerFactory returns the per-node protocol stack constructor for the
+// configured protocol. Composed stacks mount one dense state shared by
+// the whole network (core.NewAt); members is the originator's group.
+func handlerFactory(cfg SimConfig, payloadLen int, members []proto.NodeID) func(proto.NodeID) proto.Handler {
+	switch cfg.Protocol {
+	case ProtocolFlood:
+		return func(proto.NodeID) proto.Handler { return flood.New() }
+	case ProtocolDandelion:
+		return func(proto.NodeID) proto.Handler {
+			return dandelion.New(dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second})
+		}
+	case ProtocolAdaptive:
+		return func(proto.NodeID) proto.Handler {
+			return adaptive.New(adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree})
+		}
+	}
+	// Only group members are ever hashed: they elect the virtual source
+	// among themselves.
+	hashes := make(map[proto.NodeID][32]byte, len(members))
+	for _, m := range members {
+		hashes[m] = core.SimHash(m)
+	}
+	c := core.Config{
+		K: cfg.K, D: cfg.D,
+		Hashes:     hashes,
+		DCMode:     dcnet.ModeFixed,
+		DCSlotSize: payloadLen + dcnet.SlotOverhead,
+		DCInterval: 2 * time.Second,
+		DCPolicy:   dcnet.PolicyNone,
+		ADInterval: 500 * time.Millisecond,
+		TreeDegree: cfg.Degree,
+	}
+	shared := core.NewShared(cfg.N)
+	return func(id proto.NodeID) proto.Handler {
+		c := c
+		if _, ok := slices.BinarySearch(members, id); ok {
+			c.Group = members
+		}
+		p, err := core.NewAt(c, shared, id)
+		if err != nil {
+			panic(fmt.Sprintf("flexnet: building node %d: %v", id, err))
+		}
+		return p
+	}
+}
+
+// Simulate runs one broadcast and reports the outcome.
+func Simulate(cfg SimConfig) (*SimResult, error) {
+	cfg.applyDefaults()
+	run, err := runBroadcast(cfg)
+	if err != nil {
+		return nil, err
+	}
+	net, id, origin, members, obs := run.net, run.id, run.origin, run.members, run.obs
 
 	res := &SimResult{
 		N:             cfg.N,
@@ -333,6 +370,14 @@ func runUntilSettled(net *sim.Network, id proto.MsgID, n int, deadline time.Dura
 	grace := 0
 	last := 0
 	for net.Now() < deadline {
+		// A simulation never blocks, so when every P runs one the garbage
+		// collector's background worker is scheduled only at the runtime's
+		// 10 ms forced preemption: a mark phase then lasts 12–19 ms, and
+		// what the callers allocate meanwhile (≈ 0.8 GB/s in a closed
+		// loop) counts as live and doubles into the next heap goal.
+		// Yielding once per step keeps the mark phase at 3–5 ms and the
+		// heap of such a loop at about half the size (DESIGN §2k).
+		runtime.Gosched()
 		net.RunUntil(net.Now() + step)
 		cur := net.Delivered(id)
 		if cur >= n {
@@ -359,82 +404,12 @@ func runUntilSettled(net *sim.Network, id proto.MsgID, n int, deadline time.Dura
 // (E10).
 func SimulateWithDeliveryTimes(cfg SimConfig) (map[int32]time.Duration, error) {
 	cfg.applyDefaults()
-	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
-	g, err := buildTopology(cfg, topoRNG)
+	run, err := runBroadcast(cfg)
 	if err != nil {
 		return nil, err
 	}
-	runRNG := rand.New(rand.NewPCG(cfg.Seed, 0xabcdef12))
-	payload := cfg.Payload
-	if payload == nil {
-		payload = make([]byte, 250)
-		for i := range payload {
-			payload[i] = byte(runRNG.Uint32())
-		}
-	}
-	origin := proto.NodeID(runRNG.IntN(cfg.N))
-
-	var members []proto.NodeID
-	if cfg.Protocol == ProtocolFlexnet {
-		dir, err := group.NewDirectory(cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		for _, v := range runRNG.Perm(cfg.N) {
-			if err := dir.Join(proto.NodeID(v), runRNG); err != nil {
-				return nil, err
-			}
-		}
-		gids := dir.GroupsOf(origin)
-		if len(gids) == 0 {
-			return nil, errors.New("flexnet: originator not placed")
-		}
-		members = dir.Group(gids[0]).Members
-	}
-
-	net := sim.NewNetwork(g, sim.Options{
-		Seed:    cfg.Seed,
-		Latency: sim.ConstLatency(time.Duration(cfg.LatencyMs) * time.Millisecond),
-	})
-	hashes := core.SimHashes(cfg.N)
-	inGroup := make(map[proto.NodeID]bool, len(members))
-	for _, m := range members {
-		inGroup[m] = true
-	}
-	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		switch cfg.Protocol {
-		case ProtocolFlood:
-			return flood.New()
-		case ProtocolDandelion:
-			return dandelion.New(dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second})
-		case ProtocolAdaptive:
-			return adaptive.New(adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree})
-		default:
-			c := core.Config{
-				K: cfg.K, D: cfg.D, Hashes: hashes,
-				DCMode: dcnet.ModeFixed, DCSlotSize: len(payload) + dcnet.SlotOverhead,
-				DCInterval: 2 * time.Second, DCPolicy: dcnet.PolicyNone,
-				ADInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree,
-			}
-			if inGroup[id] {
-				c.Group = members
-			}
-			p, err := core.New(c)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}
-	})
-	net.Start()
-	id, err := net.Originate(origin, payload)
-	if err != nil {
-		return nil, err
-	}
-	runUntilSettled(net, id, cfg.N, cfg.MaxDuration)
-
 	out := make(map[int32]time.Duration, cfg.N)
-	for nodeID, at := range net.Deliveries(id).All() {
+	for nodeID, at := range run.net.Deliveries(run.id).All() {
 		out[int32(nodeID)] = at
 	}
 	return out, nil

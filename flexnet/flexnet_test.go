@@ -2,6 +2,8 @@ package flexnet
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -203,5 +205,98 @@ func TestStartNodeTCPCluster(t *testing.T) {
 			t.Fatalf("tx did not reach all mempools: %v", sizes)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// Both entry points read their results off one set-up path, so they
+// describe the same broadcast.
+func TestEntryPointsAgree(t *testing.T) {
+	for _, f := range []float64{0, 0.1} {
+		cfg := SimConfig{N: 120, Degree: 6, Protocol: ProtocolFlexnet, K: 4, D: 3, Seed: 21, AdversaryFraction: f}
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := SimulateWithDeliveryTimes(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last time.Duration
+		for _, at := range prof {
+			last = max(last, at)
+		}
+		if len(prof) != res.Delivered || last != res.TimeToCoverage {
+			t.Errorf("f=%v: delivery profile has %d nodes, last at %v; Simulate reports %d, %v",
+				f, len(prof), last, res.Delivered, res.TimeToCoverage)
+		}
+		if _, ok := prof[res.Originator]; !ok {
+			t.Errorf("f=%v: Simulate's originator %d is missing from the profile", f, res.Originator)
+		}
+	}
+}
+
+// A broadcast cannot cover a disconnected overlay. SimulateWithDeliveryTimes
+// used to skip the check and return the origin component's deliveries as
+// if they were the whole network's.
+func TestDisconnectedOverlayFailsBothEntryPoints(t *testing.T) {
+	// A ring with a fifth of its edges rewired at random: this seed cuts
+	// it into more than one piece.
+	cfg := SimConfig{N: 60, Degree: 2, Topology: TopologySmallWorld, Protocol: ProtocolFlood, Seed: 1}
+	if _, err := Simulate(cfg); !errors.Is(err, errDisconnected) {
+		t.Errorf("Simulate: err = %v, want %v", err, errDisconnected)
+	}
+	if prof, err := SimulateWithDeliveryTimes(cfg); !errors.Is(err, errDisconnected) {
+		t.Errorf("SimulateWithDeliveryTimes: %d deliveries, err = %v, want %v", len(prof), err, errDisconnected)
+	}
+}
+
+// knownIncomplete lists the (K, D, seed) inputs with seed in 1..8192 on
+// which Simulate at N=1000, f=0.1 stops at about 90 % coverage: diffusion
+// ends at 3.55 s of virtual time, the final-spread instruction never
+// arrives and phase 3 sends nothing. bench/composed.go steps over the
+// same eleven; every other input of that range covers all 1000 nodes.
+var knownIncomplete = [][3]int{
+	{10, 4, 535}, {10, 4, 1405}, {10, 4, 4238}, {10, 4, 4524},
+	{20, 6, 1071}, {20, 6, 1487}, {20, 6, 2218}, {20, 6, 3967},
+	{20, 6, 7579}, {20, 6, 7737}, {20, 6, 7767},
+}
+
+// The defect above, pinned next to the code that has it. The fix deletes
+// the Skip (and the list in bench/composed.go); until then the log shows
+// that a change did not move which inputs fail, or by how much.
+func TestKnownIncompleteInputsCoverEveryNode(t *testing.T) {
+	const n = 1000
+	results := make([]*SimResult, len(knownIncomplete))
+	for i, in := range knownIncomplete {
+		res, err := Simulate(SimConfig{N: n, K: in[0], D: in[1], Seed: uint64(in[2]), AdversaryFraction: 0.1})
+		if err != nil {
+			t.Fatalf("K=%d D=%d seed=%d: %v", in[0], in[1], in[2], err)
+		}
+		t.Logf("K=%d D=%d seed=%d: delivered %d/%d, last at %v, %d flood messages",
+			in[0], in[1], in[2], res.Delivered, n, res.TimeToCoverage, res.PhaseMessages["flood"])
+		results[i] = res
+	}
+	t.Skipf("known defect: Simulate leaves about 10 %% of the nodes unreached on these %d inputs: %v", len(knownIncomplete), knownIncomplete)
+	for i, res := range results {
+		if res.Delivered != n {
+			t.Errorf("K=%d D=%d seed=%d: delivered %d/%d", knownIncomplete[i][0], knownIncomplete[i][1], knownIncomplete[i][2], res.Delivered, n)
+		}
+	}
+}
+
+func BenchmarkSimulateComposed(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("N=%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				res, err := Simulate(SimConfig{N: n, K: 5, D: 4, Seed: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Delivered != n {
+					b.Fatalf("delivered %d/%d", res.Delivered, n)
+				}
+			}
+		})
 	}
 }

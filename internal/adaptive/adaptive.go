@@ -200,7 +200,7 @@ type Engine struct {
 	dpool   *visited.Pool[*State]
 	self    proto.NodeID
 	gen     uint64                   // last Shared generation synced (dense mode)
-	vs     map[proto.MsgID]*vsState // lazy: only ever the token holder
+	vs      map[proto.MsgID]*vsState // lazy: only ever the token holder
 	// pendingToken buffers a token that arrived before the payload (only
 	// possible under exotic latency models; links are FIFO).
 	pendingToken map[proto.MsgID]*TokenMsg

@@ -164,22 +164,53 @@ type failsafeTimer struct{ id proto.MsgID }
 
 var _ proto.Broadcaster = (*Protocol)(nil)
 
-// New builds a node protocol from the configuration.
-func New(cfg Config) (*Protocol, error) {
+// New builds a node protocol from the configuration, with standalone
+// Phase-2/3 engines that own their per-message maps — right for a
+// long-lived node (internal/node, the TCP runtime).
+func New(cfg Config) (*Protocol, error) { return build(cfg, nil, 0) }
+
+// Shared is the network-wide dense state of the composed stack: the
+// flood.Shared and adaptive.Shared its Phase-3 and Phase-2 engines mount
+// (see those types for the contract — one Shared per simulated network,
+// single-threaded).
+type Shared struct {
+	fl *flood.Shared
+	ad *adaptive.Shared
+}
+
+// NewShared returns shared composed-stack state for node IDs in [0, n).
+func NewShared(n int) *Shared {
+	return &Shared{fl: flood.NewShared(n), ad: adaptive.NewShared(n)}
+}
+
+// NewAt builds the protocol of node self over shared dense state — the
+// handler-factory form for simulated networks, like flood.NewAt and
+// adaptive.NewAt: a thousand stacks share two tables instead of owning
+// two maps each. It behaves exactly like New.
+func NewAt(cfg Config, shared *Shared, self proto.NodeID) (*Protocol, error) {
+	return build(cfg, shared, self)
+}
+
+func build(cfg Config, shared *Shared, self proto.NodeID) (*Protocol, error) {
 	cfg.applyDefaults()
-	p := &Protocol{cfg: cfg, fl: flood.NewEngine()}
+	for _, m := range cfg.Group {
+		if _, ok := cfg.Hashes[m]; !ok {
+			return nil, fmt.Errorf("%w: %d", ErrMissingHash, m)
+		}
+	}
+	p := &Protocol{cfg: cfg}
 	p.rel = newCustodyChannel(&cfg)
-	p.ad = adaptive.NewEngine(adaptive.Config{
+	ad := adaptive.Config{
 		D:              cfg.D,
 		RoundInterval:  cfg.ADInterval,
 		TreeDegree:     cfg.TreeDegree,
 		DeliverLocally: true,
 		Finisher:       (*finisher)(p),
-	})
-	for _, m := range cfg.Group {
-		if _, ok := cfg.Hashes[m]; !ok {
-			return nil, fmt.Errorf("%w: %d", ErrMissingHash, m)
-		}
+	}
+	if shared == nil {
+		p.fl, p.ad = flood.NewEngine(), adaptive.NewEngine(ad)
+	} else {
+		p.fl, p.ad = flood.NewEngineAt(shared.fl, self), adaptive.NewEngineAt(ad, shared.ad, self)
 	}
 	return p, nil
 }

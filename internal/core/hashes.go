@@ -13,11 +13,17 @@ import (
 // distributional properties; the TCP node uses crypto.Identity.Hash().
 func SimHashes(n int) map[proto.NodeID][32]byte {
 	out := make(map[proto.NodeID][32]byte, n)
-	var buf [8]byte
 	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(i))
-		copy(buf[4:], "node")
-		out[proto.NodeID(i)] = sha256.Sum256(buf[:])
+		out[proto.NodeID(i)] = SimHash(proto.NodeID(i))
 	}
 	return out
+}
+
+// SimHash is the identity hash SimHashes assigns to one node — for
+// callers that need the hashes of a few nodes, not of all of them.
+func SimHash(id proto.NodeID) [32]byte {
+	var buf [8]byte
+	binary.LittleEndian.PutUint32(buf[:4], uint32(id))
+	copy(buf[4:], "node")
+	return sha256.Sum256(buf[:])
 }

@@ -484,9 +484,9 @@ func (m *Member) round(n uint32) *roundState {
 	if rs == nil {
 		rs = &roundState{
 			number:     n,
-			gotShares:  make(map[proto.NodeID][]byte),
-			gotSPart:   make(map[proto.NodeID][]byte),
-			gotTPart:   make(map[proto.NodeID][]byte),
+			gotShares:  make(map[proto.NodeID][]byte, len(m.peers)),
+			gotSPart:   make(map[proto.NodeID][]byte, len(m.peers)),
+			gotTPart:   make(map[proto.NodeID][]byte, len(m.peers)),
 			gotCommits: make(map[proto.NodeID][][32]byte),
 			gotReveals: make(map[proto.NodeID]*RevealMsg),
 		}

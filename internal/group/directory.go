@@ -10,11 +10,12 @@
 package group
 
 import (
+	"cmp"
+	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"repro/internal/proto"
 )
@@ -29,6 +30,7 @@ const None ID = 0
 type Group struct {
 	ID      ID
 	Members []proto.NodeID // sorted
+	pos     int            // position in the owning Directory's bySize heap
 }
 
 // Size returns the member count.
@@ -59,8 +61,13 @@ type Directory struct {
 	k       int
 	overlap int // groups per node; 1 = partition (no overlap)
 
-	nextID  ID
-	groups  map[ID]*Group
+	nextID ID
+	groups map[ID]*Group
+	// bySize holds the same groups as a heap on (size, ID): its root is
+	// where the next joiner goes, so placement never scans the groups.
+	bySize sizeHeap
+	// byNode lists the groups of every known node. A node still waiting
+	// in pending has an entry too (an empty one), so Known is one lookup.
 	byNode  map[proto.NodeID][]ID
 	pending []proto.NodeID
 
@@ -101,16 +108,65 @@ func (d *Directory) MaxSize() int { return 2*d.k - 1 }
 
 // Groups returns all formed groups sorted by ID.
 func (d *Directory) Groups() []*Group {
-	out := make([]*Group, 0, len(d.groups))
-	for _, g := range d.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := slices.Clone(d.bySize)
+	slices.SortFunc(out, func(a, b *Group) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
 // Group returns the group with the given ID, or nil.
 func (d *Directory) Group(id ID) *Group { return d.groups[id] }
+
+// remove drops a group from both indexes.
+func (d *Directory) remove(g *Group) {
+	delete(d.groups, g.ID)
+	heap.Remove(&d.bySize, g.pos)
+}
+
+// sizeHeap is a container/heap of groups, smallest first and lowest ID
+// first among equally small ones — the order placement prefers. Groups
+// record their position, so a size change is one heap.Fix.
+type sizeHeap []*Group
+
+// smaller is the placement preference: fewer members, then lower ID.
+func smaller(a, b *Group) bool {
+	return a.Size() < b.Size() || a.Size() == b.Size() && a.ID < b.ID
+}
+
+func (h sizeHeap) Len() int           { return len(h) }
+func (h sizeHeap) Less(i, j int) bool { return smaller(h[i], h[j]) }
+func (h sizeHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+func (h *sizeHeap) Push(x any) {
+	g := x.(*Group)
+	g.pos = len(*h)
+	*h = append(*h, g)
+}
+
+func (h *sizeHeap) Pop() any {
+	old := *h
+	g := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return g
+}
+
+// smallestWithout returns the most preferred group at or below heap
+// position i that is not listed in skip and beats best, or best if there
+// is none. A group that qualifies hides its whole subtree, so the search
+// visits at most 2·len(skip)+1 positions.
+func (h sizeHeap) smallestWithout(i int, skip []ID, best *Group) *Group {
+	if i >= len(h) || best != nil && !smaller(h[i], best) {
+		return best
+	}
+	if !slices.Contains(skip, h[i].ID) {
+		return h[i]
+	}
+	best = h.smallestWithout(2*i+1, skip, best)
+	return h.smallestWithout(2*i+2, skip, best)
+}
 
 // GroupsOf returns the IDs of the groups containing the node.
 func (d *Directory) GroupsOf(n proto.NodeID) []ID {
@@ -122,10 +178,8 @@ func (d *Directory) Pending() []proto.NodeID { return slices.Clone(d.pending) }
 
 // Known reports whether the node has joined (placed or pending).
 func (d *Directory) Known(n proto.NodeID) bool {
-	if _, ok := d.byNode[n]; ok {
-		return true
-	}
-	return slices.Contains(d.pending, n)
+	_, ok := d.byNode[n]
+	return ok
 }
 
 // Join admits a node. It is placed immediately when groups have capacity
@@ -134,6 +188,7 @@ func (d *Directory) Join(n proto.NodeID, rng *rand.Rand) error {
 	if d.Known(n) {
 		return fmt.Errorf("%w: %d", ErrAlreadyJoined, n)
 	}
+	d.byNode[n] = nil
 	d.pending = append(d.pending, n)
 	d.rebalance(rng)
 	return nil
@@ -155,6 +210,7 @@ func (d *Directory) Leave(n proto.NodeID, rng *rand.Rand) error {
 		}
 		if i, ok := slices.BinarySearch(g.Members, n); ok {
 			g.Members = slices.Delete(g.Members, i, i+1)
+			heap.Fix(&d.bySize, g.pos)
 		}
 		if g.Size() < d.k {
 			d.dissolve(g)
@@ -183,19 +239,15 @@ func (d *Directory) Evict(n proto.NodeID, rng *rand.Rand) error {
 // (keeping their other group memberships intact).
 func (d *Directory) dissolve(g *Group) {
 	d.Dissolves++
-	delete(d.groups, g.ID)
+	d.remove(g)
 	for _, m := range g.Members {
 		ids := d.byNode[m]
 		if i := slices.Index(ids, g.ID); i >= 0 {
 			ids = slices.Delete(ids, i, i+1)
 		}
-		if len(ids) == 0 {
-			delete(d.byNode, m)
-			if !slices.Contains(d.pending, m) {
-				d.pending = append(d.pending, m)
-			}
-		} else {
-			d.byNode[m] = ids
+		d.byNode[m] = ids
+		if len(ids) == 0 && !slices.Contains(d.pending, m) {
+			d.pending = append(d.pending, m)
 		}
 	}
 }
@@ -213,8 +265,9 @@ func (d *Directory) rebalance(rng *rand.Rand) {
 	for progress {
 		progress = false
 
-		// Fill existing groups smallest-first.
-		var remaining []proto.NodeID
+		// Fill existing groups smallest-first, filtering the pool in
+		// place (nothing below touches it before the loop ends).
+		remaining := d.pending[:0]
 		for _, n := range d.pending {
 			g := d.smallestOpenGroup(n)
 			if g == nil {
@@ -245,18 +298,16 @@ func (d *Directory) rebalance(rng *rand.Rand) {
 	}
 }
 
-// smallestOpenGroup returns the smallest group that can admit n, or nil.
+// smallestOpenGroup returns the smallest group that can admit n — the
+// one with the lowest ID among equally small ones — or nil. Membership
+// is read off n's own group list, which by the byNode invariant equals
+// g.Contains(n) and is at most overlap entries long.
 func (d *Directory) smallestOpenGroup(n proto.NodeID) *Group {
-	var best *Group
-	for _, g := range d.Groups() {
-		if g.Contains(n) || g.Size() >= d.MaxSize()+1 {
-			continue
-		}
-		if best == nil || g.Size() < best.Size() {
-			best = g
-		}
+	g := d.bySize.smallestWithout(0, d.byNode[n], nil)
+	if g == nil || g.Size() > d.MaxSize() {
+		return nil
 	}
-	return best
+	return g
 }
 
 func (d *Directory) newGroup(members []proto.NodeID) *Group {
@@ -264,6 +315,7 @@ func (d *Directory) newGroup(members []proto.NodeID) *Group {
 	g := &Group{ID: d.nextID, Members: slices.Clone(members)}
 	slices.Sort(g.Members)
 	d.groups[g.ID] = g
+	heap.Push(&d.bySize, g)
 	return g
 }
 
@@ -271,6 +323,7 @@ func (d *Directory) newGroup(members []proto.NodeID) *Group {
 func (d *Directory) addToGroup(g *Group, n proto.NodeID, rng *rand.Rand) {
 	i, _ := slices.BinarySearch(g.Members, n)
 	g.Members = slices.Insert(g.Members, i, n)
+	heap.Fix(&d.bySize, g.pos)
 	d.byNode[n] = append(d.byNode[n], g.ID)
 	if g.Size() >= 2*d.k {
 		d.split(g, rng)
@@ -285,7 +338,7 @@ func (d *Directory) split(g *Group, rng *rand.Rand) {
 	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
 	left, right := members[:d.k], members[d.k:]
 
-	delete(d.groups, g.ID)
+	d.remove(g)
 	for _, m := range g.Members {
 		ids := d.byNode[m]
 		if i := slices.Index(ids, g.ID); i >= 0 {
@@ -302,9 +355,18 @@ func (d *Directory) split(g *Group, rng *rand.Rand) {
 
 // Validate checks all invariants; it returns the first violation.
 func (d *Directory) Validate() error {
+	if len(d.bySize) != len(d.groups) {
+		return fmt.Errorf("size heap holds %d groups, directory %d", len(d.bySize), len(d.groups))
+	}
 	for id, g := range d.groups {
 		if g.ID != id {
 			return fmt.Errorf("group %d has mismatched ID %d", id, g.ID)
+		}
+		if g.pos >= len(d.bySize) || d.bySize[g.pos] != g {
+			return fmt.Errorf("group %d not at its recorded heap position %d", id, g.pos)
+		}
+		if up := d.bySize[(g.pos-1)/2]; smaller(g, up) {
+			return fmt.Errorf("group %d (size %d) above smaller group %d (size %d) in the size heap", up.ID, up.Size(), id, g.Size())
 		}
 		if g.Size() < d.k || g.Size() > d.MaxSize() {
 			return fmt.Errorf("group %d size %d outside [%d,%d]", id, g.Size(), d.k, d.MaxSize())

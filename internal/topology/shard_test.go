@@ -83,8 +83,8 @@ func TestRelabelPreservesStructure(t *testing.T) {
 	}
 
 	for _, bad := range [][]proto.NodeID{
-		make([]proto.NodeID, g.N()-1),      // wrong length
-		append(perm[:g.N()-1:g.N()-1], 0),  // duplicate target
+		make([]proto.NodeID, g.N()-1),     // wrong length
+		append(perm[:g.N()-1:g.N()-1], 0), // duplicate target
 	} {
 		if _, err := g.Relabel(bad); err == nil {
 			t.Errorf("Relabel accepted invalid permutation %v", bad[:3])
