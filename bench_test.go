@@ -6,8 +6,8 @@
 //	go test -bench=. -benchmem
 //
 // reproduces the paper's table/figure shapes alongside runtime cost.
-// Full-trial numbers (the ones recorded in EXPERIMENTS.md) come from
-// `go run ./cmd/flexsim all`.
+// Full-trial numbers (the ones README.md and DESIGN.md §3 quote) come
+// from `go run ./cmd/flexsim all`.
 package repro
 
 import (

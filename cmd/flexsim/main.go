@@ -1,7 +1,7 @@
 // Command flexsim regenerates the paper's evaluation artifacts. Each
 // experiment (e1…e15, see DESIGN.md §3) prints a table; `all` runs the
-// full suite — `flexsim -md all` produces the Markdown tables embedded
-// in EXPERIMENTS.md.
+// full suite — `flexsim -md all` produces the Markdown form of the
+// tables README.md and DESIGN.md §3 quote.
 //
 // Trials execute over a worker pool (-par, default GOMAXPROCS); tables
 // are bit-identical at every parallelism. Network-scale experiments
@@ -16,8 +16,9 @@
 // stay bit-identical at any shard count. When -par is left at its
 // default, the cores split between the two axes: par = max(1,
 // GOMAXPROCS/shards). -v prints per-shard event counts, lookahead
-// stalls, and resolved shard counts, and -cpuprofile/-memprofile/-trace
-// capture pprof/trace artifacts of the whole run.
+// stalls, event-queue moves per event and resolved shard counts, and
+// -cpuprofile/-memprofile/-trace capture pprof/trace artifacts of the
+// whole run.
 //
 // Usage:
 //
@@ -54,7 +55,7 @@ func run() int {
 	trials := flag.Int("trials", 0, "override trial count (0: mode default)")
 	par := flag.Int("par", 0, "trial worker-pool size (0: GOMAXPROCS split across -shards, 1: sequential)")
 	shards := flag.Int("shards", 0, "per-trial event-loop shards on sharding-aware experiments (0/1: single loop)")
-	verbose := flag.Bool("v", false, "print per-shard event counts and lookahead stalls to stderr")
+	verbose := flag.Bool("v", false, "print per-shard event counts, lookahead stalls and event-queue cost to stderr")
 	netemSpec := flag.String("netem", "", "network-condition profile override: preset or spec, e.g. wan, lossy, \"lat=20ms,jitter=10ms,loss=0.05\"")
 	rateSpec := flag.String("rate", "100", "soak target: workload rate spec, e.g. \"400\", \"400,resub=0.1,zipf=1.2\", \"trace:10ms/30ms\"")
 	soakDur := flag.Duration("duration", 5*time.Second, "soak target: injection window (virtual time)")

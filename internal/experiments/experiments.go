@@ -1,8 +1,8 @@
 // Package experiments regenerates every quantitative and qualitative
 // result of the paper's evaluation (see DESIGN.md §3 for the experiment
-// index E1–E14 and EXPERIMENTS.md for measured-vs-paper numbers). Each
-// experiment returns a metrics.Table so that cmd/flexsim, the benchmarks
-// in bench_test.go, and EXPERIMENTS.md all print identical rows.
+// index and the measured-vs-paper numbers). Each experiment returns a
+// metrics.Table so that cmd/flexsim, the benchmarks in bench_test.go and
+// the tables quoted in README.md and DESIGN.md all print identical rows.
 //
 // Experiments take a Scenario: quick mode trades trial counts for
 // runtime (used by `go test -bench` and CI; published numbers come from
@@ -148,8 +148,9 @@ func (sc Scenario) logShards(label string, trial int, net *sim.Network) {
 	}
 	for _, st := range net.ShardStats() {
 		fmt.Fprintf(os.Stderr,
-			"%s trial %d shard %d: nodes=%d events=%d stalls=%d/%d windows handoffs=%d\n",
-			label, trial, st.Shard, st.Nodes, st.Events, st.Stalls, st.Windows, st.Handoffs)
+			"%s trial %d shard %d: nodes=%d events=%d stalls=%d/%d windows handoffs=%d queue: %d refills, %.2f moves/event, max run %d\n",
+			label, trial, st.Shard, st.Nodes, st.Events, st.Stalls, st.Windows, st.Handoffs,
+			st.QueueRefills, float64(st.QueueMoves)/float64(max(st.Events, 1)), st.QueueMaxRun)
 	}
 }
 

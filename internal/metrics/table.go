@@ -7,7 +7,8 @@ import (
 
 // Table accumulates rows of formatted cells and renders them as aligned
 // plain text, GitHub Markdown, or CSV. Experiments return Tables so that
-// the CLI, the benchmarks and EXPERIMENTS.md all print identical rows.
+// the CLI, the benchmarks and the tables README.md and DESIGN.md §3 quote
+// all print identical rows.
 type Table struct {
 	Title   string
 	Headers []string

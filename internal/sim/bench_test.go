@@ -24,7 +24,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 // BenchmarkEngineChurn1M measures steady-state schedule/run churn: 1024
 // self-rescheduling events processed one million at a time — the
 // allocation-free steady state a long simulation settles into, where the
-// arena recycles slots instead of growing.
+// arena recycles slots and the queue recycles chunks instead of growing.
 func BenchmarkEngineChurn1M(b *testing.B) {
 	e := NewEngine()
 	var tick func()
@@ -36,6 +36,83 @@ func BenchmarkEngineChurn1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(1_000_000)
+	}
+}
+
+// queueBenchHandler keeps a fixed event population alive: every delivery
+// schedules one more, straight into the engine's queue (no link model,
+// no counters), to a destination and after a delay drawn from a cheap
+// xorshift stream — so what a run measures is queue plus dispatch.
+type queueBenchHandler struct {
+	rng    uint64
+	jitter time.Duration // 0: every delay is exactly benchHop
+}
+
+const benchHop = 50 * time.Millisecond
+
+func (*queueBenchHandler) Init(proto.Context)             {}
+func (*queueBenchHandler) HandleTimer(proto.Context, any) {}
+
+func (h *queueBenchHandler) HandleMessage(ctx proto.Context, _ proto.NodeID, msg proto.Message) {
+	n := ctx.(*simNode)
+	h.rng ^= h.rng << 13
+	h.rng ^= h.rng >> 7
+	h.rng ^= h.rng << 17
+	delay := benchHop
+	if h.jitter > 0 {
+		delay += time.Duration(h.rng>>20) % h.jitter
+	}
+	n.schedSeq++
+	n.eng.scheduleDeliver(n.eng.now+delay, evKey{src: n.id, seq: n.schedSeq}, proto.NodeID(h.rng%uint64(len(n.net.nodes))), msg)
+}
+
+// benchEngineQueue runs one million events per op against a standing
+// population of `pending` deliveries.
+func benchEngineQueue(b *testing.B, pending int, jitter time.Duration) {
+	g, err := topology.Ring(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := NewNetwork(g, Options{Seed: 1})
+	h := &queueBenchHandler{rng: 0x9e3779b97f4a7c15, jitter: jitter}
+	net.SetHandlers(func(proto.NodeID) proto.Handler { return h })
+	net.Start()
+	msg := &flood.DataMsg{}
+	for i := 0; i < pending; i++ {
+		h.HandleMessage(&net.nodes[i%len(net.nodes)], 0, msg)
+	}
+	e := net.Engine()
+	e.Run(uint64(2 * pending)) // past the cold first waves: chunks and run buffer at size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Run(1_000_000)
+	}
+	b.ReportMetric(float64(e.moves)/float64(e.steps), "moves/event")
+}
+
+// BenchmarkEngineWave is the constant-latency regime: the whole
+// population lands on one instant, so the queue does one sort per wave
+// and no bucket-to-bucket moves. pending=1k is the small-network case
+// that used to fit the old heap in cache.
+func BenchmarkEngineWave(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		pending int
+	}{{"pending=1k", 1_000}, {"pending=100k", 100_000}, {"pending=1M", 1_000_000}} {
+		b.Run(c.name, func(b *testing.B) { benchEngineQueue(b, c.pending, 0) })
+	}
+}
+
+// BenchmarkEngineJitter is the no-ties regime: arrivals spread over
+// 20 ms of jitter, so entries trickle down the radix buckets and each
+// tick sorts a short run.
+func BenchmarkEngineJitter(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		pending int
+	}{{"pending=1k", 1_000}, {"pending=100k", 100_000}} {
+		b.Run(c.name, func(b *testing.B) { benchEngineQueue(b, c.pending, 20*time.Millisecond) })
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package sim implements the deterministic discrete-event runtime the
-// experiments run on: an event engine (virtual clock + index-based 4-ary
-// min-heap over a pooled event arena) and a Network that hosts one
+// experiments run on: an event engine (virtual clock + monotone radix
+// queue with deliveries stored inline) and a Network that hosts one
 // proto.Handler per topology node, delivers messages with a configurable
 // latency model, counts messages and bytes per type, and supports failure
 // injection (drops, crashed nodes) and observation taps for the adversary
@@ -19,21 +19,40 @@
 // same-instant ties between contexts break by node ID, with control
 // events (crash/restore injection) first. The key is a pure function of
 // who scheduled what — never of execution interleaving or of how events
-// are distributed over heaps — which is what lets the sharded runtime
-// (shard.go) split the node set across K independent heaps and still pop
-// every node's events in exactly the single-heap order.
+// are distributed over queues — which is what lets the sharded runtime
+// (shard.go) split the node set across K independent engines and still
+// pop every node's events in exactly the single-queue order.
 //
-// The engine is allocation-free in steady state: event records live in a
-// slot arena recycled through a free list, the heap orders int32 slot
-// indices (ordering keys are stored inline in the heap entries for cache
-// locality), and the hot paths — message delivery and node timers — are
-// typed event kinds rather than heap-allocated closures. Timer handles are
-// generation-counted so cancelling after the slot has been recycled is a
-// safe no-op.
+// Event queue (DESIGN §2). Every schedule path computes its fire time as
+// now plus a non-negative delay — Schedule and timers clamp negative
+// delays, a send adds a link delay and the per-link FIFO clamp only moves
+// arrivals later, a cross-shard arrival lies beyond the window its
+// destination just executed — so the queue is monotone: nothing is pushed
+// earlier than the last pop. The queue exploits that as a radix heap over
+// ticks of 2^tickBits ns. An entry whose tick differs from the one being
+// executed (lastTick) goes to bucket bits.Len64(tick ^ lastTick); when the
+// current tick is exhausted the lowest non-empty bucket is redistributed
+// once: entries of its earliest tick become the run — one contiguous
+// slice sorted once by (at, tag) and consumed by index — and the rest
+// drop into strictly lower buckets. Entries pushed into the tick being
+// executed (or, should a caller ever break monotonicity, below it) go to
+// a small 4-ary heap that pop merges with the run. Bucket geometry thus
+// only decides *when* an entry is sorted, never how: pops follow the
+// exact total order (at, src, seq) whatever is pushed, and monotonicity
+// is a performance assumption, not a correctness one.
+//
+// The engine is allocation-free in steady state: chunks, the run buffer
+// and the in-tick heap are reused, a message delivery — the hot path — is
+// carried entirely inside its queue entry, and the two cancellable event
+// kinds (callbacks and node timers) keep their payload in a slot arena
+// recycled through a free list. Timer handles are generation-counted so
+// cancelling after the slot has been recycled is a safe no-op.
 package sim
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/proto"
@@ -47,8 +66,6 @@ const (
 	evFree eventKind = iota
 	// evFunc is a generic callback (Engine.Schedule).
 	evFunc
-	// evDeliver hands a message to a node's handler (Network.send).
-	evDeliver
 	// evTimer fires a node timer (Context.SetTimer).
 	evTimer
 )
@@ -60,9 +77,8 @@ const (
 // exactly as the Start-time schedule order used to guarantee.
 const ctlSrc proto.NodeID = -1
 
-// event is one arena slot. Ordering keys live in the heap entries, not
-// here; the slot only carries the payload and the cancellation/generation
-// state.
+// event is one arena slot: the payload and cancellation/generation state
+// of an event that handed out a Timer handle. Deliveries never get one.
 type event struct {
 	gen      uint32 // bumped on release; stale Timer handles miss
 	kind     eventKind
@@ -70,9 +86,7 @@ type event struct {
 
 	fn func() // evFunc
 
-	node    *simNode      // evDeliver, evTimer
-	src     proto.NodeID  // evDeliver
-	msg     proto.Message // evDeliver
+	node    *simNode      // evTimer
 	timerID proto.TimerID // evTimer
 	payload any           // evTimer
 }
@@ -84,17 +98,22 @@ type evKey struct {
 	seq uint32
 }
 
-// heapEntry is one node of the 4-ary min-heap: the full ordering key plus
-// the arena slot it refers to. Keeping the key inline means sift
-// operations never chase the arena, and the (src, seq) tail is packed
-// into one word so a same-instant tie — the common case under constant
-// link latency, where a whole broadcast wave lands on the same
-// nanosecond — resolves in a single compare.
-type heapEntry struct {
+// entry is one queued event: the full ordering key plus either a message
+// delivery, carried inline, or the arena slot of a cancellable event. The
+// (src, seq) tail is packed into one word so a same-instant tie — the
+// common case under constant link latency, where a whole broadcast wave
+// lands on the same nanosecond — resolves in a single compare; a
+// delivery's sender is that word's high half.
+type entry struct {
 	at  time.Duration
-	tag uint64 // (src+1) in the high word, seq in the low
-	idx int32
+	tag uint64        // (src+1) in the high word, seq in the low
+	msg proto.Message // delivery payload
+	dst proto.NodeID  // delivery destination; arenaEvent for an arena slot
+	idx int32         // arena slot when dst == arenaEvent
 }
+
+// arenaEvent in entry.dst marks an entry whose payload lives in the arena.
+const arenaEvent proto.NodeID = -1
 
 // keyTag packs an ordering key's provenance tail. NodeIDs are int32-
 // ranged (ctlSrc = -1 maps to 0, sorting first), so the shifted word is
@@ -103,18 +122,48 @@ func keyTag(src proto.NodeID, seq uint32) uint64 {
 	return uint64(uint32(src+1))<<32 | uint64(seq)
 }
 
-func (a heapEntry) before(b heapEntry) bool {
+// tagSrc recovers the scheduling context from a packed tag.
+func tagSrc(tag uint64) proto.NodeID { return proto.NodeID(uint32(tag>>32)) - 1 }
+
+func (a *entry) before(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.tag < b.tag
 }
 
+// Queue geometry. tickBits is not a tuning knob: 13, 17 and 20 measured
+// within 10 % of each other on the soak workload (DESIGN §2). A tick
+// index has 64-tickBits significant bits, so bits.Len64 of a tick
+// difference — the bucket index — ranges over 0..64-tickBits.
+const (
+	tickBits   = 17
+	numBuckets = 64 - tickBits + 1
+	chunkLen   = 128
+)
+
+func tickOf(at time.Duration) uint64 { return uint64(at) >> tickBits }
+
+// chunk is the unit buckets grow by. Chunks cycle through one per-engine
+// free list, so the queue's footprint is its peak population, not the sum
+// of every bucket's own high-water mark as virtual time crosses
+// power-of-two boundaries.
+type chunk struct {
+	next *chunk
+	n    int
+	ents [chunkLen]entry
+}
+
+// bucket is an unordered chunk list: top is the chunk being filled, full
+// ones follow. lo is the earliest fire time inside (valid when top != nil).
+type bucket struct {
+	top *chunk
+	lo  time.Duration
+}
+
 // Arena geometry: events live in fixed-size blocks so growing the arena
-// never copies or re-zeroes existing slots (a flat slice re-copies ~4× its
-// final size under Go's 1.25× growth policy, which dominates profiles of
-// schedule-heavy runs). Blocks are kept small (~20 KiB) so that the many
-// short-lived networks the experiments build stay cheap.
+// never copies or re-zeroes existing slots. Blocks are kept small so that
+// the many short-lived networks the experiments build stay cheap.
 const (
 	arenaBlockBits = 8
 	arenaBlockSize = 1 << arenaBlockBits
@@ -143,52 +192,72 @@ type Engine struct {
 	curTag uint64
 	curSub uint32
 
+	// nodes is the hosting network's node table, which delivery entries
+	// index (nil for a bare engine, which never sees a delivery).
+	nodes []simNode
+
+	// The queue: run[head:] is the sorted remainder of tick lastTick,
+	// late the heap of entries pushed at or below it since, buckets the
+	// future. pending counts all three.
+	lastTick   uint64
+	run        []entry
+	head       int
+	late       []entry
+	buckets    [numBuckets]bucket
+	nonEmpty   uint64 // bit b set iff buckets[b].top != nil
+	freeChunks *chunk
+	pending    int
+
+	// Queue cost counters, bumped per refill rather than per event:
+	// refills, entries moved to a lower bucket, largest single-tick run.
+	refills uint64
+	moves   uint64
+	maxRun  int
+
 	blocks []*arenaBlock
 	next   int32   // first never-used slot index
 	free   []int32 // recycled arena slots
-	heap   []heapEntry
 }
 
 // NewEngine returns an engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
 
 // Reset rewinds the engine to virtual time zero for a fresh run while
-// keeping the arena blocks and heap capacity, so a reset engine behaves
-// exactly like a new one without re-allocating. All pending events are
-// dropped; every outstanding Timer handle must be discarded by the
-// caller (generations restart, so a stale handle could otherwise cancel
-// an unrelated new event).
+// keeping the arena blocks, chunks and run buffer, so a reset engine
+// behaves exactly like a new one without re-allocating. All pending
+// events are dropped along with every message and payload reference the
+// queue or the arena still holds; every outstanding Timer handle must be
+// discarded by the caller (generations restart, so a stale handle could
+// otherwise cancel an unrelated new event).
 func (e *Engine) Reset() {
 	e.now, e.ctlSeq, e.steps = 0, 0, 0
 	e.curTag, e.curSub = 0, 0
-	e.heap = e.heap[:0]
+	e.refills, e.moves, e.maxRun = 0, 0, 0
+	for i := range e.buckets {
+		for c := e.buckets[i].top; c != nil; {
+			next := c.next
+			e.freeChunk(c)
+			c = next
+		}
+	}
+	e.buckets = [numBuckets]bucket{}
+	// Chunks, run and heap are not scrubbed as they drain (the next push
+	// overwrites them), so scrub all of it here, capacity included.
+	for c := e.freeChunks; c != nil; c = c.next {
+		c.ents = [chunkLen]entry{}
+	}
+	clear(e.run[:cap(e.run)])
+	clear(e.late[:cap(e.late)])
+	e.run, e.late = e.run[:0], e.late[:0]
+	e.lastTick, e.head, e.nonEmpty, e.pending = 0, 0, 0, 0
 	e.free = e.free[:0]
-	// Zero the used prefix of the arena: drops message/payload references
-	// and restarts generations, making reset state indistinguishable from
-	// a fresh engine.
+	// Zero the used prefix of the arena: drops payload references and
+	// restarts generations, making reset state indistinguishable from a
+	// fresh engine.
 	for b := 0; b <= int(e.next-1)>>arenaBlockBits && b < len(e.blocks); b++ {
 		*e.blocks[b] = arenaBlock{}
 	}
 	e.next = 0
-}
-
-// Reserve pre-sizes the heap and free list for an expected concurrent
-// event population, so schedule-heavy runs never pay re-grow copies on
-// the hot path. The sharded runtime calls it with the expected per-shard
-// population (≈ nodes/shards × degree); it is a capacity hint only and
-// never shrinks.
-func (e *Engine) Reserve(events int) {
-	if events <= cap(e.heap) {
-		return
-	}
-	grown := make([]heapEntry, len(e.heap), events)
-	copy(grown, e.heap)
-	e.heap = grown
-	if cap(e.free) < events {
-		gf := make([]int32, len(e.free), events)
-		copy(gf, e.free)
-		e.free = gf
-	}
 }
 
 // Now returns the current virtual time.
@@ -198,17 +267,125 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled (possibly canceled) events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // nextAt returns the fire time of the earliest pending event. ok is
-// false when the heap is empty. Canceled events still count — they are
-// only discovered (and released) when popped, which at worst makes a
-// lookahead window conservative, never wrong.
+// false when the queue is empty. It never restructures the queue, so a
+// peek between windows cannot change any later pop. Canceled events
+// still count — they are only discovered (and released) when popped,
+// which at worst makes a lookahead window conservative, never wrong.
 func (e *Engine) nextAt() (time.Duration, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
+	if e.head < len(e.run) {
+		at := e.run[e.head].at
+		if len(e.late) > 0 && e.late[0].at < at {
+			at = e.late[0].at
+		}
+		return at, true
 	}
-	return e.heap[0].at, true
+	if len(e.late) > 0 {
+		return e.late[0].at, true
+	}
+	if e.nonEmpty != 0 {
+		return e.buckets[bits.TrailingZeros64(e.nonEmpty)].lo, true
+	}
+	return 0, false
+}
+
+// push enqueues an entry. Ticks at or below the one being executed go to
+// the in-tick heap; later ones to the bucket of their highest bit that
+// differs from lastTick, which orders buckets by tick.
+func (e *Engine) push(ent entry) {
+	e.pending++
+	tick := tickOf(ent.at)
+	if tick <= e.lastTick {
+		e.late = heapPush(e.late, ent)
+		return
+	}
+	e.bucketPush(bits.Len64(tick^e.lastTick), &ent)
+}
+
+func (e *Engine) bucketPush(b int, ent *entry) {
+	bk := &e.buckets[b]
+	c := bk.top
+	if c == nil || c.n == chunkLen {
+		if c == nil {
+			bk.lo = ent.at
+			e.nonEmpty |= 1 << b
+		}
+		c = e.freeChunks
+		if c == nil {
+			c = new(chunk)
+		} else {
+			e.freeChunks = c.next
+		}
+		c.next, bk.top = bk.top, c
+	}
+	c.ents[c.n] = *ent
+	c.n++
+	if ent.at < bk.lo {
+		bk.lo = ent.at
+	}
+}
+
+func (e *Engine) freeChunk(c *chunk) {
+	c.n = 0
+	c.next, e.freeChunks = e.freeChunks, c
+}
+
+// refill advances lastTick to the earliest tick of the lowest non-empty
+// bucket and redistributes that bucket: the entries of that tick become
+// the sorted run, the rest fall into strictly lower buckets (their
+// highest bit differing from the new lastTick lies below the bucket's
+// own). Called only with run and in-tick heap exhausted and a bucket
+// non-empty.
+func (e *Engine) refill() {
+	b := bits.TrailingZeros64(e.nonEmpty)
+	bk := &e.buckets[b]
+	c := bk.top
+	last := tickOf(bk.lo)
+	*bk = bucket{}
+	e.nonEmpty &^= 1 << b
+	e.lastTick = last
+	run := e.run[:0]
+	for c != nil {
+		for i := range c.ents[:c.n] {
+			ent := &c.ents[i]
+			if tick := tickOf(ent.at); tick != last {
+				e.bucketPush(bits.Len64(tick^last), ent)
+				e.moves++
+				continue
+			}
+			if len(run) == cap(run) {
+				// Double explicitly: Go's 1.25× growth policy for large
+				// slices would copy ~4× the final size.
+				run = slices.Grow(run, max(chunkLen, len(run)))
+			}
+			run = append(run, *ent)
+		}
+		next := c.next
+		e.freeChunk(c)
+		c = next
+	}
+	sortRun(run, 2*bits.Len(uint(len(run))))
+	e.run, e.head = run, 0
+	e.refills++
+	e.maxRun = max(e.maxRun, len(run))
+}
+
+// pop removes and returns the earliest pending entry; the queue must not
+// be empty.
+func (e *Engine) pop() entry {
+	if e.head == len(e.run) && len(e.late) == 0 {
+		e.refill()
+	}
+	e.pending--
+	if e.head < len(e.run) && (len(e.late) == 0 || e.run[e.head].before(&e.late[0])) {
+		e.head++
+		return e.run[e.head-1]
+	}
+	ent := e.late[0]
+	e.late = heapPopRoot(e.late)
+	return ent
 }
 
 // slot returns the arena cell for an index.
@@ -237,63 +414,46 @@ func (e *Engine) alloc() int32 {
 // Timer handles go stale.
 func (e *Engine) release(idx int32) {
 	ev := e.slot(idx)
-	ev.gen++
-	ev.kind = evFree
-	ev.canceled = false
-	ev.fn = nil
-	ev.node = nil
-	ev.msg = nil
-	ev.payload = nil
-	if len(e.free) == cap(e.free) {
-		grown := make([]int32, len(e.free), max(arenaBlockSize, 2*cap(e.free)))
-		copy(grown, e.free)
-		e.free = grown
-	}
+	*ev = event{gen: ev.gen + 1}
 	e.free = append(e.free, idx)
 }
 
-// scheduleAt allocates a slot for an event firing at the absolute time
-// `at` under the given ordering key and pushes it on the heap. The caller
-// fills the payload fields. It is the one entry point every schedule path
-// — local, control, and cross-shard handover — funnels through.
-func (e *Engine) scheduleAt(at time.Duration, key evKey) int32 {
+// scheduleArena allocates a slot for a cancellable event firing at the
+// absolute time `at` under the given ordering key and queues it. The
+// caller fills the payload fields.
+func (e *Engine) scheduleArena(at time.Duration, key evKey) (int32, *event) {
 	idx := e.alloc()
-	e.heapPush(heapEntry{at: at, tag: keyTag(key.src, key.seq), idx: idx})
-	return idx
+	e.push(entry{at: at, tag: keyTag(key.src, key.seq), dst: arenaEvent, idx: idx})
+	return idx, e.slot(idx)
 }
 
-// schedule allocates a slot for a control event firing after delay
-// (clamped to ≥ 0), keyed to this engine's control stream.
-func (e *Engine) schedule(delay time.Duration) int32 {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ctlSeq++
-	return e.scheduleAt(e.now+delay, evKey{src: ctlSrc, seq: e.ctlSeq})
-}
-
-// Schedule runs fn after delay of virtual time. A negative delay is
-// treated as zero. The returned handle can cancel the event.
-func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
-	idx := e.schedule(delay)
-	ev := e.slot(idx)
+// scheduleFunc enqueues a callback at absolute time `at` under the given
+// key — Engine.Schedule with its own control counter, the sharded
+// network's control stream with the network's (Network.scheduleCtl).
+func (e *Engine) scheduleFunc(at time.Duration, key evKey, fn func()) Timer {
+	idx, ev := e.scheduleArena(at, key)
 	ev.kind = evFunc
 	ev.fn = fn
 	return Timer{e: e, idx: idx, gen: ev.gen}
 }
 
-// scheduleDeliver enqueues a typed message-delivery event at absolute
-// arrival time `at` — the Network hot path; no closure and no per-event
-// heap allocation. The key carries the sender's provenance, so the event
-// sorts identically whether it was pushed by the sender's own shard or
-// handed over at a window barrier.
-func (e *Engine) scheduleDeliver(at time.Duration, key evKey, dst *simNode, src proto.NodeID, msg proto.Message) {
-	idx := e.scheduleAt(at, key)
-	ev := e.slot(idx)
-	ev.kind = evDeliver
-	ev.node = dst
-	ev.src = src
-	ev.msg = msg
+// Schedule runs fn after delay of virtual time. A negative delay is
+// treated as zero. The returned handle can cancel the event.
+func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
+	if delay < 0 {
+		delay = 0
+	}
+	e.ctlSeq++
+	return e.scheduleFunc(e.now+delay, evKey{src: ctlSrc, seq: e.ctlSeq}, fn)
+}
+
+// scheduleDeliver enqueues a message delivery at absolute arrival time
+// `at` — the Network hot path; the entry is the whole event. The key
+// carries the sender's provenance, so the event sorts identically
+// whether it was pushed by the sender's own shard or handed over at a
+// window barrier.
+func (e *Engine) scheduleDeliver(at time.Duration, key evKey, dst proto.NodeID, msg proto.Message) {
+	e.push(entry{at: at, tag: keyTag(key.src, key.seq), msg: msg, dst: dst})
 }
 
 // scheduleTimer enqueues a typed node-timer event (Context.SetTimer),
@@ -310,8 +470,7 @@ func (e *Engine) scheduleTimer(delay time.Duration, node *simNode, id proto.Time
 		node.net.tapMark(node)
 	}
 	node.schedSeq++
-	idx := e.scheduleAt(e.now+delay, evKey{src: node.id, seq: node.schedSeq})
-	ev := e.slot(idx)
+	idx, ev := e.scheduleArena(e.now+delay, evKey{src: node.id, seq: node.schedSeq})
 	ev.kind = evTimer
 	ev.node = node
 	ev.timerID = id
@@ -362,12 +521,12 @@ func (e *Engine) RunUntil(deadline time.Duration) uint64 {
 // runUntil executes events with at ≤ deadline (inclusive bound).
 func (e *Engine) runUntil(deadline time.Duration, maxEvents uint64) uint64 {
 	var executed uint64
-	for len(e.heap) > 0 {
-		root := e.heap[0]
-		if root.at > deadline {
+	for {
+		at, ok := e.nextAt()
+		if !ok || at > deadline {
 			break
 		}
-		if !e.step(root) {
+		if !e.step() {
 			continue
 		}
 		executed++
@@ -384,100 +543,148 @@ func (e *Engine) runUntil(deadline time.Duration, maxEvents uint64) uint64 {
 // message may still arrive at that instant and sort ahead of them.
 func (e *Engine) runBefore(horizon time.Duration) uint64 {
 	var executed uint64
-	for len(e.heap) > 0 {
-		root := e.heap[0]
-		if root.at >= horizon {
+	for {
+		at, ok := e.nextAt()
+		if !ok || at >= horizon {
 			break
 		}
-		if !e.step(root) {
-			continue
+		if e.step() {
+			executed++
 		}
-		executed++
 	}
 	return executed
 }
 
-// step pops and executes the root event; it reports whether a live event
-// actually ran (false for canceled slots).
-func (e *Engine) step(root heapEntry) bool {
-	e.heapPopRoot()
-	ev := e.slot(root.idx)
-	if ev.canceled {
-		e.release(root.idx)
-		return false
-	}
-	e.now = root.at
-	e.curTag, e.curSub = root.tag, 0
-	// Copy the payload out and recycle the slot before dispatching:
-	// the callback may schedule new events that reuse it.
-	kind := ev.kind
-	switch kind {
-	case evFunc:
-		fn := ev.fn
-		e.release(root.idx)
-		fn()
-	case evDeliver:
-		node, src, msg := ev.node, ev.src, ev.msg
-		e.release(root.idx)
-		if !node.crashed {
+// step pops and executes the earliest event; it reports whether a live
+// event actually ran (false for canceled slots).
+func (e *Engine) step() bool {
+	ent := e.pop()
+	if ent.dst != arenaEvent {
+		e.now = ent.at
+		e.curTag, e.curSub = ent.tag, 0
+		if node := &e.nodes[ent.dst]; !node.crashed {
 			// Delivery-side taps fire here, in the engine's dispatch,
 			// so both the single-loop and sharded send paths (whose
 			// cross-shard outboxes funnel through scheduleDeliver into
-			// this case) report arrivals identically. Under a sharded
+			// this branch) report arrivals identically. Under a sharded
 			// run the observation is parked in the shard's log and
 			// replayed in merged global order at the next barrier
 			// (obs.go).
+			src := tagSrc(ent.tag)
 			if net := node.net; len(net.taps) > 0 {
-				net.tapRecv(node, root.at, src, msg)
+				net.tapRecv(node, ent.at, src, ent.msg)
 			}
-			node.handler.HandleMessage(node, src, msg)
+			node.handler.HandleMessage(node, src, ent.msg)
 		}
-	case evTimer:
-		node, id, payload := ev.node, ev.timerID, ev.payload
-		e.release(root.idx)
-		node.onTimerFire(id, payload)
-	default:
-		e.release(root.idx)
+		e.steps++
+		return true
+	}
+	ev := e.slot(ent.idx)
+	if ev.canceled {
+		e.release(ent.idx)
 		return false
+	}
+	e.now = ent.at
+	e.curTag, e.curSub = ent.tag, 0
+	// Copy the payload out and recycle the slot before dispatching: the
+	// callback may schedule new events that reuse it.
+	if ev.kind == evFunc {
+		fn := ev.fn
+		e.release(ent.idx)
+		fn()
+	} else {
+		node, id, payload := ev.node, ev.timerID, ev.payload
+		e.release(ent.idx)
+		node.onTimerFire(id, payload)
 	}
 	e.steps++
 	return true
 }
 
-// 4-ary min-heap over heapEntry. Flatter than a binary heap: half the
-// levels, so roughly half the cache misses per pop at simulation scale.
-
-func (e *Engine) heapPush(ent heapEntry) {
-	if len(e.heap) == cap(e.heap) {
-		// Double explicitly: Go's 1.25× growth policy for large slices
-		// would copy ~4× the final size over a long run. Reserve() set
-		// the expected population up front, so this is the overflow
-		// path, not the steady state.
-		grown := make([]heapEntry, len(e.heap), max(arenaBlockSize, 2*cap(e.heap)))
-		copy(grown, e.heap)
-		e.heap = grown
+// sortRun sorts one tick's entries by (at, tag): a quicksort with the
+// compare inlined (a comparison func through slices.SortFunc costs the
+// small-wave workloads 5 %), insertion sort below 12 entries. Keys are
+// unique, so the result is the one total order whatever the pivots; depth
+// bounds the recursion, falling back to the library's guaranteed
+// O(n log n) on an adversarial input.
+func sortRun(a []entry, depth int) {
+	for len(a) > 12 {
+		if depth == 0 {
+			slices.SortFunc(a, func(x, y entry) int {
+				if x.before(&y) {
+					return -1
+				}
+				return 1
+			})
+			return
+		}
+		depth--
+		// Median of three into a[mid], leaving a[0] ≤ pivot ≤ a[hi] as
+		// sentinels for the two scans.
+		mid, hi := len(a)/2, len(a)-1
+		if a[mid].before(&a[0]) {
+			a[mid], a[0] = a[0], a[mid]
+		}
+		if a[hi].before(&a[0]) {
+			a[hi], a[0] = a[0], a[hi]
+		}
+		if a[hi].before(&a[mid]) {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := entry{at: a[mid].at, tag: a[mid].tag}
+		i, j := 0, hi
+		for {
+			for i++; a[i].before(&pivot); i++ {
+			}
+			for j--; pivot.before(&a[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// a[:i] ≤ pivot ≤ a[i:], both non-empty; recurse into the smaller.
+		if i < len(a)-i {
+			sortRun(a[:i], depth)
+			a = a[i:]
+		} else {
+			sortRun(a[i:], depth)
+			a = a[:i]
+		}
 	}
-	h := append(e.heap, ent)
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i
+		for ; j > 0 && x.before(&a[j-1]); j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
+}
+
+// 4-ary min-heap over entries, for the few pushed into the tick being
+// executed. Flatter than a binary heap: half the levels.
+
+func heapPush(h []entry, ent entry) []entry {
+	h = append(h, ent)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h[i].before(h[p]) {
+		if !h[i].before(&h[p]) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	e.heap = h
+	return h
 }
 
-func (e *Engine) heapPopRoot() {
-	h := e.heap
+func heapPopRoot(h []entry) []entry {
 	n := len(h) - 1
 	last := h[n]
 	h = h[:n]
-	e.heap = h
 	if n == 0 {
-		return
+		return h
 	}
 	// Percolate the hole at the root down, writing `last` once at the end
 	// instead of swapping at every level.
@@ -493,15 +700,16 @@ func (e *Engine) heapPopRoot() {
 		}
 		min := c
 		for c++; c < end; c++ {
-			if h[c].before(h[min]) {
+			if h[c].before(&h[min]) {
 				min = c
 			}
 		}
-		if !h[min].before(last) {
+		if !h[min].before(&last) {
 			break
 		}
 		h[i] = h[min]
 		i = min
 	}
 	h[i] = last
+	return h
 }

@@ -221,7 +221,6 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		opts.Latency = ConstLatency(10 * time.Millisecond)
 	}
 	n := &Network{
-		engine:     NewEngine(),
 		topo:       topo,
 		opts:       opts,
 		nodes:      make([]simNode, topo.N()),
@@ -229,6 +228,7 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		dropRNG:    rand.New(rand.NewPCG(opts.Seed, 0x2545f4914f6cdd1d)),
 		deliveries: make(map[proto.MsgID]*DeliverySet),
 	}
+	n.engine = n.newEngine()
 	n.engCache = []*Engine{n.engine}
 	n.linkOff = make([]int32, topo.N()+1)
 	for i := 0; i < topo.N(); i++ {
@@ -420,10 +420,7 @@ func (n *Network) scheduleCtl(eng *Engine, at time.Duration, fn func()) {
 		at = eng.now
 	}
 	n.ctlSeq++
-	idx := eng.scheduleAt(at, evKey{src: ctlSrc, seq: n.ctlSeq})
-	ev := eng.slot(idx)
-	ev.kind = evFunc
-	ev.fn = fn
+	eng.scheduleFunc(at, evKey{src: ctlSrc, seq: n.ctlSeq}, fn)
 }
 
 // Run drains the event queue (maxEvents ≤ 0: unbounded) and returns the
@@ -768,14 +765,14 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	// destination heap at the barrier.
 	from.schedSeq++
 	key := evKey{src: from.id, seq: from.schedSeq}
-	dst := &n.nodes[to]
-	if dst.shard == sh {
-		from.eng.scheduleDeliver(arrival, key, dst, from.id, msg)
+	dstShard := n.nodes[to].shard
+	if dstShard == sh {
+		from.eng.scheduleDeliver(arrival, key, to, msg)
 		return
 	}
 	sh.handoffs++
-	q := &sh.outQ[dst.shard.index]
-	*q = append(*q, remoteEvent{at: arrival, key: key, dst: to, src: from.id, msg: msg})
+	q := &sh.outQ[dstShard.index]
+	*q = append(*q, remoteEvent{at: arrival, key: key, dst: to, msg: msg})
 }
 
 // simNode implements proto.Context for one simulated node. Nodes live in

@@ -119,7 +119,7 @@ func logObs(node *simNode, e obsEntry) {
 
 // tapRecv reports a delivery to the taps — directly in a single loop,
 // via the shard log during a sharded window. Called from the engine's
-// evDeliver dispatch only when taps are registered.
+// delivery dispatch only when taps are registered.
 func (n *Network) tapRecv(node *simNode, at time.Duration, src proto.NodeID, msg proto.Message) {
 	if n.windowing {
 		logObs(node, obsEntry{kind: obsRecv, from: src, to: node.id, msg: msg})

@@ -15,7 +15,7 @@ import (
 // minimum possible link delay L. Each barrier round:
 //
 //  1. cross-shard deliveries parked in per-pair outboxes are pushed onto
-//     their destination heaps (every engine idle, so this is race-free);
+//     their destination queues (every engine idle, so this is race-free);
 //  2. the globally earliest pending event time B is found;
 //  3. every shard executes its events with at < B+L concurrently.
 //
@@ -29,10 +29,10 @@ import (
 // execution luck.
 //
 // Determinism: every event carries the shard-invariant key
-// (at, sat, src, seq) — fire time, schedule time, scheduling node,
-// per-node counter (see engine.go). The key is a total order and a pure
-// function of event provenance, so however deliveries are distributed
-// across heaps and outboxes, each node executes its events in exactly
+// (at, src, seq) — fire time, scheduling node, per-node counter (see
+// engine.go). The key is a total order and a pure function of event
+// provenance, so however deliveries are distributed across engine
+// queues and outboxes, each node executes its events in exactly
 // the single-loop order, and all merged observables (counters: exact
 // integer sums; delivery sets: first-delivery unions over disjoint node
 // ranges) are bit-identical at any shard count.
@@ -40,13 +40,12 @@ import (
 const maxDuration = time.Duration(math.MaxInt64)
 
 // remoteEvent is one cross-shard delivery parked in an outbox between
-// windows: the precomputed arrival time and ordering key plus the
-// delivery payload.
+// windows: the precomputed arrival time and ordering key (whose src is
+// the sender) plus the delivery payload.
 type remoteEvent struct {
 	at  time.Duration
 	key evKey
 	dst proto.NodeID
-	src proto.NodeID
 	msg proto.Message
 }
 
@@ -139,6 +138,14 @@ type ShardStats struct {
 	Stalls   uint64        // windows with no eligible event (lookahead stalls)
 	Handoffs uint64        // cross-shard deliveries sent
 	Clock    time.Duration // shard virtual clock (equal across shards between runs)
+
+	// Event-queue cost (engine.go): bucket redistributions, entries they
+	// moved to a lower bucket (QueueMoves/Events is the radix overhead per
+	// event; 0 when every wave lands on one tick), and the largest run one
+	// redistribution had to sort.
+	QueueRefills uint64
+	QueueMoves   uint64
+	QueueMaxRun  int
 }
 
 // ShardStats returns per-shard run statistics, indexed by shard.
@@ -153,14 +160,14 @@ func (n *Network) ShardStats() []ShardStats {
 			Stalls:   sh.stalls,
 			Handoffs: sh.handoffs,
 			Clock:    sh.eng.Now(),
+
+			QueueRefills: sh.eng.refills,
+			QueueMoves:   sh.eng.moves,
+			QueueMaxRun:  sh.eng.maxRun,
 		}
 	}
 	return out
 }
-
-// reserveCap bounds the per-shard heap pre-allocation: beyond this the
-// heap grows by doubling as before (Reserve is a hint, not a ceiling).
-const reserveCap = 1 << 18
 
 // resolveShards picks the effective shard count for this Start and
 // (re)builds the shard layout. Sharding engages only when it cannot
@@ -198,26 +205,14 @@ func (n *Network) resolveShards() {
 	}
 	n.lookahead = la
 	n.buildShards(k)
-	perShard := shardReserveHint(len(n.nodes), k, n.topo.AvgDegree())
-	for _, sh := range n.shards {
-		sh.eng.Reserve(perShard)
-	}
 }
 
-// shardReserveHint sizes each shard heap for the expected concurrent
-// event population: every in-range node with one in-flight message per
-// link is the flood worst case, so nodes/k × (avg degree + 1) is the
-// right order. The average degree rounds up — truncating would
-// under-reserve every near-regular graph with a fractional average
-// (e.g. 7.9 → 7) and put the flood peak on the heap re-grow path. The
-// cap keeps small trial networks cheap (Reserve is a hint, not a
-// ceiling).
-func shardReserveHint(nodes, k int, avgDegree float64) int {
-	perShard := (nodes/k + 1) * (int(math.Ceil(avgDegree)) + 1)
-	if perShard > reserveCap {
-		perShard = reserveCap
-	}
-	return perShard
+// newEngine returns an engine whose delivery entries resolve against
+// this network's node table.
+func (n *Network) newEngine() *Engine {
+	e := NewEngine()
+	e.nodes = n.nodes
+	return e
 }
 
 // buildShards lays out k shards over the node ranges, reusing cached
@@ -230,7 +225,7 @@ func (n *Network) buildShards(k int) {
 		return
 	}
 	for len(n.engCache) < k {
-		n.engCache = append(n.engCache, NewEngine())
+		n.engCache = append(n.engCache, n.newEngine())
 	}
 	bounds := topology.ShardBounds(len(n.nodes), k)
 	n.shards = make([]*shardState, k)
@@ -252,8 +247,8 @@ func (n *Network) buildShards(k int) {
 }
 
 // drainOutboxes pushes every parked cross-shard delivery onto its
-// destination heap. Runs between windows with all engines idle; insertion
-// order is irrelevant because the heap orders by the full event key.
+// destination queue. Runs between windows with all engines idle; insertion
+// order is irrelevant because the queue orders by the full event key.
 func (n *Network) drainOutboxes() {
 	for _, sh := range n.shards {
 		for j, q := range sh.outQ {
@@ -262,7 +257,7 @@ func (n *Network) drainOutboxes() {
 			}
 			eng := n.shards[j].eng
 			for _, re := range q {
-				eng.scheduleDeliver(re.at, re.key, &n.nodes[re.dst], re.src, re.msg)
+				eng.scheduleDeliver(re.at, re.key, re.dst, re.msg)
 			}
 			sh.outQ[j] = q[:0]
 		}

@@ -160,40 +160,6 @@ func TestShardedClampsToSingleLoop(t *testing.T) {
 	}
 }
 
-// TestShardReserveHint pins the heap pre-sizing to the flood worst case:
-// the average degree rounds up, so a fractional average (7.9 on a
-// near-regular graph) reserves for degree 8, not a truncated 7.
-func TestShardReserveHint(t *testing.T) {
-	if got, want := shardReserveHint(100, 4, 7.9), (100/4+1)*(8+1); got != want {
-		t.Errorf("shardReserveHint(100, 4, 7.9) = %d, want %d (ceil degree)", got, want)
-	}
-	if got, want := shardReserveHint(203, 7, 8.0), (203/7+1)*(8+1); got != want {
-		t.Errorf("shardReserveHint(203, 7, 8.0) = %d, want %d", got, want)
-	}
-	if got := shardReserveHint(1<<22, 2, 8.0); got != reserveCap {
-		t.Errorf("shardReserveHint cap = %d, want %d", got, reserveCap)
-	}
-
-	// The hint must actually cover a flood's concurrent event population:
-	// after a full sharded flood no shard heap may have outgrown its
-	// Reserve (re-grow doubles capacity, so cap == hint proves it).
-	g := shardTestGraph(t)
-	opts := Options{Seed: 7, Latency: ConstLatency(50 * time.Millisecond), Shards: 4}
-	net := NewNetwork(g, opts)
-	net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
-	net.Start()
-	if _, err := net.Originate(3, []byte("reserve probe")); err != nil {
-		t.Fatal(err)
-	}
-	net.Run(0)
-	hint := shardReserveHint(g.N(), net.ShardCount(), g.AvgDegree())
-	for i, sh := range net.shards {
-		if cap(sh.eng.heap) != hint {
-			t.Errorf("shard %d heap cap %d != Reserve hint %d (re-grow on the hot path)", i, cap(sh.eng.heap), hint)
-		}
-	}
-}
-
 // TestShardStatsResetToZero pins the reuse contract for the -v
 // diagnostics: every ShardStats field must zero on Reset, so a reused
 // trial network reports per-trial numbers, not accumulated ones.
@@ -207,13 +173,14 @@ func TestShardStatsResetToZero(t *testing.T) {
 	}
 	net.Run(0)
 	for _, st := range net.ShardStats() {
-		if st.Events == 0 || st.Windows == 0 || st.Clock == 0 {
+		if st.Events == 0 || st.Windows == 0 || st.Clock == 0 || st.QueueRefills == 0 || st.QueueMaxRun == 0 {
 			t.Fatalf("degenerate pre-reset stats: %+v", st)
 		}
 	}
 	net.Reset(42)
 	for _, st := range net.ShardStats() {
-		if st.Events != 0 || st.Windows != 0 || st.Stalls != 0 || st.Handoffs != 0 || st.Clock != 0 {
+		if st.Events != 0 || st.Windows != 0 || st.Stalls != 0 || st.Handoffs != 0 || st.Clock != 0 ||
+			st.QueueRefills != 0 || st.QueueMoves != 0 || st.QueueMaxRun != 0 {
 			t.Errorf("shard %d stats survived Reset: %+v", st.Shard, st)
 		}
 	}
