@@ -1,6 +1,7 @@
 package flexnet
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -11,18 +12,17 @@ import (
 	"repro/internal/group"
 	"repro/internal/node"
 	"repro/internal/proto"
+	"repro/internal/relchan"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
-// TestEveryMessageRoundTripsThroughCodec marshals and unmarshals one
-// populated sample of every message type a node can put on the wire and
-// requires structural equality — the cheap end-to-end check that no
-// EncodeTo/DecodeFrom pair is asymmetric.
-func TestEveryMessageRoundTripsThroughCodec(t *testing.T) {
-	codec := NewCodec()
+// sampleMessages returns one populated value of every message type a
+// node can put on the wire.
+func sampleMessages() []wire.Encodable {
 	id := proto.NewMsgID([]byte("sample"))
-
-	samples := []wire.Encodable{
+	rid := relchan.ID{Stream: 77, Seq: 3, Kind: 1}
+	return []wire.Encodable{
 		&flood.DataMsg{ID: id, Hops: 3, Payload: []byte("payload")},
 		&adaptive.InfectMsg{ID: id, TTL: 2, Round: 7, Payload: []byte("x")},
 		&adaptive.ExtendMsg{ID: id, Depth: 2, Round: 9},
@@ -33,15 +33,79 @@ func TestEveryMessageRoundTripsThroughCodec(t *testing.T) {
 		&dcnet.TPartialMsg{Round: 12, Data: []byte{7}},
 		&dcnet.CommitMsg{Round: 12, Digests: [][32]byte{{1}, {2}}},
 		&dcnet.RevealMsg{Round: 12, Shares: [][]byte{{1}, {2, 3}}, Salts: [][]byte{{9}, {8}}},
+		&dcnet.AckMsg{Round: 12, Kind: 2},
+		&dcnet.NackMsg{Round: 12, Kind: 3},
 		&dandelion.StemMsg{ID: id, Payload: []byte("stem")},
+		&relchan.AckMsg{ID: rid},
+		&relchan.NackMsg{ID: rid},
+		&relchan.CustodyMsg{ID: rid, Payload: []byte("custody")},
 		&group.JoinReq{},
 		&group.LeaveReq{},
 		&group.ViewUpdate{View: 3, Group: 2, Members: []proto.NodeID{1, 5, 9}},
 		&group.ViewAck{View: 3},
 		&group.ViewCommit{View: 3, Group: 2, Members: []proto.NodeID{1, 5}},
+		&group.EvictNotice{Peer: 6},
 		&node.BlockMsg{Height: 8, Miner: 4, TimeNano: 123, PowNonce: 99,
 			Txs: [][]byte{{1, 2}, {3}}, Parent: [32]byte{0xaa}},
+		&workload.SubmitMsg{Payload: []byte("submit")},
 	}
+}
+
+// TestSamplesCoverTheCodec keeps sampleMessages complete: a message
+// registered without a sample would escape both tests below.
+func TestSamplesCoverTheCodec(t *testing.T) {
+	sampled := make(map[proto.MsgType]bool)
+	for _, msg := range sampleMessages() {
+		sampled[msg.Type()] = true
+	}
+	for _, typ := range NewCodec().Types() {
+		if !sampled[typ] {
+			t.Errorf("no sample for registered message type %#04x", uint16(typ))
+		}
+	}
+}
+
+// TestDecodedMessagesDoNotAliasInput is the contract in-place frame
+// decoding stands on (wire.Reader: "never returns a slice of its
+// input"): the transport hands Unmarshal a window of a read buffer it
+// overwrites with the next Read. Decode every message from a scratch
+// copy, scribble over the scratch, and the decoded value must still
+// encode to the original bytes.
+func TestDecodedMessagesDoNotAliasInput(t *testing.T) {
+	codec := NewCodec()
+	for _, msg := range sampleMessages() {
+		want, err := codec.Marshal(msg)
+		if err != nil {
+			t.Errorf("Marshal(%T): %v", msg, err)
+			continue
+		}
+		scratch := bytes.Clone(want)
+		back, err := codec.Unmarshal(scratch)
+		if err != nil {
+			t.Errorf("Unmarshal(%T): %v", msg, err)
+			continue
+		}
+		for i := range scratch {
+			scratch[i] = 0xff
+		}
+		got, err := codec.Marshal(back)
+		if err != nil {
+			t.Errorf("Marshal(decoded %T): %v", msg, err)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%T still points into the buffer it was decoded from:\n encoded %x\n after overwrite %x", msg, want, got)
+		}
+	}
+}
+
+// TestEveryMessageRoundTripsThroughCodec marshals and unmarshals one
+// populated sample of every message type a node can put on the wire and
+// requires structural equality — the cheap end-to-end check that no
+// EncodeTo/DecodeFrom pair is asymmetric.
+func TestEveryMessageRoundTripsThroughCodec(t *testing.T) {
+	codec := NewCodec()
+	samples := sampleMessages()
 	for _, msg := range samples {
 		b, err := codec.Marshal(msg)
 		if err != nil {

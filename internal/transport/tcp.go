@@ -3,6 +3,13 @@
 // here against length-prefixed frames on sockets. A single event-loop
 // goroutine serializes all handler invocations (messages and timers), so
 // handlers keep their no-concurrency contract.
+//
+// A frame is one message on the stream — 4-byte length prefix, type tag,
+// body — and is not a unit of I/O: Send encodes it in place at the tail
+// of its peer's pending batch, the peer's writer goroutine puts a whole
+// batch on the socket with one Write per wake-up, and each inbound
+// connection decodes frames in place from one small read buffer, one
+// Read for as many frames as have arrived (DESIGN §2l).
 package transport
 
 import (
@@ -84,9 +91,13 @@ type Config struct {
 	DialTimeout time.Duration
 }
 
-// event is one unit of work for the event loop.
+// event is one unit of work for the event loop: a received message for
+// the handler (msg non-nil — typed, so a reader allocates no closure per
+// frame), or fn.
 type event struct {
-	fn func()
+	fn   func()
+	from proto.NodeID
+	msg  proto.Message
 }
 
 // Node is a live TCP runtime.
@@ -107,6 +118,9 @@ type Node struct {
 	// shaped frames in FIFO order.
 	linkSeq     map[uint64]uint64
 	linkRelease map[proto.NodeID]time.Time
+	// dialFailed remembers when the last dial to a peer failed (event
+	// loop only): the peer is not dialed again for DialTimeout.
+	dialFailed map[proto.NodeID]time.Time
 
 	mu        sync.Mutex
 	addrBook  map[proto.NodeID]string
@@ -131,12 +145,16 @@ type WireStats struct {
 	RxMsgs  map[proto.MsgType]int64
 	RxBytes map[proto.MsgType]int64
 	// TxFrames/RxFrames count frames including handshakes; FrameBytes
-	// include the length prefixes.
+	// include the length prefixes. A frame is counted where it is
+	// encoded or decoded, not per Write or Read: one Write carries every
+	// frame batched since the last.
 	TxFrames, TxFrameBytes int64
 	RxFrames, RxFrameBytes int64
-	// TxDropped counts messages dropped at a full send queue (still
-	// counted in TxMsgs: the handler handed them to the network, which is
-	// the event the simulator counts too).
+	// TxDropped counts messages that never entered a peer's stream:
+	// dropped at a full send queue, stranded in the queue of a link whose
+	// write failed (both still counted in TxMsgs: the handler handed them
+	// to the network, which is the event the simulator counts too), or
+	// sent while the peer could not be dialed.
 	TxDropped int64
 	// TxShaperDropped counts messages the netem shaper's loss model
 	// killed (also still counted in TxMsgs — the simulator counts its
@@ -194,9 +212,9 @@ func (w *wireStats) rawRx(frameLen int) {
 	w.mu.Unlock()
 }
 
-func (w *wireStats) dropped() {
+func (w *wireStats) dropped(frames int) {
 	w.mu.Lock()
-	w.s.TxDropped++
+	w.s.TxDropped += int64(frames)
 	w.mu.Unlock()
 }
 
@@ -235,17 +253,34 @@ func (n *Node) Stats() WireStats {
 	return out
 }
 
-// outFrame is one queued frame; release, when set, is the earliest wall
-// time the writer may put it on the stream (netem shaping).
-type outFrame struct {
+// maxQueuedFrames bounds the frames batched for one peer while its
+// writer is busy; a frame that finds the batch full is dropped and
+// counted in TxDropped (what to do instead is ROADMAP item 8).
+const maxQueuedFrames = 256
+
+// frameMark delimits one frame of a batch; release, when set, is the
+// earliest wall time the writer may put it on the stream (netem shaping).
+type frameMark struct {
+	end     int // offset just past the frame
 	release time.Time
-	frame   []byte
 }
 
-// peer is an outbound framed connection with a writer goroutine.
+// batch is the frames queued for one peer, encoded back to back.
+type batch struct {
+	w     wire.Writer
+	marks []frameMark
+}
+
+// peer is an outbound framed connection with a writer goroutine. Send
+// appends to out under mu; the writer swaps out against its spare batch
+// and writes it, so each side touches a batch only while it owns it.
 type peer struct {
 	conn net.Conn
-	out  chan outFrame
+	wake chan struct{} // one token: out went from empty to non-empty
+
+	mu   sync.Mutex
+	out  *batch
+	dead bool // the writer has exited; nothing drains out
 }
 
 // Listen starts the node: listener, accept loop, and event loop.
@@ -284,6 +319,8 @@ func Listen(cfg Config) (*Node, error) {
 		conns:    make(map[proto.NodeID]*peer),
 		inbound:  make(map[net.Conn]struct{}),
 		timers:   make(map[proto.TimerID]*time.Timer),
+
+		dialFailed: make(map[proto.NodeID]time.Time),
 	}
 	if cfg.Shaper != nil {
 		n.linkSeq = make(map[uint64]uint64)
@@ -295,7 +332,7 @@ func Listen(cfg Config) (*Node, error) {
 	n.wg.Add(2)
 	go n.acceptLoop()
 	go n.eventLoop()
-	n.post(func() { cfg.Handler.Init((*nodeCtx)(n)) })
+	n.post(event{fn: func() { cfg.Handler.Init((*nodeCtx)(n)) }})
 	return n, nil
 }
 
@@ -332,9 +369,9 @@ func (n *Node) Close() error {
 }
 
 // post enqueues work for the event loop; drops when shutting down.
-func (n *Node) post(fn func()) {
+func (n *Node) post(ev event) {
 	select {
-	case n.events <- event{fn: fn}:
+	case n.events <- ev:
 	case <-n.done:
 	}
 }
@@ -344,7 +381,11 @@ func (n *Node) eventLoop() {
 	for {
 		select {
 		case ev := <-n.events:
-			ev.fn()
+			if ev.msg != nil {
+				n.cfg.Handler.HandleMessage((*nodeCtx)(n), ev.from, ev.msg)
+			} else {
+				ev.fn()
+			}
 		case <-n.done:
 			return
 		}
@@ -378,7 +419,8 @@ func (n *Node) acceptLoop() {
 }
 
 // readLoop consumes frames from one inbound connection. The first frame
-// is the handshake (sender's NodeID); the rest are protocol messages.
+// is the handshake (sender's NodeID); the rest are protocol messages,
+// each decoded in place from the connection's read buffer.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -388,7 +430,8 @@ func (n *Node) readLoop(conn net.Conn) {
 		n.mu.Unlock()
 	}()
 
-	hello, err := wire.ReadFrame(conn)
+	frames := wire.NewFrameReader(conn)
+	hello, err := frames.Next()
 	if err != nil || len(hello) != 4 {
 		return
 	}
@@ -399,7 +442,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		return
 	}
 	for {
-		frame, err := wire.ReadFrame(conn)
+		frame, err := frames.Next()
 		if err != nil {
 			if err != io.EOF {
 				select {
@@ -417,7 +460,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			continue
 		}
 		n.stats.rx(msg.Type(), len(frame))
-		n.post(func() { n.cfg.Handler.HandleMessage((*nodeCtx)(n), from, msg) })
+		n.post(event{from: from, msg: msg})
 	}
 }
 
@@ -429,7 +472,10 @@ func (n *Node) SetAddr(id proto.NodeID, addr string) {
 	n.addrBook[id] = addr
 }
 
-// peerFor returns (dialing if necessary) the outbound connection.
+// peerFor returns (dialing if necessary) the outbound connection. It
+// runs on the event loop only. A dial that fails is not repeated until
+// DialTimeout has passed, so a peer that is down costs the loop one dial
+// per DialTimeout, not one per frame.
 func (n *Node) peerFor(to proto.NodeID) (*peer, error) {
 	n.mu.Lock()
 	if p, ok := n.conns[to]; ok {
@@ -441,11 +487,18 @@ func (n *Node) peerFor(to proto.NodeID) (*peer, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for node %d", to)
 	}
+	if failed, ok := n.dialFailed[to]; ok {
+		if since := time.Since(failed); since < n.cfg.DialTimeout {
+			return nil, fmt.Errorf("transport: dial to node %d failed %v ago; not redialing yet", to, since.Round(time.Millisecond))
+		}
+		delete(n.dialFailed, to)
+	}
 	conn, err := n.cfg.Net.Dial(addr, n.cfg.DialTimeout)
 	if err != nil {
+		n.dialFailed[to] = time.Now()
 		return nil, fmt.Errorf("transport: dial %d at %s: %w", to, addr, err)
 	}
-	p := &peer{conn: conn, out: make(chan outFrame, 256)}
+	p := &peer{conn: conn, wake: make(chan struct{}, 1), out: new(batch)}
 
 	n.mu.Lock()
 	if n.closed {
@@ -453,56 +506,113 @@ func (n *Node) peerFor(to proto.NodeID) (*peer, error) {
 		_ = conn.Close()
 		return nil, errors.New("transport: node closed")
 	}
-	if existing, ok := n.conns[to]; ok {
-		// Lost the race; use the winner.
-		n.mu.Unlock()
-		_ = conn.Close()
-		return existing, nil
-	}
 	n.conns[to] = p
+	n.wg.Add(1)
 	n.mu.Unlock()
 
-	// Handshake frame: our NodeID.
-	w := wire.NewWriter(4)
-	w.NodeID(n.cfg.Self)
-	hello := w.Bytes()
+	n.stats.rawTx(4) // the handshake frame the writer opens with
+	go n.writeLoop(to, p)
+	return p, nil
+}
 
-	n.stats.rawTx(len(hello))
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() { _ = conn.Close() }()
-		if err := wire.WriteFrame(conn, hello); err != nil {
+// writeLoop is a peer's writer goroutine: handshake first, then one
+// batch per wake-up. It takes everything queued since it last looked, so
+// it flushes exactly when nothing more is queued — an idle link sends a
+// lone frame at once, a busy one sends what piled up behind the last
+// Write in the next, and no timer is involved.
+func (n *Node) writeLoop(to proto.NodeID, p *peer) {
+	defer n.wg.Done()
+	b := new(batch)
+	unsent := 0 // frames of b a failed Write left behind
+	defer func() { n.retire(to, p, unsent) }()
+
+	// Handshake frame: our NodeID.
+	start := b.w.BeginFrame()
+	b.w.NodeID(n.cfg.Self)
+	_ = b.w.EndFrame(start) // 4 bytes: cannot overflow
+	if _, err := p.conn.Write(b.w.Bytes()); err != nil {
+		return
+	}
+	for {
+		b.w.Reset()
+		b.marks = b.marks[:0]
+		select {
+		case <-p.wake:
+		case <-n.done:
 			return
 		}
-		// p.out is never closed; shutdown is signalled via n.done (and
-		// the connection close above unblocks a writer mid-frame).
-		for {
-			select {
-			case of := <-p.out:
-				// A shaped frame is held until its release time; the
-				// Send-side monotone clamp keeps releases in queue
-				// order, so this never reorders the link.
-				if !of.release.IsZero() {
-					if d := time.Until(of.release); d > 0 {
-						t := time.NewTimer(d)
-						select {
-						case <-t.C:
-						case <-n.done:
-							t.Stop()
-							return
-						}
-					}
+		p.mu.Lock()
+		b, p.out = p.out, b
+		p.mu.Unlock()
+		if sent, err := n.flush(p.conn, b); err != nil {
+			for _, m := range b.marks {
+				if m.end > sent {
+					unsent++
 				}
-				if err := wire.WriteFrame(conn, of.frame); err != nil {
-					return
+			}
+			return
+		}
+	}
+}
+
+// flush puts a batch on the stream and returns how many of its bytes
+// went out. Unshaped, that is one Write. A shaped frame is held until its
+// release time; whatever precedes it is written before the writer
+// sleeps, so no frame waits behind a later release. The Send-side
+// monotone clamp keeps releases in queue order, so this never reorders
+// the link.
+func (n *Node) flush(conn net.Conn, b *batch) (sent int, err error) {
+	buf := b.w.Bytes()
+	write := func(end int) error {
+		if end == sent {
+			return nil
+		}
+		k, err := conn.Write(buf[sent:end])
+		sent += k
+		return err
+	}
+	ready := 0 // end of the frames whose release has passed
+	for _, m := range b.marks {
+		if !m.release.IsZero() {
+			if d := time.Until(m.release); d > 0 {
+				if err := write(ready); err != nil {
+					return sent, err
 				}
-			case <-n.done:
-				return
+				t := time.NewTimer(d)
+				select {
+				case <-t.C:
+				case <-n.done:
+					t.Stop()
+					return sent, net.ErrClosed
+				}
 			}
 		}
-	}()
-	return p, nil
+		ready = m.end
+	}
+	return sent, write(ready)
+}
+
+// retire runs when a peer's writer exits. A link whose write failed is
+// dead: the peer leaves n.conns, so the next Send dials afresh instead of
+// queueing into a connection nobody drains, and the frames it strands —
+// unsent from the failed Write plus all still queued — count as dropped.
+func (n *Node) retire(to proto.NodeID, p *peer, unsent int) {
+	_ = p.conn.Close()
+	p.mu.Lock()
+	p.dead = true
+	stranded := unsent + len(p.out.marks)
+	p.mu.Unlock()
+
+	n.mu.Lock()
+	closed := n.closed
+	if n.conns[to] == p {
+		delete(n.conns, to)
+	}
+	n.mu.Unlock()
+	if !closed {
+		n.stats.dropped(stranded)
+		n.cfg.Logger.Warn("link failed", "to", to, "stranded", stranded)
+	}
 }
 
 // nodeCtx adapts Node to proto.Context; all methods run on the event
@@ -526,19 +636,26 @@ func (c *nodeCtx) Send(to proto.NodeID, msg proto.Message) {
 		n.cfg.Logger.Error("message not encodable", "type", fmt.Sprintf("%T", msg))
 		return
 	}
-	frame, err := n.cfg.Codec.Marshal(enc)
-	if err != nil {
-		n.cfg.Logger.Error("marshal failed", "err", err)
-		return
-	}
 	p, err := n.peerFor(to)
 	if err != nil {
+		n.stats.dropped(1)
 		n.cfg.Logger.Warn("send failed", "to", to, "err", err)
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// The frame is encoded where it will be written from: the tail of
+	// the peer's pending batch. A frame that is then not to be sent is
+	// truncated away again.
+	w := &p.out.w
+	start := w.Len()
+	if err := n.cfg.Codec.AppendFrame(w, enc); err != nil {
+		n.cfg.Logger.Error("marshal failed", "err", err)
 		return
 	}
 	// Accounting mirrors the simulator: a message is counted when the
 	// handler hands it to the network, before any transmission outcome.
-	n.stats.tx(enc.Type(), len(frame))
+	n.stats.tx(enc.Type(), w.Len()-start-wire.FrameHeaderLen)
 	var release time.Time
 	if n.cfg.Shaper != nil {
 		// Netem decision point — the codec boundary: the per-(link,
@@ -552,6 +669,7 @@ func (c *nodeCtx) Send(to proto.NodeID, msg proto.Message) {
 		delay, drop := n.cfg.Shaper.Decide(n.cfg.Self, to, enc.Type(), seq)
 		if drop {
 			n.stats.shaperDropped()
+			w.Truncate(start)
 			return
 		}
 		release = time.Now().Add(delay)
@@ -560,11 +678,18 @@ func (c *nodeCtx) Send(to proto.NodeID, msg proto.Message) {
 		}
 		n.linkRelease[to] = release
 	}
-	select {
-	case p.out <- outFrame{release: release, frame: frame}:
-	default:
-		n.stats.dropped()
-		n.cfg.Logger.Warn("send queue full; dropping", "to", to)
+	if p.dead || len(p.out.marks) >= maxQueuedFrames {
+		w.Truncate(start)
+		n.stats.dropped(1)
+		n.cfg.Logger.Warn("send queue full or link down; dropping", "to", to)
+		return
+	}
+	p.out.marks = append(p.out.marks, frameMark{end: w.Len(), release: release})
+	if len(p.out.marks) == 1 {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -585,7 +710,7 @@ func (c *nodeCtx) SetTimer(delay time.Duration, payload any) proto.TimerID {
 		if !live {
 			return
 		}
-		n.post(func() { n.cfg.Handler.HandleTimer((*nodeCtx)(n), payload) })
+		n.post(event{fn: func() { n.cfg.Handler.HandleTimer((*nodeCtx)(n), payload) }})
 	})
 	return id
 }
@@ -611,5 +736,5 @@ func (c *nodeCtx) DeliverLocal(id proto.MsgID, payload []byte) {
 // applications use to call Broadcast or other handler entry points
 // without racing the loop.
 func (n *Node) Inject(fn func(ctx proto.Context)) {
-	n.post(func() { fn((*nodeCtx)(n)) })
+	n.post(event{fn: func() { fn((*nodeCtx)(n)) }})
 }

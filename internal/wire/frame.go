@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,44 +11,108 @@ import (
 // MaxFrameLen bounds a single frame on a TCP link.
 const MaxFrameLen = 32 << 20
 
-// FrameHeaderLen is the size of the length prefix WriteFrame emits. Wire
-// accounting uses it to convert between marshaled message sizes (what
-// the simulator counts) and on-stream framed sizes.
+// FrameHeaderLen is the size of a frame's length prefix (4 bytes,
+// big-endian). Wire accounting uses it to convert between marshaled
+// message sizes (what the simulator counts) and on-stream framed sizes.
 const FrameHeaderLen = 4
 
-// WriteFrame writes a 4-byte big-endian length prefix followed by b.
-func WriteFrame(w io.Writer, b []byte) error {
-	if len(b) > MaxFrameLen {
-		return fmt.Errorf("%w: frame of %d bytes", ErrOverflow, len(b))
+// frameBufLen is the one buffer a FrameReader reads through. Every frame
+// that fits is decoded in place from it; 4 KB holds a dozen flood frames
+// per read and, at one buffer per inbound connection, does not show in
+// a cluster's resident set (64 KB measured +17 % on 16 nodes for no
+// resolvable throughput, DESIGN §2l).
+const frameBufLen = 4096
+
+// BeginFrame reserves a frame's length prefix at the tail of w and
+// returns its offset. The caller appends the frame's body to w and then
+// calls EndFrame with that offset, so prefix and body are laid down in
+// one buffer with no copy.
+func (w *Writer) BeginFrame() int {
+	start := len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0)
+	return start
+}
+
+// EndFrame patches the length prefix reserved at start with the number
+// of bytes appended since. A body over MaxFrameLen is removed from w and
+// reported as ErrOverflow.
+func (w *Writer) EndFrame(start int) error {
+	n := len(w.buf) - start - FrameHeaderLen
+	if n > MaxFrameLen {
+		w.buf = w.buf[:start]
+		return fmt.Errorf("%w: frame of %d bytes", ErrOverflow, n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("wire: writing frame body: %w", err)
-	}
+	binary.BigEndian.PutUint32(w.buf[start:], uint32(n))
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame. It returns io.EOF unwrapped if
-// the stream ends cleanly at a frame boundary.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+// AppendFrame encodes m at the tail of w as one frame: length prefix,
+// 2-byte type tag, body. On error w is left as it was.
+func (c *Codec) AppendFrame(w *Writer, m Encodable) error {
+	if _, ok := c.factories[m.Type()]; !ok {
+		return fmt.Errorf("%w: %#04x", ErrUnknownType, uint16(m.Type()))
+	}
+	start := w.BeginFrame()
+	w.U16(uint16(m.Type()))
+	m.EncodeTo(w)
+	return w.EndFrame(start)
+}
+
+// FrameReader reads length-prefixed frames from a stream through one
+// fixed buffer: one Read of the stream brings in as many frames as fit.
+type FrameReader struct {
+	br *bufio.Reader
+	// held is the length of the frame Next last returned from inside
+	// the buffer, discarded on the following call.
+	held int
+}
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, frameBufLen)}
+}
+
+// Next returns the body of the next frame. The slice aliases the
+// reader's buffer and is valid only until the next call: decode it (a
+// Reader copies everything it returns) before calling Next again. A
+// frame too large for the buffer is returned in a slice of its own,
+// grown with the bytes that actually arrive, so a length prefix alone
+// never makes the reader allocate what it claims. Next returns io.EOF
+// unwrapped if the stream ends cleanly at a frame boundary.
+func (f *FrameReader) Next() ([]byte, error) {
+	_, _ = f.br.Discard(f.held) // cannot fail: held bytes are buffered
+	f.held = 0
+	hdr, err := f.br.Peek(FrameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("wire: reading frame header: %w", err)
+		return nil, fmt.Errorf("wire: reading frame header: %w", unexpectedEOF(err))
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrameLen {
 		return nil, fmt.Errorf("%w: frame of %d bytes", ErrOverflow, n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
+	if FrameHeaderLen+n <= f.br.Size() {
+		b, err := f.br.Peek(FrameHeaderLen + n)
+		if err != nil {
+			return nil, fmt.Errorf("wire: reading frame body: %w", unexpectedEOF(err))
+		}
+		f.held = len(b)
+		return b[FrameHeaderLen:], nil
 	}
-	return b, nil
+	_, _ = f.br.Discard(FrameHeaderLen)
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, f.br, int64(n)); err != nil {
+		return nil, fmt.Errorf("wire: reading frame body: %w", unexpectedEOF(err))
+	}
+	return body.Bytes(), nil
+}
+
+// unexpectedEOF reports an end of stream inside a frame as what it is.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

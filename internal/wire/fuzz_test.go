@@ -2,6 +2,9 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -82,48 +85,123 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip checks the framing layer both ways: any payload
-// must round-trip through WriteFrame/ReadFrame unchanged, and ReadFrame
-// must never panic on an arbitrary stream prefix (truncated headers,
-// hostile length fields, trailing garbage).
+// readFrameOracle is the allocate-then-fill frame reader the transport
+// used before FrameReader, kept verbatim: two io.ReadFulls straight on
+// the stream. FrameReader must see the same frames in any stream.
+func readFrameOracle(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("wire: reading frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > wire.MaxFrameLen {
+		return nil, fmt.Errorf("%w: frame of %d bytes", wire.ErrOverflow, n)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, fmt.Errorf("wire: reading frame body: %w", err)
+	}
+	return b, nil
+}
+
+// chunkReader hands out its stream at most n bytes per Read, the way a
+// socket delivers a stream in pieces unrelated to frame boundaries.
+type chunkReader struct {
+	b []byte
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.b) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), c.n)], c.b)
+	c.b = c.b[k:]
+	return k, nil
+}
+
+// FuzzFrameRoundTrip: any payload framed in place by Codec.AppendFrame
+// comes back unchanged through FrameReader and Unmarshal, with nothing
+// trailing — whether the frame fits the read buffer or outgrows it.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello"))
 	f.Add(bytes.Repeat([]byte{0xff}, 300))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0xab})
+	f.Add(bytes.Repeat([]byte{0x5a}, 5000))
+
+	codec := fuzzCodec()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := wire.NewWriter(0)
+		if err := codec.AppendFrame(w, &flood.DataMsg{ID: [16]byte{9}, Hops: 2, Payload: data}); err != nil {
+			t.Fatalf("AppendFrame(%d bytes): %v", len(data), err)
+		}
+		r := wire.NewFrameReader(bytes.NewReader(w.Bytes()))
+		frame, err := r.Next()
+		if err != nil {
+			t.Fatalf("Next after AppendFrame: %v", err)
+		}
+		msg, err := codec.Unmarshal(frame)
+		if err != nil {
+			t.Fatalf("Unmarshal of the frame read back: %v", err)
+		}
+		if got := msg.(*flood.DataMsg); got.Hops != 2 || !bytes.Equal(got.Payload, data) {
+			t.Fatalf("frame round-trip changed payload: %x -> %x", data, got.Payload)
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("after the one frame: %v, want io.EOF", err)
+		}
+	})
+}
+
+// FuzzFrameStream reads arbitrary bytes as a raw stream — concatenated
+// frames, truncated tails, oversize headers; repeated until they pass
+// the read buffer, so frames straddle it, fit it exactly and outgrow it
+// — through FrameReader in chunks around the buffer size. It must yield
+// the frame sequence and the same kind of ending the old ReadFrame
+// yields, and never panic.
+func FuzzFrameStream(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x00})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0xab})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0xab, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0f, 0xfc})
+	f.Add(append([]byte{0x00, 0x00, 0x10, 0x01}, bytes.Repeat([]byte{0x00, 0x00, 0x00, 0x03}, 1200)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Forward: frame the payload, read it back.
-		var buf bytes.Buffer
-		if err := wire.WriteFrame(&buf, data); err != nil {
-			t.Fatalf("WriteFrame(%d bytes): %v", len(data), err)
+		stream := data
+		for len(stream) > 0 && len(stream) < 3*4096 {
+			stream = append(stream, data...)
 		}
-		got, err := wire.ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("ReadFrame after WriteFrame: %v", err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("frame round-trip changed payload: %x -> %x", data, got)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("%d trailing bytes after one frame", buf.Len())
-		}
-
-		// Adversarial: the same bytes interpreted as a raw stream must
-		// decode or error, never panic; a clean EOF only at offset 0.
-		r := bytes.NewReader(data)
-		for {
-			frame, err := wire.ReadFrame(r)
-			if err != nil {
-				if err == io.EOF && len(data) != 0 && r.Len() == len(data) {
-					// EOF at a frame boundary with unconsumed bytes is
-					// impossible: ReadFrame consumed the header.
-					t.Fatalf("clean EOF without consuming header bytes")
-				}
-				break
+		var want [][]byte
+		var wantErr error
+		for oracle := bytes.NewReader(stream); wantErr == nil; {
+			var b []byte
+			if b, wantErr = readFrameOracle(oracle); wantErr == nil {
+				want = append(want, b)
 			}
-			_ = frame
+		}
+		for _, chunk := range []int{1, 3, 4095, 4096, 4097} {
+			r := wire.NewFrameReader(&chunkReader{b: stream, n: chunk})
+			for i := 0; ; i++ {
+				got, err := r.Next()
+				if err != nil {
+					if i != len(want) {
+						t.Fatalf("chunk %d: stream ended after %d frames (%v), oracle read %d (%v)", chunk, i, err, len(want), wantErr)
+					}
+					if (err == io.EOF) != (wantErr == io.EOF) || errors.Is(err, wire.ErrOverflow) != errors.Is(wantErr, wire.ErrOverflow) {
+						t.Fatalf("chunk %d: stream ended with %v, oracle with %v", chunk, err, wantErr)
+					}
+					break
+				}
+				if i >= len(want) || !bytes.Equal(got, want[i]) {
+					t.Fatalf("chunk %d: frame %d = %d bytes, oracle disagrees (%d frames)", chunk, i, len(got), len(want))
+				}
+			}
 		}
 	})
 }

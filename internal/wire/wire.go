@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/proto"
 )
@@ -60,6 +61,9 @@ func (w *Writer) Len() int { return len(w.buf) }
 
 // Reset truncates the writer for reuse.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Truncate drops everything written after the first n bytes.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -115,7 +119,13 @@ func (w *Writer) Duration(d int64) { w.I64(d) }
 // Float64 appends an IEEE-754 binary64 value.
 func (w *Writer) Float64(f float64) { w.U64(math.Float64bits(f)) }
 
-// Reader is a sticky-error decoding cursor over a byte slice.
+// Reader is a sticky-error decoding cursor over a byte slice. It never
+// returns a slice of its input: every accessor copies (ByteString, MsgID,
+// Bytes32, String) or returns a value, so a decoded message owns its
+// memory and the input may be overwritten as soon as DecodeFrom returns.
+// The transport decodes frames in place from a reused read buffer on
+// the strength of this rule; TestDecodedMessagesDoNotAliasInput (flexnet)
+// holds every registered message to it.
 type Reader struct {
 	buf []byte
 	off int
@@ -286,20 +296,49 @@ func (c *Codec) Types() []proto.MsgType {
 	return out
 }
 
-// Marshal encodes a full message: 2-byte type tag followed by the body.
+// writers and readers recycle the cursors Marshal, Size and Unmarshal run
+// a message through: EncodeTo and DecodeFrom are interface calls, so a
+// cursor declared in the caller would be heap-allocated per message, and
+// a fresh Writer would regrow its buffer from a guess.
+var (
+	writers = sync.Pool{New: func() any { return new(Writer) }}
+	readers = sync.Pool{New: func() any { return new(Reader) }}
+)
+
+// encode returns a pooled Writer holding m's encoding — type tag, then
+// body; the caller puts it back into writers once done with the bytes.
+func encode(m Encodable) *Writer {
+	w := writers.Get().(*Writer)
+	w.Reset()
+	w.U16(uint16(m.Type()))
+	m.EncodeTo(w)
+	return w
+}
+
+// Marshal encodes a full message: 2-byte type tag followed by the body,
+// in a slice of exactly that size.
 func (c *Codec) Marshal(m Encodable) ([]byte, error) {
 	if _, ok := c.factories[m.Type()]; !ok {
 		return nil, fmt.Errorf("%w: %#04x", ErrUnknownType, uint16(m.Type()))
 	}
-	w := NewWriter(64)
-	w.U16(uint16(m.Type()))
-	m.EncodeTo(w)
-	return w.Bytes(), nil
+	w := encode(m)
+	out := slices.Clone(w.buf)
+	writers.Put(w)
+	return out, nil
 }
 
-// Unmarshal decodes a full message produced by Marshal.
+// Unmarshal decodes a full message produced by Marshal. The message does
+// not alias b (see Reader).
 func (c *Codec) Unmarshal(b []byte) (Encodable, error) {
-	r := NewReader(b)
+	r := readers.Get().(*Reader)
+	*r = Reader{buf: b}
+	m, err := c.decode(r)
+	r.buf = nil
+	readers.Put(r)
+	return m, err
+}
+
+func (c *Codec) decode(r *Reader) (Encodable, error) {
 	t := proto.MsgType(r.U16())
 	if r.Err() != nil {
 		return nil, r.Err()
@@ -319,10 +358,10 @@ func (c *Codec) Unmarshal(b []byte) (Encodable, error) {
 }
 
 // Size returns the encoded size of a message in bytes, used for byte
-// accounting in simulation.
+// accounting in simulation. The encoding itself is not kept.
 func (c *Codec) Size(m Encodable) int {
-	w := NewWriter(64)
-	w.U16(uint16(m.Type()))
-	m.EncodeTo(w)
-	return w.Len()
+	w := encode(m)
+	n := w.Len()
+	writers.Put(w)
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -177,6 +178,32 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecAllocs: Marshal allocates its result and nothing else (no
+// writer, no buffer regrown from a guess), Size allocates nothing (the
+// encoding is counted, not kept) and Unmarshal allocates only what the
+// message owns — here the message and its byte string.
+func TestCodecAllocs(t *testing.T) {
+	c := newTestCodec()
+	m := &testMsg{A: 77, B: bytes.Repeat([]byte{1}, 300)}
+	enc, err := c.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Marshal", 1, func() { _, _ = c.Marshal(m) }},
+		{"Size", 0, func() { _ = c.Size(m) }},
+		{"Unmarshal", 2, func() { _, _ = c.Unmarshal(enc) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
+			t.Errorf("%s allocates %v times, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestCodecUnknownType(t *testing.T) {
 	c := newTestCodec()
 	if _, err := c.Unmarshal([]byte{0xff, 0xff}); !errors.Is(err, ErrUnknownType) {
@@ -216,44 +243,103 @@ func TestCodecDuplicateRegistrationPanics(t *testing.T) {
 	c.Register(testMsgType, func() Encodable { return new(testMsg) })
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	frames := [][]byte{[]byte("one"), {}, []byte("three")}
-	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+// rawFrame appends body to w as one frame.
+func rawFrame(t *testing.T, w *Writer, body []byte) {
+	t.Helper()
+	start := w.BeginFrame()
+	w.buf = append(w.buf, body...)
+	if err := w.EndFrame(start); err != nil {
+		t.Fatalf("EndFrame: %v", err)
 	}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	// The last frame does not fit the read buffer and takes the
+	// allocated path; the one before it fits exactly.
+	frames := [][]byte{[]byte("one"), {}, []byte("three"),
+		bytes.Repeat([]byte{0xab}, frameBufLen-FrameHeaderLen), bytes.Repeat([]byte{0xcd}, 3*frameBufLen)}
+	w := NewWriter(0)
+	for _, f := range frames {
+		rawFrame(t, w, f)
+	}
+	r := NewFrameReader(bytes.NewReader(w.Bytes()))
 	for i, want := range frames {
-		got, err := ReadFrame(&buf)
+		got, err := r.Next()
 		if err != nil {
-			t.Fatalf("ReadFrame %d: %v", i, err)
+			t.Fatalf("Next %d: %v", i, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("frame %d = %q, want %q", i, got, want)
+			t.Errorf("frame %d = %d bytes %.8q, want %d bytes %.8q", i, len(got), got, len(want), want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
-		t.Errorf("ReadFrame at end = %v, want io.EOF", err)
+	if _, err := r.Next(); err != io.EOF {
+		t.Errorf("Next at end = %v, want io.EOF", err)
+	}
+}
+
+func TestCodecAppendFrame(t *testing.T) {
+	c := newTestCodec()
+	w := NewWriter(0)
+	w.U8(0x7f) // whatever is batched ahead stays as it is
+	m := &testMsg{A: 9, B: []byte("payload")}
+	if err := c.AppendFrame(w, m); err != nil {
+		t.Fatalf("AppendFrame: %v", err)
+	}
+	enc, err := c.Marshal(m)
+	if err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+	want := NewWriter(0)
+	want.U8(0x7f)
+	rawFrame(t, want, enc)
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Errorf("AppendFrame wrote %x, want prefix + Marshal = %x", w.Bytes(), want.Bytes())
+	}
+	if err := c.AppendFrame(w, &unregisteredMsg{}); !errors.Is(err, ErrUnknownType) {
+		t.Errorf("AppendFrame of an unregistered type = %v, want ErrUnknownType", err)
+	}
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Error("failed AppendFrame left bytes behind")
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello")); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Error("ReadFrame accepted truncated frame")
+	w := NewWriter(0)
+	rawFrame(t, w, []byte("hello"))
+	for cut := 1; cut < w.Len(); cut++ {
+		_, err := NewFrameReader(bytes.NewReader(w.Bytes()[:cut])).Next()
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("Next on %d of %d bytes = %v, want io.ErrUnexpectedEOF", cut, w.Len(), err)
+		}
 	}
 }
 
 func TestReadFrameOversized(t *testing.T) {
-	var hdr bytes.Buffer
-	hdr.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&hdr); !errors.Is(err, ErrOverflow) {
-		t.Errorf("ReadFrame oversized = %v, want ErrOverflow", err)
+	hdr := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})
+	if _, err := NewFrameReader(hdr).Next(); !errors.Is(err, ErrOverflow) {
+		t.Errorf("Next oversized = %v, want ErrOverflow", err)
+	}
+	w := NewWriter(0)
+	start := w.BeginFrame()
+	w.buf = append(w.buf, make([]byte, MaxFrameLen+1)...)
+	if err := w.EndFrame(start); !errors.Is(err, ErrOverflow) || w.Len() != 0 {
+		t.Errorf("EndFrame oversized = %v with %d bytes left, want ErrOverflow and none", err, w.Len())
+	}
+}
+
+// TestFrameReaderAllocatesWhatArrives: a header may claim MaxFrameLen,
+// but the reader's memory follows the bytes received, not the claim.
+func TestFrameReaderAllocatesWhatArrives(t *testing.T) {
+	stream := append([]byte{0x02, 0x00, 0x00, 0x00}, make([]byte, 1000)...) // claims 32 MB, sends 1000 bytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewFrameReader(bytes.NewReader(stream)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Next = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("a 1000-byte body behind a 32 MB header allocated %d bytes", got)
 	}
 }
 
