@@ -197,17 +197,13 @@ func BenchmarkE14Flood1M(b *testing.B) {
 	net := sim.NewNetwork(g, sim.Options{Seed: 1, Latency: sim.ConstLatency(50 * time.Millisecond), Shards: shards})
 	shared := flood.NewShared(g.N())
 	shared.Partition(shards)
-	handlers := make([]proto.Handler, g.N())
-	for i := range handlers {
-		handlers[i] = flood.NewAt(shared, proto.NodeID(i))
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var steps uint64
 	for i := 0; i < b.N; i++ {
 		net.Reset(uint64(i + 1))
 		shared.Reset()
-		net.SetHandlers(func(id proto.NodeID) proto.Handler { return handlers[id] })
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 		net.Start()
 		if _, err := net.Originate(0, []byte{byte(i)}); err != nil {
 			b.Fatal(err)
@@ -239,10 +235,6 @@ func benchShardedTappedFlood(b *testing.B, k int) {
 	net.AddTap(obs)
 	shared := flood.NewShared(g.N())
 	shared.Partition(k)
-	handlers := make([]proto.Handler, g.N())
-	for i := range handlers {
-		handlers[i] = flood.NewAt(shared, proto.NodeID(i))
-	}
 	payload := []byte{0, 0}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -251,7 +243,7 @@ func benchShardedTappedFlood(b *testing.B, k int) {
 		net.Reset(uint64(i + 1))
 		shared.Reset()
 		obs.Reset(corrupted)
-		net.SetHandlers(func(id proto.NodeID) proto.Handler { return handlers[id] })
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 		net.Start()
 		payload[0], payload[1] = byte(i), byte(i>>8)
 		id, err := net.Originate(0, payload)

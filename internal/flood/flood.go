@@ -11,6 +11,8 @@
 package flood
 
 import (
+	"fmt"
+
 	"repro/internal/proto"
 	"repro/internal/topology"
 	"repro/internal/visited"
@@ -55,8 +57,11 @@ func RegisterMessages(c *wire.Codec) {
 // Shared is network-wide flood state sized to the node count: one
 // epoch-stamped dense visited vector per in-flight message (replacing
 // the per-node seen-set maps) plus a trial-scoped pool of DataMsg relay
-// allocations. All engines of one simulated network share one Shared;
-// trial loops Reset it between sequentially simulated networks so that
+// allocations, split into partition cells (Partition). A cell is the one
+// Protocol NewAt hands to every node of a contiguous node range, owning
+// that range's table and pool, so a delivery reads no per-node flood
+// object. All engines of one simulated network share one Shared; trial
+// loops Reset it between sequentially simulated networks so that
 // steady-state operation allocates nothing.
 //
 // Reset reclaims every pooled relay message, so it must only be called
@@ -64,31 +69,31 @@ func RegisterMessages(c *wire.Codec) {
 // not safe for concurrent use: under the parallel trial runner each
 // worker goroutine owns its own Shared, as it owns its own sim.Network.
 type Shared struct {
-	n     int
-	parts []floodPart
+	n int
+	// parts holds one partition cell per contiguous node range: the
+	// Protocol of every node in the range (NewAt), whose unbound dense
+	// engine owns the range's table and pool. Under the sharded event
+	// loop each shard's handlers touch exactly one cell, so no two shards
+	// share a table or a pool.
+	parts []Protocol
 }
 
-// floodPart is the state of one contiguous node range: under the sharded
-// event loop each shard's handlers touch exactly one part, so no two
-// shards share a table or a pool.
-type floodPart struct {
-	seen  *visited.Table[struct{}]
-	relay *visited.Pool[*DataMsg]
-}
-
-func newFloodPart(lo, hi int) floodPart {
-	return floodPart{
-		seen: visited.NewTableRange[struct{}](lo, hi),
-		relay: visited.NewPool(
+func newCell(lo, hi int) Protocol {
+	return Protocol{engine: Engine{
+		dseen: visited.NewTableRange[struct{}](lo, hi),
+		drelay: visited.NewPool(
 			func() *DataMsg { return new(DataMsg) },
 			// Do not pin trial payloads through the pool.
 			func(m *DataMsg) { m.Payload = nil },
 		),
-	}
+	}}
 }
 
 // NewShared returns shared flood state for node IDs in [0, n).
 func NewShared(n int) *Shared {
+	if n <= 0 {
+		panic(fmt.Sprintf("flood: NewShared(%d): node count must be positive", n))
+	}
 	s := &Shared{n: n}
 	s.Partition(1)
 	return s
@@ -98,9 +103,10 @@ func NewShared(n int) *Shared {
 // with the sharded network's topology.ShardBounds partition, so each
 // shard's handlers operate on a private table and pool. It must be
 // called while the state is idle (before handlers are built, or after
-// Reset with the previous network drained); a k of 1 restores the
-// unpartitioned form. Partitioning with the network clamped to a single
-// shard is harmless — one thread then touches all parts.
+// Reset with the previous network drained) and invalidates every handler
+// and engine built before it; a k of 1 restores the unpartitioned form.
+// Partitioning with the network clamped to a single shard is harmless —
+// one thread then touches all parts.
 func (s *Shared) Partition(k int) {
 	if k < 1 {
 		k = 1
@@ -109,9 +115,9 @@ func (s *Shared) Partition(k int) {
 		k = s.n
 	}
 	bounds := topology.ShardBounds(s.n, k)
-	s.parts = make([]floodPart, k)
+	s.parts = make([]Protocol, k)
 	for i := range s.parts {
-		s.parts[i] = newFloodPart(int(bounds[i]), int(bounds[i+1]))
+		s.parts[i] = newCell(int(bounds[i]), int(bounds[i+1]))
 	}
 }
 
@@ -122,13 +128,16 @@ func (s *Shared) N() int { return s.n }
 // for the next trial. The previous trial's network must be drained.
 func (s *Shared) Reset() {
 	for i := range s.parts {
-		s.parts[i].seen.Reset()
-		s.parts[i].relay.Reset()
+		s.parts[i].engine.dseen.Reset()
+		s.parts[i].engine.drelay.Reset()
 	}
 }
 
 // part returns the partition cell owning node self.
-func (s *Shared) part(self proto.NodeID) *floodPart {
+func (s *Shared) part(self proto.NodeID) *Protocol {
+	if int(self) < 0 || int(self) >= s.n {
+		panic(fmt.Sprintf("flood: node %d out of range [0, %d)", self, s.n))
+	}
 	return &s.parts[topology.ShardOf(self, s.n, len(s.parts))]
 }
 
@@ -162,11 +171,9 @@ func NewEngine() *Engine {
 // engines after any Shared.Partition call — they cache their partition
 // cell.
 func NewEngineAt(shared *Shared, self proto.NodeID) *Engine {
-	if int(self) < 0 || int(self) >= shared.N() {
-		panic("flood: NewEngineAt node out of range")
-	}
-	part := shared.part(self)
-	return &Engine{dseen: part.seen, drelay: part.relay, self: self}
+	e := shared.part(self).engine
+	e.self = self
+	return &e
 }
 
 // Seen reports whether the payload was already seen (and hence pruned on
@@ -243,24 +250,40 @@ skip:
 
 // Protocol is a standalone flood-and-prune broadcaster: the plain Bitcoin
 // style dissemination the deanonymization attacks of §I exploit.
+//
+// It comes in the Engine's two forms: New returns one node's handler with
+// a map-backed engine of its own, NewAt the handler of a whole partition
+// cell of a Shared, which serves every node of the cell, holds no
+// per-node state and takes the node from ctx.Self() on each call.
 type Protocol struct {
-	engine *Engine
+	// engine is the node's own (New), or the cell's table and pool with no
+	// node bound (NewAt); at binds one.
+	engine Engine
 }
 
 var _ proto.Broadcaster = (*Protocol)(nil)
 
 // New returns a flood Protocol with a standalone seen-set.
-func New() *Protocol { return &Protocol{engine: NewEngine()} }
+func New() *Protocol { return &Protocol{engine: *NewEngine()} }
 
-// NewAt returns a flood Protocol for node self backed by shared dense
-// state (see NewEngineAt) — the handler-factory form simulation trials
-// use so one network's thousand handlers share one allocation.
+// NewAt returns the flood Protocol of node self's partition cell — the
+// handler-factory form simulation trials use: the same *Protocol for
+// every node of the cell, so installing a network's handlers allocates
+// nothing. Like engines, it is invalidated by a later Shared.Partition.
 func NewAt(shared *Shared, self proto.NodeID) *Protocol {
-	return &Protocol{engine: NewEngineAt(shared, self)}
+	return shared.part(self)
 }
 
-// Engine exposes the underlying engine (for composition in tests).
-func (p *Protocol) Engine() *Engine { return p.engine }
+// at returns the engine acting for ctx's node. An Engine is a handle — a
+// map or a table and a pool, plus the node — so the copy shares all state
+// with the original and lives on the caller's stack.
+func (p *Protocol) at(ctx proto.Context) Engine {
+	e := p.engine
+	if e.dseen != nil {
+		e.self = ctx.Self()
+	}
+	return e
+}
 
 // Init implements proto.Handler.
 func (p *Protocol) Init(proto.Context) {}
@@ -268,7 +291,8 @@ func (p *Protocol) Init(proto.Context) {}
 // HandleMessage implements proto.Handler.
 func (p *Protocol) HandleMessage(ctx proto.Context, from proto.NodeID, msg proto.Message) {
 	if m, ok := msg.(*DataMsg); ok {
-		p.engine.HandleData(ctx, from, m)
+		e := p.at(ctx)
+		e.HandleData(ctx, from, m)
 	}
 }
 
@@ -279,10 +303,11 @@ func (p *Protocol) HandleTimer(proto.Context, any) {}
 // and pushes to all neighbors.
 func (p *Protocol) Broadcast(ctx proto.Context, payload []byte) (proto.MsgID, error) {
 	id := proto.NewMsgID(payload)
-	if !p.engine.MarkSeen(id) {
+	e := p.at(ctx)
+	if !e.MarkSeen(id) {
 		return id, nil // re-broadcast of known payload is a no-op
 	}
 	ctx.DeliverLocal(id, payload)
-	p.engine.Spread(ctx, id, payload, 0)
+	e.Spread(ctx, id, payload, 0)
 	return id, nil
 }

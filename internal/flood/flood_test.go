@@ -3,6 +3,7 @@ package flood
 import (
 	"bytes"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,7 +219,7 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 			t.Fatalf("trial %d: messages %d, want %d", trial, got, want)
 		}
 	}
-	relay := shared.parts[0].relay
+	relay := shared.parts[0].engine.drelay
 	if relay.Issued() == 0 {
 		t.Fatal("no pooled relay messages issued")
 	}
@@ -226,5 +227,49 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 	shared.Reset()
 	if relay.Free() < live {
 		t.Fatalf("Reset reclaimed %d of %d relay messages", relay.Free(), live)
+	}
+}
+
+// TestNewAtIsOneHandlerPerCell pins what "dense handlers hold no per-node
+// state" means: NewAt returns the same Protocol for every node of a
+// partition cell and a different one, over a table covering exactly the
+// cell's range, for the next cell — so installing a network's handlers
+// allocates nothing.
+func TestNewAtIsOneHandlerPerCell(t *testing.T) {
+	const n, k = 4096, 4
+	shared := NewShared(n)
+	shared.Partition(k)
+	bounds := topology.ShardBounds(n, k)
+	for cell := 0; cell < k; cell++ {
+		lo, hi := proto.NodeID(bounds[cell]), proto.NodeID(bounds[cell+1])
+		h := NewAt(shared, lo)
+		if NewAt(shared, hi-1) != h {
+			t.Errorf("cell %d: nodes %d and %d got different handlers", cell, lo, hi-1)
+		}
+		if cell > 0 && NewAt(shared, lo-1) == h {
+			t.Errorf("cells %d and %d share a handler", cell-1, cell)
+		}
+		if tab := h.engine.dseen; tab.Lo() != int(lo) || tab.N() != int(hi-lo) {
+			t.Errorf("cell %d: table covers [%d,%d), want [%d,%d)", cell, tab.Lo(), tab.Lo()+tab.N(), lo, hi)
+		}
+	}
+
+	net := sim.NewNetwork(topology.NewGraph(n), sim.Options{})
+	factory := func(id proto.NodeID) proto.Handler { return NewAt(shared, id) }
+	if allocs := testing.AllocsPerRun(10, func() { net.SetHandlers(factory) }); allocs != 0 {
+		t.Errorf("SetHandlers(NewAt) over %d nodes allocates %.0f times, want 0", n, allocs)
+	}
+}
+
+func TestNewSharedRejectsEmpty(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "flood: NewShared") {
+					t.Errorf("NewShared(%d) panicked with %q, want flood's own message", n, msg)
+				}
+			}()
+			NewShared(n)
+		}()
 	}
 }

@@ -89,8 +89,15 @@ type Context interface {
 // Handler is a protocol state machine. Implementations must be
 // single-threaded: runtimes guarantee that calls into one Handler never
 // overlap.
+//
+// One Handler may serve many nodes: a factory is free to hand a runtime
+// the same value for several of them (flood.NewAt returns one per
+// partition cell of its shared state), provided those nodes execute on
+// one thread. A handler therefore takes its identity from ctx.Self() on
+// each call, never from the order it was constructed or installed in.
 type Handler interface {
-	// Init is called once before any message or timer is delivered.
+	// Init is called once per node the handler serves, before any message
+	// or timer is delivered to that node.
 	Init(ctx Context)
 	// HandleMessage processes a message from a peer.
 	HandleMessage(ctx Context, from NodeID, msg Message)

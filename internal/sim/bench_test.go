@@ -130,17 +130,13 @@ func BenchmarkNetworkFlood(b *testing.B) {
 	}
 	net := NewNetwork(g, Options{Seed: 1})
 	shared := flood.NewShared(g.N())
-	handlers := make([]proto.Handler, g.N())
-	for i := range handlers {
-		handlers[i] = flood.NewAt(shared, proto.NodeID(i))
-	}
 	payload := []byte{0, 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Reset(uint64(i + 1))
 		shared.Reset()
-		net.SetHandlers(func(id proto.NodeID) proto.Handler { return handlers[id] })
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 		net.Start()
 		payload[0], payload[1] = byte(i), byte(i>>8)
 		if _, err := net.Originate(0, payload); err != nil {
@@ -187,17 +183,13 @@ func BenchmarkNetworkFloodShaped(b *testing.B) {
 	}
 	net := NewNetwork(g, Options{Seed: 1, Netem: &profile})
 	shared := flood.NewShared(g.N())
-	handlers := make([]proto.Handler, g.N())
-	for i := range handlers {
-		handlers[i] = flood.NewAt(shared, proto.NodeID(i))
-	}
 	payload := []byte{0, 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Reset(uint64(i + 1))
 		shared.Reset()
-		net.SetHandlers(func(id proto.NodeID) proto.Handler { return handlers[id] })
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 		net.Start()
 		payload[0], payload[1] = byte(i), byte(i>>8)
 		if _, err := net.Originate(0, payload); err != nil {
@@ -235,17 +227,13 @@ func benchShardedFlood(b *testing.B, k int) {
 	net := NewNetwork(g, Options{Seed: 1, Latency: ConstLatency(50 * time.Millisecond), Shards: k})
 	shared := flood.NewShared(g.N())
 	shared.Partition(k)
-	handlers := make([]proto.Handler, g.N())
-	for i := range handlers {
-		handlers[i] = flood.NewAt(shared, proto.NodeID(i))
-	}
 	payload := []byte{0, 0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Reset(uint64(i + 1))
 		shared.Reset()
-		net.SetHandlers(func(id proto.NodeID) proto.Handler { return handlers[id] })
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 		net.Start()
 		payload[0], payload[1] = byte(i), byte(i>>8)
 		if _, err := net.Originate(0, payload); err != nil {

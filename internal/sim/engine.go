@@ -140,6 +140,10 @@ const (
 	tickBits   = 17
 	numBuckets = 64 - tickBits + 1
 	chunkLen   = 128
+
+	// warmAhead is how many entries ahead pop touches a delivery's
+	// destination cell; 4, 8 and 16 measured alike on the N=1M flood.
+	warmAhead = 8
 )
 
 func tickOf(at time.Duration) uint64 { return uint64(at) >> tickBits }
@@ -192,9 +196,12 @@ type Engine struct {
 	curTag uint64
 	curSub uint32
 
-	// nodes is the hosting network's node table, which delivery entries
-	// index (nil for a bare engine, which never sees a delivery).
-	nodes []simNode
+	// net is the hosting network and nodes its table of hot cells, which
+	// delivery entries index (nil for a bare engine, which never sees a
+	// delivery). warmed only keeps pop's look-ahead load alive.
+	net    *Network
+	nodes  []simNode
+	warmed uint32
 
 	// The queue: run[head:] is the sorted remainder of tick lastTick,
 	// late the heap of entries pushed at or below it since, buckets the
@@ -380,6 +387,14 @@ func (e *Engine) pop() entry {
 	}
 	e.pending--
 	if e.head < len(e.run) && (len(e.late) == 0 || e.run[e.head].before(&e.late[0])) {
+		// The run is sorted and consumed by index, so the deliveries a few
+		// pops ahead are known: load one's hot cell now and the miss
+		// overlaps the handlers in between instead of stalling step.
+		if i := e.head + warmAhead; i < len(e.run) {
+			if dst := e.run[i].dst; dst != arenaEvent {
+				e.warmed += e.nodes[dst].schedSeq
+			}
+		}
 		e.head++
 		return e.run[e.head-1]
 	}
@@ -571,8 +586,8 @@ func (e *Engine) step() bool {
 			// replayed in merged global order at the next barrier
 			// (obs.go).
 			src := tagSrc(ent.tag)
-			if net := node.net; len(net.taps) > 0 {
-				net.tapRecv(node, ent.at, src, ent.msg)
+			if len(e.net.taps) > 0 {
+				e.net.tapRecv(node, ent.at, src, ent.msg)
 			}
 			node.handler.HandleMessage(node, src, ent.msg)
 		}

@@ -158,7 +158,8 @@ type Network struct {
 	topo   *topology.Graph
 	opts   Options
 
-	nodes []simNode
+	nodes []simNode  // the hot cells: all a delivery or a send touches
+	cold  []nodeCold // RNG, timers, off-topology links; parallel to nodes
 	taps  []Tap
 
 	latencyRNG *rand.Rand
@@ -167,7 +168,7 @@ type Network struct {
 	// Per-link FIFO state (like TCP, a link never reorders) in CSR form:
 	// linkDst[linkOff[v]:linkOff[v+1]] are v's neighbors and linkAt holds
 	// the latest scheduled arrival per directed edge. Sends outside the
-	// topology fall back to the per-node overflow list in simNode. Each
+	// topology fall back to the per-node overflow list in nodeCold. Each
 	// CSR row is owned by the sending node's shard.
 	linkOff []int32
 	linkDst []proto.NodeID
@@ -224,6 +225,7 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		topo:       topo,
 		opts:       opts,
 		nodes:      make([]simNode, topo.N()),
+		cold:       make([]nodeCold, topo.N()),
 		latencyRNG: rand.New(rand.NewPCG(opts.Seed, 0xda3e39cb94b95bdb)),
 		dropRNG:    rand.New(rand.NewPCG(opts.Seed, 0x2545f4914f6cdd1d)),
 		deliveries: make(map[proto.MsgID]*DeliverySet),
@@ -248,9 +250,7 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		node := &n.nodes[i]
 		node.net = n
 		node.id = proto.NodeID(i)
-		node.eng = n.engine
-		node.pcg = *rand.NewPCG(NodeSeed(opts.Seed, node.id))
-		node.rand = *rand.New(&node.pcg)
+		n.cold[i].seed(opts.Seed, node.id)
 	}
 	n.buildShards(1)
 	return n
@@ -290,14 +290,14 @@ func (n *Network) Reset(seed uint64) {
 	}
 	for i := range n.nodes {
 		node := &n.nodes[i]
-		node.pcg = *rand.NewPCG(NodeSeed(seed, node.id))
-		node.rand = *rand.New(&node.pcg)
 		node.handler = nil
 		node.crashed = false
 		node.nextTimer = 0
 		node.schedSeq = 0
-		clear(node.timers)
-		node.extra = node.extra[:0]
+		c := &n.cold[i]
+		c.seed(seed, node.id)
+		clear(c.timers)
+		c.extra = c.extra[:0]
 	}
 	n.ctlSeq = 0
 	n.started = false
@@ -354,7 +354,11 @@ func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
 func (n *Network) ClearTaps() { n.taps = n.taps[:0] }
 
 // SetHandlers installs one handler per node using the factory. Must be
-// called exactly once before Start (and again after each Reset).
+// called exactly once before Start (and again after each Reset). The
+// factory may return the same handler for many nodes (flood.NewAt hands
+// out one per partition cell): the network tells a handler which node it
+// is acting for only through the Context of each call, so a handler takes
+// its identity from ctx.Self(), never from the order the factory ran in.
 func (n *Network) SetHandlers(factory func(id proto.NodeID) proto.Handler) {
 	for i := range n.nodes {
 		n.nodes[i].handler = factory(n.nodes[i].id)
@@ -702,14 +706,25 @@ func (n *Network) linkSlot(from *simNode, to proto.NodeID) (at *time.Duration, s
 			return &n.linkAt[lo+int32(i)], streams
 		}
 	}
-	for i := range from.extra {
-		if from.extra[i].to == to {
-			return &from.extra[i].at, &from.extra[i].streams
+	c := from.cold()
+	for i := range c.extra {
+		if c.extra[i].to == to {
+			return &c.extra[i].at, &c.extra[i].streams
 		}
 	}
-	from.extra = append(from.extra, linkArrival{to: to})
-	e := &from.extra[len(from.extra)-1]
+	c.extra = append(c.extra, linkArrival{to: to})
+	e := &c.extra[len(c.extra)-1]
 	return &e.at, &e.streams
+}
+
+// shardOf returns the shard owning node to, asked from shard sh. Shards
+// are contiguous ID ranges, so the sender's bounds answer the common case
+// and arithmetic the rest: a send never loads the destination's cell.
+func (n *Network) shardOf(sh *shardState, to proto.NodeID) *shardState {
+	if int32(to) >= sh.lo && int32(to) < sh.hi {
+		return sh
+	}
+	return n.shards[topology.ShardOf(to, len(n.nodes), len(n.shards))]
 }
 
 func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
@@ -765,7 +780,7 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	// destination heap at the barrier.
 	from.schedSeq++
 	key := evKey{src: from.id, seq: from.schedSeq}
-	dstShard := n.nodes[to].shard
+	dstShard := n.shardOf(sh, to)
 	if dstShard == sh {
 		from.eng.scheduleDeliver(arrival, key, to, msg)
 		return
@@ -775,58 +790,85 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	*q = append(*q, remoteEvent{at: arrival, key: key, dst: to, msg: msg})
 }
 
-// simNode implements proto.Context for one simulated node. Nodes live in
-// one contiguous slice with their random source embedded, so building a
-// network performs O(1) allocations per node, not O(5). Everything a
-// node touches during execution — RNG, timers, crash flag, outgoing
-// link FIFOs — is owned by its shard.
+// simNode implements proto.Context for one simulated node and is the
+// node's hot cell: everything an arrival or a send reads — handler, crash
+// flag, identity, schedule counter, the way to shard, engine and network
+// — in one 64-byte slot of a contiguous slice, so a delivery costs one
+// per-node line here (DESIGN §2, "What a delivery touches"; pinned by
+// TestNodeLayout). What only Rand, timers and off-topology sends need
+// lives in the parallel nodeCold array. Everything a node touches during
+// execution — both cells, its outgoing link FIFOs — is owned by its shard.
 type simNode struct {
+	handler proto.Handler
 	net     *Network
 	eng     *Engine     // the node's shard engine (== net.engine unsharded)
 	shard   *shardState // the owning shard
 	id      proto.NodeID
-	pcg     rand.PCG
-	rand    rand.Rand
-	handler proto.Handler
-	crashed bool
 
 	// schedSeq counts this node's schedule calls (sends and timers) —
 	// the per-source ordering-key component that makes event order
 	// shard-invariant.
 	schedSeq uint32
 
+	// nextTimer is the last TimerID handed out; it sits here because the
+	// cell has eight bytes to spare and nodeCold without them is one line.
 	nextTimer proto.TimerID
-	timers    map[proto.TimerID]Timer
+	crashed   bool
+}
 
-	// extra holds FIFO arrival state for links outside the topology.
-	extra []linkArrival
+// nodeCold is the per-node state no delivery reads: random stream, pending
+// timer handles, FIFO state of links outside the topology. Hot and cold
+// together are the 128 bytes the single-struct simNode used to be.
+type nodeCold struct {
+	pcg    rand.PCG
+	rand   rand.Rand
+	timers map[proto.TimerID]Timer
+	extra  []linkArrival
+}
+
+// seed (re)derives the node's random stream from the run seed.
+func (c *nodeCold) seed(seed uint64, id proto.NodeID) {
+	c.pcg = *rand.NewPCG(NodeSeed(seed, id))
+	c.rand = *rand.New(&c.pcg)
 }
 
 var _ proto.Context = (*simNode)(nil)
+
+// cold returns the node's cold cell — the only way to it, so a path that
+// never calls cold() stays on the hot line.
+func (s *simNode) cold() *nodeCold { return &s.net.cold[s.id] }
 
 func (s *simNode) Self() proto.NodeID { return s.id }
 
 func (s *simNode) Now() time.Duration { return s.eng.Now() }
 
-func (s *simNode) Rand() *rand.Rand { return &s.rand }
+func (s *simNode) Rand() *rand.Rand { return &s.cold().rand }
 
-func (s *simNode) Neighbors() []proto.NodeID { return s.net.topo.Neighbors(s.id) }
+// Neighbors serves the node's row of the network's CSR copy of the
+// topology (the graph is never mutated after NewNetwork): the lines
+// linkSlot scans anyway, not the graph's adjacency header and data.
+func (s *simNode) Neighbors() []proto.NodeID {
+	n := s.net
+	lo, hi := n.linkOff[s.id], n.linkOff[s.id+1]
+	return n.linkDst[lo:hi:hi]
+}
 
 func (s *simNode) Send(to proto.NodeID, msg proto.Message) { s.net.send(s, to, msg) }
 
 func (s *simNode) SetTimer(delay time.Duration, payload any) proto.TimerID {
 	s.nextTimer++
 	id := s.nextTimer
-	if s.timers == nil {
-		s.timers = make(map[proto.TimerID]Timer, 8)
+	c := s.cold()
+	if c.timers == nil {
+		c.timers = make(map[proto.TimerID]Timer, 8)
 	}
-	s.timers[id] = s.eng.scheduleTimer(delay, s, id, payload)
+	c.timers[id] = s.eng.scheduleTimer(delay, s, id, payload)
 	return id
 }
 
 // onTimerFire dispatches an evTimer event (called from the engine loop).
 func (s *simNode) onTimerFire(id proto.TimerID, payload any) {
-	delete(s.timers, id)
+	delete(s.cold().timers, id)
 	if s.crashed {
 		return
 	}
@@ -834,9 +876,10 @@ func (s *simNode) onTimerFire(id proto.TimerID, payload any) {
 }
 
 func (s *simNode) CancelTimer(id proto.TimerID) {
-	if t, ok := s.timers[id]; ok {
+	c := s.cold()
+	if t, ok := c.timers[id]; ok {
 		t.Cancel()
-		delete(s.timers, id)
+		delete(c.timers, id)
 	}
 }
 

@@ -503,9 +503,8 @@ func FuzzQueueOrder(f *testing.F) {
 
 // queueFlood is a reusable flooding network for the reuse tests below.
 type queueFlood struct {
-	net      *Network
-	shared   *flood.Shared
-	handlers []proto.Handler
+	net    *Network
+	shared *flood.Shared
 }
 
 func newQueueFlood(t testing.TB, n int, opts Options) *queueFlood {
@@ -513,11 +512,8 @@ func newQueueFlood(t testing.TB, n int, opts Options) *queueFlood {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &queueFlood{net: NewNetwork(g, opts), shared: flood.NewShared(n), handlers: make([]proto.Handler, n)}
+	f := &queueFlood{net: NewNetwork(g, opts), shared: flood.NewShared(n)}
 	f.shared.Partition(max(opts.Shards, 1))
-	for i := range f.handlers {
-		f.handlers[i] = flood.NewAt(f.shared, proto.NodeID(i))
-	}
 	return f
 }
 
@@ -525,7 +521,7 @@ func newQueueFlood(t testing.TB, n int, opts Options) *queueFlood {
 func (f *queueFlood) start(t testing.TB, seed uint64) {
 	f.net.Reset(seed)
 	f.shared.Reset()
-	f.net.SetHandlers(func(id proto.NodeID) proto.Handler { return f.handlers[id] })
+	f.net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(f.shared, id) })
 	f.net.Start()
 	if _, err := f.net.Originate(0, []byte{byte(seed), byte(seed >> 8)}); err != nil {
 		t.Fatal(err)
@@ -534,7 +530,9 @@ func (f *queueFlood) start(t testing.TB, seed uint64) {
 
 // TestQueueWarmFloodAllocs pins what Engine.Reserve used to stand for: a
 // warm network floods again without the queue allocating — chunks, the
-// run buffer and the in-tick heap are reused — so allocations per flood
+// run buffer and the in-tick heap are reused — and without its handlers
+// allocating — flood.NewAt, called afresh for every node of every flood,
+// hands out the partition cell's one Protocol — so allocations per flood
 // are a small number that does not grow with N (a sharded run pays a few
 // per barrier window, and the deeper flood has a window or two more).
 func TestQueueWarmFloodAllocs(t *testing.T) {

@@ -211,7 +211,7 @@ func (n *Network) resolveShards() {
 // this network's node table.
 func (n *Network) newEngine() *Engine {
 	e := NewEngine()
-	e.nodes = n.nodes
+	e.net, e.nodes = n, n.nodes
 	return e
 }
 

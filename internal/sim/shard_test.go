@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -25,14 +26,22 @@ func shardTestGraph(t *testing.T) *topology.Graph {
 
 // shardFingerprint floods one payload over g at the given options and
 // returns the full observable fingerprint plus the shard count the
-// network actually resolved to.
-func shardFingerprint(t *testing.T, g *topology.Graph, opts Options) (runFingerprint, int) {
+// network actually resolved to. dense selects the handlers: one
+// map-backed flood.New per node, or flood.NewAt over a Shared partitioned
+// like the network — one handler per partition cell.
+func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool) (runFingerprint, int) {
 	t.Helper()
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
 	opts.Codec = codec
 	net := NewNetwork(g, opts)
-	net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
+	if dense {
+		shared := flood.NewShared(g.N())
+		shared.Partition(max(opts.Shards, 1))
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
+	} else {
+		net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
+	}
 	net.Start()
 	id, err := net.Originate(3, []byte("shard probe"))
 	if err != nil {
@@ -73,7 +82,10 @@ func compareFingerprints(t *testing.T, name string, a, b runFingerprint) {
 // steps, the full per-node delivery-time vector — is bit-identical at
 // ANY shard count, for both the rng-mode const-latency path and the
 // shaped netem path (jitter, loss-free churn), whose hash-based draws
-// are position-independent by construction.
+// are position-independent by construction. Each shard count runs twice:
+// with a map-backed handler per node and with the dense per-partition
+// handlers of flood.NewAt over Partition(k), which must be
+// indistinguishable from them and from each other at every k.
 func TestShardedDeterminism(t *testing.T) {
 	g := shardTestGraph(t)
 	arms := []struct {
@@ -93,7 +105,7 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			base, k := shardFingerprint(t, g, arm.opts)
+			base, k := shardFingerprint(t, g, arm.opts, false)
 			if k != 1 {
 				t.Fatalf("unsharded run resolved to %d shards", k)
 			}
@@ -103,11 +115,13 @@ func TestShardedDeterminism(t *testing.T) {
 			for _, shards := range []int{1, 2, 4, 7} {
 				opts := arm.opts
 				opts.Shards = shards
-				fp, k := shardFingerprint(t, g, opts)
-				if shards > 1 && k != shards {
-					t.Errorf("requested %d shards, resolved %d (expected eligible)", shards, k)
+				for _, dense := range []bool{false, true} {
+					fp, k := shardFingerprint(t, g, opts, dense)
+					if shards > 1 && k != shards {
+						t.Errorf("requested %d shards, resolved %d (expected eligible)", shards, k)
+					}
+					compareFingerprints(t, fmt.Sprintf("%s/k=%d/dense=%t", arm.name, shards, dense), base, fp)
 				}
-				compareFingerprints(t, arm.name, base, fp)
 			}
 		})
 	}
