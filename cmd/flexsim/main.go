@@ -1,5 +1,5 @@
 // Command flexsim regenerates the paper's evaluation artifacts. Each
-// experiment (e1…e15, see DESIGN.md §3) prints a table; `all` runs the
+// experiment (e1…e17, see DESIGN.md §3) prints a table; `all` runs the
 // full suite — `flexsim -md all` produces the Markdown form of the
 // tables README.md and DESIGN.md §3 quote.
 //
@@ -8,11 +8,11 @@
 // (e1, e3–e5, e9, e10, a2, e14, e15) honor -n/-degree overlay
 // overrides, and -netem replaces an experiment's declared network
 // conditions with a named internal/netem preset or spec (latency
-// distribution, jitter, loss, churn).
+// distribution, jitter, loss, churn). Every preset shards.
 //
 // -shards additionally splits each trial's event loop across K
 // conservatively synchronized shards on the experiments that support
-// in-run parallelism (e1, e14, and the tapped e16 spy sweep); tables
+// in-run parallelism (e1, e14, the tapped e16 spy sweep and e17); tables
 // stay bit-identical at any shard count. When -par is left at its
 // default, the cores split between the two axes: par = max(1,
 // GOMAXPROCS/shards). -v prints per-shard event counts, lookahead
@@ -56,7 +56,7 @@ func run() int {
 	par := flag.Int("par", 0, "trial worker-pool size (0: GOMAXPROCS split across -shards, 1: sequential)")
 	shards := flag.Int("shards", 0, "per-trial event-loop shards on sharding-aware experiments (0/1: single loop)")
 	verbose := flag.Bool("v", false, "print per-shard event counts, lookahead stalls and event-queue cost to stderr")
-	netemSpec := flag.String("netem", "", "network-condition profile override: preset or spec, e.g. wan, lossy, \"lat=20ms,jitter=10ms,loss=0.05\"")
+	netemSpec := flag.String("netem", "", "network-condition profile override: preset or spec, e.g. wan, lossy, \"lat=20ms,jitter=10ms,loss=0.05\" (every preset runs under -shards)")
 	rateSpec := flag.String("rate", "100", "soak target: workload rate spec, e.g. \"400\", \"400,resub=0.1,zipf=1.2\", \"trace:10ms/30ms\"")
 	soakDur := flag.Duration("duration", 5*time.Second, "soak target: injection window (virtual time)")
 	users := flag.Int("users", 0, "soak target: simulated user population override (0: spec default)")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crypto"
 	"repro/internal/dcnet"
+	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -102,9 +103,8 @@ func TestMessageLossStillDelivers(t *testing.T) {
 	group := []proto.NodeID{1, 11, 21, 31}
 	hashes := SimHashes(g.N())
 	net := sim.NewNetwork(g, sim.Options{
-		Seed:     77,
-		Latency:  sim.ConstLatency(2 * time.Millisecond),
-		DropRate: 0.02,
+		Seed:  77,
+		Netem: &netem.Profile{Latency: netem.Const(2 * time.Millisecond), Loss: 0.02},
 	})
 	inGroup := map[proto.NodeID]bool{1: true, 11: true, 21: true, 31: true}
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {

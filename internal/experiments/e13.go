@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dissent"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -65,10 +64,8 @@ func dissentRound(n int, hop time.Duration) (time.Duration, int64) {
 		panic(err)
 	}
 	secrets := dissent.SharedLayerSecrets(core.SimHashes(n))
-	// The hop latency is E13's sweep axis, declared as an on-the-fly
-	// constant profile rather than a Scenario-threaded preset.
-	opts := sim.Options{Seed: uint64(n) + 7, Latency: netem.ConstProfile("hop", hop).Model()}
-	net := sim.NewNetwork(g, opts)
+	// The hop latency is E13's own constant, not a Scenario-threaded preset.
+	net := sim.NewNetwork(g, sim.Options{Seed: uint64(n) + 7, Latency: sim.ConstLatency(hop)})
 	var publishedAt time.Duration
 	all := make([]proto.NodeID, n)
 	for i := range all {

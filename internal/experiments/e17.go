@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"time"
 
 	"repro/internal/adversary"
@@ -59,9 +58,8 @@ type e17Sample struct {
 // fail-safe flood bounds delivery, so sustained rate costs neither
 // coverage nor extra latency — the price is a flat multi-second
 // pipeline (p50 ≈ 8 s at every rate) and ~3× flood's per-transaction
-// bandwidth. Spy taps pin every trial to a single event loop (a
-// -shards request clamps). All columns are virtual-time quantities:
-// tables are bit-identical at any -par and across network reuse.
+// bandwidth. All columns are virtual-time quantities: tables are
+// bit-identical at any -par, any -shards and across network reuse.
 func E17Frontier(sc Scenario) *metrics.Table {
 	n, deg := sc.size(64), sc.degree(8)
 	nTrials := sc.trials(2, 6)
@@ -74,11 +72,6 @@ func E17Frontier(sc Scenario) *metrics.Table {
 		e15Condition("clean", 0, 0),
 		e15Condition("loss5", 0.05, 0),
 		e15Condition("churn20", 0, 0.20),
-	}
-	if sc.Verbose && sc.Shards > 1 {
-		fmt.Fprintf(os.Stderr,
-			"e17: spy taps observe the global event stream, so every trial clamps -shards %d to a single loop\n",
-			sc.Shards)
 	}
 
 	t := metrics.NewTable(

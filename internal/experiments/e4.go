@@ -16,41 +16,39 @@ import (
 )
 
 // e4Worker is E4's per-worker state — like adWorker (e6.go), but with
-// one long-lived network per latency model plus one shared flood state,
+// one long-lived network per link profile plus one shared flood state,
 // Reset per trial; the topology repeats, so only the seed changes.
 // Reset ≡ fresh (TestResetEqualsFresh), hence tables stay bit-identical
 // to the fresh-network form (TestNetworkReuseBitIdentical runs both
 // arms). A zero worker (FreshNet scenarios) rebuilds per trial.
 type e4Worker struct {
-	latConst, latJit sim.LatencyModel
-	netConst, netJit *sim.Network
-	shared           *flood.Shared
+	nets   [2]*sim.Network // indexed like e4Conds
+	shared *flood.Shared
 }
 
-func newE4Worker(sc Scenario, g *topology.Graph, n int, latConst, latJit sim.LatencyModel) *e4Worker {
-	w := &e4Worker{latConst: latConst, latJit: latJit}
+// e4Conds are E4's two arms. Its measured axis is the network condition
+// itself (constant vs jittered WAN links), so both are fixed presets
+// rather than a single Scenario-threaded profile.
+var e4Conds = [2]*netem.Profile{&netem.WAN, &netem.WANJitter}
+
+func newE4Worker(sc Scenario, g *topology.Graph, n int) *e4Worker {
+	w := &e4Worker{}
 	if sc.FreshNet {
 		return w
 	}
-	w.netConst = sim.NewNetwork(g, sim.Options{Latency: latConst})
-	w.netJit = sim.NewNetwork(g, sim.Options{Latency: latJit})
+	for i, p := range e4Conds {
+		w.nets[i] = sim.NewNetwork(g, sim.Options{Netem: p})
+	}
 	w.shared = flood.NewShared(n)
 	return w
 }
 
 // trial returns the network and shared state ready for one seeded
-// sub-run under the selected latency model.
-func (w *e4Worker) trial(g *topology.Graph, n int, seed uint64, jitter bool) (*sim.Network, *flood.Shared) {
-	if w.netConst == nil {
-		lat := w.latConst
-		if jitter {
-			lat = w.latJit
-		}
-		return sim.NewNetwork(g, sim.Options{Seed: seed, Latency: lat}), flood.NewShared(n)
-	}
-	net := w.netConst
-	if jitter {
-		net = w.netJit
+// sub-run under the selected arm of e4Conds.
+func (w *e4Worker) trial(g *topology.Graph, n int, seed uint64, cond int) (*sim.Network, *flood.Shared) {
+	net := w.nets[cond]
+	if net == nil {
+		return sim.NewNetwork(g, sim.Options{Seed: seed, Netem: e4Conds[cond]}), flood.NewShared(n)
 	}
 	net.Reset(seed)
 	net.ClearTaps()
@@ -85,22 +83,17 @@ func E4FloodDeanonymization(sc Scenario) *metrics.Table {
 		timingConst, timingJit proto.NodeID
 		anonSet                float64
 	}
-	// E4's measured axis is the network condition itself (constant vs
-	// jittered WAN links), so both arms are fixed presets rather than a
-	// single Scenario-threaded profile; the rng-mode models reproduce
-	// the former ConstLatency/UniformLatency literals bit-for-bit.
-	latConst := netem.WAN.Model()
-	latJit := netem.WANJitter.Model()
 	for _, f := range fractions {
 		samples := runner.MapWorker(nTrials, sc.Par, func() *e4Worker {
-			return newE4Worker(sc, g, n, latConst, latJit)
+			return newE4Worker(sc, g, n)
 		}, func(w *e4Worker, trial int) sample {
 			rng := rand.New(rand.NewPCG(uint64(trial+1), uint64(f*1000)))
 			corrupted := adversary.SampleCorrupted(n, f, rng)
 			var s sample
-			for _, jitter := range []bool{false, true} {
+			for cond := range e4Conds {
+				jitter := cond == 1
 				obs := adversary.NewObserver(corrupted)
-				net, shared := w.trial(g, n, uint64(trial+1), jitter)
+				net, shared := w.trial(g, n, uint64(trial+1), cond)
 				net.AddTap(obs)
 				net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 				net.Start()

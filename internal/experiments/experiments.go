@@ -115,26 +115,19 @@ func (sc Scenario) degree(def int) int {
 }
 
 // netOptions builds one trial's sim options from the experiment's
-// declared condition preset, honoring a -netem override. Unimpaired
-// profiles (plain latency/jitter) route through the rng-mode latency
-// model — bit-compatible with the literals they replaced, so golden
-// tables are unchanged — while impaired profiles (loss, churn) take the
-// shaped hash-mode path.
+// declared condition preset, honoring a -netem override.
 func (sc Scenario) netOptions(seed uint64, def netem.Profile) sim.Options {
 	p := def
 	if sc.Netem != nil {
 		p = *sc.Netem
 	}
-	if p.Impaired() {
-		return sim.Options{Seed: seed, Netem: &p}
-	}
-	return sim.Options{Seed: seed, Latency: p.Model()}
+	return sim.Options{Seed: seed, Netem: &p}
 }
 
 // shardOptions is netOptions plus the scenario's shard request — used by
-// the experiments that opt into in-run parallelism. The network clamps
-// the request to one loop whenever the configuration cannot shard
-// safely, so passing it through unconditionally is always sound.
+// the experiments that opt into in-run parallelism. Every preset
+// shards; the network clamps the request to one loop only for a
+// zero-floor profile or N < shards.
 func (sc Scenario) shardOptions(seed uint64, def netem.Profile) sim.Options {
 	o := sc.netOptions(seed, def)
 	o.Shards = sc.Shards

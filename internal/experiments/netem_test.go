@@ -8,8 +8,8 @@ import (
 
 // TestNetemOverrideZeroImpairmentBitIdentical pins the profile
 // migration satellite: overriding an experiment with the very preset it
-// declares (a zero-impairment profile) must route through the same
-// rng-mode latency path and reproduce the default table bit-for-bit —
+// declares (a zero-impairment profile) must take the same fixed-delay
+// send path and reproduce the default table bit-for-bit —
 // i.e. naming conditions as profiles changed nothing the golden
 // fixtures measure (the fixtures themselves are guarded by
 // TestGoldenTables).

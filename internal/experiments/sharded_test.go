@@ -7,8 +7,8 @@ import (
 )
 
 // TestShardedGoldenTables replays the sharding-aware experiments (e1,
-// e14, and the tapped e16 — the ones `flexsim -shards` parallelizes) at
-// shard counts 1/2/4/7 and diffs each table against the same committed
+// e14, the tapped e16, and the tapped open-world soak e17 — the ones
+// `flexsim -shards` parallelizes) at shard counts 1/2/4/7 and diffs each table against the same committed
 // fixture the single-loop run is held to: sharding is pure execution
 // strategy, so every cell except the masked wall-clock columns must be
 // bit-identical at any shard count. Under CI's -race run this also
@@ -19,7 +19,7 @@ func TestShardedGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; run without -short")
 	}
-	for _, id := range []string{"e1", "e14", "e16"} {
+	for _, id := range []string{"e1", "e14", "e16", "e17"} {
 		e := Find(id)
 		if e == nil {
 			t.Fatalf("experiment %s missing", id)

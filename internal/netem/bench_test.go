@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// BenchmarkShaperDecide prices the per-message cost of the hash-mode
+// BenchmarkShaperDecide prices the per-message cost of the link
 // decision path — it sits on the simulator's delivery hot path for
 // every shaped run (E15, parity), so it must stay in the
 // few-nanoseconds class.

@@ -2,26 +2,21 @@
 // — a latency distribution, additive jitter, a per-link packet-loss
 // rate, and a seeded churn schedule — defined once and applied
 // identically to the discrete-event simulator (sim.Options.Netem) and
-// the real transport (transport.Config.Shaper). It subsumes the
-// simulator's earlier ConstLatency/UniformLatency literals and DropRate
-// knob, and opens the degraded-network scenario axis (experiment E15,
-// `flexsim -netem`).
+// the real transport (transport.Config.Shaper). It is the only way
+// either runtime delays or drops a message, and the degraded-network
+// scenario axis (experiment E15, `flexsim -netem`).
 //
-// Two sampling modes, one distribution type. Every Dist can be sampled
-// from an RNG stream (Draw) or from a 64-bit hash word (At):
-//
-//   - rng-mode (Profile.Model) preserves bit-compatibility with the
-//     legacy sim latency models: Const draws nothing and Uniform draws
-//     exactly like sim.UniformLatency, so experiments that merely name
-//     their conditions as a profile reproduce their golden tables
-//     bit-for-bit.
-//   - hash-mode (Profile.Shaper) makes every delay and drop decision a
-//     pure function of (seed, from, to, per-link sequence number). Both
-//     runtimes consult the same function, so a shaped simulator run and
-//     a shaped transport cluster agree on exactly which messages die
-//     and how long each one is held — the foundation of the shaped
-//     parity scenarios (delivery-time distributions compared under
-//     tolerance, counts compared exactly).
+// One sampling mode. Every Dist is sampled from a 64-bit hash word (At),
+// and Profile.Shaper makes every delay and drop decision a pure function
+// of (seed, from, to, message type, per-link sequence number). Both
+// runtimes consult the same function, so a shaped simulator run and a
+// shaped transport cluster agree on exactly which messages die and how
+// long each one is held — the foundation of the shaped parity scenarios
+// (delivery-time distributions compared under tolerance, counts compared
+// exactly) — and no decision depends on the order events execute in, so
+// every profile with a positive MinDelay runs on a sharded event loop.
+// A profile that never draws (Profile.FixedDelay) needs no hashing at
+// all: the simulator stores its one delay.
 //
 // Churn is a seeded schedule of crash/rejoin events (Churn.Events)
 // injected through the simulator's event loop at Network.Start; it has
@@ -34,31 +29,26 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/proto"
 )
 
-// Dist is a one-way delay distribution, sampleable in rng-mode (Draw)
-// and hash-mode (At). Implementations must be deterministic: Draw is a
-// pure function of the RNG stream, At of the word.
+// Dist is a one-way delay distribution, sampled from a hash word (At).
+// Implementations must be deterministic: At is a pure function of the
+// word.
 type Dist interface {
-	// Draw samples using an RNG stream (the simulator's legacy
-	// latency-model contract).
-	Draw(rng *rand.Rand) time.Duration
-	// At samples from a uniform 64-bit word (the cross-runtime path).
+	// At samples from a uniform 64-bit word.
 	At(u uint64) time.Duration
 	// Max bounds the distribution from above (conservatively for
 	// unbounded tails) — quiescence pollers size their stillness
 	// windows with it.
 	Max() time.Duration
-	// Floor bounds the distribution from below: no hash-mode sample is
-	// ever smaller. The sharded event loop derives its conservative
-	// lookahead from it (Profile.MinDelay). For unbounded-below tails it
-	// is the hash grid's bound (u01 keeps |z| ≤ ~8.3), which rng-mode
-	// also respects for any practical stream length.
+	// Floor bounds the distribution from below: no sample is ever
+	// smaller. The sharded event loop derives its conservative lookahead
+	// from it (Profile.MinDelay). For unbounded-below tails it is the
+	// hash grid's bound (u01 keeps |z| ≤ ~8.3).
 	Floor() time.Duration
 	// String renders the distribution in ParseDist syntax.
 	String() string
@@ -66,9 +56,6 @@ type Dist interface {
 
 // Const delays every message by a fixed amount.
 type Const time.Duration
-
-// Draw implements Dist.
-func (c Const) Draw(*rand.Rand) time.Duration { return time.Duration(c) }
 
 // At implements Dist.
 func (c Const) At(uint64) time.Duration { return time.Duration(c) }
@@ -82,19 +69,9 @@ func (c Const) Floor() time.Duration { return time.Duration(c) }
 // String implements Dist.
 func (c Const) String() string { return time.Duration(c).String() }
 
-// Uniform draws delays uniformly from [Min, Max]. Draw matches
-// sim.UniformLatency bit-for-bit (same rng.Int64N call), so replacing
-// that literal with a profile changes nothing.
+// Uniform draws delays uniformly from [Min, Hi].
 type Uniform struct {
 	Min, Hi time.Duration
-}
-
-// Draw implements Dist.
-func (u Uniform) Draw(rng *rand.Rand) time.Duration {
-	if u.Hi <= u.Min {
-		return u.Min
-	}
-	return u.Min + time.Duration(rng.Int64N(int64(u.Hi-u.Min)+1))
 }
 
 // At implements Dist: the word is scaled into the span by fixed-point
@@ -127,27 +104,17 @@ type LogNormal struct {
 	Sigma  float64
 }
 
-// Draw implements Dist.
-func (l LogNormal) Draw(rng *rand.Rand) time.Duration {
-	return l.at(rng.NormFloat64())
-}
-
 // At implements Dist.
 func (l LogNormal) At(w uint64) time.Duration {
-	return l.at(invNorm(u01(w)))
-}
-
-func (l LogNormal) at(z float64) time.Duration {
-	d := time.Duration(float64(l.Median) * math.Exp(l.Sigma*z))
+	d := time.Duration(float64(l.Median) * math.Exp(l.Sigma*invNorm(u01(w))))
 	if d < 0 { // exp overflow on absurd sigma
 		return l.Max()
 	}
 	return d
 }
 
-// Max implements Dist: the u01 grid keeps |z| below ~8.3, so the
-// hash-mode tail is bounded by Median·e^(8.3·Sigma); rng-mode shares
-// the bound for any practical stream length.
+// Max implements Dist: the u01 grid keeps |z| below ~8.3, so the tail is
+// bounded by Median·e^(8.3·Sigma).
 func (l LogNormal) Max() time.Duration {
 	d := time.Duration(float64(l.Median) * math.Exp(8.3*l.Sigma))
 	if d < 0 {
@@ -156,9 +123,9 @@ func (l LogNormal) Max() time.Duration {
 	return d
 }
 
-// Floor implements Dist: the u01 grid keeps |z| below ~8.3, so the
-// hash-mode samples never fall under Median·e^(−8.3·Sigma) — a small
-// but strictly positive bound for any positive median.
+// Floor implements Dist: the u01 grid keeps |z| below ~8.3, so samples
+// never fall under Median·e^(−8.3·Sigma) — a small but strictly positive
+// bound for any positive median.
 func (l LogNormal) Floor() time.Duration {
 	return time.Duration(float64(l.Median) * math.Exp(-8.3*l.Sigma))
 }
@@ -174,11 +141,6 @@ func (l LogNormal) String() string {
 // model.
 type Empirical struct {
 	Values []time.Duration // ascending; at least one entry
-}
-
-// Draw implements Dist.
-func (e Empirical) Draw(rng *rand.Rand) time.Duration {
-	return metrics.DurationQuantile(e.Values, rng.Float64())
 }
 
 // At implements Dist.
@@ -231,11 +193,6 @@ type Profile struct {
 	// Churn is the seeded crash/rejoin schedule (simulator only).
 	Churn Churn
 }
-
-// Impaired reports whether the profile carries conditions beyond plain
-// latency/jitter — the experiments' signal to route through the shaped
-// hash-mode path instead of the bit-compatible rng-mode latency model.
-func (p Profile) Impaired() bool { return p.Loss > 0 || p.Churn.Enabled() }
 
 // Validate rejects profiles that would measure something other than
 // what they declare.
@@ -312,8 +269,8 @@ func (p Profile) MaxDelay() time.Duration {
 	return d
 }
 
-// MinDelay bounds one shaped hold from below: no hash-mode decision ever
-// holds a message for less. This is the conservative lookahead the
+// MinDelay bounds one shaped hold from below: no decision ever holds a
+// message for less. This is the conservative lookahead the
 // sharded event loop advances under — a cross-shard message sent at time
 // t can only arrive at t+MinDelay or later.
 func (p Profile) MinDelay() time.Duration {
@@ -327,34 +284,13 @@ func (p Profile) MinDelay() time.Duration {
 	return d
 }
 
-// RandModel adapts the profile's latency+jitter to the simulator's
-// draw-per-message LatencyModel contract (rng-mode). It implements
-// sim.LatencyModel structurally without importing sim.
-type RandModel struct{ p Profile }
-
-// Model returns the rng-mode latency adapter. For profiles that only
-// rename a legacy literal (Const, Uniform) the delay stream is
-// bit-identical to the literal it replaced.
-func (p Profile) Model() RandModel { return RandModel{p: p} }
-
-// Delay implements sim.LatencyModel.
-func (m RandModel) Delay(_, _ proto.NodeID, rng *rand.Rand) time.Duration {
-	var d time.Duration
-	if m.p.Latency != nil {
-		d = m.p.Latency.Draw(rng)
-	}
-	if m.p.Jitter != nil {
-		d += m.p.Jitter.Draw(rng)
-	}
-	return d
-}
-
-// ShardLookahead implements sim.Lookaheader structurally. An rng-mode
-// model is safe to shard only when it never draws from the shared RNG
-// stream — i.e. every component is constant (or absent); a drawing model
-// split across shards would consume the stream in execution order, which
-// is exactly what sharding must not depend on.
-func (m RandModel) ShardLookahead() (time.Duration, bool) {
+// FixedDelay reports whether every link decision of the profile is the
+// same: no loss, and latency and jitter each constant or absent (churn
+// is not a link decision and is allowed). The duration is MinDelay,
+// which for such a profile is that one delay. A simulator given one
+// stores the delay and never counts link sequences or hashes; anything
+// else goes through Shaper.Decide.
+func (p Profile) FixedDelay() (time.Duration, bool) {
 	drawFree := func(d Dist) bool {
 		if d == nil {
 			return true
@@ -362,10 +298,10 @@ func (m RandModel) ShardLookahead() (time.Duration, bool) {
 		_, ok := d.(Const)
 		return ok
 	}
-	return m.p.MinDelay(), drawFree(m.p.Latency) && drawFree(m.p.Jitter)
+	return p.MinDelay(), p.Loss == 0 && drawFree(p.Latency) && drawFree(p.Jitter)
 }
 
-// Shaper makes hash-mode link decisions for one (profile, seed) pair:
+// Shaper makes the link decisions for one (profile, seed) pair:
 // Decide is a pure function, so the simulator and the transport — and
 // any number of Shaper values built from the same inputs — agree on
 // every decision without sharing state. Sequence numbers are the
@@ -384,7 +320,7 @@ type Shaper struct {
 	lossThr uint64 // 53-bit loss threshold
 }
 
-// Shaper derives the hash-mode decision function for a run seed.
+// Shaper derives the decision function for a run seed.
 func (p Profile) Shaper(seed uint64) Shaper {
 	return Shaper{p: p, seed: seed, lossThr: uint64(p.Loss * (1 << 53))}
 }

@@ -9,9 +9,8 @@ import (
 	"repro/internal/proto"
 )
 
-// TestDistDeterminism pins both sampling modes of every distribution:
-// rng-mode must replay identically from an equally seeded stream, and
-// hash-mode must be a pure function of the word.
+// TestDistDeterminism pins every distribution's sampling: At must be a
+// pure function of the word and stay inside [Floor, Max].
 func TestDistDeterminism(t *testing.T) {
 	dists := []Dist{
 		Const(50 * time.Millisecond),
@@ -20,39 +19,16 @@ func TestDistDeterminism(t *testing.T) {
 		Empirical{Values: []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 45 * time.Millisecond, 90 * time.Millisecond}},
 	}
 	for _, d := range dists {
-		r1 := rand.New(rand.NewPCG(7, 9))
-		r2 := rand.New(rand.NewPCG(7, 9))
+		words := rand.New(rand.NewPCG(7, 9))
 		for i := 0; i < 1000; i++ {
-			a, b := d.Draw(r1), d.Draw(r2)
-			if a != b {
-				t.Fatalf("%s: rng-mode draw %d diverged: %v vs %v", d, i, a, b)
+			w := words.Uint64()
+			x, y := d.At(w), d.At(w)
+			if x != y {
+				t.Fatalf("%s: not pure at %#x: %v vs %v", d, w, x, y)
 			}
-			w := rand.Uint64()
-			if x, y := d.At(w), d.At(w); x != y {
-				t.Fatalf("%s: hash-mode not pure at %#x: %v vs %v", d, w, x, y)
+			if x < d.Floor() || x > d.Max() {
+				t.Fatalf("%s: sample %v outside [%v, %v]", d, x, d.Floor(), d.Max())
 			}
-			if a < 0 || d.At(w) < 0 {
-				t.Fatalf("%s: negative delay", d)
-			}
-			if a > d.Max() || d.At(w) > d.Max() {
-				t.Fatalf("%s: sample exceeds Max %v", d, d.Max())
-			}
-		}
-	}
-}
-
-// TestUniformMatchesSimLatency pins the bit-compatibility contract:
-// Uniform.Draw must consume the RNG exactly like sim.UniformLatency
-// (Min + Int64N(span+1)), so profile-named experiments reproduce their
-// golden tables.
-func TestUniformMatchesSimLatency(t *testing.T) {
-	u := Uniform{Min: 25 * time.Millisecond, Hi: 75 * time.Millisecond}
-	r1 := rand.New(rand.NewPCG(3, 5))
-	r2 := rand.New(rand.NewPCG(3, 5))
-	for i := 0; i < 1000; i++ {
-		want := u.Min + time.Duration(r2.Int64N(int64(u.Hi-u.Min)+1))
-		if got := u.Draw(r1); got != want {
-			t.Fatalf("draw %d: got %v, want %v", i, got, want)
 		}
 	}
 }
@@ -114,7 +90,7 @@ func TestShaperLossRate(t *testing.T) {
 }
 
 // TestLogNormalShape sanity-checks the inverse-CDF sampler: the median
-// of hash-mode samples must sit near the configured median.
+// of samples must sit near the configured median.
 func TestLogNormalShape(t *testing.T) {
 	l := LogNormal{Median: 80 * time.Millisecond, Sigma: 0.5}
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -251,7 +227,33 @@ func TestParseProfile(t *testing.T) {
 			t.Errorf("ParseProfile(%q) accepted", spec)
 		}
 	}
-	if Lossy.Impaired() != true || WAN.Impaired() != false {
-		t.Error("Impaired misclassifies presets")
+}
+
+// TestFixedDelay pins the one predicate that picks the simulator's send
+// case: a profile is fixed-delay exactly when it never draws — no loss,
+// latency and jitter constant or absent; churn is not a link decision.
+// Every preset, fixed or not, has a positive floor: the lookahead that
+// lets it run sharded.
+func TestFixedDelay(t *testing.T) {
+	for _, tc := range []struct {
+		p     Profile
+		delay time.Duration
+		fixed bool
+	}{
+		{WAN, 50 * time.Millisecond, true},
+		{Profile{}, 0, true},
+		{Profile{Latency: Const(20 * time.Millisecond), Jitter: Const(5 * time.Millisecond), Churn: Churn{Fraction: 0.2}}, 25 * time.Millisecond, true},
+		{WANJitter, 25 * time.Millisecond, false},
+		{Profile{Latency: Const(50 * time.Millisecond), Jitter: Uniform{Hi: 20 * time.Millisecond}}, 50 * time.Millisecond, false},
+		{Lossy, Lossy.MinDelay(), false},
+	} {
+		if d, ok := tc.p.FixedDelay(); d != tc.delay || ok != tc.fixed {
+			t.Errorf("%s.FixedDelay() = %v, %v; want %v, %v", tc.p, d, ok, tc.delay, tc.fixed)
+		}
+	}
+	for _, p := range Presets() {
+		if p.MinDelay() <= 0 {
+			t.Errorf("preset %s has no positive minimum delay and would clamp -shards to one loop", p.Name)
+		}
 	}
 }

@@ -50,12 +50,6 @@ var (
 	}
 )
 
-// ConstProfile names a constant-latency condition on the fly — the
-// form hop-latency sweeps (E13) declare their per-row settings in.
-func ConstProfile(name string, d time.Duration) Profile {
-	return Profile{Name: name, Latency: Const(d)}
-}
-
 // Presets returns the named profiles in stable order.
 func Presets() []Profile {
 	return []Profile{Loopback, LAN, Metro, WAN, WANJitter, Lossy, Flaky, Mobile, Churny}

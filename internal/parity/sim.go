@@ -41,10 +41,9 @@ func (sc *Scenario) runSim() (*Accounting, error) {
 		Codec:   codec,
 	}
 	if sc.Netem != nil {
-		// Shaped twin: the profile replaces the loopback placeholder
-		// latency entirely, so both runs draw delay and loss from the
-		// same hash-mode decision function.
-		opts.Latency = nil
+		// Shaped twin: the profile supersedes the loopback placeholder
+		// latency, so both runs draw delay and loss from the same
+		// decision function.
 		opts.Netem = sc.Netem
 	}
 	net := sim.NewNetwork(g, opts)

@@ -27,7 +27,7 @@
 //   - a nack pulls an immediate retransmission of a tracked message if
 //     budget remains, without waiting out the sender's timeout.
 //
-// Determinism. Under a netem hash-mode profile every drop decision keys
+// Determinism. Under a netem profile every drop decision keys
 // on a per-(link, type) seeded stream, so whether a given copy dies is
 // a pure function of the seed — and because RTO far exceeds the
 // worst-case data+ack round trip, whether the sender retransmits is the

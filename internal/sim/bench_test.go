@@ -168,7 +168,7 @@ func BenchmarkNetworkFloodCold(b *testing.B) {
 }
 
 // BenchmarkNetworkFloodShaped is BenchmarkNetworkFlood under a netem
-// profile with jitter and loss active — the cost of the hash-mode
+// profile with jitter and loss active — the cost of the shaper's
 // decision path (per-link sequence lookup + three splitmix words per
 // message) on top of the plain delivery path.
 func BenchmarkNetworkFloodShaped(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/flood"
+	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -23,8 +24,15 @@ type runFingerprint struct {
 	times      []time.Duration
 }
 
+// jitterLoss is the determinism tests' link model: every send draws a
+// delay and a drop verdict.
+var jitterLoss = netem.Profile{
+	Latency: netem.Uniform{Min: 5 * time.Millisecond, Hi: 40 * time.Millisecond},
+	Loss:    0.05,
+}
+
 // floodRun executes one seeded flood broadcast over a fixed topology with
-// jittered latency and failure injection, exercising both network RNGs.
+// jittered latency and loss, exercising both shaper decisions.
 func floodRun(t *testing.T, seed uint64) runFingerprint {
 	t.Helper()
 	g, err := topology.RandomRegular(200, 8, testBenchRNG())
@@ -33,12 +41,7 @@ func floodRun(t *testing.T, seed uint64) runFingerprint {
 	}
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
-	net := NewNetwork(g, Options{
-		Seed:     seed,
-		Latency:  UniformLatency{Min: 5 * time.Millisecond, Max: 40 * time.Millisecond},
-		Codec:    codec,
-		DropRate: 0.05,
-	})
+	net := NewNetwork(g, Options{Seed: seed, Codec: codec, Netem: &jitterLoss})
 	net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
 	net.Start()
 	id, err := net.Originate(3, []byte("determinism probe"))
@@ -153,12 +156,7 @@ func TestResetEqualsFresh(t *testing.T) {
 	}
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
-	opts := Options{
-		Seed:     42,
-		Latency:  UniformLatency{Min: 5 * time.Millisecond, Max: 40 * time.Millisecond},
-		Codec:    codec,
-		DropRate: 0.05,
-	}
+	opts := Options{Seed: 42, Codec: codec, Netem: &jitterLoss}
 
 	fresh42 := networkFingerprint(t, NewNetwork(g, opts))
 	opts.Seed = 43

@@ -26,36 +26,52 @@ func netemFloodRun(t *testing.T, g *topology.Graph, opts Options) (*Network, pro
 	return net, id
 }
 
-// TestNetemZeroImpairmentEqualsLegacy is the regression pin for the
-// netem migration: a shaped network under a zero-impairment constant
-// profile must reproduce the legacy ConstLatency path bit-for-bit —
-// same counts, same bytes, same per-node delivery times — so routing an
-// experiment's conditions through a Profile changes nothing it
-// measures.
+// TestNetemZeroImpairmentEqualsLegacy pins that a link has one model
+// however it is spelled: Latency: ConstLatency(d), the explicit constant
+// profile, and the same constant decided message by message by the
+// shaper (a degenerate Uniform, which Profile.FixedDelay does not
+// recognise) must agree bit-for-bit — same counts, same per-node
+// delivery times to the nanosecond — and the first two must take send's
+// fixed-delay case: no shaper, no per-link stream counters.
 func TestNetemZeroImpairmentEqualsLegacy(t *testing.T) {
 	g, err := topology.RandomRegular(256, 8, testBenchRNG())
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, idL := netemFloodRun(t, g, Options{Seed: 5, Latency: ConstLatency(50 * time.Millisecond)})
-	profile := netem.Profile{Latency: netem.Const(50 * time.Millisecond)}
-	shaped, idS := netemFloodRun(t, g, Options{Seed: 5, Netem: &profile})
-	if idL != idS {
-		t.Fatal("broadcast IDs differ")
-	}
-	if legacy.TotalMessages() != shaped.TotalMessages() {
-		t.Errorf("message counts differ: legacy %d, shaped %d", legacy.TotalMessages(), shaped.TotalMessages())
-	}
-	if shaped.NetemDropped() != 0 {
-		t.Errorf("zero-impairment profile dropped %d messages", shaped.NetemDropped())
-	}
-	if legacy.Delivered(idL) != shaped.Delivered(idS) {
-		t.Errorf("coverage differs: legacy %d, shaped %d", legacy.Delivered(idL), shaped.Delivered(idS))
-	}
-	for node, at := range legacy.Deliveries(idL).All() {
-		if got, ok := shaped.DeliveryTime(idS, node); !ok || got != at {
-			t.Fatalf("delivery time at node %d differs: legacy %v, shaped %v (ok=%v)", node, at, got, ok)
+	const d = 50 * time.Millisecond
+	legacy, idL := netemFloodRun(t, g, Options{Seed: 5, Latency: ConstLatency(d)})
+	for _, tc := range []struct {
+		name    string
+		profile netem.Profile
+		fixed   bool
+	}{
+		{"const-profile", netem.Profile{Latency: netem.Const(d)}, true},
+		{"decided", netem.Profile{Latency: netem.Uniform{Min: d, Hi: d}}, false},
+	} {
+		shaped, idS := netemFloodRun(t, g, Options{Seed: 5, Netem: &tc.profile})
+		if fixed := shaped.shaper == nil && shaped.linkStreams == nil; fixed != tc.fixed {
+			t.Errorf("%s: fixed-delay case = %v, want %v", tc.name, fixed, tc.fixed)
 		}
+		if idL != idS {
+			t.Fatalf("%s: broadcast IDs differ", tc.name)
+		}
+		if legacy.TotalMessages() != shaped.TotalMessages() {
+			t.Errorf("%s: message counts differ: legacy %d, shaped %d", tc.name, legacy.TotalMessages(), shaped.TotalMessages())
+		}
+		if shaped.NetemDropped() != 0 {
+			t.Errorf("%s: zero-impairment profile dropped %d messages", tc.name, shaped.NetemDropped())
+		}
+		if legacy.Delivered(idL) != shaped.Delivered(idS) {
+			t.Errorf("%s: coverage differs: legacy %d, shaped %d", tc.name, legacy.Delivered(idL), shaped.Delivered(idS))
+		}
+		for node, at := range legacy.Deliveries(idL).All() {
+			if got, ok := shaped.DeliveryTime(idS, node); !ok || got != at {
+				t.Fatalf("%s: delivery time at node %d differs: legacy %v, shaped %v (ok=%v)", tc.name, node, at, got, ok)
+			}
+		}
+	}
+	if legacy.shaper != nil || legacy.linkStreams != nil || legacy.fixedDelay != d {
+		t.Errorf("Latency: ConstLatency(%v) did not fold into the fixed-delay case (delay %v)", d, legacy.fixedDelay)
 	}
 }
 

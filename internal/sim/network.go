@@ -42,27 +42,30 @@ type Tap interface {
 	OnDeliverLocal(at time.Duration, node proto.NodeID, id proto.MsgID, payload []byte)
 }
 
+// ConstLatency is a fixed one-way link delay.
+type ConstLatency time.Duration
+
 // Options configure a Network.
 type Options struct {
 	// Seed drives every random choice in the run.
 	Seed uint64
-	// Latency is the link delay model. Default: ConstLatency(10ms).
-	Latency LatencyModel
+	// Latency is the constant link delay of a network without a Netem
+	// profile — shorthand for Netem: &netem.Profile{Latency: Const(d)}.
+	// Zero means the default 10 ms, not a zero delay; no caller passes an
+	// explicit zero (flexnet defaults its LatencyMs to 50).
+	Latency ConstLatency
 	// Codec enables byte accounting when non-nil: every sent message that
 	// implements wire.Encodable is size-counted.
 	Codec *wire.Codec
-	// DropRate drops each message independently with this probability
-	// (failure injection; default 0).
-	DropRate float64
-	// Netem, when non-nil, routes delivery through the unified
-	// network-condition subsystem and supersedes Latency and DropRate:
-	// per-message delay (latency+jitter) and loss come from
+	// Netem, when non-nil, is the network's link model and supersedes
+	// Latency: per-message delay (latency+jitter) and loss come from
 	// Profile.Shaper(Seed) — pure functions of (seed, from, to,
 	// per-link sequence), the same function internal/transport consults
 	// under Config.Shaper, so shaped runs agree across runtimes on
 	// exactly which messages die — and the profile's churn schedule is
 	// injected through the event loop at Start (crash/rejoin via
-	// Crash/Restore).
+	// Crash/Restore). A profile that never draws (Profile.FixedDelay)
+	// costs a send one stored delay instead.
 	Netem *netem.Profile
 	// Shards requests single-run parallelism: nodes are partitioned into
 	// up to this many contiguous ID ranges (topology.ShardBounds), each
@@ -72,10 +75,9 @@ type Options struct {
 	// is bit-identical at any shard count — including the tap callback
 	// stream, which replays from merged per-shard observation logs
 	// (obs.go). The effective count is resolved at Start and clamps to 1
-	// whenever sharding cannot be deterministic: DropRate > 0, a latency
-	// model that draws from the shared RNG stream (or implements no
-	// Lookaheader), a zero minimum delay, or more shards than nodes.
-	// ≤ 1 means single-shard (the default).
+	// in two cases: a zero minimum link delay (Profile.MinDelay — no
+	// lookahead to advance under) or more shards than nodes. ≤ 1 means
+	// single-shard (the default).
 	Shards int
 }
 
@@ -100,7 +102,7 @@ type linkArrival struct {
 }
 
 // streamSeq is one (message type → next sequence) counter of a directed
-// link. Netem hash-mode decisions key on per-type streams (see
+// link. Netem shaper decisions key on per-type streams (see
 // netem.Shaper); links carry a handful of types, so a linear scan beats
 // a map on the delivery hot path.
 type streamSeq struct {
@@ -162,9 +164,6 @@ type Network struct {
 	cold  []nodeCold // RNG, timers, off-topology links; parallel to nodes
 	taps  []Tap
 
-	latencyRNG *rand.Rand
-	dropRNG    *rand.Rand
-
 	// Per-link FIFO state (like TCP, a link never reorders) in CSR form:
 	// linkDst[linkOff[v]:linkOff[v+1]] are v's neighbors and linkAt holds
 	// the latest scheduled arrival per directed edge. Sends outside the
@@ -174,14 +173,17 @@ type Network struct {
 	linkDst []proto.NodeID
 	linkAt  []time.Duration
 	// linkStreams counts messages per (directed CSR link, message type)
-	// — the sequence numbers netem hash-mode decisions key on. Allocated
-	// only when Options.Netem is set.
+	// — the sequence numbers shaper decisions key on. Allocated only with
+	// a shaper.
 	linkStreams []linkStream
 
-	// shaper holds the netem hash-mode decision function (nil without
-	// Options.Netem). Decide is a pure function of immutable state, so
-	// concurrent shards may consult it freely.
-	shaper *netem.Shaper
+	// The link model, one of two cases picked from the profile at
+	// NewNetwork: a profile that never draws (Profile.FixedDelay) leaves
+	// shaper nil and every send takes fixedDelay; any other profile is
+	// decided per message by shaper. Decide is a pure function of
+	// immutable state, so concurrent shards may consult it freely.
+	shaper     *netem.Shaper
+	fixedDelay time.Duration
 
 	// shards always holds at least one entry; engCache retains engines
 	// across Reset/Start cycles so shard-count changes never rebuild
@@ -218,16 +220,17 @@ func NodeSeed(seed uint64, id proto.NodeID) (uint64, uint64) {
 // NewNetwork creates a network over the topology. Handlers are attached
 // with SetHandlers before Start.
 func NewNetwork(topo *topology.Graph, opts Options) *Network {
-	if opts.Latency == nil {
-		opts.Latency = ConstLatency(10 * time.Millisecond)
+	if opts.Netem == nil {
+		if opts.Latency == 0 {
+			opts.Latency = ConstLatency(10 * time.Millisecond)
+		}
+		opts.Netem = &netem.Profile{Latency: netem.Const(opts.Latency)}
 	}
 	n := &Network{
 		topo:       topo,
 		opts:       opts,
 		nodes:      make([]simNode, topo.N()),
 		cold:       make([]nodeCold, topo.N()),
-		latencyRNG: rand.New(rand.NewPCG(opts.Seed, 0xda3e39cb94b95bdb)),
-		dropRNG:    rand.New(rand.NewPCG(opts.Seed, 0x2545f4914f6cdd1d)),
 		deliveries: make(map[proto.MsgID]*DeliverySet),
 	}
 	n.engine = n.newEngine()
@@ -241,7 +244,9 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	for i := 0; i < topo.N(); i++ {
 		copy(n.linkDst[n.linkOff[i]:], topo.Neighbors(proto.NodeID(i)))
 	}
-	if opts.Netem != nil {
+	if d, fixed := opts.Netem.FixedDelay(); fixed {
+		n.fixedDelay = d
+	} else {
 		sh := opts.Netem.Shaper(opts.Seed)
 		n.shaper = &sh
 		n.linkStreams = make([]linkStream, len(n.linkDst))
@@ -275,13 +280,11 @@ func (n *Network) Reset(seed uint64) {
 		sh.reset()
 	}
 	n.opts.Seed = seed
-	n.latencyRNG = rand.New(rand.NewPCG(seed, 0xda3e39cb94b95bdb))
-	n.dropRNG = rand.New(rand.NewPCG(seed, 0x2545f4914f6cdd1d))
 	clear(n.deliveries)
 	for i := range n.linkAt {
 		n.linkAt[i] = 0
 	}
-	if n.opts.Netem != nil {
+	if n.shaper != nil {
 		sh := n.opts.Netem.Shaper(seed)
 		n.shaper = &sh
 		for i := range n.linkStreams {
@@ -394,14 +397,12 @@ func (n *Network) Start() {
 	// scheduled on its target node's shard via the control stream —
 	// control events sort ahead of same-instant node events, preserving
 	// the crash-before-delivery order of the single-loop engine.
-	if n.opts.Netem != nil {
-		for _, ev := range n.opts.Netem.Churn.Events(len(n.nodes), n.opts.Seed) {
-			id := ev.Node
-			if ev.Up {
-				n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Restore(id) })
-			} else {
-				n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Crash(id) })
-			}
+	for _, ev := range n.opts.Netem.Churn.Events(len(n.nodes), n.opts.Seed) {
+		id := ev.Node
+		if ev.Up {
+			n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Restore(id) })
+		} else {
+			n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Crash(id) })
 		}
 	}
 }
@@ -527,7 +528,7 @@ func (n *Network) TotalBytes() int64 {
 }
 
 // NetemDropped returns how many messages the netem profile's loss model
-// killed (0 without Options.Netem). Dropped messages are still counted
+// killed (0 for a profile without loss). Dropped messages are still counted
 // in the per-type and total tables — a message is counted when the
 // handler hands it to the network, matching the transport's tx
 // accounting.
@@ -746,7 +747,7 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	if len(n.taps) > 0 {
 		n.tapSend(from, now, to, msg)
 	}
-	var delay time.Duration
+	delay := n.fixedDelay
 	slot, streams := n.linkSlot(from, to)
 	if n.shaper != nil {
 		// Shaped path: loss and delay are hash decisions on the link's
@@ -759,11 +760,6 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 			sh.netemDropped++
 			return
 		}
-	} else {
-		if n.opts.DropRate > 0 && n.dropRNG.Float64() < n.opts.DropRate {
-			return
-		}
-		delay = n.opts.Latency.Delay(from.id, to, n.latencyRNG)
 	}
 	// Clamp to per-link FIFO: a later send never overtakes an earlier one
 	// on the same directed link, matching TCP stream semantics. The clamp

@@ -122,8 +122,8 @@ func TestNetworkByteAccounting(t *testing.T) {
 func TestNetworkDeterminism(t *testing.T) {
 	run := func() (int64, time.Duration) {
 		net, handlers := lineNetwork(t, 10, Options{
-			Seed:    42,
-			Latency: UniformLatency{Min: time.Millisecond, Max: 20 * time.Millisecond},
+			Seed:  42,
+			Netem: &netem.Profile{Latency: netem.Uniform{Min: time.Millisecond, Hi: 20 * time.Millisecond}},
 		})
 		net.nodes[0].Send(1, &pingMsg{})
 		net.Run(0)
@@ -159,13 +159,14 @@ func TestNetworkCrash(t *testing.T) {
 	}
 }
 
-func TestNetworkDropRate(t *testing.T) {
-	// DropRate 1.0: nothing is ever delivered.
-	net, handlers := lineNetwork(t, 3, Options{Seed: 1, DropRate: 1.0})
+func TestNetworkLoss(t *testing.T) {
+	// Loss 1: nothing is ever delivered (the shaper honours what
+	// Validate rejects, see TestTapReceiveAfterDropDecision).
+	net, handlers := lineNetwork(t, 3, Options{Seed: 1, Netem: &netem.Profile{Loss: 1}})
 	net.nodes[0].Send(1, &pingMsg{})
 	net.Run(0)
-	if handlers[1].gotFrom != 0 && handlers[2].deliveredAt != 0 {
-		t.Error("message delivered despite DropRate=1")
+	if handlers[2].deliveredAt != 0 || net.NetemDropped() != 1 {
+		t.Error("message delivered despite Loss=1")
 	}
 	if net.TotalMessages() != 1 {
 		t.Errorf("TotalMessages = %d, want 1 (sends counted even when dropped)", net.TotalMessages())
@@ -189,7 +190,7 @@ func TestNetworkPerLinkFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Highly variable latency would reorder without the FIFO clamp.
-	net := NewNetwork(g, Options{Seed: 11, Latency: UniformLatency{Min: time.Millisecond, Max: 100 * time.Millisecond}})
+	net := NewNetwork(g, Options{Seed: 11, Netem: &netem.Profile{Latency: netem.Uniform{Min: time.Millisecond, Hi: 100 * time.Millisecond}}})
 	receivers := make([]*fifoHandler, 2)
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
 		receivers[id] = &fifoHandler{}

@@ -67,7 +67,7 @@ func tappedFlood(t *testing.T, g *topology.Graph, opts Options) ([]recEvent, int
 }
 
 // tapDeterminismArms are the network conditions the tap-merge contract
-// is proven under: rng-mode const latency, shaped jitter, shaped jitter
+// is proven under: fixed-delay const latency, shaped jitter, shaped jitter
 // with loss (pre-drop OnSend entries with no matching OnReceive), and
 // shaped jitter with churn (control events racing same-instant
 // deliveries on other shards).

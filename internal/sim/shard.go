@@ -170,37 +170,22 @@ func (n *Network) ShardStats() []ShardStats {
 }
 
 // resolveShards picks the effective shard count for this Start and
-// (re)builds the shard layout. Sharding engages only when it cannot
-// change observable behavior:
+// (re)builds the shard layout. No link decision depends on execution
+// order (a stored delay, or Shaper.Decide on per-link sequences), so
+// the request is honored unless:
 //
-//   - no DropRate (drop decisions draw from one shared RNG in send
-//     order);
-//   - a latency source with a positive minimum delay that never draws
-//     from shared state: netem hash-mode shapers qualify by
-//     construction, rng-mode models only via Lookaheader with ok=true;
-//   - at least as many nodes as shards.
+//   - the profile's minimum link delay — the conservative lookahead —
+//     is not positive; or
+//   - there are fewer nodes than shards.
 //
 // Registered taps do not clamp: the per-shard observation logs replay
 // the merged single-loop callback stream at every barrier (obs.go).
-// Everything else clamps to a single shard — the same events then run on
-// the same engine they always did.
+// A clamped network runs the same events on the one engine it always
+// had.
 func (n *Network) resolveShards() {
 	k := n.opts.Shards
-	la := time.Duration(0)
-	ok := k > 1 && n.opts.DropRate == 0 && len(n.nodes) >= k
-	if ok {
-		if n.shaper != nil {
-			la = n.opts.Netem.MinDelay()
-		} else if lh, isLH := n.opts.Latency.(Lookaheader); isLH {
-			la, ok = lh.ShardLookahead()
-		} else {
-			ok = false
-		}
-		if la <= 0 {
-			ok = false
-		}
-	}
-	if !ok {
+	la := n.opts.Netem.MinDelay()
+	if k <= 1 || la <= 0 || len(n.nodes) < k {
 		k, la = 1, 0
 	}
 	n.lookahead = la

@@ -80,9 +80,9 @@ func compareFingerprints(t *testing.T, name string, a, b runFingerprint) {
 // TestShardedDeterminism is the headline guarantee of the sharded event
 // loop: every observable — counters, per-type accounting, executed
 // steps, the full per-node delivery-time vector — is bit-identical at
-// ANY shard count, for both the rng-mode const-latency path and the
-// shaped netem path (jitter, loss-free churn), whose hash-based draws
-// are position-independent by construction. Each shard count runs twice:
+// ANY shard count, for both the fixed-delay case and the shaped case
+// (jitter, loss-free churn), whose hash-based draws are
+// position-independent by construction. Each shard count runs twice:
 // with a map-backed handler per node and with the dense per-partition
 // handlers of flood.NewAt over Partition(k), which must be
 // indistinguishable from them and from each other at every k.
@@ -97,6 +97,9 @@ func TestShardedDeterminism(t *testing.T) {
 			Latency: netem.Const(20 * time.Millisecond),
 			Jitter:  netem.Uniform{Hi: 15 * time.Millisecond},
 		}}},
+		// Jitter without loss, no constant base: a preset with a floor
+		// (25 ms) well under its mean.
+		{"jitter-only", Options{Seed: 42, Netem: &netem.WANJitter}},
 		{"netem-churn", Options{Seed: 42, Netem: &netem.Profile{
 			Latency: netem.Const(20 * time.Millisecond),
 			Jitter:  netem.Uniform{Hi: 15 * time.Millisecond},
@@ -134,12 +137,12 @@ func (nopTap) OnSend(time.Duration, proto.NodeID, proto.NodeID, proto.Message)  
 func (nopTap) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
 func (nopTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte)    {}
 
-// TestShardedClampsToSingleLoop pins the eligibility rules: any
-// configuration whose draws depend on global event order (shared-RNG
-// jitter, drop decisions) must fall back to the single event loop
-// rather than shard unsafely. Registered taps no longer clamp — they
-// replay from the merged observation logs (obs.go) — which the "taps"
-// case pins from the other direction.
+// TestShardedClampsToSingleLoop pins the eligibility rules: only a
+// profile with no positive minimum delay (no lookahead to advance
+// under) or a network smaller than the request falls back to the single
+// event loop. No link decision depends on global event order, so a
+// jitter-only profile shards, and registered taps do not clamp either —
+// they replay from the merged observation logs (obs.go).
 func TestShardedClampsToSingleLoop(t *testing.T) {
 	g := shardTestGraph(t)
 
@@ -149,10 +152,10 @@ func TestShardedClampsToSingleLoop(t *testing.T) {
 		prep  func(*Network)
 		wantK int
 	}{
-		{"uniform-latency-shared-rng", Options{Seed: 1, Shards: 4,
-			Latency: UniformLatency{Min: 5 * time.Millisecond, Max: 40 * time.Millisecond}}, nil, 1},
-		{"drop-rate", Options{Seed: 1, Shards: 4,
-			Latency: ConstLatency(50 * time.Millisecond), DropRate: 0.05}, nil, 1},
+		{"jitter-only-profile", Options{Seed: 1, Shards: 4, Netem: &netem.Profile{
+			Latency: netem.Uniform{Min: 5 * time.Millisecond, Hi: 40 * time.Millisecond}}}, nil, 4},
+		{"zero-floor-profile", Options{Seed: 1, Shards: 4, Netem: &netem.Profile{
+			Latency: netem.Uniform{Hi: 40 * time.Millisecond}}}, nil, 1},
 		{"taps", Options{Seed: 1, Shards: 4,
 			Latency: ConstLatency(50 * time.Millisecond)},
 			func(n *Network) { n.AddTap(nopTap{}) }, 4},

@@ -154,15 +154,7 @@ func NewSoakNet(cfg SoakConfig) *SoakNet {
 		}
 		topo = g
 	}
-	opts := sim.Options{Seed: cfg.Seed, Shards: cfg.Shards}
-	if cfg.Netem != nil {
-		if cfg.Netem.Impaired() {
-			opts.Netem = cfg.Netem
-		} else {
-			opts.Latency = cfg.Netem.Model()
-		}
-	}
-	s.net = sim.NewNetwork(topo, opts)
+	s.net = sim.NewNetwork(topo, sim.Options{Seed: cfg.Seed, Shards: cfg.Shards, Netem: cfg.Netem})
 	k := max(cfg.Shards, 1)
 	s.adm = NewShared(cfg.N)
 	s.adm.Partition(k)
