@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"time"
 
 	"repro/internal/adaptive"
@@ -36,39 +35,35 @@ import (
 	"repro/internal/group"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
 )
 
 // Protocol selects the broadcast protocol under test.
 type Protocol int
 
-// Supported protocols.
+// Supported protocols: the four stacks internal/stack builds.
 const (
 	// ProtocolFlood is plain flood-and-prune (no privacy).
-	ProtocolFlood Protocol = iota + 1
+	ProtocolFlood = Protocol(stack.Flood)
 	// ProtocolDandelion is the stem/fluff baseline of §III-A.
-	ProtocolDandelion
+	ProtocolDandelion = Protocol(stack.Dandelion)
 	// ProtocolAdaptive is adaptive diffusion alone (no delivery
 	// guarantee, §III-A).
-	ProtocolAdaptive
+	ProtocolAdaptive = Protocol(stack.Adaptive)
 	// ProtocolFlexnet is the paper's three-phase protocol (§IV).
-	ProtocolFlexnet
+	ProtocolFlexnet = Protocol(stack.Composed)
 )
 
 // String returns the protocol name.
 func (p Protocol) String() string {
-	switch p {
-	case ProtocolFlood:
-		return "flood"
-	case ProtocolDandelion:
-		return "dandelion"
-	case ProtocolAdaptive:
-		return "adaptive"
-	case ProtocolFlexnet:
+	switch {
+	case p == ProtocolFlexnet:
 		return "flexnet"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
+	case p >= ProtocolFlood && p < ProtocolFlexnet:
+		return stack.Kind(p).String()
 	}
+	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
 // Topology selects the overlay family for Simulate.
@@ -193,6 +188,9 @@ type simRun struct {
 // originator → group directory → network → handlers → originate → run.
 // The draws from the run RNG happen in exactly that order.
 func runBroadcast(cfg SimConfig) (*simRun, error) {
+	if cfg.Protocol < ProtocolFlood || cfg.Protocol > ProtocolFlexnet {
+		return nil, fmt.Errorf("flexnet: unknown protocol %d", cfg.Protocol)
+	}
 	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
 	g, err := buildTopology(cfg, topoRNG)
 	if err != nil {
@@ -249,7 +247,7 @@ func runBroadcast(cfg SimConfig) (*simRun, error) {
 	if run.obs != nil {
 		run.net.AddTap(run.obs)
 	}
-	run.net.SetHandlers(handlerFactory(cfg, len(payload), run.members))
+	stack.Mount(run.net, stackSpec(cfg, len(payload), run.members))
 	run.net.Start()
 	run.id, err = run.net.Originate(run.origin, payload)
 	if err != nil {
@@ -261,49 +259,24 @@ func runBroadcast(cfg SimConfig) (*simRun, error) {
 	return run, nil
 }
 
-// handlerFactory returns the per-node protocol stack constructor for the
-// configured protocol. Composed stacks mount one dense state shared by
-// the whole network (core.NewAt); members is the originator's group.
-func handlerFactory(cfg SimConfig, payloadLen int, members []proto.NodeID) func(proto.NodeID) proto.Handler {
-	switch cfg.Protocol {
-	case ProtocolFlood:
-		return func(proto.NodeID) proto.Handler { return flood.New() }
-	case ProtocolDandelion:
-		return func(proto.NodeID) proto.Handler {
-			return dandelion.New(dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second})
-		}
-	case ProtocolAdaptive:
-		return func(proto.NodeID) proto.Handler {
-			return adaptive.New(adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree})
-		}
-	}
-	// Only group members are ever hashed: they elect the virtual source
-	// among themselves.
-	hashes := make(map[proto.NodeID][32]byte, len(members))
-	for _, m := range members {
-		hashes[m] = core.SimHash(m)
-	}
-	c := core.Config{
-		K: cfg.K, D: cfg.D,
-		Hashes:     hashes,
-		DCMode:     dcnet.ModeFixed,
-		DCSlotSize: payloadLen + dcnet.SlotOverhead,
-		DCInterval: 2 * time.Second,
-		DCPolicy:   dcnet.PolicyNone,
-		ADInterval: 500 * time.Millisecond,
-		TreeDegree: cfg.Degree,
-	}
-	shared := core.NewShared(cfg.N)
-	return func(id proto.NodeID) proto.Handler {
-		c := c
-		if _, ok := slices.BinarySearch(members, id); ok {
-			c.Group = members
-		}
-		p, err := core.NewAt(c, shared, id)
-		if err != nil {
-			panic(fmt.Sprintf("flexnet: building node %d: %v", id, err))
-		}
-		return p
+// stackSpec is the protocol stack a configuration selects, with the
+// parameters Simulate runs each of the four under. members is the
+// originator's group (flexnet only).
+func stackSpec(cfg SimConfig, payloadLen int, members []proto.NodeID) stack.Spec {
+	return stack.Spec{
+		Kind:      stack.Kind(cfg.Protocol),
+		Dandelion: dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second},
+		Adaptive:  adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree},
+		Composed: core.Config{
+			K: cfg.K, D: cfg.D,
+			DCMode:     dcnet.ModeFixed,
+			DCSlotSize: payloadLen + dcnet.SlotOverhead,
+			DCInterval: 2 * time.Second,
+			DCPolicy:   dcnet.PolicyNone,
+			ADInterval: 500 * time.Millisecond,
+			TreeDegree: cfg.Degree,
+		},
+		Group: members,
 	}
 }
 

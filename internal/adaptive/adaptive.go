@@ -147,7 +147,9 @@ func NewShared(n int) *Shared {
 // Partition splits the state into k contiguous node-range parts aligned
 // with the sharded network's topology.ShardBounds partition (see
 // flood.Shared.Partition — the same contract: call while idle, before
-// engines are built; k=1 restores the unpartitioned form).
+// engines are built; k=1 restores the unpartitioned form; called by
+// internal/stack.Mount with the network's resolved ShardCount, and by
+// core.Shared.Partition).
 func (s *Shared) Partition(k int) {
 	if k < 1 {
 		k = 1

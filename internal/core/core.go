@@ -183,6 +183,22 @@ func NewShared(n int) *Shared {
 	return &Shared{fl: flood.NewShared(n), ad: adaptive.NewShared(n)}
 }
 
+// Partition splits both members into k node-range parts (see
+// flood.Shared.Partition for the contract). internal/stack calls it with
+// the network's resolved shard count, before it builds any protocol.
+func (s *Shared) Partition(k int) {
+	s.fl.Partition(k)
+	s.ad.Partition(k)
+}
+
+// Reset rewinds both members for the next trial. Protocols built before
+// it hold per-node Phase-1 and custody state Reset cannot see: discard
+// them and build the next trial's with NewAt.
+func (s *Shared) Reset() {
+	s.fl.Reset()
+	s.ad.Reset()
+}
+
 // NewAt builds the protocol of node self over shared dense state — the
 // handler-factory form for simulated networks, like flood.NewAt and
 // adaptive.NewAt: a thousand stacks share two tables instead of owning

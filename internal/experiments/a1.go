@@ -6,7 +6,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/metrics"
 	"repro/internal/proto"
-	"repro/internal/runner"
 	"repro/internal/topology"
 )
 
@@ -33,26 +32,11 @@ func A1AlphaAblation(sc Scenario) *metrics.Table {
 
 	run := func(override float64) float64 {
 		distCounts := make([]int, d+2)
-		hs := runner.MapWorker(nTrials, sc.Par, func() *adWorker {
-			return newAdWorker(sc, g)
-		}, func(w *adWorker, trial int) int {
-			tracker := &tokenTracker{last: proto.NoNode}
-			net, shared := w.trial(sc, g, uint64(trial+1))
-			net.AddTap(tracker)
-			net.SetHandlers(func(id proto.NodeID) proto.Handler {
-				return adaptive.NewAt(adaptive.Config{
-					D:             d,
-					RoundInterval: 100 * time.Millisecond,
-					TreeDegree:    2,
-					AlphaOverride: override,
-				}, shared, id)
-			})
-			net.Start()
-			if _, err := net.Originate(src, []byte{byte(trial), byte(trial >> 8)}); err != nil {
-				panic(err)
-			}
-			net.RunUntil(time.Minute)
-			return g.BFS(tracker.last)[src]
+		hs := centreDistances(sc, g, src, nTrials, adaptive.Config{
+			D:             d,
+			RoundInterval: 100 * time.Millisecond,
+			TreeDegree:    2,
+			AlphaOverride: override,
 		})
 		for _, h := range hs {
 			if h >= 0 && h < len(distCounts) {

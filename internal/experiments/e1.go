@@ -2,15 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/adaptive"
-	"repro/internal/flood"
 	"repro/internal/metrics"
-	"repro/internal/netem"
-	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // E1Messages reproduces the paper's only hard numbers (§V-A): "we
@@ -29,43 +24,11 @@ func E1Messages(sc Scenario) *metrics.Table {
 
 	type sample struct{ flood, adaptive float64 }
 	samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
-		seed := uint64(trial + 1)
-		g := regular(n, deg, seed)
-
-		// Flood-and-prune.
-		netF := sim.NewNetwork(g, sc.shardOptions(seed, netem.WAN))
-		fShared := flood.NewShared(n)
-		fShared.Partition(sc.Shards)
-		netF.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(fShared, id) })
-		netF.Start()
-		src := proto.NodeID(int(seed) % n)
-		if _, err := netF.Originate(src, []byte{byte(trial), 0x01}); err != nil {
-			panic(err)
+		g := regular(n, deg, uint64(trial+1))
+		return sample{
+			flood:    float64(sc.coverageTrial("e1 flood", g, deg, trial, stack.Flood, 0x01).msgs),
+			adaptive: float64(sc.coverageTrial("e1 adaptive", g, deg, trial, stack.Adaptive, 0x02).msgs),
 		}
-		netF.RunUntil(time.Minute)
-		sc.logShards("e1 flood", trial, netF)
-		s := sample{flood: float64(netF.TotalMessages())}
-
-		// Adaptive diffusion until full coverage (D effectively
-		// unbounded; we stop as soon as every peer is infected and
-		// count the messages sent up to that point).
-		netA := sim.NewNetwork(g, sc.shardOptions(seed, netem.WAN))
-		aShared := adaptive.NewShared(n)
-		aShared.Partition(sc.Shards)
-		netA.SetHandlers(func(id proto.NodeID) proto.Handler {
-			return adaptive.NewAt(adaptive.Config{D: 64, RoundInterval: 500 * time.Millisecond, TreeDegree: deg}, aShared, id)
-		})
-		netA.Start()
-		id, err := netA.Originate(src, []byte{byte(trial), 0x02})
-		if err != nil {
-			panic(err)
-		}
-		for step := 0; step < 256 && netA.Delivered(id) < n; step++ {
-			netA.RunUntil(netA.Now() + 250*time.Millisecond)
-		}
-		sc.logShards("e1 adaptive", trial, netA)
-		s.adaptive = float64(netA.TotalMessages())
-		return s
 	})
 
 	floodStats := metrics.NewSummary()

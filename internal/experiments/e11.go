@@ -6,12 +6,8 @@ import (
 
 	"repro/internal/dcnet"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/wire"
 )
 
 // E11Blame evaluates the §V-C stronger-attacker extension: a disruptor
@@ -37,19 +33,7 @@ func E11Blame(sc Scenario) *metrics.Table {
 		roundsDone  int
 	}
 	run := func(policy dcnet.Policy, seed uint64) outcome {
-		topo, err := topology.Complete(g)
-		if err != nil {
-			panic(err)
-		}
-		codec := wire.NewCodec()
-		dcnet.RegisterMessages(codec)
-		opts := sc.netOptions(seed, netem.LAN)
-		opts.Codec = codec
-		net := sim.NewNetwork(topo, opts)
-		all := make([]proto.NodeID, g)
-		for i := range all {
-			all[i] = proto.NodeID(i)
-		}
+		net, all := dcNetwork(sc, g, seed)
 		members := make([]*dcnet.Member, g)
 		var out outcome
 		blamedAt := make(map[proto.NodeID]int)

@@ -3,20 +3,17 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
-	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // phaseTracer records per-family first/last send times and counts.
 type phaseTracer struct {
 	stats map[string]*phaseStat
-	net   *sim.Network
 }
 
 type phaseStat struct {
@@ -61,29 +58,19 @@ func E12PhaseTrace(sc Scenario) *metrics.Table {
 		"phase", "first msg", "last msg", "messages", "coverage at phase end",
 	)
 	g := regular(n, deg, 5)
-	hashes := core.SimHashes(n)
-	group := []proto.NodeID{10, 40, 70}
-	inGroup := map[proto.NodeID]bool{10: true, 40: true, 70: true}
 
 	tracer := &phaseTracer{stats: make(map[string]*phaseStat)}
-	net := sim.NewNetwork(g, sc.netOptions(3, netem.Metro))
-	tracer.net = net
+	net := sc.network(g, 3, netem.Metro)
 	net.AddTap(tracer)
-	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := core.Config{
-			K: k, D: d, Hashes: hashes,
+	stack.Mount(net, stack.Spec{
+		Kind: stack.Composed,
+		Composed: core.Config{
+			K: k, D: d,
 			DCMode: dcnet.ModeFixed, DCSlotSize: 300,
 			DCInterval: 500 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
 			ADInterval: 200 * time.Millisecond, TreeDegree: deg,
-		}
-		if inGroup[id] {
-			cfg.Group = group
-		}
-		p, err := core.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		return p
+		},
+		Group: []proto.NodeID{10, 40, 70},
 	})
 	net.Start()
 	id, err := net.Originate(40, []byte("figure-5 trace"))
@@ -120,9 +107,3 @@ func E12PhaseTrace(sc Scenario) *metrics.Table {
 	t.AddNote("phase 1 runs periodically; its count includes idle DC-net rounds around the broadcast")
 	return t
 }
-
-// Interface-compliance pins for the message families the tracer matches.
-var (
-	_ = flood.TypeData
-	_ = adaptive.TypeInfect
-)

@@ -6,9 +6,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dissent"
 	"repro/internal/metrics"
+	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -40,7 +40,7 @@ func E13DissentStartup(sc Scenario) *metrics.Table {
 		msgs int64
 	}
 	samples := runner.Map(len(sizes), sc.Par, func(i int) sample {
-		lat, msgs := dissentRound(sizes[i], hop)
+		lat, msgs := dissentRound(sc, sizes[i], hop)
 		return sample{lat: lat, msgs: msgs}
 	})
 	base := samples[0].lat // scaling is relative to the smallest group
@@ -58,14 +58,18 @@ func E13DissentStartup(sc Scenario) *metrics.Table {
 
 // dissentRound runs one announcement round of the shuffle at group size
 // n and returns (pipeline latency, messages).
-func dissentRound(n int, hop time.Duration) (time.Duration, int64) {
+func dissentRound(sc Scenario, n int, hop time.Duration) (time.Duration, int64) {
 	g, err := topology.Complete(n)
 	if err != nil {
 		panic(err)
 	}
 	secrets := dissent.SharedLayerSecrets(core.SimHashes(n))
-	// The hop latency is E13's own constant, not a Scenario-threaded preset.
-	net := sim.NewNetwork(g, sim.Options{Seed: uint64(n) + 7, Latency: sim.ConstLatency(hop)})
+	// The hop latency is E13's measured constant, not an overridable
+	// preset; OnAnnouncements writes publishedAt from whichever member
+	// publishes first, so the run stays on one loop.
+	sc.Shards, sc.single = 0, "the shuffle's members share the trial's publishedAt"
+	sc.Netem = nil
+	net := sc.network(g, uint64(n)+7, netem.Profile{Name: "dissent-hop", Latency: netem.Const(hop)})
 	var publishedAt time.Duration
 	all := make([]proto.NodeID, n)
 	for i := range all {

@@ -2,16 +2,71 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/adaptive"
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
+	"repro/internal/stack"
+	"repro/internal/topology"
 )
+
+// coverageSample is one broadcast run to full coverage — the unit E1
+// measures at the paper's N and E14 across scales.
+type coverageSample struct {
+	msgs    int64
+	events  uint64
+	covered int
+	shards  int
+	wall    time.Duration // the run alone, construction excluded
+}
+
+// coverageTrial broadcasts from the trial's source over a WAN network on
+// g. A flood runs a flat minute: it drains by itself and every duplicate
+// counts. Adaptive diffusion (D effectively unbounded) runs in
+// quarter-second steps and stops as soon as every peer is infected, so
+// only the messages sent up to that point count. Under -v it reports the
+// run's per-shard diagnostics.
+func (sc Scenario) coverageTrial(label string, g *topology.Graph, deg, trial int, kind stack.Kind, tag byte) coverageSample {
+	n, seed := g.N(), uint64(trial+1)
+	net := sc.network(g, seed, netem.WAN)
+	stack.Mount(net, stack.Spec{
+		Kind:     kind,
+		Adaptive: adaptive.Config{D: 64, RoundInterval: 500 * time.Millisecond, TreeDegree: deg},
+	})
+	net.Start()
+	start := time.Now()
+	id, err := net.Originate(proto.NodeID(int(seed)%n), []byte{byte(trial), tag})
+	if err != nil {
+		panic(err)
+	}
+	if kind == stack.Flood {
+		net.RunUntil(time.Minute)
+	} else {
+		maxSteps := 256
+		if n >= 1000000 {
+			maxSteps = 1024 // the 1M ball needs more rounds
+		}
+		for step := 0; step < maxSteps && net.Delivered(id) < n; step++ {
+			net.RunUntil(net.Now() + 250*time.Millisecond)
+		}
+	}
+	if sc.Verbose && net.ShardCount() > 1 {
+		for _, st := range net.ShardStats() {
+			fmt.Fprintf(os.Stderr,
+				"%s trial %d shard %d: nodes=%d events=%d stalls=%d/%d windows handoffs=%d queue: %d refills, %.2f moves/event, max run %d\n",
+				label, trial, st.Shard, st.Nodes, st.Events, st.Stalls, st.Windows, st.Handoffs,
+				st.QueueRefills, float64(st.QueueMoves)/float64(max(st.Events, 1)), st.QueueMaxRun)
+		}
+	}
+	return coverageSample{
+		msgs: net.TotalMessages(), events: net.Steps(), shards: net.ShardCount(),
+		covered: net.Delivered(id), wall: time.Since(start),
+	}
+}
 
 // E14ScaleSweep pushes the evaluation past the paper's N=1000 setting —
 // the practical ceiling ethp2psim cites for p2p privacy simulation —
@@ -43,14 +98,7 @@ func E14ScaleSweep(sc Scenario) *metrics.Table {
 		"protocol", "N", "trials", "mean msgs", "msgs/node", "coverage", "events", "Mevents/s/worker", "Mevents/s/core",
 	)
 
-	type sample struct {
-		msgs    int64
-		events  uint64
-		covered int
-		shards  int
-		wall    time.Duration
-	}
-	row := func(name string, n int, samples []sample) {
+	row := func(name string, n int, samples []coverageSample) {
 		msgs := metrics.NewSummary()
 		var events uint64
 		var wall, coreWall time.Duration
@@ -83,54 +131,11 @@ func E14ScaleSweep(sc Scenario) *metrics.Table {
 		// trials; the per-trial network seed still varies.
 		g := regular(n, deg, uint64(n)+99)
 
-		row("flood-and-prune", n, runner.Map(nTrials, sc.Par, func(trial int) sample {
-			seed := uint64(trial + 1)
-			net := sim.NewNetwork(g, sc.shardOptions(seed, netem.WAN))
-			shared := flood.NewShared(n)
-			shared.Partition(sc.Shards)
-			net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
-			net.Start()
-			start := time.Now()
-			id, err := net.Originate(proto.NodeID(int(seed)%n), []byte{byte(trial), 0x0e})
-			if err != nil {
-				panic(err)
-			}
-			net.RunUntil(time.Minute)
-			sc.logShards("e14 flood", trial, net)
-			return sample{
-				msgs: net.TotalMessages(), events: net.Steps(), shards: net.ShardCount(),
-				covered: net.Delivered(id), wall: time.Since(start),
-			}
+		row("flood-and-prune", n, runner.Map(nTrials, sc.Par, func(trial int) coverageSample {
+			return sc.coverageTrial("e14 flood", g, deg, trial, stack.Flood, 0x0e)
 		}))
-
-		row("adaptive diffusion", n, runner.Map(nTrials, sc.Par, func(trial int) sample {
-			seed := uint64(trial + 1)
-			net := sim.NewNetwork(g, sc.shardOptions(seed, netem.WAN))
-			shared := adaptive.NewShared(n)
-			shared.Partition(sc.Shards)
-			net.SetHandlers(func(id proto.NodeID) proto.Handler {
-				return adaptive.NewAt(adaptive.Config{D: 64, RoundInterval: 500 * time.Millisecond, TreeDegree: deg}, shared, id)
-			})
-			net.Start()
-			start := time.Now()
-			id, err := net.Originate(proto.NodeID(int(seed)%n), []byte{byte(trial), 0x0f})
-			if err != nil {
-				panic(err)
-			}
-			// Run until the ball covers every node (D is effectively
-			// unbounded, as in E1), bounded by quarter-second steps.
-			maxSteps := 256
-			if n >= 1000000 {
-				maxSteps = 1024 // the 1M ball needs more rounds
-			}
-			for step := 0; step < maxSteps && net.Delivered(id) < n; step++ {
-				net.RunUntil(net.Now() + 250*time.Millisecond)
-			}
-			sc.logShards("e14 adaptive", trial, net)
-			return sample{
-				msgs: net.TotalMessages(), events: net.Steps(), shards: net.ShardCount(),
-				covered: net.Delivered(id), wall: time.Since(start),
-			}
+		row("adaptive diffusion", n, runner.Map(nTrials, sc.Par, func(trial int) coverageSample {
+			return sc.coverageTrial("e14 adaptive", g, deg, trial, stack.Adaptive, 0x0f)
 		}))
 	}
 	t.AddNote("ethp2psim (Béres et al.) cites N≈1000 as the practical simulation ceiling; the allocation-free runtime clears 100k")

@@ -9,13 +9,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/stack"
 )
 
 // e15Horizon bounds each robustness run's virtual time: far past every
@@ -47,57 +46,40 @@ func e15Condition(name string, loss, churn float64) netem.Profile {
 	return p
 }
 
-// protocolStack builds the handler factory for one of the four
-// protocol stacks of the robustness and anonymity sweeps. E15 and E16
-// share it so both experiments measure exactly the same protocol
-// configurations — E15 their coverage under impairment, E16 the
-// anonymity they buy under the same conditions.
-func protocolStack(name string, deg int, hashes map[proto.NodeID][32]byte, group []proto.NodeID, inGroup map[proto.NodeID]bool) func(id proto.NodeID) proto.Handler {
-	switch name {
-	case "flood":
-		return func(proto.NodeID) proto.Handler {
-			return flood.New()
-		}
-	case "adaptive":
-		return func(proto.NodeID) proto.Handler {
-			return adaptive.New(adaptive.Config{D: 4, RoundInterval: 250 * time.Millisecond, TreeDegree: deg})
-		}
-	case "dandelion":
-		return func(proto.NodeID) proto.Handler {
-			return dandelion.New(dandelion.Config{Q: 0.25, Epoch: time.Hour, FailSafe: 2 * time.Second})
-		}
-	case "composed":
-		return func(id proto.NodeID) proto.Handler {
-			cfg := core.Config{
-				K: len(group), D: 4, Hashes: hashes,
-				DCMode: dcnet.ModeAnnounce, DCInterval: 250 * time.Millisecond,
-				DCPolicy: dcnet.PolicyNone, DCMaxRounds: 16,
-				ADInterval: 250 * time.Millisecond, TreeDegree: deg,
-				// The loss-tolerance stack under test: ack/retransmit
-				// sized to the 50–70 ms links (RTO > worst-case RTT),
-				// eviction after 2 silent rounds down to a floor of 3,
-				// and the 2 s fail-safe flood. The stall timeout leaves
-				// room for a full retry chain (RetryBudget·RTO plus a
-				// link delay), so a round being repaired is not
-				// abandoned mid-retransmission at high loss.
-				DCRetransmitTimeout: 150 * time.Millisecond,
-				DCRetryBudget:       3,
-				DCTimeout:           600 * time.Millisecond,
-				DCEvictAfter:        2,
-				DCFloor:             3,
-				FailSafe:            2 * time.Second,
-			}
-			if inGroup[id] {
-				cfg.Group = group
-			}
-			p, err := core.New(cfg)
-			if err != nil {
-				panic(fmt.Sprintf("protocolStack: building node %d: %v", id, err))
-			}
-			return p
-		}
-	default:
-		panic("protocolStack: unknown protocol " + name)
+// e15Spec is the protocol configuration E15, E16 and E17 share, so the
+// three experiments measure exactly the same stacks — E15 their coverage
+// under impairment, E16 the anonymity they buy under the same
+// conditions, E17 both under sustained load.
+func e15Spec(kind stack.Kind, n, deg int) stack.Spec {
+	// The composed arm's DC-net group: k = 4 evenly spaced members.
+	group := make([]proto.NodeID, 4)
+	for i := range group {
+		group[i] = proto.NodeID(i * (n / len(group)))
+	}
+	return stack.Spec{
+		Kind:      kind,
+		Adaptive:  adaptive.Config{D: 4, RoundInterval: 250 * time.Millisecond, TreeDegree: deg},
+		Dandelion: dandelion.Config{Q: 0.25, Epoch: time.Hour, FailSafe: 2 * time.Second},
+		Composed: core.Config{
+			K: len(group), D: 4,
+			DCMode: dcnet.ModeAnnounce, DCInterval: 250 * time.Millisecond,
+			DCPolicy: dcnet.PolicyNone, DCMaxRounds: 16,
+			ADInterval: 250 * time.Millisecond, TreeDegree: deg,
+			// The loss-tolerance stack under test: ack/retransmit
+			// sized to the 50–70 ms links (RTO > worst-case RTT),
+			// eviction after 2 silent rounds down to a floor of 3,
+			// and the 2 s fail-safe flood. The stall timeout leaves
+			// room for a full retry chain (RetryBudget·RTO plus a
+			// link delay), so a round being repaired is not
+			// abandoned mid-retransmission at high loss.
+			DCRetransmitTimeout: 150 * time.Millisecond,
+			DCRetryBudget:       3,
+			DCTimeout:           600 * time.Millisecond,
+			DCEvictAfter:        2,
+			DCFloor:             3,
+			FailSafe:            2 * time.Second,
+		},
+		Group: group,
 	}
 }
 
@@ -116,9 +98,9 @@ type e15Sample struct {
 // handler that mounts a channel: the DC-net member's Phase-1
 // ack/retransmit plus the overlay channels (custody deposits, and the
 // diffusion or stem surfaces when a protocol mounts them).
-func e15RelStats(handlers []proto.Handler) (retx, nacks, handoffs int) {
-	for _, h := range handlers {
-		switch v := h.(type) {
+func e15RelStats(net *sim.Network) (retx, nacks, handoffs int) {
+	for id := 0; id < net.Topology().N(); id++ {
+		switch v := net.Handler(proto.NodeID(id)).(type) {
 		case *core.Protocol:
 			retx += v.RelRetransmits()
 			nacks += v.RelNacks()
@@ -179,51 +161,23 @@ func E15Robustness(sc Scenario) *metrics.Table {
 		"protocol", "conditions", "trials", "coverage", "p50", "p95", "msgs/node", "drops/node", "retx", "nacks", "handoffs",
 	)
 
-	hashes := core.SimHashes(n)
-	// Composed group: K evenly spaced members, bounded DC rounds.
-	const k = 4
-	var group []proto.NodeID
-	for i := 0; i < k; i++ {
-		group = append(group, proto.NodeID(i*(n/k)))
-	}
-	inGroup := make(map[proto.NodeID]bool, k)
-	for _, m := range group {
-		inGroup[m] = true
-	}
-
-	type protoCase struct {
-		name    string
-		topo    func(seed uint64) *topology.Graph
-		handler func(id proto.NodeID) proto.Handler
-	}
-	var cases []protoCase
-	for _, name := range [...]string{"flood", "adaptive", "dandelion", "composed"} {
-		cases = append(cases, protoCase{
-			name:    name,
-			topo:    func(seed uint64) *topology.Graph { return regular(n, deg, seed) },
-			handler: protocolStack(name, deg, hashes, group, inGroup),
-		})
-	}
-
-	for _, pc := range cases {
+	// E15 declares its own conditions: the impairment sweep is the
+	// measured axis.
+	sc.Netem = nil
+	for _, kind := range [...]stack.Kind{stack.Flood, stack.Adaptive, stack.Dandelion, stack.Composed} {
+		spec := e15Spec(kind, n, deg)
 		for _, cond := range conds {
-			cond := cond
 			samples := runner.Map(nTrials, sc.Par, func(trial int) e15Sample {
 				seed := uint64(trial + 1)
-				net := sim.NewNetwork(pc.topo(seed), sim.Options{Seed: seed, Netem: &cond})
-				handlers := make([]proto.Handler, n)
-				net.SetHandlers(func(id proto.NodeID) proto.Handler {
-					h := pc.handler(id)
-					handlers[id] = h
-					return h
-				})
+				net := sc.network(regular(n, deg, seed), seed, cond)
+				stack.Mount(net, spec)
 				net.Start()
 				id, err := net.Originate(0, []byte{byte(trial), 0x15})
 				if err != nil {
 					panic(err)
 				}
 				net.RunUntil(e15Horizon)
-				retx, nacks, handoffs := e15RelStats(handlers)
+				retx, nacks, handoffs := e15RelStats(net)
 				s := e15Sample{
 					delivered: net.Delivered(id),
 					msgs:      net.TotalMessages(),
@@ -252,7 +206,7 @@ func E15Robustness(sc Scenario) *metrics.Table {
 				pooled = append(pooled, s.deliveries...)
 			}
 			sort.Slice(pooled, func(i, j int) bool { return pooled[i] < pooled[j] })
-			t.AddRow(pc.name, cond.Name, nTrials,
+			t.AddRow(kind.String(), cond.Name, nTrials,
 				fmt.Sprintf("%.4g%%", coverage.Mean()),
 				fmtDuration(metrics.DurationQuantile(pooled, 0.50)),
 				fmtDuration(metrics.DurationQuantile(pooled, 0.95)),

@@ -3,16 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
+	"repro/internal/stack"
 )
 
 // e16Sample is one trial's attack outcome.
@@ -36,14 +34,12 @@ func e16HonestNodes(n int, corrupted func(proto.NodeID) bool) []proto.NodeID {
 }
 
 // e16Cell is one protocol arm of the sweep at one overlay size: the
-// label the table prints, the stack under attack, and the DC-net group
-// the composed estimator targets.
+// label the table prints and the stack under attack (the composed
+// estimator targets spec.Group).
 type e16Cell struct {
-	label    string
-	n, deg   int
-	composed bool
-	handler  func(id proto.NodeID) proto.Handler
-	group    []proto.NodeID
+	label  string
+	n, deg int
+	spec   stack.Spec
 }
 
 // e16Cells builds the protocol arms for one overlay size. Scale rows
@@ -52,30 +48,13 @@ type e16Cell struct {
 // N-independent by construction and re-measuring it at city scale would
 // only restate the default-N row.
 func e16Cells(n, deg int, suffix string, withComposed bool) []e16Cell {
-	hashes := core.SimHashes(n)
-	const k = 4
-	var group []proto.NodeID
-	for i := 0; i < k; i++ {
-		group = append(group, proto.NodeID(i*(n/k)))
-	}
-	inGroup := make(map[proto.NodeID]bool, k)
-	for _, m := range group {
-		inGroup[m] = true
-	}
-	names := []string{"flood", "dandelion", "adaptive"}
+	kinds := []stack.Kind{stack.Flood, stack.Dandelion, stack.Adaptive}
 	if withComposed {
-		names = append(names, "composed")
+		kinds = append(kinds, stack.Composed)
 	}
-	cells := make([]e16Cell, 0, len(names))
-	for _, name := range names {
-		cells = append(cells, e16Cell{
-			label:    name + suffix,
-			n:        n,
-			deg:      deg,
-			composed: name == "composed",
-			handler:  protocolStack(name, deg, hashes, group, inGroup),
-			group:    group,
-		})
+	cells := make([]e16Cell, 0, len(kinds))
+	for _, kind := range kinds {
+		cells = append(cells, e16Cell{label: kind.String() + suffix, n: n, deg: deg, spec: e15Spec(kind, n, deg)})
 	}
 	return cells
 }
@@ -89,16 +68,17 @@ func (c e16Cell) trial(sc Scenario, f float64, cond netem.Profile, trial int) e1
 	trialRNG := rand.New(rand.NewPCG(seed, 0xe16))
 	corrupted := adversary.SampleCorrupted(c.n, f, trialRNG)
 	obs := adversary.NewObserver(corrupted)
+	composed, group := c.spec.Kind == stack.Composed, c.spec.Group
 	honestMembers := func() []proto.NodeID {
-		out := make([]proto.NodeID, 0, len(c.group))
-		for _, m := range c.group {
+		out := make([]proto.NodeID, 0, len(group))
+		for _, m := range group {
 			if !obs.Corrupted(m) {
 				out = append(out, m)
 			}
 		}
 		return out
 	}
-	if c.composed {
+	if composed {
 		// The originator must be an honest group member; re-roll the
 		// (vanishingly rare, ≤ f^k) adversary draw that corrupts the
 		// whole group.
@@ -106,16 +86,12 @@ func (c e16Cell) trial(sc Scenario, f float64, cond netem.Profile, trial int) e1
 			obs = adversary.NewObserver(adversary.SampleCorrupted(c.n, f, trialRNG))
 		}
 	}
-	net := sim.NewNetwork(regular(c.n, c.deg, seed), sim.Options{Seed: seed, Netem: &cond, Shards: sc.Shards})
+	net := sc.network(regular(c.n, c.deg, seed), seed, cond)
 	net.AddTap(obs)
-	net.SetHandlers(c.handler)
+	stack.Mount(net, c.spec)
 	net.Start()
-	if sc.Verbose && trial == 0 {
-		fmt.Fprintf(os.Stderr, "e16 %s/%s f=%g: resolved %d shard(s)\n",
-			c.label, cond.Name, f, net.ShardCount())
-	}
 	var src proto.NodeID
-	if c.composed {
+	if composed {
 		hm := honestMembers()
 		src = hm[trialRNG.IntN(len(hm))]
 	} else {
@@ -129,8 +105,8 @@ func (c e16Cell) trial(sc Scenario, f float64, cond netem.Profile, trial int) e1
 
 	sightings := obs.Observations(id)
 	s := e16Sample{truth: src, obs: len(sightings)}
-	if c.composed {
-		if suspects, tapped := adversary.GroupSuspects(c.group, obs.Corrupted); tapped {
+	if composed {
+		if suspects, tapped := adversary.GroupSuspects(group, obs.Corrupted); tapped {
 			s.suspects = suspects
 			return s
 		}
@@ -197,6 +173,7 @@ func e16Row(t *metrics.Table, sc Scenario, c e16Cell, f float64, cond netem.Prof
 func E16AdversarialAnonymity(sc Scenario) *metrics.Table {
 	n, deg := sc.size(96), sc.degree(8)
 	nTrials := sc.trials(25, 80)
+	sc.Netem = nil // the condition grid is a measured axis
 	fractions := []float64{0.05, 0.1, 0.2}
 	conds := []netem.Profile{
 		e15Condition("clean", 0, 0),

@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -81,36 +81,15 @@ func E17Frontier(sc Scenario) *metrics.Table {
 		"msgs/node/tx", "peakQ", "dropped", "precision", "anon/bw",
 	)
 
-	hashes := core.SimHashes(n)
-	const k = 4
-	var group []proto.NodeID
-	for i := 0; i < k; i++ {
-		group = append(group, proto.NodeID(i*(n/k)))
-	}
-	inGroup := make(map[proto.NodeID]bool, k)
-	for _, m := range group {
-		inGroup[m] = true
-	}
 	// One fixed overlay for every cell: the frontier compares protocols
 	// and rates, so the graph must not be a confound.
 	topo := regular(n, deg, 99)
 
-	type protoCase struct {
-		name     string
-		composed bool
-		handler  func(id proto.NodeID) proto.Handler
-	}
-	cases := []protoCase{
-		{name: "flood", handler: protocolStack("flood", deg, hashes, group, inGroup)},
-		{name: "dandelion", handler: protocolStack("dandelion", deg, hashes, group, inGroup)},
-		{name: "adaptive", handler: protocolStack("adaptive", deg, hashes, group, inGroup)},
-		{name: "composed", composed: true, handler: protocolStack("composed", deg, hashes, group, inGroup)},
-	}
-
-	for _, pc := range cases {
+	for _, kind := range [...]stack.Kind{stack.Flood, stack.Dandelion, stack.Adaptive, stack.Composed} {
+		spec := e15Spec(kind, n, deg)
+		composed, group := kind == stack.Composed, spec.Group
 		for _, cond := range conds {
 			for _, rate := range rates {
-				pc, cond, rate := pc, cond, rate
 				cfg := workload.SoakConfig{
 					Spec:      workload.Spec{Rate: rate, Resubmit: 0.05},
 					Duration:  e17Inject,
@@ -119,26 +98,20 @@ func E17Frontier(sc Scenario) *metrics.Table {
 					Seed:      99,
 					Netem:     &cond,
 					Shards:    sc.Shards,
-					Stack:     pc.handler,
 					Admission: workload.AdmissionConfig{QueueCap: 128, Policy: workload.DropOldest},
 					Service:   2 * time.Millisecond,
 				}
 				samples := runner.MapWorker(nTrials, sc.Par,
-					func() *workload.SoakNet {
-						if sc.FreshNet {
-							return nil // rebuild per trial
-						}
-						return workload.NewSoakNet(cfg)
-					},
+					func() *workload.SoakNet { return workload.NewSoakNetOf(cfg, spec) },
 					func(w *workload.SoakNet, trial int) e17Sample {
-						if w == nil {
-							w = workload.NewSoakNet(cfg)
+						if sc.freshNet {
+							w = workload.NewSoakNetOf(cfg, spec)
 						}
 						seed := uint64(trial + 1)
 						trialRNG := rand.New(rand.NewPCG(seed, 0xe17))
 						obs := adversary.NewObserver(adversary.SampleCorrupted(n, f, trialRNG))
 						honestMembers := func() []proto.NodeID {
-							out := make([]proto.NodeID, 0, k)
+							out := make([]proto.NodeID, 0, len(group))
 							for _, m := range group {
 								if !obs.Corrupted(m) {
 									out = append(out, m)
@@ -147,7 +120,7 @@ func E17Frontier(sc Scenario) *metrics.Table {
 							return out
 						}
 						var originators []proto.NodeID
-						if pc.composed {
+						if composed {
 							// Arrivals must land on honest group members;
 							// re-roll the (≤ f^k) draw corrupting them all.
 							for len(honestMembers()) == 0 {
@@ -162,7 +135,7 @@ func E17Frontier(sc Scenario) *metrics.Table {
 						s := e17Sample{res: res}
 						for _, l := range res.Launches {
 							v := e17Verdict{truth: l.Node}
-							if pc.composed {
+							if composed {
 								if suspects, tapped := adversary.GroupSuspects(group, obs.Corrupted); tapped {
 									v.suspects = suspects
 									s.verdicts = append(s.verdicts, v)
@@ -207,7 +180,7 @@ func E17Frontier(sc Scenario) *metrics.Table {
 				if msgsTx > 0 {
 					anonPerBW = (1 - precision) / msgsTx
 				}
-				t.AddRow(pc.name, cond.Name, rate, nTrials, coverage,
+				t.AddRow(kind.String(), cond.Name, rate, nTrials, coverage,
 					fmtDuration(pooled.Quantile(0.50)), fmtDuration(pooled.Quantile(0.99)),
 					msgsTx, peak, dropped, precision, anonPerBW)
 			}

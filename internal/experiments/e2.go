@@ -13,23 +13,30 @@ import (
 	"repro/internal/wire"
 )
 
-// dcGroup runs one DC-net group of size g for `rounds` rounds and
-// returns (messages, bytes, rounds completed).
-func dcGroup(sc Scenario, g int, mode dcnet.Mode, policy dcnet.Policy, rounds int, seed uint64, queue func(i int, m *dcnet.Member)) (int64, int64, int) {
+// dcNetwork builds the byte-accounted complete-graph LAN network of the
+// bare DC-net experiments (E2, E7, E11) and the group's member list.
+func dcNetwork(sc Scenario, g int, seed uint64) (*sim.Network, []proto.NodeID) {
 	topo, err := topology.Complete(g)
 	if err != nil {
 		panic(err)
 	}
-	codec := wire.NewCodec()
-	dcnet.RegisterMessages(codec)
-	opts := sc.netOptions(seed, netem.LAN)
-	opts.Codec = codec
-	net := sim.NewNetwork(topo, opts)
-	members := make([]*dcnet.Member, g)
+	// Their member callbacks count into variables the trial closure shares
+	// across nodes, and E7 schedules its load on net.Engine().
+	sc.Shards, sc.single = 0, "DC-net member callbacks share per-trial counters; E7 schedules on net.Engine()"
+	sc.codec = wire.NewCodec()
+	dcnet.RegisterMessages(sc.codec)
 	all := make([]proto.NodeID, g)
 	for i := range all {
 		all[i] = proto.NodeID(i)
 	}
+	return sc.network(topo, seed, netem.LAN), all
+}
+
+// dcGroup runs one DC-net group of size g for `rounds` rounds and
+// returns (messages, bytes, rounds completed).
+func dcGroup(sc Scenario, g int, mode dcnet.Mode, policy dcnet.Policy, rounds int, seed uint64, queue func(i int, m *dcnet.Member)) (int64, int64, int) {
+	net, all := dcNetwork(sc, g, seed)
+	members := make([]*dcnet.Member, g)
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
 		m, err := dcnet.NewMember(dcnet.Config{
 			Self:     id,

@@ -6,55 +6,18 @@ import (
 	"time"
 
 	"repro/internal/adversary"
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/topology"
+	"repro/internal/stack"
 )
 
-// e4Worker is E4's per-worker state — like adWorker (e6.go), but with
-// one long-lived network per link profile plus one shared flood state,
-// Reset per trial; the topology repeats, so only the seed changes.
-// Reset ≡ fresh (TestResetEqualsFresh), hence tables stay bit-identical
-// to the fresh-network form (TestNetworkReuseBitIdentical runs both
-// arms). A zero worker (FreshNet scenarios) rebuilds per trial.
-type e4Worker struct {
-	nets   [2]*sim.Network // indexed like e4Conds
-	shared *flood.Shared
-}
-
 // e4Conds are E4's two arms. Its measured axis is the network condition
-// itself (constant vs jittered WAN links), so both are fixed presets
-// rather than a single Scenario-threaded profile.
-var e4Conds = [2]*netem.Profile{&netem.WAN, &netem.WANJitter}
-
-func newE4Worker(sc Scenario, g *topology.Graph, n int) *e4Worker {
-	w := &e4Worker{}
-	if sc.FreshNet {
-		return w
-	}
-	for i, p := range e4Conds {
-		w.nets[i] = sim.NewNetwork(g, sim.Options{Netem: p})
-	}
-	w.shared = flood.NewShared(n)
-	return w
-}
-
-// trial returns the network and shared state ready for one seeded
-// sub-run under the selected arm of e4Conds.
-func (w *e4Worker) trial(g *topology.Graph, n int, seed uint64, cond int) (*sim.Network, *flood.Shared) {
-	net := w.nets[cond]
-	if net == nil {
-		return sim.NewNetwork(g, sim.Options{Seed: seed, Netem: e4Conds[cond]}), flood.NewShared(n)
-	}
-	net.Reset(seed)
-	net.ClearTaps()
-	w.shared.Reset()
-	return net, w.shared
-}
+// itself (constant vs jittered WAN links), so both are fixed presets and
+// -netem does not override them.
+var e4Conds = [2]netem.Profile{netem.WAN, netem.WANJitter}
 
 // E4FloodDeanonymization quantifies Fig. 2 and the Biryukov et al. attack
 // the introduction cites: against plain flooding, a botnet-style
@@ -64,6 +27,7 @@ func (w *e4Worker) trial(g *topology.Graph, n int, seed uint64, cond int) (*sim.
 func E4FloodDeanonymization(sc Scenario) *metrics.Table {
 	n, deg := sc.size(1000), sc.degree(8)
 	nTrials := sc.trials(5, 40)
+	sc.Netem = nil // e4Conds are the measured axis
 	t := metrics.NewTable(
 		fmt.Sprintf("E4 — deanonymizing plain flooding (N=%d, %d-regular)", n, deg),
 		"adversary f", "first-spy precision", "timing precision (const lat.)", "timing precision (jittered lat.)", "anonymity set (jittered)",
@@ -84,18 +48,23 @@ func E4FloodDeanonymization(sc Scenario) *metrics.Table {
 		anonSet                float64
 	}
 	for _, f := range fractions {
-		samples := runner.MapWorker(nTrials, sc.Par, func() *e4Worker {
-			return newE4Worker(sc, g, n)
-		}, func(w *e4Worker, trial int) sample {
+		// One fixture per arm: the topology repeats, so only the seed
+		// changes between trials.
+		type arms = [2]func(seed uint64) *sim.Network
+		samples := runner.MapWorker(nTrials, sc.Par, func() (a arms) {
+			for i, cond := range e4Conds {
+				a[i] = sc.fixture(g, cond, stack.Spec{Kind: stack.Flood})
+			}
+			return a
+		}, func(a arms, trial int) sample {
 			rng := rand.New(rand.NewPCG(uint64(trial+1), uint64(f*1000)))
 			corrupted := adversary.SampleCorrupted(n, f, rng)
 			var s sample
 			for cond := range e4Conds {
 				jitter := cond == 1
 				obs := adversary.NewObserver(corrupted)
-				net, shared := w.trial(g, n, uint64(trial+1), cond)
+				net := a[cond](uint64(trial + 1))
 				net.AddTap(obs)
-				net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 				net.Start()
 				srcRNG := rand.New(rand.NewPCG(uint64(trial+1), uint64(f*1000)+7))
 				src := pickHonestSource(n, obs.Corrupted, srcRNG)

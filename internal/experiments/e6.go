@@ -9,40 +9,9 @@ import (
 	"repro/internal/proto"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
 )
-
-// adWorker is the per-worker state of the line/tree diffusion trials
-// (E6, A1): one long-lived network plus shared diffusion state, Reset
-// per trial — the ROADMAP's network-reuse item. A zero worker (FreshNet
-// scenarios) rebuilds per trial instead; both arms are bit-identical
-// (TestNetworkReuseBitIdentical).
-type adWorker struct {
-	net    *sim.Network
-	shared *adaptive.Shared
-}
-
-func newAdWorker(sc Scenario, g *topology.Graph) *adWorker {
-	if sc.FreshNet {
-		return &adWorker{}
-	}
-	return &adWorker{
-		net:    sim.NewNetwork(g, sc.netOptions(0, netem.Loopback)),
-		shared: adaptive.NewShared(g.N()),
-	}
-}
-
-// trial returns the network and shared state ready for one seeded run.
-func (w *adWorker) trial(sc Scenario, g *topology.Graph, seed uint64) (*sim.Network, *adaptive.Shared) {
-	if w.net == nil {
-		return sim.NewNetwork(g, sc.netOptions(seed, netem.Loopback)),
-			adaptive.NewShared(g.N())
-	}
-	w.net.Reset(seed)
-	w.net.ClearTaps()
-	w.shared.Reset()
-	return w.net, w.shared
-}
 
 // tokenTracker records the last virtual-source token holder.
 type tokenTracker struct{ last proto.NodeID }
@@ -54,6 +23,26 @@ func (t *tokenTracker) OnSend(_ time.Duration, _, to proto.NodeID, msg proto.Mes
 }
 func (*tokenTracker) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
 func (*tokenTracker) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte)    {}
+
+// centreDistances runs nTrials seeded diffusions from src on g, one
+// fixture per runner worker, and returns one sample per trial:
+// src's distance from the final token holder — the centre of the
+// infected ball, all the adversary of E6 and A1 observes.
+func centreDistances(sc Scenario, g *topology.Graph, src proto.NodeID, nTrials int, cfg adaptive.Config) []int {
+	return runner.MapWorker(nTrials, sc.Par, func() func(uint64) *sim.Network {
+		return sc.fixture(g, netem.Loopback, stack.Spec{Kind: stack.Adaptive, Adaptive: cfg})
+	}, func(trialNet func(uint64) *sim.Network, trial int) int {
+		tracker := &tokenTracker{last: proto.NoNode}
+		net := trialNet(uint64(trial + 1))
+		net.AddTap(tracker)
+		net.Start()
+		if _, err := net.Originate(src, []byte{byte(trial), byte(trial >> 8)}); err != nil {
+			panic(err)
+		}
+		net.RunUntil(time.Minute)
+		return g.BFS(tracker.last)[src]
+	})
+}
 
 // E6Obfuscation reproduces the perfect-obfuscation claim the paper
 // inherits from adaptive diffusion (§V-B, [17]): "the probability to
@@ -102,25 +91,8 @@ func E6Obfuscation(sc Scenario) *metrics.Table {
 		ballSize := adaptive.BallSize(r.deg, r.d)
 		distCounts := make([]int, r.d+2)
 		centerHits := 0
-		// One sample per trial: the source's distance from the final
-		// token holder (the centre of the infected ball). Workers keep
-		// one network + shared state across trials (Reset per trial).
-		hs := runner.MapWorker(nTrials, sc.Par, func() *adWorker {
-			return newAdWorker(sc, g)
-		}, func(w *adWorker, trial int) int {
-			tracker := &tokenTracker{last: proto.NoNode}
-			net, shared := w.trial(sc, g, uint64(trial+1))
-			net.AddTap(tracker)
-			net.SetHandlers(func(id proto.NodeID) proto.Handler {
-				return adaptive.NewAt(adaptive.Config{D: r.d, RoundInterval: 100 * time.Millisecond, TreeDegree: r.deg}, shared, id)
-			})
-			net.Start()
-			if _, err := net.Originate(r.src, []byte{byte(trial), byte(trial >> 8)}); err != nil {
-				panic(err)
-			}
-			net.RunUntil(time.Minute)
-			return g.BFS(tracker.last)[r.src]
-		})
+		hs := centreDistances(sc, g, r.src, nTrials,
+			adaptive.Config{D: r.d, RoundInterval: 100 * time.Millisecond, TreeDegree: r.deg})
 		for _, h := range hs {
 			if h == 0 {
 				centerHits++

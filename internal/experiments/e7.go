@@ -5,12 +5,8 @@ import (
 
 	"repro/internal/dcnet"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/wire"
 )
 
 // E7AnnounceOptimization measures the §V-A optimization: "the base
@@ -36,20 +32,8 @@ func E7AnnounceOptimization(sc Scenario) *metrics.Table {
 		delivered     int
 	}
 	run := func(mode dcnet.Mode, load float64, seed uint64) result {
-		topo, err := topology.Complete(g)
-		if err != nil {
-			panic(err)
-		}
-		codec := wire.NewCodec()
-		dcnet.RegisterMessages(codec)
-		opts := sc.netOptions(seed, netem.LAN)
-		opts.Codec = codec
-		net := sim.NewNetwork(topo, opts)
+		net, all := dcNetwork(sc, g, seed)
 		members := make([]*dcnet.Member, g)
-		all := make([]proto.NodeID, g)
-		for i := range all {
-			all[i] = proto.NodeID(i)
-		}
 		delivered := 0
 		net.SetHandlers(func(id proto.NodeID) proto.Handler {
 			m, err := dcnet.NewMember(dcnet.Config{

@@ -24,7 +24,9 @@ import (
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 // Scenario configures one experiment run.
@@ -44,31 +46,34 @@ type Scenario struct {
 	// the sequential loop. Tables are identical at every setting.
 	Par int
 	// Shards partitions each trial network across per-shard event loops
-	// (`flexsim -shards`) on the experiments that support in-run
-	// parallelism (e1, e14 — the city-scale sweeps — and the tapped e16
-	// spy sweep, whose observers replay from the merged per-shard
-	// observation logs). Tables are bit-identical at every setting
-	// (TestShardedGoldenTables); networks whose configuration cannot
-	// shard safely clamp to one loop. 0 or 1 keeps the single event
-	// loop.
+	// (`flexsim -shards`) on every experiment that builds its networks
+	// through Scenario.network and mounts its handlers through
+	// internal/stack; tables are bit-identical at every setting
+	// (TestShardedGoldenTables). The exceptions: e2, e7, e11 and e13
+	// withhold the request and say why under Verbose, and the
+	// flexnet.Simulate experiments (e3, e5, e9, e10, a2) have no
+	// parameter to pass it through. A network that cannot shard
+	// (zero-delay profile, N < Shards) clamps to one loop; so do 0 and 1.
 	Shards int
-	// Verbose emits per-shard diagnostics (event counts, lookahead
-	// stalls, cross-shard handoffs) to stderr on sharded experiments
-	// (`flexsim -v`).
+	// Verbose reports every trial network's resolved shard layout to
+	// stderr, and per-shard run diagnostics (event counts, lookahead
+	// stalls, cross-shard handoffs) on E1 and E14 (`flexsim -v`).
 	Verbose bool
-	// FreshNet disables worker network reuse on the experiments that
-	// hold one sim.Network per worker across trials (E4/E6/A1),
-	// rebuilding a network per trial instead. Tables are identical
-	// either way — TestNetworkReuseBitIdentical enforces it — so this
-	// exists only as that test's comparison arm.
-	FreshNet bool
 	// Netem overrides the network-condition profile an experiment
 	// declares (`flexsim -netem`): every trial network then runs under
 	// this profile instead of the experiment's preset. Experiments
 	// whose measured axis is the network condition itself (E4's
-	// const-vs-jitter arms, E13's hop sweep, E15's impairment sweep)
-	// keep their own conditions.
+	// const-vs-jitter arms, E13's hop sweep, the E15–E17 impairment
+	// grids) keep their own conditions.
 	Netem *netem.Profile
+
+	// freshNet makes fixture rebuild per trial: the comparison arm of
+	// TestNetworkReuseBitIdentical, which alone sets it. single is why an
+	// experiment zeroed Shards: its trial closures are not safe on
+	// concurrent loops. codec turns on byte accounting (bare DC-net runs).
+	freshNet bool
+	single   string
+	codec    *wire.Codec
 }
 
 // Quick returns the CI scenario (fewer trials, default size).
@@ -114,36 +119,47 @@ func (sc Scenario) degree(def int) int {
 	return def
 }
 
-// netOptions builds one trial's sim options from the experiment's
-// declared condition preset, honoring a -netem override.
-func (sc Scenario) netOptions(seed uint64, def netem.Profile) sim.Options {
+// network builds one trial network over g under the experiment's declared
+// condition def — or the -netem override — seeded, with the scenario's
+// shard request. Every experiment network is built here, so -netem and
+// -shards reach them all and -v reports each one's resolved layout. An
+// experiment whose measured axis is the condition itself clears sc.Netem
+// first.
+func (sc Scenario) network(g *topology.Graph, seed uint64, def netem.Profile) *sim.Network {
 	p := def
 	if sc.Netem != nil {
 		p = *sc.Netem
 	}
-	return sim.Options{Seed: seed, Netem: &p}
-}
-
-// shardOptions is netOptions plus the scenario's shard request — used by
-// the experiments that opt into in-run parallelism. Every preset
-// shards; the network clamps the request to one loop only for a
-// zero-floor profile or N < shards.
-func (sc Scenario) shardOptions(seed uint64, def netem.Profile) sim.Options {
-	o := sc.netOptions(seed, def)
-	o.Shards = sc.Shards
-	return o
-}
-
-// logShards emits one trial's per-shard diagnostics when Verbose.
-func (sc Scenario) logShards(label string, trial int, net *sim.Network) {
-	if !sc.Verbose || net.ShardCount() <= 1 {
-		return
+	net := sim.NewNetwork(g, sim.Options{Seed: seed, Netem: &p, Shards: sc.Shards, Codec: sc.codec})
+	if sc.Verbose {
+		layout := fmt.Sprintf("%d shard(s) of %d requested, lookahead %v", net.ShardCount(), max(sc.Shards, 1), net.Lookahead())
+		if sc.single != "" {
+			layout = "single loop: " + sc.single
+		}
+		fmt.Fprintf(os.Stderr, "network N=%d %s seed=%d: %s\n", g.N(), p.Name, seed, layout)
 	}
-	for _, st := range net.ShardStats() {
-		fmt.Fprintf(os.Stderr,
-			"%s trial %d shard %d: nodes=%d events=%d stalls=%d/%d windows handoffs=%d queue: %d refills, %.2f moves/event, max run %d\n",
-			label, trial, st.Shard, st.Nodes, st.Events, st.Stalls, st.Windows, st.Handoffs,
-			st.QueueRefills, float64(st.QueueMoves)/float64(max(st.Events, 1)), st.QueueMaxRun)
+	return net
+}
+
+// fixture returns the trial function of one runner worker on the
+// experiments that repeat a topology: each call returns the network ready
+// for one seeded run — handlers mounted, no taps, not started — built on
+// the first call and rewound on every later one. Reset ≡ fresh, so tables
+// are bit-identical to a rebuild per trial, the freshNet arm
+// TestNetworkReuseBitIdentical holds them to.
+func (sc Scenario) fixture(g *topology.Graph, def netem.Profile, spec stack.Spec) func(seed uint64) *sim.Network {
+	var net *sim.Network
+	var st *stack.Mounted
+	return func(seed uint64) *sim.Network {
+		if net == nil || sc.freshNet {
+			net = sc.network(g, seed, def)
+			st = stack.Mount(net, spec)
+			return net
+		}
+		net.Reset(seed)
+		net.ClearTaps()
+		st.Reset()
+		return net
 	}
 }
 

@@ -6,20 +6,22 @@ import (
 	"testing"
 )
 
-// TestShardedGoldenTables replays the sharding-aware experiments (e1,
-// e14, the tapped e16, and the tapped open-world soak e17 — the ones
-// `flexsim -shards` parallelizes) at shard counts 1/2/4/7 and diffs each table against the same committed
-// fixture the single-loop run is held to: sharding is pure execution
-// strategy, so every cell except the masked wall-clock columns must be
-// bit-identical at any shard count. Under CI's -race run this also
-// races the dense partitioned handler state (flood/adaptive Shared)
-// across the per-shard goroutines, and — via e16's spy Observer — the
-// per-shard observation logs behind the tap merge (sim/obs.go).
+// TestShardedGoldenTables replays every experiment that builds its
+// networks through Scenario.network and mounts its handlers through
+// internal/stack — the ones `flexsim -shards` parallelizes — at shard
+// counts 1/2/4/7 and diffs each table against the same committed fixture
+// the single-loop run is held to: sharding is pure execution strategy, so
+// every cell except the masked wall-clock columns must be bit-identical
+// at any shard count. Under CI's -race run this also races the dense
+// partitioned handler state (flood/adaptive/core Shared) across the
+// per-shard goroutines — composed under loss and churn in e15 — and, via
+// the spy Observers of e4/e16/e17, the per-shard observation logs behind
+// the tap merge (sim/obs.go).
 func TestShardedGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; run without -short")
 	}
-	for _, id := range []string{"e1", "e14", "e16", "e17"} {
+	for _, id := range []string{"e1", "e4", "e6", "a1", "e12", "e14", "e15", "e16", "e17"} {
 		e := Find(id)
 		if e == nil {
 			t.Fatalf("experiment %s missing", id)

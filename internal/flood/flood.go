@@ -105,8 +105,11 @@ func NewShared(n int) *Shared {
 // called while the state is idle (before handlers are built, or after
 // Reset with the previous network drained) and invalidates every handler
 // and engine built before it; a k of 1 restores the unpartitioned form.
-// Partitioning with the network clamped to a single shard is harmless —
-// one thread then touches all parts.
+// Partitioning more finely than the network shards is harmless — one
+// thread then touches several parts — but coarser is a data race, which
+// is why internal/stack.Mount is the caller: it passes the network's
+// resolved ShardCount and only then builds handlers. Outside it, only
+// core.Shared.Partition and the bench adapter call this.
 func (s *Shared) Partition(k int) {
 	if k < 1 {
 		k = 1

@@ -42,48 +42,29 @@ import (
 	"repro/internal/core"
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
-	"repro/internal/flood"
-	"repro/internal/group"
 	"repro/internal/netem"
 	"repro/internal/node"
 	"repro/internal/proto"
-	"repro/internal/relchan"
+	"repro/internal/stack"
 	"repro/internal/topology"
-	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
-// Variant selects which protocol stack the scenario runs.
-type Variant int
+// Variant selects which protocol stack the scenario runs: one of the
+// four internal/stack builds.
+type Variant = stack.Kind
 
 // Supported variants.
 const (
 	// VariantFlood is plain flood-and-prune.
-	VariantFlood Variant = iota + 1
+	VariantFlood = stack.Flood
 	// VariantAdaptive is adaptive diffusion alone.
-	VariantAdaptive
+	VariantAdaptive = stack.Adaptive
 	// VariantDandelion is the stem/fluff baseline.
-	VariantDandelion
+	VariantDandelion = stack.Dandelion
 	// VariantComposed is the full three-phase protocol inside an
 	// internal/node blockchain node (miner off).
-	VariantComposed
+	VariantComposed = stack.Composed
 )
-
-// String returns the variant name.
-func (v Variant) String() string {
-	switch v {
-	case VariantFlood:
-		return "flood"
-	case VariantAdaptive:
-		return "adaptive"
-	case VariantDandelion:
-		return "dandelion"
-	case VariantComposed:
-		return "composed"
-	default:
-		return fmt.Sprintf("Variant(%d)", int(v))
-	}
-}
 
 // Transport selects the byte-stream substrate of the real run.
 type Transport int
@@ -346,77 +327,51 @@ func (sc *Scenario) treeDegree() int {
 	return sc.Degree
 }
 
-// newCodec registers the full message surface of every variant.
-func newCodec() *wire.Codec {
-	c := wire.NewCodec()
-	flood.RegisterMessages(c)
-	adaptive.RegisterMessages(c)
-	dcnet.RegisterMessages(c)
-	dandelion.RegisterMessages(c)
-	relchan.RegisterMessages(c)
-	group.RegisterMessages(c)
-	node.RegisterMessages(c)
-	workload.RegisterMessages(c)
-	return c
-}
-
 // handler builds the protocol handler for one node — the single factory
-// both runtimes share, so any config skew between the runs is
-// impossible by construction.
+// both runtimes share, in the map-backed live form on both, so any config
+// skew between the runs is impossible by construction.
 func (sc *Scenario) handler(id proto.NodeID, hashes map[proto.NodeID][32]byte) proto.Handler {
-	switch sc.Variant {
-	case VariantFlood:
-		return flood.New()
-	case VariantAdaptive:
-		cfg := adaptive.Config{
-			D:             sc.D,
-			RoundInterval: sc.ADInterval,
-			TreeDegree:    sc.treeDegree(),
+	if sc.Variant != VariantComposed {
+		spec := stack.Spec{
+			Kind:     sc.Variant,
+			Adaptive: adaptive.Config{D: sc.D, RoundInterval: sc.ADInterval, TreeDegree: sc.treeDegree()},
+			// Epoch is set beyond any run horizon so the successor graph is
+			// drawn exactly once (at Init) under both runtimes; the fail-safe
+			// stays off because virtual time reaches it in the simulator
+			// while wall-clock runs end long before it.
+			Dandelion: dandelion.Config{Q: sc.Q, Epoch: time.Hour, FailSafe: 0},
 		}
 		if sc.Reliable {
-			cfg.RetransmitTimeout = reliableRTO
-			cfg.RetryBudget = 3
+			spec.Adaptive.RetransmitTimeout, spec.Adaptive.RetryBudget = reliableRTO, 3
+			spec.Dandelion.RetransmitTimeout, spec.Dandelion.RetryBudget = reliableRTO, 3
 		}
-		return adaptive.New(cfg)
-	case VariantDandelion:
-		// Epoch is set beyond any run horizon so the successor graph is
-		// drawn exactly once (at Init) under both runtimes; the fail-safe
-		// stays off because virtual time reaches it in the simulator
-		// while wall-clock runs end long before it.
-		cfg := dandelion.Config{Q: sc.Q, Epoch: time.Hour, FailSafe: 0}
-		if sc.Reliable {
-			cfg.RetransmitTimeout = reliableRTO
-			cfg.RetryBudget = 3
-		}
-		return dandelion.New(cfg)
-	default:
-		cfg := node.Config{Core: core.Config{
-			K: sc.K, D: sc.D,
-			Hashes:      hashes,
-			DCMode:      dcnet.ModeAnnounce,
-			DCInterval:  sc.DCInterval,
-			DCPolicy:    dcnet.PolicyNone,
-			DCMaxRounds: sc.DCRounds,
-			ADInterval:  sc.ADInterval,
-			TreeDegree:  sc.treeDegree(),
-		}}
-		if sc.Reliable {
-			cfg.Core.DCRetransmitTimeout = reliableRTO
-			cfg.Core.DCRetryBudget = 3
-			cfg.Core.FailSafe = sc.FailSafe
-		}
-		for _, m := range sc.Group {
-			if m == id {
-				cfg.Core.Group = sc.Group
-				break
-			}
-		}
-		n, err := node.New(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("parity: building node %d: %v", id, err))
-		}
-		return n
+		return stack.Live(spec, id)
 	}
+	// The composed stack runs inside the blockchain node, which builds its
+	// own core.Protocol.
+	cfg := node.Config{Core: core.Config{
+		K: sc.K, D: sc.D,
+		Hashes:      hashes,
+		DCMode:      dcnet.ModeAnnounce,
+		DCInterval:  sc.DCInterval,
+		DCPolicy:    dcnet.PolicyNone,
+		DCMaxRounds: sc.DCRounds,
+		ADInterval:  sc.ADInterval,
+		TreeDegree:  sc.treeDegree(),
+	}}
+	if sc.Reliable {
+		cfg.Core.DCRetransmitTimeout = reliableRTO
+		cfg.Core.DCRetryBudget = 3
+		cfg.Core.FailSafe = sc.FailSafe
+	}
+	if sc.inGroup(id) {
+		cfg.Core.Group = sc.Group
+	}
+	n, err := node.New(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("parity: building node %d: %v", id, err))
+	}
+	return n
 }
 
 // Run executes the scenario under both runtimes and returns the diff.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/flexnet"
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
 	"repro/internal/flood"
@@ -437,24 +436,6 @@ func TestScenarioValidation(t *testing.T) {
 	bad.applyDefaults()
 	if err := bad.validate(); err == nil {
 		t.Error("non-member composed source accepted")
-	}
-}
-
-// TestCodecMatchesFlexnet keeps the harness's codec registry in
-// lockstep with the public flexnet node codec: a message family added
-// to one but not the other would make real-cluster nodes reject frames
-// and surface as a baffling transport/codec divergence instead of this
-// direct failure.
-func TestCodecMatchesFlexnet(t *testing.T) {
-	got := newCodec().Types()
-	want := flexnet.NewCodec().Types()
-	if len(got) != len(want) {
-		t.Fatalf("parity codec registers %d types, flexnet %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("registry skew at index %d: parity %#04x, flexnet %#04x", i, uint16(got[i]), uint16(want[i]))
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/flexnet"
 	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/node"
@@ -111,7 +112,7 @@ func (sc *Scenario) runReal() (*Accounting, error) {
 	}
 
 	hashes := core.SimHashes(sc.N)
-	codec := newCodec()
+	codec := flexnet.NewCodec()
 
 	// Both substrates resolve stable names, so the full address book
 	// ships in every Config before any node boots — no late-binding

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"repro/flexnet"
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -34,7 +35,7 @@ func (sc *Scenario) runSim() (*Accounting, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := newCodec()
+	codec := flexnet.NewCodec()
 	opts := sim.Options{
 		Seed:    sc.Seed,
 		Latency: sim.ConstLatency(simLatency),

@@ -54,18 +54,13 @@ func (c *crossTap) OnSend(_ time.Duration, from, to proto.NodeID, _ proto.Messag
 
 // TestShardLookup holds the arithmetic shard lookup of Network.send to
 // the table it replaced: from any sender's shard, shardOf(to) is the
-// shard buildShards assigned to node to — over even and uneven splits,
-// k up to and past N, and across Resets that re-resolve one network to a
-// different k — and a flood hands off exactly the sends whose endpoints
-// topology.ShardOf places apart.
+// shard resolveShards assigned to node to — over even and uneven splits
+// and k up to and past N — and a flood hands off exactly the sends whose
+// endpoints topology.ShardOf places apart.
 func TestShardLookup(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 1000, 1001, 4097} {
-		net := NewNetwork(topology.NewGraph(n), Options{Latency: ConstLatency(50 * time.Millisecond)})
 		for k := 1; k <= 8; k++ {
-			net.Reset(uint64(k))
-			net.opts.Shards = k
-			net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
-			net.Start()
+			net := NewNetwork(topology.NewGraph(n), Options{Latency: ConstLatency(50 * time.Millisecond), Shards: k})
 			want := k
 			if k > n {
 				want = 1 // more shards than nodes clamps to the single loop

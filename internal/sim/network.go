@@ -74,8 +74,9 @@ type Options struct {
 	// observable — counters, delivery sets, event counts, golden tables —
 	// is bit-identical at any shard count — including the tap callback
 	// stream, which replays from merged per-shard observation logs
-	// (obs.go). The effective count is resolved at Start and clamps to 1
-	// in two cases: a zero minimum link delay (Profile.MinDelay — no
+	// (obs.go). The effective count is resolved at NewNetwork — it depends
+	// on nothing but these options and the node count, so ShardCount is
+	// final from construction on — and clamps to 1 in two cases: a zero minimum link delay (Profile.MinDelay — no
 	// lookahead to advance under) or more shards than nodes. ≤ 1 means
 	// single-shard (the default).
 	Shards int
@@ -185,12 +186,10 @@ type Network struct {
 	shaper     *netem.Shaper
 	fixedDelay time.Duration
 
-	// shards always holds at least one entry; engCache retains engines
-	// across Reset/Start cycles so shard-count changes never rebuild
-	// arenas. lookahead is the resolved conservative window (0 when
-	// unsharded).
+	// shards always holds at least one entry and is fixed at NewNetwork
+	// (resolveShards); lookahead is the resolved conservative window (0
+	// when unsharded).
 	shards    []*shardState
-	engCache  []*Engine
 	lookahead time.Duration
 
 	// windowing is true only while runWindow executes shard goroutines;
@@ -234,7 +233,6 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		deliveries: make(map[proto.MsgID]*DeliverySet),
 	}
 	n.engine = n.newEngine()
-	n.engCache = []*Engine{n.engine}
 	n.linkOff = make([]int32, topo.N()+1)
 	for i := 0; i < topo.N(); i++ {
 		n.linkOff[i+1] = n.linkOff[i] + int32(topo.Degree(proto.NodeID(i)))
@@ -257,7 +255,7 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		node.id = proto.NodeID(i)
 		n.cold[i].seed(opts.Seed, node.id)
 	}
-	n.buildShards(1)
+	n.resolveShards()
 	return n
 }
 
@@ -267,9 +265,8 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 // rebuild per trial. A reset network is behaviorally indistinguishable
 // from NewNetwork(topo, opts-with-seed): every engine restarts at time
 // zero, every RNG is re-derived from the seed, and all counters,
-// deliveries, link-FIFO clamps and crash flags clear. The shard layout
-// is re-resolved at the next Start (tap registration may have changed
-// eligibility); engines and queue capacity are retained.
+// deliveries, link-FIFO clamps and crash flags clear. The shard layout,
+// engines and queue capacity are retained.
 //
 // Handlers are dropped; call SetHandlers (and Start) again, typically
 // re-installing handlers whose state lives in a shared sized structure
@@ -335,8 +332,9 @@ func (n *Network) Steps() uint64 {
 	return s
 }
 
-// ShardCount returns the effective shard count (resolved at Start; 1
-// before Start and whenever sharding was clamped).
+// ShardCount returns the effective shard count, fixed at NewNetwork (1
+// whenever sharding was clamped). Handler state partitioned to it
+// (internal/stack) therefore never disagrees with the event loops.
 func (n *Network) ShardCount() int { return len(n.shards) }
 
 // Lookahead returns the conservative lookahead window the sharded run
@@ -376,14 +374,12 @@ func (n *Network) Handler(id proto.NodeID) proto.Handler {
 	return n.nodes[id].handler
 }
 
-// Start resolves the shard layout and initializes all handlers in
-// node-ID order.
+// Start initializes all handlers in node-ID order.
 func (n *Network) Start() {
 	if n.started {
 		panic("sim: Network.Start called twice")
 	}
 	n.started = true
-	n.resolveShards()
 	for i := range n.nodes {
 		node := &n.nodes[i]
 		if node.handler == nil {

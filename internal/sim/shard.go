@@ -169,10 +169,11 @@ func (n *Network) ShardStats() []ShardStats {
 	return out
 }
 
-// resolveShards picks the effective shard count for this Start and
-// (re)builds the shard layout. No link decision depends on execution
-// order (a stored delay, or Shaper.Decide on per-link sequences), so
-// the request is honored unless:
+// resolveShards picks the effective shard count and builds the shard
+// layout, once, at NewNetwork: the count depends only on the options and
+// the node count. No link decision depends on execution order (a stored
+// delay, or Shaper.Decide on per-link sequences), so the request is
+// honored unless:
 //
 //   - the profile's minimum link delay — the conservative lookahead —
 //     is not positive; or
@@ -180,16 +181,32 @@ func (n *Network) ShardStats() []ShardStats {
 //
 // Registered taps do not clamp: the per-shard observation logs replay
 // the merged single-loop callback stream at every barrier (obs.go).
-// A clamped network runs the same events on the one engine it always
-// had.
+// Shard 0 owns n.engine, so a clamped network runs on the one engine a
+// single-loop network always had.
 func (n *Network) resolveShards() {
 	k := n.opts.Shards
-	la := n.opts.Netem.MinDelay()
-	if k <= 1 || la <= 0 || len(n.nodes) < k {
-		k, la = 1, 0
+	n.lookahead = n.opts.Netem.MinDelay()
+	if k <= 1 || n.lookahead <= 0 || len(n.nodes) < k {
+		k, n.lookahead = 1, 0
 	}
-	n.lookahead = la
-	n.buildShards(k)
+	bounds := topology.ShardBounds(len(n.nodes), k)
+	n.shards = make([]*shardState, k)
+	for i := range n.shards {
+		eng := n.engine
+		if i > 0 {
+			eng = n.newEngine()
+		}
+		n.shards[i] = &shardState{
+			index: int32(i),
+			lo:    bounds[i],
+			hi:    bounds[i+1],
+			eng:   eng,
+			outQ:  make([][]remoteEvent, k),
+		}
+		for v := bounds[i]; v < bounds[i+1]; v++ {
+			n.nodes[v].eng, n.nodes[v].shard = eng, n.shards[i]
+		}
+	}
 }
 
 // newEngine returns an engine whose delivery entries resolve against
@@ -198,37 +215,6 @@ func (n *Network) newEngine() *Engine {
 	e := NewEngine()
 	e.net, e.nodes = n, n.nodes
 	return e
-}
-
-// buildShards lays out k shards over the node ranges, reusing cached
-// engines (and their arenas) across Reset/Start cycles and shard-count
-// changes. Shard 0 always owns n.engine.
-func (n *Network) buildShards(k int) {
-	if len(n.shards) == k {
-		// Same layout as last run: shards were reset, nodes keep their
-		// assignment.
-		return
-	}
-	for len(n.engCache) < k {
-		n.engCache = append(n.engCache, n.newEngine())
-	}
-	bounds := topology.ShardBounds(len(n.nodes), k)
-	n.shards = make([]*shardState, k)
-	for i := 0; i < k; i++ {
-		n.shards[i] = &shardState{
-			index: int32(i),
-			lo:    bounds[i],
-			hi:    bounds[i+1],
-			eng:   n.engCache[i],
-			outQ:  make([][]remoteEvent, k),
-		}
-	}
-	for i := range n.nodes {
-		node := &n.nodes[i]
-		sh := n.shards[topology.ShardOf(node.id, len(n.nodes), k)]
-		node.eng = sh.eng
-		node.shard = sh
-	}
 }
 
 // drainOutboxes pushes every parked cross-shard delivery onto its

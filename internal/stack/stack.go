@@ -1,0 +1,168 @@
+// Package stack is the one place a protocol stack is constructed. The
+// paper compares its three-phase design against flood, Dandelion and
+// adaptive diffusion on equal terms, which means the four are built one
+// way: outside the protocol packages and internal/node, nothing else
+// calls a protocol constructor.
+//
+// A Spec names a stack and carries its parameters. Mount realises it on a
+// simulated network over dense state sized to the network's node count
+// and partitioned to its resolved shard count; Live realises it for a
+// long-lived node over maps of its own. Callers never see N, the shard
+// count, a Shared, a Partition call, New versus NewAt, or the rule that
+// engines are built after partitioning.
+package stack
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/adaptive"
+	"repro/internal/core"
+	"repro/internal/dandelion"
+	"repro/internal/flood"
+	"repro/internal/proto"
+	"repro/internal/sim"
+)
+
+// Kind selects one of the four protocol stacks.
+type Kind int
+
+// The stacks under comparison: plain flood-and-prune, the stem/fluff
+// baseline of §III-A, adaptive diffusion alone (no delivery guarantee),
+// and the paper's three-phase protocol (§IV).
+const (
+	Flood Kind = iota + 1
+	Dandelion
+	Adaptive
+	Composed
+)
+
+var kindNames = [...]string{Flood: "flood", Dandelion: "dandelion", Adaptive: "adaptive", Composed: "composed"}
+
+// String returns the name tables and reports print.
+func (k Kind) String() string {
+	if k < Flood || k > Composed {
+		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+	return kindNames[k]
+}
+
+// Spec describes a protocol stack: which one, and each protocol's own
+// configuration. Only the selected Kind's configuration is read, so one
+// Spec value can hold a whole comparison's parameters and be mounted four
+// times with Kind changed. Flood has no parameters.
+type Spec struct {
+	Kind      Kind
+	Dandelion dandelion.Config
+	Adaptive  adaptive.Config
+	// Composed configures every node of the composed stack. Its Group is
+	// set per node from Group below; nil Hashes default to core.SimHash
+	// of the members, the only hashes ever read (members elect the
+	// virtual source among themselves).
+	Composed core.Config
+	// Group is the composed stack's one DC-net group: its members run
+	// Phase 1, every other node only relays Phases 2–3.
+	Group []proto.NodeID
+}
+
+// resolved fills the composed stack's default identity hashes.
+func (s Spec) resolved() Spec {
+	if s.Kind == Composed && s.Composed.Hashes == nil {
+		s.Composed.Hashes = make(map[proto.NodeID][32]byte, len(s.Group))
+		for _, m := range s.Group {
+			s.Composed.Hashes[m] = core.SimHash(m)
+		}
+	}
+	return s
+}
+
+// composed builds node id's composed protocol, dense over sh or
+// map-backed without one. A Spec that fails to build names a group
+// member without a hash — a wiring bug.
+func (s *Spec) composed(sh *core.Shared, id proto.NodeID) proto.Handler {
+	c := s.Composed
+	if slices.Contains(s.Group, id) {
+		c.Group = s.Group
+	}
+	var p *core.Protocol
+	var err error
+	if sh != nil {
+		p, err = core.NewAt(c, sh, id)
+	} else {
+		p, err = core.New(c)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("stack: building composed node %d: %v", id, err))
+	}
+	return p
+}
+
+// Live returns node id's handler in the map-backed form a long-lived node
+// runs: per-message state the node owns, where the dense form's pools are
+// reclaimed only by a Reset no live node ever calls. internal/parity
+// mounts it on both runtimes, so its two runs cannot differ in
+// configuration.
+func Live(s Spec, id proto.NodeID) proto.Handler {
+	switch s.Kind {
+	case Flood:
+		return flood.New()
+	case Dandelion:
+		return dandelion.New(s.Dandelion)
+	case Adaptive:
+		return adaptive.New(s.Adaptive)
+	case Composed:
+		s = s.resolved()
+		return s.composed(nil, id)
+	}
+	panic("stack: unknown " + s.Kind.String())
+}
+
+// Mounted is a Spec realised on one simulated network.
+type Mounted struct {
+	net     *sim.Network
+	handler func(id proto.NodeID) proto.Handler
+	reset   func()
+}
+
+// Mount sizes the spec's dense state to net — node count from its
+// topology, partition from its resolved shard count, so a clamped network
+// and its handlers cannot disagree — and installs its handlers.
+func Mount(net *sim.Network, s Spec) *Mounted {
+	n, k := net.Topology().N(), net.ShardCount()
+	m := &Mounted{net: net, reset: func() {}}
+	switch s = s.resolved(); s.Kind {
+	case Flood:
+		sh := flood.NewShared(n)
+		sh.Partition(k)
+		m.reset = sh.Reset
+		m.handler = func(id proto.NodeID) proto.Handler { return flood.NewAt(sh, id) }
+	case Dandelion:
+		// No dense form: Dandelion's state is per node and dies with the
+		// handler.
+		m.handler = func(proto.NodeID) proto.Handler { return dandelion.New(s.Dandelion) }
+	case Adaptive:
+		sh := adaptive.NewShared(n)
+		sh.Partition(k)
+		m.reset = sh.Reset
+		m.handler = func(id proto.NodeID) proto.Handler { return adaptive.NewAt(s.Adaptive, sh, id) }
+	case Composed:
+		sh := core.NewShared(n)
+		sh.Partition(k)
+		m.reset = sh.Reset
+		m.handler = func(id proto.NodeID) proto.Handler { return s.composed(sh, id) }
+	default:
+		panic("stack: unknown " + s.Kind.String())
+	}
+	net.SetHandlers(m.handler)
+	return m
+}
+
+// Reset makes the stack indistinguishable from a freshly mounted one: it
+// rewinds the dense state and installs new handlers (Network.Reset
+// dropped the old ones, and Dandelion and composed handlers carry
+// per-node state no Reset reaches). Call it after Network.Reset, with the
+// previous run drained or abandoned.
+func (m *Mounted) Reset() {
+	m.reset()
+	m.net.SetHandlers(m.handler)
+}

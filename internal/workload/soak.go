@@ -6,11 +6,11 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/flood"
 	"repro/internal/metrics"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/stack"
 	"repro/internal/topology"
 )
 
@@ -31,15 +31,14 @@ type SoakConfig struct {
 	Seed uint64
 	// Topo overrides the default random Degree-regular overlay.
 	Topo *topology.Graph
-	// Stack builds each node's broadcast protocol (default: dense
-	// flood-and-prune backed by a shared table).
+	// Stack builds each node's broadcast protocol, over state the caller
+	// owns and rewinds between runs (default: dense flood-and-prune the
+	// fixture mounts and rewinds itself, as NewSoakNetOf does any stack).
 	Stack func(self proto.NodeID) proto.Handler
 	// Originators restricts which nodes receive scheduled arrivals
 	// (default: every node). Run can override per trial.
 	Originators []proto.NodeID
-	// Netem, when non-nil, sets the network condition profile;
-	// unimpaired profiles take the rng latency-model path and impaired
-	// ones the shaped path, mirroring the experiment harness.
+	// Netem, when non-nil, sets the network condition profile.
 	Netem *netem.Profile
 	// Shards requests single-run event-loop parallelism (clamped by
 	// the network exactly as sim.Options.Shards).
@@ -127,22 +126,38 @@ func (r *SoakResult) P95() time.Duration { return r.Latency.Quantile(0.95) }
 func (r *SoakResult) P99() time.Duration { return r.Latency.Quantile(0.99) }
 
 // SoakNet is a reusable soak fixture: one simulated network plus the
-// shared admission/flood state, reset between runs — the trial-loop
-// form (one SoakNet per runner worker, Run per trial) that keeps
-// steady-state allocation flat.
+// shared admission state and the protocol stack bound to it, reset
+// between runs — the trial-loop form (one SoakNet per runner worker, Run
+// per trial) that keeps steady-state allocation flat.
 type SoakNet struct {
 	cfg      SoakConfig
 	net      *sim.Network
 	adm      *Shared
-	fl       *flood.Shared // nil when cfg.Stack overrides the default
+	stack    *stack.Mounted // nil when cfg.Stack builds the protocol
 	wrappers []*Wrapper
-	started  bool
 }
 
-// NewSoakNet builds the fixture. The topology is fixed for the
-// fixture's lifetime (cfg.Topo, or a random cfg.Degree-regular overlay
-// from cfg.Seed).
+// NewSoakNet builds the fixture running cfg.Stack — or, without one,
+// dense flood-and-prune. The topology is fixed for the fixture's
+// lifetime (cfg.Topo, or a random cfg.Degree-regular overlay from
+// cfg.Seed).
 func NewSoakNet(cfg SoakConfig) *SoakNet {
+	if cfg.Stack == nil {
+		return NewSoakNetOf(cfg, stack.Spec{Kind: stack.Flood})
+	}
+	return newSoakNet(cfg)
+}
+
+// NewSoakNetOf builds the fixture with spec as the protocol under load,
+// mounted on the fixture's own network — sized and partitioned to it —
+// and rewound with it between runs. cfg.Stack is not consulted.
+func NewSoakNetOf(cfg SoakConfig, spec stack.Spec) *SoakNet {
+	s := newSoakNet(cfg)
+	s.stack = stack.Mount(s.net, spec)
+	return s
+}
+
+func newSoakNet(cfg SoakConfig) *SoakNet {
 	cfg = cfg.withDefaults()
 	s := &SoakNet{cfg: cfg}
 	topo := cfg.Topo
@@ -155,13 +170,8 @@ func NewSoakNet(cfg SoakConfig) *SoakNet {
 		topo = g
 	}
 	s.net = sim.NewNetwork(topo, sim.Options{Seed: cfg.Seed, Shards: cfg.Shards, Netem: cfg.Netem})
-	k := max(cfg.Shards, 1)
 	s.adm = NewShared(cfg.N)
-	s.adm.Partition(k)
-	if cfg.Stack == nil {
-		s.fl = flood.NewShared(cfg.N)
-		s.fl.Partition(k)
-	}
+	s.adm.Partition(s.net.ShardCount())
 	s.wrappers = make([]*Wrapper, cfg.N)
 	return s
 }
@@ -173,28 +183,24 @@ func (s *SoakNet) Net() *sim.Network { return s.net }
 // Wrappers exposes the per-node admission wrappers of the latest run.
 func (s *SoakNet) Wrappers() []*Wrapper { return s.wrappers }
 
-// Run executes one soak trial: reset (when reused), schedule the
+// Run executes one soak trial: reset, schedule the
 // arrivals for seed, drive them through admission into the protocol,
 // and report. originators nil means the config's set (or every node);
-// taps are registered for this run only (note: taps clamp the network
-// to a single shard).
+// taps are registered for this run only.
 func (s *SoakNet) Run(seed uint64, originators []proto.NodeID, taps ...sim.Tap) SoakResult {
 	cfg := s.cfg
-	// Reset unconditionally: a freshly built network still carries
+	// Reset even a freshly built fixture: its network still carries
 	// cfg.Seed in its RNGs and netem shaper, and the run seed must win —
 	// otherwise a first run and a reused run at the same seed draw
 	// different jitter/loss streams and the reuse-equals-fresh contract
 	// breaks (invisible under the default constant latency, fatal under
 	// netem).
 	s.net.Reset(seed)
-	if s.started {
-		s.net.ClearTaps()
-		s.adm.Reset()
-		if s.fl != nil {
-			s.fl.Reset()
-		}
+	s.net.ClearTaps()
+	s.adm.Reset()
+	if s.stack != nil {
+		s.stack.Reset() // also re-installs the handlers net.Reset dropped
 	}
-	s.started = true
 	for _, t := range taps {
 		s.net.AddTap(t)
 	}
@@ -210,18 +216,16 @@ func (s *SoakNet) Run(seed uint64, originators []proto.NodeID, taps ...sim.Tap) 
 	sched := Schedule(cfg.Spec, seed, cfg.Duration, originators)
 
 	s.net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		inner, ok := func() (proto.Broadcaster, bool) {
-			if cfg.Stack == nil {
-				return flood.NewAt(s.fl, id), true
-			}
-			b, ok := cfg.Stack(id).(proto.Broadcaster)
-			return b, ok
-		}()
+		inner := s.net.Handler(id) // the mounted stack's
+		if s.stack == nil {
+			inner = cfg.Stack(id)
+		}
+		b, ok := inner.(proto.Broadcaster)
 		if !ok {
 			panic("workload: soak Stack must build proto.Broadcaster handlers")
 		}
 		adm := NewAdmission(cfg.Admission, id, s.adm.Table(id))
-		w := NewWrapper(inner, adm, sched, cfg.Service, cfg.Retry)
+		w := NewWrapper(b, adm, sched, cfg.Service, cfg.Retry)
 		s.wrappers[id] = w
 		return w
 	})
