@@ -67,34 +67,47 @@ func TestSamplesCoverTheCodec(t *testing.T) {
 
 // TestDecodedMessagesDoNotAliasInput is the contract in-place frame
 // decoding stands on (wire.Reader: "never returns a slice of its
-// input"): the transport hands Unmarshal a window of a read buffer it
+// input"): the transport hands the codec a window of a read buffer it
 // overwrites with the next Read. Decode every message from a scratch
 // copy, scribble over the scratch, and the decoded value must still
-// encode to the original bytes.
+// encode to the original bytes — through plain Unmarshal and through
+// the interned decode the transport runs, twice, so the second decode
+// takes its byte strings from the table the first filled.
 func TestDecodedMessagesDoNotAliasInput(t *testing.T) {
 	codec := NewCodec()
-	for _, msg := range sampleMessages() {
-		want, err := codec.Marshal(msg)
-		if err != nil {
-			t.Errorf("Marshal(%T): %v", msg, err)
-			continue
-		}
-		scratch := bytes.Clone(want)
-		back, err := codec.Unmarshal(scratch)
-		if err != nil {
-			t.Errorf("Unmarshal(%T): %v", msg, err)
-			continue
-		}
-		for i := range scratch {
-			scratch[i] = 0xff
-		}
-		got, err := codec.Marshal(back)
-		if err != nil {
-			t.Errorf("Marshal(decoded %T): %v", msg, err)
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%T still points into the buffer it was decoded from:\n encoded %x\n after overwrite %x", msg, want, got)
+	in := wire.NewInterner()
+	decoders := []struct {
+		name   string
+		decode func([]byte) (wire.Encodable, error)
+	}{
+		{"Unmarshal", codec.Unmarshal},
+		{"UnmarshalInterned", func(b []byte) (wire.Encodable, error) { return codec.UnmarshalInterned(b, in) }},
+		{"UnmarshalInterned (repeat)", func(b []byte) (wire.Encodable, error) { return codec.UnmarshalInterned(b, in) }},
+	}
+	for _, d := range decoders {
+		for _, msg := range sampleMessages() {
+			want, err := codec.Marshal(msg)
+			if err != nil {
+				t.Errorf("Marshal(%T): %v", msg, err)
+				continue
+			}
+			scratch := bytes.Clone(want)
+			back, err := d.decode(scratch)
+			if err != nil {
+				t.Errorf("%s(%T): %v", d.name, msg, err)
+				continue
+			}
+			for i := range scratch {
+				scratch[i] = 0xff
+			}
+			got, err := codec.Marshal(back)
+			if err != nil {
+				t.Errorf("Marshal(decoded %T): %v", msg, err)
+				continue
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: %T still points into the buffer it was decoded from:\n encoded %x\n after overwrite %x", d.name, msg, want, got)
+			}
 		}
 	}
 }

@@ -95,6 +95,13 @@ type Context interface {
 // partition cell of its shared state), provided those nodes execute on
 // one thread. A handler therefore takes its identity from ctx.Self() on
 // each call, never from the order it was constructed or installed in.
+//
+// A received message, and every slice reachable from it, is shared and
+// read-only. The simulator hands one message value to every receiver,
+// and the live runtime may hand one decoded payload to several frames
+// (wire.Interner); a handler that needs to change received bytes copies
+// them first. TestReceivedMessagesStayUnchanged (internal/stack) holds
+// all four protocol stacks to this.
 type Handler interface {
 	// Init is called once per node the handler serves, before any message
 	// or timer is delivered to that node.

@@ -1,0 +1,108 @@
+package stack
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"repro/internal/adaptive"
+	"repro/internal/dandelion"
+	"repro/internal/dcnet"
+	"repro/internal/flood"
+	"repro/internal/group"
+	"repro/internal/proto"
+	"repro/internal/relchan"
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
+
+// receipt is one message as it looked when it reached a handler.
+type receipt struct {
+	msg wire.Encodable
+	enc []byte
+	to  proto.NodeID
+}
+
+// receiptTap encodes every message immediately before its destination
+// handler runs (a single-loop network fires OnReceive inline).
+type receiptTap struct {
+	t     *testing.T
+	codec *wire.Codec
+	got   []receipt
+}
+
+func (r *receiptTap) OnSend(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
+func (r *receiptTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte) {}
+func (r *receiptTap) OnReceive(_ time.Duration, _, to proto.NodeID, msg proto.Message) {
+	enc, ok := msg.(wire.Encodable)
+	if !ok {
+		r.t.Fatalf("%T reaches a handler but has no wire encoding", msg)
+	}
+	b, err := r.codec.Marshal(enc)
+	if err != nil {
+		r.t.Fatalf("Marshal(%T): %v", msg, err)
+	}
+	r.got = append(r.got, receipt{msg: enc, enc: b, to: to})
+}
+
+// saw reports whether a message of type ty reached a handler.
+func (r *receiptTap) saw(ty proto.MsgType) bool {
+	for _, rc := range r.got {
+		if rc.msg.Type() == ty {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReceivedMessagesStayUnchanged holds every stack to proto.Handler's
+// rule that a received message is read-only — the rule that lets the
+// simulator hand one value to every receiver and the live runtime share
+// one decoded payload between frames. Every message is encoded as it
+// arrives and again after the run; no handler, the dense form or the
+// map-backed live form, may have changed a byte. The impaired condition
+// is what fires the DC-net exchanges, relchan retransmits and custody
+// hand-off.
+func TestReceivedMessagesStayUnchanged(t *testing.T) {
+	codec := wire.NewCodec()
+	flood.RegisterMessages(codec)
+	adaptive.RegisterMessages(codec)
+	dcnet.RegisterMessages(codec)
+	dandelion.RegisterMessages(codec)
+	relchan.RegisterMessages(codec)
+	group.RegisterMessages(codec)
+	g := testGraph(t, 3)
+	for _, kind := range []Kind{Flood, Dandelion, Adaptive, Composed} {
+		spec := testSpec(kind)
+		for _, cond := range testConditions() {
+			for _, form := range []string{"mounted", "live"} {
+				net := sim.NewNetwork(g, sim.Options{Seed: 3, Netem: &cond})
+				if form == "mounted" {
+					Mount(net, spec)
+				} else {
+					net.SetHandlers(func(id proto.NodeID) proto.Handler { return Live(spec, id) })
+				}
+				tap := &receiptTap{t: t, codec: codec}
+				net.AddTap(tap)
+				run(t, net, 3)
+				if len(tap.got) == 0 {
+					t.Fatalf("%v/%s/%s: no message reached a handler", kind, cond.Name, form)
+				}
+				if kind == Composed && cond.Loss > 0 && !(tap.saw(dcnet.TypeNack) && tap.saw(relchan.TypeCustody)) {
+					t.Errorf("%v/%s/%s: no DC-net nack or custody hand-off fired", kind, cond.Name, form)
+				}
+				for _, r := range tap.got {
+					now, err := codec.Marshal(r.msg)
+					if err != nil {
+						t.Fatalf("Marshal(%T) after the run: %v", r.msg, err)
+					}
+					if !bytes.Equal(now, r.enc) {
+						t.Errorf("%v/%s/%s: a %T received by node %d was changed after it arrived:\n then %x\n now  %x",
+							kind, cond.Name, form, r.msg, r.to, r.enc, now)
+						break
+					}
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"log/slog"
 	"net"
 	"runtime"
@@ -480,13 +481,15 @@ func TestWriterSendAllocs(t *testing.T) {
 }
 
 // TestReaderDecodeAllocs: from bytes on the stream to HandleMessage a
-// frame allocates its message and that message's payload, nothing else
-// — no frame body, no cursor, no closure.
+// frame allocates its message and, the first time the node sees it,
+// that message's payload — nothing else: no frame body, no cursor, no
+// closure. A payload the node decoded recently comes from its interning
+// table, so a repeat of it costs the message alone.
 func TestReaderDecodeAllocs(t *testing.T) {
 	mn := NewMemNet()
 	_, _, rec := startPair(t, mn, nil)
 	rec.hit = make(chan struct{}, 1)
-	rec.got = make([]arrival, 0, 1024)
+	rec.got = make([]arrival, 0, 2048)
 
 	conn, err := mn.Dial("mem:b", time.Second)
 	if err != nil {
@@ -503,18 +506,39 @@ func TestReaderDecodeAllocs(t *testing.T) {
 	if _, err := conn.Write(w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	w.Reset()
-	if err := codec.AppendFrame(w, dataMsg(0)); err != nil {
-		t.Fatal(err)
-	}
-	frame := w.Bytes()
-	got := testing.AllocsPerRun(500, func() {
-		if _, err := conn.Write(frame); err != nil {
-			t.Error(err)
+	// frame encodes a DataMsg whose 256-byte payload is unique to seq.
+	frame := func(seq int) []byte {
+		msg := dataMsg(seq)
+		binary.LittleEndian.PutUint64(msg.Payload, uint64(seq))
+		w := wire.NewWriter(0)
+		if err := codec.AppendFrame(w, msg); err != nil {
+			t.Fatal(err)
 		}
-		<-rec.hit
-	})
-	if got != 2 {
-		t.Errorf("a frame allocates %v times between the stream and the handler, want 2 (message, payload)", got)
+		return w.Bytes()
+	}
+	measure := func(frames [][]byte) float64 {
+		i := 0
+		return testing.AllocsPerRun(len(frames)-1, func() {
+			if _, err := conn.Write(frames[i]); err != nil {
+				t.Error(err)
+			}
+			i++
+			<-rec.hit
+		})
+	}
+	const runs = 500
+	fresh := make([][]byte, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range fresh {
+		fresh[i] = frame(1 + i)
+	}
+	if got := measure(fresh); got != 2 {
+		t.Errorf("a frame with a new payload allocates %v times between the stream and the handler, want 2 (message, payload)", got)
+	}
+	repeat := make([][]byte, runs+1)
+	for i := range repeat {
+		repeat[i] = fresh[runs]
+	}
+	if got := measure(repeat); got != 1 {
+		t.Errorf("a frame repeating a payload allocates %v times between the stream and the handler, want 1 (message)", got)
 	}
 }

@@ -110,6 +110,10 @@ type Node struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 	stats  wireStats
+	// intern is the table every inbound connection decodes through, so
+	// a payload flooded in over several links is held once per node.
+	// It is the node's, not the codec's: nodes may share one Codec.
+	intern *wire.Interner
 
 	// Netem link state, touched only on the event-loop goroutine (Send
 	// runs there): per-(destination, message type) sequence numbers —
@@ -315,6 +319,7 @@ func Listen(cfg Config) (*Node, error) {
 		rng:      rand.New(rand.NewPCG(cfg.Seed, stream)),
 		events:   make(chan event, cfg.MailboxSize),
 		done:     make(chan struct{}),
+		intern:   wire.NewInterner(),
 		addrBook: make(map[proto.NodeID]string, len(cfg.AddrBook)),
 		conns:    make(map[proto.NodeID]*peer),
 		inbound:  make(map[net.Conn]struct{}),
@@ -420,7 +425,8 @@ func (n *Node) acceptLoop() {
 
 // readLoop consumes frames from one inbound connection. The first frame
 // is the handshake (sender's NodeID); the rest are protocol messages,
-// each decoded in place from the connection's read buffer.
+// each decoded in place from the connection's read buffer, byte strings
+// shared through the node's interning table.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -453,7 +459,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		msg, err := n.cfg.Codec.Unmarshal(frame)
+		msg, err := n.cfg.Codec.UnmarshalInterned(frame, n.intern)
 		if err != nil {
 			n.stats.bad()
 			n.cfg.Logger.Warn("bad frame", "from", from, "err", err)

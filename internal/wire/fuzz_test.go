@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/adaptive"
@@ -204,4 +205,106 @@ func FuzzFrameStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzInternedDecode holds the transport's decode path to plain
+// Unmarshal: an arbitrary stream of frames, read twice through one
+// Interner (the second pass finds what the first left in the table),
+// must decode to exactly the messages Unmarshal decodes — nil and empty
+// byte strings included — with every byte string exact-size. Scribbling
+// over each frame once decoded, and the evictions of later frames, must
+// change no result already returned.
+func FuzzInternedDecode(f *testing.F) {
+	codec := fuzzCodec()
+	stream := func(msgs ...wire.Encodable) []byte {
+		w := wire.NewWriter(0)
+		for _, m := range msgs {
+			if err := codec.AppendFrame(w, m); err != nil {
+				f.Fatalf("seeding: %v", err)
+			}
+		}
+		return w.Bytes()
+	}
+	f.Add([]byte{})
+	f.Add(stream(
+		&flood.DataMsg{ID: [16]byte{1}, Hops: 1, Payload: []byte("tx")},
+		&flood.DataMsg{ID: [16]byte{1}, Hops: 2, Payload: []byte("tx")},
+		&flood.DataMsg{ID: [16]byte{2}, Payload: []byte{}},
+		&dcnet.RevealMsg{Round: 3, Shares: [][]byte{{1}, {}, nil}, Salts: [][]byte{{1}, {1}}},
+		&node.BlockMsg{Height: 1, Txs: [][]byte{[]byte("tx"), {}}},
+	))
+	// More distinct payloads than any table has slots, each sent twice
+	// some frames apart: evictions and slot collisions on every pass.
+	var many []wire.Encodable
+	for i := 0; i < 600; i++ {
+		p := []byte{byte(i), byte(i >> 8), 0x5a}
+		many = append(many, &flood.DataMsg{Hops: uint16(i), Payload: p}, &dandelion.StemMsg{Payload: p})
+	}
+	f.Add(stream(many...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := wire.NewInterner()
+		var got []wire.Encodable
+		var want [][]byte // got's encodings, taken as each was decoded
+		for pass := 0; pass < 2; pass++ {
+			frames := wire.NewFrameReader(bytes.NewReader(data))
+			for {
+				frame, err := frames.Next()
+				if err != nil {
+					break
+				}
+				plain, perr := codec.Unmarshal(frame)
+				interned, ierr := codec.UnmarshalInterned(frame, in)
+				if (perr == nil) != (ierr == nil) {
+					t.Fatalf("Unmarshal error %v, interned decode error %v", perr, ierr)
+				}
+				if perr != nil {
+					continue
+				}
+				if !reflect.DeepEqual(interned, plain) {
+					t.Fatalf("interned decode differs:\n got %#v\nwant %#v", interned, plain)
+				}
+				checkExactSize(t, reflect.ValueOf(interned))
+				enc, err := codec.Marshal(plain)
+				if err != nil {
+					t.Fatalf("decoded message failed to re-marshal: %v", err)
+				}
+				got, want = append(got, interned), append(want, enc)
+				for i := range frame {
+					frame[i] = 0xff
+				}
+			}
+		}
+		for i, m := range got {
+			if enc, _ := codec.Marshal(m); !bytes.Equal(enc, want[i]) {
+				t.Fatalf("message %d changed after decoding:\n got %x\nwant %x", i, enc, want[i])
+			}
+		}
+	})
+}
+
+// checkExactSize fails t for any byte string reachable from v whose
+// capacity exceeds its length.
+func checkExactSize(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			checkExactSize(t, v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			checkExactSize(t, v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			if v.Cap() != v.Len() {
+				t.Fatalf("decoded %v has cap %d, len %d", v.Type(), v.Cap(), v.Len())
+			}
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			checkExactSize(t, v.Index(i))
+		}
+	}
 }

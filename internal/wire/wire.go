@@ -121,15 +121,18 @@ func (w *Writer) Float64(f float64) { w.U64(math.Float64bits(f)) }
 
 // Reader is a sticky-error decoding cursor over a byte slice. It never
 // returns a slice of its input: every accessor copies (ByteString, MsgID,
-// Bytes32, String) or returns a value, so a decoded message owns its
-// memory and the input may be overwritten as soon as DecodeFrom returns.
-// The transport decodes frames in place from a reused read buffer on
-// the strength of this rule; TestDecodedMessagesDoNotAliasInput (flexnet)
-// holds every registered message to it.
+// Bytes32, String) or returns a value, so the input may be overwritten
+// as soon as DecodeFrom returns. The transport decodes frames in place
+// from a reused read buffer on the strength of this rule;
+// TestDecodedMessagesDoNotAliasInput (flexnet) holds every registered
+// message to it.
 type Reader struct {
 	buf []byte
 	off int
 	err error
+	// intern, when non-nil, is the table ByteString shares decoded
+	// strings through (Codec.UnmarshalInterned).
+	intern *Interner
 }
 
 // NewReader returns a Reader over b. The reader does not copy b.
@@ -234,8 +237,9 @@ func (r *Reader) Bytes32() [32]byte {
 }
 
 // ByteString reads a uvarint-length-prefixed byte string. The returned
-// slice is a copy, so it remains valid after the underlying buffer is
-// reused.
+// slice has cap == len and never aliases the input, so it remains valid
+// after the underlying buffer is reused; it may be shared with other
+// decodes of the same node (Interner), so it is read-only.
 func (r *Reader) ByteString() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
@@ -249,6 +253,15 @@ func (r *Reader) ByteString() []byte {
 	if b == nil {
 		return nil
 	}
+	if r.intern != nil {
+		return r.intern.intern(b)
+	}
+	return clone(b)
+}
+
+// clone returns a copy of b of exactly its length (bytes.Clone rounds
+// the capacity up to an allocation size class).
+func clone(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
@@ -328,12 +341,21 @@ func (c *Codec) Marshal(m Encodable) ([]byte, error) {
 }
 
 // Unmarshal decodes a full message produced by Marshal. The message does
-// not alias b (see Reader).
+// not alias b (see Reader), and every byte string in it is a fresh copy.
 func (c *Codec) Unmarshal(b []byte) (Encodable, error) {
+	return c.UnmarshalInterned(b, nil)
+}
+
+// UnmarshalInterned is Unmarshal with the message's byte strings shared
+// through t: a string equal to one t holds is returned as that slice,
+// not copied again. The transport decodes every frame a node reads
+// through the node's own table, so a payload flooded in over several
+// links is held once. A nil t is Unmarshal.
+func (c *Codec) UnmarshalInterned(b []byte, t *Interner) (Encodable, error) {
 	r := readers.Get().(*Reader)
-	*r = Reader{buf: b}
+	*r = Reader{buf: b, intern: t}
 	m, err := c.decode(r)
-	r.buf = nil
+	*r = Reader{}
 	readers.Put(r)
 	return m, err
 }
