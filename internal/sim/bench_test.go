@@ -42,10 +42,14 @@ func BenchmarkEngineChurn1M(b *testing.B) {
 // queueBenchHandler keeps a fixed event population alive: every delivery
 // schedules one more, straight into the engine's queue (no link model,
 // no counters), to a destination and after a delay drawn from a cheap
-// xorshift stream — so what a run measures is queue plus dispatch.
+// xorshift stream — so what a run measures is queue plus dispatch. With
+// a fan-out f, every f-th delivery instead schedules f at once, with
+// consecutive sequence numbers: the per-sender groups of a flood wave.
 type queueBenchHandler struct {
 	rng    uint64
 	jitter time.Duration // 0: every delay is exactly benchHop
+	fanout int           // ≤ 1: one delivery per delivery
+	count  int
 }
 
 const benchHop = 50 * time.Millisecond
@@ -54,27 +58,36 @@ func (*queueBenchHandler) Init(proto.Context)             {}
 func (*queueBenchHandler) HandleTimer(proto.Context, any) {}
 
 func (h *queueBenchHandler) HandleMessage(ctx proto.Context, _ proto.NodeID, msg proto.Message) {
-	n := ctx.(*simNode)
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	delay := benchHop
-	if h.jitter > 0 {
-		delay += time.Duration(h.rng>>20) % h.jitter
+	sends := 1
+	if h.fanout > 1 {
+		if h.count++; h.count%h.fanout != 0 {
+			return
+		}
+		sends = h.fanout
 	}
-	n.schedSeq++
-	n.eng.scheduleDeliver(n.eng.now+delay, evKey{src: n.id, seq: n.schedSeq}, proto.NodeID(h.rng%uint64(len(n.net.nodes))), msg)
+	n := ctx.(*simNode)
+	for range sends {
+		h.rng ^= h.rng << 13
+		h.rng ^= h.rng >> 7
+		h.rng ^= h.rng << 17
+		delay := benchHop
+		if h.jitter > 0 {
+			delay += time.Duration(h.rng>>20) % h.jitter
+		}
+		n.schedSeq++
+		n.eng.scheduleDeliver(n.eng.now+delay, evKey{src: n.id, seq: n.schedSeq}, proto.NodeID(h.rng%uint64(len(n.net.nodes))), msg)
+	}
 }
 
 // benchEngineQueue runs one million events per op against a standing
 // population of `pending` deliveries.
-func benchEngineQueue(b *testing.B, pending int, jitter time.Duration) {
+func benchEngineQueue(b *testing.B, pending int, jitter time.Duration, fanout int) {
 	g, err := topology.Ring(1024)
 	if err != nil {
 		b.Fatal(err)
 	}
 	net := NewNetwork(g, Options{Seed: 1})
-	h := &queueBenchHandler{rng: 0x9e3779b97f4a7c15, jitter: jitter}
+	h := &queueBenchHandler{rng: 0x9e3779b97f4a7c15, jitter: jitter, fanout: fanout}
 	net.SetHandlers(func(proto.NodeID) proto.Handler { return h })
 	net.Start()
 	msg := &flood.DataMsg{}
@@ -94,13 +107,18 @@ func benchEngineQueue(b *testing.B, pending int, jitter time.Duration) {
 // BenchmarkEngineWave is the constant-latency regime: the whole
 // population lands on one instant, so the queue does one sort per wave
 // and no bucket-to-bucket moves. pending=1k is the small-network case
-// that used to fit the old heap in cache.
+// that used to fit the old heap in cache; fanout=7 gives the wave a
+// flood's per-sender groups, which the run sort's gather reads nearly in
+// sequence.
 func BenchmarkEngineWave(b *testing.B) {
 	for _, c := range []struct {
-		name    string
-		pending int
-	}{{"pending=1k", 1_000}, {"pending=100k", 100_000}, {"pending=1M", 1_000_000}} {
-		b.Run(c.name, func(b *testing.B) { benchEngineQueue(b, c.pending, 0) })
+		name            string
+		pending, fanout int
+	}{
+		{"pending=1k", 1_000, 1}, {"pending=100k", 100_000, 1}, {"pending=1M", 1_000_000, 1},
+		{"pending=1M/fanout=7", 1_000_000, 7},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchEngineQueue(b, c.pending, 0, c.fanout) })
 	}
 }
 
@@ -112,7 +130,7 @@ func BenchmarkEngineJitter(b *testing.B) {
 		name    string
 		pending int
 	}{{"pending=1k", 1_000}, {"pending=100k", 100_000}} {
-		b.Run(c.name, func(b *testing.B) { benchEngineQueue(b, c.pending, 20*time.Millisecond) })
+		b.Run(c.name, func(b *testing.B) { benchEngineQueue(b, c.pending, 20*time.Millisecond, 1) })
 	}
 }
 

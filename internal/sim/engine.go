@@ -33,26 +33,35 @@
 // executed (lastTick) goes to bucket bits.Len64(tick ^ lastTick); when the
 // current tick is exhausted the lowest non-empty bucket is redistributed
 // once: entries of its earliest tick become the run — one contiguous
-// slice sorted once by (at, tag) and consumed by index — and the rest
-// drop into strictly lower buckets. Entries pushed into the tick being
-// executed (or, should a caller ever break monotonicity, below it) go to
-// a small 4-ary heap that pop merges with the run. Bucket geometry thus
-// only decides *when* an entry is sorted, never how: pops follow the
-// exact total order (at, src, seq) whatever is pushed, and monotonicity
-// is a performance assumption, not a correctness one.
+// slice consumed by index — and the rest drop into strictly lower
+// buckets. The run is ordered by (at, tag) without sorting entries: the
+// pass compacts them in place into the drained chunks, each gets an
+// 8-byte key of the bits of (at, src, seq) that vary over the run plus
+// its chunk slot, an LSD radix sort orders the keys, and one gather
+// copies every entry from its chunk to its place (sortRun). Runs that fit
+// one chunk, or whose key would not fit a word, take a comparison sort.
+// Entries pushed into the tick being executed (or, should a caller ever
+// break monotonicity, below it) go to a small 4-ary heap that pop merges
+// with the run. Bucket geometry thus only decides *when* an entry is
+// sorted, never how: pops follow the exact total order (at, src, seq)
+// whatever is pushed, and monotonicity is a performance assumption, not a
+// correctness one.
 //
-// The engine is allocation-free in steady state: chunks, the run buffer
-// and the in-tick heap are reused, a message delivery — the hot path — is
-// carried entirely inside its queue entry, and the two cancellable event
-// kinds (callbacks and node timers) keep their payload in a slot arena
-// recycled through a free list. Timer handles are generation-counted so
-// cancelling after the slot has been recycled is a safe no-op.
+// The engine is allocation-free in steady state: chunks, the run buffer,
+// the sort's keys and the in-tick heap are reused, a message delivery —
+// the hot path — is carried entirely inside its queue entry, and the two
+// cancellable event kinds (callbacks and node timers) keep their payload
+// in a slot arena recycled through a free list. Timer handles are
+// generation-counted so cancelling after the slot has been recycled is a
+// safe no-op.
 package sim
 
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/proto"
@@ -209,11 +218,25 @@ type Engine struct {
 	lastTick   uint64
 	run        []entry
 	head       int
+	runHeld    *chunk // the chunk run lives in, when it fits one
 	late       []entry
 	buckets    [numBuckets]bucket
 	nonEmpty   uint64 // bit b set iff buckets[b].top != nil
 	freeChunks *chunk
 	pending    int
+
+	// The run refill is building, in engine fields rather than locals so
+	// that the mover path — bucketPush, several calls per event under
+	// jitter — carries as little across its call as it did before: the
+	// drained chunks the run is compacted into (all full but the last,
+	// runTop, which holds runFill entries) and which of its key bits vary.
+	// runChunks and runTop hold no chunk between refills.
+	runChunks []*chunk
+	runFirst  [16]*chunk // runChunks' first backing: no growth below 2048 entries
+	runTop    *chunk
+	runFill   int
+	runSpan   runSpan
+	scratch   *scratchRef // the run sort's scratch, once a run outgrew a chunk
 
 	// Queue cost counters, bumped per refill rather than per event:
 	// refills, entries moved to a lower bucket, largest single-tick run.
@@ -227,11 +250,16 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at virtual time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{scratch: new(scratchRef)}
+	e.runChunks = e.runFirst[:0]
+	runtime.AddCleanup(e, releaseScratch, e.scratch)
+	return e
+}
 
 // Reset rewinds the engine to virtual time zero for a fresh run while
-// keeping the arena blocks, chunks and run buffer, so a reset engine
-// behaves exactly like a new one without re-allocating. All pending
+// keeping the arena blocks, chunks, run buffer and sort keys, so a reset
+// engine behaves exactly like a new one without re-allocating. All pending
 // events are dropped along with every message and payload reference the
 // queue or the arena still holds; every outstanding Timer handle must be
 // discarded by the caller (generations restart, so a stale handle could
@@ -248,14 +276,20 @@ func (e *Engine) Reset() {
 		}
 	}
 	e.buckets = [numBuckets]bucket{}
+	if e.runHeld != nil {
+		e.freeChunk(e.runHeld)
+		e.runHeld = nil
+	}
 	// Chunks, run and heap are not scrubbed as they drain (the next push
 	// overwrites them), so scrub all of it here, capacity included.
 	for c := e.freeChunks; c != nil; c = c.next {
 		c.ents = [chunkLen]entry{}
 	}
-	clear(e.run[:cap(e.run)])
+	if sc := e.scratch.sc; sc != nil {
+		clear(sc.run[:cap(sc.run)])
+	}
 	clear(e.late[:cap(e.late)])
-	e.run, e.late = e.run[:0], e.late[:0]
+	e.run, e.late = nil, e.late[:0]
 	e.lastTick, e.head, e.nonEmpty, e.pending = 0, 0, 0, 0
 	e.free = e.free[:0]
 	// Zero the used prefix of the arena: drops payload references and
@@ -345,16 +379,32 @@ func (e *Engine) freeChunk(c *chunk) {
 // highest bit differing from the new lastTick lies below the bucket's
 // own). Called only with run and in-tick heap exhausted and a bucket
 // non-empty.
+//
+// The one pass over the bucket compacts the run's entries, in place, into
+// a prefix of the drained chunks (e.runChunks, all full but the last) and
+// frees every other drained chunk as soon as it is read, so the movers
+// reuse them and the queue's footprint stays its peak population. The
+// full chunks go first and the partial top chunk last: when nothing
+// moves — a constant-latency wave — every entry stays where it is.
 func (e *Engine) refill() {
 	b := bits.TrailingZeros64(e.nonEmpty)
 	bk := &e.buckets[b]
-	c := bk.top
+	top := bk.top
 	last := tickOf(bk.lo)
 	*bk = bucket{}
 	e.nonEmpty &^= 1 << b
 	e.lastTick = last
-	run := e.run[:0]
-	for c != nil {
+	if e.runHeld != nil {
+		// The run is consumed: its chunk goes back for the movers.
+		e.freeChunk(e.runHeld)
+		e.runHeld = nil
+	}
+
+	e.runTop, e.runFill, e.runSpan = nil, chunkLen, newRunSpan()
+	for c, done := top.next, false; !done; {
+		if c == nil {
+			c, done = top, true
+		}
 		for i := range c.ents[:c.n] {
 			ent := &c.ents[i]
 			if tick := tickOf(ent.at); tick != last {
@@ -362,21 +412,50 @@ func (e *Engine) refill() {
 				e.moves++
 				continue
 			}
-			if len(run) == cap(run) {
-				// Double explicitly: Go's 1.25× growth policy for large
-				// slices would copy ~4× the final size.
-				run = slices.Grow(run, max(chunkLen, len(run)))
+			// Compact the entry into the next free slot of the run's
+			// chunks (state in e: see runChunks).
+			if e.runFill == chunkLen {
+				e.takeRunChunk(c)
 			}
-			run = append(run, *ent)
+			e.runSpan.add(ent)
+			if w := e.runTop; w != c || e.runFill != i {
+				w.ents[e.runFill] = *ent
+			}
+			e.runFill++
 		}
 		next := c.next
-		e.freeChunk(c)
+		if c != e.runTop {
+			e.freeChunk(c)
+		}
 		c = next
 	}
-	sortRun(run, 2*bits.Len(uint(len(run))))
-	e.run, e.head = run, 0
+
+	n := (len(e.runChunks)-1)*chunkLen + e.runFill
+	if n <= chunkLen {
+		// A run that fits one chunk is sorted in place, and the chunk
+		// backs it until the next refill.
+		c := e.runChunks[0]
+		e.run, e.runHeld = c.ents[:n:n], c
+		sortEntries(e.run, 2*bits.Len(uint(n)))
+		e.runChunks[0] = nil
+	} else {
+		e.sortRun(n)
+		for i, c := range e.runChunks {
+			e.freeChunk(c)
+			e.runChunks[i] = nil
+		}
+	}
+	e.runChunks, e.runTop, e.head = e.runChunks[:0], nil, 0
 	e.refills++
-	e.maxRun = max(e.maxRun, len(run))
+	e.maxRun = max(e.maxRun, n)
+}
+
+// takeRunChunk starts a new run chunk once the last is full. The writer
+// never passes the reader: it takes the chunk being read, whose entries
+// at and before the current one have all been read.
+func (e *Engine) takeRunChunk(c *chunk) {
+	e.runChunks = append(e.runChunks, c)
+	e.runTop, e.runFill = c, 0
 }
 
 // pop removes and returns the earliest pending entry; the queue must not
@@ -616,13 +695,193 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// sortRun sorts one tick's entries by (at, tag): a quicksort with the
-// compare inlined (a comparison func through slices.SortFunc costs the
-// small-wave workloads 5 %), insertion sort below 12 entries. Keys are
-// unique, so the result is the one total order whatever the pivots; depth
-// bounds the recursion, falling back to the library's guaranteed
-// O(n log n) on an adversarial input.
-func sortRun(a []entry, depth int) {
+// runSpan records which bits of the ordering fields vary over one run:
+// a bit set in or and clear in and differs between two entries. Every
+// bit above the highest varying one is common to the run, so a field
+// orders the run exactly as its bits up to that one do.
+type runSpan struct {
+	atOr, atAnd   uint64
+	tagOr, tagAnd uint64
+}
+
+func newRunSpan() runSpan { return runSpan{atAnd: math.MaxUint64, tagAnd: math.MaxUint64} }
+
+func (s *runSpan) add(ent *entry) {
+	s.atOr |= uint64(ent.at)
+	s.atAnd &= uint64(ent.at)
+	s.tagOr |= ent.tag
+	s.tagAnd &= ent.tag
+}
+
+// Run sort geometry (DESIGN §2 has the measurements behind it): a digit
+// is at most radixMaxDigit bits, and narrower on short runs (radixPlan).
+const radixMaxDigit = 12
+
+// radixPlan decides whether an n-entry run longer than a chunk, whose key
+// fields vary over width bits, is sorted by key. That pays only when the
+// key fits a word and the radix sort makes fewer passes over 8-byte keys
+// than a comparison sort makes levels, log2(n), over 40-byte entries.
+// Its digits are at most radixMaxDigit bits wide, its counting tables
+// have no more bins than half the keys, and the fewest passes that
+// allows share the width evenly.
+func radixPlan(n, width int) (passes, digit int, ok bool) {
+	dmax := min(max(bits.Len(uint(n))-2, 4), radixMaxDigit)
+	passes = (width + dmax - 1) / dmax
+	if passes > 0 {
+		digit = (width + passes - 1) / passes
+	}
+	ok = width+bits.Len(uint(n-1)) <= 64 && passes < bits.Len(uint(n))
+	return passes, digit, ok
+}
+
+// runScratch is the run sort's working space: the buffer a run longer
+// than a chunk is sorted into, the keys and their ping-pong half, and the
+// digit counts of every pass. An engine borrows one from scratchPool the
+// first time a run outgrows a chunk and keeps it, so its steady state
+// never touches the pool; the cleanup NewEngine registers hands it back
+// once the engine is unreachable, so per-call networks (composed1k)
+// reuse the buffers of the ones before them instead of growing their own.
+type runScratch struct {
+	run  []entry
+	keys []uint64
+	// count holds one table of 2^d bins per pass, back to back;
+	// passes·2^d peaks at 6·2^12 (a 64-bit field in 12-bit digits).
+	count [1 << 15]uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// scratchRef is the engine's hold on its scratch, apart from the engine
+// so that the cleanup can reach the scratch without keeping the engine.
+type scratchRef struct{ sc *runScratch }
+
+// releaseScratch returns a dead engine's scratch to the pool, its run
+// buffer scrubbed so the pool pins no handler's messages.
+func releaseScratch(r *scratchRef) {
+	if sc := r.sc; sc != nil {
+		clear(sc.run[:cap(sc.run)])
+		scratchPool.Put(sc)
+	}
+}
+
+// sortRun orders the run refill compacted into e.runChunks — slot s is
+// runChunks[s/chunkLen].ents[s%chunkLen], n > chunkLen of them — by
+// (at, tag) into e.run. Each entry gets a one-word key, at | src | seq |
+// slot, each field cut to its bits that vary (e.runSpan). An LSD radix
+// sort orders the keys on every bit above the slot, and one gather then
+// copies each entry once, from its chunk to its place in the run. Keys
+// are unique without the slot, so this is the one total order. Fire
+// times are never negative, so the at field orders as its unsigned bits
+// do.
+//
+// A run radixPlan turns down is copied to the run buffer and sorted by
+// sortEntries. refill sorts a run that fits one chunk itself, in place.
+// Either way the run buffer is the engine's scratch (see runScratch).
+func (e *Engine) sortRun(n int) {
+	chunks, sp := e.runChunks, e.runSpan
+	tagVary := sp.tagOr ^ sp.tagAnd
+	aBits := bits.Len64(sp.atOr ^ sp.atAnd)
+	sBits := bits.Len32(uint32(tagVary >> 32))
+	qBits := bits.Len32(uint32(tagVary))
+	slotBits := bits.Len(uint(n - 1))
+	passes, digit, ok := radixPlan(n, aBits+sBits+qBits)
+	sc := e.scratch.sc
+	if sc == nil {
+		sc = scratchPool.Get().(*runScratch)
+		e.scratch.sc = sc
+	}
+	if cap(sc.run) < n {
+		// Sized to the chunks the run came from, not doubled: a flood's
+		// waves grow ×7 at a time. At least a quarter more, though, so
+		// runs that creep up a few entries per tick regrow only
+		// logarithmically often.
+		sc.run = make([]entry, 0, max(len(chunks)*chunkLen, cap(sc.run)*5/4))
+	}
+	run := sc.run[:n]
+	e.run = run
+	if !ok {
+		for i, c := range chunks {
+			copy(run[i*chunkLen:], c.ents[:])
+		}
+		sortEntries(run, 2*bits.Len(uint(n)))
+		return
+	}
+	if cap(sc.keys) < 2*n {
+		sc.keys = make([]uint64, 0, max(2*n, cap(sc.keys)*5/4))
+	}
+	keys, tmp := sc.keys[:n], sc.keys[n:2*n]
+	aMask := uint64(1)<<aBits - 1
+	sMask := uint64(1)<<sBits - 1
+	qMask := uint64(1)<<qBits - 1
+	qShift := slotBits
+	sShift := qShift + qBits
+	aShift := sShift + sBits
+	for i, c := range chunks {
+		base := i * chunkLen
+		ents := c.ents[:min(chunkLen, n-base)]
+		ks := keys[base:][:len(ents)]
+		for j := range ents {
+			ent := &ents[j]
+			ks[j] = uint64(ent.at)&aMask<<aShift |
+				ent.tag>>32&sMask<<sShift |
+				ent.tag&qMask<<qShift |
+				uint64(base+j)
+		}
+	}
+	keys = sc.sort(keys, tmp, slotBits, passes, digit)
+	slot := uint64(1)<<slotBits - 1
+	run = run[:len(keys)]
+	for i, k := range keys {
+		s := k & slot
+		run[i] = chunks[s/chunkLen].ents[s%chunkLen]
+	}
+}
+
+// sort orders keys by their bits [lo, lo+passes·d) with LSD counting
+// passes of d-bit digits, every pass's digit counts read off one
+// histogram pass up front, and returns whichever of keys and tmp holds
+// the result. Each pass is stable, so together they sort on the whole
+// field; a pass whose digit is the same in every key is skipped.
+func (sc *runScratch) sort(keys, tmp []uint64, lo, passes, d int) []uint64 {
+	const countMask = len(runScratch{}.count) - 1
+	mask := uint64(1)<<d - 1
+	count := &sc.count
+	clear(count[:passes<<d])
+	for _, k := range keys {
+		k >>= lo & 63
+		for p := 0; p < passes; p++ {
+			count[(p<<d|int(k&mask))&countMask]++
+			k >>= d & 63
+		}
+	}
+	for p := 0; p < passes; p++ {
+		cnt := count[p<<d : (p+1)<<d]
+		sh := (lo + p*d) & 63
+		if cnt[keys[0]>>sh&mask] == uint32(len(keys)) {
+			continue
+		}
+		var sum uint32
+		for i, c := range cnt {
+			cnt[i] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			i := (p<<d | int(k>>sh&mask)) & countMask
+			tmp[count[i]] = k
+			count[i]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// sortEntries sorts entries by (at, tag): a quicksort with the compare
+// inlined (a comparison func through slices.SortFunc costs the small-wave
+// workloads 5 %), insertion sort below 12 entries. Keys are unique, so
+// the result is the one total order whatever the pivots; depth bounds the
+// recursion, falling back to the library's guaranteed O(n log n) on an
+// adversarial input.
+func sortEntries(a []entry, depth int) {
 	for len(a) > 12 {
 		if depth == 0 {
 			slices.SortFunc(a, func(x, y entry) int {
@@ -660,10 +919,10 @@ func sortRun(a []entry, depth int) {
 		}
 		// a[:i] ≤ pivot ≤ a[i:], both non-empty; recurse into the smaller.
 		if i < len(a)-i {
-			sortRun(a[:i], depth)
+			sortEntries(a[:i], depth)
 			a = a[i:]
 		} else {
-			sortRun(a[i:], depth)
+			sortEntries(a[i:], depth)
 			a = a[:i]
 		}
 	}

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,7 +106,8 @@ type queueDiff struct {
 	steps    uint64
 	ctlSeq   uint32
 	schedSeq [queueNodes]uint32
-	state    []evState // per event id
+	synth    map[proto.NodeID]uint32 // sequence of senders outside the network
+	state    []evState               // per event id
 	handles  []queueHandle
 }
 
@@ -501,6 +505,246 @@ func FuzzQueueOrder(f *testing.F) {
 	})
 }
 
+// synthKey draws the next ordering key of a sender outside the hosting
+// network's four nodes: the engine orders any int32 sender, and how far
+// apart the senders of a run lie decides how its keys are sorted.
+func (d *queueDiff) synthKey(src proto.NodeID) evKey {
+	if d.synth == nil {
+		d.synth = map[proto.NodeID]uint32{}
+	}
+	d.synth[src]++
+	return evKey{src: src, seq: d.synth[src]}
+}
+
+// groupWave schedules a same-instant wave the way a flood produces one:
+// each of `senders` spread-out senders sends `fanout` deliveries with
+// ascending sequence numbers, the senders' groups in shuffled order.
+func (d *queueDiff) groupWave(senders, fanout int, delay time.Duration, seed uint64) {
+	at := d.at(delay)
+	for _, s := range rand.New(rand.NewPCG(seed, 7)).Perm(senders) {
+		src := proto.NodeID(s*37 + 5)
+		for j := 0; j < fanout; j++ {
+			d.pushDeliver(at, d.synthKey(src), proto.NodeID(j%queueNodes))
+		}
+	}
+}
+
+// TestQueueWaveGroups holds the key sort to the oracle on the runs a
+// constant-latency flood makes: same-instant waves of 10 k to 300 k
+// entries in per-sender ascending groups. After three pops a second wave
+// lands on the instant being executed (the in-tick heap, merged with the
+// run) and a third one hop later.
+func TestQueueWaveGroups(t *testing.T) {
+	d := newQueueDiff(t)
+	for i, c := range []struct{ senders, fanout int }{
+		{10_000 / 7, 7}, {30_000, 1}, {2_000, 50}, {100_000 / 7, 7}, {300_000 / 7, 7},
+	} {
+		if testing.Short() && c.senders*c.fanout > 100_000 {
+			continue
+		}
+		d.groupWave(c.senders, c.fanout, 50*time.Millisecond, uint64(i))
+		d.peek()
+		for j := 0; j < 3; j++ {
+			d.popOne()
+		}
+		d.groupWave(c.senders/2, c.fanout, 0, uint64(i+100))
+		d.groupWave(c.senders/3, c.fanout, 50*time.Millisecond, uint64(i+200))
+		d.drain()
+	}
+}
+
+// TestQueueJitterRuns holds the sort to the oracle on runs whose fire
+// times spread over one tick, at lengths on both sides of a chunk, where
+// the sort switches from in place to by key, and longer.
+func TestQueueJitterRuns(t *testing.T) {
+	const tick = time.Duration(1) << tickBits
+	d := newQueueDiff(t)
+	rng := rand.New(rand.NewPCG(3, 3))
+	for _, n := range []int{1, 2, 64, 127, 128, 129, 130, 200, 255, 256, 257, 511, 512, 700, 2000, 20_000} {
+		base := (d.now/tick + 3) * tick
+		for i := 0; i < n; i++ {
+			at := base + time.Duration(rng.Int64N(int64(tick)))
+			d.pushDeliver(at, d.synthKey(proto.NodeID(rng.IntN(100_000))), proto.NodeID(i%queueNodes))
+		}
+		// A few from the hosting nodes, one at the tick's last instant.
+		d.pushDeliver(base+tick-1, d.key(1), 2)
+		d.pushDeliver(base, d.key(3), 0)
+		d.peek()
+		d.popOne()
+		d.drain()
+	}
+}
+
+// TestQueueMovedIntoRun sorts one tick whose entries arrive by both
+// routes: pushed early into a high bucket and moved down by a refill, and
+// pushed later straight into the bucket they were moved to.
+func TestQueueMovedIntoRun(t *testing.T) {
+	const tick = time.Duration(1) << tickBits
+	d := newQueueDiff(t)
+	at := 1000*tick + 5
+	d.groupWave(3000, 7, at, 1)
+	// Two ticks earlier and in the same bucket: its refill moves the wave.
+	d.pushDeliver(at-2*tick, d.synthKey(9), 1)
+	moves := d.e.moves
+	d.runUntil(at - 2*tick)
+	if got := d.e.moves - moves; got != 3000*7 {
+		t.Fatalf("the refill of the early event moved %d entries, want the wave's %d", got, 3000*7)
+	}
+	d.groupWave(2000, 7, at-d.now, 2)
+	for i := 0; i < 500; i++ {
+		d.pushDeliver(at+time.Duration(i*97), d.synthKey(proto.NodeID(i)), 3)
+	}
+	d.drain()
+}
+
+// TestQueueKeyFallback drives runs whose key spans do not fit one word —
+// a sender near 2³¹, a sequence number near 2³², fire times across the
+// whole tick — so the comparison sort takes runs the key sort would
+// otherwise own.
+func TestQueueKeyFallback(t *testing.T) {
+	const tick = time.Duration(1) << tickBits
+	d := newQueueDiff(t)
+	rng := rand.New(rand.NewPCG(4, 4))
+	for _, n := range []int{129, 5000} {
+		base := (d.now/tick + 2) * tick
+		for i := 0; i < n; i++ {
+			key := evKey{src: proto.NodeID(rng.IntN(1000)), seq: uint32(i)}
+			switch i % 4 {
+			case 0:
+				key.src = math.MaxInt32 - proto.NodeID(i)
+			case 1:
+				key.seq = math.MaxUint32 - uint32(i)
+			}
+			d.pushDeliver(base+time.Duration(rng.Int64N(int64(tick))), key, proto.NodeID(i%queueNodes))
+		}
+		d.pushDeliver(base, evKey{src: ctlSrc, seq: 1}, 0)
+		d.pushDeliver(base+tick-1, evKey{src: math.MaxInt32, seq: math.MaxUint32}, 1)
+		d.drain()
+	}
+}
+
+// sortAsRun has e sort ents as refill would after compacting them into
+// run chunks, and returns the run.
+func sortAsRun(e *Engine, ents []entry) []entry {
+	if len(ents) <= chunkLen {
+		run := slices.Clone(ents)
+		sortEntries(run, 2*bits.Len(uint(len(run))))
+		return run
+	}
+	e.runChunks, e.runSpan = e.runChunks[:0], newRunSpan()
+	for i := range ents {
+		if i%chunkLen == 0 {
+			e.runChunks = append(e.runChunks, new(chunk))
+		}
+		e.runChunks[i/chunkLen].ents[i%chunkLen] = ents[i]
+		e.runSpan.add(&ents[i])
+	}
+	e.sortRun(len(ents))
+	return e.run
+}
+
+// spanEntries draws n entries with unique keys whose at, src+1 and seq
+// fields vary over exactly aBits, sBits and qBits bits above random
+// common high bits; idx numbers them so a lost or doubled entry shows.
+func spanEntries(rng *rand.Rand, n, aBits, sBits, qBits int) []entry {
+	field := func(bits, width int) (base, span uint64) {
+		span = uint64(1)<<bits - 1
+		if bits < width {
+			base = rng.Uint64() & (uint64(1)<<(width-bits) - 1) << bits
+		}
+		return base, span
+	}
+	atBase, atSpan := field(aBits, 63)
+	srcBase, srcSpan := field(sBits, 32)
+	seqBase, seqSpan := field(qBits, 32)
+	n = min(n, 1<<min(aBits+sBits+qBits, 20))
+	seen := make(map[[2]uint64]bool, n)
+	ents := make([]entry, 0, n)
+	for len(ents) < n {
+		r := [3]uint64{rng.Uint64() & atSpan, rng.Uint64() & srcSpan, rng.Uint64() & seqSpan}
+		switch len(ents) {
+		case 0: // pin each span's extremes
+			r = [3]uint64{}
+		case 1:
+			r = [3]uint64{atSpan, srcSpan, seqSpan}
+		}
+		at, tag := atBase|r[0], (srcBase|r[1])<<32|seqBase|r[2]
+		if seen[[2]uint64{at, tag}] {
+			continue
+		}
+		seen[[2]uint64{at, tag}] = true
+		ents = append(ents, entry{at: time.Duration(at), tag: tag, dst: proto.NodeID(len(ents) % 7), idx: int32(len(ents))})
+	}
+	return ents
+}
+
+func checkRunSorted(t testing.TB, ents, run []entry) {
+	t.Helper()
+	want := slices.Clone(ents)
+	slices.SortFunc(want, func(x, y entry) int {
+		if x.before(&y) {
+			return -1
+		}
+		if y.before(&x) {
+			return 1
+		}
+		return 0
+	})
+	if !slices.Equal(run, want) {
+		for i := range want {
+			if run[i] != want[i] {
+				t.Fatalf("%d-entry run differs from slices.SortFunc at %d: got %+v, want %+v", len(ents), i, run[i], want[i])
+			}
+		}
+		t.Fatalf("%d-entry run has %d entries", len(ents), len(run))
+	}
+}
+
+// TestQueueRunSort checks the run sort on runs either side of each line
+// it draws: one chunk, then radixPlan's pass count against log2 n and a
+// key that no longer fits a word.
+func TestQueueRunSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	e := NewEngine()
+	for _, c := range []struct {
+		n, aBits, sBits, qBits int
+		key                    bool // sorted by key
+	}{
+		{128, 0, 17, 3, false},
+		{129, 0, 17, 3, true},
+		{129, 17, 17, 8, true},   // 7 passes of 6 bits
+		{129, 17, 17, 9, false},  // 8 passes: log2 n levels
+		{1000, 17, 20, 17, true}, // 54 + 10 slot bits
+		{1000, 17, 20, 18, false},
+		{5000, 17, 31, 32, false},
+		{300_000, 0, 20, 4, true},
+		{40_000, 17, 17, 10, true},
+	} {
+		_, _, key := radixPlan(c.n, c.aBits+c.sBits+c.qBits)
+		if key = key && c.n > chunkLen; key != c.key {
+			t.Fatalf("radixPlan(%d, %d) takes the key sort: %t, want %t", c.n, c.aBits+c.sBits+c.qBits, key, c.key)
+		}
+		ents := spanEntries(rng, c.n, c.aBits, c.sBits, c.qBits)
+		checkRunSorted(t, ents, sortAsRun(e, ents))
+	}
+}
+
+// FuzzRunSort checks the run sort against slices.SortFunc on arbitrary
+// entry sets: a length, three field spans and a seed pick one.
+func FuzzRunSort(f *testing.F) {
+	f.Add(uint16(1), uint8(0), uint8(0), uint8(0), uint64(1))
+	f.Add(uint16(3000), uint8(0), uint8(20), uint8(4), uint64(2))
+	f.Add(uint16(700), uint8(17), uint8(10), uint8(13), uint64(3))
+	f.Add(uint16(129), uint8(17), uint8(17), uint8(9), uint64(4))
+	f.Add(uint16(4095), uint8(63), uint8(32), uint8(32), uint64(5))
+	e := NewEngine()
+	f.Fuzz(func(t *testing.T, n uint16, aBits, sBits, qBits uint8, seed uint64) {
+		rng := rand.New(rand.NewPCG(seed, 6))
+		ents := spanEntries(rng, int(n%4096)+1, int(aBits%64), int(sBits%33), int(qBits%33))
+		checkRunSorted(t, ents, sortAsRun(e, ents))
+	})
+}
+
 // queueFlood is a reusable flooding network for the reuse tests below.
 type queueFlood struct {
 	net    *Network
@@ -573,10 +817,49 @@ func TestQueueWarmFloodAllocs(t *testing.T) {
 	}
 }
 
+// TestQueueScratchAcrossNetworks builds and drops per-call networks on
+// two goroutines with collections in between, so the run sort's scratch
+// passes from dead engines back through scratchPool to new ones while
+// other engines sort: run under -race, it checks that hand-over.
+func TestQueueScratchAcrossNetworks(t *testing.T) {
+	const n = 2000
+	g, err := topology.RandomRegular(n, 8, testBenchRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				shards := 1 + i%2
+				net := NewNetwork(g, Options{Seed: uint64(i + 1), Latency: ConstLatency(50 * time.Millisecond), Shards: shards})
+				shared := flood.NewShared(n)
+				shared.Partition(shards)
+				net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
+				net.Start()
+				if _, err := net.Originate(0, []byte{byte(w), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+				net.Run(0)
+				if net.Steps() < n || net.engine.scratch.sc == nil {
+					t.Errorf("flood %d: %d steps, sorted by key: %t", i, net.Steps(), net.engine.scratch.sc != nil)
+				}
+				runtime.GC()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestQueueResetDropsReferences extends the arena's "never pins handler
 // objects" contract to the queue: after Reset nothing a handler handed
 // to the engine — message, timer payload, callback — is reachable from a
-// chunk, the run buffer, the in-tick heap or the arena, used or spare.
+// chunk, the run buffer, the in-tick heap or the arena, used or spare;
+// and the chunk table a refill sorts from holds no chunk after a refill
+// or a Reset.
 func TestQueueResetDropsReferences(t *testing.T) {
 	jitter := netem.Profile{Latency: netem.Const(50 * time.Millisecond), Jitter: netem.Uniform{Hi: 20 * time.Millisecond}}
 	for _, opts := range []Options{
@@ -589,17 +872,20 @@ func TestQueueResetDropsReferences(t *testing.T) {
 		// Stop the second flood mid-way, with events pending everywhere.
 		f.start(t, 2)
 		f.net.RunUntil(170 * time.Millisecond)
+		runBufCap := make([]int, len(f.net.shards))
 		for _, sh := range f.net.shards {
 			e := sh.eng
+			checkNoRunChunks(t, e, "a refill")
 			e.Schedule(time.Second, func() {})
 			f.net.nodes[sh.lo].SetTimer(time.Second, "payload")
 			// An entry inside the tick being executed lands in the
 			// in-tick heap.
 			e.scheduleDeliver(time.Duration(e.lastTick<<tickBits), evKey{src: ctlSrc}, proto.NodeID(sh.lo), queueMsg(1))
-			if entriesZero(e.run[:cap(e.run)]) || len(e.late) == 0 || e.nonEmpty == 0 {
-				t.Fatalf("shard %d: run cap %d, in-tick heap %d, buckets %b: want references in all three before Reset",
-					sh.index, cap(e.run), len(e.late), e.nonEmpty)
+			if entriesZero(e.run) || len(e.late) == 0 || e.nonEmpty == 0 {
+				t.Fatalf("shard %d: run %d, in-tick heap %d, buckets %b: want references in all three before Reset",
+					sh.index, len(e.run), len(e.late), e.nonEmpty)
 			}
+			runBufCap[sh.index] = cap(runBuffer(e))
 		}
 		f.net.Reset(3)
 		for _, sh := range f.net.shards {
@@ -612,6 +898,10 @@ func TestQueueResetDropsReferences(t *testing.T) {
 					t.Errorf("shard %d: bucket %d keeps a chunk after Reset", sh.index, i)
 				}
 			}
+			checkNoRunChunks(t, e, "Reset")
+			if len(e.run) != 0 || e.runHeld != nil {
+				t.Errorf("shard %d: Reset kept a run of %d (in a chunk: %t)", sh.index, len(e.run), e.runHeld != nil)
+			}
 			chunks := 0
 			for c := e.freeChunks; c != nil; c = c.next {
 				chunks++
@@ -619,10 +909,12 @@ func TestQueueResetDropsReferences(t *testing.T) {
 					t.Fatalf("shard %d: free chunk %d not scrubbed by Reset", sh.index, chunks)
 				}
 			}
-			if chunks == 0 || cap(e.run) == 0 || cap(e.late) == 0 {
-				t.Errorf("shard %d: Reset kept %d chunks, run cap %d, heap cap %d; want all retained", sh.index, chunks, cap(e.run), cap(e.late))
+			run := runBuffer(e)
+			if chunks == 0 || cap(run) != runBufCap[sh.index] || cap(e.late) == 0 {
+				t.Errorf("shard %d: Reset kept %d chunks, run buffer cap %d of %d, heap cap %d; want all retained",
+					sh.index, chunks, cap(run), runBufCap[sh.index], cap(e.late))
 			}
-			if !entriesZero(e.run[:cap(e.run)]) || !entriesZero(e.late[:cap(e.late)]) {
+			if !entriesZero(run[:cap(run)]) || !entriesZero(e.late[:cap(e.late)]) {
 				t.Fatalf("shard %d: run buffer or in-tick heap not scrubbed by Reset", sh.index)
 			}
 			for _, blk := range e.blocks {
@@ -633,6 +925,26 @@ func TestQueueResetDropsReferences(t *testing.T) {
 				}
 			}
 		}
+		if opts.Shards == 0 && runBufCap[0] == 0 {
+			t.Errorf("the constant-latency flood never sorted a run by key")
+		}
+	}
+}
+
+// runBuffer is the engine's run buffer: nil until a run outgrew a chunk.
+func runBuffer(e *Engine) []entry {
+	if e.scratch.sc == nil {
+		return nil
+	}
+	return e.scratch.sc.run
+}
+
+// checkNoRunChunks fails if the chunk table a refill sorts from still
+// holds a chunk, spare capacity included.
+func checkNoRunChunks(t *testing.T, e *Engine, after string) {
+	t.Helper()
+	if e.runTop != nil || slices.ContainsFunc(e.runChunks[:cap(e.runChunks)], func(c *chunk) bool { return c != nil }) {
+		t.Fatalf("the run's chunk table holds a chunk after %s", after)
 	}
 }
 
