@@ -41,6 +41,7 @@ import (
 	"repro/flexnet"
 	"repro/internal/netem"
 	"repro/internal/parity"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -62,18 +63,11 @@ func runParity(variant, transport, netemSpec string, n int, seed uint64, reliabl
 		sc.Netem = &p
 		sc.DistTolerance = 1.0
 	}
-	switch variant {
-	case "", "composed":
-		sc.Variant = parity.VariantComposed
-	case "flood":
-		sc.Variant = parity.VariantFlood
-	case "adaptive":
-		sc.Variant = parity.VariantAdaptive
-	case "dandelion":
-		sc.Variant = parity.VariantDandelion
-	default:
-		return fmt.Errorf("unknown -variant %q (flood|adaptive|dandelion|composed)", variant)
+	kind, err := stack.ParseKind(variant)
+	if err != nil {
+		return fmt.Errorf("-variant: %w", err)
 	}
+	sc.Variant = kind
 	switch transport {
 	case "", "mem":
 		sc.Transport = parity.TransportMem
@@ -95,7 +89,7 @@ func runParity(variant, transport, netemSpec string, n int, seed uint64, reliabl
 
 func run() error {
 	parityMode := flag.Bool("parity", false, "run the sim-vs-transport differential harness instead of a node")
-	variant := flag.String("variant", "composed", "parity protocol variant: flood|adaptive|dandelion|composed")
+	variant := flag.String("variant", stack.Composed.String(), "parity protocol variant: "+strings.Join(stack.KindNames(), "|"))
 	transportKind := flag.String("transport", "mem", "parity substrate: mem|tcp")
 	netemSpec := flag.String("netem", "", "parity netem profile: preset or spec (shaped run; implies delivery-distribution check)")
 	reliable := flag.Bool("reliable", false, "parity: run the composed stack with its loss-tolerance layer (required for lossy composed scenarios)")

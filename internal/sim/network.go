@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"iter"
 	"math/rand/v2"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/netem"
@@ -38,7 +40,8 @@ type Tap interface {
 	// when it would see it.
 	OnReceive(at time.Duration, from, to proto.NodeID, msg proto.Message)
 	// OnDeliverLocal fires when a node first reports local delivery of a
-	// broadcast payload.
+	// broadcast payload: once per (node, id), in merged single-loop order
+	// at any shard count.
 	OnDeliverLocal(at time.Duration, node proto.NodeID, id proto.MsgID, payload []byte)
 }
 
@@ -152,10 +155,10 @@ func (l *linkStream) reset() {
 
 // Network hosts one Handler per topology node under one or more event
 // engines. State is ownership-partitioned for the sharded mode: a
-// node's RNG, timers, crash flag and outgoing link FIFOs belong to its
-// shard; accounting and delivery records accumulate per shard and merge
-// on read (sums and first-delivery unions are order-free, so the merged
-// view is bit-identical at any shard count).
+// node's RNG, timers, crash flag, outgoing link FIFOs and its cell of
+// every delivery record belong to its shard; accounting accumulates per
+// shard and sums on read (exact integer sums, so the view is
+// bit-identical at any shard count).
 type Network struct {
 	engine *Engine // shard 0's engine; the only engine when unsharded
 	topo   *topology.Graph
@@ -202,6 +205,10 @@ type Network struct {
 	ctlSeq    uint32
 	obsCur    []int
 
+	// deliveries holds one first-delivery record per payload. Shards look
+	// sets up through deliverySet; deliverMu guards the map against two
+	// shards creating sets in the same window.
+	deliverMu  sync.Mutex
 	deliveries map[proto.MsgID]*DeliverySet
 	started    bool
 }
@@ -567,9 +574,11 @@ func (n *Network) ResetCounters() {
 
 // DeliverySet records the first local-delivery time of one payload at
 // each node, densely indexed by node ID. The zero/nil set is empty.
+// During a sharded window each shard writes only its own nodes' cells;
+// the count is shared, hence atomic.
 type DeliverySet struct {
 	times []time.Duration // undelivered = -1
-	count int
+	count atomic.Int64
 }
 
 // Count returns how many nodes have delivered the payload.
@@ -577,7 +586,7 @@ func (d *DeliverySet) Count() int {
 	if d == nil {
 		return 0
 	}
-	return d.count
+	return int(d.count.Load())
 }
 
 // Time returns the first delivery time at node.
@@ -604,25 +613,29 @@ func (d *DeliverySet) All() iter.Seq2[proto.NodeID, time.Duration] {
 
 // Delivered returns how many nodes have locally delivered the payload.
 func (n *Network) Delivered(id proto.MsgID) int {
-	n.mergeDeliveries()
 	return n.deliveries[id].Count()
 }
 
 // DeliveryTime returns the first local-delivery time of id at node.
 func (n *Network) DeliveryTime(id proto.MsgID, node proto.NodeID) (time.Duration, bool) {
-	n.mergeDeliveries()
 	return n.deliveries[id].Time(node)
 }
 
 // Deliveries returns the delivery record for a payload (nil-safe: the
 // result is usable even for unknown IDs). The caller must not mutate it.
 func (n *Network) Deliveries(id proto.MsgID) *DeliverySet {
-	n.mergeDeliveries()
 	return n.deliveries[id]
 }
 
-// deliverySet returns (creating if needed) the canonical record for id.
-func (n *Network) deliverySet(id proto.MsgID) *DeliverySet {
+// deliverySet returns (creating if needed) the record for id, looked up
+// by shard sh. A shard delivers one payload many times in a row, so its
+// last set is cached; deliverMu is taken only on a miss, because two
+// shards may create sets in the same window. Reset clears the caches.
+func (n *Network) deliverySet(sh *shardState, id proto.MsgID) *DeliverySet {
+	if sh.lastSet != nil && sh.lastID == id {
+		return sh.lastSet
+	}
+	n.deliverMu.Lock()
 	d := n.deliveries[id]
 	if d == nil {
 		times := make([]time.Duration, len(n.nodes))
@@ -632,58 +645,28 @@ func (n *Network) deliverySet(id proto.MsgID) *DeliverySet {
 		d = &DeliverySet{times: times}
 		n.deliveries[id] = d
 	}
+	n.deliverMu.Unlock()
+	sh.lastID, sh.lastSet = id, d
 	return d
 }
 
-// mergeDeliveries folds the shards' append-only delivery logs into the
-// canonical map. Within a shard the log is chronological and a node
-// belongs to exactly one shard, so "first entry wins" reproduces the
-// single-loop first-delivery record exactly; repeated merges are O(new
-// entries). Called from the read accessors — always between windows,
-// when every shard is idle.
-func (n *Network) mergeDeliveries() {
-	if len(n.shards) == 1 {
-		return
-	}
-	for _, sh := range n.shards {
-		for _, en := range sh.delivLog {
-			d := n.deliverySet(en.id)
-			if d.times[en.node] < 0 {
-				d.times[en.node] = en.at
-				d.count++
-			}
-		}
-		sh.delivLog = sh.delivLog[:0]
-	}
-}
-
+// recordDelivery writes node's first delivery of id. The one path serves
+// every mode: node's cell belongs to the executing shard, which runs its
+// events in time order, so the first write is the single-loop first
+// delivery without any merge. Only the tap callback differs — fired
+// directly outside windows, parked in the observation log inside one so
+// it replays in merged order.
 func (n *Network) recordDelivery(node *simNode, at time.Duration, id proto.MsgID, payload []byte) {
-	if len(n.shards) > 1 {
-		if len(n.taps) == 0 {
-			sh := node.shard
-			sh.delivLog = append(sh.delivLog, delivEntry{id: id, node: node.id, at: at})
-			return
-		}
-		if n.windowing {
-			// Tapped window: the delivery rides the observation log so
-			// OnDeliverLocal replays in merged global order; the canonical
-			// map is updated at replay (fireObs), not here.
-			logObs(node, obsEntry{kind: obsDeliver, to: node.id, id: id, payload: payload})
-			return
-		}
-		// Tapped driver-phase delivery (Originate at the origin, handler
-		// calls between runs): fall through to fire the taps directly in
-		// call order — its single-loop stream position — and write the
-		// canonical map, folding any parked logs first so "first delivery
-		// wins" compares against everything already run.
-		n.mergeDeliveries()
-	}
-	d := n.deliverySet(id)
+	d := n.deliverySet(node.shard, id)
 	if d.times[node.id] >= 0 {
 		return // only first delivery counts
 	}
 	d.times[node.id] = at
-	d.count++
+	d.count.Add(1)
+	if n.logging() {
+		logObs(node, obsEntry{kind: obsDeliver, to: node.id, id: id, payload: payload})
+		return
+	}
 	for _, tap := range n.taps {
 		tap.OnDeliverLocal(at, node.id, id, payload)
 	}

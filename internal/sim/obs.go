@@ -70,8 +70,8 @@ const (
 	obsSend
 	// obsRecv replays Tap.OnReceive.
 	obsRecv
-	// obsDeliver replays Tap.OnDeliverLocal (first delivery only; later
-	// entries for the same (id, node) are dropped at replay).
+	// obsDeliver replays Tap.OnDeliverLocal. Only first deliveries are
+	// logged: the executing shard has already written the record.
 	obsDeliver
 )
 
@@ -155,10 +155,6 @@ func (n *Network) tapMark(node *simNode) {
 // parked callbacks into the taps in single-loop global order, then
 // truncates the logs. Runs on the coordinator between windows (every
 // shard idle); the logs are bounded by one barrier window's events.
-// Deliver entries also fold into the canonical delivery map here
-// (first entry per (id, node) wins, matching recordDelivery's
-// single-loop semantics), replacing the delivLog path while taps are
-// attached.
 func (n *Network) replayObs() {
 	shards := n.shards
 	pending := 0
@@ -210,12 +206,6 @@ func (n *Network) fireObs(en *obsEntry) {
 			tap.OnReceive(en.at, en.from, en.to, en.msg)
 		}
 	case obsDeliver:
-		d := n.deliverySet(en.id)
-		if d.times[en.to] >= 0 {
-			return // only first delivery counts
-		}
-		d.times[en.to] = en.at
-		d.count++
 		for _, tap := range n.taps {
 			tap.OnDeliverLocal(en.at, en.to, en.id, en.payload)
 		}

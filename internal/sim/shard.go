@@ -33,9 +33,10 @@ import (
 // engine.go). The key is a total order and a pure function of event
 // provenance, so however deliveries are distributed across engine
 // queues and outboxes, each node executes its events in exactly
-// the single-loop order, and all merged observables (counters: exact
-// integer sums; delivery sets: first-delivery unions over disjoint node
-// ranges) are bit-identical at any shard count.
+// the single-loop order. Counters merge as exact integer sums; a
+// delivery set needs no merge, because each shard writes only its own
+// nodes' cells, each first delivery in time order. Every observable is
+// therefore bit-identical at any shard count.
 
 const maxDuration = time.Duration(math.MaxInt64)
 
@@ -49,16 +50,8 @@ type remoteEvent struct {
 	msg proto.Message
 }
 
-// delivEntry is one DeliverLocal record in a shard's append-only log,
-// merged into the canonical DeliverySet map between windows.
-type delivEntry struct {
-	id   proto.MsgID
-	node proto.NodeID
-	at   time.Duration
-}
-
 // shardState is everything one shard's goroutine owns during a window:
-// its engine, its node range, its accounting cells, its delivery log,
+// its engine, its node range, its accounting cells, its observation log,
 // and its outboxes toward every other shard.
 type shardState struct {
 	index  int32
@@ -71,11 +64,10 @@ type shardState struct {
 	totalByte    int64
 	netemDropped int64
 
-	// delivLog is the append-only DeliverLocal record (untapped sharded
-	// runs only; single-shard networks write the canonical map directly,
-	// and tapped sharded runs record deliveries in obsLog instead so
-	// OnDeliverLocal replays in merged order).
-	delivLog []delivEntry
+	// lastID/lastSet cache the delivery set this shard looked up last
+	// (Network.deliverySet).
+	lastID  proto.MsgID
+	lastSet *DeliverySet
 
 	// obsLog is the shard's observation log: tap callbacks (and
 	// availability markers) parked during a window, keyed by the
@@ -120,7 +112,7 @@ func (sh *shardState) resetCounters() {
 func (sh *shardState) reset() {
 	sh.eng.Reset()
 	sh.resetCounters()
-	sh.delivLog = sh.delivLog[:0]
+	sh.lastID, sh.lastSet = proto.MsgID{}, nil
 	clear(sh.obsLog) // drop message/payload references
 	sh.obsLog = sh.obsLog[:0]
 	for i := range sh.outQ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,6 +128,113 @@ func TestShardedDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// timedOrigin is a flood handler that broadcasts its []byte timer
+// payloads, so a test can originate inside a sharded window.
+type timedOrigin struct{ *flood.Protocol }
+
+func (h timedOrigin) HandleTimer(ctx proto.Context, payload any) {
+	if _, err := h.Broadcast(ctx, payload.([]byte)); err != nil {
+		panic(err)
+	}
+}
+
+// TestShardedDeliveryRecord reads the first-delivery record step by step
+// while shards write it: after the driver-phase origination and after
+// every RunUntil, tapped and untapped, at k = 1/2/4/7 against the
+// single-loop run. Two payloads are originated from the driver at the
+// same instant in different shards. A Reset then re-originates them —
+// the same MsgIDs come back, so a per-shard set cache that survives
+// Reset shows as a stale record — and two more payloads start inside a
+// window, so two shards create delivery sets concurrently.
+func TestShardedDeliveryRecord(t *testing.T) {
+	g := shardTestGraph(t)
+	const (
+		step     = 20 * time.Millisecond
+		steps    = 20
+		inWindow = 30 * time.Millisecond
+	)
+	driverPayloads := [][]byte{[]byte("record a"), []byte("record b")}
+	windowPayloads := [][]byte{[]byte("record c"), []byte("record d")}
+	// Node 3 is in shard 0 and node 190 in the last shard at every k > 1.
+	origins := []proto.NodeID{3, 190}
+	var ids []proto.MsgID
+	for _, p := range slices.Concat(driverPayloads, windowPayloads) {
+		ids = append(ids, proto.NewMsgID(p))
+	}
+
+	// trace returns, per read, each payload's Delivered count followed by
+	// its DeliveryTime at every node (-1 where not delivered).
+	trace := func(shards int, tapped bool) [][]time.Duration {
+		net := NewNetwork(g, Options{Seed: 42, Latency: ConstLatency(50 * time.Millisecond), Shards: shards})
+		if k := net.ShardCount(); k != shards {
+			t.Fatalf("requested %d shards, resolved %d", shards, k)
+		}
+		if tapped {
+			net.AddTap(nopTap{})
+		}
+		var reads [][]time.Duration
+		for round := range 2 {
+			if round > 0 {
+				net.Reset(42)
+			}
+			net.SetHandlers(func(proto.NodeID) proto.Handler { return timedOrigin{flood.New()} })
+			net.Start()
+			for i, p := range driverPayloads {
+				if _, err := net.Originate(origins[i], p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Only after the Reset: the first round must end on driver
+			// payloads, which the second starts with.
+			started := ids[:len(driverPayloads)]
+			if round > 0 {
+				for i, p := range windowPayloads {
+					net.InjectTimerAt(inWindow, origins[i], p)
+				}
+				started = ids
+			}
+			read := func() {
+				var r []time.Duration
+				for _, id := range ids {
+					r = append(r, time.Duration(net.Delivered(id)))
+					for v := range g.N() {
+						at, ok := net.DeliveryTime(id, proto.NodeID(v))
+						if !ok {
+							at = -1
+						}
+						r = append(r, at)
+					}
+				}
+				reads = append(reads, r)
+			}
+			read()
+			for s := 1; s <= steps; s++ {
+				net.RunUntil(time.Duration(s) * step)
+				read()
+			}
+			for _, id := range started {
+				if got := net.Delivered(id); got != g.N() {
+					t.Fatalf("k=%d tapped=%t round %d: delivered %d of %d", shards, tapped, round, got, g.N())
+				}
+			}
+		}
+		return reads
+	}
+
+	base := trace(1, false)
+	for _, shards := range []int{1, 2, 4, 7} {
+		for _, tapped := range []bool{false, true} {
+			got := trace(shards, tapped)
+			for i := range base {
+				if !slices.Equal(base[i], got[i]) {
+					t.Fatalf("k=%d tapped=%t: read %d (round %d, step %d) differs from the single loop",
+						shards, tapped, i, i/(steps+1), i%(steps+1))
+				}
+			}
+		}
 	}
 }
 

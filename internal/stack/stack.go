@@ -15,6 +15,7 @@ package stack
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
@@ -45,6 +46,19 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 	return kindNames[k]
+}
+
+// KindNames lists every Kind's name in Kind order, for usage strings.
+func KindNames() []string { return slices.Clone(kindNames[Flood:]) }
+
+// ParseKind returns the Kind a String name denotes.
+func ParseKind(name string) (Kind, error) {
+	for k := Flood; k <= Composed; k++ {
+		if kindNames[k] == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown stack %q (%s)", name, strings.Join(KindNames(), "|"))
 }
 
 // Spec describes a protocol stack: which one, and each protocol's own

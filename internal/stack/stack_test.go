@@ -172,3 +172,26 @@ func TestResetEqualsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestParseKind holds the name table both ways: every Kind round-trips
+// through String and ParseKind, and anything else is rejected.
+func TestParseKind(t *testing.T) {
+	kinds := []Kind{Flood, Dandelion, Adaptive, Composed}
+	if got := KindNames(); len(got) != len(kinds) {
+		t.Fatalf("KindNames() = %v, want %d names", got, len(kinds))
+	}
+	for i, k := range kinds {
+		if name := KindNames()[i]; name != k.String() {
+			t.Errorf("KindNames()[%d] = %q, want %q", i, name, k.String())
+		}
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"", "Flood", "bogus", "Kind(0)"} {
+		if k, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) = %v; want an error", name, k)
+		}
+	}
+}
