@@ -5,7 +5,7 @@
 //
 // Trials execute over a worker pool (-par, default GOMAXPROCS); tables
 // are bit-identical at every parallelism. Network-scale experiments
-// (e1, e3–e5, e9, e10, a2, e14, e15) honor -n/-degree overlay
+// (e1, e3–e5, e9, e10, e14–e17, a2) honor -n/-degree overlay
 // overrides, and -netem replaces an experiment's declared network
 // conditions with a named internal/netem preset or spec (latency
 // distribution, jitter, loss, churn). Every preset shards.

@@ -313,3 +313,28 @@ func TestShareSplitProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDCNetPrimitiveAllocs: the DC-net accumulation step and the
+// virtual-source pick run once per share and once per message per group
+// member, and allocate nothing.
+func TestDCNetPrimitiveAllocs(t *testing.T) {
+	dst, src := make([]byte, 256), make([]byte, 256)
+	ids := make([][32]byte, 19)
+	for i := range ids {
+		var seed [32]byte
+		seed[0] = byte(i)
+		ids[i] = IdentityFromSeed(seed).Hash()
+	}
+	target := HashPayload([]byte("tx"))
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"XORBytes", func() { XORBytes(dst, src) }},
+		{"ClosestToTarget", func() { _ = ClosestToTarget(ids, target) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+			t.Errorf("%s allocates %v times, want 0", tc.name, got)
+		}
+	}
+}

@@ -80,8 +80,8 @@ func (sc Scenario) coverageTrial(label string, g *topology.Graph, deg, trial int
 // the shard count each trial's network ran on (-shards), so the column
 // stays comparable between single-loop and sharded runs.
 //
-// The wall-time columns are real time, so E14 is marked Timed and
-// excluded from the bit-identical determinism guarantee; all
+// The wall-time columns are real time, so they are outside the
+// bit-identical determinism guarantee (the tests mask them); all
 // message/coverage columns remain deterministic.
 func E14ScaleSweep(sc Scenario) *metrics.Table {
 	deg := sc.degree(8)

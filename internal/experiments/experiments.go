@@ -31,10 +31,10 @@ import (
 
 // Scenario configures one experiment run.
 type Scenario struct {
-	// Quick trades trial counts for runtime (CI/benchmark mode).
+	// Quick trades trial counts for runtime (CI and golden-table mode).
 	Quick bool
 	// N overrides the overlay size on network-scale experiments
-	// (e1, e3–e5, e9, e10, a2, e14); 0 keeps each experiment's paper
+	// (e1, e3–e5, e9, e10, e14–e17, a2); 0 keeps each experiment's paper
 	// default. Experiments bound to special substrates (line/tree
 	// obfuscation runs, DC-net group sweeps, the Fig.-5 trace) ignore it.
 	N int
@@ -168,10 +168,6 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(sc Scenario) *metrics.Table
-	// Timed marks experiments whose tables include wall-clock columns
-	// (events/s); those cells legitimately differ run to run and are
-	// excluded from the bit-identical determinism guarantee.
-	Timed bool
 }
 
 // all is the experiment index, built once at package init.
@@ -189,7 +185,7 @@ var all = [...]Experiment{
 	{ID: "e11", Title: "§V-C: blame protocol vs dissolve policy", Run: E11Blame},
 	{ID: "e12", Title: "Fig. 5: three-phase trace", Run: E12PhaseTrace},
 	{ID: "e13", Title: "§III-B: Dissent announcement startup scaling", Run: E13DissentStartup},
-	{ID: "e14", Title: "scale sweep: flood + adaptive diffusion at N=1k/10k/100k", Run: E14ScaleSweep, Timed: true},
+	{ID: "e14", Title: "scale sweep: flood + adaptive diffusion at N=1k/10k/100k/1M", Run: E14ScaleSweep},
 	{ID: "e15", Title: "robustness: coverage/latency/overhead under loss and churn (netem sweep)", Run: E15Robustness},
 	{ID: "e16", Title: "adversarial anonymity: spy-fraction sweep across the netem grid", Run: E16AdversarialAnonymity},
 	{ID: "e17", Title: "throughput vs privacy frontier: sustained workload sweep with admission", Run: E17Frontier},

@@ -74,20 +74,22 @@ func TestScenarioOverrides(t *testing.T) {
 // TestParallelDeterminism is the regression guard for the trial runner:
 // every experiment's rendered table must be byte-identical between the
 // sequential loop (-par 1) and a saturated worker pool, regardless of
-// scheduling. Experiments with wall-clock columns (Timed) are excluded
-// by design.
+// scheduling. Wall-clock columns (volatileColumns) are masked first.
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; run without -short")
 	}
 	for _, e := range All() {
-		if e.Timed {
-			continue
-		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			seq := e.Run(Scenario{Quick: true, Par: 1}).Render()
-			par := e.Run(Scenario{Quick: true, Par: 4}).Render()
+			render := func(par int) string {
+				tbl := e.Run(Scenario{Quick: true, Par: par})
+				for _, col := range volatileColumns[e.ID] {
+					maskColumn(t, tbl, col)
+				}
+				return tbl.Render()
+			}
+			seq, par := render(1), render(4)
 			if seq != par {
 				t.Errorf("%s table differs between -par 1 and -par 4:\n--- sequential\n%s\n--- parallel\n%s", e.ID, seq, par)
 			}

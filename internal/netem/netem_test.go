@@ -257,3 +257,23 @@ func TestFixedDelay(t *testing.T) {
 		}
 	}
 }
+
+// TestDecideAllocs: the per-send link decision and the heaviest sampler
+// it draws from allocate nothing, since every shaped send in the
+// simulator runs them.
+func TestDecideAllocs(t *testing.T) {
+	s := Flaky.Shaper(42)
+	l := LogNormal{Median: 80 * time.Millisecond, Sigma: 0.5}
+	var seq uint64
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Shaper.Decide", func() { seq++; _, _ = s.Decide(3, 7, 0x0100, seq) }},
+		{"LogNormal.At", func() { seq++; _ = l.At(seq * 0x9e3779b97f4a7c15) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+			t.Errorf("%s allocates %v times, want 0", tc.name, got)
+		}
+	}
+}

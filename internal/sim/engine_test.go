@@ -192,3 +192,20 @@ func TestEngineNegativeDelay(t *testing.T) {
 		t.Errorf("Now = %v, want 0", e.Now())
 	}
 }
+
+// TestEngineChurnAllocs: once an engine's arena and queue have grown to a
+// churning population — 1024 self-rescheduling events, as in
+// BenchmarkEngineChurn1M — a Run of 100k more events allocates nothing.
+// One measured Run, so a single stray allocation cannot round away.
+func TestEngineChurnAllocs(t *testing.T) {
+	e := NewEngine()
+	var tick func()
+	tick = func() { e.Schedule(time.Millisecond, tick) }
+	for i := 0; i < 1024; i++ {
+		e.Schedule(time.Duration(i), tick)
+	}
+	e.Run(100_000)
+	if got := testing.AllocsPerRun(1, func() { e.Run(100_000) }); got != 0 {
+		t.Errorf("warm churn allocates %v times per Run, want 0", got)
+	}
+}
