@@ -12,9 +12,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables under testdata/golden")
 
 // volatileColumns names, per experiment, the table columns that carry
-// wall-clock quantities and are therefore masked before the golden
-// comparison (every other cell is deterministic: trials are seeded and
-// tables are parallelism-independent).
+// wall-clock quantities and are therefore masked before any comparison of
+// rendered tables (every other cell is deterministic: trials are seeded
+// and tables are independent of -par and -shards).
 var volatileColumns = map[string][]string{
 	"e14": {"Mevents/s/worker", "Mevents/s/core"},
 }
