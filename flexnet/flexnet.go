@@ -196,9 +196,6 @@ func runBroadcast(cfg SimConfig) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !g.Connected() {
-		return nil, errDisconnected
-	}
 
 	runRNG := rand.New(rand.NewPCG(cfg.Seed, 0xabcdef12))
 	payload := cfg.Payload
@@ -388,7 +385,13 @@ func SimulateWithDeliveryTimes(cfg SimConfig) (map[int32]time.Duration, error) {
 	return out, nil
 }
 
+// buildTopology returns cfg's overlay, or errDisconnected if it is not
+// connected. Random-regular graphs, rings and lines are connected by
+// construction; only the rewired and preferential-attachment generators
+// are checked.
 func buildTopology(cfg SimConfig, rng *rand.Rand) (*topology.Graph, error) {
+	var g *topology.Graph
+	var err error
 	switch cfg.Topology {
 	case TopologyRandomRegular:
 		return topology.RandomRegular(cfg.N, cfg.Degree, rng)
@@ -397,10 +400,14 @@ func buildTopology(cfg SimConfig, rng *rand.Rand) (*topology.Graph, error) {
 	case TopologyLine:
 		return topology.Line(cfg.N)
 	case TopologySmallWorld:
-		return topology.WattsStrogatz(cfg.N, cfg.Degree, 0.2, rng)
+		g, err = topology.WattsStrogatz(cfg.N, cfg.Degree, 0.2, rng)
 	case TopologyScaleFree:
-		return topology.BarabasiAlbert(cfg.N, cfg.Degree/2+1, rng)
+		g, err = topology.BarabasiAlbert(cfg.N, cfg.Degree/2+1, rng)
 	default:
 		return nil, fmt.Errorf("flexnet: unknown topology %d", cfg.Topology)
 	}
+	if err == nil && !g.Connected() {
+		return nil, errDisconnected
+	}
+	return g, err
 }

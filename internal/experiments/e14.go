@@ -72,13 +72,15 @@ func (sc Scenario) coverageTrial(label string, g *topology.Graph, deg, trial int
 // the practical ceiling ethp2psim cites for p2p privacy simulation —
 // running flood-and-prune and adaptive diffusion to full coverage at
 // N=1k/10k/100k/1M on the 8-regular overlay (1M in full mode only).
-// Columns report message counts (which must follow the 2E−(N−1) flood
-// formula and the ~1.8× adaptive ratio at every scale) and simulator
-// throughput two ways: per worker goroutine (trials run concurrently,
-// so this is not aggregate machine throughput; run with -par 1 for
-// single-core engine rate) and per core, which additionally divides by
-// the shard count each trial's network ran on (-shards), so the column
-// stays comparable between single-loop and sharded runs.
+// Columns report message counts (flood must follow the 2E−(N−1)
+// formula; adaptive sends 1.1–1.4× flood's messages at 1k–100k, 9.9 /
+// 8.0 / 8.6 msgs/node in full mode, but 20.3 at 1M, where a long
+// coverage tail costs ≈ 6 Extends per node a round: ROADMAP item 16)
+// and simulator throughput two ways: per worker goroutine (trials run
+// concurrently, so this is not aggregate machine throughput; run with
+// -par 1 for single-core engine rate) and per core, which additionally
+// divides by the shard count each trial's network ran on (-shards), so
+// the column stays comparable between single-loop and sharded runs.
 //
 // The wall-time columns are real time, so they are outside the
 // bit-identical determinism guarantee (the tests mask them); all

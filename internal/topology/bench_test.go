@@ -44,3 +44,15 @@ func BenchmarkDiameter300(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRandomRegular100k builds the overlay of the spy100k workload,
+// the set-up path of every large simulated run.
+func BenchmarkRandomRegular100k(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RandomRegular(100000, 8, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

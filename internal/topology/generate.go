@@ -41,7 +41,13 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 		}
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 
+		// Every row is cut from one n·d slab with capacity d: no degree
+		// exceeds d here or in repair, so appends fill the row in place.
 		g := NewGraph(n)
+		slab := make([]proto.NodeID, n*d)
+		for v := range g.adj {
+			g.adj[v] = slab[v*d : v*d : (v+1)*d]
+		}
 		var bad [][2]proto.NodeID // self-loops and duplicates pending repair
 		for i := 0; i < len(stubs); i += 2 {
 			u, v := stubs[i], stubs[i+1]
@@ -49,9 +55,7 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 				bad = append(bad, [2]proto.NodeID{u, v})
 				continue
 			}
-			if err := g.AddEdge(u, v); err != nil {
-				return nil, err
-			}
+			g.link(u, v)
 		}
 		if repairRegular(g, bad, rng) && g.Connected() {
 			return g, nil

@@ -45,10 +45,16 @@ func (g *Graph) AddEdge(u, v proto.NodeID) error {
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("topology: duplicate edge {%d,%d}", u, v)
 	}
+	g.link(u, v)
+	return nil
+}
+
+// link appends the edge {u, v} to both rows without checks: the caller
+// has already ruled out self-loops, duplicates and out-of-range IDs.
+func (g *Graph) link(u, v proto.NodeID) {
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
 	g.m++
-	return nil
 }
 
 func (g *Graph) valid(v proto.NodeID) bool { return v >= 0 && int(v) < g.n }
@@ -214,12 +220,17 @@ func (g *Graph) removeEdge(u, v proto.NodeID) {
 	g.m--
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. Its rows are cut from one slab
+// of 2·M IDs, each capped at its length, so an append to a cloned row
+// reallocates that row and never writes into the next one.
 func (g *Graph) Clone() *Graph {
 	c := NewGraph(g.n)
 	c.m = g.m
-	for v := range g.adj {
-		c.adj[v] = append([]proto.NodeID(nil), g.adj[v]...)
+	slab := make([]proto.NodeID, 0, 2*g.m)
+	for v, row := range g.adj {
+		start := len(slab)
+		slab = append(slab, row...)
+		c.adj[v] = slab[start:len(slab):len(slab)]
 	}
 	return c
 }

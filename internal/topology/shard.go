@@ -94,21 +94,26 @@ func (g *Graph) Relabel(perm []proto.NodeID) (*Graph, error) {
 	if len(perm) != g.n {
 		return nil, fmt.Errorf("topology: Relabel permutation length %d for %d nodes", len(perm), g.n)
 	}
-	seen := make([]bool, g.n)
-	for _, p := range perm {
-		if p < 0 || int(p) >= g.n || seen[p] {
+	inv := make([]proto.NodeID, g.n) // inv[new] = old
+	for i := range inv {
+		inv[i] = proto.NoNode
+	}
+	for u, p := range perm {
+		if p < 0 || int(p) >= g.n || inv[p] != proto.NoNode {
 			return nil, fmt.Errorf("topology: Relabel permutation invalid at %d", p)
 		}
-		seen[p] = true
+		inv[p] = proto.NodeID(u)
 	}
+	// Rows are cut in new-ID order from one slab of 2·M IDs, as in Clone.
 	c := NewGraph(g.n)
 	c.m = g.m
-	for u := 0; u < g.n; u++ {
-		nu := perm[u]
-		c.adj[nu] = make([]proto.NodeID, len(g.adj[u]))
-		for i, v := range g.adj[u] {
-			c.adj[nu][i] = perm[v]
+	slab := make([]proto.NodeID, 0, 2*g.m)
+	for nu, u := range inv {
+		start := len(slab)
+		for _, v := range g.adj[u] {
+			slab = append(slab, perm[v])
 		}
+		c.adj[nu] = slab[start:len(slab):len(slab)]
 	}
 	return c, nil
 }
