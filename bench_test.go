@@ -72,7 +72,6 @@ func benchShardedTappedFlood(b *testing.B, k int) {
 	net := sim.NewNetwork(g, sim.Options{Seed: 1, Latency: sim.ConstLatency(50 * time.Millisecond), Shards: k})
 	corrupted := adversary.SampleCorrupted(g.N(), 0.01, rand.New(rand.NewPCG(3, 4)))
 	obs := adversary.NewObserver(corrupted)
-	net.AddTap(obs)
 	shared := flood.NewShared(g.N())
 	shared.Partition(k)
 	payload := []byte{0, 0}
@@ -82,7 +81,9 @@ func benchShardedTappedFlood(b *testing.B, k int) {
 	for i := 0; i < b.N; i++ {
 		net.Reset(uint64(i + 1))
 		shared.Reset()
+		net.ClearTaps()
 		obs.Reset(corrupted)
+		net.AddTap(obs)
 		net.SetHandlers(func(id proto.NodeID) proto.Handler { return flood.NewAt(shared, id) })
 		net.Start()
 		payload[0], payload[1] = byte(i), byte(i>>8)

@@ -32,13 +32,16 @@ type Observation struct {
 }
 
 // Observer is a sim.Tap recording everything a set of corrupted nodes
-// sees. It never influences the run — the honest-but-curious model.
+// sees. It never influences the run — the honest-but-curious model. It
+// is a sim.SpyTap over its corrupted set, so the network reports to it
+// only the receives at those nodes.
 type Observer struct {
+	spies   []proto.NodeID // the corrupted set as given, served by Spies
 	corrupt map[proto.NodeID]bool
 	obs     map[proto.MsgID][]Observation
 }
 
-var _ sim.Tap = (*Observer)(nil)
+var _ sim.SpyTap = (*Observer)(nil)
 
 // NewObserver corrupts the given nodes.
 func NewObserver(corrupted []proto.NodeID) *Observer {
@@ -46,9 +49,7 @@ func NewObserver(corrupted []proto.NodeID) *Observer {
 		corrupt: make(map[proto.NodeID]bool, len(corrupted)),
 		obs:     make(map[proto.MsgID][]Observation),
 	}
-	for _, n := range corrupted {
-		o.corrupt[n] = true
-	}
+	o.Reset(corrupted)
 	return o
 }
 
@@ -75,12 +76,19 @@ func (o *Observer) CorruptedCount() int { return len(o.corrupt) }
 // Observations returns the sightings for a message in arrival order.
 func (o *Observer) Observations(id proto.MsgID) []Observation { return o.obs[id] }
 
+// Spies implements sim.SpyTap: the corrupted set, without allocating.
+// The slice is the Observer's own; callers must not modify it.
+func (o *Observer) Spies() []proto.NodeID { return o.spies }
+
 // Reset clears every recorded observation and re-corrupts the given
 // nodes, so one Observer (and its maps) can be reused across trials by
-// a runner worker alongside Network.Reset/ClearTaps.
+// a runner worker alongside Network.Reset/ClearTaps. The network reads
+// the corrupted set at AddTap, so a registered Observer is reset between
+// Network.ClearTaps and AddTap, never while registered.
 func (o *Observer) Reset(corrupted []proto.NodeID) {
 	clear(o.corrupt)
 	clear(o.obs)
+	o.spies = append(o.spies[:0], corrupted...)
 	for _, n := range corrupted {
 		o.corrupt[n] = true
 	}

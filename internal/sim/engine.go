@@ -663,9 +663,9 @@ func (e *Engine) step() bool {
 			// this branch) report arrivals identically. Under a sharded
 			// run the observation is parked in the shard's log and
 			// replayed in merged global order at the next barrier
-			// (obs.go).
+			// (obs.go). Only a watched node or an unscoped tap wants it.
 			src := tagSrc(ent.tag)
-			if len(e.net.taps) > 0 {
+			if node.watched || len(e.net.unscoped) > 0 {
 				e.net.tapRecv(node, ent.at, src, ent.msg)
 			}
 			node.handler.HandleMessage(node, src, ent.msg)

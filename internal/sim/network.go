@@ -21,7 +21,8 @@ import (
 // count: a single loop fires them inline, a sharded run parks each
 // observation in the executing shard's log and replays the k-way merge
 // into the taps at every window barrier, in exactly the single-loop
-// order (see obs.go).
+// order (see obs.go). A Tap that also implements SpyTap narrows that
+// stream to the receives at the nodes it watches.
 type Tap interface {
 	// OnSend fires when a message is handed to the network by from —
 	// before the netem shaper's drop/delay decision, so it sees every
@@ -43,6 +44,23 @@ type Tap interface {
 	// broadcast payload: once per (node, id), in merged single-loop order
 	// at any shard count.
 	OnDeliverLocal(at time.Duration, node proto.NodeID, id proto.MsgID, payload []byte)
+}
+
+// SpyTap is a Tap that watches only some nodes — the corrupted set of an
+// adversary that records what arrives at its own nodes. A SpyTap gets no
+// OnSend and no OnDeliverLocal calls, and the network parks and fires a
+// receive on its behalf only at a node it lists, so a sharded run with
+// nothing but spy taps logs a receive at a spy and nothing else (obs.go).
+// It may still get OnReceive at nodes another tap watches — every node,
+// once a tap without Spies is registered — so it keeps its own filter.
+//
+// AddTap reads Spies once; a later change to the set is not seen. A tap
+// reused across trials is therefore re-seated between ClearTaps and
+// AddTap, never while registered.
+type SpyTap interface {
+	Tap
+	// Spies lists the watched nodes. It is called once per AddTap.
+	Spies() []proto.NodeID
 }
 
 // ConstLatency is a fixed one-way link delay.
@@ -166,7 +184,15 @@ type Network struct {
 
 	nodes []simNode  // the hot cells: all a delivery or a send touches
 	cold  []nodeCold // RNG, timers, off-topology links; parallel to nodes
-	taps  []Tap
+
+	// taps holds every registered tap in registration order; each gets
+	// OnReceive. unscoped holds those without Spies, the only ones that
+	// get OnSend and OnDeliverLocal and the reason to report a receive at
+	// a node no spy watches. watched lists the node cells AddTap marked,
+	// so ClearTaps unmarks exactly those.
+	taps     []Tap
+	unscoped []Tap
+	watched  []proto.NodeID
 
 	// Per-link FIFO state (like TCP, a link never reorders) in CSR form:
 	// linkDst[linkOff[v]:linkOff[v+1]] are v's neighbors and linkAt holds
@@ -278,7 +304,7 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 // Handlers are dropped; call SetHandlers (and Start) again, typically
 // re-installing handlers whose state lives in a shared sized structure
 // (flood.Shared, adaptive.Shared) that the caller resets alongside.
-// Registered taps are kept.
+// Registered taps are kept, and so are the nodes their Spies marked.
 func (n *Network) Reset(seed uint64) {
 	for _, sh := range n.shards {
 		sh.reset()
@@ -353,13 +379,35 @@ func (n *Network) Lookahead() time.Duration { return n.lookahead }
 // inside a callback); a tap added mid-run observes everything from the
 // next Run/RunUntil call onward. Registration does not affect the shard
 // layout: tapped runs execute at the requested shard count and the tap
-// sees the merged single-loop-order stream (obs.go).
-func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
+// sees the merged single-loop-order stream (obs.go). A SpyTap's set is
+// read here, once, and marks the listed nodes watched.
+func (n *Network) AddTap(t Tap) {
+	n.taps = append(n.taps, t)
+	spy, ok := t.(SpyTap)
+	if !ok {
+		n.unscoped = append(n.unscoped, t)
+		return
+	}
+	for _, id := range spy.Spies() {
+		if node := &n.nodes[id]; !node.watched {
+			node.watched = true
+			n.watched = append(n.watched, id)
+		}
+	}
+}
 
 // ClearTaps removes all registered taps — the trial-reuse form: a worker
 // that keeps one Network across trials re-registers its per-trial
-// observers after each Reset instead of accumulating them.
-func (n *Network) ClearTaps() { n.taps = n.taps[:0] }
+// observers after each Reset instead of accumulating them. It unmarks
+// only the nodes AddTap marked, so it costs O(spies), not O(N).
+func (n *Network) ClearTaps() {
+	for _, id := range n.watched {
+		n.nodes[id].watched = false
+	}
+	n.watched = n.watched[:0]
+	n.taps = n.taps[:0]
+	n.unscoped = n.unscoped[:0]
+}
 
 // SetHandlers installs one handler per node using the factory. Must be
 // called exactly once before Start (and again after each Reset). The
@@ -663,11 +711,14 @@ func (n *Network) recordDelivery(node *simNode, at time.Duration, id proto.MsgID
 	}
 	d.times[node.id] = at
 	d.count.Add(1)
-	if n.logging() {
+	if len(n.unscoped) == 0 {
+		return // a SpyTap gets no OnDeliverLocal
+	}
+	if n.windowing {
 		logObs(node, obsEntry{kind: obsDeliver, to: node.id, id: id, payload: payload})
 		return
 	}
-	for _, tap := range n.taps {
+	for _, tap := range n.unscoped {
 		tap.OnDeliverLocal(at, node.id, id, payload)
 	}
 }
@@ -723,7 +774,7 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 		}
 	}
 	now := from.eng.Now()
-	if len(n.taps) > 0 {
+	if len(n.unscoped) > 0 {
 		n.tapSend(from, now, to, msg)
 	}
 	delay := n.fixedDelay
@@ -789,6 +840,10 @@ type simNode struct {
 	// cell has eight bytes to spare and nodeCold without them is one line.
 	nextTimer proto.TimerID
 	crashed   bool
+	// watched marks a node some registered SpyTap lists (AddTap): a
+	// receive here is reported even when every tap is a SpyTap. It shares
+	// the line the delivery dispatch loads for crashed.
+	watched bool
 }
 
 // nodeCold is the per-node state no delivery reads: random stream, pending

@@ -54,6 +54,20 @@ import (
 // standalone engines; it is unreachable on a sharded network
 // (Network.Engine panics there).
 //
+// What is logged. Every registered tap gets OnReceive; only taps without
+// Spies (the unscoped ones) get OnSend and OnDeliverLocal. So with only
+// SpyTaps registered a window parks nothing but the receives at watched
+// nodes and the availability markers — for a 1 % spy set, about one
+// entry in two hundred of the full stream. Dropping the rest keeps the
+// head merge exact. The invariant above needs an entry for every
+// same-instant causal ancestor of a kept entry. A send's arrival lies at
+// least one lookahead (> 0) after the send, so no event is such an
+// ancestor through a message it sends; the only same-instant links are
+// zero-delay timers, and tapMark pins their creators whenever any tap is
+// registered, whatever the taps want. The merged stream is then the
+// single-loop stream restricted to the kept callbacks — exactly what a
+// single loop fires.
+//
 // Driver-phase callbacks — sends and local deliveries during Start,
 // Originate or between RunUntil calls, when every engine is idle —
 // fire into the taps directly, in call order, exactly where they fall
@@ -100,12 +114,6 @@ func obsBefore(a, b *obsEntry) bool {
 	return a.sub < b.sub
 }
 
-// logging reports whether observations must be parked in the shard logs
-// instead of fired directly: a sharded window is executing and at least
-// one tap is registered. Outside windows (driver phase, single-loop
-// runs) callbacks fire synchronously as they always did.
-func (n *Network) logging() bool { return n.windowing && len(n.taps) > 0 }
-
 // logObs appends one entry to the executing node's shard log, stamping
 // it with the engine's current event key and bumping the intra-event
 // callback counter.
@@ -119,7 +127,8 @@ func logObs(node *simNode, e obsEntry) {
 
 // tapRecv reports a delivery to the taps — directly in a single loop,
 // via the shard log during a sharded window. Called from the engine's
-// delivery dispatch only when taps are registered.
+// delivery dispatch only when node is watched or an unscoped tap is
+// registered.
 func (n *Network) tapRecv(node *simNode, at time.Duration, src proto.NodeID, msg proto.Message) {
 	if n.windowing {
 		logObs(node, obsEntry{kind: obsRecv, from: src, to: node.id, msg: msg})
@@ -130,22 +139,24 @@ func (n *Network) tapRecv(node *simNode, at time.Duration, src proto.NodeID, msg
 	}
 }
 
-// tapSend reports a send attempt (pre-drop, sender clock) to the taps.
+// tapSend reports a send attempt (pre-drop, sender clock) to the taps
+// without Spies. Called from Network.send only when there is one.
 func (n *Network) tapSend(from *simNode, at time.Duration, to proto.NodeID, msg proto.Message) {
 	if n.windowing {
 		logObs(from, obsEntry{kind: obsSend, from: from.id, to: to, msg: msg})
 		return
 	}
-	for _, tap := range n.taps {
+	for _, tap := range n.unscoped {
 		tap.OnSend(at, from.id, to, msg)
 	}
 }
 
 // tapMark pins the currently executing event in the observation log
-// when it schedules a same-instant child (the availability invariant).
-// No-op outside sharded tapped windows.
+// when it schedules a same-instant child (the availability invariant):
+// inside a sharded window, whenever any tap — spy or not — is
+// registered. No-op otherwise.
 func (n *Network) tapMark(node *simNode) {
-	if !node.net.logging() {
+	if !n.windowing || len(n.taps) == 0 {
 		return
 	}
 	logObs(node, obsEntry{kind: obsMark})
@@ -198,7 +209,7 @@ func (n *Network) replayObs() {
 func (n *Network) fireObs(en *obsEntry) {
 	switch en.kind {
 	case obsSend:
-		for _, tap := range n.taps {
+		for _, tap := range n.unscoped {
 			tap.OnSend(en.at, en.from, en.to, en.msg)
 		}
 	case obsRecv:
@@ -206,7 +217,7 @@ func (n *Network) fireObs(en *obsEntry) {
 			tap.OnReceive(en.at, en.from, en.to, en.msg)
 		}
 	case obsDeliver:
-		for _, tap := range n.taps {
+		for _, tap := range n.unscoped {
 			tap.OnDeliverLocal(en.at, en.to, en.id, en.payload)
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -251,4 +252,69 @@ func TestShardedTapClearMidReuse(t *testing.T) {
 	net.AddTap(rec2)
 	trial(net)
 	compareStreams(t, "re-registered tap", first, rec2.events)
+}
+
+// idSpy is a SpyTap over a fixed list.
+type idSpy struct {
+	nopTap
+	ids []proto.NodeID
+}
+
+func (s idSpy) Spies() []proto.NodeID { return s.ids }
+
+// TestShardedTapSpyMarks pins the bookkeeping behind SpyTap: AddTap marks
+// each listed node once however many spies list it, a tap without Spies
+// marks none, Reset keeps the marks, and ClearTaps unmarks every one.
+func TestShardedTapSpyMarks(t *testing.T) {
+	g := shardTestGraph(t)
+	net := NewNetwork(g, Options{Seed: 42, Latency: ConstLatency(50 * time.Millisecond), Shards: 4})
+	marked := func() []proto.NodeID {
+		var ids []proto.NodeID
+		for i := range net.nodes {
+			if net.nodes[i].watched {
+				ids = append(ids, net.nodes[i].id)
+			}
+		}
+		return ids
+	}
+	net.AddTap(idSpy{ids: []proto.NodeID{5, 1, 5}})
+	net.AddTap(nopTap{})
+	net.AddTap(idSpy{ids: []proto.NodeID{200, 1}})
+	if got, want := marked(), []proto.NodeID{1, 5, 200}; !slices.Equal(got, want) {
+		t.Fatalf("watched nodes %v, want %v", got, want)
+	}
+	if len(net.watched) != 3 || len(net.unscoped) != 1 || len(net.taps) != 3 {
+		t.Fatalf("watched list %v, %d unscoped, %d taps; want 3 ids, 1, 3", net.watched, len(net.unscoped), len(net.taps))
+	}
+	net.Reset(7)
+	if got := marked(); len(got) != 3 {
+		t.Fatalf("Reset dropped marks: %v", got)
+	}
+	net.ClearTaps()
+	if got := marked(); len(got) != 0 || len(net.watched) != 0 || len(net.unscoped) != 0 {
+		t.Fatalf("ClearTaps left watched nodes %v, list %v, %d unscoped", got, net.watched, len(net.unscoped))
+	}
+}
+
+// TestShardedTapSpyLogsOnlyWatched pins what SpyTap is for: with only
+// spy taps registered, a sharded window parks nothing but
+// the receives at watched nodes. One spy on a flood receives at most its
+// degree of copies, so no shard's log ever grows past that, where the
+// full stream parks hundreds of sends and receives per window.
+func TestShardedTapSpyLogsOnlyWatched(t *testing.T) {
+	g := shardTestGraph(t)
+	const spy = proto.NodeID(100)
+	net := NewNetwork(g, Options{Seed: 42, Latency: ConstLatency(50 * time.Millisecond), Shards: 4})
+	net.AddTap(idSpy{ids: []proto.NodeID{spy}})
+	net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
+	net.Start()
+	if _, err := net.Originate(3, []byte("spy log")); err != nil {
+		t.Fatal(err)
+	}
+	net.Run(0)
+	for i, sh := range net.shards {
+		if c := cap(sh.obsLog); c > g.Degree(spy) {
+			t.Errorf("shard %d's observation log grew to %d entries; a lone spy of degree %d needs at most that many", i, c, g.Degree(spy))
+		}
+	}
 }
