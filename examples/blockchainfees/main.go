@@ -83,7 +83,7 @@ func main() {
 		fee := uint64(5 + rng.IntN(95))
 		tx := &chain.Tx{Nonce: uint64(i + 1), Fee: fee, Payload: []byte(fmt.Sprintf("payment-%d", i))}
 		at := time.Duration(i) * 300 * time.Millisecond
-		net.Engine().Schedule(at, func() {
+		net.At(at, src, func() {
 			if _, err := net.Originate(src, tx.Encode()); err != nil {
 				log.Fatal(err)
 			}

@@ -284,7 +284,7 @@ func TestSharedEngineMatchesStandalone(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Run(0)
-		return net.TotalMessages(), net.Delivered(id), net.Engine().Steps()
+		return net.TotalMessages(), net.Delivered(id), net.Steps()
 	}
 	mapMsgs, mapCov, mapSteps := run(func(proto.NodeID) proto.Handler { return New(cfg) })
 	shared := NewShared(g.N())

@@ -70,9 +70,6 @@ func SampleCorrupted(n int, f float64, rng *rand.Rand) []proto.NodeID {
 // Corrupted reports whether the adversary controls the node.
 func (o *Observer) Corrupted(n proto.NodeID) bool { return o.corrupt[n] }
 
-// CorruptedCount returns the number of controlled nodes.
-func (o *Observer) CorruptedCount() int { return len(o.corrupt) }
-
 // Observations returns the sightings for a message in arrival order.
 func (o *Observer) Observations(id proto.MsgID) []Observation { return o.obs[id] }
 

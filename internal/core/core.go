@@ -279,9 +279,6 @@ func (p *Protocol) Init(ctx proto.Context) {
 // Member exposes the Phase-1 DC-net member (nil for groupless nodes).
 func (p *Protocol) Member() *dcnet.Member { return p.member }
 
-// Diffusion exposes the Phase-2 engine (tests, experiments).
-func (p *Protocol) Diffusion() *adaptive.Engine { return p.ad }
-
 // Flood exposes the Phase-3 engine (tests, experiments).
 func (p *Protocol) Flood() *flood.Engine { return p.fl }
 

@@ -152,7 +152,7 @@ func TestFailSafeRecoversLostDiffusion(t *testing.T) {
 	// diffusion immediately. Crash it before its first virtual-source
 	// round timer (+50 ms) fires. (It has already delivered locally by
 	// then, so full coverage is still N.)
-	w.net.Engine().Schedule(120*time.Millisecond, func() { w.net.Crash(victim) })
+	w.net.At(120*time.Millisecond, victim, func() { w.net.Crash(victim) })
 	w.run(15 * time.Second)
 
 	if got := w.net.Delivered(id); got != g.N() {
@@ -193,7 +193,7 @@ func TestCustodyRescuesCrashedOriginator(t *testing.T) {
 	// The deposits go out inside Broadcast; kill the originator after
 	// they are on the wire but well before the first data round (~100 ms)
 	// could launch the payload.
-	w.net.Engine().Schedule(10*time.Millisecond, func() { w.net.Crash(origin) })
+	w.net.At(10*time.Millisecond, origin, func() { w.net.Crash(origin) })
 	w.run(15 * time.Second)
 
 	if got := w.net.Delivered(id); got != g.N()-1 {
@@ -225,9 +225,9 @@ func TestCustodySurvivesCustodianChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.net.Engine().Schedule(10*time.Millisecond, func() { w.net.Crash(origin) })
+	w.net.At(10*time.Millisecond, origin, func() { w.net.Crash(origin) })
 	// Outage of 300 ms against a 30 ms RTO × 20-retry deposit budget.
-	w.net.Engine().Schedule(300*time.Millisecond, func() { w.net.Restore(flaky) })
+	w.net.At(300*time.Millisecond, flaky, func() { w.net.Restore(flaky) })
 	w.run(15 * time.Second)
 
 	if got := w.net.Delivered(id); got != g.N()-1 {

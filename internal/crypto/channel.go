@@ -137,6 +137,3 @@ func (c *SecureChannel) Open(ciphertext, aad []byte) ([]byte, error) {
 	c.recvSeq++
 	return pt, nil
 }
-
-// Overhead returns the per-message ciphertext expansion in bytes.
-func (c *SecureChannel) Overhead() int { return c.send.Overhead() }

@@ -71,9 +71,6 @@ type Config struct {
 	// SlotSize is the fixed-mode slot size in bytes, including the
 	// 8-byte framing overhead (default 256).
 	SlotSize int
-	// MaxPayload bounds a single anonymous message (default SlotSize−8
-	// in fixed mode, 64 KiB in announce mode).
-	MaxPayload int
 	// Interval is the nominal spacing of round starts (default 2s),
 	// "chosen suitably for the expected activity in the network" (§V-A).
 	Interval time.Duration
@@ -141,6 +138,15 @@ type Config struct {
 	OnDissolve func(ctx proto.Context, reason string)
 }
 
+// maxPayload bounds a single anonymous message: one slot's payload in
+// fixed mode, 64 KiB in announce mode.
+func (c *Config) maxPayload() int {
+	if c.Mode == ModeFixed {
+		return c.SlotSize - SlotOverhead
+	}
+	return 64 << 10
+}
+
 func (c *Config) applyDefaults() error {
 	if c.Mode == 0 {
 		c.Mode = ModeAnnounce
@@ -150,13 +156,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.SlotSize < SlotOverhead+1 {
 		return fmt.Errorf("dcnet: SlotSize %d below minimum %d", c.SlotSize, SlotOverhead+1)
-	}
-	if c.MaxPayload == 0 {
-		if c.Mode == ModeFixed {
-			c.MaxPayload = c.SlotSize - SlotOverhead
-		} else {
-			c.MaxPayload = 64 << 10
-		}
 	}
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
@@ -400,8 +399,8 @@ func (m *Member) Queue(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("dcnet: empty payload")
 	}
-	if len(payload) > m.cfg.MaxPayload {
-		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(payload), m.cfg.MaxPayload)
+	if limit := m.cfg.maxPayload(); len(payload) > limit {
+		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(payload), limit)
 	}
 	m.queue = append(m.queue, slices.Clone(payload))
 	return nil
@@ -845,7 +844,7 @@ func (m *Member) finishAnnounce(ctx proto.Context, rs *roundState, recovered []b
 	if isZeroSlot(recovered) {
 		return false, roundKind{announce: true}
 	}
-	if l, ok := unpackAnnounce(recovered); ok && l > 0 && int(l) <= m.cfg.MaxPayload+crypto.CRCSize {
+	if l, ok := unpackAnnounce(recovered); ok && l > 0 && int(l) <= m.cfg.maxPayload()+crypto.CRCSize {
 		return false, roundKind{dataLen: int(l)}
 	}
 	return true, roundKind{announce: true}

@@ -648,7 +648,7 @@ func TestFailoverEvictsCrashedMember(t *testing.T) {
 				cfg.MinMembers = 3
 				cfg.Policy = PolicyNone
 			})
-			h.net.Engine().Schedule(crashAt, func() { h.net.Crash(victim) })
+			h.net.At(crashAt, victim, func() { h.net.Crash(victim) })
 			h.runRounds(12)
 
 			for i := 0; i < g; i++ {

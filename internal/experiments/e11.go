@@ -32,12 +32,21 @@ func E11Blame(sc Scenario) *metrics.Table {
 		msgs        int64
 		roundsDone  int
 	}
+	// memberLog is what one member's callbacks record, on its own node's
+	// event loop; run reduces the slots once the network is idle.
+	type memberLog struct {
+		identified  bool
+		honestBlame int
+		blamedAt    int           // rounds completed at its first blame of the disruptor
+		dissolvedAt time.Duration // when it dissolved, if rounds > 0 by then
+		dissolved   int           // rounds completed when it dissolved
+	}
 	run := func(policy dcnet.Policy, seed uint64) outcome {
 		net, all := dcNetwork(sc, g, seed)
 		members := make([]*dcnet.Member, g)
-		var out outcome
-		blamedAt := make(map[proto.NodeID]int)
+		logs := make([]memberLog, g)
 		net.SetHandlers(func(id proto.NodeID) proto.Handler {
+			l := &logs[id]
 			cfg := dcnet.Config{
 				Self:             id,
 				Members:          all,
@@ -49,18 +58,16 @@ func E11Blame(sc Scenario) *metrics.Table {
 				Disrupt:          id == disruptor,
 				OnBlame: func(_ proto.Context, culprit proto.NodeID) {
 					if culprit == disruptor {
-						out.identified = true
-						if blamedAt[id] == 0 {
-							blamedAt[id] = members[id].RoundsCompleted
+						l.identified = true
+						if l.blamedAt == 0 {
+							l.blamedAt = members[id].RoundsCompleted
 						}
 					} else {
-						out.honestBlame++
+						l.honestBlame++
 					}
 				},
-				OnDissolve: func(proto.Context, string) {
-					if out.rounds == 0 {
-						out.rounds = members[id].RoundsCompleted
-					}
+				OnDissolve: func(ctx proto.Context, _ string) {
+					l.dissolvedAt, l.dissolved = ctx.Now(), members[id].RoundsCompleted
 				},
 			}
 			m, err := dcnet.NewMember(cfg)
@@ -72,16 +79,30 @@ func E11Blame(sc Scenario) *metrics.Table {
 		})
 		net.Start()
 		net.RunUntil(3 * time.Second)
+		var out outcome
 		out.msgs = net.TotalMessages()
 		out.roundsDone = members[0].RoundsCompleted
 		if out.roundsDone == 0 {
 			out.roundsDone = 1
 		}
+		// Resolution is the round count of the first member to dissolve
+		// with rounds behind it — earliest in virtual time, the lower ID
+		// on a tie — and under PolicyBlame at least the last member's
+		// first blame of the disruptor.
+		first := -1
+		for i, l := range logs {
+			out.identified = out.identified || l.identified
+			out.honestBlame += l.honestBlame
+			if l.dissolved > 0 && (first < 0 || l.dissolvedAt < logs[first].dissolvedAt) {
+				first = i
+			}
+		}
+		if first >= 0 {
+			out.rounds = logs[first].dissolved
+		}
 		if policy == dcnet.PolicyBlame {
-			for _, at := range blamedAt {
-				if at > out.rounds {
-					out.rounds = at
-				}
+			for _, l := range logs {
+				out.rounds = max(out.rounds, l.blamedAt)
 			}
 		}
 		return out

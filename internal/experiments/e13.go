@@ -65,12 +65,12 @@ func dissentRound(sc Scenario, n int, hop time.Duration) (time.Duration, int64) 
 	}
 	secrets := dissent.SharedLayerSecrets(core.SimHashes(n))
 	// The hop latency is E13's measured constant, not an overridable
-	// preset; OnAnnouncements writes publishedAt from whichever member
-	// publishes first, so the run stays on one loop.
-	sc.Shards, sc.single = 0, "the shuffle's members share the trial's publishedAt"
+	// preset.
 	sc.Netem = nil
 	net := sc.network(g, uint64(n)+7, netem.Profile{Name: "dissent-hop", Latency: netem.Const(hop)})
-	var publishedAt time.Duration
+	// Each member records when it published round 1, on its own node's
+	// event loop; the pipeline's latency is the first of them.
+	publishedAt := make([]time.Duration, n)
 	all := make([]proto.NodeID, n)
 	for i := range all {
 		all[i] = proto.NodeID(i)
@@ -84,8 +84,8 @@ func dissentRound(sc Scenario, n int, hop time.Duration) (time.Duration, int64) 
 			// One round per minute isolates round 1's message count.
 			Self: id, Members: all, Keys: keys, Interval: time.Minute,
 			OnAnnouncements: func(ctx proto.Context, round uint32, _ []uint32) {
-				if round == 1 && publishedAt == 0 {
-					publishedAt = ctx.Now()
+				if round == 1 && publishedAt[id] == 0 {
+					publishedAt[id] = ctx.Now()
 				}
 			},
 		})
@@ -97,10 +97,16 @@ func dissentRound(sc Scenario, n int, hop time.Duration) (time.Duration, int64) 
 	})
 	net.Start()
 	net.RunUntil(100 * time.Second)
-	if publishedAt == 0 {
+	var first time.Duration
+	for _, at := range publishedAt {
+		if at != 0 && (first == 0 || at < first) {
+			first = at
+		}
+	}
+	if first == 0 {
 		panic("dissent round never published")
 	}
-	return publishedAt - time.Minute, net.TotalMessages()
+	return first - time.Minute, net.TotalMessages()
 }
 
 // dissentHandler adapts a dissent.Member to proto.Handler.

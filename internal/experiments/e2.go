@@ -20,9 +20,6 @@ func dcNetwork(sc Scenario, g int, seed uint64) (*sim.Network, []proto.NodeID) {
 	if err != nil {
 		panic(err)
 	}
-	// Their member callbacks count into variables the trial closure shares
-	// across nodes, and E7 schedules its load on net.Engine().
-	sc.Shards, sc.single = 0, "DC-net member callbacks share per-trial counters; E7 schedules on net.Engine()"
 	sc.codec = wire.NewCodec()
 	dcnet.RegisterMessages(sc.codec)
 	all := make([]proto.NodeID, g)

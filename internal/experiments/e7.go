@@ -34,7 +34,8 @@ func E7AnnounceOptimization(sc Scenario) *metrics.Table {
 	run := func(mode dcnet.Mode, load float64, seed uint64) result {
 		net, all := dcNetwork(sc, g, seed)
 		members := make([]*dcnet.Member, g)
-		delivered := 0
+		// One count per member: each runs on its own node's event loop.
+		delivered := make([]int, g)
 		net.SetHandlers(func(id proto.NodeID) proto.Handler {
 			m, err := dcnet.NewMember(dcnet.Config{
 				Self:     id,
@@ -44,7 +45,7 @@ func E7AnnounceOptimization(sc Scenario) *metrics.Table {
 				Interval: 100 * time.Millisecond,
 				Policy:   dcnet.PolicyNone,
 				OnDeliver: func(proto.Context, uint32, []byte) {
-					delivered++
+					delivered[id]++
 				},
 			})
 			if err != nil {
@@ -56,7 +57,6 @@ func E7AnnounceOptimization(sc Scenario) *metrics.Table {
 		net.Start()
 		// Offer load: schedule payload submissions as a Poisson-ish
 		// process with the given per-round rate, spread across members.
-		loadRNG := net.Engine()
 		interval := 100 * time.Millisecond
 		totalRounds := roundsToRun
 		count := int(load * float64(totalRounds))
@@ -66,7 +66,7 @@ func E7AnnounceOptimization(sc Scenario) *metrics.Table {
 			payload := make([]byte, 500)
 			payload[0] = byte(i)
 			payload[1] = byte(i >> 8)
-			loadRNG.Schedule(at, func() { _ = member.Queue(payload) })
+			net.At(at, all[i%g], func() { _ = member.Queue(payload) })
 		}
 		net.RunUntil(time.Duration(totalRounds) * interval)
 		rounds := members[0].RoundsCompleted
@@ -79,10 +79,14 @@ func E7AnnounceOptimization(sc Scenario) *metrics.Table {
 				collisions = m.Collisions
 			}
 		}
+		total := 0
+		for _, d := range delivered {
+			total += d
+		}
 		return result{
 			bytesPerRound: float64(net.TotalBytes()) / float64(rounds),
 			collisions:    collisions,
-			delivered:     delivered,
+			delivered:     total,
 		}
 	}
 

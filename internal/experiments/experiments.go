@@ -47,13 +47,11 @@ type Scenario struct {
 	Par int
 	// Shards partitions each trial network across per-shard event loops
 	// (`flexsim -shards`) on every experiment that builds its networks
-	// through Scenario.network and mounts its handlers through
-	// internal/stack; tables are bit-identical at every setting
-	// (TestShardedGoldenTables). The exceptions: e2, e7, e11 and e13
-	// withhold the request and say why under Verbose, and the
-	// flexnet.Simulate experiments (e3, e5, e9, e10, a2) have no
-	// parameter to pass it through. A network that cannot shard
-	// (zero-delay profile, N < Shards) clamps to one loop; so do 0 and 1.
+	// through Scenario.network; tables are bit-identical at every setting
+	// (TestShardedGoldenTables). The flexnet.Simulate experiments (e3, e5,
+	// e9, e10, a2) have no parameter to pass it through. A network that
+	// cannot shard (zero-delay profile, N < Shards) clamps to one loop; so
+	// do 0 and 1.
 	Shards int
 	// Verbose reports every trial network's resolved shard layout to
 	// stderr, and per-shard run diagnostics (event counts, lookahead
@@ -68,11 +66,9 @@ type Scenario struct {
 	Netem *netem.Profile
 
 	// freshNet makes fixture rebuild per trial: the comparison arm of
-	// TestNetworkReuseBitIdentical, which alone sets it. single is why an
-	// experiment zeroed Shards: its trial closures are not safe on
-	// concurrent loops. codec turns on byte accounting (bare DC-net runs).
+	// TestNetworkReuseBitIdentical, which alone sets it. codec turns on
+	// byte accounting (bare DC-net runs).
 	freshNet bool
-	single   string
 	codec    *wire.Codec
 }
 
@@ -132,11 +128,8 @@ func (sc Scenario) network(g *topology.Graph, seed uint64, def netem.Profile) *s
 	}
 	net := sim.NewNetwork(g, sim.Options{Seed: seed, Netem: &p, Shards: sc.Shards, Codec: sc.codec})
 	if sc.Verbose {
-		layout := fmt.Sprintf("%d shard(s) of %d requested, lookahead %v", net.ShardCount(), max(sc.Shards, 1), net.Lookahead())
-		if sc.single != "" {
-			layout = "single loop: " + sc.single
-		}
-		fmt.Fprintf(os.Stderr, "network N=%d %s seed=%d: %s\n", g.N(), p.Name, seed, layout)
+		fmt.Fprintf(os.Stderr, "network N=%d %s seed=%d: %d shard(s) of %d requested, lookahead %v\n",
+			g.N(), p.Name, seed, net.ShardCount(), max(sc.Shards, 1), net.Lookahead())
 	}
 	return net
 }

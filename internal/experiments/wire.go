@@ -5,7 +5,6 @@ import (
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
 	"repro/internal/flood"
-	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/relchan"
@@ -69,20 +68,4 @@ func PhaseOf(t proto.MsgType) string {
 		}
 	}
 	return "other"
-}
-
-// WireCountTable renders the nonzero per-type message/byte counts of any
-// runtime as a table — the sim-side extraction reused by the parity
-// harness and by cmd/flexnode -parity, so both print the exact format
-// cmd/flexsim uses.
-func WireCountTable(title string, src metrics.WireCounts) *metrics.Table {
-	t := metrics.NewTable(title, "phase", "type", "messages", "bytes")
-	for _, wt := range wireTypes {
-		msgs := src.MessagesOfType(wt.Type)
-		if msgs == 0 {
-			continue
-		}
-		t.AddRow(wt.Phase, wt.Name, msgs, src.BytesOfType(wt.Type))
-	}
-	return t
 }

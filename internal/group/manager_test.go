@@ -131,7 +131,7 @@ func TestManagerLeaveTriggersNewViews(t *testing.T) {
 		t.Fatal("no groups formed")
 	}
 	victim := groups[0].Members[0]
-	w.net.InjectTimer(victim, "leave")
+	w.net.InjectTimerAt(w.net.Now(), victim, "leave")
 	w.net.Run(0)
 
 	if w.dir.Known(victim) {
@@ -321,11 +321,11 @@ func TestFailoverEvictionUpdatesDirectory(t *testing.T) {
 		ph := ph
 		t.Run(ph.name, func(t *testing.T) {
 			w := newFailoverWorld(t, 3, 3, 101)
-			w.net.Engine().Schedule(ph.crashAt, func() { w.net.Crash(victim) })
+			w.net.At(ph.crashAt, victim, func() { w.net.Crash(victim) })
 			// Queue a payload well after the eviction settles; the shrunk
 			// group must still carry it.
 			payload := []byte("post-failover-tx")
-			w.net.Engine().Schedule(1500*time.Millisecond, func() {
+			w.net.At(1500*time.Millisecond, 1, func() {
 				if m := w.nodes[1].m; m != nil {
 					if err := m.Queue(payload); err != nil {
 						t.Errorf("queue on survivor: %v", err)
@@ -391,7 +391,7 @@ func TestFailoverEvictionUpdatesDirectory(t *testing.T) {
 func TestFailoverFloorDissolvesGroup(t *testing.T) {
 	const victim = proto.NodeID(4)
 	w := newFailoverWorld(t, 4, 4, 102)
-	w.net.Engine().Schedule(60*time.Millisecond, func() { w.net.Crash(victim) })
+	w.net.At(60*time.Millisecond, victim, func() { w.net.Crash(victim) })
 	w.net.Run(0)
 
 	for _, id := range []proto.NodeID{1, 2, 3} {

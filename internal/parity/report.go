@@ -19,7 +19,7 @@ func wireTypeIndex() []experiments.WireType { return experiments.WireTypes() }
 // Accounting is one run's wire-level table: per-type and total message
 // and marshaled-byte counts, delivery coverage, and duration (virtual
 // for the simulator, wall-clock injection→last-delivery for the real
-// cluster). It implements metrics.WireCounts.
+// cluster).
 type Accounting struct {
 	Msgs  map[proto.MsgType]int64
 	Bytes map[proto.MsgType]int64
@@ -59,14 +59,6 @@ func newAccounting() *Accounting {
 		Bytes: make(map[proto.MsgType]int64),
 	}
 }
-
-// MessagesOfType implements metrics.WireCounts.
-func (a *Accounting) MessagesOfType(t proto.MsgType) int64 { return a.Msgs[t] }
-
-// BytesOfType implements metrics.WireCounts.
-func (a *Accounting) BytesOfType(t proto.MsgType) int64 { return a.Bytes[t] }
-
-var _ metrics.WireCounts = (*Accounting)(nil)
 
 // Divergence is one detected mismatch, tagged with the phase and message
 // type it belongs to.

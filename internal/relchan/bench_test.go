@@ -37,7 +37,7 @@ func BenchmarkRelChanSendAck(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.InjectTimer(0, sendAt{id: relchan.ID{Stream: uint64(i), Kind: 1}, payload: []byte("p")})
+		net.InjectTimerAt(net.Now(), 0, sendAt{id: relchan.ID{Stream: uint64(i), Kind: 1}, payload: []byte("p")})
 		net.RunUntil(net.Now() + 5*time.Millisecond)
 	}
 	b.StopTimer()
@@ -55,7 +55,7 @@ func BenchmarkRelChanRetransmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.InjectTimer(0, sendAt{id: relchan.ID{Stream: uint64(i), Kind: 1}, payload: []byte("p")})
+		net.InjectTimerAt(net.Now(), 0, sendAt{id: relchan.ID{Stream: uint64(i), Kind: 1}, payload: []byte("p")})
 		net.RunUntil(net.Now() + 12*time.Millisecond)
 	}
 	b.StopTimer()
@@ -72,7 +72,7 @@ func BenchmarkRelChanDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.InjectTimer(0, sendAt{id: relchan.ID{Stream: uint64(i), Kind: 1}, payload: []byte("p")})
+		net.InjectTimerAt(net.Now(), 0, sendAt{id: relchan.ID{Stream: uint64(i), Kind: 1}, payload: []byte("p")})
 		net.RunUntil(net.Now() + 5*time.Millisecond)
 	}
 }

@@ -298,13 +298,3 @@ func (c *Channel) DropWhere(ctx proto.Context, match func(peer proto.NodeID, id 
 		}
 	}
 }
-
-// ForgetStream drops receive-side duplicate-suppression state for one
-// stream — GC for long-lived handlers once a broadcast is over.
-func (c *Channel) ForgetStream(stream uint64) {
-	for k := range c.seen {
-		if k.id.Stream == stream {
-			delete(c.seen, k)
-		}
-	}
-}

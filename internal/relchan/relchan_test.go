@@ -122,7 +122,7 @@ func TestChannelDeliveryTable(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					net, peers := pair(t, relchan.Config{RTO: 50 * time.Millisecond, RetryBudget: budget})
 					peers[1].dropData = func(_ relchan.ID, copy int) bool { return copy <= drops }
-					net.InjectTimer(0, sendAt{id: id, payload: []byte("p")})
+					net.InjectTimerAt(net.Now(), 0, sendAt{id: id, payload: []byte("p")})
 					// Out-wait every possible retransmission: budget+1
 					// copies spaced RTO apart, plus slack.
 					net.RunUntil(net.Now() + time.Duration(budget+2)*60*time.Millisecond)
@@ -161,12 +161,12 @@ func TestNackFastPath(t *testing.T) {
 	net, peers := pair(t, relchan.Config{RTO: 10 * time.Second, RetryBudget: 3})
 	id := relchan.ID{Stream: 42, Seq: 1, Kind: 1}
 	peers[1].dropData = func(_ relchan.ID, copy int) bool { return copy == 1 }
-	net.InjectTimer(0, sendAt{id: id, payload: []byte("pull")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: id, payload: []byte("pull")})
 	net.RunUntil(net.Now() + 100*time.Millisecond)
 	if len(peers[1].received) != 0 {
 		t.Fatal("dropped copy delivered anyway")
 	}
-	net.InjectTimer(1, nackAt{to: 0, id: id})
+	net.InjectTimerAt(net.Now(), 1, nackAt{to: 0, id: id})
 	net.RunUntil(net.Now() + 100*time.Millisecond)
 	if len(peers[1].received) != 1 {
 		t.Fatalf("nack did not pull a retransmission (received %d)", len(peers[1].received))
@@ -189,7 +189,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	net, peers := pair(t, relchan.Config{RTO: 50 * time.Millisecond, RetryBudget: 3})
 	id := relchan.ID{Stream: 9, Seq: 3, Kind: 2}
 	peers[0].dropAck = func(_ relchan.ID, copy int) bool { return copy == 1 }
-	net.InjectTimer(0, sendAt{id: id, payload: []byte("dup")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: id, payload: []byte("dup")})
 	net.RunUntil(net.Now() + 300*time.Millisecond)
 	if len(peers[1].received) != 1 {
 		t.Fatalf("processed %d copies, want exactly 1", len(peers[1].received))
@@ -213,8 +213,8 @@ func TestDisabledChannelIsTransparent(t *testing.T) {
 		t.Fatal("handlers not built")
 	}
 	id := relchan.ID{Stream: 1, Kind: 1}
-	net.InjectTimer(0, sendAt{id: id, payload: []byte("x")})
-	net.InjectTimer(0, sendAt{id: id, payload: []byte("x")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: id, payload: []byte("x")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: id, payload: []byte("x")})
 	net.RunUntil(net.Now() + 200*time.Millisecond)
 	if len(peers[1].received) != 2 {
 		t.Fatalf("disabled channel suppressed duplicates: processed %d, want 2", len(peers[1].received))
@@ -233,7 +233,7 @@ func TestStopQuiesces(t *testing.T) {
 	net, peers := pair(t, relchan.Config{RTO: 50 * time.Millisecond, RetryBudget: 3})
 	id := relchan.ID{Stream: 5, Kind: 1}
 	peers[1].dropData = func(relchan.ID, int) bool { return true }
-	net.InjectTimer(0, sendAt{id: id, payload: []byte("s")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: id, payload: []byte("s")})
 	net.RunUntil(net.Now() + 10*time.Millisecond)
 	peers[0].ch.Stop()
 	net.RunUntil(net.Now() + 500*time.Millisecond)
@@ -249,18 +249,18 @@ func TestDropPeerAndWhere(t *testing.T) {
 	peers[1].dropData = func(relchan.ID, int) bool { return true }
 	a := relchan.ID{Stream: 1, Seq: 1, Kind: 1}
 	b := relchan.ID{Stream: 1, Seq: 2, Kind: 1}
-	net.InjectTimer(0, sendAt{id: a, payload: []byte("a")})
-	net.InjectTimer(0, sendAt{id: b, payload: []byte("b")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: a, payload: []byte("a")})
+	net.InjectTimerAt(net.Now(), 0, sendAt{id: b, payload: []byte("b")})
 	net.RunUntil(net.Now() + 50*time.Millisecond)
 	if peers[0].ch.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", peers[0].ch.Pending())
 	}
-	net.InjectTimer(0, dropWhereSeq{seq: 1})
+	net.InjectTimerAt(net.Now(), 0, dropWhereSeq{seq: 1})
 	net.RunUntil(net.Now() + 10*time.Millisecond)
 	if peers[0].ch.Pending() != 1 {
 		t.Fatalf("DropWhere(seq=1) left pending = %d, want 1", peers[0].ch.Pending())
 	}
-	net.InjectTimer(0, dropPeerReq{peer: 1})
+	net.InjectTimerAt(net.Now(), 0, dropPeerReq{peer: 1})
 	net.RunUntil(net.Now() + 10*time.Millisecond)
 	if peers[0].ch.Pending() != 0 {
 		t.Fatalf("DropPeer left pending = %d, want 0", peers[0].ch.Pending())

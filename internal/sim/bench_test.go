@@ -94,7 +94,7 @@ func benchEngineQueue(b *testing.B, pending int, jitter time.Duration, fanout in
 	for i := 0; i < pending; i++ {
 		h.HandleMessage(&net.nodes[i%len(net.nodes)], 0, msg)
 	}
-	e := net.Engine()
+	e := net.engine
 	e.Run(uint64(2 * pending)) // past the cold first waves: chunks and run buffer at size
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -55,7 +55,7 @@ func floodRun(t *testing.T, seed uint64) runFingerprint {
 		totalBytes: net.TotalBytes(),
 		typeMsgs:   net.MessagesOfType(flood.TypeData),
 		typeBytes:  net.BytesOfType(flood.TypeData),
-		steps:      net.Engine().Steps(),
+		steps:      net.Steps(),
 		delivered:  net.Delivered(id),
 	}
 	for _, at := range net.Deliveries(id).All() {
@@ -136,7 +136,7 @@ func networkFingerprint(t *testing.T, net *Network) runFingerprint {
 		totalBytes: net.TotalBytes(),
 		typeMsgs:   net.MessagesOfType(flood.TypeData),
 		typeBytes:  net.BytesOfType(flood.TypeData),
-		steps:      net.Engine().Steps(),
+		steps:      net.Steps(),
 		delivered:  net.Delivered(id),
 	}
 	for _, at := range net.Deliveries(id).All() {

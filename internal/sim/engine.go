@@ -73,14 +73,14 @@ type eventKind uint8
 const (
 	// evFree marks a recycled slot sitting on the free list.
 	evFree eventKind = iota
-	// evFunc is a generic callback (Engine.Schedule).
+	// evFunc is a generic callback (Network.At, Engine.Schedule).
 	evFunc
 	// evTimer fires a node timer (Context.SetTimer).
 	evTimer
 )
 
-// ctlSrc is the scheduling-context ID of engine-level control events
-// (Engine.Schedule: churn injection, driver callbacks). It sorts before
+// ctlSrc is the scheduling-context ID of control events (Network.At:
+// churn injection, driver callbacks; Engine.Schedule). It sorts before
 // every node ID, so a control event fires ahead of same-instant node
 // events — crash/restore at time T precedes deliveries arriving at T,
 // exactly as the Start-time schedule order used to guarantee.
@@ -191,7 +191,7 @@ type arenaBlock [arenaBlockSize]event
 // engine is idle.
 type Engine struct {
 	now    time.Duration
-	ctlSeq uint32 // per-engine counter for control events (src = ctlSrc)
+	ctlSeq uint32 // Schedule's control counter; a network keys At on its own
 	steps  uint64
 
 	// curTag/curSub identify the event currently being dispatched: the
@@ -522,8 +522,8 @@ func (e *Engine) scheduleArena(at time.Duration, key evKey) (int32, *event) {
 }
 
 // scheduleFunc enqueues a callback at absolute time `at` under the given
-// key — Engine.Schedule with its own control counter, the sharded
-// network's control stream with the network's (Network.scheduleCtl).
+// key — Engine.Schedule with its own control counter, Network.At with
+// the network's.
 func (e *Engine) scheduleFunc(at time.Duration, key evKey, fn func()) Timer {
 	idx, ev := e.scheduleArena(at, key)
 	ev.kind = evFunc
@@ -531,8 +531,9 @@ func (e *Engine) scheduleFunc(at time.Duration, key evKey, fn func()) Timer {
 	return Timer{e: e, idx: idx, gen: ev.gen}
 }
 
-// Schedule runs fn after delay of virtual time. A negative delay is
-// treated as zero. The returned handle can cancel the event.
+// Schedule runs fn after delay of virtual time on a standalone engine (a
+// network's engines take driver work through Network.At). A negative
+// delay is treated as zero. The returned handle can cancel the event.
 func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
@@ -555,13 +556,6 @@ func (e *Engine) scheduleDeliver(at time.Duration, key evKey, dst proto.NodeID, 
 func (e *Engine) scheduleTimer(delay time.Duration, node *simNode, id proto.TimerID, payload any) Timer {
 	if delay < 0 {
 		delay = 0
-	}
-	if delay == 0 {
-		// A same-instant child may carry a smaller ordering tag than the
-		// event creating it; mark the creator in the observation log so
-		// the barrier merge replays taps in true execution order
-		// (see the availability invariant in obs.go).
-		node.net.tapMark(node)
 	}
 	node.schedSeq++
 	idx, ev := e.scheduleArena(e.now+delay, evKey{src: node.id, seq: node.schedSeq})

@@ -225,8 +225,8 @@ type Network struct {
 	// the tap plumbing branches on it to park observations in the shard
 	// logs instead of firing directly (set before the goroutines spawn
 	// and cleared after the barrier join, so every read is ordered).
-	// ctlSeq is the network-level control-event counter sharded runs key
-	// on (scheduleCtl); obsCur is merge-cursor scratch for replayObs.
+	// ctlSeq is the control-event counter every At call keys on; obsCur is
+	// merge-cursor scratch for replayObs.
 	windowing bool
 	ctlSeq    uint32
 	obsCur    []int
@@ -336,17 +336,6 @@ func (n *Network) Reset(seed uint64) {
 	n.started = false
 }
 
-// Engine exposes the underlying event engine (for RunUntil etc.). It is
-// only meaningful when the network runs a single event loop; a network
-// that resolved to multiple shards has no one engine, so this panics —
-// drive the run through Network.Run/RunUntil and read Network.Steps.
-func (n *Network) Engine() *Engine {
-	if len(n.shards) > 1 {
-		panic("sim: Engine() on a sharded network; use Network.Run/RunUntil/Steps")
-	}
-	return n.engine
-}
-
 // Topology returns the overlay graph.
 func (n *Network) Topology() *topology.Graph { return n.topo }
 
@@ -355,8 +344,7 @@ func (n *Network) Topology() *topology.Graph { return n.topo }
 func (n *Network) Now() time.Duration { return n.engine.Now() }
 
 // Steps returns the number of events executed so far, summed across
-// shards — use this instead of Engine().Steps(), which is unavailable
-// on sharded networks.
+// shards.
 func (n *Network) Steps() uint64 {
 	var s uint64
 	for _, sh := range n.shards {
@@ -451,27 +439,26 @@ func (n *Network) Start() {
 	for _, ev := range n.opts.Netem.Churn.Events(len(n.nodes), n.opts.Seed) {
 		id := ev.Node
 		if ev.Up {
-			n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Restore(id) })
+			n.At(ev.At, id, func() { n.Restore(id) })
 		} else {
-			n.scheduleCtl(n.nodes[id].eng, ev.At, func() { n.Crash(id) })
+			n.At(ev.At, id, func() { n.Crash(id) })
 		}
 	}
 }
 
-// scheduleCtl schedules a control closure at absolute virtual time at on
-// the given engine. Single-loop networks delegate to Engine.Schedule —
-// byte-identical to the historical path. Sharded networks key the event
-// to a network-level control counter instead of the engine's own:
-// per-engine counters could assign the same (at, ctlSrc, seq) key on two
-// shards, and the observation merge (obs.go) needs control keys to be
-// globally unique and to reproduce exactly the sequence a single loop
-// would have assigned — which one shared counter in schedule-call order
-// does. Negative relative times clamp to now, as Engine.Schedule does.
-func (n *Network) scheduleCtl(eng *Engine, at time.Duration, fn func()) {
-	if len(n.shards) == 1 {
-		eng.Schedule(at-eng.Now(), fn)
-		return
-	}
+// At runs fn on node id's event loop at absolute virtual time at (a time
+// already past clamps to now) — the one way a driver schedules work into
+// a run at any shard count: fault injection, load offered to a handler,
+// a crash mid-run. fn runs as a control event, ahead of every node event
+// of the same instant, on the shard that owns node id, so it may touch
+// only what that shard owns: node id's handler, Crash(id), Restore(id).
+// Control events key to one network-level counter in call order, so
+// equal-time At calls fire in call order and every (at, ctlSrc, seq) key
+// is unique across shards, which the observation merge relies on
+// (obs.go). Call At from the driver — before Start, after it, or between
+// runs — never from a handler or from fn.
+func (n *Network) At(at time.Duration, id proto.NodeID, fn func()) {
+	eng := n.nodes[id].eng
 	if at < eng.now {
 		at = eng.now
 	}
@@ -513,20 +500,6 @@ func (n *Network) Originate(at proto.NodeID, payload []byte) (proto.MsgID, error
 	return b.Broadcast(node, payload)
 }
 
-// InjectTimer schedules an immediate HandleTimer(payload) call at the
-// node through its shard's event loop — a hook for tests and experiment
-// drivers to trigger handler actions without reaching into handler
-// internals.
-func (n *Network) InjectTimer(id proto.NodeID, payload any) {
-	node := &n.nodes[id]
-	n.scheduleCtl(node.eng, node.eng.Now(), func() {
-		if node.crashed {
-			return
-		}
-		node.handler.HandleTimer(node, payload)
-	})
-}
-
 // InjectTimerAt schedules HandleTimer(payload) at the node at absolute
 // virtual time at — the arrival-injection hook of the workload engine:
 // a whole arrival schedule is installed up front (like the netem churn
@@ -540,7 +513,7 @@ func (n *Network) InjectTimer(id proto.NodeID, payload any) {
 // the node's current time.
 func (n *Network) InjectTimerAt(at time.Duration, id proto.NodeID, payload any) {
 	node := &n.nodes[id]
-	n.scheduleCtl(node.eng, at, func() {
+	n.At(at, id, func() {
 		if node.crashed {
 			return
 		}

@@ -28,45 +28,54 @@ import (
 // argument). Across shards the merge compares only the HEADS of the
 // logs by (at, tag, sub). That is deliberately not a global sort: an
 // event can schedule a same-instant child (a zero-delay timer) whose
-// tag is *smaller* than its creator's, so execution order is key order
-// only among events that are simultaneously available in a heap —
-// exactly the comparison a head merge performs. The availability
-// invariant that makes the head merge correct is: every same-instant
-// causal ancestor of a logged entry has an entry of its own. Ancestors
-// that emit callbacks have one naturally; ancestors that merely
-// schedule a same-instant child are pinned with a zero-cost marker
-// entry (tapMark, called from the zero-delay schedule paths). With the
-// invariant in place, the head of each shard's log is the smallest-key
-// event that shard could execute next, so the global minimum over
-// heads is the event the single loop would pop — by induction the
-// merged stream equals the single-loop stream, callback for callback,
-// timestamp for timestamp.
+// tag is *smaller* than its creator's, and the single loop runs that
+// child after its creator anyway. Execution order is key order only
+// among events that are simultaneously available in a heap — exactly
+// the comparison a head merge performs, provided this availability
+// invariant holds: a logged entry whose tag is smaller than that of one
+// of its same-instant causal ancestors comes after an entry of that
+// ancestor in the same log. The head of each shard's log is then the
+// smallest-key event that shard could execute next, so the global
+// minimum over heads is the event the single loop would pop — by
+// induction the merged stream equals the single-loop stream, callback
+// for callback, timestamp for timestamp.
+//
+// The invariant holds without any bookkeeping of its own, because only
+// a delivery can create a same-instant child with a smaller tag:
+//   - a send's arrival lies at least one lookahead (> 0) after the send,
+//     so every same-instant child is a zero-delay timer at the node that
+//     is executing, keyed (that node, its next sequence);
+//   - a timer's child therefore has the same source and a larger
+//     sequence, so a chain of timers only climbs;
+//   - a control event's ctlSrc sorts before every node, so its child is
+//     larger too.
+// A delivery of (u, s) at node v < u is the one event whose child (v, s')
+// drops below it, and everything that child schedules in the same
+// instant stays at v, below (u, s). Two cases cover every run. With an
+// unscoped tap registered, every delivery to a live node logs its
+// receive before its handler runs, so the ancestor has its entry. With
+// only SpyTaps, nothing but receives is logged (below), and a
+// same-instant child is never a receive, so no such entry exists.
+// TestShardedTapSameInstantChild builds the case: a receiver arming a
+// zero-delay timer that sends, beside a same-instant event on another
+// shard keyed between the two, under both kinds of tap.
 //
 // Control events need one more property: keys must be globally unique.
 // Node events are — (src, seq) is a per-node schedule counter — but
 // each engine has its own control stream, and two engines' control
-// events could collide on (at, ctlSrc, seq). Network-scheduled control
-// events (churn injection, InjectTimer/InjectTimerAt) therefore draw
-// from a network-level control counter when the run is sharded
-// (Network.scheduleCtl): one shared counter assigned in schedule-call
-// order, which is exactly the per-engine order a single loop would
-// have assigned. Engine.Schedule keeps the per-engine counter for
-// standalone engines; it is unreachable on a sharded network
-// (Network.Engine panics there).
+// events could collide on (at, ctlSrc, seq). Every control event of a
+// network (churn injection, At, InjectTimerAt) therefore draws from one
+// network-level counter in call order (Network.At), which is exactly the
+// per-engine order a single loop would assign. Engine.Schedule keeps its
+// own counter for standalone engines; nothing reaches a network's
+// engine.
 //
 // What is logged. Every registered tap gets OnReceive; only taps without
 // Spies (the unscoped ones) get OnSend and OnDeliverLocal. So with only
 // SpyTaps registered a window parks nothing but the receives at watched
-// nodes and the availability markers — for a 1 % spy set, about one
-// entry in two hundred of the full stream. Dropping the rest keeps the
-// head merge exact. The invariant above needs an entry for every
-// same-instant causal ancestor of a kept entry. A send's arrival lies at
-// least one lookahead (> 0) after the send, so no event is such an
-// ancestor through a message it sends; the only same-instant links are
-// zero-delay timers, and tapMark pins their creators whenever any tap is
-// registered, whatever the taps want. The merged stream is then the
-// single-loop stream restricted to the kept callbacks — exactly what a
-// single loop fires.
+// nodes — for a 1 % spy set, about one entry in two hundred of the full
+// stream. The merged stream is then the single-loop stream restricted
+// to the kept callbacks — exactly what a single loop fires.
 //
 // Driver-phase callbacks — sends and local deliveries during Start,
 // Originate or between RunUntil calls, when every engine is idle —
@@ -77,11 +86,8 @@ import (
 type obsKind uint8
 
 const (
-	// obsMark pins a callback-free event in the log so the head merge
-	// sees its position (availability invariant above). Replays nothing.
-	obsMark obsKind = iota
 	// obsSend replays Tap.OnSend.
-	obsSend
+	obsSend obsKind = iota
 	// obsRecv replays Tap.OnReceive.
 	obsRecv
 	// obsDeliver replays Tap.OnDeliverLocal. Only first deliveries are
@@ -149,17 +155,6 @@ func (n *Network) tapSend(from *simNode, at time.Duration, to proto.NodeID, msg 
 	for _, tap := range n.unscoped {
 		tap.OnSend(at, from.id, to, msg)
 	}
-}
-
-// tapMark pins the currently executing event in the observation log
-// when it schedules a same-instant child (the availability invariant):
-// inside a sharded window, whenever any tap — spy or not — is
-// registered. No-op otherwise.
-func (n *Network) tapMark(node *simNode) {
-	if !n.windowing || len(n.taps) == 0 {
-		return
-	}
-	logObs(node, obsEntry{kind: obsMark})
 }
 
 // replayObs k-way head-merges the shard observation logs and fires the

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -174,6 +175,123 @@ func TestShardedTapSameInstantCrossShard(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no adjacent same-instant cross-shard receives in the merged stream; tie coverage lost")
+	}
+}
+
+// childMsg carries how many more same-instant generations a receiver
+// from a higher ID may start.
+type childMsg struct{ hops int }
+
+func (childMsg) Type() proto.MsgType { return 0x7e01 }
+
+// childGo is the injected kick: send one childMsg to to.
+type childGo struct {
+	to   proto.NodeID
+	hops int
+}
+
+// childNode receives from a higher ID by arming a zero-delay timer, whose
+// child carries a smaller ordering tag than the delivery that armed it;
+// the timer sends and re-arms itself while hops last.
+type childNode struct{ n int }
+
+func (childNode) Init(proto.Context) {}
+
+func (c childNode) HandleMessage(ctx proto.Context, from proto.NodeID, msg proto.Message) {
+	if m := msg.(childMsg); from > ctx.Self() && m.hops > 0 {
+		ctx.SetTimer(0, m.hops-1)
+	}
+}
+
+func (c childNode) HandleTimer(ctx proto.Context, payload any) {
+	switch p := payload.(type) {
+	case childGo:
+		ctx.Send(p.to, childMsg{hops: p.hops})
+	case int:
+		ctx.Send(proto.NodeID((int(ctx.Self())*5+3)%c.n), childMsg{hops: p})
+		if p > 0 {
+			ctx.SetTimer(0, p-1)
+		}
+	}
+}
+
+// spyRec records through a recTap but watches only ids.
+type spyRec struct {
+	*recTap
+	ids []proto.NodeID
+}
+
+func (s spyRec) Spies() []proto.NodeID { return s.ids }
+
+// TestShardedTapSameInstantChild attempts the one case the head merge
+// has to get right without help (obs.go, "Why the merge is exact"): node
+// 1 receives from node 10 at 10 ms and arms a zero-delay timer that
+// sends, keyed (1, ·) — below the delivery (10, ·) that armed it — while
+// node 12, on another shard at every k > 1, receives from node 5 at the
+// same instant, keyed (5, ·) in between. The single loop runs 5→12, then
+// 10→1, then 1's timer; a merge that sorted by key would put the
+// timer's send first. Every other node adds its own kick, so the
+// instant carries many such ties. The stream must equal the single
+// loop's at k = 1/2/4/7 under an unscoped tap, and under SpyTaps alone —
+// one set that watches node 1, so the delivery has its entry, and one
+// that does not, so nothing of the child chain is logged.
+func TestShardedTapSameInstantChild(t *testing.T) {
+	const n = 14
+	g, err := topology.Complete(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(shards int, spies []proto.NodeID) ([]recEvent, int) {
+		net := NewNetwork(g, Options{Seed: 42, Latency: ConstLatency(10 * time.Millisecond), Shards: shards})
+		rec := &recTap{}
+		if spies == nil {
+			net.AddTap(rec)
+		} else {
+			net.AddTap(spyRec{rec, spies})
+		}
+		net.SetHandlers(func(proto.NodeID) proto.Handler { return childNode{n} })
+		net.Start()
+		net.InjectTimerAt(0, 10, childGo{to: 1, hops: 2})
+		net.InjectTimerAt(0, 5, childGo{to: 12, hops: 2})
+		for v := range proto.NodeID(n) {
+			net.InjectTimerAt(0, v, childGo{to: (v*3 + 1) % n, hops: 3})
+		}
+		net.Run(0)
+		return rec.events, net.ShardCount()
+	}
+	base, _ := run(0, nil)
+	tie := -1
+	for i, e := range base {
+		if e.kind == 'R' && e.at == 10*time.Millisecond && e.a == 5 && e.b == 12 {
+			tie = i
+		}
+		if tie >= 0 && e.kind == 'S' && e.at == 10*time.Millisecond && e.a == 1 {
+			tie = -2
+			break
+		}
+	}
+	if tie != -2 {
+		t.Fatal("the single-loop stream lacks 5→12 before node 1's same-instant child send; the hazard is not built")
+	}
+	for _, spies := range [][]proto.NodeID{nil, {1, 12, 8}, {12, 8, 13}} {
+		name := "unscoped"
+		if spies != nil {
+			name = fmt.Sprintf("spies=%v", spies)
+		}
+		want, _ := run(0, spies)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty single-loop stream", name)
+		}
+		for _, k := range []int{1, 2, 4, 7} {
+			got, resolved := run(k, spies)
+			if resolved != k {
+				t.Fatalf("requested %d shards, resolved %d", k, resolved)
+			}
+			if k > 1 && topology.ShardOf(1, n, k) == topology.ShardOf(12, n, k) {
+				t.Fatalf("k=%d: nodes 1 and 12 share a shard; the tie is not cross-shard", k)
+			}
+			compareStreams(t, fmt.Sprintf("%s/k=%d", name, k), want, got)
+		}
 	}
 }
 

@@ -149,7 +149,7 @@ func newQueueDiff(t testing.TB) *queueDiff {
 		t.Fatal(err)
 	}
 	d := &queueDiff{t: t, net: NewNetwork(g, Options{Seed: 1})}
-	d.e = d.net.Engine()
+	d.e = d.net.engine
 	d.start()
 	return d
 }

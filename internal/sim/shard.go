@@ -264,7 +264,7 @@ func (n *Network) runSharded(deadline time.Duration) uint64 {
 		// bounded.
 		n.replayObs()
 	}
-	// Synchronize clocks so post-run scheduling (Originate, InjectTimer,
+	// Synchronize clocks so post-run scheduling (Originate, At,
 	// the next RunUntil) keys off one well-defined time at every shard.
 	syncTo := deadline
 	if syncTo == maxDuration {

@@ -29,8 +29,9 @@ func shardTestGraph(t *testing.T) *topology.Graph {
 // returns the full observable fingerprint plus the shard count the
 // network actually resolved to. dense selects the handlers: one
 // map-backed flood.New per node, or flood.NewAt over a Shared partitioned
-// like the network — one handler per partition cell.
-func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool) (runFingerprint, int) {
+// like the network — one handler per partition cell. drive, when non-nil,
+// schedules the arm's faults after Start.
+func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool, drive func(*Network)) (runFingerprint, int) {
 	t.Helper()
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
@@ -44,6 +45,9 @@ func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool)
 		net.SetHandlers(func(proto.NodeID) proto.Handler { return flood.New() })
 	}
 	net.Start()
+	if drive != nil {
+		drive(net)
+	}
 	id, err := net.Originate(3, []byte("shard probe"))
 	if err != nil {
 		t.Fatal(err)
@@ -83,44 +87,60 @@ func compareFingerprints(t *testing.T, name string, a, b runFingerprint) {
 // steps, the full per-node delivery-time vector — is bit-identical at
 // ANY shard count, for both the fixed-delay case and the shaped case
 // (jitter, loss-free churn), whose hash-based draws are
-// position-independent by construction. Each shard count runs twice:
+// position-independent by construction, and for crashes and restores a
+// driver schedules through Network.At — some on the very instant a
+// flood wave lands. Each shard count runs twice:
 // with a map-backed handler per node and with the dense per-partition
 // handlers of flood.NewAt over Partition(k), which must be
 // indistinguishable from them and from each other at every k.
 func TestShardedDeterminism(t *testing.T) {
 	g := shardTestGraph(t)
 	arms := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		drive func(*Network)
 	}{
-		{"const-latency", Options{Seed: 42, Latency: ConstLatency(50 * time.Millisecond)}},
+		{"const-latency", Options{Seed: 42, Latency: ConstLatency(50 * time.Millisecond)}, nil},
 		{"netem-shaped", Options{Seed: 42, Netem: &netem.Profile{
 			Latency: netem.Const(20 * time.Millisecond),
 			Jitter:  netem.Uniform{Hi: 15 * time.Millisecond},
-		}}},
+		}}, nil},
 		// Jitter without loss, no constant base: a preset with a floor
 		// (25 ms) well under its mean.
-		{"jitter-only", Options{Seed: 42, Netem: &netem.WANJitter}},
+		{"jitter-only", Options{Seed: 42, Netem: &netem.WANJitter}, nil},
 		{"netem-churn", Options{Seed: 42, Netem: &netem.Profile{
 			Latency: netem.Const(20 * time.Millisecond),
 			Jitter:  netem.Uniform{Hi: 15 * time.Millisecond},
 			Churn:   netem.Churn{Fraction: 0.1, Start: 10 * time.Millisecond, Down: 50 * time.Millisecond},
-		}}},
+		}}, nil},
+		// Under 50 ms links the second wave lands at 100 ms: the crashes
+		// there must fire ahead of that instant's deliveries on every
+		// shard, the restore lets node 101 take a later copy.
+		{"at-crash", Options{Seed: 42, Latency: ConstLatency(50 * time.Millisecond)}, func(net *Network) {
+			for _, id := range []proto.NodeID{0, 101, 150, 202} {
+				net.At(100*time.Millisecond, id, func() { net.Crash(id) })
+			}
+			net.At(120*time.Millisecond, 101, func() { net.Restore(101) })
+			net.At(30*time.Millisecond, 57, func() { net.Crash(57) })
+		}},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			base, k := shardFingerprint(t, g, arm.opts, false)
+			base, k := shardFingerprint(t, g, arm.opts, false, arm.drive)
 			if k != 1 {
 				t.Fatalf("unsharded run resolved to %d shards", k)
 			}
 			if base.delivered == 0 || base.totalMsgs == 0 {
 				t.Fatalf("degenerate baseline run: %+v", base)
 			}
+			if arm.drive != nil && base.delivered == g.N() {
+				t.Fatal("the scheduled crashes cost no delivery; the arm tests nothing")
+			}
 			for _, shards := range []int{1, 2, 4, 7} {
 				opts := arm.opts
 				opts.Shards = shards
 				for _, dense := range []bool{false, true} {
-					fp, k := shardFingerprint(t, g, opts, dense)
+					fp, k := shardFingerprint(t, g, opts, dense, arm.drive)
 					if shards > 1 && k != shards {
 						t.Errorf("requested %d shards, resolved %d (expected eligible)", shards, k)
 					}

@@ -93,14 +93,6 @@ func (g *Graph) Degree(v proto.NodeID) int {
 	return len(g.adj[v])
 }
 
-// AvgDegree returns the mean degree 2M/N.
-func (g *Graph) AvgDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return 2 * float64(g.m) / float64(g.n)
-}
-
 // BFS returns hop distances from src; unreachable nodes get -1.
 func (g *Graph) BFS(src proto.NodeID) []int {
 	dist := make([]int, g.n)

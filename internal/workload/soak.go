@@ -180,9 +180,6 @@ func newSoakNet(cfg SoakConfig) *SoakNet {
 // runs).
 func (s *SoakNet) Net() *sim.Network { return s.net }
 
-// Wrappers exposes the per-node admission wrappers of the latest run.
-func (s *SoakNet) Wrappers() []*Wrapper { return s.wrappers }
-
 // Run executes one soak trial: reset, schedule the
 // arrivals for seed, drive them through admission into the protocol,
 // and report. originators nil means the config's set (or every node);

@@ -88,9 +88,6 @@ func NewWrapper(inner proto.Broadcaster, adm *Admission, sched []Arrival, servic
 	return &Wrapper{inner: inner, adm: adm, sched: sched, service: service, retry: retry}
 }
 
-// Inner exposes the wrapped protocol (for probes and tests).
-func (w *Wrapper) Inner() proto.Broadcaster { return w.inner }
-
 // Launches returns the node's launch log, in launch order.
 func (w *Wrapper) Launches() []Launch { return w.launches }
 
