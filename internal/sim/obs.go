@@ -61,14 +61,11 @@ import (
 // shard keyed between the two, under both kinds of tap.
 //
 // Control events need one more property: keys must be globally unique.
-// Node events are — (src, seq) is a per-node schedule counter — but
-// each engine has its own control stream, and two engines' control
-// events could collide on (at, ctlSrc, seq). Every control event of a
-// network (churn injection, At, InjectTimerAt) therefore draws from one
-// network-level counter in call order (Network.At), which is exactly the
-// per-engine order a single loop would assign. Engine.Schedule keeps its
-// own counter for standalone engines; nothing reaches a network's
-// engine.
+// Node events are — (src, seq) is a per-node schedule counter. Every
+// control event of a network (churn injection, At, InjectTimerAt) draws
+// its seq from one network-level counter in call order (Network.At), so
+// no two shards assign the same (at, ctlSrc, seq), and the sequence is
+// the one a single loop assigns.
 //
 // What is logged. Every registered tap gets OnReceive; only taps without
 // Spies (the unscoped ones) get OnSend and OnDeliverLocal. So with only
