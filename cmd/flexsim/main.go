@@ -11,12 +11,10 @@
 // distribution, jitter, loss, churn). Every preset shards.
 //
 // -shards additionally splits each trial's event loop across K
-// conservatively synchronized shards on every experiment that builds its
-// networks through the shared path (e1, e2, e4, e6, e7, e11–e17, a1, and
-// soak); tables stay bit-identical at any shard count. e3, e5, e9, e10
-// and a2 run flexnet.Simulate, which has no shard parameter, and e8
-// simulates no network. When -par is left at its default, the cores
-// split between the two axes: par = max(1, GOMAXPROCS/shards). -v prints
+// conservatively synchronized shards on every experiment that simulates
+// a network (all but e8) and on soak; tables stay bit-identical at any
+// shard count. When -par is left at its default, the cores split
+// between the two axes: par = max(1, GOMAXPROCS/shards). -v prints
 // each trial network's resolved shard count and, on e1 and e14,
 // per-shard event counts, lookahead stalls and event-queue moves per
 // event; -cpuprofile/-memprofile/-trace capture pprof/trace artifacts
@@ -56,7 +54,7 @@ func run() int {
 	degree := flag.Int("degree", 0, "override overlay degree (0: paper default)")
 	trials := flag.Int("trials", 0, "override trial count (0: mode default)")
 	par := flag.Int("par", 0, "trial worker-pool size (0: GOMAXPROCS split across -shards, 1: sequential)")
-	shards := flag.Int("shards", 0, "per-trial event-loop shards (0/1: single loop) on every experiment but e3, e5, e8, e9, e10 and a2, and on soak")
+	shards := flag.Int("shards", 0, "per-trial event-loop shards (0/1: single loop) on every simulated network, soak included")
 	verbose := flag.Bool("v", false, "print each trial network's resolved shard layout (and per-shard event counts, stalls and queue cost on e1/e14) to stderr")
 	netemSpec := flag.String("netem", "", "network-condition profile override: preset or spec, e.g. wan, lossy, \"lat=20ms,jitter=10ms,loss=0.05\" (every preset runs under -shards)")
 	rateSpec := flag.String("rate", "100", "soak target: workload rate spec, e.g. \"400\", \"400,resub=0.1,zipf=1.2\", \"trace:10ms/30ms\"")

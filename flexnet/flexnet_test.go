@@ -6,7 +6,14 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/adaptive"
+	"repro/internal/simulate"
 )
+
+// ballSizeOn is the tree-ball size RecommendParams plans with, under the
+// name the advisor tests use.
+var ballSizeOn = adaptive.BallSize
 
 func TestSimulateFlood(t *testing.T) {
 	res, err := Simulate(SimConfig{N: 100, Degree: 8, Protocol: ProtocolFlood, Seed: 1})
@@ -208,45 +215,13 @@ func TestStartNodeTCPCluster(t *testing.T) {
 	}
 }
 
-// Both entry points read their results off one set-up path, so they
-// describe the same broadcast.
-func TestEntryPointsAgree(t *testing.T) {
-	for _, f := range []float64{0, 0.1} {
-		cfg := SimConfig{N: 120, Degree: 6, Protocol: ProtocolFlexnet, K: 4, D: 3, Seed: 21, AdversaryFraction: f}
-		res, err := Simulate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := SimulateWithDeliveryTimes(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last time.Duration
-		for _, at := range prof {
-			last = max(last, at)
-		}
-		if len(prof) != res.Delivered || last != res.TimeToCoverage {
-			t.Errorf("f=%v: delivery profile has %d nodes, last at %v; Simulate reports %d, %v",
-				f, len(prof), last, res.Delivered, res.TimeToCoverage)
-		}
-		if _, ok := prof[res.Originator]; !ok {
-			t.Errorf("f=%v: Simulate's originator %d is missing from the profile", f, res.Originator)
-		}
-	}
-}
-
-// A broadcast cannot cover a disconnected overlay. SimulateWithDeliveryTimes
-// used to skip the check and return the origin component's deliveries as
-// if they were the whole network's.
-func TestDisconnectedOverlayFailsBothEntryPoints(t *testing.T) {
+// A broadcast cannot cover a disconnected overlay.
+func TestDisconnectedOverlayFails(t *testing.T) {
 	// A ring with a fifth of its edges rewired at random: this seed cuts
 	// it into more than one piece.
 	cfg := SimConfig{N: 60, Degree: 2, Topology: TopologySmallWorld, Protocol: ProtocolFlood, Seed: 1}
-	if _, err := Simulate(cfg); !errors.Is(err, errDisconnected) {
-		t.Errorf("Simulate: err = %v, want %v", err, errDisconnected)
-	}
-	if prof, err := SimulateWithDeliveryTimes(cfg); !errors.Is(err, errDisconnected) {
-		t.Errorf("SimulateWithDeliveryTimes: %d deliveries, err = %v, want %v", len(prof), err, errDisconnected)
+	if _, err := Simulate(cfg); !errors.Is(err, simulate.ErrDisconnected) {
+		t.Errorf("Simulate: err = %v, want %v", err, simulate.ErrDisconnected)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"time"
+
+	"repro/internal/adaptive"
 )
 
 // Recommendation is a parameter choice produced by RecommendParams,
@@ -155,7 +157,7 @@ func RecommendParams(in AdvisorInput) (*Recommendation, error) {
 	target := int(in.CoverFraction * float64(in.N))
 	d := 1
 	for ; d < 64; d++ {
-		if ballSizeOn(effDeg, d) >= target {
+		if adaptive.BallSize(effDeg, d) >= target {
 			break
 		}
 	}
@@ -175,26 +177,9 @@ func RecommendParams(in AdvisorInput) (*Recommendation, error) {
 		K:                           k,
 		D:                           d,
 		PredictedFloor:              1 / float64(honest),
-		PredictedBallSize:           ballSizeOn(effDeg, d),
+		PredictedBallSize:           adaptive.BallSize(effDeg, d),
 		PredictedLatency:            latency,
 		PredictedPhase1MsgsPerRound: 3 * k * (k - 1),
 		PredictedUtilization:        rho,
 	}, nil
-}
-
-// ballSizeOn is the d-regular-tree ball size (non-centre nodes) used by
-// the advisor; mirrors adaptive.BallSize without exporting internals.
-func ballSizeOn(deg, rho int) int {
-	if rho <= 0 {
-		return 0
-	}
-	if deg <= 2 {
-		return 2 * rho
-	}
-	total, width := 0, deg
-	for j := 1; j <= rho; j++ {
-		total += width
-		width *= deg - 1
-	}
-	return total
 }

@@ -50,9 +50,6 @@ type Config struct {
 	// Finisher, if non-nil, is invoked at every infected node when the
 	// final-spread instruction arrives.
 	Finisher Finisher
-	// DeliverLocally controls whether infection reports DeliverLocal
-	// (true for standalone use; the composed protocol also keeps it on).
-	DeliverLocally bool
 	// RetransmitTimeout mounts the reliable overlay channel (relchan)
 	// under the engine: every diffusion message is tracked until the
 	// receiver acks it and retransmitted after this long, up to
@@ -365,7 +362,7 @@ func (e *Engine) StartSource(ctx proto.Context, id proto.MsgID, payload []byte) 
 		return
 	}
 	st := e.putState(id, payload, proto.NoNode, 1)
-	e.deliver(ctx, id, payload)
+	ctx.DeliverLocal(id, payload)
 	nbs := ctx.Neighbors()
 	if len(nbs) == 0 {
 		return
@@ -385,7 +382,7 @@ func (e *Engine) StartCenter(ctx proto.Context, id proto.MsgID, payload []byte) 
 		return
 	}
 	st := e.putState(id, payload, proto.NoNode, 1)
-	e.deliver(ctx, id, payload)
+	ctx.DeliverLocal(id, payload)
 	for _, nb := range ctx.Neighbors() {
 		e.send(ctx, nb, &InfectMsg{ID: id, TTL: 1, Round: 1, Payload: payload})
 		st.Children = append(st.Children, nb)
@@ -444,18 +441,12 @@ func (e *Engine) HandleTimer(ctx proto.Context, payload any) bool {
 	return e.rel.HandleTimer(ctx, payload)
 }
 
-func (e *Engine) deliver(ctx proto.Context, id proto.MsgID, payload []byte) {
-	if e.cfg.DeliverLocally {
-		ctx.DeliverLocal(id, payload)
-	}
-}
-
 func (e *Engine) handleInfect(ctx proto.Context, from proto.NodeID, m *InfectMsg) {
 	if e.State(m.ID) != nil {
 		return // prune: already infected
 	}
 	st := e.putState(m.ID, m.Payload, from, m.Round)
-	e.deliver(ctx, m.ID, m.Payload)
+	ctx.DeliverLocal(m.ID, m.Payload)
 	if m.TTL > 1 {
 		out := &InfectMsg{ID: m.ID, TTL: m.TTL - 1, Round: m.Round, Payload: m.Payload}
 		for _, nb := range ctx.Neighbors() {
@@ -652,7 +643,6 @@ var _ proto.Broadcaster = (*Protocol)(nil)
 
 // New returns a standalone adaptive-diffusion protocol.
 func New(cfg Config) *Protocol {
-	cfg.DeliverLocally = true
 	return &Protocol{engine: NewEngine(cfg)}
 }
 
@@ -660,7 +650,6 @@ func New(cfg Config) *Protocol {
 // shared dense state (see NewEngineAt) — the handler-factory form
 // simulation trials use so one network's handlers share one allocation.
 func NewAt(cfg Config, shared *Shared, self proto.NodeID) *Protocol {
-	cfg.DeliverLocally = true
 	return &Protocol{engine: NewEngineAt(cfg, shared, self)}
 }
 

@@ -217,11 +217,10 @@ func build(cfg Config, shared *Shared, self proto.NodeID) (*Protocol, error) {
 	p := &Protocol{cfg: cfg}
 	p.rel = newCustodyChannel(&cfg)
 	ad := adaptive.Config{
-		D:              cfg.D,
-		RoundInterval:  cfg.ADInterval,
-		TreeDegree:     cfg.TreeDegree,
-		DeliverLocally: true,
-		Finisher:       (*finisher)(p),
+		D:             cfg.D,
+		RoundInterval: cfg.ADInterval,
+		TreeDegree:    cfg.TreeDegree,
+		Finisher:      (*finisher)(p),
 	}
 	if shared == nil {
 		p.fl, p.ad = flood.NewEngine(), adaptive.NewEngine(ad)

@@ -7,6 +7,7 @@ import (
 	"repro/flexnet"
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/simulate"
 )
 
 // A2ParameterAdvisor validates flexnet.RecommendParams — the "data for
@@ -45,18 +46,15 @@ func A2ParameterAdvisor(sc Scenario) *metrics.Table {
 			delivered bool
 		}
 		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
-			res, err := flexnet.Simulate(flexnet.SimConfig{
+			res, _ := sc.broadcast(simulate.Config{
 				N: n, Degree: deg,
-				Protocol:          flexnet.ProtocolFlexnet,
+				Protocol:          simulate.ProtocolFlexnet,
 				K:                 rec.K,
 				D:                 rec.D,
 				Seed:              uint64(trial*13 + int(c.floor*100) + 1),
 				AdversaryFraction: c.f,
 				MaxDuration:       3 * time.Minute,
 			})
-			if err != nil {
-				panic(err)
-			}
 			var s sample
 			if res.GroupAttackHit && res.GroupSuspectSet > 0 {
 				s.hit = 1 / float64(res.GroupSuspectSet)

@@ -4,11 +4,12 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"repro/flexnet"
 	"repro/internal/chain"
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/simulate"
 )
 
 // E10MinerFairness quantifies the §II motivation: "each transaction
@@ -34,19 +35,19 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 	)
 
 	rng := rand.New(rand.NewPCG(2024, 6))
-	miners := make([]int32, minerCount)
+	miners := make([]proto.NodeID, minerCount)
 	hashpower := make(map[proto.NodeID]float64, minerCount)
 	for i := range miners {
-		miners[i] = int32(i * (n / minerCount))
-		hashpower[proto.NodeID(miners[i])] = 1.0 / minerCount
+		miners[i] = proto.NodeID(i * (n / minerCount))
+		hashpower[miners[i]] = 1.0 / minerCount
 	}
 
 	protocols := []struct {
-		p flexnet.Protocol
+		p simulate.Protocol
 		k int
 	}{
-		{flexnet.ProtocolFlood, 0},
-		{flexnet.ProtocolFlexnet, 5},
+		{simulate.ProtocolFlood, 0},
+		{simulate.ProtocolFlexnet, 5},
 	}
 	intervals := []time.Duration{2 * time.Second, 20 * time.Second}
 	for _, pr := range protocols {
@@ -54,14 +55,11 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 		// the expensive part — and run through the worker pool; the fee
 		// lottery below consumes one shared RNG stream and stays
 		// sequential.
-		profs := runner.Map(profileCount, sc.Par, func(i int) map[int32]time.Duration {
-			prof, err := flexnet.SimulateWithDeliveryTimes(flexnet.SimConfig{
+		profs := runner.Map(profileCount, sc.Par, func(i int) *sim.DeliverySet {
+			_, prof := sc.broadcast(simulate.Config{
 				N: n, Degree: deg, Protocol: pr.p, K: pr.k, D: 4,
 				Seed: uint64(i + 1),
 			})
-			if err != nil {
-				panic(err)
-			}
 			return prof
 		})
 		for _, interval := range intervals {
@@ -74,7 +72,7 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 			horizon := time.Duration(blocksTarget) * interval
 			type tx struct {
 				born    time.Duration
-				profile map[int32]time.Duration
+				profile *sim.DeliverySet
 				fee     uint64
 				done    bool
 			}
@@ -93,13 +91,13 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 					if x.done || x.born > at {
 						continue
 					}
-					arrival, ok := x.profile[winner]
+					arrival, ok := x.profile.Time(winner)
 					if !ok {
 						continue
 					}
 					if x.born+arrival <= at {
 						x.done = true
-						fees[proto.NodeID(winner)] += x.fee
+						fees[winner] += x.fee
 						totalFee += x.fee
 						delay.Add(float64(at - x.born))
 					}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/flexnet"
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/simulate"
 )
 
 // E3Landscape regenerates Fig. 1 — the privacy–performance landscape —
@@ -26,14 +26,14 @@ func E3Landscape(sc Scenario) *metrics.Table {
 	type variant struct {
 		name   string
 		params string
-		cfg    flexnet.SimConfig
+		cfg    simulate.Config
 	}
 	variants := []variant{
-		{"flood", "-", flexnet.SimConfig{Protocol: flexnet.ProtocolFlood}},
-		{"dandelion", "q=0.1", flexnet.SimConfig{Protocol: flexnet.ProtocolDandelion, Q: 0.1}},
-		{"flexnet", "k=4 d=3", flexnet.SimConfig{Protocol: flexnet.ProtocolFlexnet, K: 4, D: 3}},
-		{"flexnet", "k=7 d=4", flexnet.SimConfig{Protocol: flexnet.ProtocolFlexnet, K: 7, D: 4}},
-		{"flexnet", "k=10 d=5", flexnet.SimConfig{Protocol: flexnet.ProtocolFlexnet, K: 10, D: 5}},
+		{"flood", "-", simulate.Config{Protocol: simulate.ProtocolFlood}},
+		{"dandelion", "q=0.1", simulate.Config{Protocol: simulate.ProtocolDandelion, Q: 0.1}},
+		{"flexnet", "k=4 d=3", simulate.Config{Protocol: simulate.ProtocolFlexnet, K: 4, D: 3}},
+		{"flexnet", "k=7 d=4", simulate.Config{Protocol: simulate.ProtocolFlexnet, K: 7, D: 4}},
+		{"flexnet", "k=10 d=5", simulate.Config{Protocol: simulate.ProtocolFlexnet, K: 10, D: 5}},
 	}
 	type sample struct {
 		msgs, cover, hit, anon float64
@@ -43,12 +43,9 @@ func E3Landscape(sc Scenario) *metrics.Table {
 			cfg := v.cfg
 			cfg.N, cfg.Degree, cfg.Seed = n, deg, uint64(trial+1)
 			cfg.AdversaryFraction = f
-			res, err := flexnet.Simulate(cfg)
-			if err != nil {
-				panic(err)
-			}
+			res, _ := sc.broadcast(cfg)
 			s := sample{msgs: float64(res.TotalMessages), cover: float64(res.TimeToCoverage)}
-			if cfg.Protocol == flexnet.ProtocolFlexnet {
+			if cfg.Protocol == simulate.ProtocolFlexnet {
 				// Group attack: success probability 1/|honest set|.
 				if res.GroupAttackHit && res.GroupSuspectSet > 0 {
 					s.hit = 1 / float64(res.GroupSuspectSet)

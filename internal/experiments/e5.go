@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/flexnet"
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/simulate"
 )
 
 // E5DandelionVsFlexnet reproduces the decay claim of §III-B —
@@ -36,23 +36,17 @@ func E5DandelionVsFlexnet(sc Scenario) *metrics.Table {
 		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
 			seed := uint64(trial*31 + int(f*100) + 1)
 			var s sample
-			dres, err := flexnet.Simulate(flexnet.SimConfig{
-				N: n, Degree: deg, Protocol: flexnet.ProtocolDandelion,
+			dres, _ := sc.broadcast(simulate.Config{
+				N: n, Degree: deg, Protocol: simulate.ProtocolDandelion,
 				Seed: seed, AdversaryFraction: f,
 			})
-			if err != nil {
-				panic(err)
-			}
 			if dres.FirstSpyCorrect {
 				s.dHit = 1
 			}
-			xres, err := flexnet.Simulate(flexnet.SimConfig{
-				N: n, Degree: deg, Protocol: flexnet.ProtocolFlexnet,
+			xres, _ := sc.broadcast(simulate.Config{
+				N: n, Degree: deg, Protocol: simulate.ProtocolFlexnet,
 				K: k, D: 4, Seed: seed, AdversaryFraction: f,
 			})
-			if err != nil {
-				panic(err)
-			}
 			if xres.GroupAttackHit && xres.GroupSuspectSet > 0 {
 				s.xHit = 1 / float64(xres.GroupSuspectSet)
 			}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/flexnet"
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/simulate"
 )
 
 // E9Delivery quantifies the §III-A drawback that motivates Phase 3:
@@ -26,16 +26,13 @@ func E9Delivery(sc Scenario) *metrics.Table {
 		ratio float64
 		full  bool
 	}
-	row := func(p flexnet.Protocol, d int) {
+	row := func(p simulate.Protocol, d int) {
 		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
-			res, err := flexnet.Simulate(flexnet.SimConfig{
+			res, _ := sc.broadcast(simulate.Config{
 				N: n, Degree: deg, Protocol: p, K: 5, D: d,
 				Seed:        uint64(trial*7 + d + 1),
 				MaxDuration: 5 * time.Minute,
 			})
-			if err != nil {
-				panic(err)
-			}
 			return sample{
 				ratio: float64(res.Delivered) / float64(res.N),
 				full:  res.Delivered == res.N,
@@ -53,11 +50,11 @@ func E9Delivery(sc Scenario) *metrics.Table {
 	}
 
 	for _, d := range []int{2, 3, 4, 6} {
-		row(flexnet.ProtocolAdaptive, d)
+		row(simulate.ProtocolAdaptive, d)
 	}
-	row(flexnet.ProtocolFlexnet, 4)
-	row(flexnet.ProtocolDandelion, 0)
-	row(flexnet.ProtocolFlood, 0)
+	row(simulate.ProtocolFlexnet, 4)
+	row(simulate.ProtocolDandelion, 0)
+	row(simulate.ProtocolFlood, 0)
 	t.AddNote("adaptive-only coverage is the diffusion ball; flexnet's Phase 3 completes it")
 	return t
 }

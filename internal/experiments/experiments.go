@@ -24,6 +24,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/simulate"
 	"repro/internal/stack"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -46,12 +47,9 @@ type Scenario struct {
 	// the sequential loop. Tables are identical at every setting.
 	Par int
 	// Shards partitions each trial network across per-shard event loops
-	// (`flexsim -shards`) on every experiment that builds its networks
-	// through Scenario.network; tables are bit-identical at every setting
-	// (TestShardedGoldenTables). The flexnet.Simulate experiments (e3, e5,
-	// e9, e10, a2) have no parameter to pass it through. A network that
-	// cannot shard (zero-delay profile, N < Shards) clamps to one loop; so
-	// do 0 and 1.
+	// (`flexsim -shards`); tables are bit-identical at every setting
+	// (TestShardedGoldenTables). A network that cannot shard (zero-delay
+	// profile, N < Shards) clamps to one loop; so do 0 and 1.
 	Shards int
 	// Verbose reports every trial network's resolved shard layout to
 	// stderr, and per-shard run diagnostics (event counts, lookahead
@@ -132,6 +130,17 @@ func (sc Scenario) network(g *topology.Graph, seed uint64, def netem.Profile) *s
 			g.N(), p.Name, seed, net.ShardCount(), max(sc.Shards, 1), net.Lookahead())
 	}
 	return net
+}
+
+// broadcast runs one simulate trial on a network built by sc.network
+// and returns its outcome and delivery record. Experiments pass constant
+// configurations, so an error is a bug.
+func (sc Scenario) broadcast(cfg simulate.Config) (*simulate.Result, *sim.DeliverySet) {
+	res, deliveries, err := simulate.Run(cfg, sc.network)
+	if err != nil {
+		panic(err)
+	}
+	return res, deliveries
 }
 
 // fixture returns the trial function of one runner worker on the

@@ -24,6 +24,7 @@ func TestNetemOverrideZeroImpairmentBitIdentical(t *testing.T) {
 		{"e2", netem.LAN},    // declared preset: LAN
 		{"e1", netem.WAN},    // declared preset: WAN
 		{"e12", netem.Metro}, // declared preset: Metro
+		{"e9", netem.WAN},    // declared: simulate's constant 50 ms hop
 	}
 	for _, c := range cases {
 		e := Find(c.id)
@@ -44,17 +45,20 @@ func TestNetemOverrideZeroImpairmentBitIdentical(t *testing.T) {
 
 // TestNetemOverrideImpairedChangesTable is the counter-check: an
 // impaired override must actually reach the trial networks (a lossy
-// profile on E1 changes delivery behavior and thus the message table).
+// profile changes delivery behavior and thus the table) — on E1, and on
+// E9, whose networks the simulate trial builds.
 func TestNetemOverrideImpairedChangesTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; run without -short")
 	}
-	e := Find("e1")
-	def := e.Run(Quick()).Render()
-	lossy := netem.Flaky
-	sc := Quick()
-	sc.Netem = &lossy
-	if got := e.Run(sc).Render(); got == def {
-		t.Error("flaky override produced a bit-identical E1 table — the profile never reached the networks")
+	for _, id := range []string{"e1", "e9"} {
+		e := Find(id)
+		def := e.Run(Quick()).Render()
+		lossy := netem.Flaky
+		sc := Quick()
+		sc.Netem = &lossy
+		if got := e.Run(sc).Render(); got == def {
+			t.Errorf("flaky override produced a bit-identical %s table — the profile never reached the networks", id)
+		}
 	}
 }

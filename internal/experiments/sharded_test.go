@@ -6,31 +6,23 @@ import (
 	"testing"
 )
 
-// unsharded lists the experiments that run through flexnet.Simulate,
-// which builds its own networks and takes no shard count; they shard once
-// a reusable composed simulation takes Scenario.Shards.
-var unsharded = map[string]bool{"e3": true, "e5": true, "e9": true, "e10": true, "a2": true}
-
-// TestShardedGoldenTables replays every experiment but the unsharded
-// ones at shard counts 1/2/4/7 and diffs each table against the same
-// committed fixture the single-loop run is held to: sharding is pure
-// execution strategy, so every cell except the masked wall-clock columns
-// must be bit-identical at any shard count. A new experiment is checked
-// here by default. Under CI's -race run this also races the dense
-// partitioned handler state (flood/adaptive/core Shared) across the
-// per-shard goroutines — composed under loss and churn in e15 — the
-// per-member slots the DC-net and Dissent experiments (e2, e7, e11, e13)
-// reduce after a run, and, via the spy Observers of e4/e16/e17, the
-// per-shard observation logs behind the tap merge (sim/obs.go).
+// TestShardedGoldenTables replays every experiment at shard counts
+// 1/2/4/7 and diffs each table against the same committed fixture the
+// single-loop run is held to: sharding is pure execution strategy, so
+// every cell except the masked wall-clock columns must be bit-identical
+// at any shard count. A new experiment is checked here by default. Under
+// CI's -race run this also races the dense partitioned handler state
+// (flood/adaptive/core Shared) across the per-shard goroutines — composed
+// under loss and churn in e15 — the per-member slots the DC-net and
+// Dissent experiments (e2, e7, e11, e13) reduce after a run, and, via the
+// spy Observers of e3/e4/e5/e16/e17/a2, the per-shard observation logs
+// behind the tap merge (sim/obs.go).
 func TestShardedGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; run without -short")
 	}
 	for _, e := range All() {
 		id := e.ID
-		if unsharded[id] {
-			continue
-		}
 		path := filepath.Join("testdata", "golden", id+".txt")
 		want, err := os.ReadFile(path)
 		if err != nil {

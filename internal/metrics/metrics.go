@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit used by the
-// experiment harness: streaming summaries (Welford), counters keyed by
-// message type, and plain-text / Markdown / CSV table rendering.
+// experiment harness: summaries (Welford moments plus retained samples
+// for percentiles) and plain-text / Markdown / CSV table rendering.
 package metrics
 
 import (
@@ -10,28 +10,23 @@ import (
 )
 
 // Summary accumulates scalar observations and reports basic statistics.
-// The zero value is ready to use. Percentiles retain all samples; use
-// NewOnlineSummary for moment-only accumulation on huge streams.
+// The zero value is ready to use. It retains every sample for
+// percentiles.
 type Summary struct {
 	samples []float64
 	sorted  bool
 
-	n           int
-	mean, m2    float64
-	min, max    float64
-	keepSamples bool
+	n        int
+	mean, m2 float64
+	min, max float64
 }
 
-// NewSummary returns a Summary that retains samples (percentiles allowed).
-func NewSummary() *Summary { return &Summary{keepSamples: true, min: math.Inf(1), max: math.Inf(-1)} }
-
-// NewOnlineSummary returns a Summary that keeps only streaming moments.
-func NewOnlineSummary() *Summary { return &Summary{min: math.Inf(1), max: math.Inf(-1)} }
+// NewSummary returns an empty Summary.
+func NewSummary() *Summary { return &Summary{min: math.Inf(1), max: math.Inf(-1)} }
 
 // Add records one observation.
 func (s *Summary) Add(v float64) {
 	if s.n == 0 && s.min == 0 && s.max == 0 { // zero-value Summary
-		s.keepSamples = true
 		s.min, s.max = math.Inf(1), math.Inf(-1)
 	}
 	s.n++
@@ -44,10 +39,8 @@ func (s *Summary) Add(v float64) {
 	if v > s.max {
 		s.max = v
 	}
-	if s.keepSamples {
-		s.samples = append(s.samples, v)
-		s.sorted = false
-	}
+	s.samples = append(s.samples, v)
+	s.sorted = false
 }
 
 // N returns the number of observations.
@@ -77,11 +70,8 @@ func (s *Summary) Min() float64 { return s.min }
 func (s *Summary) Max() float64 { return s.max }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
-// interpolation. It panics if the summary does not retain samples.
+// interpolation, or NaN with no observations.
 func (s *Summary) Percentile(p float64) float64 {
-	if !s.keepSamples && s.n > 0 {
-		panic("metrics: Percentile on online-only Summary")
-	}
 	if len(s.samples) == 0 {
 		return math.NaN()
 	}
@@ -111,40 +101,4 @@ func (s *Summary) Median() float64 { return s.Percentile(50) }
 // String formats the summary compactly.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f max=%.3f", s.n, s.Mean(), s.Std(), s.min, s.max)
-}
-
-// Counter is a string-keyed tally, used for per-message-type accounting.
-// The zero value is ready to use.
-type Counter struct {
-	counts map[string]int64
-}
-
-// Inc adds delta to the named tally.
-func (c *Counter) Inc(name string, delta int64) {
-	if c.counts == nil {
-		c.counts = make(map[string]int64)
-	}
-	c.counts[name] += delta
-}
-
-// Get returns the named tally.
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Total returns the sum of all tallies.
-func (c *Counter) Total() int64 {
-	var t int64
-	for _, v := range c.counts {
-		t += v
-	}
-	return t
-}
-
-// Names returns all tally names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -67,17 +67,6 @@ func TestSummaryPercentileEmpty(t *testing.T) {
 	}
 }
 
-func TestOnlineSummaryPanicsOnPercentile(t *testing.T) {
-	s := NewOnlineSummary()
-	s.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Percentile on online summary did not panic")
-		}
-	}()
-	s.Percentile(50)
-}
-
 func TestSummaryMatchesNaiveMoments(t *testing.T) {
 	f := func(vals []float64) bool {
 		clean := vals[:0]
@@ -89,7 +78,7 @@ func TestSummaryMatchesNaiveMoments(t *testing.T) {
 		if len(clean) < 2 {
 			return true
 		}
-		s := NewOnlineSummary()
+		s := NewSummary()
 		var sum float64
 		for _, v := range clean {
 			s.Add(v)
@@ -105,26 +94,6 @@ func TestSummaryMatchesNaiveMoments(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc("a", 2)
-	c.Inc("b", 3)
-	c.Inc("a", 1)
-	if got := c.Get("a"); got != 3 {
-		t.Errorf("Get(a) = %d, want 3", got)
-	}
-	if got := c.Total(); got != 6 {
-		t.Errorf("Total = %d, want 6", got)
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
-	}
-	if got := c.Get("missing"); got != 0 {
-		t.Errorf("Get(missing) = %d, want 0", got)
 	}
 }
 

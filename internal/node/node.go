@@ -121,8 +121,6 @@ type Config struct {
 	// miner runs inside the event loop, so the budget keeps handler
 	// latency bounded.
 	MineBudget uint64
-	// MaxBlockTxs bounds transactions per block (default 100).
-	MaxBlockTxs int
 	// OnBlock fires when a block is accepted (mined or received).
 	OnBlock func(b *chain.Block)
 	// Admission, when non-nil, mounts the workload admission layer in
@@ -149,6 +147,9 @@ type (
 // submitRetryDelay is the Blocked re-offer delay at a live node, which
 // cannot block its event loop.
 const submitRetryDelay = 10 * time.Millisecond
+
+// maxBlockTxs bounds transactions per block.
+const maxBlockTxs = 100
 
 // Node is the integrated handler.
 type Node struct {
@@ -181,9 +182,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.MineBudget == 0 {
 		cfg.MineBudget = 200_000
-	}
-	if cfg.MaxBlockTxs == 0 {
-		cfg.MaxBlockTxs = 100
 	}
 	p, err := core.New(cfg.Core)
 	if err != nil {
@@ -480,13 +478,13 @@ func (n *Node) mine(ctx proto.Context) {
 	}
 	n.refreshIncluded()
 	candidates := n.mempool.Best(0)
-	txs := make([]*chain.Tx, 0, n.cfg.MaxBlockTxs)
+	txs := make([]*chain.Tx, 0, maxBlockTxs)
 	for _, tx := range candidates {
 		if _, done := n.included[tx.ID()]; done {
 			continue
 		}
 		txs = append(txs, tx)
-		if len(txs) >= n.cfg.MaxBlockTxs {
+		if len(txs) >= maxBlockTxs {
 			break
 		}
 	}

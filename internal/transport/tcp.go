@@ -83,13 +83,13 @@ type Config struct {
 	Shaper *netem.Shaper
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
-	// MailboxSize bounds the event queue (default 1024). The buffer
-	// absorbs bursts from concurrent peer readers; the event loop is the
-	// single consumer.
-	MailboxSize int
 	// DialTimeout bounds outbound connection attempts (default 3s).
 	DialTimeout time.Duration
 }
+
+// mailboxSize bounds the event queue. The buffer absorbs bursts from
+// concurrent peer readers; the event loop is the single consumer.
+const mailboxSize = 1024
 
 // event is one unit of work for the event loop: a received message for
 // the handler (msg non-nil — typed, so a reader allocates no closure per
@@ -295,9 +295,6 @@ func Listen(cfg Config) (*Node, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	if cfg.MailboxSize <= 0 {
-		cfg.MailboxSize = 1024
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 3 * time.Second
 	}
@@ -317,7 +314,7 @@ func Listen(cfg Config) (*Node, error) {
 		ln:       ln,
 		start:    time.Now(),
 		rng:      rand.New(rand.NewPCG(cfg.Seed, stream)),
-		events:   make(chan event, cfg.MailboxSize),
+		events:   make(chan event, mailboxSize),
 		done:     make(chan struct{}),
 		intern:   wire.NewInterner(),
 		addrBook: make(map[proto.NodeID]string, len(cfg.AddrBook)),

@@ -35,9 +35,6 @@ type SoakConfig struct {
 	// owns and rewinds between runs (default: dense flood-and-prune the
 	// fixture mounts and rewinds itself, as NewSoakNetOf does any stack).
 	Stack func(self proto.NodeID) proto.Handler
-	// Originators restricts which nodes receive scheduled arrivals
-	// (default: every node). Run can override per trial.
-	Originators []proto.NodeID
 	// Netem, when non-nil, sets the network condition profile.
 	Netem *netem.Profile
 	// Shards requests single-run event-loop parallelism (clamped by
@@ -48,8 +45,6 @@ type SoakConfig struct {
 	// Service is the per-launch processing time (0 = launch
 	// immediately on admission; the queue then never builds).
 	Service time.Duration
-	// Retry is the Blocked re-offer delay (default 10ms).
-	Retry time.Duration
 }
 
 // withDefaults resolves the config's defaulted fields.
@@ -180,10 +175,10 @@ func newSoakNet(cfg SoakConfig) *SoakNet {
 // runs).
 func (s *SoakNet) Net() *sim.Network { return s.net }
 
-// Run executes one soak trial: reset, schedule the
-// arrivals for seed, drive them through admission into the protocol,
-// and report. originators nil means the config's set (or every node);
-// taps are registered for this run only.
+// Run executes one soak trial: reset, schedule the arrivals for seed,
+// drive them through admission into the protocol, and report.
+// originators nil means every node; taps are registered for this run
+// only.
 func (s *SoakNet) Run(seed uint64, originators []proto.NodeID, taps ...sim.Tap) SoakResult {
 	cfg := s.cfg
 	// Reset even a freshly built fixture: its network still carries
@@ -200,9 +195,6 @@ func (s *SoakNet) Run(seed uint64, originators []proto.NodeID, taps ...sim.Tap) 
 	}
 	for _, t := range taps {
 		s.net.AddTap(t)
-	}
-	if originators == nil {
-		originators = cfg.Originators
 	}
 	if originators == nil {
 		originators = make([]proto.NodeID, cfg.N)
@@ -222,7 +214,7 @@ func (s *SoakNet) Run(seed uint64, originators []proto.NodeID, taps ...sim.Tap) 
 			panic("workload: soak Stack must build proto.Broadcaster handlers")
 		}
 		adm := NewAdmission(cfg.Admission, id, s.adm.Table(id))
-		w := NewWrapper(b, adm, sched, cfg.Service, cfg.Retry)
+		w := NewWrapper(b, adm, sched, cfg.Service)
 		s.wrappers[id] = w
 		return w
 	})

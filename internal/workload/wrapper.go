@@ -31,6 +31,9 @@ type (
 	drainEvent  struct{}
 )
 
+// retryDelay is the re-offer delay for Blocked submissions.
+const retryDelay = 10 * time.Millisecond
+
 // Wrapper stacks the admission layer in front of a broadcast protocol
 // for simulation: submissions (scheduled arrivals, SubmitMsg from the
 // wire, or direct Broadcast calls) pass through Admission, queue, and
@@ -45,8 +48,6 @@ type Wrapper struct {
 	// service is the per-launch processing time; 0 launches admitted
 	// submissions immediately (the queue never builds).
 	service time.Duration
-	// retry is the re-offer delay for Blocked submissions.
-	retry time.Duration
 
 	draining   bool
 	launches   []Launch
@@ -79,13 +80,9 @@ func (w *Wrapper) ctx(ctx proto.Context) proto.Context {
 var _ proto.Broadcaster = (*Wrapper)(nil)
 
 // NewWrapper wraps inner with admission adm over the shared arrival
-// schedule sched. service paces launches (0 = immediate); retry is the
-// Block re-offer delay (defaults to 10ms).
-func NewWrapper(inner proto.Broadcaster, adm *Admission, sched []Arrival, service, retry time.Duration) *Wrapper {
-	if retry <= 0 {
-		retry = 10 * time.Millisecond
-	}
-	return &Wrapper{inner: inner, adm: adm, sched: sched, service: service, retry: retry}
+// schedule sched. service paces launches (0 = immediate).
+func NewWrapper(inner proto.Broadcaster, adm *Admission, sched []Arrival, service time.Duration) *Wrapper {
+	return &Wrapper{inner: inner, adm: adm, sched: sched, service: service}
 }
 
 // Launches returns the node's launch log, in launch order.
@@ -167,7 +164,7 @@ func (w *Wrapper) offer(ctx proto.Context, p Pending) {
 			ctx.SetTimer(w.service, drainEvent{})
 		}
 	case Blocked:
-		ctx.SetTimer(w.retry, retryEvent{p})
+		ctx.SetTimer(retryDelay, retryEvent{p})
 	}
 }
 
