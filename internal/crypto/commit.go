@@ -3,6 +3,7 @@ package crypto
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -84,18 +85,11 @@ func IsZero(b []byte) bool {
 }
 
 // XORBytes xors src into dst (dst ^= src); the slices must be the same
-// length. It is the core DC-net accumulation operation, so it works
-// word-wise: 8 bytes per iteration with a byte-wise tail.
+// length. It is the core DC-net accumulation operation, so it runs the
+// standard library's vectorised crypto/subtle.XORBytes.
 func XORBytes(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("crypto: XORBytes length mismatch")
 	}
-	for len(dst) >= 8 {
-		binary.NativeEndian.PutUint64(dst, binary.NativeEndian.Uint64(dst)^binary.NativeEndian.Uint64(src))
-		dst = dst[8:]
-		src = src[8:]
-	}
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
+	"repro/internal/prefetch"
 	"repro/internal/proto"
 )
 
@@ -31,37 +33,108 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 		return nil, fmt.Errorf("%w: degree %d cannot be connected", ErrInfeasible, d)
 	}
 
-	stubs := make([]proto.NodeID, 0, n*d)
+	// stubs lists every node d times; slab holds the n rows of d slots
+	// and deg their fill while the pairs are probed. A failed attempt's
+	// graph is dropped, so the next attempt reuses all three.
+	stubs := make([]proto.NodeID, n*d)
+	slab := make([]proto.NodeID, n*d)
+	deg := make([]int32, n)
 	for try := 0; try < maxRegularAttempts; try++ {
-		stubs = stubs[:0]
 		for v := 0; v < n; v++ {
-			for i := 0; i < d; i++ {
-				stubs = append(stubs, proto.NodeID(v))
+			row := stubs[v*d : (v+1)*d]
+			for i := range row {
+				row[i] = proto.NodeID(v)
 			}
 		}
-		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		shuffle(stubs, rng, shuffleAhead)
+		clear(deg)
+		m, bad := pairStubs(stubs, slab, deg, d)
 
-		// Every row is cut from one n·d slab with capacity d: no degree
+		// Every row is cut from the slab with capacity d: no degree
 		// exceeds d here or in repair, so appends fill the row in place.
 		g := NewGraph(n)
-		slab := make([]proto.NodeID, n*d)
 		for v := range g.adj {
-			g.adj[v] = slab[v*d : v*d : (v+1)*d]
+			g.adj[v] = slab[v*d : v*d+int(deg[v]) : (v+1)*d]
 		}
-		var bad [][2]proto.NodeID // self-loops and duplicates pending repair
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || g.HasEdge(u, v) {
-				bad = append(bad, [2]proto.NodeID{u, v})
-				continue
-			}
-			g.link(u, v)
-		}
+		g.m = m
 		if repairRegular(g, bad, rng) && g.Connected() {
 			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("topology: RandomRegular(n=%d, d=%d) failed after %d attempts", n, d, maxRegularAttempts)
+}
+
+// Look-ahead distances of the overlay build: how many swaps ahead
+// shuffle draws and prefetches, and how many stub pairs ahead pairStubs
+// prefetches rows. At N=1M every stub, row and degree is a DRAM miss;
+// the distance only has to cover one miss.
+const (
+	shuffleAhead = 16
+	pairAhead    = 8
+)
+
+// shuffle permutes s exactly as rng.Shuffle(len(s), swap) does — the
+// same draws, rng.Uint64N(i+1) for i = len(s)−1 … 1, in the same order,
+// so the permutation and the generator's state afterwards are the
+// same — but it draws ahead of the swaps, up to ahead ≥ 1 of them, and
+// prefetches each swap's target so its miss resolves before the swap.
+func shuffle(s []proto.NodeID, rng *rand.Rand, ahead int) {
+	n := len(s)
+	if n < 2 {
+		return
+	}
+	// ring[r] holds the target of the swap at i; the slot is refilled at
+	// once with the draw for i − len(ring), which the same slot serves.
+	ring := make([]int, min(ahead, n-1))
+	for k := range ring {
+		j := int(rng.Uint64N(uint64(n - k)))
+		prefetch.Line(&s[j])
+		ring[k] = j
+	}
+	next, r := n-1-len(ring), 0 // the next i to draw for; ring's cursor
+	for i := n - 1; i > 0; i-- {
+		j := ring[r]
+		if next > 0 {
+			jn := int(rng.Uint64N(uint64(next + 1)))
+			prefetch.Line(&s[jn])
+			ring[r] = jn
+			next--
+		}
+		if r++; r == len(ring) {
+			r = 0
+		}
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
+// pairStubs links stubs 2i and 2i+1 for every i, in order, into the rows
+// slab[v*d : v*d+deg[v]], skipping self-loops and pairs already linked,
+// which it returns for repair with the number of edges it made. The rows
+// of the pair pairAhead places on are prefetched, with their degrees.
+func pairStubs(stubs, slab []proto.NodeID, deg []int32, d int) (int, [][2]proto.NodeID) {
+	m := 0
+	var bad [][2]proto.NodeID
+	for i := 0; i+1 < len(stubs); i += 2 {
+		if k := i + 2*pairAhead; k+1 < len(stubs) {
+			a, b := stubs[k], stubs[k+1]
+			prefetch.Line(&slab[int(a)*d])
+			prefetch.Line(&slab[int(b)*d])
+			prefetch.Line(&deg[a])
+			prefetch.Line(&deg[b])
+		}
+		u, v := stubs[i], stubs[i+1]
+		ru, rv := int(u)*d, int(v)*d
+		if u == v || slices.Contains(slab[ru:ru+int(deg[u])], v) {
+			bad = append(bad, [2]proto.NodeID{u, v})
+			continue
+		}
+		slab[ru+int(deg[u])] = v
+		slab[rv+int(deg[v])] = u
+		deg[u]++
+		deg[v]++
+		m++
+	}
+	return m, bad
 }
 
 // repairRegular resolves conflicting stub pairs by double edge swaps: for
@@ -72,7 +145,7 @@ func repairRegular(g *Graph, bad [][2]proto.NodeID, rng *rand.Rand) bool {
 		return true
 	}
 	// Materialize the current edge list once; keep it in sync on swaps.
-	edges := make([][2]proto.NodeID, 0, g.M())
+	edges := make([][2]proto.NodeID, 0, g.M()+len(bad))
 	for v := 0; v < g.N(); v++ {
 		for _, w := range g.Neighbors(proto.NodeID(v)) {
 			if proto.NodeID(v) < w {

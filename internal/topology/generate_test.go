@@ -148,3 +148,30 @@ func TestSlabRowsDoNotAlias(t *testing.T) {
 		}
 	}
 }
+
+// TestShuffleMatchesRandShuffle holds the overlay build's look-ahead
+// shuffle to rand.Shuffle: for every length up to 40 and look-ahead
+// distances around the build's and far past every length, over several
+// seeds, the same permutation and the same generator state afterwards.
+func TestShuffleMatchesRandShuffle(t *testing.T) {
+	for _, ahead := range []int{1, shuffleAhead - 1, shuffleAhead, shuffleAhead + 1, 1000} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			for n := 0; n <= 40; n++ {
+				want := make([]proto.NodeID, n)
+				for i := range want {
+					want[i] = proto.NodeID(i)
+				}
+				got := slices.Clone(want)
+				wantRNG, gotRNG := testRNG(seed), testRNG(seed)
+				wantRNG.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+				shuffle(got, gotRNG, ahead)
+				if !slices.Equal(got, want) {
+					t.Fatalf("ahead=%d seed=%d n=%d: permutation %v, rand.Shuffle gives %v", ahead, seed, n, got, want)
+				}
+				if g, w := gotRNG.Uint64(), wantRNG.Uint64(); g != w {
+					t.Fatalf("ahead=%d seed=%d n=%d: next draw %#x after shuffle, %#x after rand.Shuffle", ahead, seed, n, g, w)
+				}
+			}
+		}
+	}
+}

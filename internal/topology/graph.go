@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"repro/internal/prefetch"
 	"repro/internal/proto"
 )
 
@@ -94,6 +95,11 @@ func (g *Graph) Degree(v proto.NodeID) int {
 }
 
 // BFS returns hop distances from src; unreachable nodes get -1.
+//
+// The queue says which rows the traversal reads next, so it looks ahead
+// on it: at N=1M a node's row header and its row are two dependent DRAM
+// misses. Two bfsAhead places on, BFS prefetches the header; one bfsAhead
+// on, it reads the header — in cache by then — and prefetches the row.
 func (g *Graph) BFS(src proto.NodeID) []int {
 	dist := make([]int, g.n)
 	for i := range dist {
@@ -103,20 +109,31 @@ func (g *Graph) BFS(src proto.NodeID) []int {
 		return dist
 	}
 	dist[src] = 0
-	queue := make([]proto.NodeID, 0, g.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := make([]proto.NodeID, 1, g.n)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		if i := head + 2*bfsAhead; i < len(queue) {
+			prefetch.Line(&g.adj[queue[i]])
+		}
+		if i := head + bfsAhead; i < len(queue) {
+			if row := g.adj[queue[i]]; len(row) > 0 {
+				prefetch.Line(&row[0])
+			}
+		}
+		u := queue[head]
+		du := dist[u] + 1
 		for _, w := range g.adj[u] {
 			if dist[w] == -1 {
-				dist[w] = dist[u] + 1
+				dist[w] = du
 				queue = append(queue, w)
 			}
 		}
 	}
 	return dist
 }
+
+// bfsAhead is how many queue places ahead BFS prefetches a row.
+const bfsAhead = 8
 
 // Connected reports whether the graph is connected (true for N ≤ 1).
 func (g *Graph) Connected() bool {

@@ -2,7 +2,9 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,5 +286,90 @@ func TestApproxDiameterBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// levelBFS is the test oracle for BFS: level-synchronous expansion of a
+// frontier, with none of BFS's queue or look-ahead.
+func levelBFS(g *Graph, src proto.NodeID) []int {
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	if int(src) >= g.N() {
+		return dist
+	}
+	dist[src] = 0
+	for level, frontier := 1, []proto.NodeID{src}; len(frontier) > 0; level++ {
+		var next []proto.NodeID
+		for _, u := range frontier {
+			for _, w := range g.Neighbors(u) {
+				if dist[w] == -1 {
+					dist[w] = level
+					next = append(next, w)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
+// TestBFSMatchesOracle holds BFS's distances from every source, and
+// Connected, to levelBFS on connected and disconnected graphs — large
+// enough that BFS's look-ahead runs, and the corner sizes where it
+// never does.
+func TestBFSMatchesOracle(t *testing.T) {
+	clique := func(g *Graph, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for v := u + 1; v < hi; v++ {
+				if err := g.AddEdge(proto.NodeID(u), proto.NodeID(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	twoCliques := NewGraph(40)
+	clique(twoCliques, 0, 20)
+	clique(twoCliques, 20, 40)
+	isolated := NewGraph(30)
+	clique(isolated, 1, 30)
+	pair := NewGraph(2)
+	clique(pair, 0, 2)
+	regular, err := RandomRegular(500, 4, testRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"N=0", NewGraph(0)}, {"N=1", NewGraph(1)}, {"N=2 apart", NewGraph(2)}, {"N=2 linked", pair},
+		{"two cliques", twoCliques}, {"isolated node", isolated}, {"regular", regular},
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		g, err := ErdosRenyi(300, 1.5/300, testRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, struct {
+			name string
+			g    *Graph
+		}{fmt.Sprintf("sparse ER seed %d", seed), g})
+	}
+	for _, tc := range graphs {
+		connected := true
+		for v := 0; v < tc.g.N(); v++ {
+			want := levelBFS(tc.g, proto.NodeID(v))
+			if got := tc.g.BFS(proto.NodeID(v)); !slices.Equal(got, want) {
+				t.Fatalf("%s: BFS(%d) = %v, want %v", tc.name, v, got, want)
+			}
+			if v == 0 {
+				connected = !slices.Contains(want, -1)
+			}
+		}
+		if got := tc.g.Connected(); got != connected {
+			t.Errorf("%s: Connected() = %v, want %v", tc.name, got, connected)
+		}
 	}
 }
