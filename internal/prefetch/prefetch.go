@@ -4,7 +4,7 @@
 // loop that knows the nodes a few steps ahead can issue their misses early
 // and let them resolve behind the work in between.
 //
-// Line is a hint. It never faults — nil and dangling pointers included —
+// Line is a hint. It never faults — not even on nil —
 // and never changes a value, so removing every call changes no output.
 // On amd64 it is one PREFETCHT0 (prefetch_amd64.s); on every other GOARCH
 // it does nothing (prefetch_other.go).
