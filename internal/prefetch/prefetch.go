@@ -6,8 +6,9 @@
 //
 // Line is a hint. It never faults — not even on nil —
 // and never changes a value, so removing every call changes no output.
-// On amd64 it is one PREFETCHT0 (prefetch_amd64.s); on every other GOARCH
-// it does nothing (prefetch_other.go).
+// On amd64 it is one PREFETCHT0 (prefetch_amd64.s), on arm64 one PRFM
+// PLDL1KEEP (prefetch_arm64.s); on every other GOARCH it does nothing
+// (prefetch_other.go), so the loops that call it run without look-ahead.
 package prefetch
 
 import "unsafe"

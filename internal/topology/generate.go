@@ -46,7 +46,11 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 				row[i] = proto.NodeID(v)
 			}
 		}
-		shuffle(stubs, rng, shuffleAhead)
+		if n >= aheadMinN {
+			shuffle(stubs, rng, shuffleAhead)
+		} else {
+			rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		}
 		clear(deg)
 		m, bad := pairStubs(stubs, slab, deg, d)
 
@@ -64,10 +68,11 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 	return nil, fmt.Errorf("topology: RandomRegular(n=%d, d=%d) failed after %d attempts", n, d, maxRegularAttempts)
 }
 
-// Look-ahead distances of the overlay build: how many swaps ahead
-// shuffle draws and prefetches, and how many stub pairs ahead pairStubs
-// prefetches rows. At N=1M every stub, row and degree is a DRAM miss;
-// the distance only has to cover one miss.
+// Look-ahead distances of the overlay build, which looks ahead from
+// aheadMinN nodes: how many swaps ahead shuffle draws and prefetches,
+// and how many stub pairs ahead pairStubs prefetches rows. At N=1M every
+// stub, row and degree is a DRAM miss; the distance only has to cover
+// one miss.
 const (
 	shuffleAhead = 16
 	pairAhead    = 8
@@ -109,13 +114,15 @@ func shuffle(s []proto.NodeID, rng *rand.Rand, ahead int) {
 
 // pairStubs links stubs 2i and 2i+1 for every i, in order, into the rows
 // slab[v*d : v*d+deg[v]], skipping self-loops and pairs already linked,
-// which it returns for repair with the number of edges it made. The rows
-// of the pair pairAhead places on are prefetched, with their degrees.
+// which it returns for repair with the number of edges it made. From
+// aheadMinN nodes, the rows of the pair pairAhead places on are
+// prefetched, with their degrees.
 func pairStubs(stubs, slab []proto.NodeID, deg []int32, d int) (int, [][2]proto.NodeID) {
 	m := 0
 	var bad [][2]proto.NodeID
+	ahead := len(deg) >= aheadMinN
 	for i := 0; i+1 < len(stubs); i += 2 {
-		if k := i + 2*pairAhead; k+1 < len(stubs) {
+		if k := i + 2*pairAhead; ahead && k+1 < len(stubs) {
 			a, b := stubs[k], stubs[k+1]
 			prefetch.Line(&slab[int(a)*d])
 			prefetch.Line(&slab[int(b)*d])

@@ -315,10 +315,10 @@ func levelBFS(g *Graph, src proto.NodeID) []int {
 	return dist
 }
 
-// TestBFSMatchesOracle holds BFS's distances from every source, and
-// Connected, to levelBFS on connected and disconnected graphs — large
-// enough that BFS's look-ahead runs, and the corner sizes where it
-// never does.
+// TestBFSMatchesOracle holds BFS's distances, and Connected, to levelBFS
+// on connected and disconnected graphs: from every source on the corner
+// sizes and small graphs, where BFS does not look ahead, and from sampled
+// sources on graphs of aheadMinN nodes and more, where it does.
 func TestBFSMatchesOracle(t *testing.T) {
 	clique := func(g *Graph, lo, hi int) {
 		for u := lo; u < hi; u++ {
@@ -329,6 +329,13 @@ func TestBFSMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	regular := func(n, d int, seed uint64) *Graph {
+		g, err := RandomRegular(n, d, testRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 	twoCliques := NewGraph(40)
 	clique(twoCliques, 0, 20)
 	clique(twoCliques, 20, 40)
@@ -336,38 +343,68 @@ func TestBFSMatchesOracle(t *testing.T) {
 	clique(isolated, 1, 30)
 	pair := NewGraph(2)
 	clique(pair, 0, 2)
-	regular, err := RandomRegular(500, 4, testRNG(1))
-	if err != nil {
-		t.Fatal(err)
+	type graphCase struct {
+		name  string
+		g     *Graph
+		every bool // BFS from every source, not a sample
 	}
-	graphs := []struct {
-		name string
-		g    *Graph
-	}{
-		{"N=0", NewGraph(0)}, {"N=1", NewGraph(1)}, {"N=2 apart", NewGraph(2)}, {"N=2 linked", pair},
-		{"two cliques", twoCliques}, {"isolated node", isolated}, {"regular", regular},
+	graphs := []graphCase{
+		{"N=0", NewGraph(0), true}, {"N=1", NewGraph(1), true},
+		{"N=2 apart", NewGraph(2), true}, {"N=2 linked", pair, true},
+		{"two cliques", twoCliques, true}, {"isolated node", isolated, true},
+		{"regular", regular(500, 4, 1), true},
+		{"regular, look-ahead", regular(aheadMinN, 4, 2), false},
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		g, err := ErdosRenyi(300, 1.5/300, testRNG(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		graphs = append(graphs, struct {
-			name string
-			g    *Graph
-		}{fmt.Sprintf("sparse ER seed %d", seed), g})
+		graphs = append(graphs, graphCase{fmt.Sprintf("sparse ER seed %d", seed), g, true})
 	}
-	for _, tc := range graphs {
-		connected := true
-		for v := 0; v < tc.g.N(); v++ {
-			want := levelBFS(tc.g, proto.NodeID(v))
-			if got := tc.g.BFS(proto.NodeID(v)); !slices.Equal(got, want) {
-				t.Fatalf("%s: BFS(%d) = %v, want %v", tc.name, v, got, want)
-			}
-			if v == 0 {
-				connected = !slices.Contains(want, -1)
+	// Two regular halves and an isolated last node.
+	half := regular(aheadMinN/2, 3, 3)
+	split := NewGraph(2*half.N() + 1)
+	for u := 0; u < half.N(); u++ {
+		for _, w := range half.Neighbors(proto.NodeID(u)) {
+			if int(w) > u {
+				split.link(proto.NodeID(u), w)
+				split.link(proto.NodeID(u+half.N()), w+proto.NodeID(half.N()))
 			}
 		}
+	}
+	// A sparse random graph of mean degree 1.5: trees, paths and many
+	// components (ErdosRenyi's n² draws are too slow at this size).
+	sparse := NewGraph(aheadMinN + 7)
+	rng := testRNG(4)
+	for i := 0; i < sparse.N()*3/4; i++ {
+		u, v := proto.NodeID(rng.IntN(sparse.N())), proto.NodeID(rng.IntN(sparse.N()))
+		if u != v && !sparse.HasEdge(u, v) {
+			sparse.link(u, v)
+		}
+	}
+	graphs = append(graphs, graphCase{"split, look-ahead", split, false}, graphCase{"sparse, look-ahead", sparse, false})
+
+	for _, tc := range graphs {
+		sources := make([]proto.NodeID, 0, tc.g.N())
+		if tc.every {
+			for v := 0; v < tc.g.N(); v++ {
+				sources = append(sources, proto.NodeID(v))
+			}
+		} else {
+			n := tc.g.N()
+			sources = append(sources, 0, 1, proto.NodeID(n/2), proto.NodeID(n-1))
+			for range 12 {
+				sources = append(sources, proto.NodeID(rng.IntN(n)))
+			}
+		}
+		for _, v := range sources {
+			want := levelBFS(tc.g, v)
+			if got := tc.g.BFS(v); !slices.Equal(got, want) {
+				t.Fatalf("%s: BFS(%d) differs from the oracle", tc.name, v)
+			}
+		}
+		connected := tc.g.N() == 0 || !slices.Contains(levelBFS(tc.g, 0), -1)
 		if got := tc.g.Connected(); got != connected {
 			t.Errorf("%s: Connected() = %v, want %v", tc.name, got, connected)
 		}
