@@ -9,7 +9,6 @@ import (
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
 	"repro/internal/flood"
-	"repro/internal/group"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/relchan"
@@ -39,12 +38,6 @@ func sampleMessages() []wire.Encodable {
 		&relchan.AckMsg{ID: rid},
 		&relchan.NackMsg{ID: rid},
 		&relchan.CustodyMsg{ID: rid, Payload: []byte("custody")},
-		&group.JoinReq{},
-		&group.LeaveReq{},
-		&group.ViewUpdate{View: 3, Group: 2, Members: []proto.NodeID{1, 5, 9}},
-		&group.ViewAck{View: 3},
-		&group.ViewCommit{View: 3, Group: 2, Members: []proto.NodeID{1, 5}},
-		&group.EvictNotice{Peer: 6},
 		&node.BlockMsg{Height: 8, Miner: 4, TimeNano: 123, PowNonce: 99,
 			Txs: [][]byte{{1, 2}, {3}}, Parent: [32]byte{0xaa}},
 		&workload.SubmitMsg{Payload: []byte("submit")},

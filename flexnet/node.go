@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/dcnet"
-	"repro/internal/group"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/relchan"
@@ -87,7 +86,6 @@ func NewCodec() *wire.Codec {
 	dcnet.RegisterMessages(c)
 	dandelion.RegisterMessages(c)
 	relchan.RegisterMessages(c)
-	group.RegisterMessages(c)
 	node.RegisterMessages(c)
 	workload.RegisterMessages(c)
 	return c

@@ -115,12 +115,14 @@ func CheckPoW(h BlockHash, difficultyBits int) bool {
 	return true
 }
 
-// Mine grinds nonces until the difficulty is met or maxIters runs out.
-// The toy difficulty keeps the TCP example responsive; simulation uses
-// hashpower-weighted exponential arrivals instead.
+// Mine grinds nonces upward from the block's current PowNonce until the
+// difficulty is met or maxIters runs out. The toy difficulty keeps the
+// TCP example responsive; simulation uses hashpower-weighted exponential
+// arrivals instead.
 func Mine(b *Block, difficultyBits int, maxIters uint64) bool {
+	start := b.PowNonce
 	for i := uint64(0); i < maxIters; i++ {
-		b.PowNonce = i
+		b.PowNonce = start + i
 		if CheckPoW(b.Hash(), difficultyBits) {
 			return true
 		}

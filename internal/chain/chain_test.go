@@ -92,6 +92,16 @@ func TestPoWMineAndCheck(t *testing.T) {
 	if CheckPoW(b.Hash(), 200) {
 		t.Error("impossible difficulty passed")
 	}
+	// Mining grinds upward from the current nonce: a solved block is
+	// accepted on the first try, and a later start finds a later nonce.
+	found := b.PowNonce
+	if !Mine(b, 8, 1) || b.PowNonce != found {
+		t.Errorf("re-mining a solved block moved its nonce from %d to %d", found, b.PowNonce)
+	}
+	b.PowNonce = found + 1
+	if !Mine(b, 8, 1_000_000) || b.PowNonce <= found {
+		t.Errorf("mining from %d found nonce %d", found+1, b.PowNonce)
+	}
 	// Zero-bit difficulty always passes.
 	if !CheckPoW(BlockHash{0xff}, 0) {
 		t.Error("difficulty 0 failed")

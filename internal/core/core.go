@@ -99,13 +99,6 @@ type Config struct {
 	// TreeDegree is the degree assumption for Alpha (0: use the current
 	// virtual source's degree).
 	TreeDegree int
-
-	// OnBlame and OnDissolve surface Phase-1 policy events; OnEvict
-	// surfaces failover evictions (wire it to the membership layer,
-	// e.g. group.Client.ReportEvict).
-	OnBlame    func(ctx proto.Context, culprit proto.NodeID)
-	OnEvict    func(ctx proto.Context, evicted proto.NodeID, remaining []proto.NodeID)
-	OnDissolve func(ctx proto.Context, reason string)
 }
 
 func (c *Config) applyDefaults() {
@@ -260,10 +253,8 @@ func (p *Protocol) Init(ctx proto.Context) {
 				p.onGroupMessage(ctx, payload)
 			}
 		},
-		OnBlame: p.cfg.OnBlame,
-		OnEvict: p.cfg.OnEvict,
-		OnDissolve: func(ctx proto.Context, reason string) {
-			p.onDissolve(ctx, reason)
+		OnDissolve: func(ctx proto.Context, _ string) {
+			p.onDissolve(ctx)
 		},
 	})
 	if err != nil {
@@ -277,9 +268,6 @@ func (p *Protocol) Init(ctx proto.Context) {
 
 // Member exposes the Phase-1 DC-net member (nil for groupless nodes).
 func (p *Protocol) Member() *dcnet.Member { return p.member }
-
-// Flood exposes the Phase-3 engine (tests, experiments).
-func (p *Protocol) Flood() *flood.Engine { return p.fl }
 
 // RelRetransmits returns retransmissions performed by the node's
 // overlay reliability channels — custody deposits plus the Phase-2
@@ -329,14 +317,11 @@ func (p *Protocol) Broadcast(ctx proto.Context, payload []byte) (proto.MsgID, er
 	return id, nil
 }
 
-// onDissolve handles a burned group: surface the event, and under
-// recovery mode re-route the queued payloads straight into Phase 2 —
-// the "group dissolved below the floor" fallback that degrades coverage
-// gracefully instead of to zero.
-func (p *Protocol) onDissolve(ctx proto.Context, reason string) {
-	if p.cfg.OnDissolve != nil {
-		p.cfg.OnDissolve(ctx, reason)
-	}
+// onDissolve handles a burned group: under recovery mode it re-routes
+// the queued payloads straight into Phase 2 — the "group dissolved
+// below the floor" fallback that degrades coverage gracefully instead
+// of to zero.
+func (p *Protocol) onDissolve(ctx proto.Context) {
 	if !p.recovery() {
 		return
 	}

@@ -6,11 +6,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 )
-
-// CommitmentSize is the byte length of a share commitment.
-const CommitmentSize = sha256.Size
 
 // SaltSize is the byte length of commitment salts.
 const SaltSize = 16
@@ -31,13 +27,6 @@ func Commit(value, salt []byte) [32]byte {
 func VerifyCommit(commitment [32]byte, value, salt []byte) bool {
 	want := Commit(value, salt)
 	return hmac.Equal(commitment[:], want[:])
-}
-
-// NewSalt draws a fresh commitment salt from entropy.
-func NewSalt(entropy io.Reader) ([]byte, error) {
-	salt := make([]byte, SaltSize)
-	_, err := io.ReadFull(entropy, salt)
-	return salt, err
 }
 
 // CRCSize is the byte length of the CRC trailer protecting DC-net

@@ -1,10 +1,10 @@
 // Package crypto provides the cryptographic substrate the paper assumes:
-// node identities (Ed25519), pairwise encrypted channels between DC-net
-// group members (X25519 + HKDF + AES-GCM), hash commitments for the blame
-// protocol, CRC32 message protection for collision detection, and the
-// XOR-distance metric used to pick the initial virtual source from the
-// hash of a message ("the node whose hashed identity is closest to the
-// hash of the message", §IV-B).
+// node identities (the hash of an Ed25519 public key), pairwise encrypted
+// channels between DC-net group members (X25519 + HKDF + AES-GCM), hash
+// commitments for the blame protocol, CRC32 message protection for
+// collision detection, and the XOR-distance metric used to pick the
+// initial virtual source from the hash of a message ("the node whose
+// hashed identity is closest to the hash of the message", §IV-B).
 //
 // Everything is built from the Go standard library.
 package crypto
@@ -12,55 +12,24 @@ package crypto
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
-	"fmt"
-	"io"
 )
 
-// Identity is a node's long-term key pair. The public key doubles as the
-// node's stable name on real networks; its SHA-256 is the coordinate used
-// in virtual-source selection.
+// Identity is a node's long-term identity: the SHA-256 of its Ed25519
+// public key, the coordinate used in virtual-source selection.
 type Identity struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
 	hash [32]byte
-}
-
-// NewIdentity generates an identity from the given entropy source (use
-// crypto/rand.Reader in production; deterministic readers in tests and
-// simulation).
-func NewIdentity(entropy io.Reader) (*Identity, error) {
-	pub, priv, err := ed25519.GenerateKey(entropy)
-	if err != nil {
-		return nil, fmt.Errorf("crypto: generating identity: %w", err)
-	}
-	return identityFromKeys(pub, priv), nil
-}
-
-func identityFromKeys(pub ed25519.PublicKey, priv ed25519.PrivateKey) *Identity {
-	return &Identity{pub: pub, priv: priv, hash: sha256.Sum256(pub)}
 }
 
 // IdentityFromSeed derives a deterministic identity from a 32-byte seed.
 // Simulation uses this to give node i a reproducible key.
 func IdentityFromSeed(seed [32]byte) *Identity {
 	priv := ed25519.NewKeyFromSeed(seed[:])
-	return identityFromKeys(priv.Public().(ed25519.PublicKey), priv)
+	return &Identity{hash: sha256.Sum256(priv.Public().(ed25519.PublicKey))}
 }
-
-// Public returns the public key.
-func (id *Identity) Public() ed25519.PublicKey { return id.pub }
 
 // Hash returns SHA-256 of the public key: the node's coordinate for
 // virtual-source selection.
 func (id *Identity) Hash() [32]byte { return id.hash }
-
-// Sign signs a message with the identity key.
-func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.priv, msg) }
-
-// Verify checks a signature against a public key.
-func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
-}
 
 // HashPayload returns SHA-256 of a broadcast payload: the message
 // coordinate for virtual-source selection.

@@ -131,8 +131,7 @@ type Config struct {
 	OnSendResult func(ctx proto.Context, payload []byte, ok bool)
 	// OnBlame reports an identified disruptor (PolicyBlame).
 	OnBlame func(ctx proto.Context, culprit proto.NodeID)
-	// OnEvict reports a failover eviction with the surviving
-	// membership — the hook that notifies the directory/manager layer.
+	// OnEvict reports a failover eviction with the surviving membership.
 	OnEvict func(ctx proto.Context, evicted proto.NodeID, remaining []proto.NodeID)
 	// OnDissolve reports that the group burned (policy or timeout).
 	OnDissolve func(ctx proto.Context, reason string)

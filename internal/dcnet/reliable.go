@@ -213,9 +213,8 @@ func (m *Member) evictSilent(ctx proto.Context) {
 // evict removes a peer from the group: the membership shrinks, the
 // epoch advances (re-key — subsequent rounds split fresh share vectors
 // over the survivors), in-flight rounds are discarded, and the caller's
-// OnEvict hook fires so the membership layer (directory/manager) can be
-// told. Shrinking below MinMembers dissolves the group instead of
-// running it under the configured anonymity floor.
+// OnEvict hook fires. Shrinking below MinMembers dissolves the group
+// instead of running it under the configured anonymity floor.
 func (m *Member) evict(ctx proto.Context, p proto.NodeID) {
 	if !slices.Contains(m.peers, p) {
 		return

@@ -1,12 +1,11 @@
 // Package group implements the membership machinery of §IV-C: groups of
 // size g ∈ [k, 2k−1] that split in two when they would reach 2k, react to
-// joins and leaves, optionally overlap with an enforced per-node group
-// count (the paper's fix for the skewed origin probabilities of the A/B/C
-// example), and a Reiter-style manager-based membership protocol with
-// quorum-acknowledged views.
+// joins, leaves and evictions, and optionally overlap with an enforced
+// per-node group count (the paper's fix for the skewed origin
+// probabilities of the A/B/C example).
 //
-// Directory is the pure data structure (used directly by simulations and
-// by the manager); Manager/Client are the message-driven protocol.
+// Directory is a pure data structure: simulations place every node
+// through it, and live nodes take a static group.
 package group
 
 import (

@@ -242,12 +242,3 @@ func TestOverlapDirectoryPlacesNodesInMultipleGroups(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuorum(t *testing.T) {
-	cases := []struct{ g, want int }{{1, 1}, {3, 1}, {4, 3}, {5, 3}, {7, 5}, {10, 7}}
-	for _, c := range cases {
-		if got := Quorum(c.g); got != c.want {
-			t.Errorf("Quorum(%d) = %d, want %d", c.g, got, c.want)
-		}
-	}
-}

@@ -498,16 +498,7 @@ func (n *Node) mine(ctx proto.Context) {
 	// Randomize the starting nonce so equal-speed miners do not find
 	// identical solutions.
 	blk.PowNonce = ctx.Rand().Uint64()
-	found := false
-	start := blk.PowNonce
-	for i := uint64(0); i < n.cfg.MineBudget; i++ {
-		blk.PowNonce = start + i
-		if chain.CheckPoW(blk.Hash(), n.cfg.DifficultyBits) {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !chain.Mine(blk, n.cfg.DifficultyBits, n.cfg.MineBudget) {
 		return
 	}
 	if err := n.chain.Add(blk); err != nil {

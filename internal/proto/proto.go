@@ -37,7 +37,7 @@ const (
 	RangeDCNet     MsgType = 0x0300
 	RangeDandelion MsgType = 0x0400
 	RangeCore      MsgType = 0x0500
-	RangeGroup     MsgType = 0x0600
+	RangeGroup     MsgType = 0x0600 // reserved: group placement sends no messages
 	RangeChain     MsgType = 0x0700
 	RangeRelChan   MsgType = 0x0800
 	RangeWorkload  MsgType = 0x0900

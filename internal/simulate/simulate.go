@@ -94,9 +94,6 @@ type Config struct {
 	Q float64
 	// Seed drives all randomness (topology uses Seed+1).
 	Seed uint64
-	// Payload is the broadcast content (default 250 random bytes, a
-	// typical transaction size).
-	Payload []byte
 	// AdversaryFraction corrupts this fraction of nodes as passive
 	// observers (0 disables the attack analysis).
 	AdversaryFraction float64
@@ -188,12 +185,10 @@ func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
 	}
 
 	runRNG := rand.New(rand.NewPCG(cfg.Seed, 0xabcdef12))
-	payload := cfg.Payload
-	if payload == nil {
-		payload = make([]byte, 250)
-		for i := range payload {
-			payload[i] = byte(runRNG.Uint32())
-		}
+	// The broadcast content: 250 random bytes, a typical transaction.
+	payload := make([]byte, 250)
+	for i := range payload {
+		payload[i] = byte(runRNG.Uint32())
 	}
 
 	var obs *adversary.Observer

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
 	"repro/internal/flood"
-	"repro/internal/group"
 	"repro/internal/proto"
 	"repro/internal/relchan"
 	"repro/internal/sim"
@@ -70,7 +69,6 @@ func TestReceivedMessagesStayUnchanged(t *testing.T) {
 	dcnet.RegisterMessages(codec)
 	dandelion.RegisterMessages(codec)
 	relchan.RegisterMessages(codec)
-	group.RegisterMessages(codec)
 	g := testGraph(t, 3)
 	for _, kind := range []Kind{Flood, Dandelion, Adaptive, Composed} {
 		spec := testSpec(kind)

@@ -389,76 +389,3 @@ func RegularTree(d, depth int) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// Kind names a topology family for configuration surfaces.
-type Kind int
-
-// Supported topology families.
-const (
-	KindRandomRegular Kind = iota + 1
-	KindErdosRenyi
-	KindWattsStrogatz
-	KindBarabasiAlbert
-	KindRing
-	KindLine
-	KindComplete
-	KindRegularTree
-)
-
-// String returns the family name.
-func (k Kind) String() string {
-	switch k {
-	case KindRandomRegular:
-		return "random-regular"
-	case KindErdosRenyi:
-		return "erdos-renyi"
-	case KindWattsStrogatz:
-		return "watts-strogatz"
-	case KindBarabasiAlbert:
-		return "barabasi-albert"
-	case KindRing:
-		return "ring"
-	case KindLine:
-		return "line"
-	case KindComplete:
-		return "complete"
-	case KindRegularTree:
-		return "regular-tree"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Spec is a declarative topology request used by the public API and the
-// experiment harness.
-type Spec struct {
-	Kind  Kind
-	N     int     // node count (ignored for RegularTree)
-	Deg   int     // degree / lattice-k / BA attachment m / tree degree
-	P     float64 // ER edge probability or WS rewiring beta
-	Depth int     // RegularTree depth
-}
-
-// Build constructs the requested graph.
-func (s Spec) Build(rng *rand.Rand) (*Graph, error) {
-	switch s.Kind {
-	case KindRandomRegular:
-		return RandomRegular(s.N, s.Deg, rng)
-	case KindErdosRenyi:
-		return ErdosRenyi(s.N, s.P, rng)
-	case KindWattsStrogatz:
-		return WattsStrogatz(s.N, s.Deg, s.P, rng)
-	case KindBarabasiAlbert:
-		return BarabasiAlbert(s.N, s.Deg, rng)
-	case KindRing:
-		return Ring(s.N)
-	case KindLine:
-		return Line(s.N)
-	case KindComplete:
-		return Complete(s.N)
-	case KindRegularTree:
-		return RegularTree(s.Deg, s.Depth)
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %v", ErrInfeasible, s.Kind)
-	}
-}

@@ -214,39 +214,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestSpecBuild(t *testing.T) {
-	rng := testRNG(6)
-	specs := []Spec{
-		{Kind: KindRandomRegular, N: 20, Deg: 4},
-		{Kind: KindErdosRenyi, N: 20, P: 0.3},
-		{Kind: KindWattsStrogatz, N: 20, Deg: 4, P: 0.1},
-		{Kind: KindBarabasiAlbert, N: 20, Deg: 2},
-		{Kind: KindRing, N: 20},
-		{Kind: KindLine, N: 20},
-		{Kind: KindComplete, N: 10},
-		{Kind: KindRegularTree, Deg: 3, Depth: 3},
-	}
-	for _, s := range specs {
-		g, err := s.Build(rng)
-		if err != nil {
-			t.Errorf("Build(%v): %v", s.Kind, err)
-			continue
-		}
-		if g.N() == 0 {
-			t.Errorf("Build(%v): empty graph", s.Kind)
-		}
-	}
-	if _, err := (Spec{Kind: Kind(99)}).Build(rng); !errors.Is(err, ErrInfeasible) {
-		t.Error("unknown kind accepted")
-	}
-	names := map[Kind]string{KindRandomRegular: "random-regular", KindLine: "line", Kind(99): "Kind(99)"}
-	for k, want := range names {
-		if got := k.String(); got != want {
-			t.Errorf("Kind.String() = %q, want %q", got, want)
-		}
-	}
-}
-
 // Property: BFS distances satisfy the triangle inequality along edges —
 // neighbor distances differ by at most 1.
 func TestBFSNeighborProperty(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/dandelion"
 	"repro/internal/dcnet"
 	"repro/internal/flood"
-	"repro/internal/group"
 	"repro/internal/node"
 	"repro/internal/relchan"
 	"repro/internal/wire"
@@ -29,7 +28,6 @@ func fuzzCodec() *wire.Codec {
 	dcnet.RegisterMessages(c)
 	dandelion.RegisterMessages(c)
 	relchan.RegisterMessages(c)
-	group.RegisterMessages(c)
 	node.RegisterMessages(c)
 	return c
 }
