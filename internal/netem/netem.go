@@ -315,18 +315,48 @@ func (p Profile) FixedDelay() (time.Duration, bool) {
 // only on its position within its own type's FIFO stream, which the
 // protocol's round structure pins down on both runtimes.
 type Shaper struct {
-	p       Profile
-	seed    uint64
-	lossThr uint64 // 53-bit loss threshold
+	lossThr  uint64 // 53-bit loss threshold
+	dropKey  uint64 // the drop word's seed half
+	lat, jit draw
+}
+
+// draw is one delay term of a decision: a distribution with the seed half
+// of its words, mix(seed^purpose), or — for a Const, whose At ignores
+// the word, and for an absent term — the one delay, drawing no word.
+type draw struct {
+	dist    Dist // nil: fixed
+	key     uint64
+	purpose uint64
+	fixed   time.Duration
+}
+
+func newDraw(d Dist, seed, purpose uint64) draw {
+	switch c := d.(type) {
+	case nil:
+		return draw{}
+	case Const:
+		return draw{fixed: time.Duration(c)}
+	}
+	return draw{dist: d, key: mix(seed ^ purpose), purpose: purpose}
+}
+
+// at returns the term's delay on one link for one decision word.
+func (d *draw) at(link, w uint64) time.Duration {
+	if d.dist == nil {
+		return d.fixed
+	}
+	return d.dist.At(keyedWord(d.key, link, w, d.purpose))
 }
 
 // Shaper derives the decision function for a run seed.
 func (p Profile) Shaper(seed uint64) Shaper {
-	return Shaper{p: p, seed: seed, lossThr: uint64(p.Loss * (1 << 53))}
+	return Shaper{
+		lossThr: uint64(p.Loss * (1 << 53)),
+		dropKey: mix(seed ^ purposeDrop),
+		lat:     newDraw(p.Latency, seed, purposeLat),
+		jit:     newDraw(p.Jitter, seed, purposeJit),
+	}
 }
-
-// Profile returns the profile the shaper was built from.
-func (s Shaper) Profile() Profile { return s.p }
 
 // Hash stream purposes: distinct constants per decision so loss, delay
 // and jitter draws are independent.
@@ -341,21 +371,15 @@ const (
 // of wire type tp on the directed link from→to. The type is folded into
 // the decision word (alongside the link and the per-type sequence), so
 // distinct types on one link draw from independent streams.
-func (s Shaper) Decide(from, to proto.NodeID, tp proto.MsgType, seq uint64) (delay time.Duration, drop bool) {
+func (s *Shaper) Decide(from, to proto.NodeID, tp proto.MsgType, seq uint64) (delay time.Duration, drop bool) {
 	link := uint64(uint32(from))<<32 | uint64(uint32(to))
 	// Sequence numbers are per-type message counts: far below 2^48 in
 	// any feasible run, so the fold is collision-free.
 	w := seq | uint64(tp)<<48
-	if s.lossThr > 0 && linkWord(s.seed, link, w, purposeDrop)>>11 < s.lossThr {
+	if s.lossThr > 0 && keyedWord(s.dropKey, link, w, purposeDrop)>>11 < s.lossThr {
 		return 0, true
 	}
-	if s.p.Latency != nil {
-		delay = s.p.Latency.At(linkWord(s.seed, link, w, purposeLat))
-	}
-	if s.p.Jitter != nil {
-		delay += s.p.Jitter.At(linkWord(s.seed, link, w, purposeJit))
-	}
-	return delay, false
+	return s.lat.at(link, w) + s.jit.at(link, w), false
 }
 
 // mix is the splitmix64 finalizer — the avalanche all link words flow
@@ -372,7 +396,12 @@ func mix(x uint64) uint64 {
 // linkWord derives the decision word for one (seed, link, seq, purpose)
 // tuple.
 func linkWord(seed, link, seq, purpose uint64) uint64 {
-	return mix(mix(seed^purpose) ^ mix(link+purpose) ^ seq)
+	return keyedWord(mix(seed^purpose), link, seq, purpose)
+}
+
+// keyedWord is linkWord with its seed half, mix(seed^purpose), given.
+func keyedWord(key, link, seq, purpose uint64) uint64 {
+	return mix(key ^ mix(link+purpose) ^ seq)
 }
 
 // u01 maps a word onto the open interval (0,1) on a 2⁻⁵³ grid — never

@@ -277,3 +277,81 @@ func TestDecideAllocs(t *testing.T) {
 		}
 	}
 }
+
+// oracleDecide is Shaper.Decide as it read before the shaper kept each
+// purpose's seed half and stopped drawing a word for a constant delay,
+// kept verbatim with the hashing it called: the definition every
+// decision must reproduce bit for bit.
+func oracleDecide(p Profile, seed uint64, from, to proto.NodeID, tp proto.MsgType, seq uint64) (delay time.Duration, drop bool) {
+	lossThr := uint64(p.Loss * (1 << 53))
+	link := uint64(uint32(from))<<32 | uint64(uint32(to))
+	w := seq | uint64(tp)<<48
+	if lossThr > 0 && oracleLinkWord(seed, link, w, purposeDrop)>>11 < lossThr {
+		return 0, true
+	}
+	if p.Latency != nil {
+		delay = p.Latency.At(oracleLinkWord(seed, link, w, purposeLat))
+	}
+	if p.Jitter != nil {
+		delay += p.Jitter.At(oracleLinkWord(seed, link, w, purposeJit))
+	}
+	return delay, false
+}
+
+func oracleMix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
+func oracleLinkWord(seed, link, seq, purpose uint64) uint64 {
+	return oracleMix(oracleMix(seed^purpose) ^ oracleMix(link+purpose) ^ seq)
+}
+
+// TestDecideMatchesOracle holds Shaper.Decide to oracleDecide over random
+// (seed, from, to, type, seq) for every latency distribution, each with
+// no jitter, a drawn jitter and a constant one, with and without loss.
+func TestDecideMatchesOracle(t *testing.T) {
+	lats := []Dist{
+		Const(50 * time.Millisecond),
+		Uniform{Min: 25 * time.Millisecond, Hi: 75 * time.Millisecond},
+		LogNormal{Median: 80 * time.Millisecond, Sigma: 0.5},
+		Empirical{Values: []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 45 * time.Millisecond, 90 * time.Millisecond}},
+		nil,
+	}
+	jitters := []Dist{nil, Uniform{Hi: 20 * time.Millisecond}, Const(3 * time.Millisecond)}
+	rng := rand.New(rand.NewPCG(38, 1))
+	for _, lat := range lats {
+		for _, jit := range jitters {
+			for _, loss := range []float64{0, 0.05, 0.5} {
+				p := Profile{Latency: lat, Jitter: jit, Loss: loss}
+				seed := rng.Uint64()
+				s := p.Shaper(seed)
+				drops := 0
+				for i := 0; i < 2000; i++ {
+					from, to := proto.NodeID(rng.Int32()), proto.NodeID(rng.Int32())
+					if i%4 == 0 { // small IDs and sequences, as a run has them
+						from, to = proto.NodeID(rng.IntN(1000)), proto.NodeID(rng.IntN(1000))
+					}
+					tp := proto.MsgType(rng.Uint32())
+					seq := rng.Uint64() >> (16 + rng.IntN(48))
+					d, drop := s.Decide(from, to, tp, seq)
+					wd, wdrop := oracleDecide(p, seed, from, to, tp, seq)
+					if d != wd || drop != wdrop {
+						t.Fatalf("%+v seed %#x: Decide(%d, %d, %#x, %d) = %v, %t; oracle %v, %t",
+							p, seed, from, to, tp, seq, d, drop, wd, wdrop)
+					}
+					if drop {
+						drops++
+					}
+				}
+				if (loss > 0) != (drops > 0) {
+					t.Fatalf("%+v: %d drops in 2000 decisions", p, drops)
+				}
+			}
+		}
+	}
+}

@@ -28,24 +28,29 @@
 // delays, a send adds a link delay and the per-link FIFO clamp only moves
 // arrivals later, a cross-shard arrival lies beyond the window its
 // destination just executed — so the queue is monotone: nothing is pushed
-// earlier than the last pop. The queue exploits that as a radix heap over
-// ticks of 2^tickBits ns. An entry whose tick differs from the one being
-// executed (lastTick) goes to bucket bits.Len64(tick ^ lastTick); when the
-// current tick is exhausted the lowest non-empty bucket is redistributed
-// once: entries of its earliest tick become the run — one contiguous
-// slice consumed by index — and the rest drop into strictly lower
-// buckets. The run is ordered by (at, tag) without sorting entries: the
-// pass compacts them in place into the drained chunks, each gets an
-// 8-byte key of the bits of (at, src, seq) that vary over the run plus
-// its chunk slot, an LSD radix sort orders the keys, and one gather
-// copies every entry from its chunk to its place (sortRun). Runs that fit
-// one chunk, or whose key would not fit a word, take a comparison sort.
-// Entries pushed into the tick being executed (or, should a caller ever
-// break monotonicity, below it) go to a small 4-ary heap that pop merges
-// with the run. Bucket geometry thus only decides *when* an entry is
-// sorted, never how: pops follow the exact total order (at, src, seq)
-// whatever is pushed, and monotonicity is a performance assumption, not a
-// correctness one.
+// earlier than the last pop. The queue exploits that with ticks of
+// 2^tickBits ns in two tiers. The page holds one slot per tick of the
+// 2^pageBits-tick page the tick being executed (lastTick) lies on: an
+// entry whose tick differs from lastTick only in its low pageBits bits
+// goes straight to its tick's slot and is never moved again. Every later
+// entry goes to radix bucket bits.Len64(tick ^ lastTick), always above
+// pageBits. When the current tick is exhausted, refill takes the lowest
+// occupied slot, whose entries all share one tick and become the run —
+// one contiguous slice consumed by index — as they lie; only when the
+// page is empty does it take the lowest bucket, whose entries of its
+// earliest tick become the run while the rest drop onto the new page or
+// into strictly lower buckets. The run is ordered by (at, tag) without
+// sorting entries: the pass compacts them in place into the drained
+// chunks, each gets an 8-byte key of the bits of (at, src, seq) that vary
+// over the run plus its chunk slot, an LSD radix sort orders the keys,
+// and one gather copies every entry from its chunk to its place
+// (sortRun). Runs that fit one chunk, or whose key would not fit a word,
+// take a comparison sort. Entries pushed into the tick being executed
+// (or, should a caller ever break monotonicity, below it) go to a small
+// 4-ary heap that pop merges with the run. Page and bucket geometry thus
+// only decide *when* an entry is sorted, never how: pops follow the exact
+// total order (at, src, seq) whatever is pushed, and monotonicity is a
+// performance assumption, not a correctness one.
 //
 // The engine is allocation-free in steady state: chunks, the run buffer,
 // the sort's keys and the in-tick heap are reused, a message delivery —
@@ -143,12 +148,22 @@ func (a *entry) before(b *entry) bool {
 }
 
 // Queue geometry. tickBits is not a tuning knob: 13, 17 and 20 measured
-// within 10 % of each other on the soak workload (DESIGN §2). A tick
-// index has 64-tickBits significant bits, so bits.Len64 of a tick
-// difference — the bucket index — ranges over 0..64-tickBits.
+// within 10 % of each other on the soak workload (DESIGN §2), and with
+// the page in front of the buckets a tick only sets how finely a slot's
+// run is cut. pageBits is not one either: a page spans 2^(17+10) ns ≈
+// 134 ms, a WAN hop plus its jitter, so a jittered arrival lands on the
+// page of the tick that sent it unless it crosses a page turn; the page
+// costs 16 KB per engine. A tick index has 64-tickBits significant bits,
+// so bits.Len64 of a tick difference — the bucket index — ranges over
+// 0..64-tickBits. Buckets 1..pageBits stay empty, the page covers those
+// ticks, and bucket 0, which no tick above lastTick maps to, stands for
+// the page in nonEmpty and nextAt.
 const (
 	tickBits   = 17
 	numBuckets = 64 - tickBits + 1
+	pageBits   = 10
+	pageLen    = 1 << pageBits
+	pageMask   = pageLen - 1
 	chunkLen   = 128
 
 	// warmAhead is how many entries ahead pop prefetches a delivery's
@@ -169,8 +184,9 @@ type chunk struct {
 	ents [chunkLen]entry
 }
 
-// bucket is an unordered chunk list: top is the chunk being filled, full
-// ones follow. lo is the earliest fire time inside (valid when top != nil).
+// bucket is an unordered chunk list — a radix bucket or a page slot: top
+// is the chunk being filled, full ones follow. lo is the earliest fire
+// time inside (valid when top != nil).
 type bucket struct {
 	top *chunk
 	lo  time.Duration
@@ -214,15 +230,18 @@ type Engine struct {
 	nodes []simNode
 
 	// The queue: run[head:] is the sorted remainder of tick lastTick,
-	// late the heap of entries pushed at or below it since, buckets the
-	// future. pending counts all three.
+	// late the heap of entries pushed at or below it since, the page the
+	// later ticks of lastTick's page, buckets the ticks past it. pending
+	// counts all four.
 	lastTick   uint64
 	run        []entry
 	head       int
 	runHeld    *chunk // the chunk run lives in, when it fits one
 	late       []entry
-	buckets    [numBuckets]bucket
-	nonEmpty   uint64 // bit b set iff buckets[b].top != nil
+	buckets    [numBuckets]bucket // buckets[0] stands for the page: only its lo is used
+	nonEmpty   uint64             // bit b set iff buckets[b] holds entries
+	pageWords  uint64             // bit w set iff pageOcc[w] != 0
+	pageOcc    [pageLen / 64]uint64
 	freeChunks *chunk
 	pending    int
 
@@ -248,6 +267,11 @@ type Engine struct {
 	blocks []*arenaBlock
 	next   int32   // first never-used slot index
 	free   []int32 // recycled arena slots
+
+	// page[s] holds the entries of the tick on lastTick's page whose low
+	// pageBits bits are s (bit s of pageOcc set iff it holds any). Last,
+	// so that its 16 KB lie past every other field pop and push read.
+	page [pageLen]bucket
 }
 
 // NewEngine returns an engine at virtual time zero.
@@ -269,6 +293,13 @@ func (e *Engine) Reset() {
 	e.now, e.ctlSeq, e.steps = 0, 0, 0
 	e.curTag, e.curSub = 0, 0
 	e.refills, e.moves, e.maxRun = 0, 0, 0
+	for e.pageWords != 0 {
+		for c := e.takeSlot().top; c != nil; {
+			next := c.next
+			e.freeChunk(c)
+			c = next
+		}
+	}
 	for i := range e.buckets {
 		for c := e.buckets[i].top; c != nil; {
 			next := c.next
@@ -334,8 +365,7 @@ func (e *Engine) nextAt() (time.Duration, bool) {
 }
 
 // push enqueues an entry. Ticks at or below the one being executed go to
-// the in-tick heap; later ones to the bucket of their highest bit that
-// differs from lastTick, which orders buckets by tick.
+// the in-tick heap, later ones to place.
 func (e *Engine) push(ent entry) {
 	e.pending++
 	tick := tickOf(ent.at)
@@ -343,16 +373,39 @@ func (e *Engine) push(ent entry) {
 		e.late = heapPush(e.late, ent)
 		return
 	}
-	e.bucketPush(bits.Len64(tick^e.lastTick), &ent)
+	e.place(tick, &ent)
 }
 
-func (e *Engine) bucketPush(b int, ent *entry) {
-	bk := &e.buckets[b]
-	c := bk.top
-	if c == nil || c.n == chunkLen {
-		if c == nil {
-			bk.lo = ent.at
+// place files an entry whose tick lies above lastTick: a tick on
+// lastTick's page goes to its slot, a later one to the bucket of its
+// highest bit that differs from lastTick, which orders buckets by tick.
+func (e *Engine) place(tick uint64, ent *entry) {
+	if d := tick ^ e.lastTick; d>>pageBits != 0 {
+		b := bits.Len64(d)
+		if e.bucketPush(&e.buckets[b], ent) {
 			e.nonEmpty |= 1 << b
+		}
+		return
+	}
+	s := tick & pageMask
+	if e.bucketPush(&e.page[s], ent) {
+		e.pageOcc[s/64] |= 1 << (s % 64)
+		e.pageWords |= 1 << (s / 64)
+	}
+	if pg := &e.buckets[0]; e.nonEmpty&1 == 0 || ent.at < pg.lo {
+		pg.lo = ent.at
+		e.nonEmpty |= 1
+	}
+}
+
+// bucketPush appends an entry to a bucket or slot and reports whether it
+// was empty before.
+func (e *Engine) bucketPush(bk *bucket, ent *entry) bool {
+	c := bk.top
+	first := c == nil
+	if first || c.n == chunkLen {
+		if first {
+			bk.lo = ent.at
 		}
 		c = e.freeChunks
 		if c == nil {
@@ -367,6 +420,31 @@ func (e *Engine) bucketPush(b int, ent *entry) {
 	if ent.at < bk.lo {
 		bk.lo = ent.at
 	}
+	return first
+}
+
+// firstSlot returns the lowest occupied page slot; the page must not be
+// empty.
+func (e *Engine) firstSlot() int {
+	w := bits.TrailingZeros64(e.pageWords)
+	return w*64 + bits.TrailingZeros64(e.pageOcc[w])
+}
+
+// takeSlot empties the lowest occupied page slot and returns what it
+// held; the page must not be empty.
+func (e *Engine) takeSlot() bucket {
+	s := e.firstSlot()
+	bk := e.page[s]
+	e.page[s] = bucket{}
+	if e.pageOcc[s/64] &^= 1 << (s % 64); e.pageOcc[s/64] == 0 {
+		e.pageWords &^= 1 << (s / 64)
+	}
+	if e.pageWords == 0 {
+		e.nonEmpty &^= 1
+	} else {
+		e.buckets[0].lo = e.page[e.firstSlot()].lo
+	}
+	return bk
 }
 
 func (e *Engine) freeChunk(c *chunk) {
@@ -374,26 +452,32 @@ func (e *Engine) freeChunk(c *chunk) {
 	c.next, e.freeChunks = e.freeChunks, c
 }
 
-// refill advances lastTick to the earliest tick of the lowest non-empty
-// bucket and redistributes that bucket: the entries of that tick become
-// the sorted run, the rest fall into strictly lower buckets (their
-// highest bit differing from the new lastTick lies below the bucket's
-// own). Called only with run and in-tick heap exhausted and a bucket
-// non-empty.
+// refill advances lastTick to the next tick that holds entries and makes
+// them the sorted run: the lowest occupied page slot, whose entries all
+// share its tick, or, with the page empty, the earliest tick of the
+// lowest non-empty bucket, the rest of which drop onto the new page or
+// into strictly lower buckets (their highest bit differing from the new
+// lastTick lies below the bucket's own). Called only with run and in-tick
+// heap exhausted and the page or a bucket non-empty.
 //
-// The one pass over the bucket compacts the run's entries, in place, into
-// a prefix of the drained chunks (e.runChunks, all full but the last) and
-// frees every other drained chunk as soon as it is read, so the movers
-// reuse them and the queue's footprint stays its peak population. The
-// full chunks go first and the partial top chunk last: when nothing
-// moves — a constant-latency wave — every entry stays where it is.
+// The one pass over the slot or bucket compacts the run's entries, in
+// place, into a prefix of the drained chunks (e.runChunks, all full but
+// the last) and frees every other drained chunk as soon as it is read, so
+// the movers reuse them and the queue's footprint stays its peak
+// population. The full chunks go first and the partial top chunk last:
+// when nothing moves — every slot, and a constant-latency wave at a page
+// turn — every entry stays where it is.
 func (e *Engine) refill() {
-	b := bits.TrailingZeros64(e.nonEmpty)
-	bk := &e.buckets[b]
+	var bk bucket
+	if b := bits.TrailingZeros64(e.nonEmpty); b == 0 {
+		bk = e.takeSlot()
+	} else {
+		bk = e.buckets[b]
+		e.buckets[b] = bucket{}
+		e.nonEmpty &^= 1 << b
+	}
 	top := bk.top
 	last := tickOf(bk.lo)
-	*bk = bucket{}
-	e.nonEmpty &^= 1 << b
 	e.lastTick = last
 	if e.runHeld != nil {
 		// The run is consumed: its chunk goes back for the movers.
@@ -409,7 +493,7 @@ func (e *Engine) refill() {
 		for i := range c.ents[:c.n] {
 			ent := &c.ents[i]
 			if tick := tickOf(ent.at); tick != last {
-				e.bucketPush(bits.Len64(tick^last), ent)
+				e.place(tick, ent)
 				e.moves++
 				continue
 			}

@@ -315,8 +315,7 @@ func (n *Network) Reset(seed uint64) {
 		n.linkAt[i] = 0
 	}
 	if n.shaper != nil {
-		sh := n.opts.Netem.Shaper(seed)
-		n.shaper = &sh
+		*n.shaper = n.opts.Netem.Shaper(seed)
 		for i := range n.linkStreams {
 			n.linkStreams[i].reset()
 		}
@@ -737,7 +736,8 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	}
 	sh := from.shard
 	sh.totalMsgs++
-	c := sh.counter(msg.Type())
+	tp := msg.Type()
+	c := sh.counter(tp)
 	c.msgs++
 	if n.opts.Codec != nil {
 		if enc, ok := msg.(wire.Encodable); ok {
@@ -756,9 +756,9 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 		// Shaped path: loss and delay are hash decisions on the link's
 		// per-type message sequence — the counters the transport runtime
 		// keeps too, so both runtimes kill and hold the same messages.
-		seq := streams.next(msg.Type())
+		seq := streams.next(tp)
 		var drop bool
-		delay, drop = n.shaper.Decide(from.id, to, msg.Type(), seq)
+		delay, drop = n.shaper.Decide(from.id, to, tp, seq)
 		if drop {
 			sh.netemDropped++
 			return

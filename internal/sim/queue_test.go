@@ -312,11 +312,15 @@ func (d *queueDiff) check(op string) {
 // divergence shows first.
 func clip(s []int32) []int32 { return s[:min(len(s), 32)] }
 
+// queueClasses is the number of delay classes queueDelay tells apart.
+const queueClasses = 14
+
 // queueDelay maps a class and a magnitude byte onto the delays the queue
 // geometry cares about.
 func (d *queueDiff) queueDelay(class, m byte) time.Duration {
 	const tick = time.Duration(1) << tickBits
-	switch class % 12 {
+	const page = tick << pageBits
+	switch class % queueClasses {
 	case 0: // the instant being executed
 		return 0
 	case 1: // inside one tick
@@ -333,6 +337,10 @@ func (d *queueDiff) queueDelay(class, m byte) time.Duration {
 		return math.MaxInt64 - d.now
 	case 7: // a few ticks
 		return time.Duration(m) * tick / 8
+	case 8: // the last instant of the current page, or of one of the next two
+		return (d.now/page+1+time.Duration(m%3))*page - 1 - d.now
+	case 9: // the first instant of the next page, or of the one after
+		return (d.now/page+1+time.Duration(m%3))*page - d.now
 	default: // link-latency scale
 		return time.Duration(m) * 300 * time.Microsecond
 	}
@@ -415,7 +423,7 @@ func TestQueueDifferential(t *testing.T) {
 // events in every part of the queue.
 func TestQueueScenarios(t *testing.T) {
 	d := newQueueDiff(t)
-	for class := byte(0); class < 12; class++ {
+	for class := byte(0); class < queueClasses; class++ {
 		for kind := 0; kind < 3; kind++ {
 			for _, m := range []byte{0, 1, 7, 255} {
 				delay := d.queueDelay(class, m)
@@ -576,25 +584,35 @@ func TestQueueJitterRuns(t *testing.T) {
 }
 
 // TestQueueMovedIntoRun sorts one tick whose entries arrive by both
-// routes: pushed early into a high bucket and moved down by a refill, and
-// pushed later straight into the bucket they were moved to.
+// routes: pushed early into a bucket past the page and moved onto the
+// page by the refill that turns it, and pushed later straight into the
+// slot they were moved to. Only the page turn moves anything.
 func TestQueueMovedIntoRun(t *testing.T) {
 	const tick = time.Duration(1) << tickBits
 	d := newQueueDiff(t)
-	at := 1000*tick + 5
+	at := (2*pageLen+952)*tick + 5 // tick 3000, two pages on
 	d.groupWave(3000, 7, at, 1)
-	// Two ticks earlier and in the same bucket: its refill moves the wave.
+	// Two ticks earlier and in the same bucket: its refill turns the page
+	// and moves the wave onto it.
 	d.pushDeliver(at-2*tick, d.synthKey(9), 1)
-	moves := d.e.moves
+	if b := bits.Len64(tickOf(at) ^ d.e.lastTick); d.e.nonEmpty != 1<<b || d.e.pageWords != 0 {
+		t.Fatalf("buckets %b, page words %b: want the wave and the early event in bucket %d only", d.e.nonEmpty, d.e.pageWords, b)
+	}
 	d.runUntil(at - 2*tick)
-	if got := d.e.moves - moves; got != 3000*7 {
+	if got := d.e.moves; got != 3000*7 {
 		t.Fatalf("the refill of the early event moved %d entries, want the wave's %d", got, 3000*7)
 	}
 	d.groupWave(2000, 7, at-d.now, 2)
 	for i := 0; i < 500; i++ {
 		d.pushDeliver(at+time.Duration(i*97), d.synthKey(proto.NodeID(i)), 3)
 	}
+	if d.e.nonEmpty != 1 || d.e.pageWords == 0 {
+		t.Fatalf("buckets %b, page words %b: want every entry on the page", d.e.nonEmpty, d.e.pageWords)
+	}
 	d.drain()
+	if got := d.e.moves; got != 3000*7 {
+		t.Fatalf("%d moves after the drain, want the page turn's %d only", got, 3000*7)
+	}
 }
 
 // TestQueueKeyFallback drives runs whose key spans do not fit one word —
@@ -817,6 +835,52 @@ func TestQueueWarmFloodAllocs(t *testing.T) {
 	}
 }
 
+// TestQueueMovesPerEvent holds the queue's moves per event, read through
+// ShardStats, to what the page promises: a constant-latency flood, whose
+// waves cross page turns, moves nothing at all, and a jittered one moves
+// fewer entries than it executes events — only those whose arrival lies
+// past a page turn move, as a rule once.
+func TestQueueMovesPerEvent(t *testing.T) {
+	const pageSpan = time.Duration(1) << (tickBits + pageBits)
+	shaped := netem.Profile{ // BenchmarkNetworkFloodShaped's
+		Latency: netem.Const(20 * time.Millisecond),
+		Jitter:  netem.Uniform{Hi: 15 * time.Millisecond},
+		Loss:    0.02,
+	}
+	for _, tc := range []struct {
+		name     string
+		n        int
+		opts     Options
+		turns    time.Duration // page turns the flood must cross
+		maxMoves float64       // per event
+	}{
+		{"const/single", 4000, Options{Latency: ConstLatency(50 * time.Millisecond)}, 2, 0},
+		{"const/shards2", 4000, Options{Latency: ConstLatency(50 * time.Millisecond), Shards: 2}, 2, 0},
+		{"shaped/single", 1000, Options{Netem: &shaped}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newQueueFlood(t, tc.n, tc.opts)
+			for seed := uint64(1); seed <= 2; seed++ {
+				f.start(t, seed)
+				f.net.Run(0)
+				var events, moves uint64
+				for _, st := range f.net.ShardStats() {
+					events += st.Events
+					moves += st.QueueMoves
+					if st.Clock < tc.turns*pageSpan {
+						t.Fatalf("shard %d ended at %v: the flood crossed fewer than %d page turns", st.Shard, st.Clock, tc.turns)
+					}
+				}
+				perEvent := float64(moves) / float64(events)
+				t.Logf("seed %d: %d events, %d moves (%.3f per event)", seed, events, moves, perEvent)
+				if perEvent > tc.maxMoves {
+					t.Errorf("seed %d: %.3f moves per event, want at most %g", seed, perEvent, tc.maxMoves)
+				}
+			}
+		})
+	}
+}
+
 // TestQueueScratchAcrossNetworks builds and drops per-call networks on
 // two goroutines with collections in between, so the run sort's scratch
 // passes from dead engines back through scratchPool to new ones while
@@ -881,9 +945,9 @@ func TestQueueResetDropsReferences(t *testing.T) {
 			// An entry inside the tick being executed lands in the
 			// in-tick heap.
 			e.scheduleDeliver(time.Duration(e.lastTick<<tickBits), evKey{src: ctlSrc}, proto.NodeID(sh.lo), queueMsg(1))
-			if entriesZero(e.run) || len(e.late) == 0 || e.nonEmpty == 0 {
-				t.Fatalf("shard %d: run %d, in-tick heap %d, buckets %b: want references in all three before Reset",
-					sh.index, len(e.run), len(e.late), e.nonEmpty)
+			if entriesZero(e.run) || len(e.late) == 0 || e.pageWords == 0 || e.nonEmpty&^1 == 0 {
+				t.Fatalf("shard %d: run %d, in-tick heap %d, page words %b, buckets %b: want references in all four before Reset",
+					sh.index, len(e.run), len(e.late), e.pageWords, e.nonEmpty)
 			}
 			runBufCap[sh.index] = cap(runBuffer(e))
 		}
@@ -896,6 +960,11 @@ func TestQueueResetDropsReferences(t *testing.T) {
 			for i, bk := range e.buckets {
 				if bk.top != nil {
 					t.Errorf("shard %d: bucket %d keeps a chunk after Reset", sh.index, i)
+				}
+			}
+			for s, bk := range e.page {
+				if bk != (bucket{}) || e.pageWords != 0 || e.pageOcc[s/64] != 0 {
+					t.Fatalf("shard %d: page slot %d keeps %+v (words %b) after Reset", sh.index, s, bk, e.pageWords)
 				}
 			}
 			checkNoRunChunks(t, e, "Reset")

@@ -20,6 +20,7 @@
 package visited
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/proto"
@@ -75,11 +76,40 @@ func (v *Vec[T]) Mark(node proto.NodeID) bool {
 // Table maps in-flight message IDs to their dense node vectors,
 // recycling vectors through a free list so that steady-state operation —
 // including Reset between trials — allocates nothing.
+//
+// Two caches sit in front of the map, so that a lookup that hits never
+// hashes the ID again. The ID last put in the cache comes first: its
+// address is fixed, so the CPU can load its vector before the ID it is
+// compared with has arrived (a relay's ID is a cache miss at N=1M) and go
+// on to the vector's stamps. Then a direct-mapped cache: a message ID is
+// already a hash, so its own low bits pick the slot. Both only ever hold
+// live vectors — vectors leave the map only at Reset, which empties both
+// — so an entry whose ID matches is the answer, and an empty one, whose
+// ID is zero and vector nil, answers the zero ID correctly too: had a
+// vector been bound to the zero ID since, the entry would not be empty.
 type Table[T any] struct {
-	lo   int // range base: the table covers node IDs [lo, lo+n)
-	n    int
-	live map[proto.MsgID]*Vec[T]
-	free []*Vec[T]
+	lo    int // range base: the table covers node IDs [lo, lo+n)
+	n     int
+	live  map[proto.MsgID]*Vec[T]
+	free  []*Vec[T]
+	last  cached[T]
+	cache *[cacheLen]cached[T]
+}
+
+// cached is one cache entry: a live message ID and its vector, or empty.
+type cached[T any] struct {
+	id proto.MsgID
+	v  *Vec[T]
+}
+
+// cacheLen is the number of cache slots, a power of two: 6 KB a table.
+// On soak2k's hundreds of live messages 256 slots miss 3.7 % of lookups
+// and 1024 slots 0.9 %.
+const cacheLen = 1 << 8
+
+// slot returns the cache slot of an ID.
+func slot(id proto.MsgID) uint64 {
+	return binary.LittleEndian.Uint64(id[:8]) & (cacheLen - 1)
 }
 
 // NewTable returns a Table sized for node IDs in [0, n).
@@ -93,7 +123,7 @@ func NewTableRange[T any](lo, hi int) *Table[T] {
 	if lo < 0 || hi <= lo {
 		panic(fmt.Sprintf("visited: table range [%d,%d)", lo, hi))
 	}
-	return &Table[T]{lo: lo, n: hi - lo, live: make(map[proto.MsgID]*Vec[T])}
+	return &Table[T]{lo: lo, n: hi - lo, live: make(map[proto.MsgID]*Vec[T]), cache: new([cacheLen]cached[T])}
 }
 
 // N returns the node count the table was sized for (the range width).
@@ -104,15 +134,41 @@ func (t *Table[T]) Lo() int { return t.lo }
 
 // Lookup returns the message's vector, or nil if the message has no
 // state yet.
-func (t *Table[T]) Lookup(id proto.MsgID) *Vec[T] { return t.live[id] }
+func (t *Table[T]) Lookup(id proto.MsgID) *Vec[T] {
+	if t.last.id == id {
+		return t.last.v
+	}
+	return t.lookupSlot(id)
+}
+
+// lookupSlot is Lookup past the last ID: the cache slot, then the map.
+// A vector it finds in the map goes into the slot and becomes the last; a
+// hit in the slot leaves the last alone, sparing a store per lookup.
+func (t *Table[T]) lookupSlot(id proto.MsgID) *Vec[T] {
+	c := &t.cache[slot(id)]
+	if c.id != id {
+		v := t.live[id]
+		if v == nil {
+			return nil
+		}
+		*c = cached[T]{id, v}
+		t.last = *c
+	}
+	return c.v
+}
 
 // Vec returns the message's vector, binding a recycled (or new) one on
 // first use. Binding bumps the vector's own epoch, so every cell of the
 // returned vector starts unset without any clearing.
 func (t *Table[T]) Vec(id proto.MsgID) *Vec[T] {
-	if v, ok := t.live[id]; ok {
+	if v := t.Lookup(id); v != nil {
 		return v
 	}
+	return t.bind(id)
+}
+
+// bind binds a recycled (or new) vector to a message that has none.
+func (t *Table[T]) bind(id proto.MsgID) *Vec[T] {
 	var v *Vec[T]
 	if n := len(t.free); n > 0 {
 		v = t.free[n-1]
@@ -123,6 +179,8 @@ func (t *Table[T]) Vec(id proto.MsgID) *Vec[T] {
 	}
 	v.rebind()
 	t.live[id] = v
+	t.cache[slot(id)] = cached[T]{id, v}
+	t.last = cached[T]{id, v}
 	return v
 }
 
@@ -147,9 +205,11 @@ func (v *Vec[T]) rebind() {
 // adaptive.Shared).
 func (t *Table[T]) Reset() {
 	for id, v := range t.live {
+		t.cache[slot(id)] = cached[T]{}
 		t.free = append(t.free, v)
 		delete(t.live, id)
 	}
+	t.last = cached[T]{}
 }
 
 // Pool is the trial-scoped object pool that accompanies a Table:

@@ -156,3 +156,97 @@ func TestLiveVectorSurvivesOthersWrap(t *testing.T) {
 		t.Fatal("wrapped vector kept stale stamps")
 	}
 }
+
+// collide returns the i-th of a family of IDs that share one cache slot:
+// equal low bits, differing only above the slot index and in later bytes.
+func collide(i int) proto.MsgID {
+	var m proto.MsgID
+	m[7] = byte(i) // the top byte of the word the slot is cut from
+	m[8], m[15] = 0xa5, byte(i)
+	return m
+}
+
+// TestCacheCollisions binds IDs that all map to one cache slot, so each
+// lookup evicts the one before: every lookup must still return its own
+// vector, and Vec must never bind a second vector for a known ID.
+func TestCacheCollisions(t *testing.T) {
+	tab := NewTable[int](4)
+	vecs := make([]*Vec[int], 16)
+	for i := range vecs {
+		if slot(collide(i)) != slot(collide(0)) {
+			t.Fatal("collide does not collide")
+		}
+		vecs[i] = tab.Vec(collide(i))
+		vecs[i].Set(proto.NodeID(i%4), i)
+	}
+	for round := 0; round < 3; round++ {
+		for i := len(vecs) - 1; i >= 0; i-- {
+			if tab.Lookup(collide(i)) != vecs[i] || tab.Vec(collide(i)) != vecs[i] {
+				t.Fatalf("round %d: ID %d resolved to another vector", round, i)
+			}
+			if got, ok := vecs[i].Get(proto.NodeID(i % 4)); !ok || got != i {
+				t.Fatalf("round %d: ID %d reads (%d, %t)", round, i, got, ok)
+			}
+		}
+	}
+	// An unbound ID sharing the slot with a cached one misses.
+	if tab.Lookup(collide(99)) != nil {
+		t.Fatal("Lookup of an unbound colliding ID returned a vector")
+	}
+}
+
+// TestCacheReset: after Reset no ID resolves — cached or not — and IDs
+// bound again, the cached ones included, get fresh vectors with every
+// cell unset.
+func TestCacheReset(t *testing.T) {
+	tab := NewTable[int](4)
+	if tab.Lookup(id(1)) != nil {
+		t.Fatal("Lookup on an empty table returned a vector")
+	}
+	ids := []proto.MsgID{id(1), id(2), collide(0), collide(1)}
+	for _, m := range ids {
+		tab.Vec(m).Set(3, 7)
+	}
+	tab.Reset()
+	for _, m := range ids {
+		if v := tab.Lookup(m); v != nil {
+			t.Fatalf("Lookup(%v) after Reset returned a vector", m)
+		}
+	}
+	seen := map[*Vec[int]]bool{}
+	for _, m := range ids {
+		v := tab.Vec(m)
+		if seen[v] || v.Has(3) {
+			t.Fatalf("Vec(%v) after Reset: shared %t, stale cell %t", m, seen[v], v.Has(3))
+		}
+		seen[v] = true
+		if tab.Lookup(m) != v {
+			t.Fatalf("Lookup(%v) after rebinding misses its vector", m)
+		}
+	}
+}
+
+// TestCacheZeroID: an empty cache entry reads as the zero ID with no
+// vector, which is the right answer only while the zero ID is unbound.
+// Bound, it must resolve to its own vector from any state of the caches.
+func TestCacheZeroID(t *testing.T) {
+	tab := NewTable[int](4)
+	var zero proto.MsgID
+	if tab.Lookup(zero) != nil {
+		t.Fatal("unbound zero ID resolved on an empty table")
+	}
+	other := tab.Vec(collide(1)) // zero's slot, and the last ID
+	if tab.Lookup(zero) != nil {
+		t.Fatal("unbound zero ID resolved beside a bound one")
+	}
+	z := tab.Vec(zero)
+	if z == other {
+		t.Fatal("zero ID bound to another ID's vector")
+	}
+	for _, m := range []proto.MsgID{collide(1), zero, id(3), zero, collide(1), collide(2), zero} {
+		tab.Vec(m)
+		if tab.Lookup(zero) != z {
+			t.Fatalf("zero ID lost its vector after a lookup of %v", m)
+		}
+	}
+}
