@@ -100,7 +100,7 @@ func run() error {
 	peers := flag.String("peers", "", "comma-separated id=addr address book")
 	neighbors := flag.String("neighbors", "", "comma-separated overlay neighbor IDs")
 	groupFlag := flag.String("group", "", "comma-separated DC-net group IDs (including self)")
-	k := flag.Int("k", 4, "anonymity parameter")
+	k := flag.Int("k", 4, "soak: the DC-net group is k+1 nodes (at most -n)")
 	d := flag.Int("d", 3, "adaptive diffusion rounds")
 	mine := flag.Bool("mine", false, "run the toy PoW miner")
 	difficulty := flag.Int("difficulty", 16, "PoW difficulty bits")
@@ -143,7 +143,6 @@ func run() error {
 		Neighbors:      nbs,
 		Group:          grp,
 		IdentitySeeds:  seeds,
-		K:              *k,
 		D:              *d,
 		DCInterval:     *interval,
 		Mine:           *mine,

@@ -13,6 +13,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/dcnet"
@@ -39,19 +40,17 @@ func main() {
 	net := sim.NewNetwork(g, sim.Options{Seed: 11, Latency: sim.ConstLatency(10 * time.Millisecond)})
 
 	hashes := core.SimHashes(n)
-	inGroup := make(map[proto.NodeID]bool)
-	for _, m := range group {
-		inGroup[m] = true
-	}
 	nodes := make([]*node.Node, n)
 	blocksSeen := 0
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
 		cfg := node.Config{
 			Core: core.Config{
-				K: len(group), D: 3, Hashes: hashes,
-				DCMode: dcnet.ModeFixed, DCSlotSize: 256,
-				DCInterval: 200 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-				ADInterval: 100 * time.Millisecond,
+				Group: group, Hashes: hashes,
+				DCNet: dcnet.Config{
+					Mode: dcnet.ModeFixed, SlotSize: 256,
+					Interval: 200 * time.Millisecond, Policy: dcnet.PolicyNone,
+				},
+				Adaptive: adaptive.Config{D: 3, RoundInterval: 100 * time.Millisecond},
 			},
 			Mine:           miners[id],
 			DifficultyBits: 8,
@@ -62,9 +61,6 @@ func main() {
 					blocksSeen++
 				}
 			},
-		}
-		if inGroup[id] {
-			cfg.Core.Group = group
 		}
 		nd, err := node.New(cfg)
 		if err != nil {

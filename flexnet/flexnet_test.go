@@ -170,9 +170,9 @@ func TestStartNodeTCPCluster(t *testing.T) {
 			Neighbors:     []int32{(i + n - 1) % n, (i + 1) % n},
 			Group:         grp,
 			IdentitySeeds: seeds,
-			K:             4, D: 2,
-			DCInterval: 150 * time.Millisecond,
-			Seed:       uint64(i + 1),
+			D:             2,
+			DCInterval:    150 * time.Millisecond,
+			Seed:          uint64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

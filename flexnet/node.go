@@ -39,8 +39,8 @@ type NodeConfig struct {
 	// to derive the identity hashes for virtual-source selection. All
 	// group members must agree on this map.
 	IdentitySeeds map[int32][32]byte
-	// K and D are the protocol parameters (defaults 5 and 4).
-	K, D int
+	// D is the number of adaptive-diffusion rounds (default 4).
+	D int
 	// DCInterval is the Phase-1 round interval (default 2 s).
 	DCInterval time.Duration
 	// FailSafe, when positive, arms the coverage-first recovery flood:
@@ -94,15 +94,6 @@ func NewCodec() *wire.Codec {
 // StartNode launches a node: it listens immediately and starts its
 // protocol loops.
 func StartNode(cfg NodeConfig) (*Node, error) {
-	if cfg.K == 0 {
-		cfg.K = 5
-	}
-	if cfg.D == 0 {
-		cfg.D = 4
-	}
-	if cfg.DCInterval <= 0 {
-		cfg.DCInterval = 2 * time.Second
-	}
 	if cfg.DifficultyBits == 0 {
 		cfg.DifficultyBits = 16
 	}
@@ -119,13 +110,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{}
 	inner, err := node.New(node.Config{
 		Core: core.Config{
-			K: cfg.K, D: cfg.D,
-			Group:      groupIDs,
-			Hashes:     hashes,
-			DCInterval: cfg.DCInterval,
-			DCMode:     dcnet.ModeAnnounce,
-			DCPolicy:   dcnet.PolicyDissolve,
-			FailSafe:   cfg.FailSafe,
+			Group:    groupIDs,
+			Hashes:   hashes,
+			FailSafe: cfg.FailSafe,
+			DCNet:    dcnet.Config{Interval: cfg.DCInterval, Policy: dcnet.PolicyDissolve},
+			Adaptive: adaptive.Config{D: cfg.D},
 		},
 		Mine:           cfg.Mine,
 		DifficultyBits: cfg.DifficultyBits,

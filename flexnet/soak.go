@@ -157,7 +157,6 @@ func SoakCluster(cfg ClusterSoakConfig) (*ClusterSoakReport, error) {
 			Neighbors:     neighbors,
 			Group:         nodeGroup,
 			IdentitySeeds: seeds,
-			K:             cfg.GroupSize,
 			D:             cfg.D,
 			DCInterval:    cfg.DCInterval,
 			FailSafe:      4 * cfg.DCInterval,

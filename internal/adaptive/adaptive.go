@@ -279,7 +279,9 @@ func (e *Engine) sync() {
 	}
 }
 
-func (cfg *Config) applyDefaults() {
+// ApplyDefaults fills every unset field with its default. The engine
+// constructors apply it to their copy.
+func (cfg *Config) ApplyDefaults() {
 	if cfg.D < 1 {
 		cfg.D = 1
 	}
@@ -290,7 +292,7 @@ func (cfg *Config) applyDefaults() {
 
 // NewEngine returns a standalone engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
-	cfg.applyDefaults()
+	cfg.ApplyDefaults()
 	return &Engine{cfg: cfg, rel: newChannel(&cfg)}
 }
 
@@ -301,7 +303,7 @@ func NewEngineAt(cfg Config, shared *Shared, self proto.NodeID) *Engine {
 	if int(self) < 0 || int(self) >= shared.N() {
 		panic("adaptive: NewEngineAt node out of range")
 	}
-	cfg.applyDefaults()
+	cfg.ApplyDefaults()
 	part := shared.part(self)
 	return &Engine{cfg: cfg, shared: shared, dstates: part.states, dpool: part.pool, self: self, rel: newChannel(&cfg)}
 }

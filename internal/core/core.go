@@ -23,6 +23,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/adaptive"
@@ -33,54 +34,15 @@ import (
 	"repro/internal/relchan"
 )
 
-// Config parametrizes one node of the composed protocol.
+// Config parametrizes the composed protocol. Each phase keeps its own
+// configuration; core adds only what the composition owns.
 type Config struct {
-	// K is the anonymity parameter; group sizes live in [K, 2K−1]. The
-	// paper suggests "a value between four and ten".
-	K int
-	// D is the number of adaptive-diffusion rounds, "chosen based on the
-	// network diameter to reach a large amount of nodes" (§IV-B).
-	D int
-
-	// Group is this node's DC-net group including itself; empty for
-	// nodes that only relay Phases 2–3 of other groups' messages.
+	// Group is the DC-net group: its members run Phase 1, every other
+	// node only relays Phases 2–3 of the group's messages.
 	Group []proto.NodeID
 	// Hashes maps node IDs to identity hashes for virtual-source
 	// selection. It must cover every node in Group.
 	Hashes map[proto.NodeID][32]byte
-
-	// DCMode selects fixed or announce rounds (default ModeAnnounce).
-	DCMode dcnet.Mode
-	// DCSlotSize is the fixed-mode slot size (default 256).
-	DCSlotSize int
-	// DCInterval is the DC-net round interval (default 2 s).
-	DCInterval time.Duration
-	// DCPolicy is the Phase-1 failure policy (default PolicyBlame, the
-	// paper's recommended general-purpose default, §V-C).
-	DCPolicy dcnet.Policy
-	// DCMaxRounds bounds the number of DC-net rounds (0: unbounded); see
-	// dcnet.Config.MaxRounds. Differential tests use it to make Phase-1
-	// cost deterministic.
-	DCMaxRounds int
-	// DCTimeout bounds a stalled Phase-1 round (dcnet.Config.Timeout):
-	// dissolve without failover, abandon-and-count with it.
-	DCTimeout time.Duration
-	// DCRetransmitTimeout enables the Phase-1 reliability layer
-	// (dcnet.Config.RetransmitTimeout): exchange messages are acked and
-	// retransmitted, so one dropped share no longer stalls the round.
-	DCRetransmitTimeout time.Duration
-	// DCRetryBudget bounds retransmissions per message (defaults to 3
-	// when the reliability layer is enabled).
-	DCRetryBudget int
-	// DCEvictAfter enables Phase-1 failover: a member completely silent
-	// for this many consecutive stalled rounds is evicted and the group
-	// re-keys around the survivors (dcnet.Config.EvictAfter).
-	DCEvictAfter int
-	// DCFloor is the failover floor (dcnet.Config.MinMembers): an
-	// eviction shrinking the group below it dissolves the group
-	// instead. Typically the anonymity parameter K; defaults to the
-	// DC-net minimum of 2.
-	DCFloor int
 	// FailSafe, when positive, enables the coverage-first recovery
 	// behaviors on degraded networks (the Dandelion++-style fail-safe):
 	// every group member that recovered a payload starts a plain flood
@@ -90,42 +52,44 @@ type Config struct {
 	// delivery only after the private path demonstrably failed; zero
 	// (the default) keeps the strict three-phase protocol.
 	FailSafe time.Duration
-	// Channels optionally supplies pairwise AEAD channels for Phase 1.
-	Channels map[proto.NodeID]*crypto.SecureChannel
 
-	// ADInterval is the adaptive-diffusion round interval (default
-	// 500 ms).
-	ADInterval time.Duration
-	// TreeDegree is the degree assumption for Alpha (0: use the current
-	// virtual source's degree).
-	TreeDegree int
+	// DCNet configures Phase 1. Core sets each member's Self, Members
+	// (Group) and its OnDeliver, OnSendResult and OnDissolve callbacks.
+	DCNet dcnet.Config
+	// Adaptive configures Phase 2. Core sets Finisher, the switch to
+	// Phase 3. RetransmitTimeout must stay zero: the custody channel
+	// owns the overlay's acks (custody.go).
+	Adaptive adaptive.Config
 }
 
-func (c *Config) applyDefaults() {
-	if c.K == 0 {
-		c.K = 5
+// resolve returns cfg with every default filled: first the three where
+// the composed stack departs from its phases — PolicyBlame, the paper's
+// recommended general-purpose default (§V-C), rather than dcnet's
+// PolicyDissolve; D = 4 rather than adaptive's 1; a retry budget of 3
+// rather than 0 once Phase 1 retransmits — then each phase's own.
+func resolve(cfg Config) (*Config, error) {
+	if cfg.DCNet.Policy == 0 {
+		cfg.DCNet.Policy = dcnet.PolicyBlame
 	}
-	if c.D == 0 {
-		c.D = 4
+	if cfg.Adaptive.D == 0 {
+		cfg.Adaptive.D = 4
 	}
-	if c.DCInterval <= 0 {
-		c.DCInterval = 2 * time.Second
+	if cfg.DCNet.RetransmitTimeout > 0 && cfg.DCNet.RetryBudget == 0 {
+		cfg.DCNet.RetryBudget = 3
 	}
-	if c.ADInterval <= 0 {
-		c.ADInterval = 500 * time.Millisecond
+	if cfg.Adaptive.RetransmitTimeout != 0 {
+		return nil, errors.New("core: Adaptive.RetransmitTimeout must be zero")
 	}
-	if c.DCPolicy == 0 {
-		c.DCPolicy = dcnet.PolicyBlame
+	if err := cfg.DCNet.ApplyDefaults(); err != nil {
+		return nil, err
 	}
-	if c.DCMode == 0 {
-		c.DCMode = dcnet.ModeAnnounce
+	cfg.Adaptive.ApplyDefaults()
+	for _, m := range cfg.Group {
+		if _, ok := cfg.Hashes[m]; !ok {
+			return nil, fmt.Errorf("%w: %d", ErrMissingHash, m)
+		}
 	}
-	if c.DCSlotSize == 0 {
-		c.DCSlotSize = 256
-	}
-	if c.DCRetransmitTimeout > 0 && c.DCRetryBudget == 0 {
-		c.DCRetryBudget = 3
-	}
+	return &cfg, nil
 }
 
 // Configuration errors.
@@ -138,7 +102,9 @@ var (
 
 // Protocol is one node's instance of the three-phase broadcast.
 type Protocol struct {
-	cfg    Config
+	// cfg is resolved and read-only: every node of a mounted stack
+	// shares its Shared's copy.
+	cfg    *Config
 	member *dcnet.Member // nil when not in any group
 	ad     *adaptive.Engine
 	fl     *flood.Engine
@@ -160,20 +126,32 @@ var _ proto.Broadcaster = (*Protocol)(nil)
 // New builds a node protocol from the configuration, with standalone
 // Phase-2/3 engines that own their per-message maps — right for a
 // long-lived node (internal/node, the TCP runtime).
-func New(cfg Config) (*Protocol, error) { return build(cfg, nil, 0) }
-
-// Shared is the network-wide dense state of the composed stack: the
-// flood.Shared and adaptive.Shared its Phase-3 and Phase-2 engines mount
-// (see those types for the contract — one Shared per simulated network,
-// single-threaded).
-type Shared struct {
-	fl *flood.Shared
-	ad *adaptive.Shared
+func New(cfg Config) (*Protocol, error) {
+	r, err := resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return build(r, nil, 0), nil
 }
 
-// NewShared returns shared composed-stack state for node IDs in [0, n).
-func NewShared(n int) *Shared {
-	return &Shared{fl: flood.NewShared(n), ad: adaptive.NewShared(n)}
+// Shared is the network-wide state of the composed stack: its resolved
+// configuration, and the flood.Shared and adaptive.Shared its Phase-3 and
+// Phase-2 engines mount (see those types for the contract — one Shared
+// per simulated network, single-threaded).
+type Shared struct {
+	cfg *Config
+	fl  *flood.Shared
+	ad  *adaptive.Shared
+}
+
+// NewShared resolves cfg once for every node of a network with node IDs
+// in [0, n) and returns its shared composed-stack state.
+func NewShared(n int, cfg Config) (*Shared, error) {
+	r, err := resolve(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Shared{cfg: r, fl: flood.NewShared(n), ad: adaptive.NewShared(n)}, nil
 }
 
 // Partition splits both members into k node-range parts (see
@@ -192,74 +170,52 @@ func (s *Shared) Reset() {
 	s.ad.Reset()
 }
 
-// NewAt builds the protocol of node self over shared dense state — the
+// NewAt builds the protocol of node self over shared state — the
 // handler-factory form for simulated networks, like flood.NewAt and
-// adaptive.NewAt: a thousand stacks share two tables instead of owning
-// two maps each. It behaves exactly like New.
-func NewAt(cfg Config, shared *Shared, self proto.NodeID) (*Protocol, error) {
-	return build(cfg, shared, self)
+// adaptive.NewAt: a thousand stacks share one configuration and two
+// tables instead of owning a copy and two maps each. It behaves exactly
+// like New.
+func NewAt(shared *Shared, self proto.NodeID) *Protocol {
+	return build(shared.cfg, shared, self)
 }
 
-func build(cfg Config, shared *Shared, self proto.NodeID) (*Protocol, error) {
-	cfg.applyDefaults()
-	for _, m := range cfg.Group {
-		if _, ok := cfg.Hashes[m]; !ok {
-			return nil, fmt.Errorf("%w: %d", ErrMissingHash, m)
-		}
-	}
-	p := &Protocol{cfg: cfg}
-	p.rel = newCustodyChannel(&cfg)
-	ad := adaptive.Config{
-		D:             cfg.D,
-		RoundInterval: cfg.ADInterval,
-		TreeDegree:    cfg.TreeDegree,
-		Finisher:      (*finisher)(p),
-	}
+func build(cfg *Config, shared *Shared, self proto.NodeID) *Protocol {
+	p := &Protocol{cfg: cfg, rel: newCustodyChannel(cfg)}
+	ad := cfg.Adaptive
+	ad.Finisher = (*finisher)(p)
 	if shared == nil {
 		p.fl, p.ad = flood.NewEngine(), adaptive.NewEngine(ad)
 	} else {
 		p.fl, p.ad = flood.NewEngineAt(shared.fl, self), adaptive.NewEngineAt(ad, shared.ad, self)
 	}
-	return p, nil
+	return p
 }
 
 // Init implements proto.Handler. The DC-net member is created lazily here
 // because the node ID (Context.Self) is only known at runtime.
 func (p *Protocol) Init(ctx proto.Context) {
-	if len(p.cfg.Group) == 0 {
+	if !slices.Contains(p.cfg.Group, ctx.Self()) {
 		return
 	}
-	member, err := dcnet.NewMember(dcnet.Config{
-		Self:              ctx.Self(),
-		Members:           p.cfg.Group,
-		Mode:              p.cfg.DCMode,
-		SlotSize:          p.cfg.DCSlotSize,
-		Interval:          p.cfg.DCInterval,
-		Policy:            p.cfg.DCPolicy,
-		MaxRounds:         p.cfg.DCMaxRounds,
-		Timeout:           p.cfg.DCTimeout,
-		RetransmitTimeout: p.cfg.DCRetransmitTimeout,
-		RetryBudget:       p.cfg.DCRetryBudget,
-		EvictAfter:        p.cfg.DCEvictAfter,
-		MinMembers:        p.cfg.DCFloor,
-		Channels:          p.cfg.Channels,
-		OnDeliver: func(ctx proto.Context, _ uint32, payload []byte) {
+	dc := p.cfg.DCNet
+	dc.Self, dc.Members = ctx.Self(), p.cfg.Group
+	dc.OnDeliver = func(ctx proto.Context, _ uint32, payload []byte) {
+		p.onGroupMessage(ctx, payload)
+	}
+	dc.OnSendResult = func(ctx proto.Context, payload []byte, ok bool) {
+		if ok {
+			// The sender recovers 0, not its own message; run the
+			// same transition logic for its own payload.
 			p.onGroupMessage(ctx, payload)
-		},
-		OnSendResult: func(ctx proto.Context, payload []byte, ok bool) {
-			if ok {
-				// The sender recovers 0, not its own message; run the
-				// same transition logic for its own payload.
-				p.onGroupMessage(ctx, payload)
-			}
-		},
-		OnDissolve: func(ctx proto.Context, _ string) {
-			p.onDissolve(ctx)
-		},
-	})
+		}
+	}
+	dc.OnDissolve = func(ctx proto.Context, _ string) {
+		p.onDissolve(ctx)
+	}
+	member, err := dcnet.NewMember(dc)
 	if err != nil {
-		// Configuration was validated in New for everything except
-		// group/self mismatches, which are wiring bugs.
+		// resolve validated the configuration; what remains is a group
+		// of one, a wiring bug.
 		panic(fmt.Sprintf("core: building DC-net member: %v", err))
 	}
 	p.member = member
@@ -269,17 +225,13 @@ func (p *Protocol) Init(ctx proto.Context) {
 // Member exposes the Phase-1 DC-net member (nil for groupless nodes).
 func (p *Protocol) Member() *dcnet.Member { return p.member }
 
-// RelRetransmits returns retransmissions performed by the node's
-// overlay reliability channels — custody deposits plus the Phase-2
-// engine's, when mounted. Phase-1 DC-net retransmissions are reported
-// separately via Member().Retransmits().
-func (p *Protocol) RelRetransmits() int {
-	return p.rel.Retransmits + p.ad.Channel().Retransmits
-}
+// RelRetransmits returns custody-deposit retransmissions. Phase-1
+// DC-net retransmissions are reported separately via
+// Member().Retransmits().
+func (p *Protocol) RelRetransmits() int { return p.rel.Retransmits }
 
-// RelNacks returns retransmission requests sent by the overlay
-// channels.
-func (p *Protocol) RelNacks() int { return p.rel.Nacks + p.ad.Channel().Nacks }
+// RelNacks returns retransmission requests sent by the custody channel.
+func (p *Protocol) RelNacks() int { return p.rel.Nacks }
 
 // RelHandoffs returns custody payloads this node launched in place of
 // a churned originator.
@@ -406,7 +358,7 @@ func (p *Protocol) virtualSource(payload []byte) proto.NodeID {
 // HandleMessage implements proto.Handler, routing to the three phases.
 // Custody-channel traffic is routed first: the composed node's other
 // channels (the DC-net's, with its own compact acks, and the Phase-2
-// engine's, unmounted here) never carry the generic relchan types.
+// engine's, never mounted here) never carry the generic relchan types.
 func (p *Protocol) HandleMessage(ctx proto.Context, from proto.NodeID, msg proto.Message) {
 	switch m := msg.(type) {
 	case *relchan.CustodyMsg:

@@ -19,8 +19,8 @@ func TestAnnounceModeEndToEnd(t *testing.T) {
 	g := testGraph(t, 80, 6, 21)
 	group := []proto.NodeID{2, 12, 22, 32}
 	w := newWorld(t, g, group, 31, func(cfg *Config) {
-		cfg.DCMode = dcnet.ModeAnnounce
-		cfg.DCSlotSize = 0 // announce mode sizes slots per message
+		cfg.DCNet.Mode = dcnet.ModeAnnounce
+		cfg.DCNet.SlotSize = 0 // announce mode sizes slots per message
 	})
 	id, err := w.net.Originate(12, []byte("announce-mode payload with some length"))
 	if err != nil {
@@ -64,18 +64,9 @@ func TestEncryptedChannelsEndToEnd(t *testing.T) {
 
 	hashes := SimHashes(g.N())
 	net := sim.NewNetwork(g, sim.Options{Seed: 5, Latency: sim.ConstLatency(2 * time.Millisecond)})
-	inGroup := map[proto.NodeID]bool{5: true, 15: true, 25: true, 35: true}
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := Config{
-			K: 4, D: 3, Hashes: hashes,
-			DCMode: dcnet.ModeFixed, DCSlotSize: 128,
-			DCInterval: 100 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-			ADInterval: 50 * time.Millisecond,
-		}
-		if inGroup[id] {
-			cfg.Group = group
-			cfg.Channels = channels[id]
-		}
+		cfg := testConfig(group, hashes)
+		cfg.DCNet.Channels = channels[id]
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New(%d): %v", id, err)
@@ -106,18 +97,8 @@ func TestMessageLossStillDelivers(t *testing.T) {
 		Seed:  77,
 		Netem: &netem.Profile{Latency: netem.Const(2 * time.Millisecond), Loss: 0.02},
 	})
-	inGroup := map[proto.NodeID]bool{1: true, 11: true, 21: true, 31: true}
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := Config{
-			K: 4, D: 3, Hashes: hashes,
-			DCMode: dcnet.ModeFixed, DCSlotSize: 128,
-			DCInterval: 100 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-			ADInterval: 50 * time.Millisecond,
-		}
-		if inGroup[id] {
-			cfg.Group = group
-		}
-		p, err := New(cfg)
+		p, err := New(testConfig(group, hashes))
 		if err != nil {
 			t.Fatalf("New(%d): %v", id, err)
 		}

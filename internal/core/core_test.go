@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/adaptive"
 	"repro/internal/dcnet"
@@ -29,24 +30,8 @@ func newWorld(t *testing.T, g *topology.Graph, group []proto.NodeID, seed uint64
 		protos: make([]*Protocol, g.N()),
 		group:  group,
 	}
-	inGroup := make(map[proto.NodeID]bool, len(group))
-	for _, m := range group {
-		inGroup[m] = true
-	}
 	w.net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := Config{
-			K:          len(group),
-			D:          3,
-			Hashes:     hashes,
-			DCMode:     dcnet.ModeFixed,
-			DCSlotSize: 128,
-			DCInterval: 100 * time.Millisecond,
-			DCPolicy:   dcnet.PolicyNone,
-			ADInterval: 50 * time.Millisecond,
-		}
-		if inGroup[id] {
-			cfg.Group = group
-		}
+		cfg := testConfig(group, hashes)
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -62,6 +47,20 @@ func newWorld(t *testing.T, g *topology.Graph, group []proto.NodeID, seed uint64
 }
 
 func (w *world) run(d time.Duration) { w.net.RunUntil(w.net.Now() + d) }
+
+// testConfig is the composed configuration the tests run: fixed 128-byte
+// Phase-1 slots every 100 ms, three 50 ms diffusion rounds.
+func testConfig(group []proto.NodeID, hashes map[proto.NodeID][32]byte) Config {
+	return Config{
+		Group:  group,
+		Hashes: hashes,
+		DCNet: dcnet.Config{
+			Mode: dcnet.ModeFixed, SlotSize: 128,
+			Interval: 100 * time.Millisecond, Policy: dcnet.PolicyNone,
+		},
+		Adaptive: adaptive.Config{D: 3, RoundInterval: 50 * time.Millisecond},
+	}
+}
 
 func testGraph(t *testing.T, n, d int, seed uint64) *topology.Graph {
 	t.Helper()
@@ -133,24 +132,8 @@ func newWorldWithTap(t *testing.T, g *topology.Graph, group []proto.NodeID, seed
 		group:  group,
 	}
 	w.net.AddTap(tap)
-	inGroup := make(map[proto.NodeID]bool, len(group))
-	for _, m := range group {
-		inGroup[m] = true
-	}
 	w.net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		cfg := Config{
-			K:          len(group),
-			D:          3,
-			Hashes:     hashes,
-			DCMode:     dcnet.ModeFixed,
-			DCSlotSize: 128,
-			DCInterval: 100 * time.Millisecond,
-			DCPolicy:   dcnet.PolicyNone,
-			ADInterval: 50 * time.Millisecond,
-		}
-		if inGroup[id] {
-			cfg.Group = group
-		}
+		cfg := testConfig(group, hashes)
 		p, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New(%d): %v", id, err)
@@ -279,7 +262,7 @@ func TestNonVSGroupMembersStaySilent(t *testing.T) {
 
 	// Determine vs0 for the payload using any member's logic.
 	payload := []byte("silent-members")
-	cfgProbe, err := New(Config{K: 5, Group: group, Hashes: hashes})
+	cfgProbe, err := New(Config{Group: group, Hashes: hashes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +326,62 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Group: []proto.NodeID{1, 2}, Hashes: nil}); !errors.Is(err, ErrMissingHash) {
 		t.Errorf("missing hashes: %v", err)
 	}
+	if _, err := New(Config{Adaptive: adaptive.Config{RetransmitTimeout: time.Second}}); err == nil {
+		t.Error("Phase-2 reliable channel accepted")
+	}
+	if _, err := New(Config{DCNet: dcnet.Config{Mode: dcnet.ModeFixed, SlotSize: 1}}); err == nil {
+		t.Error("unusable slot size accepted")
+	}
 	p, err := New(Config{})
 	if err != nil {
 		t.Fatalf("groupless config rejected: %v", err)
 	}
 	if p.Member() != nil {
 		t.Error("groupless protocol has a member")
+	}
+}
+
+// TestComposedDefaults pins what a zero Config resolves to: the three
+// defaults where the composed stack departs from its phases, then the
+// phases' own.
+func TestComposedDefaults(t *testing.T) {
+	r, err := resolve(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, ad := r.DCNet, r.Adaptive
+	if dc.Policy != dcnet.PolicyBlame || ad.D != 4 || ad.RoundInterval != 500*time.Millisecond ||
+		dc.Mode != dcnet.ModeAnnounce || dc.SlotSize != 256 || dc.Interval != 2*time.Second {
+		t.Errorf("zero Config resolved to policy %d, D %d, rounds %v, mode %d, slots %d, interval %v; "+
+			"want Blame, 4, 500ms, announce, 256, 2s", dc.Policy, ad.D, ad.RoundInterval, dc.Mode, dc.SlotSize, dc.Interval)
+	}
+	for _, c := range []struct {
+		rto          time.Duration
+		budget, want int
+	}{{0, 0, 0}, {time.Second, 0, 3}, {time.Second, 1, 1}} {
+		r, err := resolve(Config{DCNet: dcnet.Config{RetransmitTimeout: c.rto, RetryBudget: c.budget}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.DCNet.RetryBudget != c.want {
+			t.Errorf("RTO %v, budget %d resolved to budget %d, want %d", c.rto, c.budget, r.DCNet.RetryBudget, c.want)
+		}
+	}
+}
+
+// TestProtocolLayout keeps the per-node handler small: every node of a
+// mounted stack points at its Shared's one resolved Config instead of
+// holding a copy.
+func TestProtocolLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Protocol{}); size > 64 {
+		t.Errorf("Protocol is %d bytes; want ≤ 64", size)
+	}
+	sh, err := NewShared(4, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := NewAt(sh, 0), NewAt(sh, 3); a.cfg != sh.cfg || b.cfg != sh.cfg {
+		t.Error("mounted protocols do not share their Shared's config")
 	}
 }
 

@@ -59,7 +59,7 @@ func custodyIdent(id proto.MsgID) relchan.ID {
 // reliable whenever Phase 1's reliability layer is on.
 func newCustodyChannel(cfg *Config) *relchan.Channel {
 	return relchan.New(relchan.Config{
-		RTO:         cfg.DCRetransmitTimeout,
+		RTO:         cfg.DCNet.RetransmitTimeout,
 		RetryBudget: custodyRetryBudget,
 	})
 }

@@ -13,11 +13,11 @@ import (
 // fail-safe flood.
 func recoveryMutate(floor int, failSafe time.Duration) func(*Config) {
 	return func(cfg *Config) {
-		cfg.DCRetransmitTimeout = 30 * time.Millisecond
-		cfg.DCRetryBudget = 2
-		cfg.DCTimeout = 150 * time.Millisecond
-		cfg.DCEvictAfter = 2
-		cfg.DCFloor = floor
+		cfg.DCNet.RetransmitTimeout = 30 * time.Millisecond
+		cfg.DCNet.RetryBudget = 2
+		cfg.DCNet.Timeout = 150 * time.Millisecond
+		cfg.DCNet.EvictAfter = 2
+		cfg.DCNet.MinMembers = floor
 		cfg.FailSafe = failSafe
 	}
 }
@@ -276,11 +276,11 @@ func TestRecoveryOffPreservesStrictness(t *testing.T) {
 	g := testGraph(t, 64, 8, 9)
 	group := []proto.NodeID{3, 17, 42, 60}
 	w := newWorld(t, g, group, 19, func(cfg *Config) {
-		cfg.DCRetransmitTimeout = 30 * time.Millisecond
-		cfg.DCRetryBudget = 2
-		cfg.DCTimeout = 150 * time.Millisecond
-		cfg.DCEvictAfter = 2
-		cfg.DCFloor = len(group) // any eviction dissolves
+		cfg.DCNet.RetransmitTimeout = 30 * time.Millisecond
+		cfg.DCNet.RetryBudget = 2
+		cfg.DCNet.Timeout = 150 * time.Millisecond
+		cfg.DCNet.EvictAfter = 2
+		cfg.DCNet.MinMembers = len(group) // any eviction dissolves
 		// FailSafe deliberately zero.
 	})
 	w.net.Crash(group[1])

@@ -113,9 +113,6 @@ type Config struct {
 	// FailureThreshold is the number of consecutive failed rounds that
 	// triggers the policy (default 4).
 	FailureThreshold int
-	// MaxBackoffExp caps the collision backoff window at 2^exp rounds
-	// (default 6).
-	MaxBackoffExp int
 	// Channels optionally provides pairwise AEAD channels keyed by peer;
 	// when set, shares are encrypted in transit.
 	Channels map[proto.NodeID]*crypto.SecureChannel
@@ -131,8 +128,6 @@ type Config struct {
 	OnSendResult func(ctx proto.Context, payload []byte, ok bool)
 	// OnBlame reports an identified disruptor (PolicyBlame).
 	OnBlame func(ctx proto.Context, culprit proto.NodeID)
-	// OnEvict reports a failover eviction with the surviving membership.
-	OnEvict func(ctx proto.Context, evicted proto.NodeID, remaining []proto.NodeID)
 	// OnDissolve reports that the group burned (policy or timeout).
 	OnDissolve func(ctx proto.Context, reason string)
 }
@@ -146,7 +141,9 @@ func (c *Config) maxPayload() int {
 	return 64 << 10
 }
 
-func (c *Config) applyDefaults() error {
+// ApplyDefaults fills every unset field with its default and reports a
+// configuration no member can run. NewMember applies it to its copy.
+func (c *Config) ApplyDefaults() error {
 	if c.Mode == 0 {
 		c.Mode = ModeAnnounce
 	}
@@ -164,9 +161,6 @@ func (c *Config) applyDefaults() error {
 	}
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 4
-	}
-	if c.MaxBackoffExp <= 0 {
-		c.MaxBackoffExp = 6
 	}
 	if c.RetransmitTimeout < 0 || c.RetryBudget < 0 || c.EvictAfter < 0 {
 		return fmt.Errorf("dcnet: negative reliability parameter")
@@ -309,7 +303,7 @@ func (p *bufPool) put(bufs ...[]byte) {
 
 // NewMember validates the configuration and returns a Member.
 func NewMember(cfg Config) (*Member, error) {
-	if err := cfg.applyDefaults(); err != nil {
+	if err := cfg.ApplyDefaults(); err != nil {
 		return nil, err
 	}
 	if len(cfg.Members) < 2 {
@@ -887,12 +881,12 @@ func (m *Member) sendSucceeded(ctx proto.Context) {
 	}
 }
 
+// maxBackoffExp caps the collision backoff window at 2^6 rounds.
+const maxBackoffExp = 6
+
 func (m *Member) sendFailed(ctx proto.Context) {
 	m.retries++
-	exp := m.retries
-	if exp > m.cfg.MaxBackoffExp {
-		exp = m.cfg.MaxBackoffExp
-	}
+	exp := min(m.retries, maxBackoffExp)
 	// Uniform backoff over [0, 2^exp) eligible rounds.
 	m.backoff = ctx.Rand().IntN(1 << exp)
 }

@@ -212,9 +212,9 @@ func (m *Member) evictSilent(ctx proto.Context) {
 
 // evict removes a peer from the group: the membership shrinks, the
 // epoch advances (re-key — subsequent rounds split fresh share vectors
-// over the survivors), in-flight rounds are discarded, and the caller's
-// OnEvict hook fires. Shrinking below MinMembers dissolves the group
-// instead of running it under the configured anonymity floor.
+// over the survivors) and in-flight rounds are discarded. Shrinking
+// below MinMembers dissolves the group instead of running it under the
+// configured anonymity floor.
 func (m *Member) evict(ctx proto.Context, p proto.NodeID) {
 	if !slices.Contains(m.peers, p) {
 		return
@@ -260,9 +260,6 @@ func (m *Member) evict(ctx proto.Context, p proto.NodeID) {
 		m.blameRound = 0
 	}
 
-	if m.cfg.OnEvict != nil {
-		m.cfg.OnEvict(ctx, p, slices.Clone(m.members))
-	}
 	if len(m.members) < m.cfg.MinMembers {
 		m.dissolve(ctx, fmt.Sprintf("group of %d below floor %d after evicting %d",
 			len(m.members), m.cfg.MinMembers, p))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/dcnet"
 	"repro/internal/metrics"
@@ -52,7 +53,7 @@ func (*phaseTracer) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []b
 // E12 is a single trace, not a trial family; it runs sequentially and
 // ignores the scenario's size and parallelism knobs.
 func E12PhaseTrace(sc Scenario) *metrics.Table {
-	const n, deg, k, d = 100, 6, 3, 2 // Fig. 5 uses k=3, d=2
+	const n, deg, d = 100, 6, 2 // Fig. 5 uses k=3 (the group below), d=2
 	t := metrics.NewTable(
 		"E12 — one broadcast through the three phases (N=100, k=3, d=2; Fig. 5 parameters)",
 		"phase", "first msg", "last msg", "messages", "coverage at phase end",
@@ -63,14 +64,15 @@ func E12PhaseTrace(sc Scenario) *metrics.Table {
 	net := sc.network(g, 3, netem.Metro)
 	net.AddTap(tracer)
 	stack.Mount(net, stack.Spec{
-		Kind: stack.Composed,
+		Kind:     stack.Composed,
+		Adaptive: adaptive.Config{D: d, RoundInterval: 200 * time.Millisecond, TreeDegree: deg},
 		Composed: core.Config{
-			K: k, D: d,
-			DCMode: dcnet.ModeFixed, DCSlotSize: 300,
-			DCInterval: 500 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-			ADInterval: 200 * time.Millisecond, TreeDegree: deg,
+			Group: []proto.NodeID{10, 40, 70},
+			DCNet: dcnet.Config{
+				Mode: dcnet.ModeFixed, SlotSize: 300,
+				Interval: 500 * time.Millisecond, Policy: dcnet.PolicyNone,
+			},
 		},
-		Group: []proto.NodeID{10, 40, 70},
 	})
 	net.Start()
 	id, err := net.Originate(40, []byte("figure-5 trace"))

@@ -61,10 +61,7 @@ func e15Spec(kind stack.Kind, n, deg int) stack.Spec {
 		Adaptive:  adaptive.Config{D: 4, RoundInterval: 250 * time.Millisecond, TreeDegree: deg},
 		Dandelion: dandelion.Config{Q: 0.25, Epoch: time.Hour, FailSafe: 2 * time.Second},
 		Composed: core.Config{
-			K: len(group), D: 4,
-			DCMode: dcnet.ModeAnnounce, DCInterval: 250 * time.Millisecond,
-			DCPolicy: dcnet.PolicyNone, DCMaxRounds: 16,
-			ADInterval: 250 * time.Millisecond, TreeDegree: deg,
+			Group: group,
 			// The loss-tolerance stack under test: ack/retransmit
 			// sized to the 50–70 ms links (RTO > worst-case RTT),
 			// eviction after 2 silent rounds down to a floor of 3,
@@ -72,14 +69,17 @@ func e15Spec(kind stack.Kind, n, deg int) stack.Spec {
 			// room for a full retry chain (RetryBudget·RTO plus a
 			// link delay), so a round being repaired is not
 			// abandoned mid-retransmission at high loss.
-			DCRetransmitTimeout: 150 * time.Millisecond,
-			DCRetryBudget:       3,
-			DCTimeout:           600 * time.Millisecond,
-			DCEvictAfter:        2,
-			DCFloor:             3,
-			FailSafe:            2 * time.Second,
+			DCNet: dcnet.Config{
+				Mode: dcnet.ModeAnnounce, Interval: 250 * time.Millisecond,
+				Policy: dcnet.PolicyNone, MaxRounds: 16,
+				RetransmitTimeout: 150 * time.Millisecond,
+				RetryBudget:       3,
+				Timeout:           600 * time.Millisecond,
+				EvictAfter:        2,
+				MinMembers:        3,
+			},
+			FailSafe: 2 * time.Second,
 		},
-		Group: group,
 	}
 }
 

@@ -35,7 +35,7 @@ func e16HonestNodes(n int, corrupted func(proto.NodeID) bool) []proto.NodeID {
 
 // e16Cell is one protocol arm of the sweep at one overlay size: the
 // label the table prints and the stack under attack (the composed
-// estimator targets spec.Group).
+// estimator targets spec.Composed.Group).
 type e16Cell struct {
 	label  string
 	n, deg int
@@ -68,7 +68,7 @@ func (c e16Cell) trial(sc Scenario, f float64, cond netem.Profile, trial int) e1
 	trialRNG := rand.New(rand.NewPCG(seed, 0xe16))
 	corrupted := adversary.SampleCorrupted(c.n, f, trialRNG)
 	obs := adversary.NewObserver(corrupted)
-	composed, group := c.spec.Kind == stack.Composed, c.spec.Group
+	composed, group := c.spec.Kind == stack.Composed, c.spec.Composed.Group
 	honestMembers := func() []proto.NodeID {
 		out := make([]proto.NodeID, 0, len(group))
 		for _, m := range group {

@@ -87,7 +87,7 @@ func E17Frontier(sc Scenario) *metrics.Table {
 
 	for _, kind := range [...]stack.Kind{stack.Flood, stack.Dandelion, stack.Adaptive, stack.Composed} {
 		spec := e15Spec(kind, n, deg)
-		composed, group := kind == stack.Composed, spec.Group
+		composed, group := kind == stack.Composed, spec.Composed.Group
 		for _, cond := range conds {
 			for _, rate := range rates {
 				cfg := workload.SoakConfig{

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/dcnet"
 	"repro/internal/proto"
 	"repro/internal/workload"
 )
@@ -71,12 +70,7 @@ func TestNodeAdmissionProbe(t *testing.T) {
 // TestProbeAdmissionDisabledZero checks the accessor contract with the
 // layer unmounted: the default config reports zero admission counters.
 func TestProbeAdmissionDisabledZero(t *testing.T) {
-	n, err := New(Config{Core: core.Config{
-		K: 4, D: 3, Hashes: core.SimHashes(4),
-		DCMode: dcnet.ModeFixed, DCSlotSize: 256,
-		DCInterval: 100 * time.Millisecond, DCPolicy: dcnet.PolicyNone,
-		ADInterval: 50 * time.Millisecond,
-	}})
+	n, err := New(Config{Core: core.Config{Hashes: core.SimHashes(4)}})
 	if err != nil {
 		t.Fatal(err)
 	}

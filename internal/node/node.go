@@ -109,7 +109,7 @@ func RegisterMessages(c *wire.Codec) {
 
 // Config parametrizes a full node.
 type Config struct {
-	// Core configures the privacy broadcast (group, K, D, intervals).
+	// Core configures the privacy broadcast.
 	Core core.Config
 	// Mine enables the proof-of-work loop.
 	Mine bool

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/dcnet"
@@ -36,28 +37,21 @@ func newBlockchainWorld(t *testing.T, n int, group []proto.NodeID, miners map[pr
 	// receiving node's mempool.
 	w.net.AddTap(mempoolFeeder{w})
 	hashes := core.SimHashes(n)
-	inGroup := make(map[proto.NodeID]bool)
-	for _, m := range group {
-		inGroup[m] = true
-	}
 	w.net.SetHandlers(func(id proto.NodeID) proto.Handler {
 		cfg := Config{
 			Core: core.Config{
-				K: len(group), D: 3,
-				Hashes:     hashes,
-				DCMode:     dcnet.ModeFixed,
-				DCSlotSize: 256,
-				DCInterval: 100 * time.Millisecond,
-				DCPolicy:   dcnet.PolicyNone,
-				ADInterval: 50 * time.Millisecond,
+				Group:  group,
+				Hashes: hashes,
+				DCNet: dcnet.Config{
+					Mode: dcnet.ModeFixed, SlotSize: 256,
+					Interval: 100 * time.Millisecond, Policy: dcnet.PolicyNone,
+				},
+				Adaptive: adaptive.Config{D: 3, RoundInterval: 50 * time.Millisecond},
 			},
 			Mine:           miners[id],
 			DifficultyBits: 8, // easy toy difficulty
 			MineInterval:   200 * time.Millisecond,
 			MineBudget:     5_000,
-		}
-		if inGroup[id] {
-			cfg.Core.Group = group
 		}
 		for _, mut := range muts {
 			mut(id, &cfg)

@@ -35,6 +35,7 @@ package parity
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/adaptive"
@@ -248,23 +249,13 @@ func (sc *Scenario) applyDefaults() {
 	}
 }
 
-// inGroup reports composed-group membership.
-func (sc *Scenario) inGroup(id proto.NodeID) bool {
-	for _, m := range sc.Group {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
 // validate rejects configurations that would measure a different
 // scenario than the one written down.
 func (sc *Scenario) validate() error {
 	if int(sc.Source) < 0 || int(sc.Source) >= sc.N {
 		return fmt.Errorf("parity: source %d outside [0,%d)", sc.Source, sc.N)
 	}
-	if sc.Variant == VariantComposed && !sc.inGroup(sc.Source) {
+	if sc.Variant == VariantComposed && !slices.Contains(sc.Group, sc.Source) {
 		return fmt.Errorf("parity: composed source %d is not a group member %v (set Scenario.Source to a member)", sc.Source, sc.Group)
 	}
 	if sc.Netem != nil {
@@ -331,10 +322,11 @@ func (sc *Scenario) treeDegree() int {
 // both runtimes share, in the map-backed live form on both, so any config
 // skew between the runs is impossible by construction.
 func (sc *Scenario) handler(id proto.NodeID, hashes map[proto.NodeID][32]byte) proto.Handler {
+	ad := adaptive.Config{D: sc.D, RoundInterval: sc.ADInterval, TreeDegree: sc.treeDegree()}
 	if sc.Variant != VariantComposed {
 		spec := stack.Spec{
 			Kind:     sc.Variant,
-			Adaptive: adaptive.Config{D: sc.D, RoundInterval: sc.ADInterval, TreeDegree: sc.treeDegree()},
+			Adaptive: ad,
 			// Epoch is set beyond any run horizon so the successor graph is
 			// drawn exactly once (at Init) under both runtimes; the fail-safe
 			// stays off because virtual time reaches it in the simulator
@@ -350,22 +342,20 @@ func (sc *Scenario) handler(id proto.NodeID, hashes map[proto.NodeID][32]byte) p
 	// The composed stack runs inside the blockchain node, which builds its
 	// own core.Protocol.
 	cfg := node.Config{Core: core.Config{
-		K: sc.K, D: sc.D,
-		Hashes:      hashes,
-		DCMode:      dcnet.ModeAnnounce,
-		DCInterval:  sc.DCInterval,
-		DCPolicy:    dcnet.PolicyNone,
-		DCMaxRounds: sc.DCRounds,
-		ADInterval:  sc.ADInterval,
-		TreeDegree:  sc.treeDegree(),
+		Group:  sc.Group,
+		Hashes: hashes,
+		DCNet: dcnet.Config{
+			Mode:      dcnet.ModeAnnounce,
+			Interval:  sc.DCInterval,
+			Policy:    dcnet.PolicyNone,
+			MaxRounds: sc.DCRounds,
+		},
+		Adaptive: ad,
 	}}
 	if sc.Reliable {
-		cfg.Core.DCRetransmitTimeout = reliableRTO
-		cfg.Core.DCRetryBudget = 3
+		cfg.Core.DCNet.RetransmitTimeout = reliableRTO
+		cfg.Core.DCNet.RetryBudget = 3
 		cfg.Core.FailSafe = sc.FailSafe
-	}
-	if sc.inGroup(id) {
-		cfg.Core.Group = sc.Group
 	}
 	n, err := node.New(cfg)
 	if err != nil {

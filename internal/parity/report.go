@@ -5,16 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/wire"
 )
-
-// wireTypeIndex is the canonical type/name/phase index shared with the
-// experiment tables (so the parity diff and cmd/flexsim name message
-// types identically).
-func wireTypeIndex() []experiments.WireType { return experiments.WireTypes() }
 
 // Accounting is one run's wire-level table: per-type and total message
 // and marshaled-byte counts, delivery coverage, and duration (virtual
@@ -114,7 +108,7 @@ func compare(sc *Scenario, simA, realA *Accounting) *Report {
 	r := &Report{Scenario: *sc, Sim: simA, Real: realA, TimingOK: true}
 
 	seen := make(map[proto.MsgType]bool)
-	for _, wt := range wireTypeIndex() {
+	for _, wt := range wireTypes {
 		sm, rm := simA.Msgs[wt.Type], realA.Msgs[wt.Type]
 		sb, rb := simA.Bytes[wt.Type], realA.Bytes[wt.Type]
 		seen[wt.Type] = true
@@ -152,13 +146,13 @@ func compare(sc *Scenario, simA, realA *Accounting) *Report {
 		name := fmt.Sprintf("type %#04x", uint16(t))
 		if simA.Msgs[t] != realA.Msgs[t] {
 			r.Divergences = append(r.Divergences, Divergence{
-				Phase: experiments.PhaseOf(t), Type: name,
+				Phase: phaseOf(t), Type: name,
 				Kind: "messages", Sim: simA.Msgs[t], Real: realA.Msgs[t],
 			})
 		}
 		if simA.Bytes[t] != realA.Bytes[t] {
 			r.Divergences = append(r.Divergences, Divergence{
-				Phase: experiments.PhaseOf(t), Type: name,
+				Phase: phaseOf(t), Type: name,
 				Kind: "bytes", Sim: simA.Bytes[t], Real: realA.Bytes[t],
 			})
 		}

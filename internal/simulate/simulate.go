@@ -286,15 +286,14 @@ func stackSpec(cfg Config, payloadLen int, members []proto.NodeID) stack.Spec {
 		Dandelion: dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second},
 		Adaptive:  adaptive.Config{D: cfg.D, RoundInterval: 500 * time.Millisecond, TreeDegree: cfg.Degree},
 		Composed: core.Config{
-			K: cfg.K, D: cfg.D,
-			DCMode:     dcnet.ModeFixed,
-			DCSlotSize: payloadLen + dcnet.SlotOverhead,
-			DCInterval: 2 * time.Second,
-			DCPolicy:   dcnet.PolicyNone,
-			ADInterval: 500 * time.Millisecond,
-			TreeDegree: cfg.Degree,
+			Group: members,
+			DCNet: dcnet.Config{
+				Mode:     dcnet.ModeFixed,
+				SlotSize: payloadLen + dcnet.SlotOverhead,
+				Interval: 2 * time.Second,
+				Policy:   dcnet.PolicyNone,
+			},
 		},
-		Group: members,
 	}
 }
 

@@ -68,47 +68,28 @@ func ParseKind(name string) (Kind, error) {
 type Spec struct {
 	Kind      Kind
 	Dandelion dandelion.Config
-	Adaptive  adaptive.Config
-	// Composed configures every node of the composed stack. Its Group is
-	// set per node from Group below; nil Hashes default to core.SimHash
-	// of the members, the only hashes ever read (members elect the
-	// virtual source among themselves).
+	// Adaptive configures the adaptive stack and the composed stack's
+	// Phase 2, so the two diffuse alike.
+	Adaptive adaptive.Config
+	// Composed configures the composed stack; its Adaptive is not read.
+	// Its Group members run Phase 1, every other node only relays Phases
+	// 2–3. Nil Hashes default to core.SimHash of the members, the only
+	// hashes ever read (members elect the virtual source among
+	// themselves).
 	Composed core.Config
-	// Group is the composed stack's one DC-net group: its members run
-	// Phase 1, every other node only relays Phases 2–3.
-	Group []proto.NodeID
 }
 
-// resolved fills the composed stack's default identity hashes.
-func (s Spec) resolved() Spec {
-	if s.Kind == Composed && s.Composed.Hashes == nil {
-		s.Composed.Hashes = make(map[proto.NodeID][32]byte, len(s.Group))
-		for _, m := range s.Group {
-			s.Composed.Hashes[m] = core.SimHash(m)
+// composed returns the composed stack's core configuration.
+func (s *Spec) composed() core.Config {
+	c := s.Composed
+	c.Adaptive = s.Adaptive
+	if c.Hashes == nil {
+		c.Hashes = make(map[proto.NodeID][32]byte, len(c.Group))
+		for _, m := range c.Group {
+			c.Hashes[m] = core.SimHash(m)
 		}
 	}
-	return s
-}
-
-// composed builds node id's composed protocol, dense over sh or
-// map-backed without one. A Spec that fails to build names a group
-// member without a hash — a wiring bug.
-func (s *Spec) composed(sh *core.Shared, id proto.NodeID) proto.Handler {
-	c := s.Composed
-	if slices.Contains(s.Group, id) {
-		c.Group = s.Group
-	}
-	var p *core.Protocol
-	var err error
-	if sh != nil {
-		p, err = core.NewAt(c, sh, id)
-	} else {
-		p, err = core.New(c)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("stack: building composed node %d: %v", id, err))
-	}
-	return p
+	return c
 }
 
 // Live returns node id's handler in the map-backed form a long-lived node
@@ -125,8 +106,11 @@ func Live(s Spec, id proto.NodeID) proto.Handler {
 	case Adaptive:
 		return adaptive.New(s.Adaptive)
 	case Composed:
-		s = s.resolved()
-		return s.composed(nil, id)
+		p, err := core.New(s.composed())
+		if err != nil {
+			panic(fmt.Sprintf("stack: building composed node %d: %v", id, err))
+		}
+		return p
 	}
 	panic("stack: unknown " + s.Kind.String())
 }
@@ -144,7 +128,7 @@ type Mounted struct {
 func Mount(net *sim.Network, s Spec) *Mounted {
 	n, k := net.Topology().N(), net.ShardCount()
 	m := &Mounted{net: net, reset: func() {}}
-	switch s = s.resolved(); s.Kind {
+	switch s.Kind {
 	case Flood:
 		sh := flood.NewShared(n)
 		sh.Partition(k)
@@ -160,10 +144,13 @@ func Mount(net *sim.Network, s Spec) *Mounted {
 		m.reset = sh.Reset
 		m.handler = func(id proto.NodeID) proto.Handler { return adaptive.NewAt(s.Adaptive, sh, id) }
 	case Composed:
-		sh := core.NewShared(n)
+		sh, err := core.NewShared(n, s.composed())
+		if err != nil {
+			panic(fmt.Sprintf("stack: mounting composed stack: %v", err))
+		}
 		sh.Partition(k)
 		m.reset = sh.Reset
-		m.handler = func(id proto.NodeID) proto.Handler { return s.composed(sh, id) }
+		m.handler = func(id proto.NodeID) proto.Handler { return core.NewAt(sh, id) }
 	default:
 		panic("stack: unknown " + s.Kind.String())
 	}

@@ -31,18 +31,18 @@ func testSpec(kind Kind) Spec {
 		Adaptive:  adaptive.Config{D: 4, RoundInterval: 250 * time.Millisecond, TreeDegree: testDeg},
 		Dandelion: dandelion.Config{Q: 0.25, Epoch: time.Hour, FailSafe: 2 * time.Second},
 		Composed: core.Config{
-			K: len(group), D: 4,
-			DCMode: dcnet.ModeAnnounce, DCInterval: 250 * time.Millisecond,
-			DCPolicy: dcnet.PolicyNone, DCMaxRounds: 16,
-			ADInterval: 250 * time.Millisecond, TreeDegree: testDeg,
-			DCRetransmitTimeout: 150 * time.Millisecond,
-			DCRetryBudget:       3,
-			DCTimeout:           600 * time.Millisecond,
-			DCEvictAfter:        2,
-			DCFloor:             3,
-			FailSafe:            2 * time.Second,
+			Group: group,
+			DCNet: dcnet.Config{
+				Mode: dcnet.ModeAnnounce, Interval: 250 * time.Millisecond,
+				Policy: dcnet.PolicyNone, MaxRounds: 16,
+				RetransmitTimeout: 150 * time.Millisecond,
+				RetryBudget:       3,
+				Timeout:           600 * time.Millisecond,
+				EvictAfter:        2,
+				MinMembers:        3,
+			},
+			FailSafe: 2 * time.Second,
 		},
-		Group: group,
 	}
 }
 
