@@ -259,17 +259,19 @@ func TestKnownIncompleteInputsCoverEveryNode(t *testing.T) {
 	}
 }
 
+// BenchmarkSimulateComposed runs one Simulate call per iteration: the
+// three (K,D) cells of bench's composed1k at N=1k, and K=5 at N=10k.
 func BenchmarkSimulateComposed(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("N=%dk", n/1000), func(b *testing.B) {
+	for _, c := range []struct{ n, k, d int }{{1000, 5, 4}, {1000, 10, 4}, {1000, 20, 6}, {10000, 5, 4}} {
+		b.Run(fmt.Sprintf("N=%dk/K=%d,D=%d", c.n/1000, c.k, c.d), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				res, err := Simulate(SimConfig{N: n, K: 5, D: 4, Seed: 3})
+				res, err := Simulate(SimConfig{N: c.n, K: c.k, D: c.d, Seed: 3})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Delivered != n {
-					b.Fatalf("delivered %d/%d", res.Delivered, n)
+				if res.Delivered != c.n {
+					b.Fatalf("delivered %d/%d", res.Delivered, c.n)
 				}
 			}
 		})

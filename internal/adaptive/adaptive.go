@@ -22,6 +22,7 @@ package adaptive
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 
 	"repro/internal/proto"
@@ -95,10 +96,12 @@ type roundTimer struct{ id proto.MsgID }
 
 // Shared is network-wide diffusion state sized to the node count: one
 // epoch-stamped dense vector of tree-state pointers per in-flight
-// message (replacing the per-node map[proto.MsgID]*State), plus a free
-// list recycling the State objects — and their Children slices — across
-// trials. All engines of one simulated network share one Shared; trial
-// loops Reset it between sequentially simulated networks.
+// message (replacing the per-node map[proto.MsgID]*State), a free list
+// recycling the State objects — and their Children slices — across
+// trials, and one node-indexed slab holding every node's Protocol and
+// engine, so mounting a network allocates nothing per node. All engines
+// of one simulated network share one Shared; trial loops Reset it
+// between sequentially simulated networks.
 //
 // Like flood.Shared, it is single-threaded by design: each parallel
 // trial-runner worker owns its own Shared alongside its own network.
@@ -109,6 +112,9 @@ type Shared struct {
 	// virtual-source/pending-token leftovers from earlier trials. It is
 	// written only between runs, so concurrent shards reading it race-free.
 	gen uint64
+	// protos is the slab NewAt and NewEngineAt hand out: node v's
+	// Protocol, and the engine inside it, live at protos[v].
+	protos []Protocol
 }
 
 // adaptPart is the diffusion state of one contiguous node range: under
@@ -116,13 +122,45 @@ type Shared struct {
 type adaptPart struct {
 	states *visited.Table[*State]
 	pool   *visited.Pool[*State]
+	// ids is the unused rest of the chunk Children slices are carved
+	// from (childrenRoom).
+	ids []proto.NodeID
+}
+
+// stateChunk and idChunk are how many States and Children entries a part
+// allocates at once: a trial that infects every node then costs one
+// allocation per chunk, not one or more per node. A pooled State keeps
+// its carved Children across trials.
+const (
+	stateChunk = 128
+	idChunk    = 1024
+)
+
+// carve returns an empty slice with room for exactly n IDs, cut from the
+// part's chunk; the capped capacity keeps neighbouring cuts apart.
+func (p *adaptPart) carve(n int) []proto.NodeID {
+	if len(p.ids) < n {
+		p.ids = make([]proto.NodeID, max(n, idChunk))
+	}
+	out := p.ids[:0:n]
+	p.ids = p.ids[n:]
+	return out
 }
 
 func newAdaptPart(lo, hi int) adaptPart {
+	var chunk []State
 	return adaptPart{
 		states: visited.NewTableRange[*State](lo, hi),
 		pool: visited.NewPool(
-			func() *State { return &State{Parent: proto.NoNode} },
+			func() *State {
+				if len(chunk) == 0 {
+					chunk = make([]State, min(stateChunk, hi-lo))
+				}
+				st := &chunk[0]
+				chunk = chunk[1:]
+				st.Parent = proto.NoNode
+				return st
+			},
 			func(st *State) {
 				st.Payload = nil // do not pin trial payloads through the pool
 				st.Parent = proto.NoNode
@@ -136,7 +174,7 @@ func newAdaptPart(lo, hi int) adaptPart {
 
 // NewShared returns shared diffusion state for node IDs in [0, n).
 func NewShared(n int) *Shared {
-	s := &Shared{n: n}
+	s := &Shared{n: n, protos: make([]Protocol, n)}
 	s.Partition(1)
 	return s
 }
@@ -188,24 +226,24 @@ func (s *Shared) Reset() {
 // or in dense vectors shared across the whole network (NewEngineAt).
 // The virtual-source and pending-token maps stay per-node in both modes
 // — at most one node holds the token — and are allocated lazily, so
-// idle nodes cost nothing.
+// idle nodes cost nothing. An engine must not be copied once built: its
+// channel's retry timers name the channel by address.
 type Engine struct {
 	cfg    Config
 	states map[proto.MsgID]*State // standalone mode; nil in dense mode
 	shared *Shared                // dense mode; nil in standalone mode
-	// dstates/dpool cache the partition cell owning self (dense mode),
-	// resolved at construction so the hot path never re-derives it.
-	dstates *visited.Table[*State]
-	dpool   *visited.Pool[*State]
-	self    proto.NodeID
-	gen     uint64                   // last Shared generation synced (dense mode)
-	vs      map[proto.MsgID]*vsState // lazy: only ever the token holder
+	// part caches the partition cell owning self (dense mode), resolved
+	// at construction so the hot path never re-derives it.
+	part *adaptPart
+	self proto.NodeID
+	gen  uint64                   // last Shared generation synced (dense mode)
+	vs   map[proto.MsgID]*vsState // lazy: only ever the token holder
 	// pendingToken buffers a token that arrived before the payload (only
 	// possible under exotic latency models; links are FIFO).
 	pendingToken map[proto.MsgID]*TokenMsg
 	// rel is the reliable overlay channel (disabled unless
 	// Config.RetransmitTimeout is set).
-	rel *relchan.Channel
+	rel relchan.Channel
 }
 
 // Reliable-channel kinds tagging which diffusion message an identity
@@ -219,11 +257,11 @@ const (
 	relKindFinal
 )
 
-func newChannel(cfg *Config) *relchan.Channel {
-	return relchan.New(relchan.Config{
+func channelConfig(cfg *Config) relchan.Config {
+	return relchan.Config{
 		RTO:         cfg.RetransmitTimeout,
 		RetryBudget: cfg.RetryBudget,
-	})
+	}
 }
 
 // msgIdent derives a message's channel identity from its content — the
@@ -259,7 +297,7 @@ func (e *Engine) send(ctx proto.Context, to proto.NodeID, msg proto.Message) {
 }
 
 // Channel exposes the engine's reliable channel (probes, experiments).
-func (e *Engine) Channel() *relchan.Channel { return e.rel }
+func (e *Engine) Channel() *relchan.Channel { return &e.rel }
 
 // sync drops per-engine leftovers from a previous trial. Dense-mode
 // engines are reused across Shared.Reset generations, and a trial
@@ -272,10 +310,11 @@ func (e *Engine) sync() {
 		e.gen = e.shared.gen
 		clear(e.vs)
 		clear(e.pendingToken)
-		// A fresh channel drops the previous trial's pending/seen maps;
-		// its surviving timers (there are none once the old network is
-		// discarded) would no longer match and be ignored.
-		e.rel = newChannel(&e.cfg)
+		// Re-Init drops the previous trial's pending/seen maps. The
+		// channel keeps its address, so a retry timer from that trial
+		// would still name it; but Shared.Reset requires that trial's
+		// network drained or discarded, so none is left to fire.
+		e.rel.Init(channelConfig(&e.cfg))
 	}
 }
 
@@ -292,27 +331,38 @@ func (cfg *Config) ApplyDefaults() {
 
 // NewEngine returns a standalone engine with the given configuration.
 func NewEngine(cfg Config) *Engine {
-	cfg.ApplyDefaults()
-	return &Engine{cfg: cfg, rel: newChannel(&cfg)}
+	e := new(Engine)
+	e.init(cfg)
+	return e
 }
 
-// NewEngineAt returns an engine for node self backed by shared dense
-// state. Engines in this mode allocate nothing at construction and are
-// reusable across trials (Reset the Shared between trials).
+// init makes e a fresh standalone engine, in place.
+func (e *Engine) init(cfg Config) {
+	cfg.ApplyDefaults()
+	*e = Engine{cfg: cfg}
+	e.rel.Init(channelConfig(&e.cfg))
+}
+
+// NewEngineAt returns the engine of node self backed by shared dense
+// state: node self's slot of the Shared's slab, rebuilt in place, so it
+// allocates nothing. It invalidates the engine (and Protocol) an earlier
+// NewAt or NewEngineAt returned for self; engines are reusable across
+// trials (Reset the Shared between trials).
 func NewEngineAt(cfg Config, shared *Shared, self proto.NodeID) *Engine {
 	if int(self) < 0 || int(self) >= shared.N() {
 		panic("adaptive: NewEngineAt node out of range")
 	}
-	cfg.ApplyDefaults()
-	part := shared.part(self)
-	return &Engine{cfg: cfg, shared: shared, dstates: part.states, dpool: part.pool, self: self, rel: newChannel(&cfg)}
+	e := &shared.protos[self].engine
+	e.init(cfg)
+	e.shared, e.part, e.self, e.gen = shared, shared.part(self), self, shared.gen
+	return e
 }
 
 // State returns the node's tree state for a message, or nil.
 func (e *Engine) State(id proto.MsgID) *State {
 	e.sync()
 	if e.shared != nil {
-		if vec := e.dstates.Lookup(id); vec != nil {
+		if vec := e.part.states.Lookup(id); vec != nil {
 			if st, ok := vec.Get(e.self); ok {
 				return st
 			}
@@ -327,9 +377,9 @@ func (e *Engine) State(id proto.MsgID) *State {
 func (e *Engine) putState(id proto.MsgID, payload []byte, parent proto.NodeID, round uint16) *State {
 	var st *State
 	if e.shared != nil {
-		st = e.dpool.Get()
+		st = e.part.pool.Get()
 		st.Payload, st.Parent, st.lastRound = payload, parent, round
-		e.dstates.Vec(id).Set(e.self, st)
+		e.part.states.Vec(id).Set(e.self, st)
 		return st
 	}
 	st = &State{Payload: payload, Parent: parent, lastRound: round}
@@ -338,6 +388,20 @@ func (e *Engine) putState(id proto.MsgID, payload []byte, parent proto.NodeID, r
 	}
 	e.states[id] = st
 	return st
+}
+
+// childrenRoom makes room for n more children, so recording a node's
+// children allocates at most once — in dense mode not at all outside the
+// part's chunk.
+func (e *Engine) childrenRoom(st *State, n int) {
+	if cap(st.Children)-len(st.Children) >= n {
+		return
+	}
+	if e.part == nil {
+		st.Children = slices.Grow(st.Children, n)
+		return
+	}
+	st.Children = append(e.part.carve(len(st.Children)+n), st.Children...)
 }
 
 // setVS installs virtual-source bookkeeping, allocating the map on first
@@ -385,7 +449,9 @@ func (e *Engine) StartCenter(ctx proto.Context, id proto.MsgID, payload []byte) 
 	}
 	st := e.putState(id, payload, proto.NoNode, 1)
 	ctx.DeliverLocal(id, payload)
-	for _, nb := range ctx.Neighbors() {
+	nbs := ctx.Neighbors()
+	e.childrenRoom(st, len(nbs))
+	for _, nb := range nbs {
 		e.send(ctx, nb, &InfectMsg{ID: id, TTL: 1, Round: 1, Payload: payload})
 		st.Children = append(st.Children, nb)
 	}
@@ -451,7 +517,9 @@ func (e *Engine) handleInfect(ctx proto.Context, from proto.NodeID, m *InfectMsg
 	ctx.DeliverLocal(m.ID, m.Payload)
 	if m.TTL > 1 {
 		out := &InfectMsg{ID: m.ID, TTL: m.TTL - 1, Round: m.Round, Payload: m.Payload}
-		for _, nb := range ctx.Neighbors() {
+		nbs := ctx.Neighbors()
+		e.childrenRoom(st, len(nbs))
+		for _, nb := range nbs {
 			if nb == from {
 				continue
 			}
@@ -465,18 +533,31 @@ func (e *Engine) handleInfect(ctx proto.Context, from proto.NodeID, m *InfectMsg
 	}
 }
 
-// treeNeighbors returns parent+children excluding the given node.
-func treeNeighbors(st *State, except proto.NodeID) []proto.NodeID {
-	out := make([]proto.NodeID, 0, len(st.Children)+1)
+// hasRelays reports whether st has a tree neighbor — parent or child —
+// other than except.
+func hasRelays(st *State, except proto.NodeID) bool {
 	if st.Parent != proto.NoNode && st.Parent != except {
-		out = append(out, st.Parent)
+		return true
 	}
 	for _, c := range st.Children {
 		if c != except {
-			out = append(out, c)
+			return true
 		}
 	}
-	return out
+	return false
+}
+
+// relay sends msg along the tree: to the parent, then to each child,
+// skipping except.
+func (e *Engine) relay(ctx proto.Context, st *State, except proto.NodeID, msg proto.Message) {
+	if st.Parent != proto.NoNode && st.Parent != except {
+		e.send(ctx, st.Parent, msg)
+	}
+	for _, c := range st.Children {
+		if c != except {
+			e.send(ctx, c, msg)
+		}
+	}
 }
 
 func (e *Engine) handleExtend(ctx proto.Context, from proto.NodeID, m *ExtendMsg) {
@@ -491,11 +572,8 @@ func (e *Engine) handleExtend(ctx proto.Context, from proto.NodeID, m *ExtendMsg
 // extendSubtree relays a grow instruction away from `from`; boundary
 // nodes convert it into fresh infections of depth m.Depth.
 func (e *Engine) extendSubtree(ctx proto.Context, st *State, m *ExtendMsg, from proto.NodeID) {
-	relays := treeNeighbors(st, from)
-	if len(relays) > 0 {
-		for _, nb := range relays {
-			e.send(ctx, nb, m)
-		}
+	if hasRelays(st, from) {
+		e.relay(ctx, st, from, m)
 		return
 	}
 	// Boundary: infect outward, away from the infection parent.
@@ -506,7 +584,9 @@ func (e *Engine) extendSubtree(ctx proto.Context, st *State, m *ExtendMsg, from 
 // non-parent neighbors and records them as children.
 func (e *Engine) infectOutward(ctx proto.Context, st *State, id proto.MsgID, ttl, round uint16) {
 	out := &InfectMsg{ID: id, TTL: ttl, Round: round, Payload: st.Payload}
-	for _, nb := range ctx.Neighbors() {
+	nbs := ctx.Neighbors()
+	e.childrenRoom(st, len(nbs))
+	for _, nb := range nbs {
 		if nb == st.Parent {
 			continue
 		}
@@ -540,11 +620,8 @@ func (e *Engine) handleToken(ctx proto.Context, from proto.NodeID, m *TokenMsg) 
 	if m.Round > st.lastRound {
 		st.lastRound = m.Round
 	}
-	if relays := treeNeighbors(st, from); len(relays) > 0 {
-		ext := &ExtendMsg{ID: m.ID, Depth: depth, Round: m.Round}
-		for _, nb := range relays {
-			e.send(ctx, nb, ext)
-		}
+	if hasRelays(st, from) {
+		e.relay(ctx, st, from, &ExtendMsg{ID: m.ID, Depth: depth, Round: m.Round})
 	} else {
 		e.infectOutward(ctx, st, m.ID, depth, m.Round)
 	}
@@ -600,11 +677,8 @@ func (e *Engine) runRound(ctx proto.Context, id proto.MsgID) {
 	if st.lastRound < newRound {
 		st.lastRound = newRound
 	}
-	if relays := treeNeighbors(st, proto.NoNode); len(relays) > 0 {
-		ext := &ExtendMsg{ID: id, Depth: 1, Round: newRound}
-		for _, nb := range relays {
-			e.send(ctx, nb, ext)
-		}
+	if hasRelays(st, proto.NoNode) {
+		e.relay(ctx, st, proto.NoNode, &ExtendMsg{ID: id, Depth: 1, Round: newRound})
 	} else {
 		e.infectOutward(ctx, st, id, 1, newRound)
 	}
@@ -625,9 +699,8 @@ func (e *Engine) finalLocal(ctx proto.Context, id proto.MsgID, st *State, from p
 		return
 	}
 	st.finalDone = true
-	out := &FinalMsg{ID: id, Round: st.lastRound}
-	for _, nb := range treeNeighbors(st, from) {
-		e.send(ctx, nb, out)
+	if hasRelays(st, from) {
+		e.relay(ctx, st, from, &FinalMsg{ID: id, Round: st.lastRound})
 	}
 	if e.cfg.Finisher != nil {
 		e.cfg.Finisher.OnFinal(ctx, id, st)
@@ -638,25 +711,29 @@ func (e *Engine) finalLocal(ctx proto.Context, id proto.MsgID, st *State, from p
 // diffusion alone, the configuration whose lack of a delivery guarantee
 // §III-A points out (reproduced by experiment E9).
 type Protocol struct {
-	engine *Engine
+	engine Engine
 }
 
 var _ proto.Broadcaster = (*Protocol)(nil)
 
 // New returns a standalone adaptive-diffusion protocol.
 func New(cfg Config) *Protocol {
-	return &Protocol{engine: NewEngine(cfg)}
+	p := new(Protocol)
+	p.engine.init(cfg)
+	return p
 }
 
-// NewAt returns an adaptive-diffusion protocol for node self backed by
+// NewAt returns the adaptive-diffusion protocol of node self backed by
 // shared dense state (see NewEngineAt) — the handler-factory form
-// simulation trials use so one network's handlers share one allocation.
+// simulation trials use: node self's slot of the Shared's slab, so
+// installing a network's handlers allocates nothing.
 func NewAt(cfg Config, shared *Shared, self proto.NodeID) *Protocol {
-	return &Protocol{engine: NewEngineAt(cfg, shared, self)}
+	NewEngineAt(cfg, shared, self)
+	return &shared.protos[self]
 }
 
 // Engine exposes the underlying engine.
-func (p *Protocol) Engine() *Engine { return p.engine }
+func (p *Protocol) Engine() *Engine { return &p.engine }
 
 // Init implements proto.Handler.
 func (p *Protocol) Init(proto.Context) {}

@@ -385,3 +385,16 @@ func TestEngineReuseDropsStaleTokenState(t *testing.T) {
 			again, full)
 	}
 }
+
+// TestNewAtAllocatesNothing holds mounting to the Shared's slab:
+// installing adaptive handlers on a 1,000-node network allocates nothing
+// per node.
+func TestNewAtAllocatesNothing(t *testing.T) {
+	const n = 1000
+	shared := NewShared(n)
+	net := sim.NewNetwork(topology.NewGraph(n), sim.Options{})
+	factory := func(id proto.NodeID) proto.Handler { return NewAt(Config{}, shared, id) }
+	if allocs := testing.AllocsPerRun(10, func() { net.SetHandlers(factory) }); allocs != 0 {
+		t.Errorf("SetHandlers(NewAt) over %d nodes allocates %.0f times, want 0", n, allocs)
+	}
+}

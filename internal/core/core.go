@@ -100,7 +100,9 @@ var (
 	ErrMissingHash = errors.New("core: identity hash missing for group member")
 )
 
-// Protocol is one node's instance of the three-phase broadcast.
+// Protocol is one node's instance of the three-phase broadcast. Its
+// engines and custody channel are pointers into the node it is part of
+// (see node), so the handler stays a few words wide.
 type Protocol struct {
 	// cfg is resolved and read-only: every node of a mounted stack
 	// shares its Shared's copy.
@@ -118,6 +120,29 @@ type Protocol struct {
 	rel *relchan.Channel
 }
 
+// node is the core-owned state of one node: its Protocol, and the flood
+// engine and custody channel the Protocol points at. A Shared holds one
+// per node in a slab, so mounting a network allocates nothing per node;
+// New allocates a lone one. A node must not move once built: its
+// Protocol points into it, and the channel's retry timers name the
+// channel by address.
+type node struct {
+	p   Protocol
+	fl  flood.Engine
+	rel relchan.Channel
+}
+
+// bind makes nd's Protocol a fresh one over cfg, pointing at nd's flood
+// engine (which the caller sets) and at nd's custody channel, re-Inited.
+// It returns the Phase-2 configuration whose Finisher is that Protocol.
+func (nd *node) bind(cfg *Config) (*Protocol, adaptive.Config) {
+	nd.rel.Init(custodyConfig(cfg))
+	nd.p = Protocol{cfg: cfg, fl: &nd.fl, rel: &nd.rel}
+	ad := cfg.Adaptive
+	ad.Finisher = (*finisher)(&nd.p)
+	return &nd.p, ad
+}
+
 // failsafeTimer drives one payload's fail-safe deadline.
 type failsafeTimer struct{ id proto.MsgID }
 
@@ -131,17 +156,22 @@ func New(cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(r, nil, 0), nil
+	nd := &node{fl: *flood.NewEngine()}
+	p, ad := nd.bind(r)
+	p.ad = adaptive.NewEngine(ad)
+	return p, nil
 }
 
 // Shared is the network-wide state of the composed stack: its resolved
-// configuration, and the flood.Shared and adaptive.Shared its Phase-3 and
+// configuration, the flood.Shared and adaptive.Shared its Phase-3 and
 // Phase-2 engines mount (see those types for the contract — one Shared
-// per simulated network, single-threaded).
+// per simulated network, single-threaded), and the node-indexed slab of
+// core-owned node state NewAt hands out.
 type Shared struct {
-	cfg *Config
-	fl  *flood.Shared
-	ad  *adaptive.Shared
+	cfg   *Config
+	fl    *flood.Shared
+	ad    *adaptive.Shared
+	nodes []node
 }
 
 // NewShared resolves cfg once for every node of a network with node IDs
@@ -151,7 +181,7 @@ func NewShared(n int, cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Shared{cfg: r, fl: flood.NewShared(n), ad: adaptive.NewShared(n)}, nil
+	return &Shared{cfg: r, fl: flood.NewShared(n), ad: adaptive.NewShared(n), nodes: make([]node, n)}, nil
 }
 
 // Partition splits both members into k node-range parts (see
@@ -163,8 +193,8 @@ func (s *Shared) Partition(k int) {
 }
 
 // Reset rewinds both members for the next trial. Protocols built before
-// it hold per-node Phase-1 and custody state Reset cannot see: discard
-// them and build the next trial's with NewAt.
+// it hold per-node Phase-1 and custody state Reset cannot see: rebuild
+// every node's with NewAt, which resets its slot in place.
 func (s *Shared) Reset() {
 	s.fl.Reset()
 	s.ad.Reset()
@@ -173,21 +203,16 @@ func (s *Shared) Reset() {
 // NewAt builds the protocol of node self over shared state — the
 // handler-factory form for simulated networks, like flood.NewAt and
 // adaptive.NewAt: a thousand stacks share one configuration and two
-// tables instead of owning a copy and two maps each. It behaves exactly
-// like New.
+// tables instead of owning a copy and two maps each, and every node's
+// state is node self's slot of the Shared's slabs, rebuilt in place, so
+// installing a network's handlers allocates nothing. It behaves exactly
+// like New, and invalidates the Protocol an earlier NewAt returned for
+// self.
 func NewAt(shared *Shared, self proto.NodeID) *Protocol {
-	return build(shared.cfg, shared, self)
-}
-
-func build(cfg *Config, shared *Shared, self proto.NodeID) *Protocol {
-	p := &Protocol{cfg: cfg, rel: newCustodyChannel(cfg)}
-	ad := cfg.Adaptive
-	ad.Finisher = (*finisher)(p)
-	if shared == nil {
-		p.fl, p.ad = flood.NewEngine(), adaptive.NewEngine(ad)
-	} else {
-		p.fl, p.ad = flood.NewEngineAt(shared.fl, self), adaptive.NewEngineAt(ad, shared.ad, self)
-	}
+	nd := &shared.nodes[self]
+	nd.fl = *flood.NewEngineAt(shared.fl, self)
+	p, ad := nd.bind(shared.cfg)
+	p.ad = adaptive.NewEngineAt(ad, shared.ad, self)
 	return p
 }
 

@@ -385,6 +385,23 @@ func TestProtocolLayout(t *testing.T) {
 	}
 }
 
+// TestNewAtAllocatesNothing holds mounting to the slabs: installing the
+// composed stack's handlers on a 1,000-node network hands out slots of
+// its Shared, with no allocation per node.
+func TestNewAtAllocatesNothing(t *testing.T) {
+	const n = 1000
+	sh, err := NewShared(n, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Partition(2)
+	net := sim.NewNetwork(topology.NewGraph(n), sim.Options{})
+	factory := func(id proto.NodeID) proto.Handler { return NewAt(sh, id) }
+	if allocs := testing.AllocsPerRun(10, func() { net.SetHandlers(factory) }); allocs != 0 {
+		t.Errorf("SetHandlers(NewAt) over %d nodes allocates %.0f times, want 0", n, allocs)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	g := testGraph(t, 50, 6, 11)
 	group := []proto.NodeID{5, 15, 25, 35, 45}

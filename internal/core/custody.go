@@ -55,13 +55,13 @@ func custodyIdent(id proto.MsgID) relchan.ID {
 	return relchan.ID{Stream: binary.LittleEndian.Uint64(id[:8]), Kind: relKindCustody}
 }
 
-// newCustodyChannel builds the core-owned channel carrying deposits,
+// custodyConfig configures the core-owned channel carrying deposits,
 // reliable whenever Phase 1's reliability layer is on.
-func newCustodyChannel(cfg *Config) *relchan.Channel {
-	return relchan.New(relchan.Config{
+func custodyConfig(cfg *Config) relchan.Config {
+	return relchan.Config{
 		RTO:         cfg.DCNet.RetransmitTimeout,
 		RetryBudget: custodyRetryBudget,
-	})
+	}
 }
 
 // depositCustody hands the queued payload to every other group member.

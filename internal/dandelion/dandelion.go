@@ -99,7 +99,7 @@ type Protocol struct {
 	stempool  map[proto.MsgID][]byte
 	// rel is the reliable overlay channel guarding stem relays
 	// (disabled unless Config.RetransmitTimeout is set).
-	rel *relchan.Channel
+	rel relchan.Channel
 }
 
 var _ proto.Broadcaster = (*Protocol)(nil)
@@ -118,20 +118,21 @@ func stemIdent(id proto.MsgID) relchan.ID {
 // New returns a Dandelion node protocol.
 func New(cfg Config) *Protocol {
 	cfg.applyDefaults()
-	return &Protocol{
+	p := &Protocol{
 		cfg:       cfg,
 		engine:    flood.NewEngine(),
 		successor: proto.NoNode,
 		stempool:  make(map[proto.MsgID][]byte),
-		rel: relchan.New(relchan.Config{
-			RTO:         cfg.RetransmitTimeout,
-			RetryBudget: cfg.RetryBudget,
-		}),
 	}
+	p.rel.Init(relchan.Config{
+		RTO:         cfg.RetransmitTimeout,
+		RetryBudget: cfg.RetryBudget,
+	})
+	return p
 }
 
 // Channel exposes the stem reliability channel (probes, experiments).
-func (p *Protocol) Channel() *relchan.Channel { return p.rel }
+func (p *Protocol) Channel() *relchan.Channel { return &p.rel }
 
 // Successor exposes the current stem successor (tests, experiments).
 func (p *Protocol) Successor() proto.NodeID { return p.successor }

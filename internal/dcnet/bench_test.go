@@ -45,6 +45,9 @@ func BenchmarkRoundG5Fixed(b *testing.B) { benchGroup(b, 5, 1, ModeFixed, Policy
 // BenchmarkRoundG10Fixed measures the O(k²) growth at g=10.
 func BenchmarkRoundG10Fixed(b *testing.B) { benchGroup(b, 10, 1, ModeFixed, PolicyNone) }
 
+// BenchmarkRoundG20Fixed measures g=20, composed1k's largest group.
+func BenchmarkRoundG20Fixed(b *testing.B) { benchGroup(b, 20, 1, ModeFixed, PolicyNone) }
+
 // BenchmarkRoundG10Blame adds the commitment exchange.
 func BenchmarkRoundG10Blame(b *testing.B) { benchGroup(b, 10, 1, ModeFixed, PolicyBlame) }
 

@@ -43,30 +43,34 @@ func (m *Member) startBlame(ctx proto.Context, round uint32) {
 }
 
 func (m *Member) onCommit(ctx proto.Context, from proto.NodeID, msg *CommitMsg) {
-	if m.stopped || !m.isPeer(from) {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 {
 		return
 	}
-	m.ackIncoming(ctx, from, msg.Round, KindCommit)
+	m.ackIncoming(ctx, i, from, msg.Round, KindCommit)
 	if len(msg.Digests) != len(m.peers) {
 		return
 	}
-	rs := m.round(msg.Round)
-	if _, dup := rs.gotCommits[from]; dup {
+	rs := m.inputRound(msg.Round)
+	if rs == nil || rs.in[i].has&inCommit != 0 {
 		return
 	}
-	rs.gotCommits[from] = msg.Digests
+	in := &rs.in[i]
+	in.commits, in.has = msg.Digests, in.has|inCommit
 }
 
 func (m *Member) onReveal(ctx proto.Context, from proto.NodeID, msg *RevealMsg) {
-	if m.stopped || !m.isPeer(from) {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 {
 		return
 	}
-	m.ackIncoming(ctx, from, msg.Round, KindReveal)
-	rs := m.round(msg.Round)
-	if _, dup := rs.gotReveals[from]; dup {
+	m.ackIncoming(ctx, i, from, msg.Round, KindReveal)
+	rs := m.inputRound(msg.Round)
+	if rs == nil || rs.in[i].has&inReveal != 0 {
 		return
 	}
-	rs.gotReveals[from] = msg
+	in := &rs.in[i]
+	in.reveal, in.has = msg, in.has|inReveal
 	// A reveal may arrive before our own threshold trips (peers complete
 	// rounds at slightly different times); join the blame phase.
 	if m.blameRound == 0 && m.cfg.Policy == PolicyBlame {
@@ -97,17 +101,17 @@ func (m *Member) tryFinishBlame(ctx proto.Context) {
 		return
 	}
 	rs := m.rounds[m.blameRound]
-	if rs == nil || len(rs.gotReveals) < len(m.peers) {
+	if rs == nil || rs.count(inReveal) < len(m.peers) {
 		return
 	}
 	round := m.blameRound
 	m.blameRound = 0
 
-	for _, p := range m.peers {
+	for i, p := range m.peers {
 		if m.blamed[p] {
 			continue
 		}
-		if culprit, reason := m.verifyReveal(rs, p); culprit {
+		if culprit, reason := m.verifyReveal(rs, i, p); culprit {
 			m.blamed[p] = true
 			if m.cfg.OnBlame != nil {
 				m.cfg.OnBlame(ctx, p)
@@ -119,10 +123,11 @@ func (m *Member) tryFinishBlame(ctx proto.Context) {
 	m.consecFailures = 0
 }
 
-// verifyReveal checks one peer's opening; it returns whether the peer is
-// a disruptor and a diagnostic reason.
-func (m *Member) verifyReveal(rs *roundState, p proto.NodeID) (bool, string) {
-	rev := rs.gotReveals[p]
+// verifyReveal checks the opening of peer p, m.peers[i]; it returns
+// whether the peer is a disruptor and a diagnostic reason.
+func (m *Member) verifyReveal(rs *roundState, i int, p proto.NodeID) (bool, string) {
+	in := &rs.in[i]
+	rev := in.reveal
 	if rev == nil {
 		return true, "no reveal"
 	}
@@ -130,10 +135,10 @@ func (m *Member) verifyReveal(rs *roundState, p proto.NodeID) (bool, string) {
 		return true, "malformed reveal"
 	}
 	// 1. Openings match commitments.
-	if commits, ok := rs.gotCommits[p]; ok {
-		for i := range rev.Shares {
-			if !crypto.VerifyCommit(commits[i], rev.Shares[i], rev.Salts[i]) {
-				return true, fmt.Sprintf("commitment %d mismatch", i)
+	if in.has&inCommit != 0 {
+		for j := range rev.Shares {
+			if !crypto.VerifyCommit(in.commits[j], rev.Shares[j], rev.Salts[j]) {
+				return true, fmt.Sprintf("commitment %d mismatch", j)
 			}
 		}
 	}
@@ -142,8 +147,8 @@ func (m *Member) verifyReveal(rs *roundState, p proto.NodeID) (bool, string) {
 	if myIdx < 0 {
 		return true, "self not in peer ordering"
 	}
-	if got, ok := rs.gotShares[p]; ok {
-		if len(rev.Shares[myIdx]) != len(got) || !bytesEqual(rev.Shares[myIdx], got) {
+	if in.has&inShare != 0 {
+		if got := in.share; len(rev.Shares[myIdx]) != len(got) || !bytesEqual(rev.Shares[myIdx], got) {
 			return true, "opened share differs from received share"
 		}
 	}

@@ -190,6 +190,27 @@ type roundKind struct {
 	dataLen  int // valid when !announce in ModeAnnounce
 }
 
+// Presence bits of one peer's inputs to one round (peerInputs.has).
+const (
+	inShare uint8 = 1 << iota
+	inSPart
+	inTPart
+	inCommit
+	inReveal
+	// inHeard marks any per-round activity (data or ack) from the peer —
+	// the failover layer's liveness signal.
+	inHeard
+)
+
+// peerInputs is what one peer sent this member for one round. Presence
+// is kept apart from the data, so a zero-length input still counts.
+type peerInputs struct {
+	share, sPart, tPart []byte
+	commits             [][32]byte
+	reveal              *RevealMsg
+	has                 uint8
+}
+
 // roundState tracks one round's exchanges.
 type roundState struct {
 	number  uint32
@@ -197,18 +218,14 @@ type roundState struct {
 	started bool
 	slot    int // slot size in bytes
 
-	sent       bool   // I contributed a non-zero slot
-	myContrib  []byte // my slot contribution (zeros if idle)
-	myShares   [][]byte
-	mySalts    [][]byte
-	gotShares  map[proto.NodeID][]byte
-	gotSPart   map[proto.NodeID][]byte
-	gotTPart   map[proto.NodeID][]byte
-	gotCommits map[proto.NodeID][][32]byte
-	gotReveals map[proto.NodeID]*RevealMsg
-	// heard marks any per-round activity (data or ack) per peer — the
-	// failover layer's liveness signal (lazily allocated).
-	heard map[proto.NodeID]bool
+	sent      bool   // I contributed a non-zero slot
+	myContrib []byte // my slot contribution (zeros if idle)
+	myShares  [][]byte
+	mySalts   [][]byte
+	// in holds each peer's inputs, indexed like Member.peers: an eviction
+	// deletes the evicted peer's entry from every round, so the indexes
+	// of the peers after it shift with Member.peers.
+	in []peerInputs
 
 	s, t       []byte
 	sSent      bool
@@ -231,7 +248,9 @@ type Member struct {
 	members []proto.NodeID // sorted, includes self
 	peers   []proto.NodeID // sorted, excludes self
 
-	rounds    map[uint32]*roundState
+	rounds map[uint32]*roundState
+	// free recycles the round states gc drops, with their input slices.
+	free      []*roundState
 	nextKind  roundKind
 	reserved  bool // I won the announcement; next data round is mine
 	current   uint32
@@ -250,7 +269,7 @@ type Member struct {
 
 	// Reliability layer: the reusable ack/retransmit channel, bound to
 	// this package's (round, kind) identity and ack encodings.
-	rel *relchan.Channel
+	rel relchan.Channel
 	// Failover layer: consecutive totally-silent abandoned rounds per
 	// peer, and the membership epoch (bumped on every eviction).
 	missed map[proto.NodeID]int
@@ -329,8 +348,8 @@ func NewMember(cfg Config) (*Member, error) {
 		nextKind: initialKind(cfg.Mode),
 		blamed:   make(map[proto.NodeID]bool),
 		missed:   make(map[proto.NodeID]int),
-		rel:      newRelChannel(&cfg),
 	}
+	m.rel.Init(relConfig(&cfg))
 	return m, nil
 }
 
@@ -469,22 +488,46 @@ func (m *Member) HandleMessage(ctx proto.Context, from proto.NodeID, msg proto.M
 	return true
 }
 
-func (m *Member) isPeer(id proto.NodeID) bool { return slices.Contains(m.peers, id) }
+// peerIndex returns id's index in m.peers (sorted), or -1 for a non-peer.
+func (m *Member) peerIndex(id proto.NodeID) int {
+	if i, ok := slices.BinarySearch(m.peers, id); ok {
+		return i
+	}
+	return -1
+}
 
+// round returns round n's state, creating it — recycled from the free
+// list when gc left one there — if absent.
 func (m *Member) round(n uint32) *roundState {
 	rs := m.rounds[n]
-	if rs == nil {
-		rs = &roundState{
-			number:     n,
-			gotShares:  make(map[proto.NodeID][]byte, len(m.peers)),
-			gotSPart:   make(map[proto.NodeID][]byte, len(m.peers)),
-			gotTPart:   make(map[proto.NodeID][]byte, len(m.peers)),
-			gotCommits: make(map[proto.NodeID][][32]byte),
-			gotReveals: make(map[proto.NodeID]*RevealMsg),
-		}
-		m.rounds[n] = rs
+	if rs != nil {
+		return rs
 	}
+	if last := len(m.free) - 1; last >= 0 {
+		rs, m.free = m.free[last], m.free[:last]
+	} else {
+		rs = new(roundState)
+	}
+	rs.number = n
+	rs.in = append(rs.in[:0], make([]peerInputs, len(m.peers))...)
+	m.rounds[n] = rs
 	return rs
+}
+
+// horizon is how many rounds state outlives its completion (gc), and
+// how far past the highest round started a peer's input may name.
+func (m *Member) horizon() uint32 { return uint32(m.cfg.FailureThreshold + 2) }
+
+// inputRound returns the state of the round a peer's input names, or nil
+// when that round lies more than the horizon past the highest round this
+// member started. Honest peers run at most a round or two ahead; gc
+// never frees a round at or above its cutoff, so state made for a forged
+// far-future round number would be pinned for good.
+func (m *Member) inputRound(n uint32) *roundState {
+	if n > m.current+m.horizon() {
+		return nil
+	}
+	return m.round(n)
 }
 
 // slotSizeFor resolves the slot size of the upcoming round.
@@ -552,9 +595,10 @@ func (m *Member) startRound(ctx proto.Context, n uint32) {
 	rs.myContrib = contrib
 
 	// Split the contribution into len(peers) shares XOR-ing to it. The
-	// shares travel inside ShareMsgs, so they are carved out of one slab
-	// allocation rather than pooled; the last share accumulates the
-	// others in place, so no separate scratch accumulator is needed.
+	// shares travel inside ShareMsgs, so they — like the messages — are
+	// carved out of one slab allocation rather than pooled; the last
+	// share accumulates the others in place, so no separate scratch
+	// accumulator is needed.
 	rs.myShares = make([][]byte, len(m.peers))
 	slab := make([]byte, len(m.peers)*rs.slot)
 	last := slab[(len(m.peers)-1)*rs.slot:]
@@ -585,6 +629,7 @@ func (m *Member) startRound(ctx proto.Context, n uint32) {
 	}
 
 	// Step 2: send share rᵢ to gᵢ.
+	msgs := make([]ShareMsg, len(m.peers))
 	for i, p := range m.peers {
 		data := rs.myShares[i]
 		if ch := m.cfg.Channels[p]; ch != nil {
@@ -595,7 +640,8 @@ func (m *Member) startRound(ctx proto.Context, n uint32) {
 			}
 			data = sealed
 		}
-		m.sendReliable(ctx, p, &ShareMsg{Round: n, Data: data}, n, KindShare)
+		msgs[i] = ShareMsg{Round: n, Data: data}
+		m.sendReliable(ctx, p, &msgs[i], n, KindShare)
 	}
 
 	if m.cfg.Timeout > 0 {
@@ -632,12 +678,13 @@ func fillRandom(ctx proto.Context, b []byte) {
 }
 
 func (m *Member) onShare(ctx proto.Context, from proto.NodeID, msg *ShareMsg) {
-	if m.stopped || !m.isPeer(from) {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 {
 		return
 	}
-	m.ackIncoming(ctx, from, msg.Round, KindShare)
-	rs := m.round(msg.Round)
-	if _, dup := rs.gotShares[from]; dup {
+	m.ackIncoming(ctx, i, from, msg.Round, KindShare)
+	rs := m.inputRound(msg.Round)
+	if rs == nil || rs.in[i].has&inShare != 0 {
 		return
 	}
 	data := msg.Data
@@ -649,33 +696,38 @@ func (m *Member) onShare(ctx proto.Context, from proto.NodeID, msg *ShareMsg) {
 		}
 		data = pt
 	}
-	rs.gotShares[from] = data
+	in := &rs.in[i]
+	in.share, in.has = data, in.has|inShare
 	m.tryAdvance(ctx, rs)
 }
 
 func (m *Member) onSPartial(ctx proto.Context, from proto.NodeID, msg *SPartialMsg) {
-	if m.stopped || !m.isPeer(from) {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 {
 		return
 	}
-	m.ackIncoming(ctx, from, msg.Round, KindSPartial)
-	rs := m.round(msg.Round)
-	if _, dup := rs.gotSPart[from]; dup {
+	m.ackIncoming(ctx, i, from, msg.Round, KindSPartial)
+	rs := m.inputRound(msg.Round)
+	if rs == nil || rs.in[i].has&inSPart != 0 {
 		return
 	}
-	rs.gotSPart[from] = msg.Data
+	in := &rs.in[i]
+	in.sPart, in.has = msg.Data, in.has|inSPart
 	m.tryAdvance(ctx, rs)
 }
 
 func (m *Member) onTPartial(ctx proto.Context, from proto.NodeID, msg *TPartialMsg) {
-	if m.stopped || !m.isPeer(from) {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 {
 		return
 	}
-	m.ackIncoming(ctx, from, msg.Round, KindTPartial)
-	rs := m.round(msg.Round)
-	if _, dup := rs.gotTPart[from]; dup {
+	m.ackIncoming(ctx, i, from, msg.Round, KindTPartial)
+	rs := m.inputRound(msg.Round)
+	if rs == nil || rs.in[i].has&inTPart != 0 {
 		return
 	}
-	rs.gotTPart[from] = msg.Data
+	in := &rs.in[i]
+	in.tPart, in.has = msg.Data, in.has|inTPart
 	m.tryAdvance(ctx, rs)
 }
 
@@ -687,39 +739,44 @@ func (m *Member) tryAdvance(ctx proto.Context, rs *roundState) {
 	}
 	n := len(m.peers)
 	// Step 4: S = ⊕ sᵢ once all shares are in; step 5: send S ⊕ sᵢ.
-	// The per-peer partials travel inside messages, so they come from one
-	// slab; the accumulator is pooled scratch recycled at round gc.
-	if !rs.sSent && len(rs.gotShares) == n && m.sizesOK(rs, rs.gotShares) {
+	// The per-peer partials travel inside messages, so they and their
+	// messages come from one slab each; the accumulator is pooled scratch
+	// recycled at round gc.
+	if !rs.sSent && rs.allIn(inShare) {
 		rs.s = m.scratch.get(rs.slot)
-		for _, sh := range rs.gotShares {
-			crypto.XORBytes(rs.s, sh)
+		for i := range rs.in {
+			crypto.XORBytes(rs.s, rs.in[i].share)
 		}
 		outs := make([]byte, n*rs.slot)
+		msgs := make([]SPartialMsg, n)
 		for i, p := range m.peers {
 			out := outs[i*rs.slot : (i+1)*rs.slot]
 			copy(out, rs.s)
-			crypto.XORBytes(out, rs.gotShares[p])
-			m.sendReliable(ctx, p, &SPartialMsg{Round: rs.number, Data: out}, rs.number, KindSPartial)
+			crypto.XORBytes(out, rs.in[i].share)
+			msgs[i] = SPartialMsg{Round: rs.number, Data: out}
+			m.sendReliable(ctx, p, &msgs[i], rs.number, KindSPartial)
 		}
 		rs.sSent = true
 	}
 	// Step 7: T = ⊕ tᵢ; step 8: send T ⊕ tᵢ.
-	if rs.sSent && !rs.tSent && len(rs.gotSPart) == n && m.sizesOK(rs, rs.gotSPart) {
+	if rs.sSent && !rs.tSent && rs.allIn(inSPart) {
 		rs.t = m.scratch.get(rs.slot)
-		for _, sp := range rs.gotSPart {
-			crypto.XORBytes(rs.t, sp)
+		for i := range rs.in {
+			crypto.XORBytes(rs.t, rs.in[i].sPart)
 		}
 		outs := make([]byte, n*rs.slot)
+		msgs := make([]TPartialMsg, n)
 		for i, p := range m.peers {
 			out := outs[i*rs.slot : (i+1)*rs.slot]
 			copy(out, rs.t)
-			crypto.XORBytes(out, rs.gotSPart[p])
-			m.sendReliable(ctx, p, &TPartialMsg{Round: rs.number, Data: out}, rs.number, KindTPartial)
+			crypto.XORBytes(out, rs.in[i].sPart)
+			msgs[i] = TPartialMsg{Round: rs.number, Data: out}
+			m.sendReliable(ctx, p, &msgs[i], rs.number, KindTPartial)
 		}
 		rs.tSent = true
 	}
 	// Step 9: recover m = T ⊕ S once the final exchange closes.
-	if rs.tSent && !rs.complete && len(rs.gotTPart) == n && m.sizesOK(rs, rs.gotTPart) {
+	if rs.tSent && !rs.complete && rs.allIn(inTPart) {
 		rs.complete = true
 		if rs.hasTimeout {
 			ctx.CancelTimer(rs.timeoutID)
@@ -732,14 +789,34 @@ func (m *Member) tryAdvance(ctx proto.Context, rs *roundState) {
 	}
 }
 
-// sizesOK verifies all collected buffers match the round's slot size.
-func (m *Member) sizesOK(rs *roundState, got map[proto.NodeID][]byte) bool {
-	for _, b := range got {
-		if len(b) != rs.slot {
+// allIn reports whether every peer's input of one exchange kind (inShare,
+// inSPart or inTPart) arrived, each exactly one slot long.
+func (rs *roundState) allIn(kind uint8) bool {
+	for i := range rs.in {
+		in := &rs.in[i]
+		b := in.share
+		switch kind {
+		case inSPart:
+			b = in.sPart
+		case inTPart:
+			b = in.tPart
+		}
+		if in.has&kind == 0 || len(b) != rs.slot {
 			return false
 		}
 	}
 	return true
+}
+
+// count returns how many peers' input of the given kind arrived.
+func (rs *roundState) count(kind uint8) int {
+	c := 0
+	for i := range rs.in {
+		if rs.in[i].has&kind != 0 {
+			c++
+		}
+	}
+	return c
 }
 
 // finishRound interprets the recovered value, updates collision and
@@ -903,7 +980,7 @@ func (m *Member) dissolve(ctx proto.Context, reason string) {
 
 // gc drops round state old enough to be outside any blame window.
 func (m *Member) gc(completed uint32) {
-	horizon := uint32(m.cfg.FailureThreshold + 2)
+	horizon := m.horizon()
 	if completed <= horizon {
 		return
 	}
@@ -916,13 +993,17 @@ func (m *Member) gc(completed uint32) {
 			// Recycle the buffers only this member ever referenced; the
 			// shares/partials it sent live on in peers' round state.
 			m.scratch.put(rs.s, rs.t, rs.myContrib)
-			delete(m.rounds, n)
-		} else if !rs.started {
-			// Input-only state for a round this member never ran — a
-			// late retransmission recreated it after an earlier gc, or
-			// the round number was skipped across an eviction epoch.
-			// Nothing to recycle; just drop it.
-			delete(m.rounds, n)
+		} else if rs.started {
+			continue
 		}
+		// A complete round, or input-only state for a round this member
+		// never ran — a late retransmission recreated it after an
+		// earlier gc, or the round number was skipped across an eviction
+		// epoch. The state object and its input slice go to the free
+		// list, cleared so they pin no peer's buffers.
+		delete(m.rounds, n)
+		clear(rs.in)
+		*rs = roundState{in: rs.in[:0]}
+		m.free = append(m.free, rs)
 	}
 }

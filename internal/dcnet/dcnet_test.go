@@ -17,10 +17,14 @@ import (
 
 // memberHandler adapts a Member to proto.Handler; drop, when set,
 // discards matching incoming messages before the member sees them (the
-// deterministic seeded-drop hook of the reliability tests).
+// deterministic seeded-drop hook of the reliability tests). eager clears
+// the member's collision backoff before each round timer, so a queued
+// payload bids every round (the deterministic collision hook of the
+// blame tests).
 type memberHandler struct {
-	m    *Member
-	drop func(from proto.NodeID, msg proto.Message) bool
+	m     *Member
+	drop  func(from proto.NodeID, msg proto.Message) bool
+	eager bool
 }
 
 func (h *memberHandler) Init(ctx proto.Context) { h.m.Start(ctx) }
@@ -31,6 +35,9 @@ func (h *memberHandler) HandleMessage(ctx proto.Context, from proto.NodeID, msg 
 	h.m.HandleMessage(ctx, from, msg)
 }
 func (h *memberHandler) HandleTimer(ctx proto.Context, payload any) {
+	if _, ok := payload.(roundTimer); ok && h.eager {
+		h.m.backoff = 0
+	}
 	h.m.HandleTimer(ctx, payload)
 }
 
@@ -310,12 +317,15 @@ func TestBlameIdentifiesDisruptor(t *testing.T) {
 
 func TestBlameSparesHonestColliders(t *testing.T) {
 	// Honest members that repeatedly collide must not be blamed: their
-	// openings are CRC-valid. Force repeated collisions with a tiny
-	// threshold and two eager senders.
+	// openings are CRC-valid. Two senders that skip their backoff collide
+	// every round, so with a threshold of 2 every member runs blame
+	// phases — each checking the share every peer sent it against that
+	// peer's opening.
 	h := newGroup(t, 5, func(i int, cfg *Config) {
 		cfg.Policy = PolicyBlame
 		cfg.FailureThreshold = 2
 	})
+	h.handlers[0].eager, h.handlers[1].eager = true, true
 	if err := h.members[0].Queue([]byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
@@ -324,6 +334,9 @@ func TestBlameSparesHonestColliders(t *testing.T) {
 	}
 	h.runRounds(40)
 	for i := 0; i < 5; i++ {
+		if h.members[i].BlamePhases == 0 {
+			t.Errorf("member %d never entered a blame phase", i)
+		}
 		for culprit, cnt := range h.blames[i] {
 			if cnt > 0 {
 				t.Errorf("member %d blamed honest member %d", i, culprit)

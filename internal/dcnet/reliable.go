@@ -53,11 +53,11 @@ func dcID(round uint32, kind uint8) relchan.ID {
 	return relchan.ID{Seq: round, Kind: kind}
 }
 
-// newRelChannel builds the member's reliable channel, plugging in the
+// relConfig configures the member's reliable channel, plugging in the
 // DC-net's own compact ack/nack encodings so the wire surface matches
 // the pre-relchan reliability layer byte-for-byte.
-func newRelChannel(cfg *Config) *relchan.Channel {
-	return relchan.New(relchan.Config{
+func relConfig(cfg *Config) relchan.Config {
+	return relchan.Config{
 		RTO:         cfg.RetransmitTimeout,
 		RetryBudget: cfg.RetryBudget,
 		MakeAck: func(id relchan.ID) proto.Message {
@@ -66,7 +66,7 @@ func newRelChannel(cfg *Config) *relchan.Channel {
 		MakeNack: func(id relchan.ID) proto.Message {
 			return &NackMsg{Round: id.Seq, Kind: id.Kind}
 		},
-	})
+	}
 }
 
 // reliable reports whether the ack/retransmit layer is active.
@@ -88,43 +88,41 @@ func (m *Member) sendReliable(ctx proto.Context, to proto.NodeID, msg proto.Mess
 	m.rel.Send(ctx, to, msg, dcID(round, kind))
 }
 
-// ackIncoming acknowledges a received reliable message and records the
-// peer as alive for the round's silence accounting. It must run before
-// any duplicate check: a duplicate means the previous ack was lost.
-func (m *Member) ackIncoming(ctx proto.Context, from proto.NodeID, round uint32, kind uint8) {
-	m.heard(from, round)
+// ackIncoming acknowledges a received reliable message from peer i and
+// records the peer as alive for the round's silence accounting. It must
+// run before any duplicate check: a duplicate means the previous ack was
+// lost.
+func (m *Member) ackIncoming(ctx proto.Context, i int, from proto.NodeID, round uint32, kind uint8) {
+	m.heard(i, round)
 	m.rel.AckCopy(ctx, from, dcID(round, kind))
 }
 
-// heard marks peer activity for a round without creating round state
-// for rounds already garbage-collected.
-func (m *Member) heard(from proto.NodeID, round uint32) {
+// heard marks peer i's activity for a round without creating round
+// state for rounds already garbage-collected.
+func (m *Member) heard(i int, round uint32) {
 	if !m.failover() {
 		return
 	}
-	rs := m.rounds[round]
-	if rs == nil {
-		return
+	if rs := m.rounds[round]; rs != nil {
+		rs.in[i].has |= inHeard
 	}
-	if rs.heard == nil {
-		rs.heard = make(map[proto.NodeID]bool, len(m.peers))
-	}
-	rs.heard[from] = true
 }
 
 func (m *Member) onAck(ctx proto.Context, from proto.NodeID, msg *AckMsg) {
-	if m.stopped || !m.isPeer(from) || !m.reliable() {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 || !m.reliable() {
 		return
 	}
-	m.heard(from, msg.Round)
+	m.heard(i, msg.Round)
 	m.rel.OnAck(ctx, from, dcID(msg.Round, msg.Kind))
 }
 
 func (m *Member) onNack(ctx proto.Context, from proto.NodeID, msg *NackMsg) {
-	if m.stopped || !m.isPeer(from) || !m.reliable() {
+	i := m.peerIndex(from)
+	if m.stopped || i < 0 || !m.reliable() {
 		return
 	}
-	m.heard(from, msg.Round)
+	m.heard(i, msg.Round)
 	m.rel.OnNack(ctx, from, dcID(msg.Round, msg.Kind))
 }
 
@@ -138,21 +136,15 @@ func (m *Member) nackMissing(ctx proto.Context, rs *roundState) {
 	if !m.reliable() || rs.complete {
 		return
 	}
-	for _, p := range m.peers {
-		if _, ok := rs.gotShares[p]; !ok {
+	for i, p := range m.peers {
+		has := rs.in[i].has
+		switch {
+		case has&inShare == 0:
 			m.rel.SendNack(ctx, p, dcID(rs.number, KindShare))
-			continue
-		}
-		if rs.sSent {
-			if _, ok := rs.gotSPart[p]; !ok {
-				m.rel.SendNack(ctx, p, dcID(rs.number, KindSPartial))
-				continue
-			}
-		}
-		if rs.tSent {
-			if _, ok := rs.gotTPart[p]; !ok {
-				m.rel.SendNack(ctx, p, dcID(rs.number, KindTPartial))
-			}
+		case rs.sSent && has&inSPart == 0:
+			m.rel.SendNack(ctx, p, dcID(rs.number, KindSPartial))
+		case rs.tSent && has&inTPart == 0:
+			m.rel.SendNack(ctx, p, dcID(rs.number, KindTPartial))
 		}
 	}
 }
@@ -173,8 +165,8 @@ func (m *Member) abandonRound(ctx proto.Context, rs *roundState) {
 	rs.failed = true
 	m.RoundsAbandoned++
 	m.dropRoundPending(ctx, rs.number)
-	for _, p := range m.peers {
-		if rs.heard[p] {
+	for i, p := range m.peers {
+		if rs.in[i].has&inHeard != 0 {
 			m.missed[p] = 0
 		} else {
 			m.missed[p]++
@@ -216,15 +208,14 @@ func (m *Member) evictSilent(ctx proto.Context) {
 // below MinMembers dissolves the group instead of running it under the
 // configured anonymity floor.
 func (m *Member) evict(ctx proto.Context, p proto.NodeID) {
-	if !slices.Contains(m.peers, p) {
+	pi := m.peerIndex(p)
+	if pi < 0 {
 		return
 	}
 	if i := slices.Index(m.members, p); i >= 0 {
 		m.members = slices.Delete(m.members, i, i+1)
 	}
-	if i := slices.Index(m.peers, p); i >= 0 {
-		m.peers = slices.Delete(m.peers, i, i+1)
-	}
+	m.peers = slices.Delete(m.peers, pi, pi+1)
 	delete(m.missed, p)
 	m.rel.DropPeer(ctx, p)
 	m.epoch++
@@ -244,13 +235,9 @@ func (m *Member) evict(ctx proto.Context, p proto.NodeID) {
 			m.dropRoundPending(ctx, rs.number)
 		}
 		// Inputs already received from the evicted peer would skew the
-		// exact-count barriers of rounds not yet started.
-		delete(rs.gotShares, p)
-		delete(rs.gotSPart, p)
-		delete(rs.gotTPart, p)
-		delete(rs.gotCommits, p)
-		delete(rs.gotReveals, p)
-		delete(rs.heard, p)
+		// exact-count barriers of rounds not yet started; deleting its
+		// entry keeps every other input at its owner's new index.
+		rs.in = slices.Delete(rs.in, pi, pi+1)
 	}
 	m.reserved = false
 	m.nextKind = initialKind(m.cfg.Mode)

@@ -21,7 +21,8 @@ func benchPair(b *testing.B, cfg relchan.Config) (*sim.Network, [2]*testPeer) {
 	net := sim.NewNetwork(g, sim.Options{Seed: 7, Latency: sim.ConstLatency(time.Millisecond)})
 	var peers [2]*testPeer
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		p := &testPeer{ch: relchan.New(cfg)}
+		p := &testPeer{}
+		p.ch.Init(cfg)
 		peers[id] = p
 		return p
 	})

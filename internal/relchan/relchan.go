@@ -90,24 +90,25 @@ type pending struct {
 	timer    proto.TimerID
 }
 
-// retryTimer is the retransmit-timeout payload. It carries the owning
-// channel so a handler stacking several channels (e.g. the composed
-// node: the DC-net's plus the custody channel) can route timers without
-// ambiguity.
+// retryTimer is the retransmit-timeout payload. It names the owning
+// channel by address so a handler holding several channels (e.g. the
+// composed node: the DC-net's plus the custody channel) can route timers
+// without ambiguity — which is why a channel must not move once Init ran.
 type retryTimer struct {
 	ch *Channel
 	k  key
 }
 
-// Channel is one handler's reliable send/receive state. Like the
-// handlers that own it, it is single-threaded: runtimes serialize all
-// calls.
+// Channel is one handler's reliable send/receive state. It is a value
+// its owner embeds (or, in a mounted network, keeps in a node-indexed
+// slab) and readies with Init. Like the handlers that own it, it is
+// single-threaded: runtimes serialize all calls.
 type Channel struct {
 	cfg     Config
 	pending map[key]*pending
 	// seen is the receiver-side duplicate-suppression set, maintained
 	// only through Receive (callers with their own dedup — the DC-net's
-	// per-round input maps — use AckCopy and never populate it).
+	// per-round inputs — use AckCopy and never populate it).
 	seen    map[key]struct{}
 	stopped bool
 
@@ -117,10 +118,15 @@ type Channel struct {
 	Handoffs    int // custody payloads launched for an absent owner
 }
 
-// New returns a channel. A Config with RTO zero yields a disabled
-// channel: every method is a cheap no-op and Send passes straight
-// through to Context.Send.
-func New(cfg Config) *Channel {
+// Init makes c a fresh channel with the given configuration, in place:
+// tracking state, the stopped flag and the stats all start over. A
+// Config with RTO zero yields a disabled channel: every method is a
+// cheap no-op and Send passes straight through to Context.Send.
+//
+// A retry timer an earlier use of c armed still names c. Owners
+// re-Init a channel only once the network that carried those timers is
+// drained or discarded (a trial reset), so no such timer can fire.
+func (c *Channel) Init(cfg Config) {
 	if cfg.RTO < 0 || cfg.RetryBudget < 0 {
 		panic("relchan: negative reliability parameter")
 	}
@@ -130,7 +136,7 @@ func New(cfg Config) *Channel {
 	if cfg.MakeNack == nil {
 		cfg.MakeNack = func(id ID) proto.Message { return &NackMsg{ID: id} }
 	}
-	return &Channel{cfg: cfg}
+	*c = Channel{cfg: cfg}
 }
 
 // Enabled reports whether the ack/retransmit machinery is active.

@@ -18,7 +18,7 @@ import (
 // ID plus payload), the generic Ack/Nack route back into the channel,
 // and Receive's duplicate suppression fronts the "processed" list.
 type testPeer struct {
-	ch       *relchan.Channel
+	ch       relchan.Channel
 	received []relchan.ID
 	// dropData and dropAck are receiver-side impairment hooks, keyed by
 	// per-ID copy count so "drop the first k copies" is expressible.
@@ -89,7 +89,8 @@ func pair(t *testing.T, cfg relchan.Config) (*sim.Network, [2]*testPeer) {
 	net := sim.NewNetwork(g, sim.Options{Seed: 7, Latency: sim.ConstLatency(5 * time.Millisecond)})
 	var peers [2]*testPeer
 	net.SetHandlers(func(id proto.NodeID) proto.Handler {
-		p := &testPeer{ch: relchan.New(cfg)}
+		p := &testPeer{}
+		p.ch.Init(cfg)
 		peers[id] = p
 		return p
 	})
@@ -300,12 +301,13 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNegativeConfig pins the constructor guard.
+// TestNewRejectsNegativeConfig pins Init's guard.
 func TestNewRejectsNegativeConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("negative RTO accepted")
 		}
 	}()
-	relchan.New(relchan.Config{RTO: -time.Second})
+	var ch relchan.Channel
+	ch.Init(relchan.Config{RTO: -time.Second})
 }
