@@ -95,7 +95,7 @@ type vsState struct {
 type roundTimer struct{ id proto.MsgID }
 
 // Shared is network-wide diffusion state sized to the node count: one
-// epoch-stamped dense vector of tree-state pointers per in-flight
+// dense vector of tree-state pointers per in-flight
 // message (replacing the per-node map[proto.MsgID]*State), a free list
 // recycling the State objects — and their Children slices — across
 // trials, and one node-indexed slab holding every node's Protocol and

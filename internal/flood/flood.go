@@ -55,7 +55,7 @@ func RegisterMessages(c *wire.Codec) {
 }
 
 // Shared is network-wide flood state sized to the node count: one
-// epoch-stamped dense visited vector per in-flight message (replacing
+// presence-bit visited vector per in-flight message (replacing
 // the per-node seen-set maps) plus a trial-scoped pool of DataMsg relay
 // allocations, split into partition cells (Partition). A cell is the one
 // Protocol NewAt hands to every node of a contiguous node range, owning
@@ -151,7 +151,7 @@ func (s *Shared) part(self proto.NodeID) *Protocol {
 // Two seen-set representations exist. The standalone form (NewEngine)
 // owns a map — right for long-lived nodes handling an open-ended message
 // stream (internal/node, the TCP runtime). The dense form (NewEngineAt)
-// shares epoch-stamped visited vectors with every other engine of the
+// shares presence-bit visited vectors with every other engine of the
 // network through a Shared — right for simulation trials, where it cuts
 // per-trial handler allocations to zero in steady state.
 type Engine struct {

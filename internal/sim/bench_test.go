@@ -138,7 +138,7 @@ func BenchmarkEngineJitter(b *testing.B) {
 // through the runtime in trial-loop steady state: one long-lived
 // Network and one flood.Shared reused across iterations, exactly as a
 // runner worker reuses them across trials. Handler state lives in
-// epoch-stamped dense vectors and relay DataMsgs come from the
+// presence-bit dense vectors and relay DataMsgs come from the
 // trial-scoped pool, so per-iteration allocations are dominated by the
 // single DeliverySet the run records.
 func BenchmarkNetworkFlood(b *testing.B) {

@@ -1,7 +1,6 @@
-// Package visited provides epoch-stamped dense per-(message, node)
-// state — the allocation-free replacement for the per-node
-// map[proto.MsgID]… seen-sets that protocol handlers otherwise build one
-// per node per trial.
+// Package visited provides dense per-(message, node) state — the
+// allocation-free replacement for the per-node map[proto.MsgID]…
+// seen-sets that protocol handlers otherwise build one per node per trial.
 //
 // The layout is inverted relative to the maps it replaces: instead of
 // every node owning a map over message IDs, one network-wide Table owns,
@@ -9,10 +8,10 @@
 // of one simulated network share the Table; the experiment trial loops
 // reuse it across sequentially simulated networks of the same size.
 //
-// Validity is epoch-stamped: a vector's cell counts as set only when its
-// stamp equals the vector's current epoch, so recycling a vector for a
-// new message — or resetting the whole table for a new trial — never
-// clears memory. Reset is O(live messages), not O(nodes).
+// Validity is one presence bit per node, so a seen-set costs n/8 bytes
+// a message. Binding a recycled vector to a new message clears its n/64
+// presence words; resetting the table for a new trial clears nothing and
+// is O(live messages), not O(nodes).
 //
 // Tables are not safe for concurrent use; under the parallel trial
 // runner every worker goroutine owns its own Table, exactly as it owns
@@ -26,50 +25,61 @@ import (
 	"repro/internal/proto"
 )
 
-// Vec is the dense state of one message: one value cell and one epoch
-// stamp per node in the owning Table's range. Obtain Vecs from a Table;
-// the zero Vec is invalid. Accessing a node outside the Table's range
-// panics — under the sharded event loop that is a partition-alignment
-// bug, not a recoverable condition.
+// Vec is the dense state of one message: one value cell and one
+// presence bit per node in the owning Table's range. Obtain Vecs from a
+// Table; the zero Vec is invalid. Accessing a node outside the Table's
+// range panics — under the sharded event loop that is a
+// partition-alignment bug, not a recoverable condition.
 type Vec[T any] struct {
-	epoch  uint32
-	lo     proto.NodeID // owning table's range base
-	stamps []uint32
-	vals   []T
+	lo   proto.NodeID // owning table's range base
+	bits []uint64     // presence: bit i%64 of word i/64 is cell i
+	vals []T
+}
+
+// cell returns the node's index, presence word and bit. It panics
+// outside the range through vals: bits rounds the width up to words.
+func (v *Vec[T]) cell(node proto.NodeID) (uint, *uint64, uint64) {
+	i := uint(node - v.lo)
+	_ = v.vals[i]
+	return i, &v.bits[i/64], 1 << (i % 64)
 }
 
 // Has reports whether the node's cell was set since the vector was last
 // (re)bound to a message.
 func (v *Vec[T]) Has(node proto.NodeID) bool {
-	return v.stamps[node-v.lo] == v.epoch
+	_, w, m := v.cell(node)
+	return *w&m != 0
 }
 
-// Get returns the node's value and whether it was set this epoch.
+// Get returns the node's value and whether it was set since the vector
+// was last (re)bound to a message.
 func (v *Vec[T]) Get(node proto.NodeID) (T, bool) {
-	if v.stamps[node-v.lo] == v.epoch {
-		return v.vals[node-v.lo], true
+	if i, w, m := v.cell(node); *w&m != 0 {
+		return v.vals[i], true
 	}
 	var zero T
 	return zero, false
 }
 
-// Set stores the node's value, stamping the cell into the current epoch.
-// It reports whether the cell was previously unset (i.e. the first Set
-// for this node and message).
+// Set stores the node's value and sets its presence bit. It reports
+// whether the cell was previously unset (i.e. the first Set for this
+// node and message).
 func (v *Vec[T]) Set(node proto.NodeID, val T) bool {
-	first := v.stamps[node-v.lo] != v.epoch
-	v.stamps[node-v.lo] = v.epoch
-	v.vals[node-v.lo] = val
+	i, w, m := v.cell(node)
+	first := *w&m == 0
+	*w |= m
+	v.vals[i] = val
 	return first
 }
 
-// Mark stamps the node's cell without touching the value — the pure
+// Mark sets the node's bit without touching the value — the pure
 // seen-set operation. It reports whether the cell was previously unset.
 func (v *Vec[T]) Mark(node proto.NodeID) bool {
-	if v.stamps[node-v.lo] == v.epoch {
+	_, w, m := v.cell(node)
+	if *w&m != 0 {
 		return false
 	}
-	v.stamps[node-v.lo] = v.epoch
+	*w |= m
 	return true
 }
 
@@ -81,7 +91,7 @@ func (v *Vec[T]) Mark(node proto.NodeID) bool {
 // hashes the ID again. The ID last put in the cache comes first: its
 // address is fixed, so the CPU can load its vector before the ID it is
 // compared with has arrived (a relay's ID is a cache miss at N=1M) and go
-// on to the vector's stamps. Then a direct-mapped cache: a message ID is
+// on to the vector's bits. Then a direct-mapped cache: a message ID is
 // already a hash, so its own low bits pick the slot. Both only ever hold
 // live vectors — vectors leave the map only at Reset, which empties both
 // — so an entry whose ID matches is the answer, and an empty one, whose
@@ -158,8 +168,7 @@ func (t *Table[T]) lookupSlot(id proto.MsgID) *Vec[T] {
 }
 
 // Vec returns the message's vector, binding a recycled (or new) one on
-// first use. Binding bumps the vector's own epoch, so every cell of the
-// returned vector starts unset without any clearing.
+// first use. Every cell of the returned vector starts unset.
 func (t *Table[T]) Vec(id proto.MsgID) *Vec[T] {
 	if v := t.Lookup(id); v != nil {
 		return v
@@ -167,40 +176,29 @@ func (t *Table[T]) Vec(id proto.MsgID) *Vec[T] {
 	return t.bind(id)
 }
 
-// bind binds a recycled (or new) vector to a message that has none.
+// bind binds a recycled (or new) vector to a message that has none,
+// clearing a recycled one's bits; a new one starts at zero.
 func (t *Table[T]) bind(id proto.MsgID) *Vec[T] {
 	var v *Vec[T]
 	if n := len(t.free); n > 0 {
 		v = t.free[n-1]
 		t.free[n-1] = nil
 		t.free = t.free[:n-1]
+		clear(v.bits)
 	} else {
-		v = &Vec[T]{lo: proto.NodeID(t.lo), stamps: make([]uint32, t.n), vals: make([]T, t.n)}
+		v = &Vec[T]{lo: proto.NodeID(t.lo), bits: make([]uint64, (t.n+63)/64), vals: make([]T, t.n)}
 	}
-	v.rebind()
 	t.live[id] = v
 	t.cache[slot(id)] = cached[T]{id, v}
 	t.last = cached[T]{id, v}
 	return v
 }
 
-// rebind advances the vector's epoch for a new message. Epochs are
-// per-vector, so wraparound is a purely local event: when a vector's
-// uint32 epoch overflows — its 4-billionth rebind — only its own stamps
-// are zeroed, and vectors live at that moment are untouched.
-func (v *Vec[T]) rebind() {
-	v.epoch++
-	if v.epoch == 0 {
-		clear(v.stamps)
-		v.epoch = 1
-	}
-}
-
 // Reset invalidates every message's state — the start of a new trial
-// over the same node count. Live vectors move to the free list; stamps
-// and values are left in place and go stale via the epoch, so Reset is
-// O(live messages), not O(nodes). Stale values are unreachable but stay
-// referenced until overwritten; callers that store pooled pointers
+// over the same node count. Live vectors move to the free list with
+// their bits and values in place; the next bind of each clears its n/64
+// presence words, so Reset is O(live messages), not O(nodes). Stale
+// values are unreachable but stay referenced until overwritten; callers that store pooled pointers
 // should recycle those through their own free lists (see
 // adaptive.Shared).
 func (t *Table[T]) Reset() {

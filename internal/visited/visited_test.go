@@ -1,7 +1,10 @@
 package visited
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/proto"
 )
@@ -113,48 +116,248 @@ func TestResetAllocFree(t *testing.T) {
 	}
 }
 
-// TestEpochWraparound forces a vector's uint32 epoch over the wrap and
-// checks that ancient stamps cannot alias the restarted epoch.
-func TestEpochWraparound(t *testing.T) {
-	tab := NewTable[struct{}](4)
-	v := tab.Vec(id(1))
-	v.Mark(0)
-	// Simulate 4 billion rebinds: an ancient stamp happens to hold the
-	// value the epoch restarts at, and the epoch is one step from wrap.
-	v.stamps[1] = 1
-	v.epoch = ^uint32(0)
-	v.rebind()
-	if v.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", v.epoch)
-	}
-	for n := proto.NodeID(0); n < 4; n++ {
-		if v.Has(n) {
-			t.Fatalf("stamp for node %d aliased across epoch wrap", n)
+// wordNodes returns nodes 0, 63, 64 and n-1 of an n-wide range, the
+// ones in range and each once: the first and last bits of the first two
+// presence words and the range's last cell.
+func wordNodes(n int) []int {
+	var out []int
+	for _, i := range []int{0, 63, 64, n - 1} {
+		if i < n && !slices.Contains(out, i) {
+			out = append(out, i)
 		}
 	}
-	v.Mark(2)
-	if !v.Has(2) {
-		t.Fatal("Mark after wrap not visible")
+	return out
+}
+
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// checkCells holds every cell of a vector over [lo, lo+n) to want: set
+// exactly for the nodes in want, with Get returning want's value where
+// it is not negative. Nodes just outside the range must panic, those in
+// the last word's padding included.
+func checkCells(t *testing.T, v *Vec[int], lo, n int, want map[int]int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		node := proto.NodeID(lo + i)
+		w, in := want[i]
+		got, ok := v.Get(node)
+		if v.Has(node) != in || ok != in || (in && w >= 0 && got != w) {
+			t.Fatalf("lo=%d n=%d cell %d: Has %t, Get (%d, %t); want set %t value %d", lo, n, i, v.Has(node), got, ok, in, w)
+		}
+	}
+	for _, node := range []proto.NodeID{proto.NodeID(lo - 1), proto.NodeID(lo + n), proto.NodeID(lo + n + 1)} {
+		if !panics(func() { v.Has(node) }) || !panics(func() { v.Mark(node) }) {
+			t.Fatalf("lo=%d n=%d: node %d outside the range did not panic", lo, n, node)
+		}
 	}
 }
 
-// TestLiveVectorSurvivesOthersWrap pins the per-vector wrap semantics:
-// a message mid-flight while another vector's epoch overflows must keep
-// every mark (a table-global wrap that cleared all stamps would lose
-// them).
-func TestLiveVectorSurvivesOthersWrap(t *testing.T) {
-	tab := NewTable[int](8)
-	mid := tab.Vec(id(5))
-	mid.Set(2, 22)
-	w := tab.Vec(id(6))
-	w.epoch = ^uint32(0)
-	w.rebind() // wraps: clears only w's stamps
-	if got, ok := mid.Get(2); !ok || got != 22 {
-		t.Fatalf("live vector lost its mark across another vector's wrap: (%d, %v)", got, ok)
+// TestWordBoundaries marks and sets the cells at the edges of presence
+// words — 0, 63, 64 and n-1 — for widths around one and two words, and
+// checks that no neighbouring cell reads set.
+func TestWordBoundaries(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		tab := NewTable[int](n)
+		marked, set := tab.Vec(id(1)), tab.Vec(id(2))
+		want := map[int]int{}
+		for _, i := range wordNodes(n) {
+			if !marked.Mark(proto.NodeID(i)) || marked.Mark(proto.NodeID(i)) {
+				t.Fatalf("n=%d: Mark(%d) did not report first then repeat", n, i)
+			}
+			if !set.Set(proto.NodeID(i), 100+i) || set.Set(proto.NodeID(i), 200+i) {
+				t.Fatalf("n=%d: Set(%d) did not report first then repeat", n, i)
+			}
+			want[i] = 200 + i
+		}
+		checkCells(t, set, 0, n, want)
+		for i := range want {
+			want[i] = -1 // Mark leaves the value alone
+		}
+		checkCells(t, marked, 0, n, want)
 	}
-	if w.Has(0) {
-		t.Fatal("wrapped vector kept stale stamps")
+}
+
+// TestRangeTableOffWordBase: a range table whose base is no multiple of
+// 64 indexes its bits from the base, not from node 0.
+func TestRangeTableOffWordBase(t *testing.T) {
+	const lo, hi = 37, 200
+	tab := NewTableRange[int](lo, hi)
+	v := tab.Vec(id(1))
+	want := map[int]int{}
+	for _, i := range append(wordNodes(hi-lo), 26, 27) { // 26, 27: nodes 63, 64
+		v.Set(proto.NodeID(lo+i), i)
+		want[i] = i
 	}
+	checkCells(t, v, lo, hi-lo, want)
+}
+
+// TestRecycledVecReadsUnset: a vector recycled after Reset reads every
+// cell unset, whatever the previous trial set, for a pure seen-set and a
+// valued vector alike.
+func TestRecycledVecReadsUnset(t *testing.T) {
+	const n = 130
+	seen := NewTable[struct{}](n)
+	vals := NewTable[int](n)
+	s1, v1 := seen.Vec(id(1)), vals.Vec(id(1))
+	for i := proto.NodeID(0); i < n; i++ {
+		s1.Mark(i)
+		v1.Set(i, int(i))
+	}
+	seen.Reset()
+	vals.Reset()
+	s2, v2 := seen.Vec(id(2)), vals.Vec(id(2))
+	if s2 != s1 || v2 != v1 {
+		t.Fatal("Reset did not recycle the vectors through the free list")
+	}
+	for i := proto.NodeID(0); i < n; i++ {
+		if s2.Has(i) {
+			t.Fatalf("seen-set: node %d reads set after recycling", i)
+		}
+	}
+	if !panics(func() { s2.Mark(n) }) || !panics(func() { s2.Has(n + 1) }) {
+		t.Fatal("seen-set: a node in the last word's padding did not panic")
+	}
+	checkCells(t, v2, 0, n, nil)
+}
+
+// TestVecLayout pins DESIGN §2b's claim that a vector's header — range
+// base and the bit and value slices — stays within one cache line.
+func TestVecLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Vec[struct{}]{}); s > 64 {
+		t.Errorf("Vec[struct{}] is %d bytes; want ≤ 64", s)
+	}
+	if s := unsafe.Sizeof(Vec[*int]{}); s > 64 {
+		t.Errorf("Vec[*int] is %d bytes; want ≤ 64", s)
+	}
+}
+
+// runVecOps drives a range table with a byte-coded stream of binds,
+// marks, sets, lookups, reads and resets, and checks every answer
+// against a map oracle: per live message, the set nodes and their
+// values, -1 for a node only marked since binding (its value is
+// whatever the recycled cell held). The first two bytes pick the range
+// base and width.
+func runVecOps(t testing.TB, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	lo, n := 3*int(next()), 1+int(next())
+	tab := NewTableRange[int](lo, lo+n)
+	oracle := map[proto.MsgID]map[proto.NodeID]int{}
+	vecs := map[proto.MsgID]*Vec[int]{}
+	msg := func() proto.MsgID {
+		b := next() % 16
+		if b < 8 {
+			return id(b)
+		}
+		return collide(int(b))
+	}
+	node := func() proto.NodeID { return proto.NodeID(lo + int(next())%n) }
+	bind := func(m proto.MsgID) *Vec[int] {
+		v := tab.Vec(m)
+		if old, ok := vecs[m]; ok && old != v {
+			t.Fatalf("Vec(%v) rebound a live message", m)
+		}
+		if _, ok := oracle[m]; !ok {
+			oracle[m] = map[proto.NodeID]int{}
+		}
+		vecs[m] = v
+		return v
+	}
+	check := func(m proto.MsgID, nd proto.NodeID) {
+		v := tab.Lookup(m)
+		if v != vecs[m] {
+			t.Fatalf("Lookup(%v) = %p, want %p", m, v, vecs[m])
+		}
+		if v == nil {
+			return
+		}
+		w, in := oracle[m][nd]
+		got, ok := v.Get(nd)
+		if v.Has(nd) != in || ok != in || (in && w >= 0 && got != w) {
+			t.Fatalf("%v node %d: Has %t Get (%d, %t), want set %t value %d", m, nd, v.Has(nd), got, ok, in, w)
+		}
+	}
+	for len(data) > 0 {
+		switch op := next(); op % 8 {
+		case 0:
+			bind(msg())
+		case 1, 2:
+			m, nd := msg(), node()
+			_, in := oracle[m][nd]
+			if bind(m).Mark(nd) == in {
+				t.Fatalf("%v node %d: Mark first = %t, oracle set %t", m, nd, !in, in)
+			}
+			if !in {
+				oracle[m][nd] = -1
+			}
+		case 3:
+			m, nd, val := msg(), node(), int(next())
+			_, in := oracle[m][nd]
+			if bind(m).Set(nd, val) == in {
+				t.Fatalf("%v node %d: Set first = %t, oracle set %t", m, nd, !in, in)
+			}
+			oracle[m][nd] = val
+		case 4, 5:
+			check(msg(), node())
+		case 6:
+			if next()%4 == 0 {
+				tab.Reset()
+				clear(oracle)
+				clear(vecs)
+			}
+		case 7: // outside the range, on either side: must panic
+			if v := tab.Lookup(msg()); v != nil {
+				nd := proto.NodeID(lo + n + int(next()%70))
+				if op&8 != 0 {
+					nd = proto.NodeID(lo - 1 - int(next()%70))
+				}
+				if !panics(func() { v.Mark(nd) }) {
+					t.Fatalf("Mark(%d) outside [%d,%d) did not panic", nd, lo, lo+n)
+				}
+			}
+		}
+	}
+	for m := range vecs {
+		for i := 0; i < n; i++ {
+			check(m, proto.NodeID(lo+i))
+		}
+	}
+}
+
+// TestVecOpsDifferential replays seeded random streams through runVecOps.
+func TestVecOpsDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 41))
+		data := make([]byte, 2000)
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		runVecOps(t, data)
+	}
+}
+
+// FuzzVecOps is the differential driver over arbitrary op streams.
+func FuzzVecOps(f *testing.F) {
+	f.Add([]byte{12, 129, 1, 3, 63, 3, 11, 64, 7, 4, 3, 64, 6, 0, 0, 2, 2, 1})
+	f.Add([]byte{0, 0, 1, 0, 0, 7, 0, 1, 4, 0, 0})
+	f.Add([]byte{255, 255, 3, 9, 255, 1, 2, 9, 0, 5, 9, 0, 15, 9, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<12 {
+			return
+		}
+		runVecOps(t, data)
+	})
 }
 
 // collide returns the i-th of a family of IDs that share one cache slot:

@@ -116,7 +116,7 @@ type Pending struct {
 }
 
 // Admission is one node's mempool-style front door: dedup against
-// already-seen MsgIDs (an epoch-stamped visited table, shared across
+// already-seen MsgIDs (a presence-bit visited table, shared across
 // the network's nodes in simulation), a bounded FIFO ring of pending
 // launches, and the backpressure policy. Not safe for concurrent use —
 // it lives inside a handler, which runtimes never call concurrently.
@@ -229,7 +229,7 @@ func (a *Admission) grow() {
 }
 
 // Shared is the network-wide admission dedup state for simulation:
-// one epoch-stamped visited table per contiguous node range, following
+// one presence-bit visited table per contiguous node range, following
 // the flood.Shared partition pattern so that under the sharded event
 // loop no two shards touch the same table. Reset it between trials on
 // a reused network.
