@@ -23,6 +23,11 @@ import (
 const TypeData = proto.RangeFlood + 1
 
 // DataMsg carries a broadcast payload through the flood.
+//
+// A received DataMsg is read-only, and so is its Payload. In dense mode
+// (Shared) every node of a partition cell that relays one message at one
+// hop sends the same DataMsg, so a receiver shares it with every other
+// receiver at its hop, on any shard, for as long as any of them holds it.
 type DataMsg struct {
 	ID      proto.MsgID
 	Hops    uint16
@@ -55,38 +60,65 @@ func RegisterMessages(c *wire.Codec) {
 }
 
 // Shared is network-wide flood state sized to the node count: one
-// presence-bit visited vector per in-flight message (replacing
-// the per-node seen-set maps) plus a trial-scoped pool of DataMsg relay
-// allocations, split into partition cells (Partition). A cell is the one
-// Protocol NewAt hands to every node of a contiguous node range, owning
-// that range's table and pool, so a delivery reads no per-node flood
+// presence-bit visited vector per in-flight message (replacing the
+// per-node seen-set maps) plus one relay DataMsg per (message, hop),
+// split into partition cells (Partition). A cell is the one Protocol
+// NewAt hands to every node of a contiguous node range, owning that
+// range's table and relay set, so a delivery reads no per-node flood
 // object. All engines of one simulated network share one Shared; trial
-// loops Reset it between sequentially simulated networks so that
-// steady-state operation allocates nothing.
+// loops Reset it between sequentially simulated networks.
 //
-// Reset reclaims every pooled relay message, so it must only be called
-// once the network that sent them is drained or discarded. A Shared is
-// not safe for concurrent use: under the parallel trial runner each
-// worker goroutine owns its own Shared, as it owns its own sim.Network.
+// Relay messages are never recycled, so Reset's one precondition is the
+// seen-set's: the network that used the state must be drained or
+// discarded. A Shared is not safe for concurrent use: under the parallel
+// trial runner each worker goroutine owns its own Shared, as it owns its
+// own sim.Network.
 type Shared struct {
 	n int
 	// parts holds one partition cell per contiguous node range: the
 	// Protocol of every node in the range (NewAt), whose unbound dense
-	// engine owns the range's table and pool. Under the sharded event
-	// loop each shard's handlers touch exactly one cell, so no two shards
-	// share a table or a pool.
+	// engine owns the range's table and relay set. Under the sharded
+	// event loop each shard's handlers touch exactly one cell, so no two
+	// shards share a table or a relay set.
 	parts []Protocol
 }
 
 func newCell(lo, hi int) Protocol {
 	return Protocol{engine: Engine{
-		dseen: visited.NewTableRange[struct{}](lo, hi),
-		drelay: visited.NewPool(
-			func() *DataMsg { return new(DataMsg) },
-			// Do not pin trial payloads through the pool.
-			func(m *DataMsg) { m.Payload = nil },
-		),
+		dseen:  visited.NewTableRange[struct{}](lo, hi),
+		drelay: &relays{byKey: make(map[relayKey]*DataMsg)},
 	}}
+}
+
+// relays is a partition cell's relay messages: one per (message, hop),
+// sent by every node of the cell that relays the message at that hop,
+// so a receive reads a header an earlier receive brought into cache.
+// The ID is the payload's hash, as the seen-set already assumes, so the
+// key fixes every field.
+type relays struct {
+	last  *DataMsg // the message handed out last, checked before the map
+	byKey map[relayKey]*DataMsg
+}
+
+type relayKey struct {
+	id   proto.MsgID
+	hops uint16
+}
+
+// get returns the cell's relay message for (id, hops), creating it on
+// first use.
+func (r *relays) get(id proto.MsgID, hops uint16, payload []byte) *DataMsg {
+	if m := r.last; m != nil && m.ID == id && m.Hops == hops {
+		return m
+	}
+	k := relayKey{id, hops}
+	m := r.byKey[k]
+	if m == nil {
+		m = &DataMsg{ID: id, Hops: hops, Payload: payload}
+		r.byKey[k] = m
+	}
+	r.last = m
+	return m
 }
 
 // NewShared returns shared flood state for node IDs in [0, n).
@@ -101,7 +133,7 @@ func NewShared(n int) *Shared {
 
 // Partition splits the state into k contiguous node-range parts aligned
 // with the sharded network's topology.ShardBounds partition, so each
-// shard's handlers operate on a private table and pool. It must be
+// shard's handlers operate on a private table and relay set. It must be
 // called while the state is idle (before handlers are built, or after
 // Reset with the previous network drained) and invalidates every handler
 // and engine built before it; a k of 1 restores the unpartitioned form.
@@ -127,12 +159,16 @@ func (s *Shared) Partition(k int) {
 // N returns the node count the state was sized for.
 func (s *Shared) N() int { return s.n }
 
-// Reset invalidates all seen-state and reclaims pooled relay messages
-// for the next trial. The previous trial's network must be drained.
+// Reset invalidates all seen-state and forgets the relay messages for
+// the next trial. The previous trial's network must be drained, because
+// its seen vectors are recycled; its relay messages are left to the
+// garbage collector.
 func (s *Shared) Reset() {
 	for i := range s.parts {
-		s.parts[i].engine.dseen.Reset()
-		s.parts[i].engine.drelay.Reset()
+		e := &s.parts[i].engine
+		e.dseen.Reset()
+		clear(e.drelay.byKey)
+		e.drelay.last = nil
 	}
 }
 
@@ -152,14 +188,15 @@ func (s *Shared) part(self proto.NodeID) *Protocol {
 // owns a map — right for long-lived nodes handling an open-ended message
 // stream (internal/node, the TCP runtime). The dense form (NewEngineAt)
 // shares presence-bit visited vectors with every other engine of the
-// network through a Shared — right for simulation trials, where it cuts
-// per-trial handler allocations to zero in steady state.
+// network through a Shared — right for simulation trials, where a trial
+// allocates one relay message per (message, hop) of each partition cell
+// and nothing per node.
 type Engine struct {
 	seen map[proto.MsgID]struct{} // standalone mode; nil in dense mode
 	// Dense mode: the partition cell owning self, resolved at
 	// construction so the hot path never re-derives it.
 	dseen  *visited.Table[struct{}]
-	drelay *visited.Pool[*DataMsg]
+	drelay *relays
 	self   proto.NodeID
 }
 
@@ -212,7 +249,7 @@ func (e *Engine) HandleData(ctx proto.Context, from proto.NodeID, m *DataMsg) bo
 		return false
 	}
 	ctx.DeliverLocal(m.ID, m.Payload)
-	e.forward(ctx, m, from)
+	e.Spread(ctx, m.ID, m.Payload, m.Hops, from)
 	return true
 }
 
@@ -220,23 +257,16 @@ func (e *Engine) HandleData(ctx proto.Context, from proto.NodeID, m *DataMsg) bo
 // except. The id must already be marked seen by the caller (this is the
 // entry point for originators and for Phase-3 leaf nodes).
 func (e *Engine) Spread(ctx proto.Context, id proto.MsgID, payload []byte, hops uint16, except ...proto.NodeID) {
-	out := e.newData()
-	out.ID, out.Hops, out.Payload = id, hops+1, payload
-	e.send(ctx, out, except)
+	e.send(ctx, e.relay(id, hops+1, payload), except)
 }
 
-// newData allocates a relay message — pooled in dense mode.
-func (e *Engine) newData() *DataMsg {
+// relay returns the message to relay: the cell's shared one in dense
+// mode, a new one otherwise.
+func (e *Engine) relay(id proto.MsgID, hops uint16, payload []byte) *DataMsg {
 	if e.drelay != nil {
-		return e.drelay.Get()
+		return e.drelay.get(id, hops, payload)
 	}
-	return new(DataMsg)
-}
-
-func (e *Engine) forward(ctx proto.Context, m *DataMsg, except ...proto.NodeID) {
-	out := e.newData()
-	out.ID, out.Hops, out.Payload = m.ID, m.Hops+1, m.Payload
-	e.send(ctx, out, except)
+	return &DataMsg{ID: id, Hops: hops, Payload: payload}
 }
 
 func (e *Engine) send(ctx proto.Context, out *DataMsg, except []proto.NodeID) {
@@ -259,8 +289,8 @@ skip:
 // cell of a Shared, which serves every node of the cell, holds no
 // per-node state and takes the node from ctx.Self() on each call.
 type Protocol struct {
-	// engine is the node's own (New), or the cell's table and pool with no
-	// node bound (NewAt); at binds one.
+	// engine is the node's own (New), or the cell's table and relay set
+	// with no node bound (NewAt); at binds one.
 	engine Engine
 }
 
@@ -278,7 +308,7 @@ func NewAt(shared *Shared, self proto.NodeID) *Protocol {
 }
 
 // at returns the engine acting for ctx's node. An Engine is a handle — a
-// map or a table and a pool, plus the node — so the copy shares all state
+// map or a table and a relay set, plus the node — so the copy shares all state
 // with the original and lives on the caller's stack.
 func (p *Protocol) at(ctx proto.Context) Engine {
 	e := p.engine

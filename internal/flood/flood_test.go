@@ -189,9 +189,10 @@ func TestSharedEngineMatchesStandalone(t *testing.T) {
 }
 
 // TestSharedReuseAcrossTrials reuses one Shared over several sequential
-// networks: every trial must behave like the first (stale stamps from
-// the previous trial must miss) and the relay pool must actually
-// recycle DataMsgs.
+// networks: every trial must behave like the first (stale marks from the
+// previous trial must miss), Reset must empty the relay set, and no
+// relay message is ever recycled — each trial sends only messages no
+// earlier trial sent, all of which the test keeps reachable.
 func TestSharedReuseAcrossTrials(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 22))
 	g, err := topology.RandomRegular(80, 4, rng)
@@ -199,11 +200,18 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := NewShared(g.N())
+	relay := shared.parts[0].engine.drelay
 	want := int64(2*g.M() - (g.N() - 1))
+	sentBefore := map[*DataMsg]int{}
 	for trial := 0; trial < 4; trial++ {
 		shared.Reset()
+		if len(relay.byKey) != 0 || relay.last != nil {
+			t.Fatalf("trial %d: Reset left %d relay messages", trial, len(relay.byKey))
+		}
 		net := sim.NewNetwork(g, sim.Options{Seed: uint64(trial + 1)})
 		net.SetHandlers(func(id proto.NodeID) proto.Handler { return NewAt(shared, id) })
+		sent := &relayTap{}
+		net.AddTap(sent)
 		net.Start()
 		// Same payload every trial: the MsgID repeats, so trial 2+ only
 		// completes if the re-bound vector forgot trial 1's marks.
@@ -218,15 +226,137 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 		if got := net.TotalMessages(); got != want {
 			t.Fatalf("trial %d: messages %d, want %d", trial, got, want)
 		}
+		if len(relay.byKey) == 0 {
+			t.Fatalf("trial %d: no relay messages in the set", trial)
+		}
+		for m := range sent.cells {
+			if was, ok := sentBefore[m]; ok {
+				t.Fatalf("trial %d resent a relay message of trial %d", trial, was)
+			}
+			sentBefore[m] = trial
+		}
 	}
-	relay := shared.parts[0].engine.drelay
-	if relay.Issued() == 0 {
-		t.Fatal("no pooled relay messages issued")
+}
+
+// relayTap records, for each DataMsg sent, the first sender's node, and
+// with dist set counts the sends whose Hops is not the sender's distance
+// from the origin plus one — what a constant-latency flood must send.
+type relayTap struct {
+	cells   map[*DataMsg]proto.NodeID
+	hops    int
+	dist    []int
+	badHops int
+}
+
+func (r *relayTap) OnSend(_ time.Duration, from, _ proto.NodeID, msg proto.Message) {
+	m := msg.(*DataMsg)
+	if r.cells == nil {
+		r.cells = map[*DataMsg]proto.NodeID{}
 	}
-	live := relay.Issued()
-	shared.Reset()
-	if relay.Free() < live {
-		t.Fatalf("Reset reclaimed %d of %d relay messages", relay.Free(), live)
+	if _, ok := r.cells[m]; !ok {
+		r.cells[m] = from
+	}
+	r.hops = max(r.hops, int(m.Hops))
+	if r.dist != nil && int(m.Hops) != r.dist[from]+1 {
+		r.badHops++
+	}
+}
+func (*relayTap) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
+func (*relayTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte)    {}
+
+// TestRelaySharedPerHop holds dense mode to one relay message per
+// (message, hop) of each partition cell: every node of a cell relaying
+// at one hop sends the same DataMsg, so a flood sends at most max hops
+// + 1 distinct messages per cell, each sender's carries its own hop
+// count, and the flood itself is unchanged — every node delivers and the
+// count is still 2E − (N − 1).
+func TestRelaySharedPerHop(t *testing.T) {
+	const n = 4096
+	g, err := topology.RandomRegular(n, 8, rand.New(rand.NewPCG(31, 32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(2*g.M() - (n - 1))
+	for _, k := range []int{1, 2} {
+		net := sim.NewNetwork(g, sim.Options{Seed: 5, Shards: k})
+		shared := NewShared(n)
+		shared.Partition(net.ShardCount())
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return NewAt(shared, id) })
+		sent := &relayTap{dist: g.BFS(7)}
+		net.AddTap(sent)
+		net.Start()
+		id, err := net.Originate(7, []byte("share"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Run(0)
+		if got := net.Delivered(id); got != n {
+			t.Errorf("k=%d: delivered %d, want %d", k, got, n)
+		}
+		if got := net.TotalMessages(); got != want {
+			t.Errorf("k=%d: messages %d, want %d", k, got, want)
+		}
+		if sent.badHops != 0 {
+			t.Errorf("k=%d: %d sends carry a hop count other than the sender's distance + 1", k, sent.badHops)
+		}
+		perCell := make([]map[uint16]int, net.ShardCount())
+		for m, from := range sent.cells {
+			c := topology.ShardOf(from, n, net.ShardCount())
+			if perCell[c] == nil {
+				perCell[c] = map[uint16]int{}
+			}
+			perCell[c][m.Hops]++
+		}
+		for c, byHops := range perCell {
+			distinct := 0
+			for hops, msgs := range byHops {
+				distinct += msgs
+				if msgs != 1 {
+					t.Errorf("k=%d cell %d: %d distinct messages at hop %d, want 1", k, c, msgs, hops)
+				}
+			}
+			if distinct > sent.hops+1 {
+				t.Errorf("k=%d cell %d: %d distinct relay messages, want at most %d (max hops + 1)", k, c, distinct, sent.hops+1)
+			}
+		}
+	}
+}
+
+// TestWarmTrialAllocs holds a warm dense trial to a fixed number of
+// allocations plus one relay message per (message, hop) of each cell:
+// going from N = 1k to 16k adds only the deeper flood's extra hops, and
+// nothing per node. (Nothing is recycled, so each trial mints its relay
+// messages afresh; the sharded network's own per-window cost is
+// TestQueueWarmFloodAllocs' concern.)
+func TestWarmTrialAllocs(t *testing.T) {
+	var allocs, relays [2]float64
+	for i, n := range []int{1 << 10, 1 << 14} {
+		g, err := topology.RandomRegular(n, 8, rand.New(rand.NewPCG(5, 6)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := sim.NewNetwork(g, sim.Options{Seed: 1})
+		shared := NewShared(n)
+		payload := []byte("warm")
+		trial := func() {
+			net.Reset(1)
+			shared.Reset()
+			net.SetHandlers(func(id proto.NodeID) proto.Handler { return NewAt(shared, id) })
+			net.Start()
+			if _, err := net.Originate(0, payload); err != nil {
+				t.Fatal(err)
+			}
+			net.Run(0)
+		}
+		trial()
+		trial()
+		allocs[i] = testing.AllocsPerRun(5, trial)
+		relays[i] = float64(len(shared.parts[0].engine.drelay.byKey))
+	}
+	t.Logf("allocs per warm trial: N=1k %.0f (%.0f relay messages), N=16k %.0f (%.0f)", allocs[0], relays[0], allocs[1], relays[1])
+	if base := allocs[0] - relays[0]; base > 4 || allocs[1]-relays[1] > base {
+		t.Errorf("warm trial allocates %.0f at N=1k and %.0f at N=16k beyond its %.0f and %.0f relay messages; want a small count that does not grow with N",
+			allocs[0]-relays[0], allocs[1]-relays[1], relays[0], relays[1])
 	}
 }
 

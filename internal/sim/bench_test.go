@@ -138,9 +138,9 @@ func BenchmarkEngineJitter(b *testing.B) {
 // through the runtime in trial-loop steady state: one long-lived
 // Network and one flood.Shared reused across iterations, exactly as a
 // runner worker reuses them across trials. Handler state lives in
-// presence-bit dense vectors and relay DataMsgs come from the
-// trial-scoped pool, so per-iteration allocations are dominated by the
-// single DeliverySet the run records.
+// presence-bit dense vectors and each partition cell sends one relay
+// DataMsg per hop, so per-iteration allocations are those few messages
+// and the single DeliverySet the run records.
 func BenchmarkNetworkFlood(b *testing.B) {
 	g, err := topology.RandomRegular(1000, 8, testBenchRNG())
 	if err != nil {

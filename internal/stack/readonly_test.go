@@ -2,6 +2,8 @@ package stack
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -99,6 +101,79 @@ func TestReceivedMessagesStayUnchanged(t *testing.T) {
 							kind, cond.Name, form, r.msg, r.to, r.enc, now)
 						break
 					}
+				}
+			}
+		}
+	}
+}
+
+// dataFields is what a flood DataMsg carries: the fields every receiver
+// of a shared relay message must read alike.
+type dataFields struct {
+	id      proto.MsgID
+	hops    uint16
+	payload uint64 // FNV-1a of the payload bytes
+}
+
+func fieldsOf(m *flood.DataMsg) dataFields {
+	h := fnv.New64a()
+	h.Write(m.Payload)
+	return dataFields{m.ID, m.Hops, h.Sum64()}
+}
+
+// relayFieldsTap records each DataMsg's fields when it is first sent and
+// fails if any later send or receive of the same message reads others.
+type relayFieldsTap struct {
+	t    *testing.T
+	name string
+	sent map[*flood.DataMsg]dataFields
+	recv int
+}
+
+func (r *relayFieldsTap) check(verb string, msg proto.Message) {
+	m, ok := msg.(*flood.DataMsg)
+	if !ok {
+		return
+	}
+	now := fieldsOf(m)
+	was, ok := r.sent[m]
+	switch {
+	case !ok && verb == "send":
+		r.sent[m] = now
+	case !ok:
+		r.t.Errorf("%s: a DataMsg was received that was never sent", r.name)
+	case was != now:
+		r.t.Errorf("%s: a DataMsg sent as %+v was %s as %+v", r.name, was, verb, now)
+	}
+}
+
+func (r *relayFieldsTap) OnSend(_ time.Duration, _, _ proto.NodeID, msg proto.Message) {
+	r.check("send", msg)
+}
+func (r *relayFieldsTap) OnReceive(_ time.Duration, _, _ proto.NodeID, msg proto.Message) {
+	r.recv++
+	r.check("received", msg)
+}
+func (r *relayFieldsTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte) {}
+
+// TestSharedRelaysStayUnchanged holds the rule flood's dense form relies
+// on: one relay DataMsg serves every receiver at its hop, so no handler
+// of any stack that floods — flood, Dandelion's fluff, the composed
+// stack's Phase 3 — may change one after it was sent. Each stack is
+// mounted at one and two shards; on two, a shared relay is read by both
+// shards' window goroutines.
+func TestSharedRelaysStayUnchanged(t *testing.T) {
+	g := testGraph(t, 4)
+	for _, kind := range []Kind{Flood, Dandelion, Composed} {
+		for _, cond := range testConditions() {
+			for _, k := range []int{1, 2} {
+				net := sim.NewNetwork(g, sim.Options{Seed: 4, Netem: &cond, Shards: k})
+				Mount(net, testSpec(kind))
+				tap := &relayFieldsTap{t: t, name: fmt.Sprintf("%v/%s/k=%d", kind, cond.Name, k), sent: map[*flood.DataMsg]dataFields{}}
+				net.AddTap(tap)
+				run(t, net, 4)
+				if tap.recv == 0 {
+					t.Errorf("%s: no DataMsg was received", tap.name)
 				}
 			}
 		}

@@ -211,11 +211,10 @@ func (t *Table[T]) Reset() {
 }
 
 // Pool is the trial-scoped object pool that accompanies a Table:
-// objects issued since the last Reset — relay messages in flight, tree
-// states referenced from vectors — are reclaimed wholesale when the
-// trial ends, so steady-state trial loops allocate nothing. Reset must
-// only run once the network holding the issued objects is drained or
-// discarded.
+// objects issued since the last Reset — tree states referenced from
+// vectors — are reclaimed wholesale when the trial ends, so
+// steady-state trial loops allocate nothing. Reset must only run once
+// the network holding the issued objects is drained or discarded.
 type Pool[T any] struct {
 	newFn func() T
 	scrub func(T) // drops cross-trial references before pooling
