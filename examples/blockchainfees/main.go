@@ -69,7 +69,6 @@ func main() {
 		nodes[id] = nd
 		return nd
 	})
-	net.AddTap(feeder{nodes})
 	net.Start()
 
 	// Wallets: group members submit transactions with random fees.
@@ -105,14 +104,4 @@ func main() {
 	hashpower := map[proto.NodeID]float64{10: 0.5, 40: 0.5}
 	fmt.Printf("fee-share total variation vs hashpower: %.3f (0 = perfectly fair)\n",
 		chain.TotalVariation(share, hashpower))
-}
-
-// feeder wires sim deliveries into mempools (the TCP runtime does this
-// through transport.Config.OnDeliver).
-type feeder struct{ nodes []*node.Node }
-
-func (f feeder) OnSend(time.Duration, proto.NodeID, proto.NodeID, proto.Message)    {}
-func (f feeder) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
-func (f feeder) OnDeliverLocal(_ time.Duration, n proto.NodeID, _ proto.MsgID, payload []byte) {
-	f.nodes[n].OnDeliver(payload)
 }

@@ -1,8 +1,8 @@
 package flexnet
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chain"
@@ -59,8 +59,8 @@ type NodeConfig struct {
 	OnTx func(id [16]byte, fee uint64, payload []byte)
 	// Admission mounts the workload mempool-admission layer in front of
 	// the protocol launch: submissions are deduplicated, queued up to
-	// AdmissionConfig.QueueCap and paced by SubmitService. Nil keeps the
-	// classic direct-launch path.
+	// AdmissionConfig.QueueCap and paced by SubmitService. Nil launches
+	// every submission directly.
 	Admission *workload.AdmissionConfig
 	// SubmitService is the pacing interval between queued launches when
 	// Admission is mounted (0: drain immediately).
@@ -72,9 +72,6 @@ type NodeConfig struct {
 type Node struct {
 	inner *node.Node
 	trans *transport.Node
-
-	mu      sync.Mutex
-	statsTx int
 }
 
 // NewCodec returns a codec with every protocol message registered — the
@@ -149,7 +146,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Handler:   inner,
 		Seed:      cfg.Seed,
 		OnDeliver: func(id proto.MsgID, payload []byte) {
-			inner.OnDeliver(payload)
 			if cfg.OnTx != nil {
 				if tx, err := chain.DecodeTx(payload); err == nil {
 					cfg.OnTx([16]byte(tx.ID()), tx.Fee, tx.Payload)
@@ -171,38 +167,35 @@ func (n *Node) Addr() string { return n.trans.Addr() }
 // late-binding hook used when nodes listen on OS-assigned ports.
 func (n *Node) SetAddr(id int32, addr string) { n.trans.SetAddr(proto.NodeID(id), addr) }
 
+// onLoop runs fn on the node's event loop and returns its result, or
+// timeout if the loop has not answered within 5 s.
+func onLoop[T any](n *Node, timeout T, fn func(ctx proto.Context) T) T {
+	ch := make(chan T, 1)
+	n.trans.Inject(func(ctx proto.Context) { ch <- fn(ctx) })
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		return timeout
+	}
+}
+
 // SubmitTx broadcasts a transaction anonymously through the three-phase
 // protocol. The node must belong to a DC-net group.
 func (n *Node) SubmitTx(payload []byte, fee uint64) error {
-	errCh := make(chan error, 1)
-	n.trans.Inject(func(ctx proto.Context) {
+	return onLoop(n, errors.New("flexnet: SubmitTx timed out"), func(ctx proto.Context) error {
 		_, err := n.inner.SubmitTx(ctx, payload, fee)
-		errCh <- err
-	})
-	select {
-	case err := <-errCh:
 		return err
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("flexnet: SubmitTx timed out")
-	}
+	})
 }
 
 // AdmissionStats returns the admission-layer counters (zero when
 // NodeConfig.Admission was nil). Like MempoolSize, it is a snapshot
 // taken on the event loop.
 func (n *Node) AdmissionStats() workload.Stats {
-	ch := make(chan workload.Stats, 1)
-	n.trans.Inject(func(proto.Context) {
-		p := n.inner.Probe()
-		ch <- workload.Stats{Admitted: p.Admitted, Deduped: p.Deduped,
-			Dropped: p.Dropped, PeakQueueDepth: p.PeakQueueDepth}
+	return onLoop(n, workload.Stats{}, func(proto.Context) workload.Stats {
+		return n.inner.Probe().Admission
 	})
-	select {
-	case st := <-ch:
-		return st
-	case <-time.After(5 * time.Second):
-		return workload.Stats{}
-	}
 }
 
 // SubmitRawTx broadcasts an already-encoded transaction through the
@@ -210,42 +203,23 @@ func (n *Node) AdmissionStats() workload.Stats {
 // the caller controls the nonce, so resubmitting the same encoding at
 // any node is a true duplicate that the admission layer deduplicates.
 func (n *Node) SubmitRawTx(encoded []byte) error {
-	errCh := make(chan error, 1)
-	n.trans.Inject(func(ctx proto.Context) {
+	return onLoop(n, errors.New("flexnet: SubmitRawTx timed out"), func(ctx proto.Context) error {
 		_, err := n.inner.Broadcast(ctx, encoded)
-		errCh <- err
-	})
-	select {
-	case err := <-errCh:
 		return err
-	case <-time.After(5 * time.Second):
-		return fmt.Errorf("flexnet: SubmitRawTx timed out")
-	}
+	})
 }
 
-// MempoolSize returns the current mempool size. It is approximate: the
-// mempool is owned by the event loop.
+// MempoolSize returns the current mempool size, or −1 if the event
+// loop does not answer. It is approximate: the mempool is owned by the
+// event loop.
 func (n *Node) MempoolSize() int {
-	sizeCh := make(chan int, 1)
-	n.trans.Inject(func(proto.Context) { sizeCh <- n.inner.Mempool().Len() })
-	select {
-	case s := <-sizeCh:
-		return s
-	case <-time.After(5 * time.Second):
-		return -1
-	}
+	return onLoop(n, -1, func(proto.Context) int { return n.inner.Mempool().Len() })
 }
 
-// ChainHeight returns the node's main-chain height.
+// ChainHeight returns the node's main-chain height (0 if the event loop
+// does not answer).
 func (n *Node) ChainHeight() uint64 {
-	hCh := make(chan uint64, 1)
-	n.trans.Inject(func(proto.Context) { hCh <- n.inner.Chain().Height() })
-	select {
-	case h := <-hCh:
-		return h
-	case <-time.After(5 * time.Second):
-		return 0
-	}
+	return onLoop(n, 0, func(proto.Context) uint64 { return n.inner.Chain().Height() })
 }
 
 // Close shuts the node down.

@@ -263,13 +263,7 @@ func SoakCluster(cfg ClusterSoakConfig) (*ClusterSoakReport, error) {
 		rep.TxPerSec = float64(unique) / cfg.Duration.Seconds()
 	}
 	for _, nd := range nodes {
-		st := nd.AdmissionStats()
-		rep.Admission.Admitted += st.Admitted
-		rep.Admission.Deduped += st.Deduped
-		rep.Admission.Dropped += st.Dropped
-		if st.PeakQueueDepth > rep.Admission.PeakQueueDepth {
-			rep.Admission.PeakQueueDepth = st.PeakQueueDepth
-		}
+		rep.Admission.Add(nd.AdmissionStats())
 		tx, _ := nd.trans.FrameCounts()
 		rep.Frames += tx
 	}

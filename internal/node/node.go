@@ -123,12 +123,11 @@ type Config struct {
 	MineBudget uint64
 	// OnBlock fires when a block is accepted (mined or received).
 	OnBlock func(b *chain.Block)
-	// Admission, when non-nil, mounts the workload admission layer in
-	// front of the privacy broadcast: SubmitTx, Broadcast and inbound
+	// Admission, when non-nil, mounts a workload.Wrapper in front of
+	// the privacy broadcast: SubmitTx, Broadcast and inbound
 	// workload.SubmitMsg traffic dedup against already-seen
 	// transactions and queue under the configured backpressure policy.
-	// Nil (the default) keeps the legacy direct-broadcast path
-	// bit-identical to earlier builds.
+	// Nil launches every transaction directly.
 	Admission *workload.AdmissionConfig
 	// SubmitService paces admitted launches (one per interval) when
 	// Admission is set; 0 launches immediately on admission.
@@ -137,16 +136,6 @@ type Config struct {
 
 // mineTimer drives mining attempts.
 type mineTimer struct{}
-
-// Submission pacing timers (only when Config.Admission is set).
-type (
-	submitDrain struct{}
-	submitRetry struct{ p workload.Pending }
-)
-
-// submitRetryDelay is the Blocked re-offer delay at a live node, which
-// cannot block its event loop.
-const submitRetryDelay = 10 * time.Millisecond
 
 // maxBlockTxs bounds transactions per block.
 const maxBlockTxs = 100
@@ -164,10 +153,33 @@ type Node struct {
 	included map[chain.TxID]struct{}
 	lastHead chain.BlockHash
 	nonce    uint64
-	// adm is the optional submission admission layer (Config.Admission);
-	// built in Init, which knows the node's ID.
-	adm      *workload.Admission
-	draining bool
+	// bcast launches transactions: the protocol itself, or a
+	// workload.Wrapper around it when Config.Admission is set (built in
+	// Init, which knows the node's ID).
+	bcast proto.Broadcaster
+	cctx  nodeCtx
+}
+
+// nodeCtx is the context the node hands its broadcast: a transaction
+// the protocol delivers enters the node's own mempool before the
+// runtime sees the delivery, so no runtime needs a delivery hook.
+type nodeCtx struct {
+	proto.Context
+	n *Node
+}
+
+// DeliverLocal implements proto.Context.
+func (c *nodeCtx) DeliverLocal(id proto.MsgID, payload []byte) {
+	// A payload that is not a transaction has no place in the mempool;
+	// the runtime still records its delivery.
+	_, _ = c.n.mempool.AddEncoded(payload)
+	c.Context.DeliverLocal(id, payload)
+}
+
+// ctx wraps the runtime context for delegation to the broadcast.
+func (n *Node) ctx(ctx proto.Context) proto.Context {
+	n.cctx.Context = ctx
+	return &n.cctx
 }
 
 var _ proto.Broadcaster = (*Node)(nil)
@@ -187,14 +199,17 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
-	return &Node{
+	n := &Node{
 		cfg:      cfg,
 		protocol: p,
+		bcast:    p,
 		mempool:  chain.NewMempool(),
 		chain:    chain.NewChain(),
 		blocks:   flood.NewEngine(),
 		included: make(map[chain.TxID]struct{}),
-	}, nil
+	}
+	n.cctx.n = n
+	return n, nil
 }
 
 // Probe is an event-loop-time snapshot of a node's progress. Cluster
@@ -229,13 +244,9 @@ type Probe struct {
 	// RelHandoffs counts custody payloads this node launched into
 	// Phase 2 on behalf of an absent originator.
 	RelHandoffs int
-	// Admitted, Deduped and Dropped mirror the node's workload
-	// admission counters; all zero when Config.Admission is nil.
-	Admitted int64
-	Deduped  int64
-	Dropped  int64
-	// PeakQueueDepth is the high-water submission-queue depth.
-	PeakQueueDepth int
+	// Admission holds the node's workload admission counters; zero
+	// when Config.Admission is nil.
+	Admission workload.Stats
 }
 
 // Probe snapshots the node's progress. It must run on the node's event
@@ -253,12 +264,8 @@ func (n *Node) Probe() Probe {
 	p.RelRetransmits = n.protocol.RelRetransmits()
 	p.RelNacks = n.protocol.RelNacks()
 	p.RelHandoffs = n.protocol.RelHandoffs()
-	if n.adm != nil {
-		st := n.adm.Stats()
-		p.Admitted = st.Admitted
-		p.Deduped = st.Deduped
-		p.Dropped = st.Dropped
-		p.PeakQueueDepth = st.PeakQueueDepth
+	if w, ok := n.bcast.(*workload.Wrapper); ok {
+		p.Admission = w.Admission().Stats()
 	}
 	return p
 }
@@ -275,9 +282,10 @@ func (n *Node) Protocol() *core.Protocol { return n.protocol }
 // Init implements proto.Handler.
 func (n *Node) Init(ctx proto.Context) {
 	if n.cfg.Admission != nil {
-		n.adm = workload.NewAdmission(*n.cfg.Admission, ctx.Self(), nil)
+		adm := workload.NewAdmission(*n.cfg.Admission, ctx.Self(), nil)
+		n.bcast = workload.NewWrapper(n.protocol, adm, nil, n.cfg.SubmitService)
 	}
-	n.protocol.Init(ctx)
+	n.bcast.Init(n.ctx(ctx))
 	if n.cfg.Mine {
 		ctx.SetTimer(n.nextMineDelay(ctx), mineTimer{})
 	}
@@ -305,18 +313,14 @@ func (n *Node) SubmitTx(ctx proto.Context, payload []byte, fee uint64) (chain.Tx
 // Broadcast implements proto.Broadcaster: the payload must be an encoded
 // transaction, which also enters the local mempool. With admission
 // mounted, the launch is routed through the queue — the MsgID returns
-// immediately and protocol-level launch errors surface in the counters
-// rather than here.
+// immediately, and a protocol refusal (e.g. DC-net round budget
+// exhausted) only loses the broadcast: the transaction stays in the
+// mempool.
 func (n *Node) Broadcast(ctx proto.Context, payload []byte) (proto.MsgID, error) {
 	if _, err := n.mempool.AddEncoded(payload); err != nil {
 		return proto.MsgID{}, err
 	}
-	if n.adm == nil {
-		return n.protocol.Broadcast(ctx, payload)
-	}
-	id := proto.NewMsgID(payload)
-	n.offerSubmit(ctx, workload.Pending{ID: id, Payload: payload, Seq: -1, At: ctx.Now()})
-	return id, nil
+	return n.bcast.Broadcast(n.ctx(ctx), payload)
 }
 
 // HandleMessage implements proto.Handler.
@@ -330,77 +334,18 @@ func (n *Node) HandleMessage(ctx proto.Context, from proto.NodeID, msg proto.Mes
 		// payloads are dropped.
 		_, _ = n.Broadcast(ctx, m.Payload)
 	default:
-		n.protocol.HandleMessage(ctx, from, msg)
+		n.bcast.HandleMessage(n.ctx(ctx), from, msg)
 	}
 }
 
 // HandleTimer implements proto.Handler.
 func (n *Node) HandleTimer(ctx proto.Context, payload any) {
-	switch p := payload.(type) {
+	switch payload.(type) {
 	case mineTimer:
 		n.mine(ctx)
 		ctx.SetTimer(n.nextMineDelay(ctx), mineTimer{})
-	case submitDrain:
-		n.drainSubmit(ctx)
-	case submitRetry:
-		n.offerSubmit(ctx, p.p)
 	default:
-		n.protocol.HandleTimer(ctx, payload)
-	}
-}
-
-// offerSubmit runs one submission through admission and schedules its
-// launch; only called with admission mounted.
-func (n *Node) offerSubmit(ctx proto.Context, p workload.Pending) {
-	switch n.adm.Offer(p) {
-	case workload.Admitted:
-		if n.cfg.SubmitService <= 0 {
-			for {
-				q, ok := n.adm.Pop()
-				if !ok {
-					return
-				}
-				n.launchSubmit(ctx, q)
-			}
-		}
-		if !n.draining {
-			n.draining = true
-			ctx.SetTimer(n.cfg.SubmitService, submitDrain{})
-		}
-	case workload.Blocked:
-		ctx.SetTimer(submitRetryDelay, submitRetry{p: p})
-	}
-}
-
-// drainSubmit launches the queue head and re-arms the service timer
-// while work remains.
-func (n *Node) drainSubmit(ctx proto.Context) {
-	if p, ok := n.adm.Pop(); ok {
-		n.launchSubmit(ctx, p)
-	}
-	if n.adm.Depth() > 0 {
-		ctx.SetTimer(n.cfg.SubmitService, submitDrain{})
-	} else {
-		n.draining = false
-	}
-}
-
-func (n *Node) launchSubmit(ctx proto.Context, p workload.Pending) {
-	// The transaction is already in the mempool; a protocol refusal
-	// (e.g. DC-net round budget exhausted) only loses the broadcast.
-	_, _ = n.protocol.Broadcast(ctx, p.Payload)
-}
-
-// OnDeliver is the broadcast-delivery hook: wire it to the runtime's
-// DeliverLocal callback to feed the mempool.
-func (n *Node) OnDeliver(payload []byte) {
-	if tx, err := chain.DecodeTx(payload); err == nil {
-		n.mempool.Add(tx)
-		if n.adm != nil {
-			// A gossip-received transaction is in the mempool: later
-			// submissions of it dedup.
-			n.adm.MarkSeen(proto.NewMsgID(payload))
-		}
+		n.bcast.HandleTimer(n.ctx(ctx), payload)
 	}
 }
 

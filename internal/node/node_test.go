@@ -12,6 +12,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // blockchainWorld wires full nodes over a simulated overlay.
@@ -33,9 +34,6 @@ func newBlockchainWorld(t *testing.T, n int, group []proto.NodeID, miners map[pr
 		net:   sim.NewNetwork(g, sim.Options{Seed: 7, Latency: sim.ConstLatency(5 * time.Millisecond)}),
 		nodes: make([]*Node, n),
 	}
-	// Mirror the TCP runtime's delivery hook: broadcast payloads feed the
-	// receiving node's mempool.
-	w.net.AddTap(mempoolFeeder{w})
 	hashes := core.SimHashes(n)
 	w.net.SetHandlers(func(id proto.NodeID) proto.Handler {
 		cfg := Config{
@@ -67,15 +65,6 @@ func newBlockchainWorld(t *testing.T, n int, group []proto.NodeID, miners map[pr
 	return w
 }
 
-// mempoolFeeder is the sim-side equivalent of transport.Config.OnDeliver.
-type mempoolFeeder struct{ w *blockchainWorld }
-
-func (f mempoolFeeder) OnSend(time.Duration, proto.NodeID, proto.NodeID, proto.Message)    {}
-func (f mempoolFeeder) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
-func (f mempoolFeeder) OnDeliverLocal(_ time.Duration, node proto.NodeID, _ proto.MsgID, payload []byte) {
-	f.w.nodes[node].OnDeliver(payload)
-}
-
 func TestTransactionReachesAllMempools(t *testing.T) {
 	group := []proto.NodeID{1, 2, 3, 4}
 	w := newBlockchainWorld(t, 40, group, nil)
@@ -96,6 +85,35 @@ func TestTransactionReachesAllMempools(t *testing.T) {
 	}
 	if missing > 0 {
 		t.Errorf("%d/40 mempools missing the transaction", missing)
+	}
+}
+
+// TestDeliveriesFillMempoolsWithoutTap checks that a node feeds its
+// own mempool: the world registers no tap, and every node the
+// simulator records as a receiver holds the transaction, with the
+// admission layer unmounted and mounted (whose context sits between
+// the protocol and the node's).
+func TestDeliveriesFillMempoolsWithoutTap(t *testing.T) {
+	for _, adm := range []*workload.AdmissionConfig{nil, {QueueCap: 4}} {
+		w := newBlockchainWorld(t, 24, []proto.NodeID{1, 2, 3}, nil, func(_ proto.NodeID, cfg *Config) {
+			cfg.Admission = adm
+		})
+		tx := &chain.Tx{Nonce: 7, Fee: 3, Payload: []byte("no tap")}
+		id, err := w.net.Originate(1, tx.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.net.RunUntil(w.net.Now() + 30*time.Second)
+
+		ds := w.net.Deliveries(id)
+		if ds.Count() != len(w.nodes) {
+			t.Fatalf("admission %v: %d/%d nodes delivered", adm, ds.Count(), len(w.nodes))
+		}
+		for v := range ds.All() {
+			if !w.nodes[v].Mempool().Has(tx.ID()) {
+				t.Fatalf("admission %v: node %d delivered the transaction but its mempool lacks it", adm, v)
+			}
+		}
 	}
 }
 

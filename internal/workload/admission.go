@@ -89,9 +89,9 @@ type Stats struct {
 	PeakQueueDepth int
 }
 
-// add folds o into s, taking the max of peaks — the aggregation the
-// soak report uses across nodes.
-func (s *Stats) add(o Stats) {
+// Add folds o into s, taking the max of peaks — the aggregation the
+// soak reports use across nodes.
+func (s *Stats) Add(o Stats) {
 	s.Admitted += o.Admitted
 	s.Deduped += o.Deduped
 	s.Dropped += o.Dropped

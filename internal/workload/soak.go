@@ -257,7 +257,7 @@ func (s *SoakNet) collect(sched []Arrival, wall time.Duration) SoakResult {
 				r.Launches[j] = l
 			}
 		}
-		r.Admission.add(w.Admission().Stats())
+		r.Admission.Add(w.Admission().Stats())
 	}
 	r.Launched = len(r.Launches)
 

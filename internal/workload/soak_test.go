@@ -147,3 +147,50 @@ func TestSoakBackpressure(t *testing.T) {
 		t.Fatalf("Block peak depth = %d, want 4", rb.Admission.PeakQueueDepth)
 	}
 }
+
+// TestWrapperLogsScheduledLaunchesOnly holds the launch log to
+// scheduled submissions: a soak run logs one launch per admitted
+// arrival, each with its schedule index, and an off-schedule Broadcast
+// through the same wrappers afterwards disseminates without a record.
+func TestWrapperLogsScheduledLaunchesOnly(t *testing.T) {
+	cfg := soakCfg()
+	cfg.Admission.QueueCap = 0 // unbounded: every admitted arrival launches
+	s := NewSoakNet(cfg)
+	r := s.Run(cfg.Seed, nil)
+	if r.Launched != r.Unique || r.LaunchErrs != 0 {
+		t.Fatalf("launched %d of %d unique payloads (%d errors)", r.Launched, r.Unique, r.LaunchErrs)
+	}
+	records := func() int64 {
+		var k int64
+		for _, w := range s.wrappers {
+			for _, l := range w.Launches() {
+				if l.Seq < 0 {
+					t.Fatalf("launch record with off-schedule Seq %d", l.Seq)
+				}
+				k++
+			}
+		}
+		return k
+	}
+	logged := records()
+	if logged != r.Admission.Admitted {
+		t.Fatalf("%d launch records for %d admitted arrivals", logged, r.Admission.Admitted)
+	}
+
+	net := s.Net()
+	admitted := s.wrappers[5].Admission().Stats().Admitted
+	id, err := net.Originate(5, []byte("off-schedule"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunUntil(net.Now() + time.Second)
+	if got := net.Deliveries(id).Count(); got != cfg.N {
+		t.Fatalf("off-schedule broadcast reached %d/%d nodes", got, cfg.N)
+	}
+	if got := s.wrappers[5].Admission().Stats().Admitted; got != admitted+1 {
+		t.Fatalf("off-schedule broadcast: admitted %d -> %d, want +1", admitted, got)
+	}
+	if got := records(); got != logged {
+		t.Fatalf("off-schedule broadcast left a launch record: %d -> %d", logged, got)
+	}
+}

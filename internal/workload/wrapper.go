@@ -6,10 +6,10 @@ import (
 	"repro/internal/proto"
 )
 
-// Launch records one transaction that cleared admission and entered
-// the broadcast protocol.
+// Launch records one scheduled transaction that cleared admission and
+// entered the broadcast protocol.
 type Launch struct {
-	// Seq is the schedule index of the submission (−1 off-schedule).
+	// Seq is the schedule index of the submission.
 	Seq int
 	// ID is the payload's message ID.
 	ID proto.MsgID
@@ -34,12 +34,13 @@ type (
 // retryDelay is the re-offer delay for Blocked submissions.
 const retryDelay = 10 * time.Millisecond
 
-// Wrapper stacks the admission layer in front of a broadcast protocol
-// for simulation: submissions (scheduled arrivals, SubmitMsg from the
-// wire, or direct Broadcast calls) pass through Admission, queue, and
-// launch into the inner protocol at the configured service rate. All
-// other traffic is transparently delegated, so the wrapped stack
-// behaves exactly like the bare protocol once a payload is launched.
+// Wrapper stacks the admission layer in front of a broadcast protocol,
+// in a soak and in a full node under either runtime: submissions
+// (scheduled arrivals, SubmitMsg from the wire, or direct Broadcast
+// calls) pass through Admission, queue, and launch into the inner
+// protocol at the configured service rate. All other traffic is
+// transparently delegated, so the wrapped stack behaves exactly like
+// the bare protocol once a payload is launched.
 type Wrapper struct {
 	inner proto.Broadcaster
 	adm   *Admission
@@ -85,7 +86,9 @@ func NewWrapper(inner proto.Broadcaster, adm *Admission, sched []Arrival, servic
 	return &Wrapper{inner: inner, adm: adm, sched: sched, service: service}
 }
 
-// Launches returns the node's launch log, in launch order.
+// Launches returns the node's log of scheduled launches, in launch
+// order. An off-schedule submission (Seq −1) launches unrecorded, so a
+// long-lived node's log does not grow with its traffic.
 func (w *Wrapper) Launches() []Launch { return w.launches }
 
 // LaunchErrs counts launches the inner protocol refused with an error
@@ -185,6 +188,9 @@ func (w *Wrapper) launch(ctx proto.Context, p Pending) {
 	id, err := w.inner.Broadcast(w.ctx(ctx), p.Payload)
 	if err != nil {
 		w.launchErrs++
+		return
+	}
+	if p.Seq < 0 {
 		return
 	}
 	w.launches = append(w.launches, Launch{
