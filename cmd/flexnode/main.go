@@ -19,12 +19,12 @@
 //	flexnode -parity                                     # composed, 64 nodes, in-memory
 //	flexnode -parity -variant flood -n 128 -transport tcp
 //	flexnode -parity -variant flood -netem "lat=15ms,jitter=10ms,loss=0.03"
-//	flexnode -parity -reliable -netem "lat=10ms,jitter=5ms,loss=0.05"
+//	flexnode -parity -netem "lat=10ms,jitter=5ms,loss=0.05"
 //
 // With -netem, both runs are shaped by the same seeded profile: counts
 // stay exactness-checked and the delivery-time distributions are
-// compared under a quantile tolerance. It exits nonzero when the tables
-// diverge.
+// compared under a quantile tolerance; a lossy one mounts the stack's
+// loss tolerance on both. It exits nonzero when the tables diverge.
 package main
 
 import (
@@ -53,8 +53,8 @@ func main() {
 }
 
 // runParity executes one differential run and prints the report.
-func runParity(variant, transport, netemSpec string, n int, seed uint64, reliable bool) error {
-	sc := parity.Scenario{N: n, Seed: seed, Reliable: reliable}
+func runParity(variant, transport, netemSpec string, n int, seed uint64) error {
+	sc := parity.Scenario{N: n, Seed: seed}
 	if netemSpec != "" {
 		p, err := netem.ParseProfile(netemSpec)
 		if err != nil {
@@ -92,7 +92,6 @@ func run() error {
 	variant := flag.String("variant", stack.Composed.String(), "parity protocol variant: "+strings.Join(stack.KindNames(), "|"))
 	transportKind := flag.String("transport", "mem", "parity substrate: mem|tcp")
 	netemSpec := flag.String("netem", "", "parity netem profile: preset or spec (shaped run; implies delivery-distribution check)")
-	reliable := flag.Bool("reliable", false, "parity: run the composed stack with its loss-tolerance layer (required for lossy composed scenarios)")
 	clusterN := flag.Int("n", 0, "parity cluster size (0: variant default)")
 	seed := flag.Uint64("seed", 0, "parity scenario seed (0: default)")
 	id := flag.Int("id", 0, "node ID")
@@ -113,7 +112,7 @@ func run() error {
 	flag.Parse()
 
 	if *parityMode {
-		return runParity(*variant, *transportKind, *netemSpec, *clusterN, *seed, *reliable)
+		return runParity(*variant, *transportKind, *netemSpec, *clusterN, *seed)
 	}
 	if *soakMode {
 		return runSoak(*rateSpec, *soakDur, *clusterN, *k, *d, *interval, *seed)

@@ -78,5 +78,6 @@ func E3Landscape(sc Scenario) *metrics.Table {
 	t.AddRow("dc-net (whole network)", fmt.Sprintf("g=%d", n), 3*n*(n-1), "3 hops/round", 0.0, n-int(f*float64(n)))
 	t.AddNote("dc-net row is analytic: 3·N·(N−1) msgs/round, anonymity = honest member count")
 	t.AddNote("flexnet P(deanon) is the group attack's expected success 1/|honest group|; flood/dandelion use first-spy")
+	sc.toleranceNote(t, 3, 4, 5)
 	return t
 }

@@ -56,5 +56,6 @@ func E9Delivery(sc Scenario) *metrics.Table {
 	row(simulate.ProtocolDandelion, 0)
 	row(simulate.ProtocolFlood, 0)
 	t.AddNote("adaptive-only coverage is the diffusion ball; flexnet's Phase 3 completes it")
+	sc.toleranceNote(t, 4)
 	return t
 }

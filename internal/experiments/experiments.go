@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -141,6 +142,28 @@ func (sc Scenario) broadcast(cfg simulate.Config) (*simulate.Result, *sim.Delive
 		panic(err)
 	}
 	return res, deliveries
+}
+
+// toleranceNote names the loss-tolerant configuration a single-broadcast
+// experiment ran under a -netem override that can lose messages or crash
+// nodes (stack.Spec.For): every stack's retransmit timeout and budget,
+// and flexnet's fail-safe at each of ds. Under a clean profile the
+// stacks run strict and the table gets no note.
+func (sc Scenario) toleranceNote(t *metrics.Table, ds ...int) {
+	if sc.Netem == nil {
+		return
+	}
+	var s stack.Spec
+	fs := make([]string, len(ds))
+	for i, d := range ds {
+		s = simulate.Spec(simulate.Config{Protocol: simulate.ProtocolFlexnet, D: d}, 0, nil).For(sc.Netem)
+		fs[i] = fmt.Sprintf("%s at d=%d", fmtDuration(s.Composed.FailSafe), d)
+	}
+	if s.Composed.FailSafe == 0 {
+		return
+	}
+	t.AddNote("the profile can lose messages or crash nodes, so the stacks ran loss-tolerant: retransmit timeout %s, budget %d; flexnet fail-safe %s",
+		fmtDuration(s.Composed.DCNet.RetransmitTimeout), s.Composed.DCNet.RetryBudget, strings.Join(fs, ", "))
 }
 
 // fixture returns the trial function of one runner worker on the

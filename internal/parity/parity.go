@@ -130,21 +130,6 @@ type Scenario struct {
 	ADInterval time.Duration
 	// Q is Dandelion's per-hop fluff probability (default 0.25).
 	Q float64
-	// Reliable mounts the variant's loss-tolerance layer — the same
-	// relchan ack/retransmit discipline (RTO reliableRTO, budget 3) for
-	// every stack: the DC-net exchange plus group fail-safe and custody
-	// handoff for composed, the infect/extend/token/final surface for
-	// adaptive, the stem relay for dandelion. (Flood needs none: its
-	// counts are arrival-order independent by construction.) It is what
-	// makes a lossy non-flood scenario *legal*: retransmission decisions
-	// are pure functions of the seeded drop pattern (see the package
-	// comment), so the two runtimes retransmit — and count — identically.
-	Reliable bool
-	// FailSafe is the fail-safe deadline armed at each group member on
-	// Phase-1 recovery (default 2 s for reliable composed runs; it must
-	// comfortably exceed the healthy run's full Phase 2+3 span, so that
-	// "flood arrived by the deadline" is unambiguous on both runtimes).
-	FailSafe time.Duration
 
 	// Netem applies one network-condition profile to both runs: the sim
 	// delivers through Options.Netem and every transport node shapes its
@@ -154,15 +139,12 @@ type Scenario struct {
 	// even on a lossy, jittered network. Delivery-time distributions are
 	// the quantity that only matches statistically; set DistTolerance to
 	// check them. Churn profiles are rejected (a wall-clock cluster
-	// cannot replay virtual-time crashes). Loss profiles are legal for
-	// flood — whose per-type totals are arrival-order independent (each
-	// directed link carries at most one data message) — and for the
-	// composed stack with Reliable set: drop decisions key on per-(link,
-	// type) seeded streams, so each message's fate depends only on its
-	// position within its own type's FIFO stream, and the reliability
-	// layer's retransmissions become the same pure function of the seed
-	// on both sides (the ROADMAP's "shaped-parity exactness beyond
-	// flood").
+	// cannot replay virtual-time crashes). A lossy profile mounts the
+	// variant's loss tolerance (see spec); flood needs none, each directed
+	// link carrying at most one data message. Drop decisions key on
+	// per-(link, type) seeded streams, so each message's fate depends only
+	// on its position in its own type's FIFO stream, and retransmissions
+	// are the same pure function of the seed on both sides.
 	Netem *netem.Profile
 	// DistTolerance, when positive, checks the delivery-time
 	// distributions: each probed quantile must satisfy
@@ -219,9 +201,6 @@ func (sc *Scenario) applyDefaults() {
 	if sc.Q == 0 {
 		sc.Q = 0.25
 	}
-	if sc.Reliable && sc.Variant == VariantComposed && sc.FailSafe <= 0 {
-		sc.FailSafe = 2 * time.Second
-	}
 	if sc.Timeout <= 0 {
 		sc.Timeout = 60 * time.Second
 	}
@@ -265,32 +244,9 @@ func (sc *Scenario) validate() error {
 		if sc.Netem.Churn.Enabled() {
 			return fmt.Errorf("parity: churn profiles are simulator-only (no faithful wall-clock replay)")
 		}
-		switch {
-		case sc.Netem.Loss == 0:
-		case sc.Variant == VariantFlood:
-			// Flood counts are arrival-order independent under per-link
-			// seeded drops: each directed link carries at most one data
-			// message.
-		case sc.Reliable:
-			// The mounted reliability channel restores exact comparability
-			// for every other variant: per-(link, type) drop streams make
-			// each loss — and therefore each ack, nack, and retransmission
-			// — the same pure function of the seed on both runtimes.
-		default:
-			return fmt.Errorf("parity: lossy %v runs require Scenario.Reliable — without the ack discipline a dropped message silently changes the protocol's trajectory on exactly one runtime (still rejected even with Reliable: churn profiles, which are simulator-only)", sc.Variant)
-		}
 	}
 	return nil
 }
-
-// reliableRTO is the DC-net retransmit timeout of reliable scenarios.
-// Two constraints pick it: it must exceed the profile's worst-case data
-// + ack round trip by a margin far above scheduler noise (or the real
-// run retransmits messages whose acks are merely in flight), and it
-// must not divide the DC round interval (or a k-th retransmission of a
-// multiply-dropped message lands exactly on a round-timer tick, whose
-// event-order tie the two runtimes may break differently).
-const reliableRTO = 130 * time.Millisecond
 
 // lossy reports whether the scenario's profile sheds messages — the
 // runs then settle on counter stability instead of full coverage.
@@ -318,45 +274,42 @@ func (sc *Scenario) treeDegree() int {
 	return sc.Degree
 }
 
+// spec is the stack both runtimes mount, with the loss tolerance the
+// profile calls for (stack.Spec.For). On parity's profiles that is a
+// 130 ms timeout, a budget of 3 and a 2 s composed fail-safe.
+func (sc *Scenario) spec() stack.Spec {
+	return stack.Spec{
+		Kind:     sc.Variant,
+		Adaptive: adaptive.Config{D: sc.D, RoundInterval: sc.ADInterval, TreeDegree: sc.treeDegree()},
+		// Epoch is set beyond any run horizon so the successor graph is
+		// drawn exactly once (at Init) under both runtimes; the fail-safe
+		// stays off because virtual time reaches it in the simulator
+		// while wall-clock runs end long before it.
+		Dandelion: dandelion.Config{Q: sc.Q, Epoch: time.Hour, FailSafe: 0},
+		Composed: core.Config{
+			Group: sc.Group,
+			DCNet: dcnet.Config{
+				Mode:      dcnet.ModeAnnounce,
+				Interval:  sc.DCInterval,
+				Policy:    dcnet.PolicyNone,
+				MaxRounds: sc.DCRounds,
+			},
+		},
+	}.For(sc.Netem)
+}
+
 // handler builds the protocol handler for one node — the single factory
 // both runtimes share, in the map-backed live form on both, so any config
 // skew between the runs is impossible by construction.
 func (sc *Scenario) handler(id proto.NodeID, hashes map[proto.NodeID][32]byte) proto.Handler {
-	ad := adaptive.Config{D: sc.D, RoundInterval: sc.ADInterval, TreeDegree: sc.treeDegree()}
-	if sc.Variant != VariantComposed {
-		spec := stack.Spec{
-			Kind:     sc.Variant,
-			Adaptive: ad,
-			// Epoch is set beyond any run horizon so the successor graph is
-			// drawn exactly once (at Init) under both runtimes; the fail-safe
-			// stays off because virtual time reaches it in the simulator
-			// while wall-clock runs end long before it.
-			Dandelion: dandelion.Config{Q: sc.Q, Epoch: time.Hour, FailSafe: 0},
-		}
-		if sc.Reliable {
-			spec.Adaptive.RetransmitTimeout, spec.Adaptive.RetryBudget = reliableRTO, 3
-			spec.Dandelion.RetransmitTimeout, spec.Dandelion.RetryBudget = reliableRTO, 3
-		}
+	spec := sc.spec()
+	if spec.Kind != VariantComposed {
 		return stack.Live(spec, id)
 	}
 	// The composed stack runs inside the blockchain node, which builds its
 	// own core.Protocol.
-	cfg := node.Config{Core: core.Config{
-		Group:  sc.Group,
-		Hashes: hashes,
-		DCNet: dcnet.Config{
-			Mode:      dcnet.ModeAnnounce,
-			Interval:  sc.DCInterval,
-			Policy:    dcnet.PolicyNone,
-			MaxRounds: sc.DCRounds,
-		},
-		Adaptive: ad,
-	}}
-	if sc.Reliable {
-		cfg.Core.DCNet.RetransmitTimeout = reliableRTO
-		cfg.Core.DCNet.RetryBudget = 3
-		cfg.Core.FailSafe = sc.FailSafe
-	}
+	cfg := node.Config{Core: spec.Composed}
+	cfg.Core.Hashes, cfg.Core.Adaptive = hashes, spec.Adaptive
 	n, err := node.New(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("parity: building node %d: %v", id, err))

@@ -1,6 +1,7 @@
 package parity
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -167,41 +168,51 @@ func TestParityShapedMemNet(t *testing.T) {
 }
 
 // TestShapedScenarioValidation pins the shaped-run guard rails: churn
-// profiles and lossy scenarios the harness cannot compare exactly must
-// be rejected up front — and any variant with the reliability channel
-// mounted, whose retransmissions are a pure function of the seeded
-// drops, must not be.
+// profiles, which a wall-clock cluster cannot replay, are rejected up
+// front; a lossy scenario of any variant is accepted and mounts the
+// loss tolerance its profile calls for — the settings the shaped parity
+// tests below were pinned under — while a profile that cannot lose a
+// message mounts the strict stack.
 func TestShapedScenarioValidation(t *testing.T) {
 	churny := netem.Churny
-	if _, err := Run(Scenario{Variant: VariantFlood, N: 8, Netem: &churny}); err == nil {
-		t.Error("churn profile accepted by the parity harness")
-	}
-	lossy := netem.Lossy
-	// The churn carve-out is absolute: Reliable does not legalize it.
-	if _, err := Run(Scenario{Variant: VariantComposed, N: 8, Netem: &churny, Reliable: true}); err == nil {
-		t.Error("churn profile accepted with Reliable set (churn is simulator-only)")
-	}
-	for _, v := range []Variant{VariantComposed, VariantAdaptive, VariantDandelion} {
-		if _, err := Run(Scenario{Variant: v, N: 8, Netem: &lossy}); err == nil {
-			t.Errorf("lossy %v scenario without the reliability layer accepted (counts are arrival-order dependent)", v)
-		}
-		ok := Scenario{Variant: v, N: 8, Netem: &lossy, Reliable: true}
-		ok.applyDefaults()
-		if err := ok.validate(); err != nil {
-			t.Errorf("reliable lossy %v scenario rejected: %v", v, err)
+	for _, v := range []Variant{VariantFlood, VariantComposed} {
+		if _, err := Run(Scenario{Variant: v, N: 8, Netem: &churny}); err == nil {
+			t.Errorf("churn profile accepted by the parity harness (%v)", v)
 		}
 	}
-	ok := Scenario{Variant: VariantComposed, N: 8, Netem: &lossy, Reliable: true}
-	ok.applyDefaults()
-	if ok.FailSafe <= 0 {
-		t.Error("reliable composed scenario defaulted without a fail-safe deadline")
-	}
-	// FailSafe is a composed-stack knob; defaulting it for the other
-	// variants would only widen their settle windows for nothing.
-	ad := Scenario{Variant: VariantAdaptive, N: 8, Netem: &lossy, Reliable: true}
-	ad.applyDefaults()
-	if ad.FailSafe != 0 {
-		t.Errorf("reliable adaptive scenario grew a fail-safe deadline %v (composed-only knob)", ad.FailSafe)
+	lossy, jitter := netem.Lossy, netem.WANJitter
+	for _, v := range []Variant{VariantFlood, VariantComposed, VariantAdaptive, VariantDandelion} {
+		sc := Scenario{Variant: v, N: 8, Netem: &lossy}
+		sc.applyDefaults()
+		if err := sc.validate(); err != nil {
+			t.Errorf("lossy %v scenario rejected: %v", v, err)
+		}
+		clean := Scenario{Variant: v, N: 8}
+		clean.applyDefaults()
+		want := clean.spec()
+		shaped := sc
+		shaped.Netem = &jitter
+		if !reflect.DeepEqual(shaped.spec(), want) {
+			t.Errorf("%v: a profile that cannot lose a message changed the stack", v)
+		}
+		got := sc.spec()
+		rto, budget, failSafe := 130*time.Millisecond, 3, time.Duration(0)
+		switch v {
+		case VariantFlood:
+			rto, budget = 0, 0
+		case VariantComposed:
+			want.Composed.DCNet.RetransmitTimeout, want.Composed.DCNet.RetryBudget = rto, budget
+			failSafe = 2 * time.Second
+			want.Composed.FailSafe = failSafe
+		case VariantAdaptive:
+			want.Adaptive.RetransmitTimeout, want.Adaptive.RetryBudget = rto, budget
+		case VariantDandelion:
+			want.Dandelion.RetransmitTimeout, want.Dandelion.RetryBudget = rto, budget
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lossy %v scenario mounts %+v, want retransmit timeout %v, budget %d, fail-safe %v on the strict stack",
+				v, got, rto, budget, failSafe)
+		}
 	}
 }
 
@@ -228,7 +239,6 @@ func TestParityShapedComposed(t *testing.T) {
 		Transport:     TransportMem,
 		N:             64,
 		Netem:         &profile,
-		Reliable:      true,
 		DCInterval:    300 * time.Millisecond,
 		DistTolerance: 1.0,
 		WallTolerance: 60,
@@ -285,7 +295,6 @@ func TestParityShapedAdaptive(t *testing.T) {
 		N:             64,
 		Source:        20,
 		Netem:         &profile,
-		Reliable:      true,
 		ADInterval:    250 * time.Millisecond,
 		WallTolerance: 60,
 	})
@@ -323,7 +332,6 @@ func TestParityShapedDandelion(t *testing.T) {
 		Source:        7,
 		Seed:          9,
 		Netem:         &profile,
-		Reliable:      true,
 		WallTolerance: 60,
 	})
 	if rep.Sim.NetemDropped == 0 || rep.Real.NetemDropped == 0 {

@@ -273,20 +273,22 @@ func (c *cluster) settlePolls() int {
 			gap = hold
 		}
 	}
-	if c.sc.Reliable {
+	s := c.sc.spec()
+	if rto := max(s.Dandelion.RetransmitTimeout, s.Adaptive.RetransmitTimeout, s.Composed.DCNet.RetransmitTimeout); rto > 0 {
 		// A pending message can sit silent for a full RTO before its
 		// retransmission (and its ack) hit the wire again; out-wait the
 		// whole retry round trip so a quiet channel is a drained one.
-		if hold := 2*reliableRTO + 2*maxDelay; hold > gap {
+		// Only the mounted stack's channel is set.
+		if hold := 2*rto + 2*maxDelay; hold > gap {
 			gap = hold
 		}
 	}
-	if c.sc.Reliable && c.sc.FailSafe > 0 {
-		// A reliable composed run can go completely quiet between the
-		// last Phase-3 message and the group members' fail-safe
+	if s.Composed.FailSafe > 0 {
+		// A loss-tolerant composed run can go completely quiet between
+		// the last Phase-3 message and the group members' fail-safe
 		// deadline — and whatever the fail-safe floods must land before
 		// the snapshot. Out-wait that whole window.
-		if fs := c.sc.FailSafe + 2*maxDelay + 500*time.Millisecond; fs > gap {
+		if fs := s.Composed.FailSafe + 2*maxDelay + 500*time.Millisecond; fs > gap {
 			gap = fs
 		}
 	}

@@ -338,6 +338,9 @@ func (n *Network) Reset(seed uint64) {
 // Topology returns the overlay graph.
 func (n *Network) Topology() *topology.Graph { return n.topo }
 
+// Profile returns the link model every send goes through.
+func (n *Network) Profile() *netem.Profile { return n.opts.Netem }
+
 // Now returns the current virtual time. Between runs all shard clocks
 // agree; shard 0's clock is the network's.
 func (n *Network) Now() time.Duration { return n.engine.Now() }

@@ -172,8 +172,14 @@ type NetworkFunc func(g *topology.Graph, seed uint64, def netem.Profile) *sim.Ne
 // (virtual time since origination) in the returned record. Set-up goes
 // topology → payload → adversary → originator → group directory →
 // network → handlers → originate; the draws from the run RNG happen in
-// exactly that order.
+// exactly that order. The stack follows the link profile of the network
+// build returns (stack.Spec.For).
 func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
+	return run(cfg, build, stack.Spec.For)
+}
+
+// run is Run with that rule as a parameter, for tests to vary.
+func run(cfg Config, build NetworkFunc, fit func(stack.Spec, *netem.Profile) stack.Spec) (*Result, *sim.DeliverySet, error) {
 	cfg.applyDefaults()
 	if cfg.Protocol < ProtocolFlood || cfg.Protocol > ProtocolFlexnet {
 		return nil, nil, fmt.Errorf("simulate: unknown protocol %d", cfg.Protocol)
@@ -229,7 +235,7 @@ func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
 	if obs != nil {
 		net.AddTap(obs)
 	}
-	stack.Mount(net, stackSpec(cfg, len(payload), members))
+	stack.Mount(net, fit(Spec(cfg, len(payload), members), net.Profile()))
 	net.Start()
 	id, err := net.Originate(origin, payload)
 	if err != nil {
@@ -277,10 +283,10 @@ func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
 	return res, deliveries, nil
 }
 
-// stackSpec is the protocol stack a configuration selects, with the
-// parameters Run runs each of the four under. members is the
+// Spec is the protocol stack a configuration selects, with the parameters
+// Run runs each of the four under on a clean network. members is the
 // originator's group (flexnet only).
-func stackSpec(cfg Config, payloadLen int, members []proto.NodeID) stack.Spec {
+func Spec(cfg Config, payloadLen int, members []proto.NodeID) stack.Spec {
 	return stack.Spec{
 		Kind:      stack.Kind(cfg.Protocol),
 		Dandelion: dandelion.Config{Q: cfg.Q, FailSafe: 30 * time.Second},
@@ -298,8 +304,8 @@ func stackSpec(cfg Config, payloadLen int, members []proto.NodeID) stack.Spec {
 }
 
 // runUntilSettled advances the simulation in steps until the broadcast
-// reaches every node, coverage stops growing for a grace window, or the
-// deadline passes.
+// reaches every node, coverage stops growing for a grace window after the
+// first delivery (a composed Phase 1 may outlast it), or the deadline.
 func runUntilSettled(net *sim.Network, id proto.MsgID, n int, deadline time.Duration) {
 	const step = 500 * time.Millisecond
 	grace := 0
@@ -318,7 +324,7 @@ func runUntilSettled(net *sim.Network, id proto.MsgID, n int, deadline time.Dura
 		if cur >= n {
 			return
 		}
-		if cur == last {
+		if cur == last && cur > 0 {
 			grace++
 			// Adaptive-only runs legitimately stall after the final
 			// round; DC-net phases can idle for a couple of rounds

@@ -16,11 +16,13 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/adaptive"
 	"repro/internal/core"
 	"repro/internal/dandelion"
 	"repro/internal/flood"
+	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -90,6 +92,32 @@ func (s *Spec) composed() core.Config {
 		}
 	}
 	return c
+}
+
+// For returns s fitted to link profile p. A profile that can neither lose
+// a message nor crash a node (nil is a clean one) keeps the strict stack.
+// Any other turns on the selected stack's own reliability channel (the
+// DC-net exchange for composed; core owns Phase 2's acks) with a timeout
+// past one data + ack round trip at the worst-case hold, floored at
+// 130 ms, and a budget of 3; for composed also a fail-safe past a healthy
+// Phase 2+3, so it floods only once the private path failed (Dandelion++).
+// Flood needs nothing: its redundancy is its loss tolerance.
+func (s Spec) For(p *netem.Profile) Spec {
+	if p == nil || (p.Loss == 0 && !p.Churn.Enabled()) {
+		return s
+	}
+	const budget = 3
+	rto := max(130*time.Millisecond, 2*p.MaxDelay()+10*time.Millisecond)
+	switch s.Kind {
+	case Dandelion:
+		s.Dandelion.RetransmitTimeout, s.Dandelion.RetryBudget = rto, budget
+	case Adaptive:
+		s.Adaptive.RetransmitTimeout, s.Adaptive.RetryBudget = rto, budget
+	case Composed:
+		s.Composed.DCNet.RetransmitTimeout, s.Composed.DCNet.RetryBudget = rto, budget
+		s.Composed.FailSafe = max(2*time.Second, 2*time.Duration(s.Adaptive.D)*s.Adaptive.RoundInterval)
+	}
+	return s
 }
 
 // Live returns node id's handler in the map-backed form a long-lived node

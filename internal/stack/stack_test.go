@@ -3,6 +3,7 @@ package stack
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -192,6 +193,56 @@ func TestParseKind(t *testing.T) {
 	for _, name := range []string{"", "Flood", "bogus", "Kind(0)"} {
 		if k, err := ParseKind(name); err == nil {
 			t.Errorf("ParseKind(%q) = %v; want an error", name, k)
+		}
+	}
+}
+
+// For leaves a stack strict on every profile that can neither lose a
+// message nor crash a node, and otherwise turns on only the selected
+// stack's reliability surface: a timeout past one data + ack round trip
+// at the profile's worst-case hold (floored at 130 ms), a budget of 3,
+// and for composed a fail-safe past 2·D diffusion rounds (floored at 2 s).
+func TestForFollowsProfile(t *testing.T) {
+	base := Spec{
+		Adaptive: adaptive.Config{D: 4, RoundInterval: 500 * time.Millisecond},
+		Composed: core.Config{Group: []proto.NodeID{0, 1}},
+	}
+	flaky := netem.Flaky // 50 ms + U(0, 50 ms): RTO 2·100 ms + 10 ms
+	short := base
+	short.Adaptive.RoundInterval = 50 * time.Millisecond
+	cases := []struct {
+		p        *netem.Profile
+		s        Spec
+		rto      time.Duration
+		failSafe time.Duration
+	}{
+		{nil, base, 0, 0},
+		{&netem.WANJitter, base, 0, 0},
+		{&netem.Lossy, base, 130 * time.Millisecond, 4 * time.Second},
+		{&netem.Churny, base, 130 * time.Millisecond, 4 * time.Second},
+		{&flaky, base, 210 * time.Millisecond, 4 * time.Second},
+		{&netem.Lossy, short, 130 * time.Millisecond, 2 * time.Second},
+	}
+	for _, c := range cases {
+		for k := Flood; k <= Composed; k++ {
+			s := c.s
+			s.Kind = k
+			got := s.For(c.p)
+			want := s
+			if c.rto > 0 {
+				switch k {
+				case Dandelion:
+					want.Dandelion.RetransmitTimeout, want.Dandelion.RetryBudget = c.rto, 3
+				case Adaptive:
+					want.Adaptive.RetransmitTimeout, want.Adaptive.RetryBudget = c.rto, 3
+				case Composed:
+					want.Composed.DCNet.RetransmitTimeout, want.Composed.DCNet.RetryBudget = c.rto, 3
+					want.Composed.FailSafe = c.failSafe
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v under %v: got %+v, want %+v", k, c.p, got, want)
+			}
 		}
 	}
 }
