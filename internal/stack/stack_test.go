@@ -207,7 +207,6 @@ func TestForFollowsProfile(t *testing.T) {
 		Adaptive: adaptive.Config{D: 4, RoundInterval: 500 * time.Millisecond},
 		Composed: core.Config{Group: []proto.NodeID{0, 1}},
 	}
-	flaky := netem.Flaky // 50 ms + U(0, 50 ms): RTO 2·100 ms + 10 ms
 	short := base
 	short.Adaptive.RoundInterval = 50 * time.Millisecond
 	cases := []struct {
@@ -220,7 +219,7 @@ func TestForFollowsProfile(t *testing.T) {
 		{&netem.WANJitter, base, 0, 0},
 		{&netem.Lossy, base, 130 * time.Millisecond, 4 * time.Second},
 		{&netem.Churny, base, 130 * time.Millisecond, 4 * time.Second},
-		{&flaky, base, 210 * time.Millisecond, 4 * time.Second},
+		{&netem.Flaky, base, 210 * time.Millisecond, 4 * time.Second}, // 2·(50 ms + 50 ms) + 10 ms
 		{&netem.Lossy, short, 130 * time.Millisecond, 2 * time.Second},
 	}
 	for _, c := range cases {
