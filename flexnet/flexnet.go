@@ -20,6 +20,8 @@
 package flexnet
 
 import (
+	"sync"
+
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/simulate"
@@ -69,10 +71,22 @@ type SimConfig = simulate.Config
 type SimResult = simulate.Result
 
 // Simulate runs one broadcast on a network with a constant LatencyMs hop
-// and reports the outcome.
+// and reports the outcome. It is safe for concurrent use; each call runs
+// on a simulate.Trial from a pool, so a loop of calls rebuilds the
+// network, directory and stacks of an earlier call in place instead of
+// constructing them.
 func Simulate(cfg SimConfig) (*SimResult, error) {
-	res, _, err := simulate.Run(cfg, func(g *topology.Graph, seed uint64, def netem.Profile) *sim.Network {
-		return sim.NewNetwork(g, sim.Options{Seed: seed, Netem: &def})
-	})
+	t := trials.Get().(*simulate.Trial)
+	res, _, err := t.Run(cfg)
+	trials.Put(t)
 	return res, err
+}
+
+// trials holds the Trials idle between Simulate calls.
+var trials = sync.Pool{New: func() any { return simulate.NewTrial(plainNetwork) }}
+
+// plainNetwork is Simulate's network: the declared profile, one event
+// loop.
+func plainNetwork(g *topology.Graph, seed uint64, def netem.Profile) *sim.Network {
+	return sim.NewNetwork(g, sim.Options{Seed: seed, Netem: &def})
 }

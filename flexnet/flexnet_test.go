@@ -4,6 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,5 +279,65 @@ func BenchmarkSimulateComposed(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSimulateReuseMatchesFresh holds Simulate's pooled Trials to a
+// one-shot simulate.Run: two goroutines interleave the (K,D) cycle of
+// composed1k and a flood over seeds 1–40, every fifth call on a smaller
+// network (so a kept Trial also builds anew), and every call must equal
+// the one-shot run field for field. A delivery record one Run returned
+// must not change when the same Trial runs again.
+func TestSimulateReuseMatchesFresh(t *testing.T) {
+	cells := []SimConfig{
+		{Protocol: ProtocolFlexnet, K: 5, D: 4},
+		{Protocol: ProtocolFlexnet, K: 10, D: 4},
+		{Protocol: ProtocolFlexnet, K: 20, D: 6},
+		{Protocol: ProtocolFlood},
+	}
+	config := func(i int) SimConfig {
+		cfg := cells[i%len(cells)]
+		cfg.N, cfg.AdversaryFraction, cfg.Seed = 250, 0.1, uint64(i/len(cells)+1)
+		if cfg.Seed%5 == 0 {
+			cfg.N = 200
+		}
+		return cfg
+	}
+	calls := 40 * len(cells)
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < calls; i = int(next.Add(1)) - 1 {
+				cfg := config(i)
+				got, err := Simulate(cfg)
+				want, _, wantErr := simulate.Run(cfg, plainNetwork)
+				if err != nil || wantErr != nil {
+					t.Errorf("call %d %+v: error %v, one-shot %v", i, cfg, err, wantErr)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("call %d %+v:\n pooled   %+v\n one-shot %+v", i, cfg, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	tr := simulate.NewTrial(plainNetwork)
+	_, first, err := tr.Run(config(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := maps.Collect(first.All())
+	for i := 1; i < len(cells); i++ {
+		if _, _, err := tr.Run(config(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := maps.Collect(first.All()); !maps.Equal(before, after) || first.Count() != len(before) {
+		t.Errorf("the first run's delivery record changed under later runs: %d entries (count %d), was %d", len(after), first.Count(), len(before))
 	}
 }

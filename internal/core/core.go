@@ -192,6 +192,21 @@ func (s *Shared) Partition(k int) {
 	s.ad.Partition(k)
 }
 
+// Configure resolves cfg in place of the configuration the Shared was
+// built or last configured with, keeping its node count, partition and
+// slabs — the trial-loop form of NewShared for a network whose next
+// trial has another group or other parameters. Like after Reset, every
+// node's protocol must then be rebuilt with NewAt; protocols built
+// before keep the configuration they were built with.
+func (s *Shared) Configure(cfg Config) error {
+	r, err := resolve(cfg)
+	if err != nil {
+		return err
+	}
+	s.cfg = r
+	return nil
+}
+
 // Reset rewinds both members for the next trial. Protocols built before
 // it hold per-node Phase-1 and custody state Reset cannot see: rebuild
 // every node's with NewAt, which resets its slot in place.

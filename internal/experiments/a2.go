@@ -45,8 +45,8 @@ func A2ParameterAdvisor(sc Scenario) *metrics.Table {
 			hit       float64
 			delivered bool
 		}
-		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
-			res, _ := sc.broadcast(simulate.Config{
+		samples := runner.MapWorker(nTrials, sc.Par, sc.trial, func(tr *simulate.Trial, trial int) sample {
+			res, _ := sc.broadcast(tr, simulate.Config{
 				N: n, Degree: deg,
 				Protocol:          simulate.ProtocolFlexnet,
 				K:                 rec.K,

@@ -55,8 +55,8 @@ func E10MinerFairness(sc Scenario) *metrics.Table {
 		// the expensive part — and run through the worker pool; the fee
 		// lottery below consumes one shared RNG stream and stays
 		// sequential.
-		profs := runner.Map(profileCount, sc.Par, func(i int) *sim.DeliverySet {
-			_, prof := sc.broadcast(simulate.Config{
+		profs := runner.MapWorker(profileCount, sc.Par, sc.trial, func(tr *simulate.Trial, i int) *sim.DeliverySet {
+			_, prof := sc.broadcast(tr, simulate.Config{
 				N: n, Degree: deg, Protocol: pr.p, K: pr.k, D: 4,
 				Seed: uint64(i + 1),
 			})

@@ -39,11 +39,11 @@ func E3Landscape(sc Scenario) *metrics.Table {
 		msgs, cover, hit, anon float64
 	}
 	for _, v := range variants {
-		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
+		samples := runner.MapWorker(nTrials, sc.Par, sc.trial, func(tr *simulate.Trial, trial int) sample {
 			cfg := v.cfg
 			cfg.N, cfg.Degree, cfg.Seed = n, deg, uint64(trial+1)
 			cfg.AdversaryFraction = f
-			res, _ := sc.broadcast(cfg)
+			res, _ := sc.broadcast(tr, cfg)
 			s := sample{msgs: float64(res.TotalMessages), cover: float64(res.TimeToCoverage)}
 			if cfg.Protocol == simulate.ProtocolFlexnet {
 				// Group attack: success probability 1/|honest set|.

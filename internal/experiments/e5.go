@@ -33,17 +33,17 @@ func E5DandelionVsFlexnet(sc Scenario) *metrics.Table {
 		hasFloor   bool
 	}
 	for _, f := range fractions {
-		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
+		samples := runner.MapWorker(nTrials, sc.Par, sc.trial, func(tr *simulate.Trial, trial int) sample {
 			seed := uint64(trial*31 + int(f*100) + 1)
 			var s sample
-			dres, _ := sc.broadcast(simulate.Config{
+			dres, _ := sc.broadcast(tr, simulate.Config{
 				N: n, Degree: deg, Protocol: simulate.ProtocolDandelion,
 				Seed: seed, AdversaryFraction: f,
 			})
 			if dres.FirstSpyCorrect {
 				s.dHit = 1
 			}
-			xres, _ := sc.broadcast(simulate.Config{
+			xres, _ := sc.broadcast(tr, simulate.Config{
 				N: n, Degree: deg, Protocol: simulate.ProtocolFlexnet,
 				K: k, D: 4, Seed: seed, AdversaryFraction: f,
 			})

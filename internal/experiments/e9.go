@@ -27,8 +27,8 @@ func E9Delivery(sc Scenario) *metrics.Table {
 		full  bool
 	}
 	row := func(p simulate.Protocol, d int) {
-		samples := runner.Map(nTrials, sc.Par, func(trial int) sample {
-			res, _ := sc.broadcast(simulate.Config{
+		samples := runner.MapWorker(nTrials, sc.Par, sc.trial, func(tr *simulate.Trial, trial int) sample {
+			res, _ := sc.broadcast(tr, simulate.Config{
 				N: n, Degree: deg, Protocol: p, K: 5, D: d,
 				Seed:        uint64(trial*7 + d + 1),
 				MaxDuration: 5 * time.Minute,

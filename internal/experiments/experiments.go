@@ -64,9 +64,9 @@ type Scenario struct {
 	// grids) keep their own conditions.
 	Netem *netem.Profile
 
-	// freshNet makes fixture rebuild per trial: the comparison arm of
-	// TestNetworkReuseBitIdentical, which alone sets it. codec turns on
-	// byte accounting (bare DC-net runs).
+	// freshNet makes fixture and trial build anew per trial: the
+	// comparison arm of TestNetworkReuseBitIdentical, which alone sets
+	// it. codec turns on byte accounting (bare DC-net runs).
 	freshNet bool
 	codec    *wire.Codec
 }
@@ -133,11 +133,24 @@ func (sc Scenario) network(g *topology.Graph, seed uint64, def netem.Profile) *s
 	return net
 }
 
-// broadcast runs one simulate trial on a network built by sc.network
-// and returns its outcome and delivery record. Experiments pass constant
-// configurations, so an error is a bug.
-func (sc Scenario) broadcast(cfg simulate.Config) (*simulate.Result, *sim.DeliverySet) {
-	res, deliveries, err := simulate.Run(cfg, sc.network)
+// trial returns a runner worker's broadcast trial: one simulate.Trial
+// over sc.network, kept across the worker's broadcasts — or, in the
+// freshNet arm, nil, for broadcast to build every trial anew.
+func (sc Scenario) trial() *simulate.Trial {
+	if sc.freshNet {
+		return nil
+	}
+	return simulate.NewTrial(sc.network)
+}
+
+// broadcast runs one simulate trial on tr (a one-shot one when tr is nil)
+// with networks built by sc.network, and returns its outcome and delivery
+// record. Experiments pass constant configurations, so an error is a bug.
+func (sc Scenario) broadcast(tr *simulate.Trial, cfg simulate.Config) (*simulate.Result, *sim.DeliverySet) {
+	if tr == nil {
+		tr = simulate.NewTrial(sc.network)
+	}
+	res, deliveries, err := tr.Run(cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -99,6 +99,29 @@ func NewOverlapDirectory(k, overlap int) (*Directory, error) {
 	}, nil
 }
 
+// Reset empties the directory for anonymity parameter k, keeping its
+// overlap: the result behaves exactly like NewOverlapDirectory(k,
+// overlap), but keeps the capacity its maps and size heap grew to. Groups
+// handed out before stay as they were; the directory no longer
+// references them.
+func (d *Directory) Reset(k int) error {
+	if k < 2 {
+		return ErrBadK
+	}
+	clear(d.bySize)
+	*d = Directory{
+		k:       k,
+		overlap: d.overlap,
+		groups:  d.groups,
+		bySize:  d.bySize[:0],
+		byNode:  d.byNode,
+		pending: d.pending[:0],
+	}
+	clear(d.groups)
+	clear(d.byNode)
+	return nil
+}
+
 // K returns the anonymity parameter.
 func (d *Directory) K() int { return d.k }
 

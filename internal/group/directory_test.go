@@ -45,56 +45,100 @@ func diffAgainstOracle(d *Directory, o *oracleDirectory, universe int) string {
 
 // The indexed directory must place every node exactly where the
 // re-deriving one did: same group IDs, members, pending pool, counters,
-// and the same number of draws from the caller's RNG.
+// and the same number of draws from the caller's RNG. The reset arm
+// drives a directory that was filled, churned and Reset from another k
+// against the same fresh oracle: Reset must leave nothing behind.
 func TestDirectoryMatchesOracle(t *testing.T) {
-	for _, k := range []int{2, 5, 20} {
-		for _, overlap := range []int{1, 2, 3} {
-			for seed := uint64(1); seed <= 4; seed++ {
-				t.Run(fmt.Sprintf("k=%d,overlap=%d,seed=%d", k, overlap, seed), func(t *testing.T) {
-					d, err := NewOverlapDirectory(k, overlap)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o := newOracleDirectory(k, overlap)
-					rngD, rngO, ops := testRNG(seed), testRNG(seed), testRNG(seed+100)
-					universe := 8 * k
-					for step := 0; step < 800; step++ {
-						// Grow for 200 steps, then shrink, so groups both
-						// split and fall below k.
-						joinBias := 8
-						if step%400 >= 200 {
-							joinBias = 1
+	for _, arm := range []string{"", "reset,"} {
+		for _, k := range []int{2, 5, 20} {
+			for _, overlap := range []int{1, 2, 3} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					t.Run(fmt.Sprintf("%sk=%d,overlap=%d,seed=%d", arm, k, overlap, seed), func(t *testing.T) {
+						var d *Directory
+						if arm == "" {
+							var err error
+							if d, err = NewOverlapDirectory(k, overlap); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							d = usedDirectory(t, k+3, overlap, seed)
+							if err := d.Reset(k); err != nil {
+								t.Fatal(err)
+							}
 						}
-						n := proto.NodeID(ops.IntN(universe))
-						var op string
-						var errD, errO error
-						switch r := ops.IntN(10); {
-						case !o.Known(n) && r < joinBias:
-							op = "join"
-							errD, errO = d.Join(n, rngD), o.Join(n, rngO)
-						case r < 8:
-							op = "leave"
-							errD, errO = d.Leave(n, rngD), o.Leave(n, rngO)
-						default: // known or not: evicting an absent node is a no-op
-							op = "evict"
-							errD, errO = d.Evict(n, rngD), o.Evict(n, rngO)
-						}
-						if (errD == nil) != (errO == nil) {
-							t.Fatalf("step %d %s %d: error %v, oracle %v", step, op, n, errD, errO)
-						}
-						if diff := diffAgainstOracle(d, o, universe); diff != "" {
-							t.Fatalf("step %d %s %d: %s", step, op, n, diff)
-						}
-					}
-					if d.Splits == 0 || d.Dissolves == 0 || d.Evictions == 0 {
-						t.Errorf("sequence too tame: %d splits, %d dissolves, %d evictions", d.Splits, d.Dissolves, d.Evictions)
-					}
-					if a, b := rngD.Uint64(), rngO.Uint64(); a != b {
-						t.Errorf("RNG positions differ after the run: next draw %d, oracle %d", a, b)
-					}
-				})
+						matchOracle(t, d, k, overlap, seed)
+					})
+				}
 			}
 		}
+	}
+}
+
+// usedDirectory returns a directory with anonymity parameter k that has
+// placed, split, dissolved and evicted, so every index holds entries.
+func usedDirectory(t *testing.T, k, overlap int, seed uint64) *Directory {
+	t.Helper()
+	d, err := NewOverlapDirectory(k, overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := testRNG(seed + 200)
+	for _, v := range rng.Perm(12 * k) {
+		if err := d.Join(proto.NodeID(v), rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range rng.Perm(12 * k)[:5*k] {
+		if err := d.Evict(proto.NodeID(v), rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Splits == 0 || d.Dissolves == 0 || len(d.groups) == 0 {
+		t.Fatalf("used directory too tame: %d splits, %d dissolves, %d groups", d.Splits, d.Dissolves, len(d.groups))
+	}
+	return d
+}
+
+// matchOracle drives d and a fresh oracle with the same 800 seeded
+// joins, leaves and evictions and fails at the first difference.
+func matchOracle(t *testing.T, d *Directory, k, overlap int, seed uint64) {
+	t.Helper()
+	o := newOracleDirectory(k, overlap)
+	rngD, rngO, ops := testRNG(seed), testRNG(seed), testRNG(seed+100)
+	universe := 8 * k
+	for step := 0; step < 800; step++ {
+		// Grow for 200 steps, then shrink, so groups both split and
+		// fall below k.
+		joinBias := 8
+		if step%400 >= 200 {
+			joinBias = 1
+		}
+		n := proto.NodeID(ops.IntN(universe))
+		var op string
+		var errD, errO error
+		switch r := ops.IntN(10); {
+		case !o.Known(n) && r < joinBias:
+			op = "join"
+			errD, errO = d.Join(n, rngD), o.Join(n, rngO)
+		case r < 8:
+			op = "leave"
+			errD, errO = d.Leave(n, rngD), o.Leave(n, rngO)
+		default: // known or not: evicting an absent node is a no-op
+			op = "evict"
+			errD, errO = d.Evict(n, rngD), o.Evict(n, rngO)
+		}
+		if (errD == nil) != (errO == nil) {
+			t.Fatalf("step %d %s %d: error %v, oracle %v", step, op, n, errD, errO)
+		}
+		if diff := diffAgainstOracle(d, o, universe); diff != "" {
+			t.Fatalf("step %d %s %d: %s", step, op, n, diff)
+		}
+	}
+	if d.Splits == 0 || d.Dissolves == 0 || d.Evictions == 0 {
+		t.Errorf("sequence too tame: %d splits, %d dissolves, %d evictions", d.Splits, d.Dissolves, d.Evictions)
+	}
+	if a, b := rngD.Uint64(), rngO.Uint64(); a != b {
+		t.Errorf("RNG positions differ after the run: next draw %d, oracle %d", a, b)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,22 +267,13 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		deliveries: make(map[proto.MsgID]*DeliverySet),
 	}
 	n.engine = n.newEngine()
-	n.linkOff = make([]int32, topo.N()+1)
-	for i := 0; i < topo.N(); i++ {
-		n.linkOff[i+1] = n.linkOff[i] + int32(topo.Degree(proto.NodeID(i)))
-	}
-	n.linkDst = make([]proto.NodeID, n.linkOff[topo.N()])
-	n.linkAt = make([]time.Duration, len(n.linkDst))
-	for i := 0; i < topo.N(); i++ {
-		copy(n.linkDst[n.linkOff[i]:], topo.Neighbors(proto.NodeID(i)))
-	}
 	if d, fixed := opts.Netem.FixedDelay(); fixed {
 		n.fixedDelay = d
 	} else {
 		sh := opts.Netem.Shaper(opts.Seed)
 		n.shaper = &sh
-		n.linkStreams = make([]linkStream, len(n.linkDst))
 	}
+	n.fillLinks()
 	for i := range n.nodes {
 		node := &n.nodes[i]
 		node.net = n
@@ -290,6 +282,57 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	}
 	n.resolveShards()
 	return n
+}
+
+// fillLinks lays the topology out as the CSR link arrays, reusing their
+// capacity: linkOff, linkDst and linkAt always, linkStreams under a
+// shaper. The arrival and stream cells it keeps are stale; Reset clears
+// them.
+func (n *Network) fillLinks() {
+	nodes := n.topo.N()
+	n.linkOff = slices.Grow(n.linkOff[:0], nodes+1)[:nodes+1]
+	n.linkOff[0] = 0
+	for i := 0; i < nodes; i++ {
+		n.linkOff[i+1] = n.linkOff[i] + int32(n.topo.Degree(proto.NodeID(i)))
+	}
+	m := int(n.linkOff[nodes])
+	n.linkDst = slices.Grow(n.linkDst[:0], m)[:m]
+	n.linkAt = slices.Grow(n.linkAt[:0], m)[:m]
+	for i := 0; i < nodes; i++ {
+		copy(n.linkDst[n.linkOff[i]:], n.topo.Neighbors(proto.NodeID(i)))
+	}
+	if n.shaper != nil {
+		n.linkStreams = slices.Grow(n.linkStreams[:0], m)[:m]
+	}
+}
+
+// Rebuild turns the network into NewNetwork(topo, options-with-seed) for
+// another graph with the same node count: it lays out topo's links in
+// the kept CSR arrays, clears the taps and runs Reset. Options, shard
+// layout, engines and queue capacity are kept, so a rebuild of the same
+// size allocates nothing once the arrays have grown to the larger
+// graph's edge count. Handlers are dropped, as by Reset.
+func (n *Network) Rebuild(topo *topology.Graph, seed uint64) {
+	if topo.N() != len(n.nodes) {
+		panic(fmt.Sprintf("sim: Rebuild onto %d nodes of a %d-node network", topo.N(), len(n.nodes)))
+	}
+	n.topo = topo
+	n.fillLinks()
+	n.ClearTaps()
+	n.Reset(seed)
+}
+
+// Shed drops what one run grew and the next does not need: the taps
+// (and with them whatever their observers hold) and every node's list
+// of links outside the topology, which group overlays grow to a few
+// dozen entries at their members. A network kept between runs then idles
+// at the size NewNetwork gave it. What the run produced stays readable
+// until the next Reset or Rebuild.
+func (n *Network) Shed() {
+	n.ClearTaps()
+	for i := range n.cold {
+		n.cold[i].extra = nil
+	}
 }
 
 // Reset rewinds the network for a fresh run over the same topology and

@@ -164,22 +164,59 @@ var ErrDisconnected = errors.New("simulate: generated topology is disconnected; 
 
 // NetworkFunc builds the trial network over g, seeded, under the link
 // profile the configuration declares (a constant LatencyMs hop) or
-// whatever condition the caller substitutes for it.
+// whatever condition the caller substitutes for it. A Trial calls it for
+// its first network and again only when N or LatencyMs changes; every
+// other call rebuilds the network it has in place (sim.Network.Rebuild),
+// so what the function sets besides the seed must not depend on g beyond
+// its node count.
 type NetworkFunc func(g *topology.Graph, seed uint64, def netem.Profile) *sim.Network
 
 // Run sets one broadcast up on a network build returns, runs it until it
 // settles and reports the outcome, with each node's first-delivery time
-// (virtual time since origination) in the returned record. Set-up goes
-// topology → payload → adversary → originator → group directory →
-// network → handlers → originate; the draws from the run RNG happen in
-// exactly that order. The stack follows the link profile of the network
-// build returns (stack.Spec.For).
+// (virtual time since origination) in the returned record: one Run of a
+// new Trial.
 func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
-	return run(cfg, build, stack.Spec.For)
+	return NewTrial(build).Run(cfg)
 }
 
-// run is Run with that rule as a parameter, for tests to vary.
-func run(cfg Config, build NetworkFunc, fit func(stack.Spec, *netem.Profile) stack.Spec) (*Result, *sim.DeliverySet, error) {
+// Trial is the construction of one broadcast trial, kept and rebuilt in
+// place by the next Run instead of built anew: the network's node, link,
+// engine and shard arrays (sim.Network.Rebuild), the group directory's
+// maps and heap (group.Directory.Reset), and one mounted stack per
+// protocol with its dense per-node state (stack.Mounted.Remount). Every
+// Run's outcome equals a fresh Trial's. When a Run returns, the Trial
+// drops what only that run needed (sim.Network.Shed): the adversary's
+// tap and the off-topology link lists DC-net group sends grow, which,
+// kept, raise a closed loop's peak RSS by some 70 % (DESIGN §2k). What a
+// Run returns is the caller's: the next Run builds a new delivery
+// record and leaves the old one as it was.
+//
+// A Trial runs one trial at a time. flexnet.Simulate pools them; an
+// experiment keeps one per runner worker.
+type Trial struct {
+	build NetworkFunc
+	// fit adapts the stack to the network's link profile: stack.Spec.For
+	// except in tests that vary the rule.
+	fit func(stack.Spec, *netem.Profile) stack.Spec
+
+	net       *sim.Network
+	latencyMs int // the LatencyMs net was built for
+	dir       *group.Directory
+	stacks    [stack.Composed + 1]*stack.Mounted // by Kind, on net
+}
+
+// NewTrial returns a Trial whose networks come from build.
+func NewTrial(build NetworkFunc) *Trial {
+	return &Trial{build: build, fit: stack.Spec.For}
+}
+
+// Run sets one broadcast up, runs it until it settles and reports the
+// outcome, with each node's first-delivery time (virtual time since
+// origination) in the returned record. Set-up goes topology → payload →
+// adversary → originator → group directory → network → handlers →
+// originate; the draws from the run RNG happen in exactly that order.
+// The stack follows the link profile of the network (stack.Spec.For).
+func (t *Trial) Run(cfg Config) (*Result, *sim.DeliverySet, error) {
 	cfg.applyDefaults()
 	if cfg.Protocol < ProtocolFlood || cfg.Protocol > ProtocolFlexnet {
 		return nil, nil, fmt.Errorf("simulate: unknown protocol %d", cfg.Protocol)
@@ -212,30 +249,17 @@ func run(cfg Config, build NetworkFunc, fit func(stack.Spec, *netem.Profile) sta
 	// the originator's group drives Phase 1.
 	var members []proto.NodeID
 	if cfg.Protocol == ProtocolFlexnet {
-		dir, err := group.NewDirectory(cfg.K)
-		if err != nil {
-			return nil, nil, fmt.Errorf("simulate: %w", err)
+		if members, err = t.place(cfg, origin, runRNG); err != nil {
+			return nil, nil, err
 		}
-		for _, v := range runRNG.Perm(cfg.N) {
-			if err := dir.Join(proto.NodeID(v), runRNG); err != nil {
-				return nil, nil, fmt.Errorf("simulate: %w", err)
-			}
-		}
-		gids := dir.GroupsOf(origin)
-		if len(gids) == 0 {
-			return nil, nil, errors.New("simulate: originator not placed in a group (N < K?)")
-		}
-		members = dir.Group(gids[0]).Members
 	}
 
-	net := build(g, cfg.Seed, netem.Profile{
-		Name:    fmt.Sprintf("lat=%dms", cfg.LatencyMs),
-		Latency: netem.Const(time.Duration(cfg.LatencyMs) * time.Millisecond),
-	})
+	net := t.network(g, cfg)
+	defer net.Shed()
 	if obs != nil {
 		net.AddTap(obs)
 	}
-	stack.Mount(net, fit(Spec(cfg, len(payload), members), net.Profile()))
+	t.mount(t.fit(Spec(cfg, len(payload), members), net.Profile()))
 	net.Start()
 	id, err := net.Originate(origin, payload)
 	if err != nil {
@@ -281,6 +305,59 @@ func run(cfg Config, build NetworkFunc, fit func(stack.Spec, *netem.Profile) sta
 		}
 	}
 	return res, deliveries, nil
+}
+
+// place partitions all cfg.N nodes into groups through the kept
+// directory, joining them in a random order, and returns the
+// originator's group.
+func (t *Trial) place(cfg Config, origin proto.NodeID, rng *rand.Rand) ([]proto.NodeID, error) {
+	var err error
+	if t.dir == nil {
+		t.dir, err = group.NewDirectory(cfg.K)
+	} else {
+		err = t.dir.Reset(cfg.K)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("simulate: %w", err)
+	}
+	for _, v := range rng.Perm(cfg.N) {
+		if err := t.dir.Join(proto.NodeID(v), rng); err != nil {
+			return nil, fmt.Errorf("simulate: %w", err)
+		}
+	}
+	gids := t.dir.GroupsOf(origin)
+	if len(gids) == 0 {
+		return nil, errors.New("simulate: originator not placed in a group (N < K?)")
+	}
+	return t.dir.Group(gids[0]).Members, nil
+}
+
+// network returns the trial network over g seeded with cfg.Seed: the
+// kept one rebuilt in place when it has cfg's node count and latency,
+// else a new one from build, which also retires the stacks mounted on
+// the old one.
+func (t *Trial) network(g *topology.Graph, cfg Config) *sim.Network {
+	if t.net != nil && t.net.Topology().N() == cfg.N && t.latencyMs == cfg.LatencyMs {
+		t.net.Rebuild(g, cfg.Seed)
+		return t.net
+	}
+	t.net = t.build(g, cfg.Seed, netem.Profile{
+		Name:    fmt.Sprintf("lat=%dms", cfg.LatencyMs),
+		Latency: netem.Const(time.Duration(cfg.LatencyMs) * time.Millisecond),
+	})
+	t.latencyMs = cfg.LatencyMs
+	t.stacks = [len(t.stacks)]*stack.Mounted{}
+	return t.net
+}
+
+// mount installs s's handlers on the network: over the kept stack of
+// s's kind, re-specified, or over a newly mounted one.
+func (t *Trial) mount(s stack.Spec) {
+	if m := t.stacks[s.Kind]; m != nil {
+		m.Remount(s)
+		return
+	}
+	t.stacks[s.Kind] = stack.Mount(t.net, s)
 }
 
 // Spec is the protocol stack a configuration selects, with the parameters

@@ -64,6 +64,14 @@ func TestRunBuildsOneNetworkUnderDeclaredProfile(t *testing.T) {
 	}
 }
 
+// run is Run with the rule that fits the stack to the link profile as a
+// parameter.
+func run(cfg Config, build NetworkFunc, fit func(stack.Spec, *netem.Profile) stack.Spec) (*Result, *sim.DeliverySet, error) {
+	t := NewTrial(build)
+	t.fit = fit
+	return t.Run(cfg)
+}
+
 // strict mounts the stack as configured whatever the profile: the
 // protocol before it was fitted to the link.
 func strict(s stack.Spec, _ *netem.Profile) stack.Spec { return s }

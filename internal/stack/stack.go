@@ -145,9 +145,15 @@ func Live(s Spec, id proto.NodeID) proto.Handler {
 
 // Mounted is a Spec realised on one simulated network.
 type Mounted struct {
-	net     *sim.Network
-	handler func(id proto.NodeID) proto.Handler
-	reset   func()
+	net  *sim.Network
+	spec Spec
+	// handler builds node id's handler over the dense state, reading the
+	// parameters from spec; reset rewinds that state; configure, for
+	// the stack whose state holds its parameters, takes it to a new
+	// Spec.
+	handler   func(id proto.NodeID) proto.Handler
+	reset     func()
+	configure func(Spec)
 }
 
 // Mount sizes the spec's dense state to net — node count from its
@@ -155,7 +161,7 @@ type Mounted struct {
 // and its handlers cannot disagree — and installs its handlers.
 func Mount(net *sim.Network, s Spec) *Mounted {
 	n, k := net.Topology().N(), net.ShardCount()
-	m := &Mounted{net: net, reset: func() {}}
+	m := &Mounted{net: net, spec: s, reset: func() {}, configure: func(Spec) {}}
 	switch s.Kind {
 	case Flood:
 		sh := flood.NewShared(n)
@@ -165,12 +171,12 @@ func Mount(net *sim.Network, s Spec) *Mounted {
 	case Dandelion:
 		// No dense form: Dandelion's state is per node and dies with the
 		// handler.
-		m.handler = func(proto.NodeID) proto.Handler { return dandelion.New(s.Dandelion) }
+		m.handler = func(proto.NodeID) proto.Handler { return dandelion.New(m.spec.Dandelion) }
 	case Adaptive:
 		sh := adaptive.NewShared(n)
 		sh.Partition(k)
 		m.reset = sh.Reset
-		m.handler = func(id proto.NodeID) proto.Handler { return adaptive.NewAt(s.Adaptive, sh, id) }
+		m.handler = func(id proto.NodeID) proto.Handler { return adaptive.NewAt(m.spec.Adaptive, sh, id) }
 	case Composed:
 		sh, err := core.NewShared(n, s.composed())
 		if err != nil {
@@ -178,6 +184,11 @@ func Mount(net *sim.Network, s Spec) *Mounted {
 		}
 		sh.Partition(k)
 		m.reset = sh.Reset
+		m.configure = func(s Spec) {
+			if err := sh.Configure(s.composed()); err != nil {
+				panic(fmt.Sprintf("stack: remounting composed stack: %v", err))
+			}
+		}
 		m.handler = func(id proto.NodeID) proto.Handler { return core.NewAt(sh, id) }
 	default:
 		panic("stack: unknown " + s.Kind.String())
@@ -194,4 +205,19 @@ func Mount(net *sim.Network, s Spec) *Mounted {
 func (m *Mounted) Reset() {
 	m.reset()
 	m.net.SetHandlers(m.handler)
+}
+
+// Remount is Reset onto another Spec of the same Kind: the stack then
+// behaves exactly like Mount(net, s) on its network, but keeps the dense
+// state it sized — the composed stack re-resolves its configuration (a
+// new group, other parameters) over the slabs it has. Call it after
+// Network.Reset or Network.Rebuild, which keep the node count and shard
+// layout that state was sized to.
+func (m *Mounted) Remount(s Spec) {
+	if s.Kind != m.spec.Kind {
+		panic(fmt.Sprintf("stack: remounting a %s stack as %s", m.spec.Kind, s.Kind))
+	}
+	m.spec = s
+	m.configure(s)
+	m.Reset()
 }

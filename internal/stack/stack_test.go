@@ -148,7 +148,8 @@ func TestMountMatchesLive(t *testing.T) {
 // TestResetEqualsFresh holds Mounted.Reset to its contract: after
 // Network.Reset and Reset, a run is indistinguishable from one on a new
 // network with a new mount — including for Dandelion and the composed
-// stack, whose per-node state only a rebuilt handler forgets.
+// stack, whose per-node state only a rebuilt handler forgets. Remount
+// onto another Spec of the same kind equals a new mount of that Spec.
 func TestResetEqualsFresh(t *testing.T) {
 	cond := testConditions()[1]
 	for _, kind := range []Kind{Flood, Dandelion, Adaptive, Composed} {
@@ -170,6 +171,15 @@ func TestResetEqualsFresh(t *testing.T) {
 			if got, want := run(t, net, seed), fresh(seed); got != want {
 				t.Errorf("%v seed %d: reset run differs from fresh\n got %s\nwant %s", kind, seed, got, want)
 			}
+		}
+		// Remount onto other parameters: a new group of another size,
+		// other depth and fluff probability.
+		spec.Composed.Group = []proto.NodeID{0, 13, 37, 61, 85}
+		spec.Adaptive.D, spec.Dandelion.Q = 3, 0.5
+		net.Reset(3)
+		st.Remount(spec)
+		if got, want := run(t, net, 3), fresh(3); got != want {
+			t.Errorf("%v: remounted run differs from a fresh mount\n got %s\nwant %s", kind, got, want)
 		}
 	}
 }
