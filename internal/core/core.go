@@ -32,6 +32,7 @@ import (
 	"repro/internal/flood"
 	"repro/internal/proto"
 	"repro/internal/relchan"
+	"repro/internal/topology"
 )
 
 // Config parametrizes the composed protocol. Each phase keeps its own
@@ -118,6 +119,9 @@ type Protocol struct {
 	custody map[proto.MsgID][]byte
 	// rel is the core-owned reliable channel carrying custody deposits.
 	rel *relchan.Channel
+	// pool lends the Phase-1 member its round buffers: the node's
+	// partition pool of a Shared, or a private one (New).
+	pool *dcnet.RoundPool
 }
 
 // node is the core-owned state of one node: its Protocol, and the flood
@@ -149,8 +153,9 @@ type failsafeTimer struct{ id proto.MsgID }
 var _ proto.Broadcaster = (*Protocol)(nil)
 
 // New builds a node protocol from the configuration, with standalone
-// Phase-2/3 engines that own their per-message maps — right for a
-// long-lived node (internal/node, the TCP runtime).
+// Phase-2/3 engines that own their per-message maps and a private
+// Phase-1 round pool — right for a long-lived node (internal/node, the
+// TCP runtime), which never resets.
 func New(cfg Config) (*Protocol, error) {
 	r, err := resolve(cfg)
 	if err != nil {
@@ -159,19 +164,26 @@ func New(cfg Config) (*Protocol, error) {
 	nd := &node{fl: *flood.NewEngine()}
 	p, ad := nd.bind(r)
 	p.ad = adaptive.NewEngine(ad)
+	p.pool = new(dcnet.RoundPool)
 	return p, nil
 }
 
 // Shared is the network-wide state of the composed stack: its resolved
 // configuration, the flood.Shared and adaptive.Shared its Phase-3 and
 // Phase-2 engines mount (see those types for the contract — one Shared
-// per simulated network, single-threaded), and the node-indexed slab of
-// core-owned node state NewAt hands out.
+// per simulated network, single-threaded), the node-indexed slab of
+// core-owned node state NewAt hands out, and one Phase-1 trial round
+// pool per partition.
 type Shared struct {
 	cfg   *Config
 	fl    *flood.Shared
 	ad    *adaptive.Shared
 	nodes []node
+	// pools holds one dcnet trial pool per contiguous node range of the
+	// Partition split: members of different shards run concurrently, so
+	// they must not lend from one pool. Reset takes back everything the
+	// last trial's members were lent.
+	pools []*dcnet.RoundPool
 }
 
 // NewShared resolves cfg once for every node of a network with node IDs
@@ -181,15 +193,23 @@ func NewShared(n int, cfg Config) (*Shared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Shared{cfg: r, fl: flood.NewShared(n), ad: adaptive.NewShared(n), nodes: make([]node, n)}, nil
+	return &Shared{
+		cfg: r, fl: flood.NewShared(n), ad: adaptive.NewShared(n), nodes: make([]node, n),
+		pools: []*dcnet.RoundPool{dcnet.NewTrialPool()},
+	}, nil
 }
 
-// Partition splits both members into k node-range parts (see
-// flood.Shared.Partition for the contract). internal/stack calls it with
-// the network's resolved shard count, before it builds any protocol.
+// Partition splits both members and the round pools into k node-range
+// parts (see flood.Shared.Partition for the contract). internal/stack
+// calls it with the network's resolved shard count, before it builds any
+// protocol.
 func (s *Shared) Partition(k int) {
 	s.fl.Partition(k)
 	s.ad.Partition(k)
+	s.pools = make([]*dcnet.RoundPool, min(max(k, 1), len(s.nodes)))
+	for i := range s.pools {
+		s.pools[i] = dcnet.NewTrialPool()
+	}
 }
 
 // Configure resolves cfg in place of the configuration the Shared was
@@ -207,12 +227,18 @@ func (s *Shared) Configure(cfg Config) error {
 	return nil
 }
 
-// Reset rewinds both members for the next trial. Protocols built before
-// it hold per-node Phase-1 and custody state Reset cannot see: rebuild
-// every node's with NewAt, which resets its slot in place.
+// Reset rewinds both members for the next trial and takes back every
+// Phase-1 round buffer the last trial was lent, so the network that ran
+// it must be reset or rebuilt first (no message of it may be delivered
+// after). Protocols built before it hold per-node Phase-1 and custody
+// state Reset cannot see: rebuild every node's with NewAt, which resets
+// its slot in place.
 func (s *Shared) Reset() {
 	s.fl.Reset()
 	s.ad.Reset()
+	for _, p := range s.pools {
+		p.Reset()
+	}
 }
 
 // NewAt builds the protocol of node self over shared state — the
@@ -228,6 +254,7 @@ func NewAt(shared *Shared, self proto.NodeID) *Protocol {
 	nd.fl = *flood.NewEngineAt(shared.fl, self)
 	p, ad := nd.bind(shared.cfg)
 	p.ad = adaptive.NewEngineAt(ad, shared.ad, self)
+	p.pool = shared.pools[topology.ShardOf(self, len(shared.nodes), len(shared.pools))]
 	return p
 }
 
@@ -252,7 +279,7 @@ func (p *Protocol) Init(ctx proto.Context) {
 	dc.OnDissolve = func(ctx proto.Context, _ string) {
 		p.onDissolve(ctx)
 	}
-	member, err := dcnet.NewMember(dc)
+	member, err := p.pool.NewMember(dc)
 	if err != nil {
 		// resolve validated the configuration; what remains is a group
 		// of one, a wiring bug.

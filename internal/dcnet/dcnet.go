@@ -20,6 +20,14 @@
 // PolicyBlame runs a von-Ahn-style commitment/reveal protocol that
 // identifies a disruptor after repeated collisions; PolicyDissolve simply
 // reports the group as burned so the membership layer can re-form it.
+//
+// A member reads each received input only while its round runs: peers'
+// shares at steps 4–5 (S = ⊕ sᵢ, then S ⊕ sᵢ back to each), and again
+// in a blame phase's reveal check; S-partials at steps 7–8; T-partials
+// only by presence and length, because step 9 recovers T ⊕ S from the
+// member's own accumulators, so no member reads a T-partial's content.
+// Every round buffer comes from a RoundPool, whose owner decides how long
+// what it lends lives (see RoundPool).
 package dcnet
 
 import (
@@ -248,9 +256,7 @@ type Member struct {
 	members []proto.NodeID // sorted, includes self
 	peers   []proto.NodeID // sorted, excludes self
 
-	rounds map[uint32]*roundState
-	// free recycles the round states gc drops, with their input slices.
-	free      []*roundState
+	rounds    map[uint32]*roundState
 	nextKind  roundKind
 	reserved  bool // I won the announcement; next data round is mine
 	current   uint32
@@ -275,11 +281,12 @@ type Member struct {
 	missed map[proto.NodeID]int
 	epoch  int
 
-	// scratch recycles slot-sized buffers (accumulators, recovered
-	// values) across rounds. Buffers that travel inside messages —
-	// shares and partials — are never pooled: in simulation the receiver
-	// holds them by reference until its own round gc.
-	scratch bufPool
+	// pool lends every round buffer. What travels inside messages —
+	// shares and partials — lives as long as the pool's lifetime says
+	// (receivers hold it by reference until their own round gc); gc
+	// gives back only what this member alone referenced: round states
+	// and the slot-sized scratch (contribution, S, T, recovered value).
+	pool *RoundPool
 
 	// Stats, exposed for experiments. Retransmits/Nacks live on the
 	// channel; see the accessor methods in reliable.go.
@@ -291,37 +298,15 @@ type Member struct {
 	Evictions       int
 }
 
-// bufPool is a small free list of byte buffers keyed by capacity.
-type bufPool struct{ bufs [][]byte }
-
-// get returns a zeroed buffer of length n, reusing a pooled one when its
-// capacity suffices.
-func (p *bufPool) get(n int) []byte {
-	for i := len(p.bufs) - 1; i >= 0; i-- {
-		if cap(p.bufs[i]) >= n {
-			b := p.bufs[i][:n]
-			last := len(p.bufs) - 1
-			p.bufs[i] = p.bufs[last]
-			p.bufs[last] = nil
-			p.bufs = p.bufs[:last]
-			clear(b)
-			return b
-		}
-	}
-	return make([]byte, n)
-}
-
-// put recycles buffers; nil entries are ignored.
-func (p *bufPool) put(bufs ...[]byte) {
-	for _, b := range bufs {
-		if cap(b) > 0 {
-			p.bufs = append(p.bufs, b)
-		}
-	}
-}
-
-// NewMember validates the configuration and returns a Member.
+// NewMember validates the configuration and returns a Member with a
+// private RoundPool.
 func NewMember(cfg Config) (*Member, error) {
+	return new(RoundPool).NewMember(cfg)
+}
+
+// NewMember validates the configuration and returns a Member whose round
+// buffers come from p.
+func (p *RoundPool) NewMember(cfg Config) (*Member, error) {
 	if err := cfg.ApplyDefaults(); err != nil {
 		return nil, err
 	}
@@ -348,7 +333,13 @@ func NewMember(cfg Config) (*Member, error) {
 		nextKind: initialKind(cfg.Mode),
 		blamed:   make(map[proto.NodeID]bool),
 		missed:   make(map[proto.NodeID]int),
+		pool:     p,
 	}
+	// A map allocates its first slots on first insert; make that now, so
+	// that a member's rounds take nothing from the heap once the pool is
+	// warm. Round numbers start at 1.
+	m.rounds[0] = nil
+	delete(m.rounds, 0)
 	m.rel.Init(relConfig(&cfg))
 	return m, nil
 }
@@ -496,20 +487,15 @@ func (m *Member) peerIndex(id proto.NodeID) int {
 	return -1
 }
 
-// round returns round n's state, creating it — recycled from the free
-// list when gc left one there — if absent.
+// round returns round n's state, taking a new one from the pool if
+// absent.
 func (m *Member) round(n uint32) *roundState {
 	rs := m.rounds[n]
 	if rs != nil {
 		return rs
 	}
-	if last := len(m.free) - 1; last >= 0 {
-		rs, m.free = m.free[last], m.free[:last]
-	} else {
-		rs = new(roundState)
-	}
+	rs = m.pool.state(len(m.peers))
 	rs.number = n
-	rs.in = append(rs.in[:0], make([]peerInputs, len(m.peers))...)
 	m.rounds[n] = rs
 	return rs
 }
@@ -561,7 +547,7 @@ func (m *Member) startRound(ctx proto.Context, n uint32) {
 	m.current = n
 
 	// Decide contribution.
-	contrib := m.scratch.get(rs.slot)
+	contrib := m.pool.scratch(rs.slot)
 	switch {
 	case m.cfg.Disrupt:
 		// Attacker: random garbage every round (liveness attack, §V-C).
@@ -594,14 +580,14 @@ func (m *Member) startRound(ctx proto.Context, n uint32) {
 	}
 	rs.myContrib = contrib
 
-	// Split the contribution into len(peers) shares XOR-ing to it. The
-	// shares travel inside ShareMsgs, so they — like the messages — are
-	// carved out of one slab allocation rather than pooled; the last
-	// share accumulates the others in place, so no separate scratch
-	// accumulator is needed.
-	rs.myShares = make([][]byte, len(m.peers))
-	slab := make([]byte, len(m.peers)*rs.slot)
+	// Split the contribution into len(peers) shares XOR-ing to it, cut
+	// from one slab the pool lends. Every share but the last is filled
+	// with randomness; the last accumulates the others in place, so no
+	// separate scratch accumulator is needed.
+	rs.myShares = m.pool.slices.Take(len(m.peers))
+	slab := m.pool.bytes.Take(len(m.peers) * rs.slot)
 	last := slab[(len(m.peers)-1)*rs.slot:]
+	clear(last)
 	for i := 0; i < len(m.peers)-1; i++ {
 		sh := slab[i*rs.slot : (i+1)*rs.slot]
 		fillRandom(ctx, sh)
@@ -629,7 +615,7 @@ func (m *Member) startRound(ctx proto.Context, n uint32) {
 	}
 
 	// Step 2: send share rᵢ to gᵢ.
-	msgs := make([]ShareMsg, len(m.peers))
+	msgs := m.pool.shares.Take(len(m.peers))
 	for i, p := range m.peers {
 		data := rs.myShares[i]
 		if ch := m.cfg.Channels[p]; ch != nil {
@@ -739,16 +725,15 @@ func (m *Member) tryAdvance(ctx proto.Context, rs *roundState) {
 	}
 	n := len(m.peers)
 	// Step 4: S = ⊕ sᵢ once all shares are in; step 5: send S ⊕ sᵢ.
-	// The per-peer partials travel inside messages, so they and their
-	// messages come from one slab each; the accumulator is pooled scratch
-	// recycled at round gc.
+	// The per-peer partials and their messages come from one slab each;
+	// the accumulator is scratch recycled at round gc.
 	if !rs.sSent && rs.allIn(inShare) {
-		rs.s = m.scratch.get(rs.slot)
+		rs.s = m.pool.scratch(rs.slot)
 		for i := range rs.in {
 			crypto.XORBytes(rs.s, rs.in[i].share)
 		}
-		outs := make([]byte, n*rs.slot)
-		msgs := make([]SPartialMsg, n)
+		outs := m.pool.bytes.Take(n * rs.slot)
+		msgs := m.pool.sParts.Take(n)
 		for i, p := range m.peers {
 			out := outs[i*rs.slot : (i+1)*rs.slot]
 			copy(out, rs.s)
@@ -760,12 +745,12 @@ func (m *Member) tryAdvance(ctx proto.Context, rs *roundState) {
 	}
 	// Step 7: T = ⊕ tᵢ; step 8: send T ⊕ tᵢ.
 	if rs.sSent && !rs.tSent && rs.allIn(inSPart) {
-		rs.t = m.scratch.get(rs.slot)
+		rs.t = m.pool.scratch(rs.slot)
 		for i := range rs.in {
 			crypto.XORBytes(rs.t, rs.in[i].sPart)
 		}
-		outs := make([]byte, n*rs.slot)
-		msgs := make([]TPartialMsg, n)
+		outs := m.pool.bytes.Take(n * rs.slot)
+		msgs := m.pool.tParts.Take(n)
 		for i, p := range m.peers {
 			out := outs[i*rs.slot : (i+1)*rs.slot]
 			copy(out, rs.t)
@@ -781,11 +766,11 @@ func (m *Member) tryAdvance(ctx proto.Context, rs *roundState) {
 		if rs.hasTimeout {
 			ctx.CancelTimer(rs.timeoutID)
 		}
-		recovered := m.scratch.get(rs.slot)
+		recovered := m.pool.scratch(rs.slot)
 		copy(recovered, rs.t)
 		crypto.XORBytes(recovered, rs.s)
 		m.finishRound(ctx, rs, recovered)
-		m.scratch.put(recovered)
+		m.pool.release(recovered)
 	}
 }
 
@@ -989,21 +974,16 @@ func (m *Member) gc(completed uint32) {
 		if n >= cutoff || (m.blameRound != 0 && n == m.blameRound) {
 			continue
 		}
-		if rs.complete {
-			// Recycle the buffers only this member ever referenced; the
-			// shares/partials it sent live on in peers' round state.
-			m.scratch.put(rs.s, rs.t, rs.myContrib)
-		} else if rs.started {
+		if !rs.complete && rs.started {
 			continue
 		}
 		// A complete round, or input-only state for a round this member
 		// never ran — a late retransmission recreated it after an
 		// earlier gc, or the round number was skipped across an eviction
-		// epoch. The state object and its input slice go to the free
-		// list, cleared so they pin no peer's buffers.
+		// epoch. The state, its input row and its scratch — what only
+		// this member ever referenced — go back to the pool; the shares
+		// and partials it sent live on in peers' round states.
 		delete(m.rounds, n)
-		clear(rs.in)
-		*rs = roundState{in: rs.in[:0]}
-		m.free = append(m.free, rs)
+		m.pool.recycle(rs)
 	}
 }

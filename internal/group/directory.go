@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"repro/internal/proto"
+	"repro/internal/slab"
 )
 
 // ID identifies a group.
@@ -70,6 +71,16 @@ type Directory struct {
 	byNode  map[proto.NodeID][]ID
 	pending []proto.NodeID
 
+	// groupStore, memberStore and idStore hold the groups, their member
+	// lists (room for 2k each, so a join never moves one) and the nodes'
+	// group lists (room for overlap each). Reset takes all of it back.
+	groupStore  slab.Arena[Group]
+	memberStore slab.Arena[proto.NodeID]
+	idStore     slab.Arena[ID]
+	// scratch holds the members a split shuffles or a fresh group takes
+	// from the pending pool.
+	scratch []proto.NodeID
+
 	// Splits, merges and failover evictions counted for experiments.
 	Splits    int
 	Dissolves int
@@ -92,30 +103,41 @@ func NewOverlapDirectory(k, overlap int) (*Directory, error) {
 		overlap = 1
 	}
 	return &Directory{
-		k:       k,
-		overlap: overlap,
-		groups:  make(map[ID]*Group),
-		byNode:  make(map[proto.NodeID][]ID),
+		k:           k,
+		overlap:     overlap,
+		groups:      make(map[ID]*Group),
+		byNode:      make(map[proto.NodeID][]ID),
+		groupStore:  slab.New[Group](64),
+		memberStore: slab.New[proto.NodeID](1024),
+		idStore:     slab.New[ID](1024),
 	}, nil
 }
 
 // Reset empties the directory for anonymity parameter k, keeping its
 // overlap: the result behaves exactly like NewOverlapDirectory(k,
-// overlap), but keeps the capacity its maps and size heap grew to. Groups
-// handed out before stay as they were; the directory no longer
-// references them.
+// overlap), but keeps the capacity its maps and size heap grew to and
+// the storage its groups and lists were carved from. Groups, member
+// lists and GroupsOf results handed out before a Reset are invalid after
+// it: the directory carves the next ones from the same storage.
 func (d *Directory) Reset(k int) error {
 	if k < 2 {
 		return ErrBadK
 	}
 	clear(d.bySize)
+	d.groupStore.Rewind()
+	d.memberStore.Rewind()
+	d.idStore.Rewind()
 	*d = Directory{
-		k:       k,
-		overlap: d.overlap,
-		groups:  d.groups,
-		bySize:  d.bySize[:0],
-		byNode:  d.byNode,
-		pending: d.pending[:0],
+		k:           k,
+		overlap:     d.overlap,
+		groups:      d.groups,
+		bySize:      d.bySize[:0],
+		byNode:      d.byNode,
+		pending:     d.pending[:0],
+		groupStore:  d.groupStore,
+		memberStore: d.memberStore,
+		idStore:     d.idStore,
+		scratch:     d.scratch,
 	}
 	clear(d.groups)
 	clear(d.byNode)
@@ -190,9 +212,12 @@ func (h sizeHeap) smallestWithout(i int, skip []ID, best *Group) *Group {
 	return h.smallestWithout(2*i+2, skip, best)
 }
 
-// GroupsOf returns the IDs of the groups containing the node.
+// GroupsOf returns the IDs of the groups containing the node. The slice
+// is the directory's own: read it before the next Join, Leave, Evict or
+// Reset, and do not modify it.
 func (d *Directory) GroupsOf(n proto.NodeID) []ID {
-	return slices.Clone(d.byNode[n])
+	ids := d.byNode[n]
+	return ids[:len(ids):len(ids)]
 }
 
 // Pending returns the nodes awaiting a group.
@@ -210,7 +235,7 @@ func (d *Directory) Join(n proto.NodeID, rng *rand.Rand) error {
 	if d.Known(n) {
 		return fmt.Errorf("%w: %d", ErrAlreadyJoined, n)
 	}
-	d.byNode[n] = nil
+	d.byNode[n] = d.idStore.Take(d.overlap)[:0]
 	d.pending = append(d.pending, n)
 	d.rebalance(rng)
 	return nil
@@ -306,7 +331,8 @@ func (d *Directory) rebalance(rng *rand.Rand) {
 
 		// Form fresh groups of exactly k from the pending pool.
 		for len(d.pending) >= d.k {
-			members := slices.Clone(d.pending[:d.k])
+			members := append(d.scratch[:0], d.pending[:d.k]...)
+			d.scratch = members
 			d.pending = slices.Delete(d.pending, 0, d.k)
 			g := d.newGroup(members)
 			for _, m := range members {
@@ -332,9 +358,13 @@ func (d *Directory) smallestOpenGroup(n proto.NodeID) *Group {
 	return g
 }
 
+// newGroup forms a group of a copy of members, carved from the
+// directory's storage with room for 2k members.
 func (d *Directory) newGroup(members []proto.NodeID) *Group {
 	d.nextID++
-	g := &Group{ID: d.nextID, Members: slices.Clone(members)}
+	g := &d.groupStore.Take(1)[0]
+	room := d.memberStore.Take(max(len(members), 2*d.k))
+	*g = Group{ID: d.nextID, Members: append(room[:0], members...)}
 	slices.Sort(g.Members)
 	d.groups[g.ID] = g
 	heap.Push(&d.bySize, g)
@@ -356,7 +386,8 @@ func (d *Directory) addToGroup(g *Group, n proto.NodeID, rng *rand.Rand) {
 // ("a group of size 2k can be split in two groups of size k").
 func (d *Directory) split(g *Group, rng *rand.Rand) {
 	d.Splits++
-	members := slices.Clone(g.Members)
+	members := append(d.scratch[:0], g.Members...)
+	d.scratch = members
 	rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
 	left, right := members[:d.k], members[d.k:]
 

@@ -47,7 +47,11 @@ func diffAgainstOracle(d *Directory, o *oracleDirectory, universe int) string {
 // re-deriving one did: same group IDs, members, pending pool, counters,
 // and the same number of draws from the caller's RNG. The reset arm
 // drives a directory that was filled, churned and Reset from another k
-// against the same fresh oracle: Reset must leave nothing behind.
+// against the same fresh oracle: Reset must leave nothing behind. It
+// then resets that directory once more and replays the same operations,
+// so every group and list is carved from storage the first pass used.
+// Before each Reset the storage is overwritten with junk, so a group or
+// list that reads what was there before it was carved fails the match.
 func TestDirectoryMatchesOracle(t *testing.T) {
 	for _, arm := range []string{"", "reset,"} {
 		for _, k := range []int{2, 5, 20} {
@@ -62,15 +66,30 @@ func TestDirectoryMatchesOracle(t *testing.T) {
 							}
 						} else {
 							d = usedDirectory(t, k+3, overlap, seed)
-							if err := d.Reset(k); err != nil {
-								t.Fatal(err)
-							}
+							poisonAndReset(t, d, k)
 						}
 						matchOracle(t, d, k, overlap, seed)
+						if arm != "" {
+							poisonAndReset(t, d, k)
+							matchOracle(t, d, k, overlap, seed)
+						}
 					})
 				}
 			}
 		}
+	}
+}
+
+// poisonAndReset overwrites everything d's storage lent with junk, then
+// resets d for k.
+func poisonAndReset(t *testing.T, d *Directory, k int) {
+	t.Helper()
+	junk := []proto.NodeID{1 << 30, 1<<30 + 1}
+	d.groupStore.Fill(Group{ID: 1 << 31, Members: junk, pos: -1})
+	d.memberStore.Fill(1 << 30)
+	d.idStore.Fill(1 << 31)
+	if err := d.Reset(k); err != nil {
+		t.Fatal(err)
 	}
 }
 
