@@ -72,9 +72,9 @@ type SimResult = simulate.Result
 
 // Simulate runs one broadcast on a network with a constant LatencyMs hop
 // and reports the outcome. It is safe for concurrent use; each call runs
-// on a simulate.Trial from a pool, so a loop of calls rebuilds the
-// network, directory and stacks of an earlier call in place instead of
-// constructing them.
+// on a simulate.Trial from a pool, so a loop of calls overwrites the
+// random-regular overlay, network, adversary, directory and stacks of an
+// earlier call in place instead of constructing them.
 func Simulate(cfg SimConfig) (*SimResult, error) {
 	t := trials.Get().(*simulate.Trial)
 	res, _, err := t.Run(cfg)

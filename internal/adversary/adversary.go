@@ -9,6 +9,7 @@ package adversary
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -38,7 +39,12 @@ type Observation struct {
 type Observer struct {
 	spies   []proto.NodeID // the corrupted set as given, served by Spies
 	corrupt map[proto.NodeID]bool
-	obs     map[proto.MsgID][]Observation
+	// logs[ids[id]] holds the sightings of message id. Reset empties the
+	// logs in place, so the next trial's sightings reuse their storage;
+	// logs past len(ids) are kept empty ones.
+	ids  map[proto.MsgID]int
+	logs [][]Observation
+	perm []proto.NodeID // ResetSampled's permutation
 }
 
 var _ sim.SpyTap = (*Observer)(nil)
@@ -47,48 +53,79 @@ var _ sim.SpyTap = (*Observer)(nil)
 func NewObserver(corrupted []proto.NodeID) *Observer {
 	o := &Observer{
 		corrupt: make(map[proto.NodeID]bool, len(corrupted)),
-		obs:     make(map[proto.MsgID][]Observation),
+		ids:     make(map[proto.MsgID]int),
 	}
 	o.Reset(corrupted)
 	return o
 }
 
 // SampleCorrupted picks ⌊f·n⌋ distinct nodes uniformly at random —
-// the botnet-style adversary of [12]. The epsilon before flooring
-// absorbs binary-representation error in f·n: 0.3×10 evaluates to
-// 2.9999…96 in float64, and a bare int() would seat 2 spies, not 3.
+// the botnet-style adversary of [12]: the first ones of the permutation
+// rng.Perm(n) draws.
 func SampleCorrupted(n int, f float64, rng *rand.Rand) []proto.NodeID {
-	count := int(math.Floor(f*float64(n) + 1e-9))
-	perm := rng.Perm(n)
-	out := make([]proto.NodeID, 0, count)
-	for _, v := range perm[:count] {
-		out = append(out, proto.NodeID(v))
+	perm := permute(nil, n, rng)
+	count := corruptedCount(n, f)
+	return perm[:count:count]
+}
+
+// corruptedCount is ⌊f·n⌋. The epsilon before flooring absorbs
+// binary-representation error in f·n: 0.3×10 evaluates to 2.9999…96 in
+// float64, and a bare int() would seat 2 spies, not 3.
+func corruptedCount(n int, f float64) int {
+	return int(math.Floor(f*float64(n) + 1e-9))
+}
+
+// permute returns the permutation rng.Perm(n) returns, with the same
+// draws, in perm's storage when it is large enough.
+func permute(perm []proto.NodeID, n int, rng *rand.Rand) []proto.NodeID {
+	perm = slices.Grow(perm[:0], n)[:n]
+	for i := range perm {
+		perm[i] = proto.NodeID(i)
 	}
-	return out
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	return perm
 }
 
 // Corrupted reports whether the adversary controls the node.
 func (o *Observer) Corrupted(n proto.NodeID) bool { return o.corrupt[n] }
 
-// Observations returns the sightings for a message in arrival order.
-func (o *Observer) Observations(id proto.MsgID) []Observation { return o.obs[id] }
+// Observations returns the sightings for a message in arrival order. The
+// slice is the Observer's own and valid until its next Reset, which
+// overwrites it.
+func (o *Observer) Observations(id proto.MsgID) []Observation {
+	if i, ok := o.ids[id]; ok {
+		return o.logs[i]
+	}
+	return nil
+}
 
 // Spies implements sim.SpyTap: the corrupted set, without allocating.
 // The slice is the Observer's own; callers must not modify it.
 func (o *Observer) Spies() []proto.NodeID { return o.spies }
 
 // Reset clears every recorded observation and re-corrupts the given
-// nodes, so one Observer (and its maps) can be reused across trials by
-// a runner worker alongside Network.Reset/ClearTaps. The network reads
-// the corrupted set at AddTap, so a registered Observer is reset between
-// Network.ClearTaps and AddTap, never while registered.
+// nodes, so one Observer — its maps and its sighting storage — can be
+// reused across trials by a runner worker alongside
+// Network.Reset/ClearTaps. The network reads the corrupted set at
+// AddTap, so a registered Observer is reset between Network.ClearTaps
+// and AddTap, never while registered.
 func (o *Observer) Reset(corrupted []proto.NodeID) {
 	clear(o.corrupt)
-	clear(o.obs)
+	for _, i := range o.ids {
+		o.logs[i] = o.logs[i][:0]
+	}
+	clear(o.ids)
 	o.spies = append(o.spies[:0], corrupted...)
 	for _, n := range corrupted {
 		o.corrupt[n] = true
 	}
+}
+
+// ResetSampled is Reset(SampleCorrupted(n, f, rng)), with the same draws
+// from rng, sampling in storage the Observer keeps.
+func (o *Observer) ResetSampled(n int, f float64, rng *rand.Rand) {
+	o.perm = permute(o.perm, n, rng)
+	o.Reset(o.perm[:corruptedCount(n, f)])
 }
 
 // OnReceive implements sim.Tap: record messages from honest nodes that
@@ -105,7 +142,15 @@ func (o *Observer) OnReceive(at time.Duration, from, to proto.NodeID, msg proto.
 	if !ok {
 		return
 	}
-	o.obs[id] = append(o.obs[id], Observation{At: at, Spy: to, From: from, Kind: msg.Type()})
+	i, ok := o.ids[id]
+	if !ok {
+		i = len(o.ids)
+		o.ids[id] = i
+		if i == len(o.logs) {
+			o.logs = append(o.logs, nil)
+		}
+	}
+	o.logs[i] = append(o.logs[i], Observation{At: at, Spy: to, From: from, Kind: msg.Type()})
 }
 
 // OnSend implements sim.Tap (unused): send-side events fire before the

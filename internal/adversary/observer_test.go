@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,19 +156,28 @@ func TestObserverEdgeFiltering(t *testing.T) {
 // TestObserverReuseAcrossTrials runs the same trial family twice — once
 // with fresh networks/observers per trial, once with per-worker
 // Reset/ClearTaps reuse under a parallel runner — and demands identical
-// outcomes, the same worker-reuse contract the experiments rely on.
+// outcomes, the same worker-reuse contract the experiments rely on. The
+// reused Observer samples its own corrupted set (ResetSampled) after its
+// kept storage — sighting logs, permutation — was filled with junk, and
+// must record exactly the fresh Observer's sightings. A warm trial's
+// reset and recording then allocate nothing.
 func TestObserverReuseAcrossTrials(t *testing.T) {
 	g := batteryGraph(t)
 	lossy := netem.Profile{Name: "lossy", Latency: netem.Const(10 * time.Millisecond), Loss: 0.1}
 	const trials = 24
 
 	type outcome struct {
-		suspect proto.NodeID
-		obs     int
+		suspect   proto.NodeID
+		spies     []proto.NodeID
+		sightings []Observation
 	}
 	trialBody := func(net *sim.Network, obs *Observer, trial int) outcome {
 		id := runFlood(t, net, obs, uint64(trial))
-		return outcome{suspect: FirstSpy(obs.Observations(id)), obs: len(obs.Observations(id))}
+		return outcome{
+			suspect:   FirstSpy(obs.Observations(id)),
+			spies:     slices.Clone(obs.Spies()),
+			sightings: slices.Clone(obs.Observations(id)),
+		}
 	}
 
 	fresh := runner.Map(trials, 1, func(trial int) outcome {
@@ -191,14 +201,80 @@ func TestObserverReuseAcrossTrials(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(trial), 9))
 		w.net.Reset(uint64(trial + 1))
 		w.net.ClearTaps()
-		w.obs.Reset(SampleCorrupted(60, 0.2, rng))
+		junkFill(w.obs)
+		w.obs.ResetSampled(60, 0.2, rng)
 		w.net.AddTap(w.obs)
 		return trialBody(w.net, w.obs, trial)
 	})
 
 	for i := range fresh {
-		if fresh[i] != reused[i] {
-			t.Fatalf("trial %d: fresh %+v != reused %+v — Reset/ClearTaps reuse is not transparent", i, fresh[i], reused[i])
+		f, r := fresh[i], reused[i]
+		if f.suspect != r.suspect || !slices.Equal(f.spies, r.spies) || !slices.Equal(f.sightings, r.sightings) {
+			t.Fatalf("trial %d: fresh %+v != reused %+v — Reset/ClearTaps reuse is not transparent", i, f, r)
+		}
+		if len(f.sightings) == 0 {
+			t.Fatalf("trial %d: no sightings — fixture broken", i)
 		}
 	}
+
+	// The receives of one trial, replayed into a warm Observer that
+	// re-samples the same corrupted set each time.
+	rec := &receives{}
+	net := sim.NewNetwork(g, sim.Options{Seed: 5, Netem: &lossy})
+	obs := NewObserver(nil)
+	net.AddTap(rec)
+	pcg := rand.NewPCG(0, 0)
+	rng := rand.New(pcg)
+	pcg.Seed(5, 9)
+	obs.ResetSampled(60, 0.2, rng)
+	runFlood(t, net, obs, 5)
+	warm := func() {
+		pcg.Seed(5, 9)
+		obs.ResetSampled(60, 0.2, rng)
+		for _, r := range rec.log {
+			obs.OnReceive(r.at, r.from, r.to, r.msg)
+		}
+	}
+	warm()
+	if len(obs.Observations(rec.log[0].id)) == 0 {
+		t.Fatal("the replayed trial recorded no sightings — fixture broken")
+	}
+	if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
+		t.Errorf("a warm trial's ResetSampled and sightings allocate %v times, want 0", allocs)
+	}
 }
+
+// junkFill overwrites the Observer's kept storage — every sighting log to
+// its capacity and the sample permutation — with values no trial
+// records, as a later trial would find them if Reset forgot a part.
+func junkFill(o *Observer) {
+	for i := range o.logs {
+		log := o.logs[i][:cap(o.logs[i])]
+		for j := range log {
+			log[j] = Observation{At: time.Hour, Spy: 59, From: 0, Kind: 0xffff}
+		}
+	}
+	perm := o.perm[:cap(o.perm)]
+	for i := range perm {
+		perm[i] = proto.NodeID(len(perm) - 1 - i)
+	}
+}
+
+// receives records every receive a network reports, with the payload ID
+// of the messages that carry one.
+type receives struct{ log []receive }
+
+type receive struct {
+	at       time.Duration
+	from, to proto.NodeID
+	msg      proto.Message
+	id       proto.MsgID
+}
+
+func (r *receives) OnReceive(at time.Duration, from, to proto.NodeID, msg proto.Message) {
+	id, _ := messageID(msg)
+	r.log = append(r.log, receive{at, from, to, msg, id})
+}
+
+func (*receives) OnSend(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
+func (*receives) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte) {}

@@ -117,9 +117,12 @@ type typeCounter struct {
 type counterPage [256]typeCounter
 
 // linkArrival tracks FIFO state for one directed link outside the
-// topology (e.g. DC-net group overlays that Send to arbitrary members).
+// topology (e.g. DC-net group overlays that Send to arbitrary members):
+// one entry of the sending shard's link table, chained from the sending
+// node through next (an index into the table plus one; 0 ends the chain).
 type linkArrival struct {
 	to      proto.NodeID
+	next    int32
 	at      time.Duration
 	streams linkStream
 }
@@ -198,8 +201,9 @@ type Network struct {
 	// Per-link FIFO state (like TCP, a link never reorders) in CSR form:
 	// linkDst[linkOff[v]:linkOff[v+1]] are v's neighbors and linkAt holds
 	// the latest scheduled arrival per directed edge. Sends outside the
-	// topology fall back to the per-node overflow list in nodeCold. Each
-	// CSR row is owned by the sending node's shard.
+	// topology fall back to the sending shard's link table, chained from
+	// the node's cold cell. Each CSR row is owned by the sending node's
+	// shard.
 	linkOff []int32
 	linkDst []proto.NodeID
 	linkAt  []time.Duration
@@ -311,7 +315,10 @@ func (n *Network) fillLinks() {
 // the kept CSR arrays, clears the taps and runs Reset. Options, shard
 // layout, engines and queue capacity are kept, so a rebuild of the same
 // size allocates nothing once the arrays have grown to the larger
-// graph's edge count. Handlers are dropped, as by Reset.
+// graph's edge count. Handlers are dropped, as by Reset. The network
+// reads topo here and at NewNetwork only: a caller may overwrite the
+// graph once Rebuild returns (topology.RegularBuilder does), after which
+// Topology serves what it wrote.
 func (n *Network) Rebuild(topo *topology.Graph, seed uint64) {
 	if topo.N() != len(n.nodes) {
 		panic(fmt.Sprintf("sim: Rebuild onto %d nodes of a %d-node network", topo.N(), len(n.nodes)))
@@ -322,19 +329,6 @@ func (n *Network) Rebuild(topo *topology.Graph, seed uint64) {
 	n.Reset(seed)
 }
 
-// Shed drops what one run grew and the next does not need: the taps
-// (and with them whatever their observers hold) and every node's list
-// of links outside the topology, which group overlays grow to a few
-// dozen entries at their members. A network kept between runs then idles
-// at the size NewNetwork gave it. What the run produced stays readable
-// until the next Reset or Rebuild.
-func (n *Network) Shed() {
-	n.ClearTaps()
-	for i := range n.cold {
-		n.cold[i].extra = nil
-	}
-}
-
 // Reset rewinds the network for a fresh run over the same topology and
 // options, reseeded with seed — the trial-loop form: one long-lived
 // Network per worker goroutine, reset between trials, instead of a
@@ -342,7 +336,10 @@ func (n *Network) Shed() {
 // from NewNetwork(topo, opts-with-seed): every engine restarts at time
 // zero, every RNG is re-derived from the seed, and all counters,
 // deliveries, link-FIFO clamps and crash flags clear. The shard layout,
-// engines and queue capacity are retained.
+// engines and queue capacity are retained, and so is each shard's table
+// of links outside the topology, rewound: it holds one run's links at a
+// time, so it idles at the largest run's count, not at every link any
+// run opened.
 //
 // Handlers are dropped; call SetHandlers (and Start) again, typically
 // re-installing handlers whose state lives in a shared sized structure
@@ -372,7 +369,7 @@ func (n *Network) Reset(seed uint64) {
 		c := &n.cold[i]
 		c.seed(seed, node.id)
 		clear(c.timers)
-		c.extra = c.extra[:0]
+		c.link = 0
 	}
 	n.ctlSeq = 0
 	n.started = false
@@ -742,9 +739,10 @@ func (n *Network) recordDelivery(node *simNode, at time.Duration, id proto.MsgID
 }
 
 // linkSlot returns the FIFO arrival cell for the directed link from→to
-// — a CSR cell for topology edges, a per-node overflow entry otherwise
-// — plus the link's per-type netem stream counters (nil unless shaped).
-// Both cells belong to the sending node's shard.
+// — a CSR cell for topology edges, an entry of the sending shard's link
+// table otherwise — plus the link's per-type netem stream counters (nil
+// unless shaped). Both cells belong to the sending node's shard; a table
+// entry stays put until the shard's next send from any node.
 func (n *Network) linkSlot(from *simNode, to proto.NodeID) (at *time.Duration, streams *linkStream) {
 	lo, hi := n.linkOff[from.id], n.linkOff[from.id+1]
 	for i, d := range n.linkDst[lo:hi] {
@@ -755,14 +753,23 @@ func (n *Network) linkSlot(from *simNode, to proto.NodeID) (at *time.Duration, s
 			return &n.linkAt[lo+int32(i)], streams
 		}
 	}
-	c := from.cold()
-	for i := range c.extra {
-		if c.extra[i].to == to {
-			return &c.extra[i].at, &c.extra[i].streams
+	c, sh := from.cold(), from.shard
+	for i := c.link; i != 0; i = sh.links[i-1].next {
+		if e := &sh.links[i-1]; e.to == to {
+			return &e.at, &e.streams
 		}
 	}
-	c.extra = append(c.extra, linkArrival{to: to})
-	e := &c.extra[len(c.extra)-1]
+	// Take the next entry, reusing a rewound one's stream spill slice.
+	k := len(sh.links)
+	if k < cap(sh.links) {
+		sh.links = sh.links[:k+1]
+		sh.links[k].streams.reset()
+	} else {
+		sh.links = append(sh.links, linkArrival{})
+	}
+	e := &sh.links[k]
+	e.to, e.next, e.at = to, c.link, 0
+	c.link = int32(k + 1)
 	return &e.at, &e.streams
 }
 
@@ -866,13 +873,15 @@ type simNode struct {
 }
 
 // nodeCold is the per-node state no delivery reads: random stream, pending
-// timer handles, FIFO state of links outside the topology. Hot and cold
-// together are the 128 bytes the single-struct simNode used to be.
+// timer handles, the head of its chain of links outside the topology in
+// its shard's link table (an index plus one; 0 when it has none). Hot and
+// cold together are at most the 128 bytes the single-struct simNode used
+// to be.
 type nodeCold struct {
 	pcg    rand.PCG
 	rand   rand.Rand
 	timers map[proto.TimerID]Timer
-	extra  []linkArrival
+	link   int32
 }
 
 // seed (re)derives the node's random stream from the run seed.

@@ -49,14 +49,54 @@ func rebuildProbe(t *testing.T, net *Network) (runFingerprint, *recTap) {
 	return fp, rec
 }
 
+// probeOffTopology counts the directed links outside g that rebuildProbe
+// sends on: its pings between nodes g does not link.
+func probeOffTopology(g *topology.Graph) int {
+	n := proto.NodeID(g.N())
+	links := map[[2]proto.NodeID]bool{}
+	for i := proto.NodeID(0); i < 12; i++ {
+		from, to := i*17%n, (i*17+n/2)%n
+		if !g.HasEdge(from, to) {
+			links[[2]proto.NodeID{from, to}] = true
+		}
+	}
+	return len(links)
+}
+
+// tableLinks counts the entries of every shard's off-topology link table.
+func tableLinks(net *Network) int {
+	total := 0
+	for _, sh := range net.shards {
+		total += len(sh.links)
+	}
+	return total
+}
+
+// noStaleLinks fails unless no node heads a chain of off-topology links
+// and every shard's link table is empty: a send on such a link after
+// what rewound the network starts a new FIFO.
+func noStaleLinks(t *testing.T, after string, net *Network) {
+	t.Helper()
+	for i := range net.cold {
+		if net.cold[i].link != 0 {
+			t.Fatalf("after %s node %d still resolves off-topology link entry %d", after, i, net.cold[i].link-1)
+		}
+	}
+	if got := tableLinks(net); got != 0 {
+		t.Fatalf("after %s the link tables hold %d entries, want 0", after, got)
+	}
+}
+
 // TestRebuildEqualsFresh holds the contract simulate.Trial builds on: a
 // network that ran on graph A — tapped, with off-topology sends and a
 // crash left behind — and is then rebuilt onto graph B replays exactly
 // like NewNetwork(B): counters, the delivery record and the whole tap
 // stream, hence every link's order. B has more links than A, so the
 // rebuild grows the link arrays; rebuilding back onto A shrinks them.
-// Both at one and two shards, on a clean and a shaped profile; Shed
-// leaves no tap and no off-topology link behind, and a rebuild of the
+// Both at one and two shards, on a clean and a shaped profile. After a
+// Reset or a Rebuild no node resolves an off-topology link of an earlier
+// run, and after each run the shards' link tables hold exactly that
+// run's off-topology links, not the union over runs; a rebuild of the
 // same size allocates nothing.
 func TestRebuildEqualsFresh(t *testing.T) {
 	rng := testBenchRNG()
@@ -109,23 +149,23 @@ func TestRebuildEqualsFresh(t *testing.T) {
 				}{
 					{"A→B", b, 42, wantB, wantBStream},
 					{"B→A", a, 43, wantA, wantAStream},
-					{"A→B after Shed", b, 42, wantB, wantBStream},
+					{"A→B after Reset", b, 42, wantB, wantBStream},
 				} {
-					if step.name == "A→B after Shed" {
-						net.Shed()
-						if len(net.taps) != 0 || len(net.watched) != 0 {
-							t.Fatalf("Shed kept %d taps, %d watched nodes", len(net.taps), len(net.watched))
-						}
-						for i := range net.cold {
-							if net.cold[i].extra != nil {
-								t.Fatalf("Shed kept node %d's %d off-topology links", i, len(net.cold[i].extra))
-							}
-						}
+					if step.name == "A→B after Reset" {
+						net.Reset(99)
+						noStaleLinks(t, "Reset", net)
 					}
 					net.Rebuild(step.g, step.seed)
+					if len(net.taps) != 0 || len(net.watched) != 0 {
+						t.Fatalf("%s: Rebuild kept %d taps, %d watched nodes", step.name, len(net.taps), len(net.watched))
+					}
+					noStaleLinks(t, step.name, net)
 					got, rec := rebuildProbe(t, net)
 					compareFingerprints(t, step.name, step.want, got)
 					compareStreams(t, step.name, step.wantStream, rec.events)
+					if got, want := tableLinks(net), probeOffTopology(step.g); got != want {
+						t.Errorf("%s: the link tables hold %d entries after the run, which opened %d off-topology links", step.name, got, want)
+					}
 				}
 				if len(dirty.events) != seen {
 					t.Errorf("the tap of the run before the rebuilds saw %d more events", len(dirty.events)-seen)

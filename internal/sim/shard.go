@@ -79,6 +79,11 @@ type shardState struct {
 	// barrier. outQ[index] stays empty.
 	outQ [][]remoteEvent
 
+	// links is the FIFO state of the directed links outside the topology
+	// that the shard's nodes sent on this run, each node's chained from
+	// its cold cell (Network.linkSlot); reset rewinds it.
+	links []linkArrival
+
 	// Stats for -v diagnostics: windows executed, windows in which this
 	// shard had no eligible event (lookahead stalls), and cross-shard
 	// deliveries sent.
@@ -118,6 +123,7 @@ func (sh *shardState) reset() {
 	for i := range sh.outQ {
 		sh.outQ[i] = sh.outQ[i][:0]
 	}
+	sh.links = sh.links[:0]
 	sh.windows, sh.stalls, sh.handoffs = 0, 0, 0
 }
 

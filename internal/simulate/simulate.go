@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/adaptive"
@@ -179,17 +180,19 @@ func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
 	return NewTrial(build).Run(cfg)
 }
 
-// Trial is the construction of one broadcast trial, kept and rebuilt in
-// place by the next Run instead of built anew: the network's node, link,
-// engine and shard arrays (sim.Network.Rebuild), the group directory's
-// maps and heap (group.Directory.Reset), and one mounted stack per
-// protocol with its dense per-node state (stack.Mounted.Remount). Every
-// Run's outcome equals a fresh Trial's. When a Run returns, the Trial
-// drops what only that run needed (sim.Network.Shed): the adversary's
-// tap and the off-topology link lists DC-net group sends grow, which,
-// kept, raise a closed loop's peak RSS by some 70 % (DESIGN §2k). What a
-// Run returns is the caller's: the next Run builds a new delivery
-// record and leaves the old one as it was.
+// Trial is the construction of one broadcast trial, kept and overwritten
+// in place by the next Run instead of built anew: the random-regular
+// overlay (topology.RegularBuilder), the network's node, link, engine and
+// shard arrays with its off-topology link tables (sim.Network.Rebuild),
+// the adversary's sightings and sample (adversary.Observer.ResetSampled),
+// the group directory's maps, heap and groups (group.Directory.Reset)
+// with the order nodes join it in, and one mounted stack per protocol
+// with its dense per-node state (stack.Mounted.Remount). Ring, line,
+// small-world and scale-free overlays are built anew per Run. Every
+// Run's outcome equals a fresh Trial's. What a Run returns is the
+// caller's: the next Run builds a new result and delivery record and
+// leaves the old ones as they were. The kept network's Topology, though,
+// is the graph the next Run overwrites.
 //
 // A Trial runs one trial at a time. flexnet.Simulate pools them; an
 // experiment keeps one per runner worker.
@@ -199,7 +202,12 @@ type Trial struct {
 	// except in tests that vary the rule.
 	fit func(stack.Spec, *netem.Profile) stack.Spec
 
+	regular topology.RegularBuilder
+	obs     *adversary.Observer
+	order   []proto.NodeID // the directory's join order
+
 	net       *sim.Network
+	n         int // the node count net was built for
 	latencyMs int // the LatencyMs net was built for
 	dir       *group.Directory
 	stacks    [stack.Composed + 1]*stack.Mounted // by Kind, on net
@@ -222,7 +230,7 @@ func (t *Trial) Run(cfg Config) (*Result, *sim.DeliverySet, error) {
 		return nil, nil, fmt.Errorf("simulate: unknown protocol %d", cfg.Protocol)
 	}
 	topoRNG := rand.New(rand.NewPCG(cfg.Seed+1, 0x51ed2701))
-	g, err := buildTopology(cfg, topoRNG)
+	g, err := t.overlay(cfg, topoRNG)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +244,11 @@ func (t *Trial) Run(cfg Config) (*Result, *sim.DeliverySet, error) {
 
 	var obs *adversary.Observer
 	if cfg.AdversaryFraction > 0 {
-		obs = adversary.NewObserver(adversary.SampleCorrupted(cfg.N, cfg.AdversaryFraction, runRNG))
+		if t.obs == nil {
+			t.obs = adversary.NewObserver(nil)
+		}
+		obs = t.obs
+		obs.ResetSampled(cfg.N, cfg.AdversaryFraction, runRNG)
 	}
 
 	// Originator: an honest node.
@@ -255,7 +267,8 @@ func (t *Trial) Run(cfg Config) (*Result, *sim.DeliverySet, error) {
 	}
 
 	net := t.network(g, cfg)
-	defer net.Shed()
+	// The Observer is reset at the next Run, never while registered.
+	defer net.ClearTaps()
 	if obs != nil {
 		net.AddTap(obs)
 	}
@@ -320,8 +333,14 @@ func (t *Trial) place(cfg Config, origin proto.NodeID, rng *rand.Rand) ([]proto.
 	if err != nil {
 		return nil, fmt.Errorf("simulate: %w", err)
 	}
-	for _, v := range rng.Perm(cfg.N) {
-		if err := t.dir.Join(proto.NodeID(v), rng); err != nil {
+	// The order rng.Perm(cfg.N) would draw, in kept storage.
+	t.order = slices.Grow(t.order[:0], cfg.N)[:cfg.N]
+	for i := range t.order {
+		t.order[i] = proto.NodeID(i)
+	}
+	rng.Shuffle(cfg.N, func(i, j int) { t.order[i], t.order[j] = t.order[j], t.order[i] })
+	for _, v := range t.order {
+		if err := t.dir.Join(v, rng); err != nil {
 			return nil, fmt.Errorf("simulate: %w", err)
 		}
 	}
@@ -333,11 +352,13 @@ func (t *Trial) place(cfg Config, origin proto.NodeID, rng *rand.Rand) ([]proto.
 }
 
 // network returns the trial network over g seeded with cfg.Seed: the
-// kept one rebuilt in place when it has cfg's node count and latency,
-// else a new one from build, which also retires the stacks mounted on
-// the old one.
+// kept one rebuilt in place when it was built for cfg's node count and
+// latency, else a new one from build, which also retires the stacks
+// mounted on the old one. The node count is the Trial's record, not the
+// kept network's Topology: a kept overlay g may be that very graph,
+// already overwritten.
 func (t *Trial) network(g *topology.Graph, cfg Config) *sim.Network {
-	if t.net != nil && t.net.Topology().N() == cfg.N && t.latencyMs == cfg.LatencyMs {
+	if t.net != nil && t.n == cfg.N && t.latencyMs == cfg.LatencyMs {
 		t.net.Rebuild(g, cfg.Seed)
 		return t.net
 	}
@@ -345,7 +366,7 @@ func (t *Trial) network(g *topology.Graph, cfg Config) *sim.Network {
 		Name:    fmt.Sprintf("lat=%dms", cfg.LatencyMs),
 		Latency: netem.Const(time.Duration(cfg.LatencyMs) * time.Millisecond),
 	})
-	t.latencyMs = cfg.LatencyMs
+	t.n, t.latencyMs = cfg.N, cfg.LatencyMs
 	t.stacks = [len(t.stacks)]*stack.Mounted{}
 	return t.net
 }
@@ -416,16 +437,17 @@ func runUntilSettled(net *sim.Network, id proto.MsgID, n int, deadline time.Dura
 	}
 }
 
-// buildTopology returns cfg's overlay, or ErrDisconnected if it is not
-// connected. Random-regular graphs, rings and lines are connected by
-// construction; only the rewired and preferential-attachment generators
-// are checked.
-func buildTopology(cfg Config, rng *rand.Rand) (*topology.Graph, error) {
+// overlay returns cfg's overlay, or ErrDisconnected if it is not
+// connected. A random-regular one is the Trial's builder's, overwritten
+// by the next Run; the others are built anew. Random-regular graphs,
+// rings and lines are connected by construction; only the rewired and
+// preferential-attachment generators are checked.
+func (t *Trial) overlay(cfg Config, rng *rand.Rand) (*topology.Graph, error) {
 	var g *topology.Graph
 	var err error
 	switch cfg.Topology {
 	case TopologyRandomRegular:
-		return topology.RandomRegular(cfg.N, cfg.Degree, rng)
+		return t.regular.Build(cfg.N, cfg.Degree, rng)
 	case TopologyRing:
 		return topology.Ring(cfg.N)
 	case TopologyLine:

@@ -1,6 +1,8 @@
 package simulate
 
 import (
+	"maps"
+	"reflect"
 	"testing"
 	"time"
 
@@ -169,5 +171,43 @@ func TestFailSafeSilentOnHealthyRun(t *testing.T) {
 	}
 	if !flatDiffers {
 		t.Error("a flat 2 s fail-safe sent what none did on every run: the comparison cannot see an early flood")
+	}
+}
+
+// TestTrialReuseAcrossTopologies runs one kept Trial through
+// random-regular calls at two sizes — one right after the other, so
+// the kept network was built over the very graph the second call's build
+// overwrote — interleaved with ring and small-world calls, over several
+// protocols and seeds, with and without an adversary, and holds each
+// call to a one-shot Run field for field: the kept overlay, network,
+// Observer and join order are never served to another topology kind or
+// size.
+func TestTrialReuseAcrossTopologies(t *testing.T) {
+	cells := []Config{
+		{N: 250, Topology: TopologyRandomRegular, Protocol: ProtocolFlexnet, K: 5, D: 4, AdversaryFraction: 0.1},
+		{N: 200, Topology: TopologyRandomRegular, Protocol: ProtocolFlexnet, K: 10, D: 4},
+		{N: 250, Topology: TopologyRing, Protocol: ProtocolFlood, AdversaryFraction: 0.1},
+		{N: 250, Topology: TopologySmallWorld, Protocol: ProtocolFlexnet, K: 5, D: 3, AdversaryFraction: 0.2},
+		{N: 250, Topology: TopologyRandomRegular, Protocol: ProtocolAdaptive, D: 4, AdversaryFraction: 0.1},
+		{N: 200, Topology: TopologyRing, Protocol: ProtocolDandelion},
+		{N: 200, Topology: TopologyRandomRegular, Protocol: ProtocolFlood, Degree: 6, AdversaryFraction: 0.1},
+		{N: 200, Topology: TopologySmallWorld, Protocol: ProtocolFlood},
+	}
+	tr := NewTrial(plain)
+	for seed := uint64(1); seed <= 3; seed++ {
+		for i, cfg := range cells {
+			cfg.Seed = seed
+			got, gotDel, err := tr.Run(cfg)
+			want, wantDel, wantErr := Run(cfg, plain)
+			if err != nil || wantErr != nil {
+				t.Fatalf("seed %d cell %d: kept Trial error %v, one-shot %v", seed, i, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d cell %d %+v:\n kept     %+v\n one-shot %+v", seed, i, cfg, got, want)
+			}
+			if g, w := maps.Collect(gotDel.All()), maps.Collect(wantDel.All()); !maps.Equal(g, w) {
+				t.Errorf("seed %d cell %d: the kept Trial's delivery record differs from the one-shot run's", seed, i)
+			}
+		}
 	}
 }

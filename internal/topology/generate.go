@@ -21,7 +21,33 @@ const maxRegularAttempts = 50
 // duplicate pairs, restarting if repair stalls or the result is
 // disconnected. n·d must be even, d < n, and (for connectivity) d ≥ 2.
 // This is the substrate of the paper's §V-A simulation (n=1000, d=8).
+// It is one Build of a new RegularBuilder.
 func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
+	return new(RegularBuilder).Build(n, d, rng)
+}
+
+// RegularBuilder builds random regular graphs into storage it keeps: the
+// stubs, the row slab and degrees, the row headers, the repair edge list
+// and the connectivity check's traversal scratch. A loop of builds — one
+// overlay per broadcast trial — then allocates only while the graphs
+// grow. The zero RegularBuilder is ready to use; it builds one graph at
+// a time.
+type RegularBuilder struct {
+	g     Graph
+	stubs []proto.NodeID
+	slab  []proto.NodeID
+	deg   []int32
+	bad   [][2]proto.NodeID // stub pairs pairing skipped, for repair
+	edges [][2]proto.NodeID // repair's edge list
+	ring  [shuffleAhead]int // shuffle's look-ahead draws
+	dist  []int             // the connectivity check's BFS scratch
+	queue []proto.NodeID
+}
+
+// Build returns the graph RandomRegular(n, d, rng) returns, with the same
+// draws from rng. The graph is the builder's: it stays valid until the
+// next Build, which overwrites it in place.
+func (b *RegularBuilder) Build(n, d int, rng *rand.Rand) (*Graph, error) {
 	switch {
 	case n <= 0 || d < 0:
 		return nil, fmt.Errorf("%w: n=%d d=%d", ErrInfeasible, n, d)
@@ -35,10 +61,13 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 
 	// stubs lists every node d times; slab holds the n rows of d slots
 	// and deg their fill while the pairs are probed. A failed attempt's
-	// graph is dropped, so the next attempt reuses all three.
-	stubs := make([]proto.NodeID, n*d)
-	slab := make([]proto.NodeID, n*d)
-	deg := make([]int32, n)
+	// graph is dropped, so the next attempt reuses all of them.
+	stubs := resize(b.stubs, n*d)
+	slab := resize(b.slab, n*d)
+	deg := resize(b.deg, n)
+	b.stubs, b.slab, b.deg = stubs, slab, deg
+	g := &b.g
+	g.n, g.adj = n, resize(g.adj, n)
 	for try := 0; try < maxRegularAttempts; try++ {
 		for v := 0; v < n; v++ {
 			row := stubs[v*d : (v+1)*d]
@@ -47,25 +76,46 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 			}
 		}
 		if n >= aheadMinN {
-			shuffle(stubs, rng, shuffleAhead)
+			shuffle(stubs, rng, b.ring[:])
 		} else {
 			rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		}
 		clear(deg)
-		m, bad := pairStubs(stubs, slab, deg, d)
+		var m int
+		m, b.bad = pairStubs(stubs, slab, deg, d, b.bad[:0])
 
 		// Every row is cut from the slab with capacity d: no degree
 		// exceeds d here or in repair, so appends fill the row in place.
-		g := NewGraph(n)
 		for v := range g.adj {
 			g.adj[v] = slab[v*d : v*d+int(deg[v]) : (v+1)*d]
 		}
 		g.m = m
-		if repairRegular(g, bad, rng) && g.Connected() {
+		if b.repair(rng) && b.connected() {
 			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("topology: RandomRegular(n=%d, d=%d) failed after %d attempts", n, d, maxRegularAttempts)
+}
+
+// resize returns s with length n, reallocated only when n exceeds its
+// capacity. The contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// connected reports whether the builder's graph is connected, traversing
+// it in the kept scratch.
+func (b *RegularBuilder) connected() bool {
+	g := &b.g
+	if g.n <= 1 {
+		return true
+	}
+	b.dist = resize(b.dist, g.n)
+	b.queue = slices.Grow(b.queue[:0], g.n)
+	return g.bfs(0, b.dist, b.queue) == g.n
 }
 
 // Look-ahead distances of the overlay build, which looks ahead from
@@ -81,16 +131,17 @@ const (
 // shuffle permutes s exactly as rng.Shuffle(len(s), swap) does — the
 // same draws, rng.Uint64N(i+1) for i = len(s)−1 … 1, in the same order,
 // so the permutation and the generator's state afterwards are the
-// same — but it draws ahead of the swaps, up to ahead ≥ 1 of them, and
-// prefetches each swap's target so its miss resolves before the swap.
-func shuffle(s []proto.NodeID, rng *rand.Rand, ahead int) {
+// same — but it draws ahead of the swaps, up to len(ring) ≥ 1 of them,
+// and prefetches each swap's target so its miss resolves before the
+// swap. ring is scratch for the draws in flight.
+func shuffle(s []proto.NodeID, rng *rand.Rand, ring []int) {
 	n := len(s)
 	if n < 2 {
 		return
 	}
 	// ring[r] holds the target of the swap at i; the slot is refilled at
 	// once with the draw for i − len(ring), which the same slot serves.
-	ring := make([]int, min(ahead, n-1))
+	ring = ring[:min(len(ring), n-1)]
 	for k := range ring {
 		j := int(rng.Uint64N(uint64(n - k)))
 		prefetch.Line(&s[j])
@@ -114,12 +165,11 @@ func shuffle(s []proto.NodeID, rng *rand.Rand, ahead int) {
 
 // pairStubs links stubs 2i and 2i+1 for every i, in order, into the rows
 // slab[v*d : v*d+deg[v]], skipping self-loops and pairs already linked,
-// which it returns for repair with the number of edges it made. From
-// aheadMinN nodes, the rows of the pair pairAhead places on are
-// prefetched, with their degrees.
-func pairStubs(stubs, slab []proto.NodeID, deg []int32, d int) (int, [][2]proto.NodeID) {
+// which it appends to bad for repair. It returns the number of edges it
+// made and bad. From aheadMinN nodes, the rows of the pair pairAhead
+// places on are prefetched, with their degrees.
+func pairStubs(stubs, slab []proto.NodeID, deg []int32, d int, bad [][2]proto.NodeID) (int, [][2]proto.NodeID) {
 	m := 0
-	var bad [][2]proto.NodeID
 	ahead := len(deg) >= aheadMinN
 	for i := 0; i+1 < len(stubs); i += 2 {
 		if k := i + 2*pairAhead; ahead && k+1 < len(stubs) {
@@ -144,15 +194,18 @@ func pairStubs(stubs, slab []proto.NodeID, deg []int32, d int) (int, [][2]proto.
 	return m, bad
 }
 
-// repairRegular resolves conflicting stub pairs by double edge swaps: for
-// a bad pair (u,v) pick a random good edge (x,y) and rewire to (u,x) and
-// (v,y), which preserves all degrees. Returns false if repair stalls.
-func repairRegular(g *Graph, bad [][2]proto.NodeID, rng *rand.Rand) bool {
+// repair resolves the conflicting stub pairs b.bad by double edge swaps:
+// for a bad pair (u,v) pick a random good edge (x,y) and rewire to (u,x)
+// and (v,y), which preserves all degrees. Returns false if repair stalls.
+func (b *RegularBuilder) repair(rng *rand.Rand) bool {
+	bad, g := b.bad, &b.g
 	if len(bad) == 0 {
 		return true
 	}
 	// Materialize the current edge list once; keep it in sync on swaps.
-	edges := make([][2]proto.NodeID, 0, g.M()+len(bad))
+	// Each repaired pair adds one edge, so it never outgrows this.
+	b.edges = slices.Grow(b.edges[:0], g.M()+len(bad))
+	edges := b.edges
 	for v := 0; v < g.N(); v++ {
 		for _, w := range g.Neighbors(proto.NodeID(v)) {
 			if proto.NodeID(v) < w {

@@ -164,7 +164,7 @@ func TestShuffleMatchesRandShuffle(t *testing.T) {
 				got := slices.Clone(want)
 				wantRNG, gotRNG := testRNG(seed), testRNG(seed)
 				wantRNG.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
-				shuffle(got, gotRNG, ahead)
+				shuffle(got, gotRNG, make([]int, ahead))
 				if !slices.Equal(got, want) {
 					t.Fatalf("ahead=%d seed=%d n=%d: permutation %v, rand.Shuffle gives %v", ahead, seed, n, got, want)
 				}

@@ -95,23 +95,31 @@ func (g *Graph) Degree(v proto.NodeID) int {
 }
 
 // BFS returns hop distances from src; unreachable nodes get -1.
+func (g *Graph) BFS(src proto.NodeID) []int {
+	dist := make([]int, g.n)
+	g.bfs(src, dist, make([]proto.NodeID, 0, g.n))
+	return dist
+}
+
+// bfs writes hop distances from src into dist (length N, unreachable
+// nodes -1) through queue (capacity at least N; its contents are
+// scratch) and returns how many nodes it reached: the one traversal
+// behind BFS and the connectivity checks.
 //
 // The queue says which rows the traversal reads next, so on a graph of
 // at least aheadMinN nodes it looks ahead on it: at N=1M a node's row
 // header and its row are two dependent DRAM misses. Two bfsAhead places
-// on, BFS prefetches the header; one bfsAhead on, it reads the header —
+// on, bfs prefetches the header; one bfsAhead on, it reads the header —
 // in cache by then — and prefetches the row.
-func (g *Graph) BFS(src proto.NodeID) []int {
-	dist := make([]int, g.n)
+func (g *Graph) bfs(src proto.NodeID, dist []int, queue []proto.NodeID) int {
 	for i := range dist {
 		dist[i] = -1
 	}
 	if !g.valid(src) {
-		return dist
+		return 0
 	}
 	dist[src] = 0
-	queue := make([]proto.NodeID, 1, g.n)
-	queue[0] = src
+	queue = append(queue[:0], src)
 	ahead := g.n >= aheadMinN
 	for head := 0; head < len(queue); head++ {
 		if ahead {
@@ -133,14 +141,14 @@ func (g *Graph) BFS(src proto.NodeID) []int {
 			}
 		}
 	}
-	return dist
+	return len(queue)
 }
 
-// bfsAhead is how many queue places ahead BFS prefetches a row.
+// bfsAhead is how many queue places ahead bfs prefetches a row.
 const bfsAhead = 8
 
 // aheadMinN is the smallest graph the package's loops look ahead on:
-// BFS here, and RandomRegular's stub shuffle and pair probes. Below it
+// bfs here, and RandomRegular's stub shuffle and pair probes. Below it
 // the rows, headers and distances (≈ 68 bytes a node at degree 8) sit in
 // a core's L2, the out-of-order core already hides those hits, and the
 // hints only cost. At degree 8 on a 2-vCPU Xeon with 2 MiB of L2 a core,
@@ -153,12 +161,7 @@ func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	for _, d := range g.BFS(0) {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
+	return g.bfs(0, make([]int, g.n), make([]proto.NodeID, 0, g.n)) == g.n
 }
 
 // Eccentricity returns the greatest BFS distance from v, or -1 if some
