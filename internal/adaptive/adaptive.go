@@ -98,10 +98,11 @@ type roundTimer struct{ id proto.MsgID }
 // dense vector of tree-state pointers per in-flight
 // message (replacing the per-node map[proto.MsgID]*State), a free list
 // recycling the State objects — and their Children slices — across
-// trials, and one node-indexed slab holding every node's Protocol and
-// engine, so mounting a network allocates nothing per node. All engines
-// of one simulated network share one Shared; trial loops Reset it
-// between sequentially simulated networks.
+// trials, one relay set per partition cell, and one
+// node-indexed slab holding every node's Protocol and engine, so
+// mounting a network allocates nothing per node. All engines of one
+// simulated network share one Shared; trial loops Reset it between
+// sequentially simulated networks.
 //
 // Like flood.Shared, it is single-threaded by design: each parallel
 // trial-runner worker owns its own Shared alongside its own network.
@@ -125,6 +126,25 @@ type adaptPart struct {
 	// ids is the unused rest of the chunk Children slices are carved
 	// from (childrenRoom).
 	ids []proto.NodeID
+	// infects and finals are the cell's relayed diffusion messages: one
+	// InfectMsg per (message, TTL, round) and one FinalMsg per (message,
+	// round), sent by every node of the cell that relays that message at
+	// that step — the dense form of flood's per-hop relay set. The ID is
+	// the payload's hash, so the key fixes every field. Messages are never
+	// recycled: Reset only forgets them, and a receiver may hold one for
+	// as long as it likes.
+	infects map[infectKey]*InfectMsg
+	finals  map[finalKey]*FinalMsg
+}
+
+type infectKey struct {
+	id         proto.MsgID
+	ttl, round uint16
+}
+
+type finalKey struct {
+	id    proto.MsgID
+	round uint16
 }
 
 // stateChunk and idChunk are how many States and Children entries a part
@@ -150,7 +170,9 @@ func (p *adaptPart) carve(n int) []proto.NodeID {
 func newAdaptPart(lo, hi int) adaptPart {
 	var chunk []State
 	return adaptPart{
-		states: visited.NewTableRange[*State](lo, hi),
+		states:  visited.NewTableRange[*State](lo, hi),
+		infects: make(map[infectKey]*InfectMsg),
+		finals:  make(map[finalKey]*FinalMsg),
 		pool: visited.NewPool(
 			func() *State {
 				if len(chunk) == 0 {
@@ -207,14 +229,17 @@ func (s *Shared) part(self proto.NodeID) *adaptPart {
 	return &s.parts[topology.ShardOf(self, s.n, len(s.parts))]
 }
 
-// Reset invalidates all per-message state and reclaims the State
-// objects for the next trial. The previous trial's network must be
-// drained or discarded; engines notice the new generation and drop any
-// virtual-source or buffered-token state a truncated trial left behind.
+// Reset invalidates all per-message state, reclaims the State objects
+// for the next trial and forgets the relay sets. The previous trial's
+// network must be drained or discarded; engines notice the new
+// generation and drop any virtual-source or buffered-token state a
+// truncated trial left behind.
 func (s *Shared) Reset() {
 	for i := range s.parts {
 		s.parts[i].states.Reset()
 		s.parts[i].pool.Reset()
+		clear(s.parts[i].infects)
+		clear(s.parts[i].finals)
 	}
 	s.gen++
 }
@@ -390,6 +415,36 @@ func (e *Engine) putState(id proto.MsgID, payload []byte, parent proto.NodeID, r
 	return st
 }
 
+// infectMsg returns the Infect to send for (id, ttl, round): in dense
+// mode the cell's, created on first use, in standalone mode a new one.
+func (e *Engine) infectMsg(id proto.MsgID, ttl, round uint16, payload []byte) *InfectMsg {
+	if e.part == nil {
+		return &InfectMsg{ID: id, TTL: ttl, Round: round, Payload: payload}
+	}
+	k := infectKey{id, ttl, round}
+	m := e.part.infects[k]
+	if m == nil {
+		m = &InfectMsg{ID: id, TTL: ttl, Round: round, Payload: payload}
+		e.part.infects[k] = m
+	}
+	return m
+}
+
+// finalMsg returns the Final to relay for (id, round), shared per cell
+// in dense mode like infectMsg.
+func (e *Engine) finalMsg(id proto.MsgID, round uint16) *FinalMsg {
+	if e.part == nil {
+		return &FinalMsg{ID: id, Round: round}
+	}
+	k := finalKey{id, round}
+	m := e.part.finals[k]
+	if m == nil {
+		m = &FinalMsg{ID: id, Round: round}
+		e.part.finals[k] = m
+	}
+	return m
+}
+
 // childrenRoom makes room for n more children, so recording a node's
 // children allocates at most once — in dense mode not at all outside the
 // part's chunk.
@@ -434,7 +489,7 @@ func (e *Engine) StartSource(ctx proto.Context, id proto.MsgID, payload []byte) 
 		return
 	}
 	v1 := nbs[ctx.Rand().IntN(len(nbs))]
-	e.send(ctx, v1, &InfectMsg{ID: id, TTL: 1, Round: 1, Payload: payload})
+	e.send(ctx, v1, e.infectMsg(id, 1, 1, payload))
 	e.send(ctx, v1, &TokenMsg{ID: id, Round: 1, H: 1})
 	st.Children = append(st.Children, v1)
 }
@@ -449,10 +504,11 @@ func (e *Engine) StartCenter(ctx proto.Context, id proto.MsgID, payload []byte) 
 	}
 	st := e.putState(id, payload, proto.NoNode, 1)
 	ctx.DeliverLocal(id, payload)
+	out := e.infectMsg(id, 1, 1, payload)
 	nbs := ctx.Neighbors()
 	e.childrenRoom(st, len(nbs))
 	for _, nb := range nbs {
-		e.send(ctx, nb, &InfectMsg{ID: id, TTL: 1, Round: 1, Payload: payload})
+		e.send(ctx, nb, out)
 		st.Children = append(st.Children, nb)
 	}
 	v := &vsState{rho: 1, h: 0, prev: proto.NoNode}
@@ -516,7 +572,7 @@ func (e *Engine) handleInfect(ctx proto.Context, from proto.NodeID, m *InfectMsg
 	st := e.putState(m.ID, m.Payload, from, m.Round)
 	ctx.DeliverLocal(m.ID, m.Payload)
 	if m.TTL > 1 {
-		out := &InfectMsg{ID: m.ID, TTL: m.TTL - 1, Round: m.Round, Payload: m.Payload}
+		out := e.infectMsg(m.ID, m.TTL-1, m.Round, m.Payload)
 		nbs := ctx.Neighbors()
 		e.childrenRoom(st, len(nbs))
 		for _, nb := range nbs {
@@ -583,7 +639,7 @@ func (e *Engine) extendSubtree(ctx proto.Context, st *State, m *ExtendMsg, from 
 // infectOutward sends fresh infections with the given TTL to all
 // non-parent neighbors and records them as children.
 func (e *Engine) infectOutward(ctx proto.Context, st *State, id proto.MsgID, ttl, round uint16) {
-	out := &InfectMsg{ID: id, TTL: ttl, Round: round, Payload: st.Payload}
+	out := e.infectMsg(id, ttl, round, st.Payload)
 	nbs := ctx.Neighbors()
 	e.childrenRoom(st, len(nbs))
 	for _, nb := range nbs {
@@ -700,7 +756,7 @@ func (e *Engine) finalLocal(ctx proto.Context, id proto.MsgID, st *State, from p
 	}
 	st.finalDone = true
 	if hasRelays(st, from) {
-		e.relay(ctx, st, from, &FinalMsg{ID: id, Round: st.lastRound})
+		e.relay(ctx, st, from, e.finalMsg(id, st.lastRound))
 	}
 	if e.cfg.Finisher != nil {
 		e.cfg.Finisher.OnFinal(ctx, id, st)

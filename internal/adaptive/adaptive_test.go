@@ -295,9 +295,14 @@ func TestSharedEngineMatchesStandalone(t *testing.T) {
 	}
 }
 
-// TestSharedReuseAcrossTrials reuses one Shared over sequential
-// diffusion trials with the same payload: recycled State vectors must
-// start empty each trial or the second run would prune immediately.
+// TestSharedReuseAcrossTrials reuses one Shared, split into two
+// partition cells, over sequential diffusion trials with the same
+// payload: recycled State vectors must start empty each trial or the
+// second run would prune immediately. Each cell sends one InfectMsg per
+// (message, TTL, round) and one FinalMsg per (message, round), however
+// many of its nodes send that key — the ball around node 10 stays in
+// the first cell, so both its ends send each round's Infect from there;
+// Reset forgets them, so no trial sends a message an earlier trial sent.
 func TestSharedReuseAcrossTrials(t *testing.T) {
 	g, err := topology.Line(41)
 	if err != nil {
@@ -305,13 +310,22 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 	}
 	cfg := Config{D: 3, RoundInterval: 50 * time.Millisecond, TreeDegree: 2}
 	shared := NewShared(g.N())
+	shared.Partition(2)
 	var firstMsgs int64
+	sentBefore := map[proto.Message]int{}
 	for trial := 0; trial < 3; trial++ {
 		shared.Reset()
+		for c := range shared.parts {
+			if p := &shared.parts[c]; len(p.infects) != 0 || len(p.finals) != 0 {
+				t.Fatalf("trial %d cell %d: Reset left %d Infects and %d Finals", trial, c, len(p.infects), len(p.finals))
+			}
+		}
 		net := sim.NewNetwork(g, sim.Options{Seed: 9, Latency: sim.ConstLatency(time.Millisecond)})
 		net.SetHandlers(func(id proto.NodeID) proto.Handler { return NewAt(cfg, shared, id) })
+		sent := &relayTap{n: g.N(), k: len(shared.parts)}
+		net.AddTap(sent)
 		net.Start()
-		id, err := net.Originate(20, []byte("again"))
+		id, err := net.Originate(10, []byte("again"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,6 +339,27 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 			// Same seed, same topology, same payload: replays must match.
 			t.Fatalf("trial %d: %d messages, want %d", trial, net.TotalMessages(), firstMsgs)
 		}
+		var finals, reused int
+		for k, msgs := range sent.byKey {
+			if len(msgs) != 1 {
+				t.Errorf("trial %d: %d distinct messages for %+v, want 1", trial, len(msgs), k)
+			}
+			if k.kind == TypeFinal {
+				finals++
+			}
+			for m, sends := range msgs {
+				if sends > 1 {
+					reused++
+				}
+				if was, ok := sentBefore[m]; ok {
+					t.Fatalf("trial %d resent a message of trial %d", trial, was)
+				}
+				sentBefore[m] = trial
+			}
+		}
+		if finals == 0 || reused == 0 {
+			t.Fatalf("trial %d: %d Final keys, %d messages sent more than once; the test shares nothing", trial, finals, reused)
+		}
 	}
 	pool := shared.parts[0].pool
 	if pool.Free() != 0 || pool.Issued() == 0 {
@@ -336,6 +371,43 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 		t.Fatal("Reset reclaimed no States")
 	}
 }
+
+// relayTap counts the sends of each InfectMsg and FinalMsg by the
+// sender's partition cell (of k over n nodes) and the fields the message
+// is shared by.
+type relayTap struct {
+	n, k  int
+	byKey map[relayCellKey]map[proto.Message]int
+}
+
+type relayCellKey struct {
+	cell       int
+	kind       proto.MsgType
+	id         proto.MsgID
+	ttl, round uint16
+}
+
+func (r *relayTap) OnSend(_ time.Duration, from, _ proto.NodeID, msg proto.Message) {
+	var k relayCellKey
+	switch m := msg.(type) {
+	case *InfectMsg:
+		k = relayCellKey{kind: TypeInfect, id: m.ID, ttl: m.TTL, round: m.Round}
+	case *FinalMsg:
+		k = relayCellKey{kind: TypeFinal, id: m.ID, round: m.Round}
+	default:
+		return
+	}
+	k.cell = topology.ShardOf(from, r.n, r.k)
+	if r.byKey == nil {
+		r.byKey = map[relayCellKey]map[proto.Message]int{}
+	}
+	if r.byKey[k] == nil {
+		r.byKey[k] = map[proto.Message]int{}
+	}
+	r.byKey[k][msg]++
+}
+func (*relayTap) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
+func (*relayTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte)    {}
 
 // TestEngineReuseDropsStaleTokenState pins the Shared-generation sync:
 // reusing the *same* dense engines across trials after a trial was cut

@@ -21,6 +21,11 @@ const (
 // InfectMsg delivers the payload to an uninfected node. TTL > 1 makes the
 // receiver immediately forward with TTL−1 to its other neighbors. Round
 // tags the virtual-source round for control-message deduplication.
+//
+// A received InfectMsg is read-only, and so is its Payload. In dense mode
+// (Shared) every node of a partition cell that sends one message with one
+// TTL in one round sends the same InfectMsg, so a receiver shares it with
+// every other receiver of its cell's sends, on any shard.
 type InfectMsg struct {
 	ID      proto.MsgID
 	TTL     uint16
@@ -105,6 +110,10 @@ func (m *TokenMsg) DecodeFrom(r *wire.Reader) error {
 // FinalMsg propagates the end-of-diffusion instruction through the tree;
 // on receipt every node runs the configured Finisher (in the composed
 // protocol: switch to flood-and-prune).
+//
+// A received FinalMsg is read-only. In dense mode (Shared) every node of
+// a partition cell that relays one message's Final of one round sends the
+// same FinalMsg, shared by every receiver of its cell's relays.
 type FinalMsg struct {
 	ID    proto.MsgID
 	Round uint16

@@ -119,32 +119,60 @@ type Protocol struct {
 	custody map[proto.MsgID][]byte
 	// rel is the core-owned reliable channel carrying custody deposits.
 	rel *relchan.Channel
-	// pool lends the Phase-1 member its round buffers: the node's
-	// partition pool of a Shared, or a private one (New).
-	pool *dcnet.RoundPool
+	// hooks is what Init builds the Phase-1 member with.
+	hooks *memberHooks
+}
+
+// memberHooks is what a node lends its Phase-1 member: the round pool —
+// the node's partition pool of a Shared, or a private one (New) — and
+// the member's three callbacks, bound to the node's Protocol once per
+// node slot, so a warm Init allocates nothing.
+type memberHooks struct {
+	pool         *dcnet.RoundPool
+	onDeliver    func(ctx proto.Context, round uint32, payload []byte)
+	onSendResult func(ctx proto.Context, payload []byte, ok bool)
+	onDissolve   func(ctx proto.Context, reason string)
 }
 
 // node is the core-owned state of one node: its Protocol, and the flood
-// engine and custody channel the Protocol points at. A Shared holds one
-// per node in a slab, so mounting a network allocates nothing per node;
-// New allocates a lone one. A node must not move once built: its
-// Protocol points into it, and the channel's retry timers name the
-// channel by address.
+// engine, custody channel and member hooks the Protocol points at. A
+// Shared holds one per node in a slab, so mounting a network allocates
+// nothing per node; New allocates a lone one. A node must not move once
+// built: its Protocol points into it, its hooks point at its Protocol,
+// and the channel's retry timers name the channel by address.
 type node struct {
-	p   Protocol
-	fl  flood.Engine
-	rel relchan.Channel
+	p     Protocol
+	fl    flood.Engine
+	rel   relchan.Channel
+	hooks memberHooks
 }
 
 // bind makes nd's Protocol a fresh one over cfg, pointing at nd's flood
-// engine (which the caller sets) and at nd's custody channel, re-Inited.
-// It returns the Phase-2 configuration whose Finisher is that Protocol.
+// engine (which the caller sets), at nd's custody channel, re-Inited,
+// and at nd's member hooks, whose pool the caller sets. It returns the
+// Phase-2 configuration whose Finisher is that Protocol.
 func (nd *node) bind(cfg *Config) (*Protocol, adaptive.Config) {
 	nd.rel.Init(custodyConfig(cfg))
-	nd.p = Protocol{cfg: cfg, fl: &nd.fl, rel: &nd.rel}
+	p := &nd.p
+	*p = Protocol{cfg: cfg, fl: &nd.fl, rel: &nd.rel, hooks: &nd.hooks}
+	if nd.hooks.onDeliver == nil {
+		nd.hooks.onDeliver = func(ctx proto.Context, _ uint32, payload []byte) {
+			p.onGroupMessage(ctx, payload)
+		}
+		nd.hooks.onSendResult = func(ctx proto.Context, payload []byte, ok bool) {
+			if ok {
+				// The sender recovers 0, not its own message; run the
+				// same transition logic for its own payload.
+				p.onGroupMessage(ctx, payload)
+			}
+		}
+		nd.hooks.onDissolve = func(ctx proto.Context, _ string) {
+			p.onDissolve(ctx)
+		}
+	}
 	ad := cfg.Adaptive
-	ad.Finisher = (*finisher)(&nd.p)
-	return &nd.p, ad
+	ad.Finisher = (*finisher)(p)
+	return p, ad
 }
 
 // failsafeTimer drives one payload's fail-safe deadline.
@@ -162,9 +190,9 @@ func New(cfg Config) (*Protocol, error) {
 		return nil, err
 	}
 	nd := &node{fl: *flood.NewEngine()}
+	nd.hooks.pool = new(dcnet.RoundPool)
 	p, ad := nd.bind(r)
 	p.ad = adaptive.NewEngine(ad)
-	p.pool = new(dcnet.RoundPool)
 	return p, nil
 }
 
@@ -228,11 +256,12 @@ func (s *Shared) Configure(cfg Config) error {
 }
 
 // Reset rewinds both members for the next trial and takes back every
-// Phase-1 round buffer the last trial was lent, so the network that ran
-// it must be reset or rebuilt first (no message of it may be delivered
-// after). Protocols built before it hold per-node Phase-1 and custody
-// state Reset cannot see: rebuild every node's with NewAt, which resets
-// its slot in place.
+// Phase-1 member and round buffer the last trial was lent, so the network
+// that ran it must be reset or rebuilt first (no message of it may be
+// delivered after). Protocols built before it hold per-node Phase-1 and
+// custody state Reset cannot see, and point at members the pools will
+// lend again: rebuild every node's with NewAt, which resets its slot in
+// place.
 func (s *Shared) Reset() {
 	s.fl.Reset()
 	s.ad.Reset()
@@ -252,34 +281,25 @@ func (s *Shared) Reset() {
 func NewAt(shared *Shared, self proto.NodeID) *Protocol {
 	nd := &shared.nodes[self]
 	nd.fl = *flood.NewEngineAt(shared.fl, self)
+	nd.hooks.pool = shared.pools[topology.ShardOf(self, len(shared.nodes), len(shared.pools))]
 	p, ad := nd.bind(shared.cfg)
 	p.ad = adaptive.NewEngineAt(ad, shared.ad, self)
-	p.pool = shared.pools[topology.ShardOf(self, len(shared.nodes), len(shared.pools))]
 	return p
 }
 
 // Init implements proto.Handler. The DC-net member is created lazily here
-// because the node ID (Context.Self) is only known at runtime.
+// because the node ID (Context.Self) is only known at runtime. On a
+// Shared's trial pool the member is one the pool kept, valid until the
+// Shared's Reset, after which NewAt rebinds this node's Protocol.
 func (p *Protocol) Init(ctx proto.Context) {
 	if !slices.Contains(p.cfg.Group, ctx.Self()) {
 		return
 	}
+	h := p.hooks
 	dc := p.cfg.DCNet
 	dc.Self, dc.Members = ctx.Self(), p.cfg.Group
-	dc.OnDeliver = func(ctx proto.Context, _ uint32, payload []byte) {
-		p.onGroupMessage(ctx, payload)
-	}
-	dc.OnSendResult = func(ctx proto.Context, payload []byte, ok bool) {
-		if ok {
-			// The sender recovers 0, not its own message; run the
-			// same transition logic for its own payload.
-			p.onGroupMessage(ctx, payload)
-		}
-	}
-	dc.OnDissolve = func(ctx proto.Context, _ string) {
-		p.onDissolve(ctx)
-	}
-	member, err := p.pool.NewMember(dc)
+	dc.OnDeliver, dc.OnSendResult, dc.OnDissolve = h.onDeliver, h.onSendResult, h.onDissolve
+	member, err := h.pool.NewMember(dc)
 	if err != nil {
 		// resolve validated the configuration; what remains is a group
 		// of one, a wiring bug.
@@ -408,7 +428,7 @@ func (p *Protocol) onGroupMessage(ctx proto.Context, payload []byte) {
 func (p *Protocol) virtualSource(payload []byte) proto.NodeID {
 	members := p.cfg.Group
 	if p.member != nil {
-		members = p.member.Members()
+		members = p.member.MembersView()
 	}
 	target := crypto.HashPayload(payload)
 	best := proto.NoNode

@@ -402,6 +402,50 @@ func TestNewAtAllocatesNothing(t *testing.T) {
 	}
 }
 
+// initCtx is just enough of a Context for Init: a group member's Init
+// reads its ID and the time and arms its first round timer.
+type initCtx struct{ self proto.NodeID }
+
+func (c *initCtx) Self() proto.NodeID                      { return c.self }
+func (*initCtx) Now() time.Duration                        { return 0 }
+func (*initCtx) Rand() *rand.Rand                          { return nil }
+func (*initCtx) Neighbors() []proto.NodeID                 { return nil }
+func (*initCtx) Send(proto.NodeID, proto.Message)          {}
+func (*initCtx) SetTimer(time.Duration, any) proto.TimerID { return 0 }
+func (*initCtx) CancelTimer(proto.TimerID)                 {}
+func (*initCtx) DeliverLocal(proto.MsgID, []byte)          {}
+
+// TestWarmInitAllocatesNothing holds a trial's Phase-1 start to the
+// Shared's slabs and pools: after Reset, rebuilding each group member's
+// protocol and running its Init builds the member its partition pool
+// kept, with the callbacks its node slot bound when first mounted, so a
+// warm trial's Inits allocate nothing.
+func TestWarmInitAllocatesNothing(t *testing.T) {
+	const n = 100
+	group := []proto.NodeID{3, 17, 42, 64, 99}
+	sh, err := NewShared(n, testConfig(group, SimHashes(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Partition(2)
+	ctxs := make([]initCtx, len(group))
+	trial := func() {
+		sh.Reset()
+		for i, v := range group {
+			ctxs[i].self = v
+			p := NewAt(sh, v)
+			p.Init(&ctxs[i])
+			if p.Member() == nil {
+				t.Fatalf("node %d has no member after Init", v)
+			}
+		}
+	}
+	trial()
+	if allocs := testing.AllocsPerRun(10, trial); allocs != 0 {
+		t.Errorf("a warm trial's Init of %d group members allocates %.0f times, want 0", len(group), allocs)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	g := testGraph(t, 50, 6, 11)
 	group := []proto.NodeID{5, 15, 25, 35, 45}

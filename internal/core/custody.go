@@ -67,7 +67,7 @@ func custodyConfig(cfg *Config) relchan.Config {
 // depositCustody hands the queued payload to every other group member.
 func (p *Protocol) depositCustody(ctx proto.Context, id proto.MsgID, payload []byte) {
 	msg := &relchan.CustodyMsg{ID: custodyIdent(id), Payload: payload}
-	for _, m := range p.member.Members() {
+	for _, m := range p.member.MembersView() {
 		if m == ctx.Self() {
 			continue
 		}
@@ -101,7 +101,7 @@ func (p *Protocol) onCustody(ctx proto.Context, from proto.NodeID, m *relchan.Cu
 func (p *Protocol) custodyDeadline(ctx proto.Context) time.Duration {
 	rank := 0
 	if p.member != nil {
-		for i, m := range p.member.Members() {
+		for i, m := range p.member.MembersView() {
 			if m == ctx.Self() {
 				rank = i
 				break

@@ -305,7 +305,9 @@ func NewMember(cfg Config) (*Member, error) {
 }
 
 // NewMember validates the configuration and returns a Member whose round
-// buffers come from p.
+// buffers come from p. A trial pool lends the Member itself too: it is
+// valid until p's Reset, after which p builds it anew for another caller
+// (see RoundPool).
 func (p *RoundPool) NewMember(cfg Config) (*Member, error) {
 	if err := cfg.ApplyDefaults(); err != nil {
 		return nil, err
@@ -313,33 +315,52 @@ func (p *RoundPool) NewMember(cfg Config) (*Member, error) {
 	if len(cfg.Members) < 2 {
 		return nil, ErrGroupTooSmall
 	}
-	members := slices.Clone(cfg.Members)
-	slices.Sort(members)
-	members = slices.Compact(members)
-	if !slices.Contains(members, cfg.Self) {
+	if !slices.Contains(cfg.Members, cfg.Self) {
 		return nil, ErrNotMember
 	}
-	peers := make([]proto.NodeID, 0, len(members)-1)
+	m := p.member()
+	// A kept member's lists, maps and queue are reused, emptied; a new
+	// member's are nil and made here.
+	members := append(m.members[:0], cfg.Members...)
+	slices.Sort(members)
+	members = slices.Compact(members)
+	peers := m.peers[:0]
+	if cap(peers) < len(members)-1 {
+		peers = make([]proto.NodeID, 0, len(members)-1)
+	}
 	for _, id := range members {
 		if id != cfg.Self {
 			peers = append(peers, id)
 		}
 	}
-	m := &Member{
+	rounds, blamed, missed := m.rounds, m.blamed, m.missed
+	if rounds == nil {
+		rounds = make(map[uint32]*roundState)
+		blamed = make(map[proto.NodeID]bool)
+		missed = make(map[proto.NodeID]int)
+		// A map allocates its first slots on first insert; make that now,
+		// so that a member's rounds take nothing from the heap once the
+		// pool is warm. Round numbers start at 1.
+		rounds[0] = nil
+		delete(rounds, 0)
+	} else {
+		clear(rounds)
+		clear(blamed)
+		clear(missed)
+	}
+	queue := m.queue[:cap(m.queue)]
+	clear(queue)
+	*m = Member{
 		cfg:      cfg,
 		members:  members,
 		peers:    peers,
-		rounds:   make(map[uint32]*roundState),
+		rounds:   rounds,
 		nextKind: initialKind(cfg.Mode),
-		blamed:   make(map[proto.NodeID]bool),
-		missed:   make(map[proto.NodeID]int),
+		blamed:   blamed,
+		missed:   missed,
+		queue:    queue[:0],
 		pool:     p,
 	}
-	// A map allocates its first slots on first insert; make that now, so
-	// that a member's rounds take nothing from the heap once the pool is
-	// warm. Round numbers start at 1.
-	m.rounds[0] = nil
-	delete(m.rounds, 0)
 	m.rel.Init(relConfig(&cfg))
 	return m, nil
 }
@@ -354,8 +375,14 @@ func initialKind(mode Mode) roundKind {
 // GroupSize returns the number of members including self.
 func (m *Member) GroupSize() int { return len(m.members) }
 
-// Members returns the sorted group membership.
+// Members returns a copy of the sorted group membership.
 func (m *Member) Members() []proto.NodeID { return slices.Clone(m.members) }
+
+// MembersView returns the sorted group membership without copying it:
+// the member's own list, which the caller must not change. An eviction
+// rewrites it in place, so read it before the member handles its next
+// message or timer.
+func (m *Member) MembersView() []proto.NodeID { return m.members }
 
 // Pending returns the number of queued outbound payloads.
 func (m *Member) Pending() int { return len(m.queue) }
@@ -935,6 +962,7 @@ func (m *Member) deliver(ctx proto.Context, round uint32, payload []byte) {
 
 func (m *Member) sendSucceeded(ctx proto.Context) {
 	payload := m.queue[0]
+	m.queue[0] = nil // a kept member's queue must not pin sent payloads
 	m.queue = m.queue[1:]
 	m.retries = 0
 	m.backoff = 0

@@ -13,15 +13,20 @@ import "repro/internal/slab"
 // lifetimes:
 //
 //   - A trial pool (NewTrialPool) keeps everything it lends until Reset
-//     takes all of it back at once. Its owner calls Reset only when no
-//     member it lent to runs any more and no message it lent is in
-//     flight: after the network was reset or rebuilt, which drops every
-//     queued message, and before new members are built on it. A trial's
-//     high-water is then bounded by the rounds the trial runs, and a
-//     second trial of the same shape allocates nothing.
+//     takes all of it back at once, the Members it built included: a
+//     member is valid until Reset, and the pool's NewMember builds it
+//     anew afterwards, in place, keeping its maps and the backing arrays
+//     of its lists and queue. Its owner calls Reset only when no member
+//     it lent runs any more, no one keeps a pointer to one, and no
+//     message it lent is in flight: after the network was reset or
+//     rebuilt, which drops every queued message, and before new members
+//     are built on it. A trial's high-water is then bounded by the
+//     rounds and members the trial runs, and a second trial of the same
+//     shape allocates nothing.
 //   - A private pool (the zero RoundPool, which NewMember gives each
-//     member) never resets: traveling data is allocated per round and
-//     left to the garbage collector, as for a long-lived node.
+//     member) never resets: each member is built fresh, and traveling
+//     data is allocated per round and left to the garbage collector, as
+//     for a long-lived node.
 //
 // In both, gc takes back what only its member referenced — completed
 // round states and their scratch — and the pool lends it again. Members
@@ -40,6 +45,13 @@ type RoundPool struct {
 	// their input rows, and scratch buffers.
 	freeStates []*roundState
 	freeBufs   [][]byte
+
+	// members holds every Member a trial pool built, in lending order;
+	// the first lent of them are out since Reset. A private pool keeps
+	// none.
+	members []*Member
+	lent    int
+	trial   bool
 }
 
 // NewTrialPool returns a pool that keeps what it lends until Reset.
@@ -52,6 +64,7 @@ func NewTrialPool() *RoundPool {
 		tParts: slab.New[TPartialMsg](512),
 		inputs: slab.New[peerInputs](256),
 		states: slab.New[roundState](64),
+		trial:  true,
 	}
 }
 
@@ -69,6 +82,21 @@ func (p *RoundPool) Reset() {
 	p.freeStates = p.freeStates[:0]
 	clear(p.freeBufs)
 	p.freeBufs = p.freeBufs[:0]
+	p.lent = 0
+}
+
+// member returns the Member NewMember builds in place: a trial pool's
+// next kept one, or a new one.
+func (p *RoundPool) member() *Member {
+	if !p.trial {
+		return new(Member)
+	}
+	if p.lent == len(p.members) {
+		p.members = append(p.members, new(Member))
+	}
+	m := p.members[p.lent]
+	p.lent++
+	return m
 }
 
 // state returns a round state with every field zero but an input row of

@@ -818,7 +818,8 @@ func radixPlan(n, width int) (passes, digit int, ok bool) {
 // digit counts of every pass. An engine borrows one from scratchPool the
 // first time a run outgrows a chunk and keeps it, so its steady state
 // never touches the pool; the cleanup NewEngine registers hands it back
-// once the engine is unreachable, so per-call networks (composed1k)
+// once the engine is unreachable, so networks built for one call each (a
+// one-shot simulate.Run, an experiment trial that keeps no network)
 // reuse the buffers of the ones before them instead of growing their own.
 type runScratch struct {
 	run  []entry

@@ -107,43 +107,62 @@ func TestReceivedMessagesStayUnchanged(t *testing.T) {
 	}
 }
 
-// dataFields is what a flood DataMsg carries: the fields every receiver
-// of a shared relay message must read alike.
-type dataFields struct {
+// relayFields is what a shared relay message carries: the fields every
+// receiver of one must read alike. A flood DataMsg has its hop count in
+// n, an adaptive InfectMsg its TTL and round, a FinalMsg its round.
+type relayFields struct {
+	typ     proto.MsgType
 	id      proto.MsgID
-	hops    uint16
+	n       uint16
+	round   uint16
 	payload uint64 // FNV-1a of the payload bytes
 }
 
-func fieldsOf(m *flood.DataMsg) dataFields {
+// relayFieldsOf returns msg's fields if it is a message dense mode shares
+// between relays.
+func relayFieldsOf(msg proto.Message) (relayFields, bool) {
+	var f relayFields
+	var payload []byte
+	switch m := msg.(type) {
+	case *flood.DataMsg:
+		f, payload = relayFields{id: m.ID, n: m.Hops}, m.Payload
+	case *adaptive.InfectMsg:
+		f, payload = relayFields{id: m.ID, n: m.TTL, round: m.Round}, m.Payload
+	case *adaptive.FinalMsg:
+		f = relayFields{id: m.ID, round: m.Round}
+	default:
+		return f, false
+	}
+	f.typ = msg.Type()
 	h := fnv.New64a()
-	h.Write(m.Payload)
-	return dataFields{m.ID, m.Hops, h.Sum64()}
+	h.Write(payload)
+	f.payload = h.Sum64()
+	return f, true
 }
 
-// relayFieldsTap records each DataMsg's fields when it is first sent and
-// fails if any later send or receive of the same message reads others.
+// relayFieldsTap records each shared relay message's fields when it is
+// first sent and fails if any later send or receive of the same message
+// reads others. It counts receives by type.
 type relayFieldsTap struct {
 	t    *testing.T
 	name string
-	sent map[*flood.DataMsg]dataFields
-	recv int
+	sent map[proto.Message]relayFields
+	recv map[proto.MsgType]int
 }
 
 func (r *relayFieldsTap) check(verb string, msg proto.Message) {
-	m, ok := msg.(*flood.DataMsg)
+	now, ok := relayFieldsOf(msg)
 	if !ok {
 		return
 	}
-	now := fieldsOf(m)
-	was, ok := r.sent[m]
+	was, ok := r.sent[msg]
 	switch {
 	case !ok && verb == "send":
-		r.sent[m] = now
+		r.sent[msg] = now
 	case !ok:
-		r.t.Errorf("%s: a DataMsg was received that was never sent", r.name)
+		r.t.Errorf("%s: a %T was received that was never sent", r.name, msg)
 	case was != now:
-		r.t.Errorf("%s: a DataMsg sent as %+v was %s as %+v", r.name, was, verb, now)
+		r.t.Errorf("%s: a %T sent as %+v was %s as %+v", r.name, msg, was, verb, now)
 	}
 }
 
@@ -151,29 +170,39 @@ func (r *relayFieldsTap) OnSend(_ time.Duration, _, _ proto.NodeID, msg proto.Me
 	r.check("send", msg)
 }
 func (r *relayFieldsTap) OnReceive(_ time.Duration, _, _ proto.NodeID, msg proto.Message) {
-	r.recv++
+	r.recv[msg.Type()]++
 	r.check("received", msg)
 }
 func (r *relayFieldsTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte) {}
 
-// TestSharedRelaysStayUnchanged holds the rule flood's dense form relies
-// on: one relay DataMsg serves every receiver at its hop, so no handler
-// of any stack that floods — flood, Dandelion's fluff, the composed
-// stack's Phase 3 — may change one after it was sent. Each stack is
-// mounted at one and two shards; on two, a shared relay is read by both
-// shards' window goroutines.
+// TestSharedRelaysStayUnchanged holds the rule the dense forms of flood
+// and adaptive diffusion rely on: one relay message serves every receiver
+// of its partition cell's sends of one key — a DataMsg per hop, an
+// InfectMsg per TTL and round, a FinalMsg per round — so no handler of
+// any stack that relays them may change one after it was sent. Each
+// stack is mounted at one and two shards; on two, a shared relay is read
+// by both shards' window goroutines.
 func TestSharedRelaysStayUnchanged(t *testing.T) {
 	g := testGraph(t, 4)
-	for _, kind := range []Kind{Flood, Dandelion, Composed} {
+	relayed := map[Kind][]proto.MsgType{
+		Flood:     {flood.TypeData},
+		Dandelion: {flood.TypeData},
+		Adaptive:  {adaptive.TypeInfect, adaptive.TypeFinal},
+		Composed:  {flood.TypeData, adaptive.TypeInfect, adaptive.TypeFinal},
+	}
+	for _, kind := range []Kind{Flood, Dandelion, Adaptive, Composed} {
 		for _, cond := range testConditions() {
 			for _, k := range []int{1, 2} {
 				net := sim.NewNetwork(g, sim.Options{Seed: 4, Netem: &cond, Shards: k})
 				Mount(net, testSpec(kind))
-				tap := &relayFieldsTap{t: t, name: fmt.Sprintf("%v/%s/k=%d", kind, cond.Name, k), sent: map[*flood.DataMsg]dataFields{}}
+				tap := &relayFieldsTap{t: t, name: fmt.Sprintf("%v/%s/k=%d", kind, cond.Name, k),
+					sent: map[proto.Message]relayFields{}, recv: map[proto.MsgType]int{}}
 				net.AddTap(tap)
 				run(t, net, 4)
-				if tap.recv == 0 {
-					t.Errorf("%s: no DataMsg was received", tap.name)
+				for _, ty := range relayed[kind] {
+					if tap.recv[ty] == 0 {
+						t.Errorf("%s: no message of type %#04x was received", tap.name, uint16(ty))
+					}
 				}
 			}
 		}
