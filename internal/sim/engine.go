@@ -179,9 +179,10 @@ func tickOf(at time.Duration) uint64 { return uint64(at) >> tickBits }
 // of every bucket's own high-water mark as virtual time crosses
 // power-of-two boundaries.
 type chunk struct {
-	next *chunk
-	n    int
-	ents [chunkLen]entry
+	next  *chunk
+	n     int
+	clean bool // a spare known to hold no entry (Engine.freeChunks)
+	ents  [chunkLen]entry
 }
 
 // bucket is an unordered chunk list — a radix bucket or a page slot: top
@@ -205,8 +206,8 @@ type arenaBlock [arenaBlockSize]event
 
 // Engine is a single-threaded discrete-event executor. Under the sharded
 // runtime each shard owns one Engine; engines never touch each other's
-// state — cross-shard events are handed over between windows while every
-// engine is idle.
+// state — cross-shard events are handed over in chunk lists at the
+// barrier between windows, while every engine is idle (shard.go).
 type Engine struct {
 	now    time.Duration
 	ctlSeq uint32 // Schedule's control counter; a network keys At on its own
@@ -232,7 +233,13 @@ type Engine struct {
 	// The queue: run[head:] is the sorted remainder of tick lastTick,
 	// late the heap of entries pushed at or below it since, the page the
 	// later ticks of lastTick's page, buckets the ticks past it. pending
-	// counts all four.
+	// counts all four. freeChunks is the stack of spare chunks, dirty ones
+	// over clean ones: a chunk freed after use may still hold entries, and
+	// so messages, and goes on top; a chunk known to hold none — scrubbed
+	// by Reset, or by the shard that drained it as an inbox (shard.go) —
+	// joins at the bottom, after freeTail, which is valid while the stack
+	// is not empty. Pushes take from the top, so Reset scrubs down to the
+	// first clean chunk and stops there.
 	lastTick   uint64
 	run        []entry
 	head       int
@@ -243,6 +250,7 @@ type Engine struct {
 	pageWords  uint64             // bit w set iff pageOcc[w] != 0
 	pageOcc    [pageLen / 64]uint64
 	freeChunks *chunk
+	freeTail   *chunk
 	pending    int
 
 	// The run refill is building, in engine fields rather than locals so
@@ -294,18 +302,10 @@ func (e *Engine) Reset() {
 	e.curTag, e.curSub = 0, 0
 	e.refills, e.moves, e.maxRun = 0, 0, 0
 	for e.pageWords != 0 {
-		for c := e.takeSlot().top; c != nil; {
-			next := c.next
-			e.freeChunk(c)
-			c = next
-		}
+		e.freeList(e.takeSlot().top)
 	}
 	for i := range e.buckets {
-		for c := e.buckets[i].top; c != nil; {
-			next := c.next
-			e.freeChunk(c)
-			c = next
-		}
+		e.freeList(e.buckets[i].top)
 	}
 	e.buckets = [numBuckets]bucket{}
 	if e.runHeld != nil {
@@ -313,9 +313,11 @@ func (e *Engine) Reset() {
 		e.runHeld = nil
 	}
 	// Chunks, run and heap are not scrubbed as they drain (the next push
-	// overwrites them), so scrub all of it here, capacity included.
-	for c := e.freeChunks; c != nil; c = c.next {
+	// overwrites them), so scrub all of it here, capacity included: every
+	// spare chunk above the clean ones (freeChunks).
+	for c := e.freeChunks; c != nil && !c.clean; c = c.next {
 		c.ents = [chunkLen]entry{}
+		c.clean = true
 	}
 	if sc := e.scratch.sc; sc != nil {
 		clear(sc.run[:cap(sc.run)])
@@ -448,8 +450,35 @@ func (e *Engine) takeSlot() bucket {
 }
 
 func (e *Engine) freeChunk(c *chunk) {
-	c.n = 0
+	if e.freeChunks == nil {
+		e.freeTail = c
+	}
+	c.n, c.clean = 0, false
 	c.next, e.freeChunks = e.freeChunks, c
+}
+
+// freeList returns a whole chunk list, such as a bucket's, to the free
+// list.
+func (e *Engine) freeList(c *chunk) {
+	for c != nil {
+		next := c.next
+		e.freeChunk(c)
+		c = next
+	}
+}
+
+// freeClean puts a list of clean chunks, top to tail, at the bottom of
+// the free list in one splice.
+func (e *Engine) freeClean(top, tail *chunk) {
+	if top == nil {
+		return
+	}
+	if e.freeChunks == nil {
+		e.freeChunks = top
+	} else {
+		e.freeTail.next = top
+	}
+	e.freeTail = tail
 }
 
 // refill advances lastTick to the next tick that holds entries and makes
@@ -631,7 +660,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) Timer {
 // `at` — the Network hot path; the entry is the whole event. The key
 // carries the sender's provenance, so the event sorts identically
 // whether it was pushed by the sender's own shard or handed over at a
-// window barrier.
+// window barrier (Network.send builds the same entry for an outbox).
 func (e *Engine) scheduleDeliver(at time.Duration, key evKey, dst proto.NodeID, msg proto.Message) {
 	e.push(entry{at: at, tag: keyTag(key.src, key.seq), msg: msg, dst: dst})
 }
@@ -738,11 +767,11 @@ func (e *Engine) step() bool {
 		if node := &e.nodes[ent.dst]; !node.crashed {
 			// Delivery-side taps fire here, in the engine's dispatch,
 			// so both the single-loop and sharded send paths (whose
-			// cross-shard outboxes funnel through scheduleDeliver into
-			// this branch) report arrivals identically. Under a sharded
-			// run the observation is parked in the shard's log and
-			// replayed in merged global order at the next barrier
-			// (obs.go). Only a watched node or an unscoped tap wants it.
+			// cross-shard inboxes are pushed onto this queue) report
+			// arrivals identically. Under a sharded run the observation
+			// is parked in the shard's log and replayed in merged global
+			// order at the next barrier (obs.go). Only a watched node or
+			// an unscoped tap wants it.
 			src := tagSrc(ent.tag)
 			if node.watched || len(e.net.unscoped) > 0 {
 				e.net.tapRecv(node, ent.at, src, ent.msg)

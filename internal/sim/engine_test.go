@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -213,31 +214,39 @@ func TestEngineChurnAllocs(t *testing.T) {
 	}
 }
 
-// engineRunAllocs returns how many allocations fn makes under Engine.Run.
-// testing.AllocsPerRun counts every malloc of the process, and during a
-// measured Run the runtime's scavenger may grow its timer heap, or the
-// cleanup goroutine hand a dead engine's run-sort scratch back to
-// scratchPool (allocating the pool's per-P array after a collection):
-// under load one of them landed in the window in about one full test run
-// in seven. So fn runs with every allocation profiled, and only those
-// with Engine.Run on their stack count. Two collections on each side
-// publish the profile.
+// engineRunAllocs returns how many allocations fn makes under Engine.Run,
+// counted by profiledAllocs.
 func engineRunAllocs(fn func()) int64 {
+	return profiledAllocs(fn, func(stack []string) bool {
+		return slices.Contains(stack, "repro/internal/sim.(*Engine).Run")
+	})
+}
+
+// profiledAllocs returns how many allocations fn makes whose stack, as
+// function names innermost first, match accepts. testing.AllocsPerRun
+// counts every malloc of the process, and during a measured run the
+// runtime's scavenger may grow its timer heap, or the cleanup goroutine
+// hand a dead engine's run-sort scratch back to scratchPool (allocating
+// the pool's per-P array after a collection): under load one of them
+// landed in the window in about one full test run in seven. So fn runs
+// with every allocation profiled, and only matching stacks count. Two
+// collections on each side publish the profile.
+func profiledAllocs(fn func(), match func(stack []string) bool) int64 {
 	runtime.GC()
 	runtime.GC()
-	before := runAllocsProfiled()
+	before := sumProfiled(match)
 	rate := runtime.MemProfileRate
 	runtime.MemProfileRate = 1
 	fn()
 	runtime.MemProfileRate = rate
 	runtime.GC()
 	runtime.GC()
-	return runAllocsProfiled() - before
+	return sumProfiled(match) - before
 }
 
-// runAllocsProfiled sums the profiled allocations, freed or not, whose
-// stack passes through Engine.Run.
-func runAllocsProfiled() int64 {
+// sumProfiled sums the profiled allocations, freed or not, whose stack
+// match accepts.
+func sumProfiled(match func(stack []string) bool) int64 {
 	recs := make([]runtime.MemProfileRecord, 256)
 	for {
 		n, ok := runtime.MemProfile(recs, true)
@@ -248,17 +257,19 @@ func runAllocsProfiled() int64 {
 		recs = make([]runtime.MemProfileRecord, n+256)
 	}
 	var total int64
+	var stack []string
 	for _, r := range recs {
+		stack = stack[:0]
 		frames := runtime.CallersFrames(r.Stack())
 		for {
 			f, more := frames.Next()
-			if f.Function == "repro/internal/sim.(*Engine).Run" {
-				total += r.AllocObjects
-				break
-			}
+			stack = append(stack, f.Function)
 			if !more {
 				break
 			}
+		}
+		if match(stack) {
+			total += r.AllocObjects
 		}
 	}
 	return total

@@ -127,28 +127,31 @@ type linkArrival struct {
 	streams linkStream
 }
 
-// streamSeq is one (message type → next sequence) counter of a directed
-// link. Netem shaper decisions key on per-type streams (see
-// netem.Shaper); links carry a handful of types, so a linear scan beats
-// a map on the delivery hot path.
-type streamSeq struct {
-	tp  proto.MsgType
-	seq uint64
-}
-
-// linkStream holds a directed link's per-type sequence counters with
-// the dominant single-type case (a flood link carries exactly one type)
-// inlined: the first type seen costs no allocation, additional types
-// spill to the slice.
+// linkStream holds a directed link's per-type sequence counters — the
+// sequences netem shaper decisions key on (see netem.Shaper) — in 16
+// bytes. The dominant single-type case (a flood link carries exactly one
+// type) is inline; further types chain from spill, an index into the
+// spill table of the shard that owns the link plus one (0: none). Links
+// carry a handful of types, so a linear scan beats a map on the delivery
+// hot path. The zero value is a link that has sent nothing.
 type linkStream struct {
-	tp0  proto.MsgType
-	has0 bool
-	seq0 uint64
-	more []streamSeq
+	seq0  uint64
+	tp0   proto.MsgType
+	has0  bool
+	spill int32
 }
 
-// next returns and advances the counter for tp.
-func (l *linkStream) next(tp proto.MsgType) uint64 {
+// streamSeq is one spilled (message type → next sequence) counter of a
+// directed link, chained to the link's next one like spill.
+type streamSeq struct {
+	seq  uint64
+	tp   proto.MsgType
+	next int32
+}
+
+// nextSeq returns and advances link l's counter for tp. The link belongs
+// to the shard, which therefore owns its spilled counters too.
+func (sh *shardState) nextSeq(l *linkStream, tp proto.MsgType) uint64 {
 	if l.has0 && l.tp0 == tp {
 		seq := l.seq0
 		l.seq0 = seq + 1
@@ -158,21 +161,16 @@ func (l *linkStream) next(tp proto.MsgType) uint64 {
 		l.has0, l.tp0, l.seq0 = true, tp, 1
 		return 0
 	}
-	for i := range l.more {
-		if l.more[i].tp == tp {
-			seq := l.more[i].seq
-			l.more[i].seq = seq + 1
+	for i := l.spill; i != 0; i = sh.spill[i-1].next {
+		if s := &sh.spill[i-1]; s.tp == tp {
+			seq := s.seq
+			s.seq = seq + 1
 			return seq
 		}
 	}
-	l.more = append(l.more, streamSeq{tp: tp, seq: 1})
+	sh.spill = append(sh.spill, streamSeq{seq: 1, tp: tp, next: l.spill})
+	l.spill = int32(len(sh.spill))
 	return 0
-}
-
-// reset clears the counters for a fresh run, keeping the spill slice.
-func (l *linkStream) reset() {
-	l.has0, l.seq0 = false, 0
-	l.more = l.more[:0]
 }
 
 // Network hosts one Handler per topology node under one or more event
@@ -208,8 +206,9 @@ type Network struct {
 	linkDst []proto.NodeID
 	linkAt  []time.Duration
 	// linkStreams counts messages per (directed CSR link, message type)
-	// — the sequence numbers shaper decisions key on. Allocated only with
-	// a shaper.
+	// — the sequence numbers shaper decisions key on; counters past a
+	// link's first type sit in its row's shard's spill table. Allocated
+	// only with a shaper.
 	linkStreams []linkStream
 
 	// The link model, one of two cases picked from the profile at
@@ -346,6 +345,7 @@ func (n *Network) Rebuild(topo *topology.Graph, seed uint64) {
 // (flood.Shared, adaptive.Shared) that the caller resets alongside.
 // Registered taps are kept, and so are the nodes their Spies marked.
 func (n *Network) Reset(seed uint64) {
+	n.reclaimHandoff()
 	for _, sh := range n.shards {
 		sh.reset()
 	}
@@ -356,9 +356,7 @@ func (n *Network) Reset(seed uint64) {
 	}
 	if n.shaper != nil {
 		*n.shaper = n.opts.Netem.Shaper(seed)
-		for i := range n.linkStreams {
-			n.linkStreams[i].reset()
-		}
+		clear(n.linkStreams)
 	}
 	for i := range n.nodes {
 		node := &n.nodes[i]
@@ -759,17 +757,9 @@ func (n *Network) linkSlot(from *simNode, to proto.NodeID) (at *time.Duration, s
 			return &e.at, &e.streams
 		}
 	}
-	// Take the next entry, reusing a rewound one's stream spill slice.
-	k := len(sh.links)
-	if k < cap(sh.links) {
-		sh.links = sh.links[:k+1]
-		sh.links[k].streams.reset()
-	} else {
-		sh.links = append(sh.links, linkArrival{})
-	}
-	e := &sh.links[k]
-	e.to, e.next, e.at = to, c.link, 0
-	c.link = int32(k + 1)
+	sh.links = append(sh.links, linkArrival{to: to, next: c.link})
+	c.link = int32(len(sh.links))
+	e := &sh.links[len(sh.links)-1]
 	return &e.at, &e.streams
 }
 
@@ -809,7 +799,7 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 		// Shaped path: loss and delay are hash decisions on the link's
 		// per-type message sequence — the counters the transport runtime
 		// keeps too, so both runtimes kill and hold the same messages.
-		seq := streams.next(tp)
+		seq := sh.nextSeq(streams, tp)
 		var drop bool
 		delay, drop = n.shaper.Decide(from.id, to, tp, seq)
 		if drop {
@@ -828,8 +818,8 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	*slot = arrival
 	// The ordering key is pure provenance: who scheduled this send, and
 	// how many schedule calls came before it. A cross-shard delivery
-	// parked in the outbox sorts identically once pushed on the
-	// destination heap at the barrier.
+	// parked in the outbox sorts identically once its destination shard
+	// pushes it onto its own queue.
 	from.schedSeq++
 	key := evKey{src: from.id, seq: from.schedSeq}
 	dstShard := n.shardOf(sh, to)
@@ -838,8 +828,7 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 		return
 	}
 	sh.handoffs++
-	q := &sh.outQ[dstShard.index]
-	*q = append(*q, remoteEvent{at: arrival, key: key, dst: to, msg: msg})
+	from.eng.bucketPush(&sh.out[dstShard.index], &entry{at: arrival, tag: keyTag(key.src, key.seq), msg: msg, dst: to})
 }
 
 // simNode implements proto.Context for one simulated node and is the

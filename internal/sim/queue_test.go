@@ -950,6 +950,19 @@ func TestQueueResetDropsReferences(t *testing.T) {
 					sh.index, len(e.run), len(e.late), e.pageWords, e.nonEmpty)
 			}
 			runBufCap[sh.index] = cap(runBuffer(e))
+			// Mid-run, too, the free list is dirty chunks over clean ones,
+			// and a clean one holds nothing: under sharding these are the
+			// inboxes their shard drained, which Reset never visits.
+			seenClean := false
+			for c := e.freeChunks; c != nil; c = c.next {
+				if seenClean && !c.clean {
+					t.Fatalf("shard %d: a dirty free chunk lies below a clean one", sh.index)
+				}
+				seenClean = c.clean
+				if c.clean && !entriesZero(c.ents[:]) {
+					t.Fatalf("shard %d: a clean free chunk holds entries", sh.index)
+				}
+			}
 		}
 		f.net.Reset(3)
 		for _, sh := range f.net.shards {
@@ -974,7 +987,7 @@ func TestQueueResetDropsReferences(t *testing.T) {
 			chunks := 0
 			for c := e.freeChunks; c != nil; c = c.next {
 				chunks++
-				if c.n != 0 || !entriesZero(c.ents[:]) {
+				if c.n != 0 || !c.clean || !entriesZero(c.ents[:]) {
 					t.Fatalf("shard %d: free chunk %d not scrubbed by Reset", sh.index, chunks)
 				}
 			}

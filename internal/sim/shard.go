@@ -12,12 +12,23 @@ import (
 // Sharded execution: the node set splits into contiguous ID ranges
 // (topology.ShardBounds), each range owning a private Engine, and the
 // loops advance in lockstep windows under conservative lookahead — the
-// minimum possible link delay L. Each barrier round:
+// minimum possible link delay L. A cross-shard delivery is appended, as
+// the queue's own entry, to the sender shard's outbox toward its
+// destination: a chunk list of the sending engine that tracks its
+// earliest arrival as a bucket does. Each barrier round, with every
+// engine idle, moves only pointers:
 //
-//  1. cross-shard deliveries parked in per-pair outboxes are pushed onto
-//     their destination queues (every engine idle, so this is race-free);
-//  2. the globally earliest pending event time B is found;
-//  3. every shard executes its events with at < B+L concurrently.
+//  1. each inbox, drained and scrubbed in the window just run, returns
+//     its chunks to the engine that filled them, below that engine's
+//     dirty spares, and each outbox becomes its destination's inbox;
+//  2. the globally earliest pending time B is found over every engine's
+//     next event and every inbox's earliest arrival;
+//  3. every shard, concurrently, pushes its inboxes onto its own engine
+//     and executes its events with at < B+L.
+//
+// A run that stops with arrivals past its deadline pushes them into
+// their engines before it returns, so between runs every event sits in
+// an engine; Reset returns every outbox and inbox chunk to its owner.
 //
 // Safety: an event executing in the window can only schedule cross-shard
 // arrivals at ≥ B+L (its own time is ≥ B, the link adds ≥ L, and the
@@ -32,27 +43,17 @@ import (
 // (at, src, seq) — fire time, scheduling node, per-node counter (see
 // engine.go). The key is a total order and a pure function of event
 // provenance, so however deliveries are distributed across engine
-// queues and outboxes, each node executes its events in exactly
-// the single-loop order. Counters merge as exact integer sums; a
-// delivery set needs no merge, because each shard writes only its own
-// nodes' cells, each first delivery in time order. Every observable is
-// therefore bit-identical at any shard count.
+// queues and inboxes, and in whatever order they are pushed, each node
+// executes its events in exactly the single-loop order. Counters merge
+// as exact integer sums; a delivery set needs no merge, because each
+// shard writes only its own nodes' cells, each first delivery in time
+// order. Every observable is therefore bit-identical at any shard count.
 
 const maxDuration = time.Duration(math.MaxInt64)
 
-// remoteEvent is one cross-shard delivery parked in an outbox between
-// windows: the precomputed arrival time and ordering key (whose src is
-// the sender) plus the delivery payload.
-type remoteEvent struct {
-	at  time.Duration
-	key evKey
-	dst proto.NodeID
-	msg proto.Message
-}
-
 // shardState is everything one shard's goroutine owns during a window:
 // its engine, its node range, its accounting cells, its observation log,
-// and its outboxes toward every other shard.
+// and its outboxes toward and inboxes from every other shard.
 type shardState struct {
 	index  int32
 	lo, hi int32 // node-ID range [lo, hi)
@@ -75,14 +76,22 @@ type shardState struct {
 	// barrier (obs.go). Bounded by one window's events.
 	obsLog []obsEntry
 
-	// outQ[j] holds deliveries destined for shard j, drained at the next
-	// barrier. outQ[index] stays empty.
-	outQ [][]remoteEvent
+	// out[j] collects the window's deliveries to shard j in chunks of
+	// this shard's engine; at the barrier it becomes shard j's in[index].
+	// in[i] holds what shard i handed over at the last barrier: this
+	// shard pushes it onto its engine at the start of its window, and the
+	// next barrier returns the chunks to shard i's engine. out[index] and
+	// in[index] stay empty.
+	out []bucket
+	in  []inbox
 
 	// links is the FIFO state of the directed links outside the topology
 	// that the shard's nodes sent on this run, each node's chained from
-	// its cold cell (Network.linkSlot); reset rewinds it.
+	// its cold cell (Network.linkSlot); spill holds the per-type sequence
+	// counters past the first of every link the shard's nodes send on
+	// (linkStream). reset rewinds both.
 	links []linkArrival
+	spill []streamSeq
 
 	// Stats for -v diagnostics: windows executed, windows in which this
 	// shard had no eligible event (lookahead stalls), and cross-shard
@@ -90,6 +99,13 @@ type shardState struct {
 	windows  uint64
 	stalls   uint64
 	handoffs uint64
+}
+
+// inbox is an outbox handed over at a barrier, plus the last of its
+// chunks, which the drain finds so that the chunks go home in one splice.
+type inbox struct {
+	bucket
+	tail *chunk
 }
 
 // counter returns the shard's accounting cell for a type, allocating its
@@ -113,17 +129,16 @@ func (sh *shardState) resetCounters() {
 }
 
 // reset rewinds the shard for a fresh run, keeping engine arenas and
-// queue capacity.
+// queue capacity. The handoff chunks must be home first
+// (Network.reclaimHandoff): the engine scrubs only its own.
 func (sh *shardState) reset() {
 	sh.eng.Reset()
 	sh.resetCounters()
 	sh.lastID, sh.lastSet = proto.MsgID{}, nil
 	clear(sh.obsLog) // drop message/payload references
 	sh.obsLog = sh.obsLog[:0]
-	for i := range sh.outQ {
-		sh.outQ[i] = sh.outQ[i][:0]
-	}
 	sh.links = sh.links[:0]
+	sh.spill = sh.spill[:0]
 	sh.windows, sh.stalls, sh.handoffs = 0, 0, 0
 }
 
@@ -199,7 +214,8 @@ func (n *Network) resolveShards() {
 			lo:    bounds[i],
 			hi:    bounds[i+1],
 			eng:   eng,
-			outQ:  make([][]remoteEvent, k),
+			out:   make([]bucket, k),
+			in:    make([]inbox, k),
 		}
 		for v := bounds[i]; v < bounds[i+1]; v++ {
 			n.nodes[v].eng, n.nodes[v].shard = eng, n.shards[i]
@@ -215,20 +231,47 @@ func (n *Network) newEngine() *Engine {
 	return e
 }
 
-// drainOutboxes pushes every parked cross-shard delivery onto its
-// destination queue. Runs between windows with all engines idle; insertion
-// order is irrelevant because the queue orders by the full event key.
-func (n *Network) drainOutboxes() {
-	for _, sh := range n.shards {
-		for j, q := range sh.outQ {
-			if len(q) == 0 {
-				continue
+// handOver is step 1 of a barrier, run with every engine idle: each
+// inbox — drained and scrubbed by its shard in the window just run — goes
+// back to the bottom of the free list of the engine that filled it, and
+// each outbox becomes its destination's inbox.
+func (n *Network) handOver() {
+	for _, dst := range n.shards {
+		for i, src := range n.shards {
+			src.eng.freeClean(dst.in[i].top, dst.in[i].tail)
+			dst.in[i], src.out[dst.index] = inbox{bucket: src.out[dst.index]}, bucket{}
+		}
+	}
+}
+
+// reclaimHandoff returns every outbox and inbox chunk, drained or not, to
+// the free list of the engine of the shard that filled it — Reset's
+// form: the engine scrubs them next.
+func (n *Network) reclaimHandoff() {
+	for _, src := range n.shards {
+		for j, dst := range n.shards {
+			src.eng.freeList(src.out[j].top)
+			src.eng.freeList(dst.in[src.index].top)
+			src.out[j], dst.in[src.index] = bucket{}, inbox{}
+		}
+	}
+}
+
+// drainInboxes pushes what the other shards handed over at the last
+// barrier onto the shard's own engine. Insertion order is irrelevant
+// because the queue orders by the full event key. Each chunk is scrubbed
+// as soon as it is read, while its lines are hot and on this shard's
+// goroutine, so the sender's Reset never visits it; the chunks then stay
+// in the inboxes until the next barrier sends them home.
+func (sh *shardState) drainInboxes() {
+	for i := range sh.in {
+		in := &sh.in[i]
+		for c := in.top; c != nil; c = c.next {
+			for j := range c.ents[:c.n] {
+				sh.eng.push(c.ents[j])
 			}
-			eng := n.shards[j].eng
-			for _, re := range q {
-				eng.scheduleDeliver(re.at, re.key, re.dst, re.msg)
-			}
-			sh.outQ[j] = q[:0]
+			c.ents, c.n, c.clean = [chunkLen]entry{}, 0, true
+			in.tail = c
 		}
 	}
 }
@@ -241,11 +284,16 @@ func (n *Network) drainOutboxes() {
 func (n *Network) runSharded(deadline time.Duration) uint64 {
 	var total uint64
 	for {
-		n.drainOutboxes()
+		n.handOver()
 		minNext := maxDuration
 		for _, sh := range n.shards {
 			if at, ok := sh.eng.nextAt(); ok && at < minNext {
 				minNext = at
+			}
+			for _, in := range sh.in {
+				if in.top != nil && in.lo < minNext {
+					minNext = in.lo
+				}
 			}
 		}
 		if minNext == maxDuration || minNext > deadline {
@@ -270,6 +318,13 @@ func (n *Network) runSharded(deadline time.Duration) uint64 {
 		// bounded.
 		n.replayObs()
 	}
+	// Arrivals past the deadline go into their engines now, and their
+	// chunks home, so between runs every event sits in an engine. The
+	// outboxes are empty: the last barrier handed them all over.
+	for _, sh := range n.shards {
+		sh.drainInboxes()
+	}
+	n.handOver()
 	// Synchronize clocks so post-run scheduling (Originate, At,
 	// the next RunUntil) keys off one well-defined time at every shard.
 	syncTo := deadline
@@ -290,7 +345,8 @@ func (n *Network) runSharded(deadline time.Duration) uint64 {
 }
 
 // runWindow executes one barrier window [·, horizon) on every shard
-// concurrently and returns the number of events executed.
+// concurrently, each first pushing its inboxes onto its engine, and
+// returns the number of events executed.
 func (n *Network) runWindow(horizon time.Duration) uint64 {
 	ran := make([]uint64, len(n.shards))
 	n.windowing = true
@@ -299,10 +355,10 @@ func (n *Network) runWindow(horizon time.Duration) uint64 {
 		wg.Add(1)
 		go func(slot *uint64, sh *shardState) {
 			defer wg.Done()
-			*slot = sh.eng.runBefore(horizon)
+			*slot = sh.window(horizon)
 		}(&ran[i+1], sh)
 	}
-	ran[0] = n.shards[0].eng.runBefore(horizon)
+	ran[0] = n.shards[0].window(horizon)
 	wg.Wait()
 	n.windowing = false
 	var total uint64
@@ -314,4 +370,10 @@ func (n *Network) runWindow(horizon time.Duration) uint64 {
 		total += ran[i]
 	}
 	return total
+}
+
+// window is one shard's part of a barrier window, on its own goroutine.
+func (sh *shardState) window(horizon time.Duration) uint64 {
+	sh.drainInboxes()
+	return sh.eng.runBefore(horizon)
 }

@@ -30,8 +30,9 @@ func shardTestGraph(t *testing.T) *topology.Graph {
 // network actually resolved to. dense selects the handlers: one
 // map-backed flood.New per node, or flood.NewAt over a Shared partitioned
 // like the network — one handler per partition cell. drive, when non-nil,
-// schedules the arm's faults after Start.
-func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool, drive func(*Network)) (runFingerprint, int) {
+// schedules the arm's faults after Start; run, when non-nil, replaces the
+// one Run(0) that executes the flood.
+func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool, drive, run func(*Network)) (runFingerprint, int) {
 	t.Helper()
 	codec := wire.NewCodec()
 	flood.RegisterMessages(codec)
@@ -52,7 +53,10 @@ func shardFingerprint(t *testing.T, g *topology.Graph, opts Options, dense bool,
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.Run(0)
+	if run == nil {
+		run = func(net *Network) { net.Run(0) }
+	}
+	run(net)
 	fp := runFingerprint{
 		totalMsgs:  net.TotalMessages(),
 		totalBytes: net.TotalBytes(),
@@ -126,7 +130,7 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			base, k := shardFingerprint(t, g, arm.opts, false, arm.drive)
+			base, k := shardFingerprint(t, g, arm.opts, false, arm.drive, nil)
 			if k != 1 {
 				t.Fatalf("unsharded run resolved to %d shards", k)
 			}
@@ -140,7 +144,7 @@ func TestShardedDeterminism(t *testing.T) {
 				opts := arm.opts
 				opts.Shards = shards
 				for _, dense := range []bool{false, true} {
-					fp, k := shardFingerprint(t, g, opts, dense, arm.drive)
+					fp, k := shardFingerprint(t, g, opts, dense, arm.drive, nil)
 					if shards > 1 && k != shards {
 						t.Errorf("requested %d shards, resolved %d (expected eligible)", shards, k)
 					}

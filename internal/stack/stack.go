@@ -81,15 +81,21 @@ type Spec struct {
 	Composed core.Config
 }
 
-// composed returns the composed stack's core configuration.
-func (s *Spec) composed() core.Config {
+// composed returns the composed stack's core configuration. Nil Hashes
+// default into hashes, refilled in place, or into a new map when hashes
+// is nil.
+func (s *Spec) composed(hashes map[proto.NodeID][32]byte) core.Config {
 	c := s.Composed
 	c.Adaptive = s.Adaptive
 	if c.Hashes == nil {
-		c.Hashes = make(map[proto.NodeID][32]byte, len(c.Group))
-		for _, m := range c.Group {
-			c.Hashes[m] = core.SimHash(m)
+		if hashes == nil {
+			hashes = make(map[proto.NodeID][32]byte, len(c.Group))
 		}
+		clear(hashes)
+		for _, m := range c.Group {
+			hashes[m] = core.SimHash(m)
+		}
+		c.Hashes = hashes
 	}
 	return c
 }
@@ -134,7 +140,7 @@ func Live(s Spec, id proto.NodeID) proto.Handler {
 	case Adaptive:
 		return adaptive.New(s.Adaptive)
 	case Composed:
-		p, err := core.New(s.composed())
+		p, err := core.New(s.composed(nil))
 		if err != nil {
 			panic(fmt.Sprintf("stack: building composed node %d: %v", id, err))
 		}
@@ -154,6 +160,9 @@ type Mounted struct {
 	handler   func(id proto.NodeID) proto.Handler
 	reset     func()
 	configure func(Spec)
+	// hashes holds the composed stack's default identity hashes, refilled
+	// by every Remount: only the current configuration reads them.
+	hashes map[proto.NodeID][32]byte
 }
 
 // Mount sizes the spec's dense state to net — node count from its
@@ -178,14 +187,15 @@ func Mount(net *sim.Network, s Spec) *Mounted {
 		m.reset = sh.Reset
 		m.handler = func(id proto.NodeID) proto.Handler { return adaptive.NewAt(m.spec.Adaptive, sh, id) }
 	case Composed:
-		sh, err := core.NewShared(n, s.composed())
+		m.hashes = make(map[proto.NodeID][32]byte, len(s.Composed.Group))
+		sh, err := core.NewShared(n, s.composed(m.hashes))
 		if err != nil {
 			panic(fmt.Sprintf("stack: mounting composed stack: %v", err))
 		}
 		sh.Partition(k)
 		m.reset = sh.Reset
 		m.configure = func(s Spec) {
-			if err := sh.Configure(s.composed()); err != nil {
+			if err := sh.Configure(s.composed(m.hashes)); err != nil {
 				panic(fmt.Sprintf("stack: remounting composed stack: %v", err))
 			}
 		}
