@@ -56,3 +56,22 @@ func BenchmarkRandomRegular100k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRegularBuild1M builds flood1m's overlay, N=1M at degree 8, on
+// a warm builder: the build's cost without its first allocations.
+//
+//	go test -run '^$' -bench RegularBuild1M -benchtime 5x ./internal/topology
+func BenchmarkRegularBuild1M(b *testing.B) {
+	var rb RegularBuilder
+	rng := rand.New(rand.NewPCG(1, 2))
+	if _, err := rb.Build(1000000, 8, rng); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rb.Build(1000000, 8, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sort"
 
 	"repro/internal/prefetch"
 	"repro/internal/proto"
@@ -27,8 +28,9 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 }
 
 // RegularBuilder builds random regular graphs into storage it keeps: the
-// stubs, the row slab and degrees, the row headers, the repair edge list
-// and the connectivity check's traversal scratch. A loop of builds — one
+// stubs, the row slab with each row's fill, the row headers, the repair's
+// records of the edges it swaps and the rows they touch, and the
+// connectivity check's visited bitset and queue. A loop of builds — one
 // overlay per broadcast trial — then allocates only while the graphs
 // grow. The zero RegularBuilder is ready to use; it builds one graph at
 // a time.
@@ -36,12 +38,36 @@ type RegularBuilder struct {
 	g     Graph
 	stubs []proto.NodeID
 	slab  []proto.NodeID
-	deg   []int32
+	fill  []rowFill
 	bad   [][2]proto.NodeID // stub pairs pairing skipped, for repair
-	edges [][2]proto.NodeID // repair's edge list
 	ring  [shuffleAhead]int // shuffle's look-ahead draws
-	dist  []int             // the connectivity check's BFS scratch
+
+	// repair's edge list, kept without listing the edges; see repair.
+	swapped []edgeSlot        // slots below m0 a swap has rewritten
+	added   [][2]proto.NodeID // slots from m0 on, one per repaired pair
+	saved   []savedRow        // rows as they were before their first swap
+	savedID []proto.NodeID    // the saved rows' neighbours
+
+	seen  []uint64 // the connectivity check's visited bitset
 	queue []proto.NodeID
+}
+
+// rowFill is a row's fill while the stubs are paired — deg neighbours,
+// up of them numbered above the row's node — and stays the pre-repair
+// fill through repair, which turns each up into the row's first slot in
+// the edge list.
+type rowFill struct{ deg, up int32 }
+
+// edgeSlot is slot i of repair's edge list, rewritten by a swap to e.
+type edgeSlot struct {
+	i int
+	e [2]proto.NodeID
+}
+
+// savedRow is node v's pre-repair row, kept in savedID from at on.
+type savedRow struct {
+	v  proto.NodeID
+	at int
 }
 
 // Build returns the graph RandomRegular(n, d, rng) returns, with the same
@@ -60,12 +86,12 @@ func (b *RegularBuilder) Build(n, d int, rng *rand.Rand) (*Graph, error) {
 	}
 
 	// stubs lists every node d times; slab holds the n rows of d slots
-	// and deg their fill while the pairs are probed. A failed attempt's
+	// and fill their fill while the pairs are probed. A failed attempt's
 	// graph is dropped, so the next attempt reuses all of them.
 	stubs := resize(b.stubs, n*d)
 	slab := resize(b.slab, n*d)
-	deg := resize(b.deg, n)
-	b.stubs, b.slab, b.deg = stubs, slab, deg
+	fill := resize(b.fill, n)
+	b.stubs, b.slab, b.fill = stubs, slab, fill
 	g := &b.g
 	g.n, g.adj = n, resize(g.adj, n)
 	for try := 0; try < maxRegularAttempts; try++ {
@@ -80,17 +106,17 @@ func (b *RegularBuilder) Build(n, d int, rng *rand.Rand) (*Graph, error) {
 		} else {
 			rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		}
-		clear(deg)
+		clear(fill)
 		var m int
-		m, b.bad = pairStubs(stubs, slab, deg, d, b.bad[:0])
+		m, b.bad = pairStubs(stubs, slab, fill, d, b.bad[:0])
 
 		// Every row is cut from the slab with capacity d: no degree
 		// exceeds d here or in repair, so appends fill the row in place.
 		for v := range g.adj {
-			g.adj[v] = slab[v*d : v*d+int(deg[v]) : (v+1)*d]
+			g.adj[v] = slab[v*d : v*d+int(fill[v].deg) : (v+1)*d]
 		}
 		g.m = m
-		if b.repair(rng) && b.connected() {
+		if b.repair(rng, d) && b.connected() {
 			return g, nil
 		}
 	}
@@ -107,15 +133,16 @@ func resize[T any](s []T, n int) []T {
 }
 
 // connected reports whether the builder's graph is connected, traversing
-// it in the kept scratch.
+// it in the kept bitset and queue.
 func (b *RegularBuilder) connected() bool {
 	g := &b.g
 	if g.n <= 1 {
 		return true
 	}
-	b.dist = resize(b.dist, g.n)
+	b.seen = resize(b.seen, bitsetWords(g.n))
+	clear(b.seen)
 	b.queue = slices.Grow(b.queue[:0], g.n)
-	return g.bfs(0, b.dist, b.queue) == g.n
+	return len(g.reach(0, b.seen, b.queue)) == g.n
 }
 
 // Look-ahead distances of the overlay build, which looks ahead from
@@ -164,62 +191,81 @@ func shuffle(s []proto.NodeID, rng *rand.Rand, ring []int) {
 }
 
 // pairStubs links stubs 2i and 2i+1 for every i, in order, into the rows
-// slab[v*d : v*d+deg[v]], skipping self-loops and pairs already linked,
-// which it appends to bad for repair. It returns the number of edges it
-// made and bad. From aheadMinN nodes, the rows of the pair pairAhead
-// places on are prefetched, with their degrees.
-func pairStubs(stubs, slab []proto.NodeID, deg []int32, d int, bad [][2]proto.NodeID) (int, [][2]proto.NodeID) {
+// slab[v*d : v*d+fill[v].deg], counting in fill[v].up the neighbours
+// above v, and skips self-loops and pairs already linked, which it
+// appends to bad for repair. It returns the number of edges it made and
+// bad. From aheadMinN nodes, the rows of the pair pairAhead places on
+// are prefetched, with their fills.
+func pairStubs(stubs, slab []proto.NodeID, fill []rowFill, d int, bad [][2]proto.NodeID) (int, [][2]proto.NodeID) {
 	m := 0
-	ahead := len(deg) >= aheadMinN
+	ahead := len(fill) >= aheadMinN
 	for i := 0; i+1 < len(stubs); i += 2 {
 		if k := i + 2*pairAhead; ahead && k+1 < len(stubs) {
 			a, b := stubs[k], stubs[k+1]
 			prefetch.Line(&slab[int(a)*d])
 			prefetch.Line(&slab[int(b)*d])
-			prefetch.Line(&deg[a])
-			prefetch.Line(&deg[b])
+			prefetch.Line(&fill[a])
+			prefetch.Line(&fill[b])
 		}
 		u, v := stubs[i], stubs[i+1]
+		fu, fv := &fill[u], &fill[v]
 		ru, rv := int(u)*d, int(v)*d
-		if u == v || slices.Contains(slab[ru:ru+int(deg[u])], v) {
+		if u == v || slices.Contains(slab[ru:ru+int(fu.deg)], v) {
 			bad = append(bad, [2]proto.NodeID{u, v})
 			continue
 		}
-		slab[ru+int(deg[u])] = v
-		slab[rv+int(deg[v])] = u
-		deg[u]++
-		deg[v]++
+		slab[ru+int(fu.deg)] = v
+		slab[rv+int(fv.deg)] = u
+		fu.deg++
+		fv.deg++
+		if u < v {
+			fu.up++
+		} else {
+			fv.up++
+		}
 		m++
 	}
 	return m, bad
 }
 
-// repair resolves the conflicting stub pairs b.bad by double edge swaps:
-// for a bad pair (u,v) pick a random good edge (x,y) and rewire to (u,x)
-// and (v,y), which preserves all degrees. Returns false if repair stalls.
-func (b *RegularBuilder) repair(rng *rand.Rand) bool {
+// repair resolves the conflicting stub pairs b.bad of a graph of degree
+// d by double edge swaps: for a bad pair (u,v) pick a random good edge
+// (x,y) and rewire to (u,x) and (v,y), which preserves all degrees.
+// Returns false if repair stalls.
+//
+// The edge is drawn from an edge list that starts as the pre-repair
+// graph's m0 edges in canonical order — row by row, edge (v,w) listed in
+// v's row order when v < w — where a swap overwrites the drawn slot with
+// (u,x) and appends (v,y). The list is never built: slot i < m0 is read
+// from b.swapped if a swap rewrote it, and otherwise found in the
+// pre-repair rows, whose first slots fill[v].up holds; slots from m0 on
+// are b.added. A swap changes the rows of x and y in place, so each is
+// saved before its first swap; appends leave a row's first fill[v].deg
+// neighbours as they were.
+func (b *RegularBuilder) repair(rng *rand.Rand, d int) bool {
 	bad, g := b.bad, &b.g
 	if len(bad) == 0 {
 		return true
 	}
-	// Materialize the current edge list once; keep it in sync on swaps.
-	// Each repaired pair adds one edge, so it never outgrows this.
-	b.edges = slices.Grow(b.edges[:0], g.M()+len(bad))
-	edges := b.edges
-	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(proto.NodeID(v)) {
-			if proto.NodeID(v) < w {
-				edges = append(edges, [2]proto.NodeID{proto.NodeID(v), w})
-			}
-		}
+	m0 := 0
+	for v := range b.fill {
+		f := &b.fill[v]
+		f.up, m0 = int32(m0), m0+int(f.up)
 	}
+	// A repaired pair rewrites at most one slot, appends one and saves
+	// at most two rows of d.
+	b.swapped = slices.Grow(b.swapped[:0], len(bad))
+	b.added = slices.Grow(b.added[:0], len(bad))
+	b.saved = slices.Grow(b.saved[:0], 2*len(bad))
+	b.savedID = slices.Grow(b.savedID[:0], 2*len(bad)*d)
 	const triesPerPair = 2000
 	for _, pair := range bad {
 		u, v := pair[0], pair[1]
 		repaired := false
-		for try := 0; try < triesPerPair && len(edges) > 0; try++ {
-			ei := rng.IntN(len(edges))
-			x, y := edges[ei][0], edges[ei][1]
+		for try := 0; try < triesPerPair && m0+len(b.added) > 0; try++ {
+			ei := rng.IntN(m0 + len(b.added))
+			e := b.edge(ei, m0)
+			x, y := e[0], e[1]
 			if rng.IntN(2) == 0 {
 				x, y = y, x
 			}
@@ -227,6 +273,8 @@ func (b *RegularBuilder) repair(rng *rand.Rand) bool {
 			if u == x || v == y || g.HasEdge(u, x) || g.HasEdge(v, y) {
 				continue
 			}
+			b.save(x)
+			b.save(y)
 			g.removeEdge(x, y)
 			if err := g.AddEdge(u, x); err != nil {
 				return false
@@ -234,8 +282,8 @@ func (b *RegularBuilder) repair(rng *rand.Rand) bool {
 			if err := g.AddEdge(v, y); err != nil {
 				return false
 			}
-			edges[ei] = [2]proto.NodeID{minID(u, x), maxID(u, x)}
-			edges = append(edges, [2]proto.NodeID{minID(v, y), maxID(v, y)})
+			b.setEdge(ei, m0, [2]proto.NodeID{minID(u, x), maxID(u, x)})
+			b.added = append(b.added, [2]proto.NodeID{minID(v, y), maxID(v, y)})
 			repaired = true
 			break
 		}
@@ -244,6 +292,68 @@ func (b *RegularBuilder) repair(rng *rand.Rand) bool {
 		}
 	}
 	return true
+}
+
+// edge returns slot i of repair's edge list of m0 pre-repair edges.
+func (b *RegularBuilder) edge(i, m0 int) [2]proto.NodeID {
+	if i >= m0 {
+		return b.added[i-m0]
+	}
+	for _, s := range b.swapped {
+		if s.i == i {
+			return s.e
+		}
+	}
+	// The slot is in the last row whose first slot is at or before it.
+	v := sort.Search(len(b.fill), func(w int) bool { return int(b.fill[w].up) > i }) - 1
+	k := i - int(b.fill[v].up)
+	for _, w := range b.preRow(proto.NodeID(v)) {
+		if w > proto.NodeID(v) {
+			if k == 0 {
+				return [2]proto.NodeID{proto.NodeID(v), w}
+			}
+			k--
+		}
+	}
+	panic("topology: repair's edge slot past its row")
+}
+
+// setEdge writes e to slot i of repair's edge list of m0 pre-repair edges.
+func (b *RegularBuilder) setEdge(i, m0 int, e [2]proto.NodeID) {
+	if i >= m0 {
+		b.added[i-m0] = e
+		return
+	}
+	for k := range b.swapped {
+		if b.swapped[k].i == i {
+			b.swapped[k].e = e
+			return
+		}
+	}
+	b.swapped = append(b.swapped, edgeSlot{i, e})
+}
+
+// preRow returns v's row as it was before repair: the saved copy if a
+// swap has changed the row, the row's first fill[v].deg slots otherwise.
+func (b *RegularBuilder) preRow(v proto.NodeID) []proto.NodeID {
+	deg := int(b.fill[v].deg)
+	for _, s := range b.saved {
+		if s.v == v {
+			return b.savedID[s.at : s.at+deg]
+		}
+	}
+	return b.g.adj[v][:deg]
+}
+
+// save keeps v's pre-repair row, unless an earlier swap already did.
+func (b *RegularBuilder) save(v proto.NodeID) {
+	for _, s := range b.saved {
+		if s.v == v {
+			return
+		}
+	}
+	b.saved = append(b.saved, savedRow{v, len(b.savedID)})
+	b.savedID = append(b.savedID, b.g.adj[v][:b.fill[v].deg]...)
 }
 
 func minID(a, b proto.NodeID) proto.NodeID {

@@ -103,8 +103,8 @@ func (g *Graph) BFS(src proto.NodeID) []int {
 
 // bfs writes hop distances from src into dist (length N, unreachable
 // nodes -1) through queue (capacity at least N; its contents are
-// scratch) and returns how many nodes it reached: the one traversal
-// behind BFS and the connectivity checks.
+// scratch) and returns how many nodes it reached: the traversal behind
+// BFS. Checks that need only which nodes are reached use reach.
 //
 // The queue says which rows the traversal reads next, so on a graph of
 // at least aheadMinN nodes it looks ahead on it: at N=1M a node's row
@@ -144,16 +144,55 @@ func (g *Graph) bfs(src proto.NodeID, dist []int, queue []proto.NodeID) int {
 	return len(queue)
 }
 
+// reach appends to queue, in BFS order from src, every node reachable
+// from src that seen does not yet hold, marks them in seen and returns
+// queue: the traversal behind the connectivity checks and LocalityOrder.
+// seen is a bitset of at least (N+63)/64 words, one bit a node — 128 KB
+// at N=1M against bfs's 8 MB of distances — and queue needs capacity
+// for every node it can append; src must be in range and not in seen.
+// It looks ahead on the queue as bfs does, from the first node it
+// appends.
+func (g *Graph) reach(src proto.NodeID, seen []uint64, queue []proto.NodeID) []proto.NodeID {
+	seen[src>>6] |= 1 << (src & 63)
+	start := len(queue)
+	queue = append(queue, src)
+	ahead := g.n >= aheadMinN
+	for head := start; head < len(queue); head++ {
+		if ahead {
+			if i := head + 2*bfsAhead; i < len(queue) {
+				prefetch.Line(&g.adj[queue[i]])
+			}
+			if i := head + bfsAhead; i < len(queue) {
+				if row := g.adj[queue[i]]; len(row) > 0 {
+					prefetch.Line(&row[0])
+				}
+			}
+		}
+		for _, w := range g.adj[queue[head]] {
+			if word, bit := &seen[w>>6], uint64(1)<<(w&63); *word&bit == 0 {
+				*word |= bit
+				queue = append(queue, w)
+			}
+		}
+	}
+	return queue
+}
+
+// bitsetWords is the length of a bitset holding one bit for each of n
+// nodes.
+func bitsetWords(n int) int { return (n + 63) / 64 }
+
 // bfsAhead is how many queue places ahead bfs prefetches a row.
 const bfsAhead = 8
 
 // aheadMinN is the smallest graph the package's loops look ahead on:
-// bfs here, and RandomRegular's stub shuffle and pair probes. Below it
-// the rows, headers and distances (≈ 68 bytes a node at degree 8) sit in
-// a core's L2, the out-of-order core already hides those hits, and the
-// hints only cost. At degree 8 on a 2-vCPU Xeon with 2 MiB of L2 a core,
-// BFS with them read +10 % at N=4k, −7 % at 16k, −20 % at 32k and −50 %
-// at 1M; e4, whose time is ≈ 45 % BFS on N=1000, read +4 % with them.
+// bfs and reach here, and RandomRegular's stub shuffle and pair probes.
+// Below it the rows, headers and distances (≈ 68 bytes a node at degree
+// 8) sit in a core's L2, the out-of-order core already hides those hits,
+// and the hints only cost. At degree 8 on a 2-vCPU Xeon with 2 MiB of L2
+// a core, BFS with them read +10 % at N=4k, −7 % at 16k, −20 % at 32k and
+// −50 % at 1M; e4, whose time is ≈ 45 % BFS on N=1000, read +4 % with
+// them.
 const aheadMinN = 1 << 14
 
 // Connected reports whether the graph is connected (true for N ≤ 1).
@@ -161,7 +200,7 @@ func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	return g.bfs(0, make([]int, g.n), make([]proto.NodeID, 0, g.n)) == g.n
+	return len(g.reach(0, make([]uint64, bitsetWords(g.n)), make([]proto.NodeID, 0, g.n))) == g.n
 }
 
 // Eccentricity returns the greatest BFS distance from v, or -1 if some

@@ -60,30 +60,18 @@ func (g *Graph) CrossShardEdges(k int) int {
 // experiments keep the generator's labeling so that node IDs in tables
 // stay comparable across shard counts.
 func (g *Graph) LocalityOrder() []proto.NodeID {
-	perm := make([]proto.NodeID, g.n)
-	for i := range perm {
-		perm[i] = proto.NoNode
-	}
-	next := proto.NodeID(0)
-	queue := make([]proto.NodeID, 0, g.n)
+	// One reach from each node not yet seen, in ID order, lists every
+	// node once in visit order: a node's new ID is its place in the list.
+	seen := make([]uint64, bitsetWords(g.n))
+	order := make([]proto.NodeID, 0, g.n)
 	for s := 0; s < g.n; s++ {
-		if perm[s] != proto.NoNode {
-			continue
+		if seen[s>>6]&(1<<(s&63)) == 0 {
+			order = g.reach(proto.NodeID(s), seen, order)
 		}
-		perm[s] = next
-		next++
-		queue = append(queue[:0], proto.NodeID(s))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.adj[u] {
-				if perm[w] == proto.NoNode {
-					perm[w] = next
-					next++
-					queue = append(queue, w)
-				}
-			}
-		}
+	}
+	perm := make([]proto.NodeID, g.n)
+	for i, v := range order {
+		perm[v] = proto.NodeID(i)
 	}
 	return perm
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/proto"
@@ -126,5 +127,70 @@ func TestLocalityOrderCutsCrossEdges(t *testing.T) {
 	}
 	if natural := ring.CrossShardEdges(k); natural != k {
 		t.Fatalf("natural ring labeling has %d cross edges at k=%d, want %d", natural, k, k)
+	}
+}
+
+// localityOrderOracle is LocalityOrder as a plain BFS of its own from
+// each unlabelled node in ID order, numbering nodes as it enqueues them.
+func localityOrderOracle(g *Graph) []proto.NodeID {
+	perm := make([]proto.NodeID, g.N())
+	for i := range perm {
+		perm[i] = proto.NoNode
+	}
+	next := proto.NodeID(0)
+	for s := 0; s < g.N(); s++ {
+		if perm[s] != proto.NoNode {
+			continue
+		}
+		perm[s] = next
+		next++
+		for queue := []proto.NodeID{proto.NodeID(s)}; len(queue) > 0; queue = queue[1:] {
+			for _, w := range g.Neighbors(queue[0]) {
+				if perm[w] == proto.NoNode {
+					perm[w] = next
+					next++
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return perm
+}
+
+// TestLocalityOrderMatchesOracle holds LocalityOrder to
+// localityOrderOracle on a ring, on graphs of many components — below
+// and past aheadMinN, with node counts off a multiple of 64 — and on the
+// paper's 1k regular overlay.
+func TestLocalityOrderMatchesOracle(t *testing.T) {
+	ring, err := Ring(257)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := ErdosRenyi(301, 1.5/301, testRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := NewGraph(aheadMinN + 7)
+	rng := testRNG(6)
+	for i := 0; i < large.N()*3/4; i++ {
+		u, v := proto.NodeID(rng.IntN(large.N())), proto.NodeID(rng.IntN(large.N()))
+		if u != v && !large.HasEdge(u, v) {
+			large.link(u, v)
+		}
+	}
+	regular, err := RandomRegular(1000, 8, testRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"ring", ring}, {"sparse ER", sparse}, {"sparse, look-ahead", large},
+		{"regular", regular}, {"empty", NewGraph(0)}, {"edgeless", NewGraph(65)},
+	} {
+		if got, want := tc.g.LocalityOrder(), localityOrderOracle(tc.g); !slices.Equal(got, want) {
+			t.Errorf("%s: LocalityOrder differs from the oracle", tc.name)
+		}
 	}
 }
