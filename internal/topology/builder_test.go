@@ -183,13 +183,18 @@ func TestRegularBuilderMatchesOracle(t *testing.T) {
 }
 
 // TestRegularBuilderWarmAllocs holds a warm builder to zero allocations
-// per same-size build, below and above the look-ahead threshold and on a
+// per same-size build, below and above the look-ahead threshold, on a
 // dense case that repairs on every build, which holds repair's kept
-// records to zero too. Each build reseeds one generator, so every
-// measured build makes the same graph as the warm-up build, with the
-// same repair work.
+// records to zero too, and outside -short at blockMinN, which holds the
+// block pairing's. Each build reseeds one generator, so every measured
+// build makes the same graph as the warm-up build, with the same repair
+// work.
 func TestRegularBuilderWarmAllocs(t *testing.T) {
-	for _, c := range []struct{ n, d int }{{1000, 8}, {aheadMinN + 100, 4}, {16, 12}} {
+	cases := []struct{ n, d int }{{1000, 8}, {aheadMinN + 100, 4}, {16, 12}}
+	if !testing.Short() {
+		cases = append(cases, struct{ n, d int }{blockMinN, 4})
+	}
+	for _, c := range cases {
 		var b RegularBuilder
 		pcg := rand.NewPCG(0, 0)
 		rng := rand.New(pcg)
@@ -208,9 +213,55 @@ func TestRegularBuilderWarmAllocs(t *testing.T) {
 	}
 }
 
+// samePairing pairs stubs shuffled from seed for (n, d) with pairStubs
+// and with b.pairBlocks in blocks of 2^blockBits nodes, and fails unless
+// both make the same edges, rows, fills and skipped pairs.
+func samePairing(t *testing.T, b *RegularBuilder, n, d int, seed uint64, blockBits int) {
+	t.Helper()
+	stubs := make([]proto.NodeID, n*d)
+	for i := range stubs {
+		stubs[i] = proto.NodeID(i / d)
+	}
+	testRNG(seed).Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	slab, fill := make([]proto.NodeID, n*d), make([]rowFill, n)
+	m, bad := pairStubs(stubs, slab, fill, d, nil)
+
+	b.stubs = append(b.stubs[:0], stubs...)
+	b.slab, b.fill = resize(b.slab, n*d), resize(b.fill, n)
+	clear(b.fill)
+	if got := b.pairBlocks(d, blockBits); got != m || !slices.Equal(b.bad, bad) || !slices.Equal(b.fill, fill) {
+		t.Fatalf("n=%d d=%d seed=%d blocks of 2^%d: %d edges, skipped %v, fills %v; pairStubs %d, %v, %v",
+			n, d, seed, blockBits, got, b.bad, b.fill, m, bad, fill)
+	}
+	for v := range n {
+		if g, w := b.slab[v*d:v*d+int(fill[v].deg)], slab[v*d:v*d+int(fill[v].deg)]; !slices.Equal(g, w) {
+			t.Fatalf("n=%d d=%d seed=%d blocks of 2^%d: row %d is %v, pairStubs %v", n, d, seed, blockBits, v, g, w)
+		}
+	}
+}
+
+// TestPairBlocksMatchesPairStubs holds the block pairing to pairStubs
+// on builderCases' feasible sizes, seeds 1–4, with blocks from one node —
+// small graphs span many blocks — to the blocks Build uses.
+func TestPairBlocksMatchesPairStubs(t *testing.T) {
+	var b RegularBuilder
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, c := range builderCases {
+			if c.d >= c.n || c.n*c.d%2 != 0 {
+				continue
+			}
+			for _, bits := range []int{0, 2, 5, pairBlockBits} {
+				samePairing(t, &b, c.n, c.d, seed, bits)
+			}
+		}
+	}
+}
+
 // FuzzRegularBuild is TestRegularBuilderMatchesOracle over byte-coded
 // sequences: each three bytes are one (n, d, seed) build on the same
-// builder, n up to 320 and d below 12, and each must equal regularOracle.
+// builder, n up to 320 and d below 12, and each must equal regularOracle;
+// the same stubs paired in blocks of 2^(seed mod 8) nodes must equal
+// pairStubs.
 func FuzzRegularBuild(f *testing.F) {
 	f.Add([]byte{200, 8, 1, 5, 2, 2, 4, 4, 3})
 	f.Add([]byte{6, 2, 1, 6, 2, 2, 6, 2, 3, 255, 8, 4})
@@ -221,6 +272,9 @@ func FuzzRegularBuild(f *testing.F) {
 			n := 1 + int(data[i])%64 + 64*int(data[i+2]&3)
 			d := int(data[i+1]) % 12
 			sameBuild(t, &b, regularOracle, n, d, uint64(data[i+2]))
+			if d < n && n*d%2 == 0 {
+				samePairing(t, &b, n, d, uint64(data[i+2]), int(data[i+2]%8))
+			}
 		}
 	})
 }
