@@ -31,21 +31,29 @@ func regularOracle(n, d int, rng *rand.Rand) (*Graph, error) {
 			stubs[i] = proto.NodeID(i / d)
 		}
 		rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		g := NewGraph(n)
-		var bad [][2]proto.NodeID
-		for i := 0; i+1 < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || g.HasEdge(u, v) {
-				bad = append(bad, [2]proto.NodeID{u, v})
-				continue
-			}
-			g.link(u, v)
-		}
+		g, bad := oraclePair(n, stubs)
 		if oracleRepair(g, bad, rng) && oracleConnected(g) {
 			return g, nil
 		}
 	}
 	return nil, fmt.Errorf("topology: RandomRegular(n=%d, d=%d) failed after %d attempts", n, d, maxRegularAttempts)
+}
+
+// oraclePair links stubs 2i and 2i+1 for every i, in order, into a new
+// graph on n nodes, and returns it with the self-loops and pairs already
+// linked that it skipped.
+func oraclePair(n int, stubs []proto.NodeID) (*Graph, [][2]proto.NodeID) {
+	g := NewGraph(n)
+	var bad [][2]proto.NodeID
+	for i := 0; i+1 < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		if u == v || g.HasEdge(u, v) {
+			bad = append(bad, [2]proto.NodeID{u, v})
+			continue
+		}
+		g.link(u, v)
+	}
+	return g, bad
 }
 
 // oracleRepair is the repair as it was before it stopped listing every
@@ -138,12 +146,12 @@ func sameBuild(t *testing.T, b *RegularBuilder, want builder, n, d int, seed uin
 // builderCases is a sequence of overlays that grows and shrinks N,
 // crosses the look-ahead threshold and includes small dense cases —
 // degree 2 on 6 or 8 nodes comes out disconnected often enough to
-// restart, K5 and the near-complete ones need repair — plus infeasible
-// ones in between.
+// restart, K5 and the near-complete ones need repair — a high degree
+// that repairs ≈ 900 pairs, and infeasible ones in between.
 var builderCases = []struct{ n, d int }{
 	{1000, 8}, {6, 2}, {5, 4}, {200, 8}, {8, 2}, {10, 8}, {2000, 6},
 	{8, 6}, {7, 3}, {1000, 8}, {aheadMinN + 100, 4}, {6, 4}, {50, 3},
-	{300, 8}, {6, 2}, {1, 0}, {12, 11}, {1000, 8},
+	{300, 8}, {400, 60}, {6, 2}, {1, 0}, {12, 11}, {1000, 8},
 }
 
 // buildSequence runs one builder through builderCases on seeds 1–4,
@@ -183,18 +191,13 @@ func TestRegularBuilderMatchesOracle(t *testing.T) {
 }
 
 // TestRegularBuilderWarmAllocs holds a warm builder to zero allocations
-// per same-size build, below and above the look-ahead threshold, on a
-// dense case that repairs on every build, which holds repair's kept
-// records to zero too, and outside -short at blockMinN, which holds the
-// block pairing's. Each build reseeds one generator, so every measured
-// build makes the same graph as the warm-up build, with the same repair
-// work.
+// per same-size build, in one pairing block and in several past the
+// look-ahead threshold, and on a dense case that repairs on every build,
+// which holds repair's kept records to zero too. Each build reseeds one
+// generator, so every measured build makes the same graph as the warm-up
+// build, with the same repair work.
 func TestRegularBuilderWarmAllocs(t *testing.T) {
-	cases := []struct{ n, d int }{{1000, 8}, {aheadMinN + 100, 4}, {16, 12}}
-	if !testing.Short() {
-		cases = append(cases, struct{ n, d int }{blockMinN, 4})
-	}
-	for _, c := range cases {
+	for _, c := range []struct{ n, d int }{{1000, 8}, {aheadMinN + 100, 4}, {16, 12}} {
 		var b RegularBuilder
 		pcg := rand.NewPCG(0, 0)
 		rng := rand.New(pcg)
@@ -213,9 +216,10 @@ func TestRegularBuilderWarmAllocs(t *testing.T) {
 	}
 }
 
-// samePairing pairs stubs shuffled from seed for (n, d) with pairStubs
+// samePairing pairs stubs shuffled from seed for (n, d) with oraclePair
 // and with b.pairBlocks in blocks of 2^blockBits nodes, and fails unless
-// both make the same edges, rows, fills and skipped pairs.
+// both make the same edges, rows and skipped pairs, with each row's fill
+// and count of neighbours above its node.
 func samePairing(t *testing.T, b *RegularBuilder, n, d int, seed uint64, blockBits int) {
 	t.Helper()
 	stubs := make([]proto.NodeID, n*d)
@@ -223,27 +227,39 @@ func samePairing(t *testing.T, b *RegularBuilder, n, d int, seed uint64, blockBi
 		stubs[i] = proto.NodeID(i / d)
 	}
 	testRNG(seed).Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	slab, fill := make([]proto.NodeID, n*d), make([]rowFill, n)
-	m, bad := pairStubs(stubs, slab, fill, d, nil)
+	g, bad := oraclePair(n, stubs)
+	fill := make([]rowFill, n)
+	for v := range fill {
+		row := g.Neighbors(proto.NodeID(v))
+		fill[v].deg = int32(len(row))
+		for _, w := range row {
+			if w > proto.NodeID(v) {
+				fill[v].up++
+			}
+		}
+	}
 
 	b.stubs = append(b.stubs[:0], stubs...)
 	b.slab, b.fill = resize(b.slab, n*d), resize(b.fill, n)
+	for i := range b.slab {
+		b.slab[i] = -1 // junk, so a slot pairBlocks leaves unwritten shows
+	}
 	clear(b.fill)
-	if got := b.pairBlocks(d, blockBits); got != m || !slices.Equal(b.bad, bad) || !slices.Equal(b.fill, fill) {
-		t.Fatalf("n=%d d=%d seed=%d blocks of 2^%d: %d edges, skipped %v, fills %v; pairStubs %d, %v, %v",
-			n, d, seed, blockBits, got, b.bad, b.fill, m, bad, fill)
+	if got := b.pairBlocks(d, blockBits); got != g.M() || !slices.Equal(b.bad, bad) || !slices.Equal(b.fill, fill) {
+		t.Fatalf("n=%d d=%d seed=%d blocks of 2^%d: %d edges, skipped %v, fills %v; oracle %d, %v, %v",
+			n, d, seed, blockBits, got, b.bad, b.fill, g.M(), bad, fill)
 	}
 	for v := range n {
-		if g, w := b.slab[v*d:v*d+int(fill[v].deg)], slab[v*d:v*d+int(fill[v].deg)]; !slices.Equal(g, w) {
-			t.Fatalf("n=%d d=%d seed=%d blocks of 2^%d: row %d is %v, pairStubs %v", n, d, seed, blockBits, v, g, w)
+		if got, w := b.slab[v*d:v*d+int(fill[v].deg)], g.Neighbors(proto.NodeID(v)); !slices.Equal(got, w) {
+			t.Fatalf("n=%d d=%d seed=%d blocks of 2^%d: row %d is %v, oracle %v", n, d, seed, blockBits, v, got, w)
 		}
 	}
 }
 
-// TestPairBlocksMatchesPairStubs holds the block pairing to pairStubs
-// on builderCases' feasible sizes, seeds 1–4, with blocks from one node —
+// TestPairBlocksMatchesOracle holds the block pairing to oraclePair on
+// builderCases' feasible sizes, seeds 1–4, with blocks from one node —
 // small graphs span many blocks — to the blocks Build uses.
-func TestPairBlocksMatchesPairStubs(t *testing.T) {
+func TestPairBlocksMatchesOracle(t *testing.T) {
 	var b RegularBuilder
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, c := range builderCases {
@@ -261,7 +277,7 @@ func TestPairBlocksMatchesPairStubs(t *testing.T) {
 // sequences: each three bytes are one (n, d, seed) build on the same
 // builder, n up to 320 and d below 12, and each must equal regularOracle;
 // the same stubs paired in blocks of 2^(seed mod 8) nodes must equal
-// pairStubs.
+// oraclePair.
 func FuzzRegularBuild(f *testing.F) {
 	f.Add([]byte{200, 8, 1, 5, 2, 2, 4, 4, 3})
 	f.Add([]byte{6, 2, 1, 6, 2, 2, 6, 2, 3, 255, 8, 4})

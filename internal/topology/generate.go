@@ -30,13 +30,14 @@ func RandomRegular(n, d int, rng *rand.Rand) (*Graph, error) {
 }
 
 // RegularBuilder builds random regular graphs into storage it keeps: the
-// stubs, the row slab with each row's fill, the row headers, the block
-// pairing's cursors, block copy and duplicate pairs, the repair's records
-// of the edges it swaps and the rows they touch, and a node bitset — the
-// block pairing's marks, then the connectivity check's visited set — with
-// the check's queue. A loop of builds — one overlay per broadcast trial —
-// then allocates only while the graphs grow. The zero RegularBuilder is
-// ready to use; it builds one graph at a time.
+// stubs — once paired, the index of repair's records — the row slab with
+// each row's fill, the row headers, the block pairing's cursors, block
+// copy and duplicate pairs, the repair's records of the edges it swaps
+// and the rows they touch, and a node bitset — the block pairing's
+// marks, then the connectivity check's visited set — with the check's
+// queue. A loop of builds — one overlay per broadcast trial — then
+// allocates only while the graphs grow. The zero RegularBuilder is ready
+// to use; it builds one graph at a time.
 type RegularBuilder struct {
 	g     Graph
 	stubs []proto.NodeID
@@ -94,7 +95,7 @@ func (b *RegularBuilder) Build(n, d int, rng *rand.Rand) (*Graph, error) {
 	}
 
 	// stubs lists every node d times; slab holds the n rows of d slots
-	// and fill their fill while the pairs are probed. A failed attempt's
+	// and fill their fill while the stubs are paired. A failed attempt's
 	// graph is dropped, so the next attempt reuses all of them.
 	stubs := resize(b.stubs, n*d)
 	slab := resize(b.slab, n*d)
@@ -115,12 +116,7 @@ func (b *RegularBuilder) Build(n, d int, rng *rand.Rand) (*Graph, error) {
 			rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		}
 		clear(fill)
-		var m int
-		if n >= blockMinN {
-			m = b.pairBlocks(d, pairBlockBits)
-		} else {
-			m, b.bad = pairStubs(stubs, slab, fill, d, b.bad[:0])
-		}
+		m := b.pairBlocks(d, pairBlockBits)
 
 		// Every row is cut from the slab with capacity d: no degree
 		// exceeds d here or in repair, so appends fill the row in place.
@@ -157,15 +153,10 @@ func (b *RegularBuilder) connected() bool {
 	return len(g.reach(0, b.seen, b.queue)) == g.n
 }
 
-// Look-ahead distances of the overlay build, which looks ahead from
-// aheadMinN nodes: how many swaps ahead shuffle draws and prefetches,
-// and how many stub pairs ahead pairStubs prefetches rows. At N=1M every
-// stub, row and degree is a DRAM miss; the distance only has to cover
-// one miss.
-const (
-	shuffleAhead = 16
-	pairAhead    = 8
-)
+// shuffleAhead is how many swaps ahead shuffle draws and prefetches,
+// which it does from aheadMinN nodes. At N=1M every stub is a DRAM miss;
+// the distance only has to cover one miss.
+const shuffleAhead = 16
 
 // shuffle permutes s exactly as rng.Shuffle(len(s), swap) does — the
 // same draws, rng.Uint64N(i+1) for i = len(s)−1 … 1, in the same order,
@@ -202,72 +193,32 @@ func shuffle(s []proto.NodeID, rng *rand.Rand, ring []int) {
 	}
 }
 
-// pairStubs links stubs 2i and 2i+1 for every i, in order, into the rows
-// slab[v*d : v*d+fill[v].deg], counting in fill[v].up the neighbours
-// above v, and skips self-loops and pairs already linked, which it
-// appends to bad for repair. It returns the number of edges it made and
-// bad. From aheadMinN nodes, the rows of the pair pairAhead places on
-// are prefetched, with their fills.
-func pairStubs(stubs, slab []proto.NodeID, fill []rowFill, d int, bad [][2]proto.NodeID) (int, [][2]proto.NodeID) {
-	m := 0
-	ahead := len(fill) >= aheadMinN
-	for i := 0; i+1 < len(stubs); i += 2 {
-		if k := i + 2*pairAhead; ahead && k+1 < len(stubs) {
-			a, b := stubs[k], stubs[k+1]
-			prefetch.Line(&slab[int(a)*d])
-			prefetch.Line(&slab[int(b)*d])
-			prefetch.Line(&fill[a])
-			prefetch.Line(&fill[b])
-		}
-		u, v := stubs[i], stubs[i+1]
-		fu, fv := &fill[u], &fill[v]
-		ru, rv := int(u)*d, int(v)*d
-		if u == v || slices.Contains(slab[ru:ru+int(fu.deg)], v) {
-			bad = append(bad, [2]proto.NodeID{u, v})
-			continue
-		}
-		slab[ru+int(fu.deg)] = v
-		slab[rv+int(fv.deg)] = u
-		fu.deg++
-		fv.deg++
-		if u < v {
-			fu.up++
-		} else {
-			fv.up++
-		}
-		m++
-	}
-	return m, bad
-}
+// pairBlockBits sets the size of pairBlocks' node blocks: a block's rows
+// (128 KB at degree 8), their entries' copy and their fills stay in a
+// core's L2 while pairBlocks writes the rows.
+const pairBlockBits = 12
 
-// From blockMinN nodes Build pairs the stubs with pairBlocks, in node
-// blocks of 2^pairBlockBits, instead of pairStubs' probe of two rows a
-// pair. pairStubs' rows, fills and stubs (72 bytes a node at degree 8)
-// then outgrow the caches: at N=1M each probe misses to DRAM, and the
-// pairing reads 300 → 200 ms with blocks, while below 400k nodes, where
-// the probes hit, blocks read the same or up to 15 % slower (2-vCPU
-// Xeon). A block's rows (128 KB at degree 8), their entries' copy and
-// their fills stay in a core's L2 while pairBlocks writes the rows.
-const (
-	blockMinN     = 1 << 19
-	pairBlockBits = 12
-)
-
-// pairBlocks is pairStubs into the builder's stubs, slab and fill, with
-// the skipped pairs in b.bad, in blocks of 2^blockBits nodes: it returns
-// the same edge count and leaves the same rows, fills and skipped pairs.
+// pairBlocks links stubs 2i and 2i+1 for every i, in order, into the
+// rows slab[v*d : v*d+fill[v].deg] of the builder's stubs, slab and
+// zeroed fill, counting in fill[v].up the neighbours above v, and skips
+// self-loops and pairs already linked, which it lists in b.bad for
+// repair. It returns the number of edges it made.
 //
-// It writes no row at random. Every node has d stubs, so the entries of
-// the pairs — v in u's row and u in v's for each pair (u,v) — fill each
-// row's d slots. pairBlocks first appends every entry, in pair order and
-// packed with its row's place in the block, to the slab span of its
-// row's block of nodes; then block by block it copies the span aside,
-// deals the entries out to their rows and keeps in each row the first
-// entry of each neighbour other than the row's node, which are the
-// neighbours that linking the pairs one by one links. A dropped entry
-// marks both its nodes in b.seen and, unless it is a self-loop's, lists
-// their pair in b.dups. The skipped pairs are then the self-loops and
-// repeats of b.dups among the pairs of two marked nodes.
+// It works in blocks of 2^blockBits nodes and, past one block, writes no
+// row at random. Every node has d stubs, so the entries of the pairs — v
+// in u's row and u in v's for each pair (u,v) — fill each row's d slots.
+// pairBlocks first appends every entry, in pair order and packed with
+// its row's place in the block, to the slab span of its row's block of
+// nodes; then block by block it copies the span aside and deals the
+// entries out to their rows. A graph of one block, whose rows share a
+// core's L2, has its entries dealt straight from the stubs. In each row
+// it keeps the first entry of each neighbour other than the row's node,
+// which are the neighbours that linking the pairs one by one links. A
+// dropped entry marks both its nodes in b.seen and, unless it is a
+// self-loop's, lists their pair in b.dups. The skipped pairs are then
+// the self-loops and repeats of b.dups among the pairs of two marked
+// nodes. At N=1M, where linking the pairs one by one misses to DRAM on
+// both rows of every pair, this cuts the pairing by about a third.
 func (b *RegularBuilder) pairBlocks(d, blockBits int) int {
 	stubs, slab, fill := b.stubs, b.slab, b.fill
 	// An entry is its neighbour in the low vbits bits and its row's place
@@ -277,18 +228,31 @@ func (b *RegularBuilder) pairBlocks(d, blockBits int) int {
 	shift := min(blockBits, 32-vbits)
 	vmask := uint32(1)<<vbits - 1
 	low := proto.NodeID(1)<<shift - 1
-	b.cursor = resize(b.cursor, (n+1<<shift-1)>>shift)
-	for k := range b.cursor {
-		b.cursor[k] = k << shift * d
-	}
-	for i := 0; i+1 < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		c := &b.cursor[u>>shift]
-		slab[*c] = proto.NodeID(uint32(u&low)<<vbits | uint32(v))
-		*c++
-		c = &b.cursor[v>>shift]
-		slab[*c] = proto.NodeID(uint32(v&low)<<vbits | uint32(u))
-		*c++
+	oneBlock := n <= 1<<shift
+	if oneBlock {
+		// The rows are one block: deal the entries straight into them.
+		for i := 0; i+1 < len(stubs); i += 2 {
+			u, v := stubs[i], stubs[i+1]
+			slab[int(u)*d+int(fill[u].deg)] = v
+			fill[u].deg++
+			slab[int(v)*d+int(fill[v].deg)] = u
+			fill[v].deg++
+		}
+	} else {
+		b.cursor = resize(b.cursor, (n+1<<shift-1)>>shift)
+		for k := range b.cursor {
+			b.cursor[k] = k << shift * d
+		}
+		for i := 0; i+1 < len(stubs); i += 2 {
+			u, v := stubs[i], stubs[i+1]
+			c := &b.cursor[u>>shift]
+			slab[*c] = proto.NodeID(uint32(u&low)<<vbits | uint32(v))
+			*c++
+			c = &b.cursor[v>>shift]
+			slab[*c] = proto.NodeID(uint32(v&low)<<vbits | uint32(u))
+			*c++
+		}
+		b.buf = resize(b.buf, (1<<shift)*d)
 	}
 
 	marks := resize(b.seen, bitsetWords(n))
@@ -299,15 +263,16 @@ func (b *RegularBuilder) pairBlocks(d, blockBits int) int {
 	// from both its rows.
 	b.dups = slices.Grow(b.dups[:0], min(d*d, len(stubs)))
 	dropped := 0
-	b.buf = resize(b.buf, min(n, 1<<shift)*d)
 	for lo := 0; lo < n; lo += 1 << shift {
 		hi := min(lo+1<<shift, n)
-		span := b.buf[:(hi-lo)*d]
-		copy(span, slab[lo*d:hi*d])
-		for _, e := range span {
-			v := lo + int(uint32(e)>>vbits)
-			slab[v*d+int(fill[v].deg)] = proto.NodeID(uint32(e) & vmask)
-			fill[v].deg++
+		if !oneBlock {
+			span := b.buf[:(hi-lo)*d]
+			copy(span, slab[lo*d:hi*d])
+			for _, e := range span {
+				v := lo + int(uint32(e)>>vbits)
+				slab[v*d+int(fill[v].deg)] = proto.NodeID(uint32(e) & vmask)
+				fill[v].deg++
+			}
 		}
 		for v := lo; v < hi; v++ {
 			id, row := proto.NodeID(v), slab[v*d:(v+1)*d]
@@ -385,7 +350,12 @@ func (x dupPair) cmp(y dupPair) int {
 // pre-repair rows, whose first slots fill[v].up holds; slots from m0 on
 // are b.added. A swap changes the rows of x and y in place, so each is
 // saved before its first swap; appends leave a row's first fill[v].deg
-// neighbours as they were.
+// neighbours as they were. The stubs, dead once paired, index both
+// records: stubs[v] holds the place in b.saved of node v's row and
+// stubs[n+i] that in b.swapped of slot i (n + m0 ≤ n·d, as only d ≥ 2
+// leaves bad pairs). They are read as a sparse set — an index counts
+// only if the record it points at is v's or i's — so stale stubs need
+// no clearing, and every look-up takes one read at any degree.
 func (b *RegularBuilder) repair(rng *rand.Rand, d int) bool {
 	bad, g := b.bad, &b.g
 	if len(bad) == 0 {
@@ -443,10 +413,8 @@ func (b *RegularBuilder) edge(i, m0 int) [2]proto.NodeID {
 	if i >= m0 {
 		return b.added[i-m0]
 	}
-	for _, s := range b.swapped {
-		if s.i == i {
-			return s.e
-		}
+	if k := b.swapAt(i); k >= 0 {
+		return b.swapped[k].e
 	}
 	// The slot is in the last row whose first slot is at or before it.
 	v := sort.Search(len(b.fill), func(w int) bool { return int(b.fill[w].up) > i }) - 1
@@ -468,36 +436,51 @@ func (b *RegularBuilder) setEdge(i, m0 int, e [2]proto.NodeID) {
 		b.added[i-m0] = e
 		return
 	}
-	for k := range b.swapped {
-		if b.swapped[k].i == i {
-			b.swapped[k].e = e
-			return
-		}
+	if k := b.swapAt(i); k >= 0 {
+		b.swapped[k].e = e
+		return
 	}
+	b.stubs[len(b.fill)+i] = proto.NodeID(len(b.swapped))
 	b.swapped = append(b.swapped, edgeSlot{i, e})
+}
+
+// swapAt returns the place in b.swapped of slot i's record, or −1.
+func (b *RegularBuilder) swapAt(i int) int {
+	k := int(uint32(b.stubs[len(b.fill)+i]))
+	if k < len(b.swapped) && b.swapped[k].i == i {
+		return k
+	}
+	return -1
 }
 
 // preRow returns v's row as it was before repair: the saved copy if a
 // swap has changed the row, the row's first fill[v].deg slots otherwise.
 func (b *RegularBuilder) preRow(v proto.NodeID) []proto.NodeID {
 	deg := int(b.fill[v].deg)
-	for _, s := range b.saved {
-		if s.v == v {
-			return b.savedID[s.at : s.at+deg]
-		}
+	if k := b.savedAt(v); k >= 0 {
+		at := b.saved[k].at
+		return b.savedID[at : at+deg]
 	}
 	return b.g.adj[v][:deg]
 }
 
 // save keeps v's pre-repair row, unless an earlier swap already did.
 func (b *RegularBuilder) save(v proto.NodeID) {
-	for _, s := range b.saved {
-		if s.v == v {
-			return
-		}
+	if b.savedAt(v) >= 0 {
+		return
 	}
+	b.stubs[v] = proto.NodeID(len(b.saved))
 	b.saved = append(b.saved, savedRow{v, len(b.savedID)})
 	b.savedID = append(b.savedID, b.g.adj[v][:b.fill[v].deg]...)
+}
+
+// savedAt returns the place in b.saved of node v's record, or −1.
+func (b *RegularBuilder) savedAt(v proto.NodeID) int {
+	k := int(uint32(b.stubs[v]))
+	if k < len(b.saved) && b.saved[k].v == v {
+		return k
+	}
+	return -1
 }
 
 func minID(a, b proto.NodeID) proto.NodeID {

@@ -186,13 +186,12 @@ func bitsetWords(n int) int { return (n + 63) / 64 }
 const bfsAhead = 8
 
 // aheadMinN is the smallest graph the package's loops look ahead on:
-// bfs and reach here, and RandomRegular's stub shuffle and pair probes.
-// Below it the rows, headers and distances (≈ 68 bytes a node at degree
-// 8) sit in a core's L2, the out-of-order core already hides those hits,
-// and the hints only cost. At degree 8 on a 2-vCPU Xeon with 2 MiB of L2
-// a core, BFS with them read +10 % at N=4k, −7 % at 16k, −20 % at 32k and
-// −50 % at 1M; e4, whose time is ≈ 45 % BFS on N=1000, read +4 % with
-// them.
+// bfs and reach here, and RandomRegular's stub shuffle. Below it the
+// rows, headers and distances (≈ 68 bytes a node at degree 8) sit in a
+// core's L2, the out-of-order core already hides those hits, and the
+// hints only cost. At degree 8 on a 2-vCPU Xeon with 2 MiB of L2 a core,
+// BFS with them read +10 % at N=4k, −7 % at 16k, −20 % at 32k and −50 %
+// at 1M; e4, whose time is ≈ 45 % BFS on N=1000, read +4 % with them.
 const aheadMinN = 1 << 14
 
 // Connected reports whether the graph is connected (true for N ≤ 1).
