@@ -85,10 +85,9 @@ func (s *State) IsLeaf() bool { return len(s.Children) == 0 }
 
 // vsState is the virtual-source bookkeeping at the token holder.
 type vsState struct {
-	rho   int          // current ball radius
-	h     int          // token distance from the origin of the walk
-	prev  proto.NodeID // previous token holder (NoNode initially)
-	timer proto.TimerID
+	rho  int          // current ball radius
+	h    int          // token distance from the origin of the walk
+	prev proto.NodeID // previous token holder (NoNode initially)
 }
 
 // roundTimer is the timer payload driving virtual-source rounds.
@@ -102,17 +101,13 @@ type roundTimer struct{ id proto.MsgID }
 // node-indexed slab holding every node's Protocol and engine, so
 // mounting a network allocates nothing per node. All engines of one
 // simulated network share one Shared; trial loops Reset it between
-// sequentially simulated networks.
+// sequentially simulated networks and rebuild every node's engine.
 //
 // Like flood.Shared, it is single-threaded by design: each parallel
 // trial-runner worker owns its own Shared alongside its own network.
 type Shared struct {
 	n     int
 	parts []adaptPart
-	// gen counts Resets; engines compare it to drop their per-node
-	// virtual-source/pending-token leftovers from earlier trials. It is
-	// written only between runs, so concurrent shards reading it race-free.
-	gen uint64
 	// protos is the slab NewAt and NewEngineAt hand out: node v's
 	// Protocol, and the engine inside it, live at protos[v].
 	protos []Protocol
@@ -231,9 +226,10 @@ func (s *Shared) part(self proto.NodeID) *adaptPart {
 
 // Reset invalidates all per-message state, reclaims the State objects
 // for the next trial and forgets the relay sets. The previous trial's
-// network must be drained or discarded; engines notice the new
-// generation and drop any virtual-source or buffered-token state a
-// truncated trial left behind.
+// network must be drained or discarded. Engines built before it hold
+// per-node virtual-source, buffered-token and channel state Reset cannot
+// see, which a truncated trial may have left live: rebuild every node's
+// with NewAt or NewEngineAt, which resets its slot in place.
 func (s *Shared) Reset() {
 	for i := range s.parts {
 		s.parts[i].states.Reset()
@@ -241,7 +237,6 @@ func (s *Shared) Reset() {
 		clear(s.parts[i].infects)
 		clear(s.parts[i].finals)
 	}
-	s.gen++
 }
 
 // Engine executes adaptive diffusion for any number of concurrent
@@ -251,8 +246,10 @@ func (s *Shared) Reset() {
 // or in dense vectors shared across the whole network (NewEngineAt).
 // The virtual-source and pending-token maps stay per-node in both modes
 // — at most one node holds the token — and are allocated lazily, so
-// idle nodes cost nothing. An engine must not be copied once built: its
-// channel's retry timers name the channel by address.
+// idle nodes cost nothing. Building the engine (init) is its only reset:
+// a dense engine lasts one trial, until Shared.Reset. An engine must not
+// be copied once built: its channel's retry timers name the channel by
+// address.
 type Engine struct {
 	cfg    Config
 	states map[proto.MsgID]*State // standalone mode; nil in dense mode
@@ -261,8 +258,7 @@ type Engine struct {
 	// at construction so the hot path never re-derives it.
 	part *adaptPart
 	self proto.NodeID
-	gen  uint64                   // last Shared generation synced (dense mode)
-	vs   map[proto.MsgID]*vsState // lazy: only ever the token holder
+	vs   map[proto.MsgID]vsState // lazy: only ever the token holder
 	// pendingToken buffers a token that arrived before the payload (only
 	// possible under exotic latency models; links are FIFO).
 	pendingToken map[proto.MsgID]*TokenMsg
@@ -324,25 +320,6 @@ func (e *Engine) send(ctx proto.Context, to proto.NodeID, msg proto.Message) {
 // Channel exposes the engine's reliable channel (probes, experiments).
 func (e *Engine) Channel() *relchan.Channel { return &e.rel }
 
-// sync drops per-engine leftovers from a previous trial. Dense-mode
-// engines are reused across Shared.Reset generations, and a trial
-// stopped mid-diffusion (the run-until-coverage loops) can leave a live
-// vsState or a buffered token behind — state Shared.Reset cannot see.
-// Without this, a repeated payload (same MsgID) in the next trial would
-// hit the stale virtual-source entry and silently drop its token.
-func (e *Engine) sync() {
-	if e.shared != nil && e.gen != e.shared.gen {
-		e.gen = e.shared.gen
-		clear(e.vs)
-		clear(e.pendingToken)
-		// Re-Init drops the previous trial's pending/seen maps. The
-		// channel keeps its address, so a retry timer from that trial
-		// would still name it; but Shared.Reset requires that trial's
-		// network drained or discarded, so none is left to fire.
-		e.rel.Init(channelConfig(&e.cfg))
-	}
-}
-
 // ApplyDefaults fills every unset field with its default. The engine
 // constructors apply it to their copy.
 func (cfg *Config) ApplyDefaults() {
@@ -361,7 +338,9 @@ func NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// init makes e a fresh standalone engine, in place.
+// init makes e a fresh standalone engine, in place: the engine's one
+// reset, dropping whatever virtual-source, buffered-token and channel
+// state it held.
 func (e *Engine) init(cfg Config) {
 	cfg.ApplyDefaults()
 	*e = Engine{cfg: cfg}
@@ -371,21 +350,20 @@ func (e *Engine) init(cfg Config) {
 // NewEngineAt returns the engine of node self backed by shared dense
 // state: node self's slot of the Shared's slab, rebuilt in place, so it
 // allocates nothing. It invalidates the engine (and Protocol) an earlier
-// NewAt or NewEngineAt returned for self; engines are reusable across
-// trials (Reset the Shared between trials).
+// NewAt or NewEngineAt returned for self. Across trials, Reset the
+// Shared and call it again for every node.
 func NewEngineAt(cfg Config, shared *Shared, self proto.NodeID) *Engine {
 	if int(self) < 0 || int(self) >= shared.N() {
 		panic("adaptive: NewEngineAt node out of range")
 	}
 	e := &shared.protos[self].engine
 	e.init(cfg)
-	e.shared, e.part, e.self, e.gen = shared, shared.part(self), self, shared.gen
+	e.shared, e.part, e.self = shared, shared.part(self), self
 	return e
 }
 
 // State returns the node's tree state for a message, or nil.
 func (e *Engine) State(id proto.MsgID) *State {
-	e.sync()
 	if e.shared != nil {
 		if vec := e.part.states.Lookup(id); vec != nil {
 			if st, ok := vec.Get(e.self); ok {
@@ -461,16 +439,15 @@ func (e *Engine) childrenRoom(st *State, n int) {
 
 // setVS installs virtual-source bookkeeping, allocating the map on first
 // use.
-func (e *Engine) setVS(id proto.MsgID, v *vsState) {
+func (e *Engine) setVS(id proto.MsgID, v vsState) {
 	if e.vs == nil {
-		e.vs = make(map[proto.MsgID]*vsState, 1)
+		e.vs = make(map[proto.MsgID]vsState, 1)
 	}
 	e.vs[id] = v
 }
 
 // IsVirtualSource reports whether this node currently holds the token.
 func (e *Engine) IsVirtualSource(id proto.MsgID) bool {
-	e.sync()
 	_, ok := e.vs[id]
 	return ok
 }
@@ -511,9 +488,8 @@ func (e *Engine) StartCenter(ctx proto.Context, id proto.MsgID, payload []byte) 
 		e.send(ctx, nb, out)
 		st.Children = append(st.Children, nb)
 	}
-	v := &vsState{rho: 1, h: 0, prev: proto.NoNode}
-	e.setVS(id, v)
-	v.timer = ctx.SetTimer(e.cfg.RoundInterval, roundTimer{id: id})
+	e.setVS(id, vsState{rho: 1, h: 0, prev: proto.NoNode})
+	ctx.SetTimer(e.cfg.RoundInterval, roundTimer{id: id})
 }
 
 // HandleMessage dispatches adaptive-diffusion messages; it reports
@@ -664,8 +640,7 @@ func (e *Engine) handleToken(ctx proto.Context, from proto.NodeID, m *TokenMsg) 
 	if _, already := e.vs[m.ID]; already {
 		return
 	}
-	v := &vsState{rho: int(m.Round), h: int(m.H), prev: from}
-	e.setVS(m.ID, v)
+	e.setVS(m.ID, vsState{rho: int(m.Round), h: int(m.H), prev: from})
 	// Balance: grow the subtree away from the previous virtual source so
 	// this node becomes the centre of the (now radius-Round) ball. The
 	// initial hand-off (Round 1) grows by one hop, later passes by two.
@@ -681,11 +656,10 @@ func (e *Engine) handleToken(ctx proto.Context, from proto.NodeID, m *TokenMsg) 
 	} else {
 		e.infectOutward(ctx, st, m.ID, depth, m.Round)
 	}
-	v.timer = ctx.SetTimer(e.cfg.RoundInterval, roundTimer{id: m.ID})
+	ctx.SetTimer(e.cfg.RoundInterval, roundTimer{id: m.ID})
 }
 
 func (e *Engine) runRound(ctx proto.Context, id proto.MsgID) {
-	e.sync()
 	v, ok := e.vs[id]
 	if !ok {
 		return
@@ -739,7 +713,8 @@ func (e *Engine) runRound(ctx proto.Context, id proto.MsgID) {
 		e.infectOutward(ctx, st, id, 1, newRound)
 	}
 	v.rho++
-	v.timer = ctx.SetTimer(e.cfg.RoundInterval, roundTimer{id: id})
+	e.vs[id] = v
+	ctx.SetTimer(e.cfg.RoundInterval, roundTimer{id: id})
 }
 
 func (e *Engine) handleFinal(ctx proto.Context, from proto.NodeID, m *FinalMsg) {

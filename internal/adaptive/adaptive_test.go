@@ -409,11 +409,11 @@ func (r *relayTap) OnSend(_ time.Duration, from, _ proto.NodeID, msg proto.Messa
 func (*relayTap) OnReceive(time.Duration, proto.NodeID, proto.NodeID, proto.Message) {}
 func (*relayTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte)    {}
 
-// TestEngineReuseDropsStaleTokenState pins the Shared-generation sync:
-// reusing the *same* dense engines across trials after a trial was cut
-// off mid-diffusion (live virtual source, as the run-until-coverage
-// loops do) must not let the stale vsState swallow the next trial's
-// token for the repeated payload.
+// TestEngineReuseDropsStaleTokenState pins the rebind contract: after a
+// trial cut off mid-diffusion (live virtual source, as the
+// run-until-coverage loops do), Shared.Reset and rebuilding every node's
+// engine with NewAt must not let the stale vsState swallow the next
+// trial's token for the repeated payload.
 func TestEngineReuseDropsStaleTokenState(t *testing.T) {
 	g, err := topology.Line(60)
 	if err != nil {
@@ -422,19 +422,16 @@ func TestEngineReuseDropsStaleTokenState(t *testing.T) {
 	cfg := Config{D: 8, RoundInterval: 50 * time.Millisecond, TreeDegree: 2}
 	shared := NewShared(g.N())
 	net := sim.NewNetwork(g, sim.Options{Seed: 5, Latency: sim.ConstLatency(time.Millisecond)})
-	handlers := make([]proto.Handler, g.N())
-	for i := range handlers {
-		handlers[i] = NewAt(cfg, shared, proto.NodeID(i))
-	}
 	payload := []byte("truncated")
 
 	// Same seed every trial so the virtual-source walk replays exactly:
 	// the truncated middle trial strands a vsState at the node the final
-	// trial's token must pass through.
+	// trial's token must pass through. Each trial rebuilds the same slab
+	// slots, so the engines are the previous trial's, in place.
 	run := func(until time.Duration) int {
 		net.Reset(5)
 		shared.Reset()
-		net.SetHandlers(func(id proto.NodeID) proto.Handler { return handlers[id] })
+		net.SetHandlers(func(id proto.NodeID) proto.Handler { return NewAt(cfg, shared, id) })
 		net.Start()
 		id, err := net.Originate(30, payload)
 		if err != nil {

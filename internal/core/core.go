@@ -214,17 +214,16 @@ type Shared struct {
 	pools []*dcnet.RoundPool
 }
 
-// NewShared resolves cfg once for every node of a network with node IDs
-// in [0, n) and returns its shared composed-stack state.
+// NewShared returns the shared composed-stack state of a network with
+// node IDs in [0, n), unpartitioned (Partition(1)) and configured with
+// cfg (Configure), which it resolves once for every node.
 func NewShared(n int, cfg Config) (*Shared, error) {
-	r, err := resolve(cfg)
-	if err != nil {
+	s := &Shared{fl: flood.NewShared(n), ad: adaptive.NewShared(n), nodes: make([]node, n)}
+	if err := s.Configure(cfg); err != nil {
 		return nil, err
 	}
-	return &Shared{
-		cfg: r, fl: flood.NewShared(n), ad: adaptive.NewShared(n), nodes: make([]node, n),
-		pools: []*dcnet.RoundPool{dcnet.NewTrialPool()},
-	}, nil
+	s.Partition(1)
+	return s, nil
 }
 
 // Partition splits both members and the round pools into k node-range

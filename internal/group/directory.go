@@ -96,29 +96,27 @@ func NewDirectory(k int) (*Directory, error) {
 // NewOverlapDirectory returns a Directory that places every node in
 // `overlap` groups — the §IV-C "enforce a number of groups" policy.
 func NewOverlapDirectory(k, overlap int) (*Directory, error) {
-	if k < 2 {
-		return nil, ErrBadK
-	}
-	if overlap < 1 {
-		overlap = 1
-	}
-	return &Directory{
-		k:           k,
-		overlap:     overlap,
+	d := &Directory{
+		overlap:     max(overlap, 1),
 		groups:      make(map[ID]*Group),
 		byNode:      make(map[proto.NodeID][]ID),
 		groupStore:  slab.New[Group](64),
 		memberStore: slab.New[proto.NodeID](1024),
 		idStore:     slab.New[ID](1024),
-	}, nil
+	}
+	if err := d.Reset(k); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // Reset empties the directory for anonymity parameter k, keeping its
-// overlap: the result behaves exactly like NewOverlapDirectory(k,
-// overlap), but keeps the capacity its maps and size heap grew to and
-// the storage its groups and lists were carved from. Groups, member
-// lists and GroupsOf results handed out before a Reset are invalid after
-// it: the directory carves the next ones from the same storage.
+// overlap: NewOverlapDirectory(k, overlap) is a Reset of a new
+// directory, and a reset one keeps the capacity its maps and size heap
+// grew to and the storage its groups and lists were carved from.
+// Groups, member lists and GroupsOf results handed out before a Reset
+// are invalid after it: the directory carves the next ones from the
+// same storage.
 func (d *Directory) Reset(k int) error {
 	if k < 2 {
 		return ErrBadK

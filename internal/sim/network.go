@@ -253,8 +253,9 @@ func NodeSeed(seed uint64, id proto.NodeID) (uint64, uint64) {
 	return seed, 0x9e3779b97f4a7c15 ^ (uint64(id) + 1)
 }
 
-// NewNetwork creates a network over the topology. Handlers are attached
-// with SetHandlers before Start.
+// NewNetwork creates a network over the topology: it allocates the node,
+// engine and shard arrays, resets them (Reset) and lays out the links.
+// Handlers are attached with SetHandlers before Start.
 func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	if opts.Netem == nil {
 		if opts.Latency == 0 {
@@ -269,28 +270,21 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 		cold:       make([]nodeCold, topo.N()),
 		deliveries: make(map[proto.MsgID]*DeliverySet),
 	}
-	n.engine = n.newEngine()
 	if d, fixed := opts.Netem.FixedDelay(); fixed {
 		n.fixedDelay = d
 	} else {
-		sh := opts.Netem.Shaper(opts.Seed)
-		n.shaper = &sh
-	}
-	n.fillLinks()
-	for i := range n.nodes {
-		node := &n.nodes[i]
-		node.net = n
-		node.id = proto.NodeID(i)
-		n.cold[i].seed(opts.Seed, node.id)
+		n.shaper = new(netem.Shaper)
 	}
 	n.resolveShards()
+	n.Reset(opts.Seed)
+	n.fillLinks() // after Reset: the arrays it allocates are zero
 	return n
 }
 
 // fillLinks lays the topology out as the CSR link arrays, reusing their
 // capacity: linkOff, linkDst and linkAt always, linkStreams under a
 // shaper. The arrival and stream cells it keeps are stale; Reset clears
-// them.
+// them, and those of arrays it allocates are zero.
 func (n *Network) fillLinks() {
 	nodes := n.topo.N()
 	n.linkOff = slices.Grow(n.linkOff[:0], nodes+1)[:nodes+1]
@@ -331,11 +325,11 @@ func (n *Network) Rebuild(topo *topology.Graph, seed uint64) {
 // Reset rewinds the network for a fresh run over the same topology and
 // options, reseeded with seed — the trial-loop form: one long-lived
 // Network per worker goroutine, reset between trials, instead of a
-// rebuild per trial. A reset network is behaviorally indistinguishable
-// from NewNetwork(topo, opts-with-seed): every engine restarts at time
-// zero, every RNG is re-derived from the seed, and all counters,
-// deliveries, link-FIFO clamps and crash flags clear. The shard layout,
-// engines and queue capacity are retained, and so is each shard's table
+// rebuild per trial. NewNetwork runs it too, so a reset network is
+// NewNetwork(topo, opts-with-seed): every engine restarts at time zero,
+// every RNG is re-derived from the seed, and all counters, deliveries,
+// link-FIFO clamps and crash flags clear. The shard layout, engines
+// and queue capacity are retained, and so is each shard's table
 // of links outside the topology, rewound: it holds one run's links at a
 // time, so it idles at the largest run's count, not at every link any
 // run opened.
@@ -366,7 +360,9 @@ func (n *Network) Reset(seed uint64) {
 		node.schedSeq = 0
 		c := &n.cold[i]
 		c.seed(seed, node.id)
-		clear(c.timers)
+		if len(c.timers) > 0 { // most nodes have none: skip the call
+			clear(c.timers)
+		}
 		c.link = 0
 	}
 	n.ctlSeq = 0

@@ -182,9 +182,10 @@ func (n *Network) ShardStats() []ShardStats {
 	return out
 }
 
-// resolveShards picks the effective shard count and builds the shard
-// layout, once, at NewNetwork: the count depends only on the options and
-// the node count. No link decision depends on execution order (a stored
+// resolveShards picks the effective shard count, builds the shard
+// layout and binds every node to its network, ID, engine and shard,
+// once, at NewNetwork: the count depends only on the options and the
+// node count. No link decision depends on execution order (a stored
 // delay, or Shaper.Decide on per-link sequences), so the request is
 // honored unless:
 //
@@ -205,9 +206,9 @@ func (n *Network) resolveShards() {
 	bounds := topology.ShardBounds(len(n.nodes), k)
 	n.shards = make([]*shardState, k)
 	for i := range n.shards {
-		eng := n.engine
-		if i > 0 {
-			eng = n.newEngine()
+		eng := n.newEngine()
+		if i == 0 {
+			n.engine = eng
 		}
 		n.shards[i] = &shardState{
 			index: int32(i),
@@ -218,7 +219,8 @@ func (n *Network) resolveShards() {
 			in:    make([]inbox, k),
 		}
 		for v := bounds[i]; v < bounds[i+1]; v++ {
-			n.nodes[v].eng, n.nodes[v].shard = eng, n.shards[i]
+			node := &n.nodes[v]
+			node.net, node.id, node.eng, node.shard = n, proto.NodeID(v), eng, n.shards[i]
 		}
 	}
 }

@@ -215,7 +215,8 @@ type Trial struct {
 
 // NewTrial returns a Trial whose networks come from build.
 func NewTrial(build NetworkFunc) *Trial {
-	return &Trial{build: build, fit: stack.Spec.For}
+	dir, _ := group.NewDirectory(2) // a valid K; each flexnet Run resets it to its own
+	return &Trial{build: build, fit: stack.Spec.For, obs: adversary.NewObserver(nil), dir: dir}
 }
 
 // Run sets one broadcast up, runs it until it settles and reports the
@@ -244,9 +245,6 @@ func (t *Trial) Run(cfg Config) (*Result, *sim.DeliverySet, error) {
 
 	var obs *adversary.Observer
 	if cfg.AdversaryFraction > 0 {
-		if t.obs == nil {
-			t.obs = adversary.NewObserver(nil)
-		}
 		obs = t.obs
 		obs.ResetSampled(cfg.N, cfg.AdversaryFraction, runRNG)
 	}
@@ -324,13 +322,7 @@ func (t *Trial) Run(cfg Config) (*Result, *sim.DeliverySet, error) {
 // directory, joining them in a random order, and returns the
 // originator's group.
 func (t *Trial) place(cfg Config, origin proto.NodeID, rng *rand.Rand) ([]proto.NodeID, error) {
-	var err error
-	if t.dir == nil {
-		t.dir, err = group.NewDirectory(cfg.K)
-	} else {
-		err = t.dir.Reset(cfg.K)
-	}
-	if err != nil {
+	if err := t.dir.Reset(cfg.K); err != nil {
 		return nil, fmt.Errorf("simulate: %w", err)
 	}
 	// The order rng.Perm(cfg.N) would draw, in kept storage.

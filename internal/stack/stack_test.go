@@ -148,10 +148,18 @@ func TestMountMatchesLive(t *testing.T) {
 // TestResetEqualsFresh holds Mounted.Reset to its contract: after
 // Network.Reset and Reset, a run is indistinguishable from one on a new
 // network with a new mount — including for Dandelion and the composed
-// stack, whose per-node state only a rebuilt handler forgets. Remount
+// stack, whose per-node state only a rebuilt handler forgets, and after a
+// run stopped mid-Phase-2, whose live virtual source would swallow the
+// same payload's token if an adaptive engine outlived the Reset. Remount
 // onto another Spec of the same kind equals a new mount of that Spec.
 func TestResetEqualsFresh(t *testing.T) {
 	cond := testConditions()[1]
+	// A seed whose diffusion completes under cond, and a stop after its
+	// first token pass and before its Final.
+	truncated := map[Kind]struct {
+		seed uint64
+		at   time.Duration
+	}{Adaptive: {3, 800 * time.Millisecond}, Composed: {2, 2600 * time.Millisecond}}
 	for _, kind := range []Kind{Flood, Dandelion, Adaptive, Composed} {
 		spec := testSpec(kind)
 		g := testGraph(t, 7)
@@ -170,6 +178,25 @@ func TestResetEqualsFresh(t *testing.T) {
 			st.Reset()
 			if got, want := run(t, net, seed), fresh(seed); got != want {
 				t.Errorf("%v seed %d: reset run differs from fresh\n got %s\nwant %s", kind, seed, got, want)
+			}
+		}
+		if tr, ok := truncated[kind]; ok {
+			net.Reset(tr.seed)
+			st.Reset()
+			net.Start()
+			if _, err := net.Originate(0, []byte{byte(tr.seed), 0x15}); err != nil {
+				t.Fatal(err)
+			}
+			net.RunUntil(tr.at)
+			if net.MessagesOfType(adaptive.TypeToken) == 0 || net.MessagesOfType(adaptive.TypeFinal) != 0 {
+				t.Fatalf("%v: the run stopped at %v is not mid-Phase-2", kind, tr.at)
+			}
+			net.Reset(tr.seed)
+			st.Reset()
+			if got, want := run(t, net, tr.seed), fresh(tr.seed); got != want {
+				t.Errorf("%v: run after a truncated one differs from fresh\n got %s\nwant %s", kind, got, want)
+			} else if net.MessagesOfType(adaptive.TypeFinal) == 0 {
+				t.Fatalf("%v seed %d: the diffusion never reaches its Final", kind, tr.seed)
 			}
 		}
 		// Remount onto other parameters: a new group of another size,
