@@ -11,13 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adaptive"
+	"repro/internal/model"
 	"repro/internal/simulate"
 )
 
 // ballSizeOn is the tree-ball size RecommendParams plans with, under the
 // name the advisor tests use.
-var ballSizeOn = adaptive.BallSize
+var ballSizeOn = model.BallSize
 
 func TestSimulateFlood(t *testing.T) {
 	res, err := Simulate(SimConfig{N: 100, Degree: 8, Protocol: ProtocolFlood, Seed: 1})

@@ -5,20 +5,16 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/adaptive"
 	"repro/internal/chain"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/dcnet"
 	"repro/internal/node"
 	"repro/internal/proto"
-	"repro/internal/relchan"
 	"repro/internal/transport"
-	"repro/internal/wire"
 	"repro/internal/workload"
-
-	"repro/internal/adaptive"
-	"repro/internal/dandelion"
-	"repro/internal/flood"
 )
 
 // NodeConfig parametrizes a real TCP node.
@@ -72,20 +68,6 @@ type NodeConfig struct {
 type Node struct {
 	inner *node.Node
 	trans *transport.Node
-}
-
-// NewCodec returns a codec with every protocol message registered — the
-// full wire surface of a node.
-func NewCodec() *wire.Codec {
-	c := wire.NewCodec()
-	flood.RegisterMessages(c)
-	adaptive.RegisterMessages(c)
-	dcnet.RegisterMessages(c)
-	dandelion.RegisterMessages(c)
-	relchan.RegisterMessages(c)
-	node.RegisterMessages(c)
-	workload.RegisterMessages(c)
-	return c
 }
 
 // StartNode launches a node: it listens immediately and starts its
@@ -142,7 +124,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		Listen:    cfg.Listen,
 		AddrBook:  addrBook,
 		Neighbors: neighbors,
-		Codec:     NewCodec(),
+		Codec:     codec.New(),
 		Handler:   inner,
 		Seed:      cfg.Seed,
 		OnDeliver: func(id proto.MsgID, payload []byte) {

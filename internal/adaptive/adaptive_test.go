@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -330,8 +331,8 @@ func TestSharedReuseAcrossTrials(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.Run(0)
-		if net.Delivered(id) < BallSize(2, 3) {
-			t.Fatalf("trial %d: delivered %d < ball size %d", trial, net.Delivered(id), BallSize(2, 3))
+		if net.Delivered(id) < model.BallSize(2, 3) {
+			t.Fatalf("trial %d: delivered %d < ball size %d", trial, net.Delivered(id), model.BallSize(2, 3))
 		}
 		if trial == 0 {
 			firstMsgs = net.TotalMessages()
@@ -442,8 +443,8 @@ func TestEngineReuseDropsStaleTokenState(t *testing.T) {
 	}
 
 	full := run(time.Minute) // reference: complete diffusion
-	if full < BallSize(2, cfg.D) {
-		t.Fatalf("reference run delivered %d, want ≥ %d", full, BallSize(2, cfg.D))
+	if full < model.BallSize(2, cfg.D) {
+		t.Fatalf("reference run delivered %d, want ≥ %d", full, model.BallSize(2, cfg.D))
 	}
 	truncated := run(120 * time.Millisecond) // leaves a live virtual source
 	if truncated >= full {

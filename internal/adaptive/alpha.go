@@ -43,23 +43,3 @@ func Alpha(d, rho, h int) float64 {
 	}
 	return alpha
 }
-
-// BallSize returns N(rho), the number of non-center nodes within distance
-// rho on an infinite d-regular tree — the anonymity-set size adaptive
-// diffusion targets after rho rounds.
-func BallSize(d, rho int) int {
-	if rho <= 0 {
-		return 0
-	}
-	if d <= 2 {
-		return 2 * rho
-	}
-	// d((d−1)^rho − 1)/(d−2)
-	total := 0
-	nh := d
-	for j := 1; j <= rho; j++ {
-		total += nh
-		nh *= d - 1
-	}
-	return total
-}

@@ -75,17 +75,3 @@ func TestAlphaPreservesUniformity(t *testing.T) {
 		}
 	}
 }
-
-func TestBallSize(t *testing.T) {
-	cases := []struct{ d, rho, want int }{
-		{2, 1, 2}, {2, 5, 10},
-		{3, 1, 3}, {3, 2, 9}, {3, 3, 21},
-		{4, 2, 16},
-		{8, 0, 0},
-	}
-	for _, c := range cases {
-		if got := BallSize(c.d, c.rho); got != c.want {
-			t.Errorf("BallSize(%d,%d) = %d, want %d", c.d, c.rho, got, c.want)
-		}
-	}
-}

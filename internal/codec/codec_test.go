@@ -1,8 +1,9 @@
-package flexnet
+package codec
 
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/adaptive"
@@ -45,15 +46,38 @@ func sampleMessages() []wire.Encodable {
 }
 
 // TestSamplesCoverTheCodec keeps sampleMessages complete: a message
-// registered without a sample would escape both tests below.
+// registered without a sample would escape both round-trip tests.
 func TestSamplesCoverTheCodec(t *testing.T) {
 	sampled := make(map[proto.MsgType]bool)
 	for _, msg := range sampleMessages() {
 		sampled[msg.Type()] = true
 	}
-	for _, typ := range NewCodec().Types() {
+	for _, typ := range New().Types() {
 		if !sampled[typ] {
 			t.Errorf("no sample for registered message type %#04x", uint16(typ))
+		}
+	}
+}
+
+// TestTableMatchesNew holds Table to New in both directions: a type
+// registered without a row would reach the parity report only as
+// "type 0x…" in phase "other", and a row without a registration names a
+// type no node can decode.
+func TestTableMatchesNew(t *testing.T) {
+	registered := New().Types()
+	rows := make(map[proto.MsgType]bool, len(Table))
+	for i, e := range Table {
+		if i > 0 && e.Type <= Table[i-1].Type {
+			t.Errorf("row %s (%#04x) out of ascending order", e.Name, uint16(e.Type))
+		}
+		rows[e.Type] = true
+		if !slices.Contains(registered, e.Type) {
+			t.Errorf("row %s (%#04x) names a type New does not register", e.Name, uint16(e.Type))
+		}
+	}
+	for _, typ := range registered {
+		if !rows[typ] {
+			t.Errorf("registered type %#04x has no row in Table", uint16(typ))
 		}
 	}
 }
@@ -67,19 +91,19 @@ func TestSamplesCoverTheCodec(t *testing.T) {
 // the interned decode the transport runs, twice, so the second decode
 // takes its byte strings from the table the first filled.
 func TestDecodedMessagesDoNotAliasInput(t *testing.T) {
-	codec := NewCodec()
+	c := New()
 	in := wire.NewInterner()
 	decoders := []struct {
 		name   string
 		decode func([]byte) (wire.Encodable, error)
 	}{
-		{"Unmarshal", codec.Unmarshal},
-		{"UnmarshalInterned", func(b []byte) (wire.Encodable, error) { return codec.UnmarshalInterned(b, in) }},
-		{"UnmarshalInterned (repeat)", func(b []byte) (wire.Encodable, error) { return codec.UnmarshalInterned(b, in) }},
+		{"Unmarshal", c.Unmarshal},
+		{"UnmarshalInterned", func(b []byte) (wire.Encodable, error) { return c.UnmarshalInterned(b, in) }},
+		{"UnmarshalInterned (repeat)", func(b []byte) (wire.Encodable, error) { return c.UnmarshalInterned(b, in) }},
 	}
 	for _, d := range decoders {
 		for _, msg := range sampleMessages() {
-			want, err := codec.Marshal(msg)
+			want, err := c.Marshal(msg)
 			if err != nil {
 				t.Errorf("Marshal(%T): %v", msg, err)
 				continue
@@ -93,7 +117,7 @@ func TestDecodedMessagesDoNotAliasInput(t *testing.T) {
 			for i := range scratch {
 				scratch[i] = 0xff
 			}
-			got, err := codec.Marshal(back)
+			got, err := c.Marshal(back)
 			if err != nil {
 				t.Errorf("Marshal(decoded %T): %v", msg, err)
 				continue
@@ -110,15 +134,15 @@ func TestDecodedMessagesDoNotAliasInput(t *testing.T) {
 // requires structural equality — the cheap end-to-end check that no
 // EncodeTo/DecodeFrom pair is asymmetric.
 func TestEveryMessageRoundTripsThroughCodec(t *testing.T) {
-	codec := NewCodec()
+	c := New()
 	samples := sampleMessages()
 	for _, msg := range samples {
-		b, err := codec.Marshal(msg)
+		b, err := c.Marshal(msg)
 		if err != nil {
 			t.Errorf("Marshal(%T): %v", msg, err)
 			continue
 		}
-		back, err := codec.Unmarshal(b)
+		back, err := c.Unmarshal(b)
 		if err != nil {
 			t.Errorf("Unmarshal(%T): %v", msg, err)
 			continue

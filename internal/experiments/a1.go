@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/topology"
 )
@@ -27,7 +28,7 @@ func A1AlphaAblation(sc Scenario) *metrics.Table {
 		panic(err)
 	}
 	const src = proto.NodeID(100)
-	ballSize := adaptive.BallSize(2, d)
+	ballSize := model.BallSize(2, d)
 	ideal := 1 / float64(ballSize)
 
 	run := func(override float64) float64 {

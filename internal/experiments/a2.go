@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/flexnet"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/runner"
 	"repro/internal/simulate"
 )
 
-// A2ParameterAdvisor validates flexnet.RecommendParams — the "data for
+// A2ParameterAdvisor validates the parameter advisor — the "data for
 // application designers to choose suitable and safe parameters" the
 // paper's conclusion asks for. For each (target floor, adversary
 // fraction) the advisor picks (k, d); we then run the composed protocol
@@ -33,7 +33,7 @@ func A2ParameterAdvisor(sc Scenario) *metrics.Table {
 		{0.05, 0.3},
 	}
 	for _, c := range cases {
-		rec, err := flexnet.RecommendParams(flexnet.AdvisorInput{
+		rec, err := model.RecommendParams(model.AdvisorInput{
 			N: n, Degree: deg,
 			AdversaryFraction: c.f,
 			TargetFloor:       c.floor,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dcnet"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/proto"
 	"repro/internal/runner"
 )
@@ -122,7 +123,7 @@ func E11Blame(sc Scenario) *metrics.Table {
 				identified++
 			}
 			honestBlamed += o.honestBlame
-			overhead.Add(float64(o.msgs) / float64(o.roundsDone) / float64(3*g*(g-1)))
+			overhead.Add(float64(o.msgs) / float64(o.roundsDone) / float64(model.DCNetRoundMsgs(g)))
 		}
 		name := "blame"
 		if policy == dcnet.PolicyDissolve {

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/adaptive"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dcnet"
 	"repro/internal/metrics"
@@ -11,6 +13,9 @@ import (
 	"repro/internal/proto"
 	"repro/internal/stack"
 )
+
+// tracedPhases are the three families E12 traces, in Fig. 5's order.
+var tracedPhases = []string{codec.PhaseDCNet, codec.PhaseAdaptive, codec.PhaseFlood}
 
 // phaseTracer records per-family first/last send times and counts.
 type phaseTracer struct {
@@ -23,21 +28,14 @@ type phaseStat struct {
 }
 
 func (p *phaseTracer) OnSend(at time.Duration, _, _ proto.NodeID, msg proto.Message) {
-	var family string
-	switch msg.Type() & 0xff00 {
-	case proto.RangeDCNet:
-		family = "phase 1: dc-net"
-	case proto.RangeAdaptive:
-		family = "phase 2: adaptive diffusion"
-	case proto.RangeFlood:
-		family = "phase 3: flood-and-prune"
-	default:
+	e, _ := codec.Lookup(msg.Type())
+	if !slices.Contains(tracedPhases, e.Phase) {
 		return
 	}
-	s := p.stats[family]
+	s := p.stats[e.Phase]
 	if s == nil {
 		s = &phaseStat{first: at}
-		p.stats[family] = s
+		p.stats[e.Phase] = s
 	}
 	s.last = at
 	s.count++
@@ -94,9 +92,8 @@ func E12PhaseTrace(sc Scenario) *metrics.Table {
 		}
 		return c
 	}
-	order := []string{"phase 1: dc-net", "phase 2: adaptive diffusion", "phase 3: flood-and-prune"}
 	var total int64
-	for _, fam := range order {
+	for _, fam := range tracedPhases {
 		st := tracer.stats[fam]
 		if st == nil {
 			t.AddRow(fam, "-", "-", 0, 0)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dcnet"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
@@ -100,7 +101,7 @@ func E2DCNetComplexity(sc Scenario) *metrics.Table {
 	})
 	for i, g := range sizes {
 		s := samples[i]
-		t.AddRow(g, s.done, s.perRound, 3*g*(g-1), s.perRoundBlame, 4*g*(g-1))
+		t.AddRow(g, s.done, s.perRound, model.DCNetRoundMsgs(g), s.perRoundBlame, 4*g*(g-1))
 	}
 	t.AddNote("group sizes span the paper's k ∈ [4,10] band [k, 2k−1]")
 	return t

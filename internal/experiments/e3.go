@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/runner"
 	"repro/internal/simulate"
 )
@@ -75,7 +76,7 @@ func E3Landscape(sc Scenario) *metrics.Table {
 	}
 	// Network-wide DC-net: analytic, the simulation would be a memory
 	// hog with no extra information (3·N·(N−1) messages per round).
-	t.AddRow("dc-net (whole network)", fmt.Sprintf("g=%d", n), 3*n*(n-1), "3 hops/round", 0.0, n-int(f*float64(n)))
+	t.AddRow("dc-net (whole network)", fmt.Sprintf("g=%d", n), model.DCNetRoundMsgs(n), "3 hops/round", 0.0, n-int(f*float64(n)))
 	t.AddNote("dc-net row is analytic: 3·N·(N−1) msgs/round, anonymity = honest member count")
 	t.AddNote("flexnet P(deanon) is the group attack's expected success 1/|honest group|; flood/dandelion use first-spy")
 	sc.toleranceNote(t, 3, 4, 5)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adaptive"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/netem"
 	"repro/internal/proto"
 	"repro/internal/runner"
@@ -88,7 +89,7 @@ func E6Obfuscation(sc Scenario) *metrics.Table {
 	}
 	for _, r := range runs {
 		g := r.build()
-		ballSize := adaptive.BallSize(r.deg, r.d)
+		ballSize := model.BallSize(r.deg, r.d)
 		distCounts := make([]int, r.d+2)
 		centerHits := 0
 		hs := centreDistances(sc, g, r.src, nTrials,

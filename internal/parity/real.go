@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/flexnet"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/netem"
 	"repro/internal/node"
@@ -112,7 +112,7 @@ func (sc *Scenario) runReal() (*Accounting, error) {
 	}
 
 	hashes := core.SimHashes(sc.N)
-	codec := flexnet.NewCodec()
+	wc := codec.New()
 
 	// Both substrates resolve stable names, so the full address book
 	// ships in every Config before any node boots — no late-binding
@@ -136,7 +136,7 @@ func (sc *Scenario) runReal() (*Accounting, error) {
 			Listen:     addrs[id],
 			AddrBook:   addrs,
 			Neighbors:  g.Neighbors(id),
-			Codec:      codec,
+			Codec:      wc,
 			Handler:    h,
 			Seed:       seed1,
 			SeedStream: seed2,

@@ -2,9 +2,12 @@ package parity
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/metrics"
 	"repro/internal/proto"
 	"repro/internal/wire"
@@ -70,8 +73,7 @@ func (d Divergence) String() string {
 
 // Row is the per-type diff line of the report table.
 type Row struct {
-	Type                proto.MsgType
-	Name, Phase         string
+	codec.Entry
 	SimMsgs, RealMsgs   int64
 	SimBytes, RealBytes int64
 	OK                  bool
@@ -107,55 +109,39 @@ type Report struct {
 func compare(sc *Scenario, simA, realA *Accounting) *Report {
 	r := &Report{Scenario: *sc, Sim: simA, Real: realA, TimingOK: true}
 
-	seen := make(map[proto.MsgType]bool)
-	for _, wt := range wireTypes {
-		sm, rm := simA.Msgs[wt.Type], realA.Msgs[wt.Type]
-		sb, rb := simA.Bytes[wt.Type], realA.Bytes[wt.Type]
-		seen[wt.Type] = true
+	// diff records t's message and byte divergences under phase and name.
+	diff := func(phase, name string, t proto.MsgType) {
+		if sm, rm := simA.Msgs[t], realA.Msgs[t]; sm != rm {
+			r.Divergences = append(r.Divergences, Divergence{Phase: phase, Type: name, Kind: "messages", Sim: sm, Real: rm})
+		}
+		if sb, rb := simA.Bytes[t], realA.Bytes[t]; sb != rb {
+			r.Divergences = append(r.Divergences, Divergence{Phase: phase, Type: name, Kind: "bytes", Sim: sb, Real: rb})
+		}
+	}
+	for _, e := range codec.Table {
+		sm, rm := simA.Msgs[e.Type], realA.Msgs[e.Type]
 		if sm == 0 && rm == 0 {
 			continue
 		}
-		row := Row{
-			Type: wt.Type, Name: wt.Name, Phase: wt.Phase,
+		sb, rb := simA.Bytes[e.Type], realA.Bytes[e.Type]
+		r.Rows = append(r.Rows, Row{Entry: e,
 			SimMsgs: sm, RealMsgs: rm, SimBytes: sb, RealBytes: rb,
 			OK: sm == rm && sb == rb,
-		}
-		r.Rows = append(r.Rows, row)
-		if sm != rm {
-			r.Divergences = append(r.Divergences, Divergence{Phase: wt.Phase, Type: wt.Name, Kind: "messages", Sim: sm, Real: rm})
-		}
-		if sb != rb {
-			r.Divergences = append(r.Divergences, Divergence{Phase: wt.Phase, Type: wt.Name, Kind: "bytes", Sim: sb, Real: rb})
-		}
+		})
+		diff(e.Phase, e.Name, e.Type)
 	}
-	// Types outside the canonical index still participate via totals;
-	// flag them explicitly — counts and bytes — so nothing escapes the
-	// diff unnamed.
+	// Types outside the table still take part via totals; flag them by
+	// number, in type order, so nothing escapes the diff unnamed.
 	unindexed := make(map[proto.MsgType]bool)
-	for t := range simA.Msgs {
-		if !seen[t] {
-			unindexed[t] = true
+	for _, msgs := range []map[proto.MsgType]int64{simA.Msgs, realA.Msgs} {
+		for t := range msgs {
+			if _, ok := codec.Lookup(t); !ok {
+				unindexed[t] = true
+			}
 		}
 	}
-	for t := range realA.Msgs {
-		if !seen[t] {
-			unindexed[t] = true
-		}
-	}
-	for t := range unindexed {
-		name := fmt.Sprintf("type %#04x", uint16(t))
-		if simA.Msgs[t] != realA.Msgs[t] {
-			r.Divergences = append(r.Divergences, Divergence{
-				Phase: phaseOf(t), Type: name,
-				Kind: "messages", Sim: simA.Msgs[t], Real: realA.Msgs[t],
-			})
-		}
-		if simA.Bytes[t] != realA.Bytes[t] {
-			r.Divergences = append(r.Divergences, Divergence{
-				Phase: phaseOf(t), Type: name,
-				Kind: "bytes", Sim: simA.Bytes[t], Real: realA.Bytes[t],
-			})
-		}
+	for _, t := range slices.Sorted(maps.Keys(unindexed)) {
+		diff("other", fmt.Sprintf("type %#04x", uint16(t)), t)
 	}
 	if simA.TotalMsgs != realA.TotalMsgs {
 		r.Divergences = append(r.Divergences, Divergence{Phase: "total", Type: "all", Kind: "messages", Sim: simA.TotalMsgs, Real: realA.TotalMsgs})

@@ -5,7 +5,7 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"repro/flexnet"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -35,11 +35,10 @@ func (sc *Scenario) runSim() (*Accounting, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec := flexnet.NewCodec()
 	opts := sim.Options{
 		Seed:    sc.Seed,
 		Latency: sim.ConstLatency(simLatency),
-		Codec:   codec,
+		Codec:   codec.New(),
 	}
 	if sc.Netem != nil {
 		// Shaped twin: the profile supersedes the loopback placeholder

@@ -298,8 +298,8 @@ func (c *Codec) Register(t proto.MsgType, factory func() Encodable) {
 }
 
 // Types returns the registered message types in ascending order — the
-// codec's coverage surface, used by tests that assert two registries
-// (e.g. the parity harness's and flexnet's) stay in sync.
+// codec's coverage surface, used by tests that hold another index of
+// message types (codec.Table) to the registrations.
 func (c *Codec) Types() []proto.MsgType {
 	out := make([]proto.MsgType, 0, len(c.factories))
 	for t := range c.factories {
