@@ -154,6 +154,18 @@ func TestRecommendParamsLoss(t *testing.T) {
 	}
 }
 
+func TestBallSizeOnMatchesLineAndTree(t *testing.T) {
+	if got := ballSizeOn(2, 5); got != 10 {
+		t.Errorf("line ball = %d, want 10", got)
+	}
+	if got := ballSizeOn(3, 2); got != 9 {
+		t.Errorf("tree ball = %d, want 9", got)
+	}
+	if got := ballSizeOn(8, 0); got != 0 {
+		t.Errorf("zero-radius ball = %d", got)
+	}
+}
+
 // TestRecommendParamsSustainedRate is the table-driven check of the
 // rate-aware advisor: zero rate reproduces the classic plan exactly,
 // moderate utilization (ρ ≤ 0.5) costs latency only via the 1/(1−ρ)

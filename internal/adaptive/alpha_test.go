@@ -3,6 +3,8 @@ package adaptive
 import (
 	"math"
 	"testing"
+
+	"repro/internal/model"
 )
 
 func TestAlphaBoundaries(t *testing.T) {
@@ -71,6 +73,32 @@ func TestAlphaPreservesUniformity(t *testing.T) {
 				if math.Abs(p[h]-want) > 1e-9 {
 					t.Fatalf("d=%d rho=%d: P(h=%d) = %v, want %v", d, rho+1, h, p[h], want)
 				}
+			}
+		}
+	}
+}
+
+// TestBallSize checks the shared ball-size formula against hand counts and
+// against N(ρ) = Σ_{h≤ρ} d(d−1)^{h−1}, the ball Alpha is derived over.
+func TestBallSize(t *testing.T) {
+	cases := []struct{ d, rho, want int }{
+		{2, 1, 2}, {2, 5, 10},
+		{3, 1, 3}, {3, 2, 9}, {3, 3, 21},
+		{4, 2, 16},
+		{8, 0, 0},
+	}
+	for _, c := range cases {
+		if got := model.BallSize(c.d, c.rho); got != c.want {
+			t.Errorf("BallSize(%d,%d) = %d, want %d", c.d, c.rho, got, c.want)
+		}
+	}
+	for _, d := range []int{2, 3, 4, 8} {
+		sum, nodesAt := 0, d
+		for rho := 1; rho <= 8; rho++ {
+			sum += nodesAt
+			nodesAt *= d - 1
+			if got := model.BallSize(d, rho); got != sum {
+				t.Errorf("BallSize(%d,%d) = %d, want N(ρ) = %d", d, rho, got, sum)
 			}
 		}
 	}
