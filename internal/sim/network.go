@@ -87,7 +87,7 @@ type Options struct {
 	// exactly which messages die — and the profile's churn schedule is
 	// injected through the event loop at Start (crash/rejoin via
 	// Crash/Restore). A profile that never draws (Profile.FixedDelay)
-	// costs a send one stored delay instead.
+	// costs a send one stored delay instead and keeps no per-link state.
 	Netem *netem.Profile
 	// Shards requests single-run parallelism: nodes are partitioned into
 	// up to this many contiguous ID ranges (topology.ShardBounds), each
@@ -196,19 +196,17 @@ type Network struct {
 	unscoped []Tap
 	watched  []proto.NodeID
 
-	// Per-link FIFO state (like TCP, a link never reorders) in CSR form:
-	// linkDst[linkOff[v]:linkOff[v+1]] are v's neighbors and linkAt holds
-	// the latest scheduled arrival per directed edge. Sends outside the
-	// topology fall back to the sending shard's link table, chained from
-	// the node's cold cell. Each CSR row is owned by the sending node's
-	// shard.
-	linkOff []int32
-	linkDst []proto.NodeID
-	linkAt  []time.Duration
-	// linkStreams counts messages per (directed CSR link, message type)
-	// — the sequence numbers shaper decisions key on; counters past a
-	// link's first type sit in its row's shard's spill table. Allocated
-	// only with a shaper.
+	// Per-link state, kept only under a shaper: a constant delay keeps
+	// every link in send order by itself. Cells are per directed edge,
+	// v's from linkOff[v] on in the order of v's row of the graph: linkAt
+	// holds the latest scheduled arrival (the FIFO clamp; like TCP, a
+	// link never reorders) and linkStreams the per-type message counters
+	// shaper decisions key on, counters past a link's first type sitting
+	// in its row's shard's spill table. Sends outside the topology fall
+	// back to the sending shard's link table, chained from the node's
+	// cold cell. Each row's cells are owned by the sending node's shard.
+	linkOff     []int32
+	linkAt      []time.Duration
 	linkStreams []linkStream
 
 	// The link model, one of two cases picked from the profile at
@@ -254,7 +252,8 @@ func NodeSeed(seed uint64, id proto.NodeID) (uint64, uint64) {
 }
 
 // NewNetwork creates a network over the topology: it allocates the node,
-// engine and shard arrays, resets them (Reset) and lays out the links.
+// engine and shard arrays, resets them (Reset) and, under a shaper, lays
+// out the per-link arrays.
 // Handlers are attached with SetHandlers before Start.
 func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	if opts.Netem == nil {
@@ -281,11 +280,14 @@ func NewNetwork(topo *topology.Graph, opts Options) *Network {
 	return n
 }
 
-// fillLinks lays the topology out as the CSR link arrays, reusing their
-// capacity: linkOff, linkDst and linkAt always, linkStreams under a
-// shaper. The arrival and stream cells it keeps are stale; Reset clears
-// them, and those of arrays it allocates are zero.
+// fillLinks lays out a shaped network's per-link arrays for the topology,
+// reusing their capacity; without a shaper there are none. The arrival
+// and stream cells it keeps are stale; Reset clears them, and those of
+// arrays it allocates are zero.
 func (n *Network) fillLinks() {
+	if n.shaper == nil {
+		return
+	}
 	nodes := n.topo.N()
 	n.linkOff = slices.Grow(n.linkOff[:0], nodes+1)[:nodes+1]
 	n.linkOff[0] = 0
@@ -293,25 +295,21 @@ func (n *Network) fillLinks() {
 		n.linkOff[i+1] = n.linkOff[i] + int32(n.topo.Degree(proto.NodeID(i)))
 	}
 	m := int(n.linkOff[nodes])
-	n.linkDst = slices.Grow(n.linkDst[:0], m)[:m]
 	n.linkAt = slices.Grow(n.linkAt[:0], m)[:m]
-	for i := 0; i < nodes; i++ {
-		copy(n.linkDst[n.linkOff[i]:], n.topo.Neighbors(proto.NodeID(i)))
-	}
-	if n.shaper != nil {
-		n.linkStreams = slices.Grow(n.linkStreams[:0], m)[:m]
-	}
+	n.linkStreams = slices.Grow(n.linkStreams[:0], m)[:m]
 }
 
 // Rebuild turns the network into NewNetwork(topo, options-with-seed) for
-// another graph with the same node count: it lays out topo's links in
-// the kept CSR arrays, clears the taps and runs Reset. Options, shard
-// layout, engines and queue capacity are kept, so a rebuild of the same
-// size allocates nothing once the arrays have grown to the larger
-// graph's edge count. Handlers are dropped, as by Reset. The network
-// reads topo here and at NewNetwork only: a caller may overwrite the
-// graph once Rebuild returns (topology.RegularBuilder does), after which
-// Topology serves what it wrote.
+// another graph with the same node count: it points the network at topo,
+// lays out a shaped network's per-link arrays in their kept capacity,
+// clears the taps and runs Reset. Options, shard layout, engines and
+// queue capacity are kept, so a rebuild of the same size allocates
+// nothing once the arrays have grown to the larger graph's edge count.
+// Handlers are dropped, as by Reset. The network reads topo's rows while
+// it runs (ctx.Neighbors, a shaped send's link look-up), so a caller that
+// overwrites the graph in place (topology.RegularBuilder does) may do so
+// only before the next Rebuild, never while the network still runs on
+// it.
 func (n *Network) Rebuild(topo *topology.Graph, seed uint64) {
 	if topo.N() != len(n.nodes) {
 		panic(fmt.Sprintf("sim: Rebuild onto %d nodes of a %d-node network", topo.N(), len(n.nodes)))
@@ -345,11 +343,9 @@ func (n *Network) Reset(seed uint64) {
 	}
 	n.opts.Seed = seed
 	clear(n.deliveries)
-	for i := range n.linkAt {
-		n.linkAt[i] = 0
-	}
 	if n.shaper != nil {
 		*n.shaper = n.opts.Netem.Shaper(seed)
+		clear(n.linkAt)
 		clear(n.linkStreams)
 	}
 	for i := range n.nodes {
@@ -732,19 +728,17 @@ func (n *Network) recordDelivery(node *simNode, at time.Duration, id proto.MsgID
 	}
 }
 
-// linkSlot returns the FIFO arrival cell for the directed link from→to
-// — a CSR cell for topology edges, an entry of the sending shard's link
-// table otherwise — plus the link's per-type netem stream counters (nil
-// unless shaped). Both cells belong to the sending node's shard; a table
-// entry stays put until the shard's next send from any node.
+// linkSlot returns a shaped network's FIFO arrival cell for the directed
+// link from→to — the edge's cell when to is in from's row of the graph,
+// an entry of the sending shard's link table otherwise — plus the link's
+// per-type netem stream counters. Both cells belong to the sending
+// node's shard; a table entry stays put until the shard's next send from
+// any node.
 func (n *Network) linkSlot(from *simNode, to proto.NodeID) (at *time.Duration, streams *linkStream) {
-	lo, hi := n.linkOff[from.id], n.linkOff[from.id+1]
-	for i, d := range n.linkDst[lo:hi] {
+	lo := n.linkOff[from.id]
+	for i, d := range n.topo.Neighbors(from.id) {
 		if d == to {
-			if n.linkStreams != nil {
-				streams = &n.linkStreams[lo+int32(i)]
-			}
-			return &n.linkAt[lo+int32(i)], streams
+			return &n.linkAt[lo+int32(i)], &n.linkStreams[lo+int32(i)]
 		}
 	}
 	c, sh := from.cold(), from.shard
@@ -789,29 +783,32 @@ func (n *Network) send(from *simNode, to proto.NodeID, msg proto.Message) {
 	if len(n.unscoped) > 0 {
 		n.tapSend(from, now, to, msg)
 	}
-	delay := n.fixedDelay
-	slot, streams := n.linkSlot(from, to)
+	// A constant delay needs no per-link state: a sender's clock only
+	// moves forward, so now + fixedDelay is already in send order on every
+	// link, and equal arrivals keep it through the key's per-sender
+	// sequence below.
+	arrival := now + n.fixedDelay
 	if n.shaper != nil {
 		// Shaped path: loss and delay are hash decisions on the link's
 		// per-type message sequence — the counters the transport runtime
 		// keeps too, so both runtimes kill and hold the same messages.
+		slot, streams := n.linkSlot(from, to)
 		seq := sh.nextSeq(streams, tp)
-		var drop bool
-		delay, drop = n.shaper.Decide(from.id, to, tp, seq)
+		delay, drop := n.shaper.Decide(from.id, to, tp, seq)
 		if drop {
 			sh.netemDropped++
 			return
 		}
+		// Clamp to per-link FIFO: a later send never overtakes an earlier
+		// one on the same directed link, matching TCP stream semantics.
+		// The clamp adjusts only the arrival time, never the ordering key,
+		// so it is transparent to shard-invariance.
+		arrival = now + delay
+		if *slot > arrival {
+			arrival = *slot
+		}
+		*slot = arrival
 	}
-	// Clamp to per-link FIFO: a later send never overtakes an earlier one
-	// on the same directed link, matching TCP stream semantics. The clamp
-	// adjusts only the arrival time, never the ordering key, so it is
-	// transparent to shard-invariance.
-	arrival := now + delay
-	if *slot > arrival {
-		arrival = *slot
-	}
-	*slot = arrival
 	// The ordering key is pure provenance: who scheduled this send, and
 	// how many schedule calls came before it. A cross-shard delivery
 	// parked in the outbox sorts identically once its destination shard
@@ -887,13 +884,12 @@ func (s *simNode) Now() time.Duration { return s.eng.Now() }
 
 func (s *simNode) Rand() *rand.Rand { return &s.cold().rand }
 
-// Neighbors serves the node's row of the network's CSR copy of the
-// topology (the graph is never mutated after NewNetwork): the lines
-// linkSlot scans anyway, not the graph's adjacency header and data.
+// Neighbors serves the node's row of the graph itself, which the network
+// keeps no copy of, capacity-clipped so that a handler's append copies
+// it instead of writing into the graph's storage.
 func (s *simNode) Neighbors() []proto.NodeID {
-	n := s.net
-	lo, hi := n.linkOff[s.id], n.linkOff[s.id+1]
-	return n.linkDst[lo:hi:hi]
+	row := s.net.topo.Neighbors(s.id)
+	return row[:len(row):len(row)]
 }
 
 func (s *simNode) Send(to proto.NodeID, msg proto.Message) { s.net.send(s, to, msg) }

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/netem"
 	"repro/internal/proto"
@@ -375,4 +379,180 @@ func TestStartTwicePanics(t *testing.T) {
 		}
 	}()
 	net.Start()
+}
+
+// burstHandler answers a ping of hop h > 0 with a burst of pings of hop
+// h−1 (burst).
+type burstHandler struct{ n int }
+
+func (burstHandler) Init(proto.Context) {}
+
+func (h burstHandler) HandleMessage(ctx proto.Context, _ proto.NodeID, msg proto.Message) {
+	if ping, ok := msg.(*pingMsg); ok && ping.Hop > 0 {
+		burst(ctx, h.n, ping.Hop-1)
+	}
+}
+
+func (burstHandler) HandleTimer(proto.Context, any) {}
+
+// burst sends pings of the given hop, two rounds in one instant, to the
+// node's first two neighbours and to the node half the ID space away,
+// which a random regular graph of low degree rarely links: several
+// messages on each link, topology edge or not, in the same instant.
+func burst(ctx proto.Context, n int, hop uint32) {
+	nbrs := ctx.Neighbors()
+	far := (ctx.Self() + proto.NodeID(n/2)) % proto.NodeID(n)
+	for range 2 {
+		for _, to := range []proto.NodeID{nbrs[0], far, nbrs[1]} {
+			ctx.Send(to, &pingMsg{Hop: hop})
+		}
+	}
+}
+
+// timedMsg is one message a tap saw, with the time it saw it.
+type timedMsg struct {
+	at  time.Duration
+	msg proto.Message
+}
+
+// linkOrderTap records, per directed link, the messages sent on it and
+// the messages received from it, each in tap-stream order.
+type linkOrderTap struct {
+	sent, recv map[[2]proto.NodeID][]timedMsg
+}
+
+func (l *linkOrderTap) OnSend(at time.Duration, from, to proto.NodeID, msg proto.Message) {
+	k := [2]proto.NodeID{from, to}
+	l.sent[k] = append(l.sent[k], timedMsg{at, msg})
+}
+
+func (l *linkOrderTap) OnReceive(at time.Duration, from, to proto.NodeID, msg proto.Message) {
+	k := [2]proto.NodeID{from, to}
+	l.recv[k] = append(l.recv[k], timedMsg{at, msg})
+}
+
+func (*linkOrderTap) OnDeliverLocal(time.Duration, proto.NodeID, proto.MsgID, []byte) {}
+
+// TestFixedDelayLinkOrder holds a constant-delay network, which keeps no
+// per-link state, to the guarantee the shaped path's FIFO clamp gives:
+// on every directed link, topology edge or not, messages arrive in the
+// order they were sent, each exactly one delay after its send, also when
+// a node sends several on one link in the same instant. At one and two
+// shards.
+func TestFixedDelayLinkOrder(t *testing.T) {
+	const n, delay = 64, 10 * time.Millisecond
+	g, err := topology.RandomRegular(n, 4, testBenchRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			net := NewNetwork(g, Options{Seed: 3, Latency: ConstLatency(delay), Shards: shards})
+			if net.ShardCount() != shards {
+				t.Fatalf("%d shards resolved, want %d", net.ShardCount(), shards)
+			}
+			tap := &linkOrderTap{sent: map[[2]proto.NodeID][]timedMsg{}, recv: map[[2]proto.NodeID][]timedMsg{}}
+			net.AddTap(tap)
+			net.SetHandlers(func(proto.NodeID) proto.Handler { return burstHandler{n: n} })
+			net.Start()
+			for i := range 16 {
+				from := proto.NodeID(i * 5 % n)
+				net.At(time.Duration(i%4)*delay/2, from, func() { burst(&net.nodes[from], n, 3) })
+			}
+			net.Run(0)
+
+			offTopology, sameInstant := 0, 0
+			for link, sent := range tap.sent {
+				recv := tap.recv[link]
+				if len(recv) != len(sent) {
+					t.Fatalf("link %d→%d: %d messages sent, %d received", link[0], link[1], len(sent), len(recv))
+				}
+				for i, s := range sent {
+					if recv[i].msg != s.msg {
+						t.Fatalf("link %d→%d: receive %d is not send %d: the link reordered", link[0], link[1], i, i)
+					}
+					if recv[i].at != s.at+delay {
+						t.Fatalf("link %d→%d: message %d sent at %v arrived at %v, want %v", link[0], link[1], i, s.at, recv[i].at, s.at+delay)
+					}
+					if i > 0 && s.at == sent[i-1].at {
+						sameInstant++
+					}
+				}
+				if !g.HasEdge(link[0], link[1]) {
+					offTopology++
+				}
+			}
+			if offTopology == 0 || sameInstant == 0 {
+				t.Fatalf("%d off-topology links, %d same-instant sends on one link: the probe missed a case", offTopology, sameInstant)
+			}
+			if len(tap.recv) != len(tap.sent) {
+				t.Fatalf("%d links received, %d sent on", len(tap.recv), len(tap.sent))
+			}
+		})
+	}
+}
+
+// TestFixedDelayNetworkAllocs bounds what NewNetwork allocates for a
+// constant-delay network to its node arrays plus a fixed slack: such a
+// network keeps no per-link state and no copy of the graph, so one array
+// of a cell per directed edge — 320 KB of destinations or 640 KB of
+// arrival times at N=10k, d=8 — fails it.
+func TestFixedDelayNetworkAllocs(t *testing.T) {
+	const n, d, slack = 10_000, 8, 128 << 10
+	g, err := topology.RandomRegular(n, d, testBenchRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	net := NewNetwork(g, Options{Seed: 1, Latency: ConstLatency(10 * time.Millisecond)})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(net)
+	nodes := uint64(n) * uint64(unsafe.Sizeof(simNode{})+unsafe.Sizeof(nodeCold{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > nodes+slack {
+		t.Errorf("NewNetwork allocated %d bytes, want at most the node arrays' %d plus %d", got, nodes, slack)
+	}
+	t.Logf("NewNetwork allocated %d bytes beyond the node arrays", after.TotalAlloc-before.TotalAlloc-nodes)
+}
+
+// TestNeighborsCapacityClipped holds ctx.Neighbors to the graph's row
+// with no capacity past its length, on a constant-delay and on a shaped
+// network, so that a handler's append copies the row instead of writing
+// into the graph. The graph is built edge by edge, so its rows have room
+// to grow.
+func TestNeighborsCapacityClipped(t *testing.T) {
+	const n = 12
+	g := topology.NewGraph(n)
+	for v := range proto.NodeID(n) {
+		for _, step := range []proto.NodeID{1, 2, 4} {
+			if err := g.AddEdge(v, (v+step)%n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roomy := 0
+	for v := range proto.NodeID(n) {
+		if row := g.Neighbors(v); cap(row) > len(row) {
+			roomy++
+		}
+	}
+	if roomy == 0 {
+		t.Fatal("no row of the graph has spare capacity: the test cannot tell a clipped row")
+	}
+	for _, opts := range []Options{
+		{Latency: ConstLatency(time.Millisecond)},
+		{Netem: &netem.Profile{Latency: netem.Uniform{Min: time.Millisecond, Hi: 5 * time.Millisecond}}},
+	} {
+		net := NewNetwork(g, opts)
+		for v := range proto.NodeID(n) {
+			got, want := net.nodes[v].Neighbors(), g.Neighbors(v)
+			if !slices.Equal(got, want) {
+				t.Fatalf("shaped=%v node %d: Neighbors %v, graph row %v", net.shaper != nil, v, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Errorf("shaped=%v node %d: Neighbors has capacity %d past its length %d", net.shaper != nil, v, cap(got), len(got))
+			}
+		}
+	}
 }

@@ -13,9 +13,9 @@ import (
 
 // rebuildProbe floods one payload over net with a recording tap attached
 // while a dozen nodes also send pings to the node half the ID space away
-// — off the topology, so they grow the per-node overflow link lists, and
-// three per link, so its FIFO clamp is exercised. It returns the
-// fingerprint and the tap.
+// — off the topology, so on a shaped network they grow the per-node
+// overflow link lists, and three per link, so its FIFO clamp is
+// exercised. It returns the fingerprint and the tap.
 func rebuildProbe(t *testing.T, net *Network) (runFingerprint, *recTap) {
 	t.Helper()
 	rec := &recTap{}
@@ -49,9 +49,13 @@ func rebuildProbe(t *testing.T, net *Network) (runFingerprint, *recTap) {
 	return fp, rec
 }
 
-// probeOffTopology counts the directed links outside g that rebuildProbe
-// sends on: its pings between nodes g does not link.
-func probeOffTopology(g *topology.Graph) int {
+// probeOffTopology counts the entries rebuildProbe leaves in net's link
+// tables on g: one per directed link outside g its pings send on when the
+// network is shaped, none at a constant delay, which keeps no link state.
+func probeOffTopology(net *Network, g *topology.Graph) int {
+	if net.shaper == nil {
+		return 0
+	}
 	n := proto.NodeID(g.N())
 	links := map[[2]proto.NodeID]bool{}
 	for i := proto.NodeID(0); i < 12; i++ {
@@ -96,8 +100,9 @@ func noStaleLinks(t *testing.T, after string, net *Network) {
 // Both at one and two shards, on a clean and a shaped profile. After a
 // Reset or a Rebuild no node resolves an off-topology link of an earlier
 // run, and after each run the shards' link tables hold exactly that
-// run's off-topology links, not the union over runs; a rebuild of the
-// same size allocates nothing.
+// run's off-topology links when shaped, not the union over runs, and
+// nothing at a constant delay; a rebuild of the same size allocates
+// nothing.
 func TestRebuildEqualsFresh(t *testing.T) {
 	rng := testBenchRNG()
 	a, err := topology.RandomRegular(203, 6, rng)
@@ -163,8 +168,8 @@ func TestRebuildEqualsFresh(t *testing.T) {
 					got, rec := rebuildProbe(t, net)
 					compareFingerprints(t, step.name, step.want, got)
 					compareStreams(t, step.name, step.wantStream, rec.events)
-					if got, want := tableLinks(net), probeOffTopology(step.g); got != want {
-						t.Errorf("%s: the link tables hold %d entries after the run, which opened %d off-topology links", step.name, got, want)
+					if got, want := tableLinks(net), probeOffTopology(net, step.g); got != want {
+						t.Errorf("%s: the link tables hold %d entries after the run, want %d", step.name, got, want)
 					}
 				}
 				if len(dirty.events) != seen {

@@ -86,10 +86,10 @@ type shardState struct {
 	in  []inbox
 
 	// links is the FIFO state of the directed links outside the topology
-	// that the shard's nodes sent on this run, each node's chained from
-	// its cold cell (Network.linkSlot); spill holds the per-type sequence
-	// counters past the first of every link the shard's nodes send on
-	// (linkStream). reset rewinds both.
+	// that the shard's nodes sent on this run, shaped only, each node's
+	// chained from its cold cell (Network.linkSlot); spill holds the
+	// per-type sequence counters past the first of every link the shard's
+	// nodes send on (linkStream). reset rewinds both.
 	links []linkArrival
 	spill []streamSeq
 

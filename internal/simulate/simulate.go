@@ -182,8 +182,8 @@ func Run(cfg Config, build NetworkFunc) (*Result, *sim.DeliverySet, error) {
 
 // Trial is the construction of one broadcast trial, kept and overwritten
 // in place by the next Run instead of built anew: the random-regular
-// overlay (topology.RegularBuilder), the network's node, link, engine and
-// shard arrays with its off-topology link tables (sim.Network.Rebuild),
+// overlay (topology.RegularBuilder), the network's node, engine and shard
+// arrays with a shaped network's link arrays and tables (sim.Network.Rebuild),
 // the adversary's sightings and sample (adversary.Observer.ResetSampled),
 // the group directory's maps, heap and groups (group.Directory.Reset)
 // with the order nodes join it in, and one mounted stack per protocol
