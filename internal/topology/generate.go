@@ -124,7 +124,7 @@ func (b *RegularBuilder) Build(n, d int, rng *rand.Rand) (*Graph, error) {
 			g.adj[v] = slab[v*d : v*d+int(fill[v].deg) : (v+1)*d]
 		}
 		g.m = m
-		if b.repair(rng, d) && b.connected(d) {
+		if b.repair(rng, d) && b.connected() {
 			return g, nil
 		}
 	}
@@ -140,37 +140,17 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// connected reports whether the builder's graph of degree d is
-// connected, traversing it in BFS order over the kept bitset and queue
-// with reach's look-ahead. It runs after a successful repair, when every
-// row is full and v's is slab[v*d:(v+1)*d], so it reads the rows from
-// the slab, not through their headers: one miss a node at N=1M instead
-// of two dependent ones.
-func (b *RegularBuilder) connected(d int) bool {
-	n := b.g.n
-	if n <= 1 {
+// connected reports whether the builder's graph is connected, traversing
+// it in the kept bitset and queue.
+func (b *RegularBuilder) connected() bool {
+	g := &b.g
+	if g.n <= 1 {
 		return true
 	}
-	seen := resize(b.seen, bitsetWords(n))
-	clear(seen)
-	seen[0] = 1
-	queue := append(slices.Grow(b.queue[:0], n), 0)
-	slab := b.slab[:n*d]
-	ahead := n >= aheadMinN
-	for head := 0; head < len(queue); head++ {
-		if i := head + bfsAhead; ahead && i < len(queue) {
-			prefetch.Line(&slab[int(queue[i])*d])
-		}
-		v := int(queue[head])
-		for _, w := range slab[v*d : (v+1)*d] {
-			if word, bit := &seen[w>>6], uint64(1)<<(w&63); *word&bit == 0 {
-				*word |= bit
-				queue = append(queue, w)
-			}
-		}
-	}
-	b.seen, b.queue = seen, queue
-	return len(queue) == n
+	b.seen = resize(b.seen, bitsetWords(g.n))
+	clear(b.seen)
+	b.queue = slices.Grow(b.queue[:0], g.n)
+	return len(g.reach(0, b.seen, b.queue)) == g.n
 }
 
 // shuffleAhead is how many swaps ahead shuffle draws and prefetches,
